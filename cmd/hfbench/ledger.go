@@ -12,12 +12,11 @@ import (
 )
 
 // runLedger measures the canonical allocation suites, writes the timestamped
-// JSON ledger, and applies the two gates: the within-run ≥30% allocation
-// reduction on every gated suite, and — when a baseline is given — no
-// allocation regression beyond the noise bars documented in
-// benchmarks/README.md. ns/op is recorded but never gated.
+// JSON ledger, and — when a baseline is given — gates on no allocation
+// regression beyond the noise bars documented in benchmarks/README.md. ns/op
+// is recorded but never gated.
 func runLedger(out, baselinePath, textPath string) int {
-	fmt.Fprintln(os.Stderr, "running allocation-ledger suites (each variant benchmarks for ~1s)...")
+	fmt.Fprintln(os.Stderr, "running allocation-ledger suites (each benchmarks for ~1s)...")
 	l := bench.RunLedger()
 	l.Timestamp = time.Now().UTC().Format(time.RFC3339)
 	l.GitSHA = gitSHA()
@@ -45,12 +44,6 @@ func runLedger(out, baselinePath, textPath string) int {
 	}
 
 	code := 0
-	if bad := l.Gate(); len(bad) > 0 {
-		for _, msg := range bad {
-			fmt.Fprintln(os.Stderr, "hfbench: allocation gate:", msg)
-		}
-		code = 1
-	}
 	if baselinePath != "" {
 		raw, err := os.ReadFile(baselinePath)
 		if err != nil {

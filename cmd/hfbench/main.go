@@ -55,7 +55,7 @@ func run() int {
 	plan := flag.String("plan", "", "compare plan cache and index pushdown off/on and write JSON here (runs only this; exits 1 if the cache does not cut repeated-body compiles at least 2x, pushdown does not cut scans at least 2x, or either changes any result)")
 	planCache := flag.Int("plan-cache", 8, "plan-cache entries for -plan")
 	workers := flag.String("workers", "", "sweep worker-pool widths over a concurrent scattered-tree batch and write JSON here (runs only this; exits 1 if workers=4 is not at least 1.8x faster than workers=1, a single query speeds up or slows down past 20%, or any width changes any result)")
-	ledger := flag.String("ledger", "", "run the canonical allocation-ledger suites and write JSON here (runs only this; exits 1 if any gated suite's optimized variant allocates more than 70% of its paper-exact twin)")
+	ledger := flag.String("ledger", "", "run the canonical allocation-ledger suites (one measurement per suite) and write JSON here (runs only this)")
 	ledgerBase := flag.String("ledger-baseline", "", "with -ledger: also diff against this committed baseline ledger and exit 1 on any allocation regression beyond the noise bars")
 	ledgerText := flag.String("ledger-text", "", "with -ledger: also write the human-readable results table to this path")
 	flag.Parse()

@@ -58,13 +58,6 @@ type config struct {
 	Workers     int
 	FairQuantum int
 
-	// Hot-path memory overhaul: MemOpt switches the site to packed mark
-	// tables, pooled engine scratch, and the packed sent-cache; ZeroCopy
-	// decodes inbound frames in place from pooled ref-counted read buffers.
-	// Both default off (paper-exact); answers are byte-identical either way.
-	MemOpt   bool
-	ZeroCopy bool
-
 	// MetricsAddr exposes /debug/hyperfile (metrics + query traces) over
 	// HTTP when non-empty.
 	MetricsAddr string
@@ -102,8 +95,6 @@ func main() {
 	flag.DurationVar(&cfg.QueryDeadline, "query-deadline", 0, "default per-query time budget; expired queries return annotated partials (0 = none)")
 	flag.IntVar(&cfg.Workers, "workers", 0, "stepping-pool goroutines for this site (0 or 1 = single stepper)")
 	flag.IntVar(&cfg.FairQuantum, "fair-quantum", 0, "per-client deficit-round-robin step credits per turn (0 = FIFO scheduling)")
-	flag.BoolVar(&cfg.MemOpt, "mem-opt", false, "pooled hot-path memory: packed mark tables, pooled engine scratch, packed sent-cache (answers unchanged)")
-	flag.BoolVar(&cfg.ZeroCopy, "zero-copy", false, "decode inbound frames in place from pooled read buffers instead of copying every field")
 	flag.StringVar(&cfg.MetricsAddr, "metrics-addr", "", "serve /debug/hyperfile on this address (empty = off)")
 	flag.DurationVar(&cfg.Heartbeat, "heartbeat", 0, "peer heartbeat interval (0 = no failure detector)")
 	flag.DurationVar(&cfg.SuspectAfter, "suspect-after", 0, "silence before a peer is declared down (default 4x heartbeat)")
@@ -209,7 +200,6 @@ func run(cfg config, lg *slog.Logger, stop <-chan os.Signal, ready chan<- string
 		HeartbeatInterval: cfg.Heartbeat,
 		SuspectAfter:      cfg.SuspectAfter,
 	}
-	opts.Transport.ZeroCopy = cfg.ZeroCopy
 	if cfg.ChaosDrop > 0 || cfg.ChaosDup > 0 || cfg.ChaosDelay > 0 || cfg.ChaosReorder > 0 {
 		opts.Transport.Fault = chaos.NewInjector(chaos.Config{
 			Seed:        cfg.ChaosSeed,
@@ -237,7 +227,6 @@ func run(cfg config, lg *slog.Logger, stop <-chan os.Signal, ready chan<- string
 		MaxInflight: cfg.MaxInflight, AdmissionQueue: cfg.AdmissionQueue,
 		QueryDeadline: cfg.QueryDeadline,
 		Workers:       cfg.Workers, FairQuantum: cfg.FairQuantum,
-		MemOpt: cfg.MemOpt,
 	}, cfg.Listen, lg, opts)
 	if err != nil {
 		return err

@@ -214,65 +214,6 @@ func TestRunWorkerPoolFlags(t *testing.T) {
 	}
 }
 
-// TestRunMemOptZeroCopyFlags boots a server with the hot-path memory
-// overhaul on — packed mark tables, pooled scratch, and zero-copy inbound
-// decode — and checks repeated queries still answer exactly: the flags wire
-// through site.Config and the transport without changing a single result.
-func TestRunMemOptZeroCopyFlags(t *testing.T) {
-	st := store.New(1)
-	o := st.NewObject().Add("keyword", object.Keyword("net"), object.Value{})
-	if err := st.Put(o); err != nil {
-		t.Fatal(err)
-	}
-	dataPath := filepath.Join(t.TempDir(), "data.jsonl")
-	f, err := os.Create(dataPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obj, _ := st.Get(o.ID)
-	if err := dump.Write(f, []*object.Object{obj}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	stop := make(chan os.Signal, 1)
-	ready := make(chan string, 1)
-	done := make(chan error, 1)
-	lg := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelError}))
-	go func() {
-		done <- run(config{
-			SiteID: 1, Listen: "127.0.0.1:0", Data: dataPath, TermMode: "weighted",
-			DerefBatch: 4, MemOpt: true, ZeroCopy: true,
-		}, lg, stop, ready)
-	}()
-	var addr string
-	select {
-	case addr = <-ready:
-	case err := <-done:
-		t.Fatalf("server exited early: %v", err)
-	}
-	cl, err := server.NewClient(500, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	cl.AddServer(1, addr)
-	// Several rounds so released read buffers are recycled between queries.
-	for i := 0; i < 4; i++ {
-		cm, err := cl.Exec(1, `S (keyword, "net", ?) -> T`, []object.ID{o.ID}, 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(cm.IDs) != 1 || cm.Partial {
-			t.Errorf("query %d: ids %v partial %v", i, cm.IDs, cm.Partial)
-		}
-	}
-	stop <- os.Interrupt
-	if err := <-done; err != nil {
-		t.Fatalf("run returned %v", err)
-	}
-}
-
 // TestRunOverloadFlags boots a server with admission control and a default
 // deadline enabled and checks a within-bound query still answers exactly —
 // the flags wire through site.Config without perturbing normal service.

@@ -180,6 +180,7 @@ func (db *DB) Exec(src string, initial []ID) (IDSet, []Fetch, Stats, error) {
 		return nil, nil, Stats{}, err
 	}
 	e := engine.New(compiled, db.st)
+	defer e.ReleaseScratch()
 	e.AddInitial(initial...)
 	stats := e.Run()
 	results, fetches := e.TakeResults()

@@ -17,24 +17,18 @@ import (
 )
 
 // The benchmark ledger is the canonical record of the hot-path allocation
-// profile: a small set of named suites, each run in a paper-exact variant and
-// a memory-optimized variant, with ns/op, allocs/op and B/op captured per
-// entry. Runs are written to benchmarks/ as timestamped JSON; CI re-runs the
-// suites and gates on two properties:
-//
-//   - within-run: the optimized variant of every gated suite must allocate at
-//     most optAllocFrac of its paper-exact twin (the ≥30% reduction the
-//     memory overhaul promises), and
-//   - against baseline: allocs/op and B/op must not regress past the
-//     committed benchmarks/BASELINE.json beyond the documented noise bars.
+// profile: a small set of named suites, with ns/op, allocs/op and B/op
+// captured per suite. Runs are written to benchmarks/ as timestamped JSON; CI
+// re-runs the suites and gates on one property: allocs/op and B/op must not
+// regress past the committed benchmarks/BASELINE.json beyond the documented
+// noise bars.
 //
 // Wall-clock ns/op is recorded but never gated — it is machine-dependent and
 // CI runners are noisy; allocation counts are not.
 
-// LedgerEntry is one (suite, variant) measurement.
+// LedgerEntry is one suite's measurement.
 type LedgerEntry struct {
 	Suite       string  `json:"suite"`
-	Variant     string  `json:"variant"`
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
@@ -52,13 +46,10 @@ type Ledger struct {
 }
 
 const (
-	// LedgerSchema versions the JSON layout for future readers.
-	LedgerSchema = 1
-
-	// optAllocFrac is the within-run gate: on every gated suite the
-	// optimized variant must allocate at most this fraction of the
-	// paper-exact variant (0.70 == the ≥30% reduction acceptance bar).
-	optAllocFrac = 0.70
+	// LedgerSchema versions the JSON layout for future readers. Schema 1
+	// carried two variants per suite (the map/copy forms beside the packed,
+	// pooled and borrowed ones); schema 2 has one entry per suite.
+	LedgerSchema = 2
 
 	// Noise bars for the baseline diff. Allocation counts are nearly
 	// deterministic (only map-growth amortization and pool warmup move
@@ -71,64 +62,32 @@ const (
 	bytesNoiseFloor = 128
 )
 
-// gatedSuites are the suites whose optimized variant must clear the
-// optAllocFrac bar. The end-to-end suite is recorded for trend-watching but
-// not ratio-gated: its allocation profile is dominated by dataset and
-// cluster bookkeeping shared by both variants.
-var gatedSuites = []string{"engine_step", "codec_encode", "codec_decode"}
-
-// ledgerSuite is one named suite: the same workload measured paper-exact and
-// optimized.
-type ledgerSuite struct {
-	name     string
-	variants [2]struct {
-		name string
-		run  func(b *testing.B)
-	}
+// ledgerSuites are the named suites, in run order.
+var ledgerSuites = []struct {
+	name string
+	run  func(b *testing.B)
+}{
+	{"engine_step", benchEngineStep},
+	{"codec_encode", benchCodecEncode},
+	{"codec_decode", benchCodecDecode},
+	{"e2e_scattered_tree", benchScatteredTree},
 }
 
 // RunLedger measures every suite and returns the populated ledger (without
 // Timestamp/GitSHA, which the caller stamps).
 func RunLedger() *Ledger {
 	l := &Ledger{Schema: LedgerSchema, GoVersion: runtime.Version()}
-	for _, s := range ledgerSuites() {
-		for _, v := range s.variants {
-			r := testing.Benchmark(v.run)
-			l.Entries = append(l.Entries, LedgerEntry{
-				Suite:       s.name,
-				Variant:     v.name,
-				Iterations:  r.N,
-				NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-				AllocsPerOp: r.AllocsPerOp(),
-				BytesPerOp:  r.AllocedBytesPerOp(),
-			})
-		}
+	for _, s := range ledgerSuites {
+		r := testing.Benchmark(s.run)
+		l.Entries = append(l.Entries, LedgerEntry{
+			Suite:       s.name,
+			Iterations:  r.N,
+			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+			AllocsPerOp: r.AllocsPerOp(),
+			BytesPerOp:  r.AllocedBytesPerOp(),
+		})
 	}
 	return l
-}
-
-func ledgerSuites() []ledgerSuite {
-	return []ledgerSuite{
-		suite("engine_step", "paper", "memopt",
-			func(b *testing.B) { benchEngineStep(b, false) },
-			func(b *testing.B) { benchEngineStep(b, true) }),
-		suite("codec_encode", "paper", "pooled",
-			func(b *testing.B) { benchCodecEncode(b, false) },
-			func(b *testing.B) { benchCodecEncode(b, true) }),
-		suite("codec_decode", "paper", "borrowed",
-			func(b *testing.B) { benchCodecDecode(b, false) },
-			func(b *testing.B) { benchCodecDecode(b, true) }),
-		suite("e2e_scattered_tree", "paper", "memopt",
-			func(b *testing.B) { benchScatteredTree(b, false) },
-			func(b *testing.B) { benchScatteredTree(b, true) }),
-	}
-}
-
-func suite(name, v0, v1 string, r0, r1 func(b *testing.B)) ledgerSuite {
-	s := ledgerSuite{name: name}
-	s.variants[0].name, s.variants[0].run = v0, r0
-	s.variants[1].name, s.variants[1].run = v1, r1
-	return s
 }
 
 // --- suite bodies ---
@@ -142,9 +101,9 @@ func (p ledgerPlacer) Put(_ object.SiteID, o *object.Object) error { return p.st
 
 // benchEngineStep measures one full local closure (build engine, seed root,
 // run to exhaustion) over a 120-object dataset — the per-query engine cost a
-// site pays. The memopt variant releases scratch after each run, the way the
-// site layer does when a context finishes, so the pools actually cycle.
-func benchEngineStep(b *testing.B, memopt bool) {
+// site pays. Scratch is released after each run, the way the site layer does
+// when a context finishes, so the pools actually cycle.
+func benchEngineStep(b *testing.B) {
 	st := store.New(1)
 	d, err := workload.Build(ledgerPlacer{st}, workload.Spec{N: 120, Machines: 1, Seed: 1})
 	if err != nil {
@@ -154,17 +113,10 @@ func benchEngineStep(b *testing.B, memopt bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var e *engine.Engine
-		if memopt {
-			e = engine.New(compiled, st, engine.WithMemOpt())
-		} else {
-			e = engine.New(compiled, st)
-		}
+		e := engine.New(compiled, st)
 		e.AddInitial(d.Root)
 		e.Run()
-		if memopt {
-			e.ReleaseScratch()
-		}
+		e.ReleaseScratch()
 	}
 }
 
@@ -180,38 +132,28 @@ func ledgerDeref() *wire.Deref {
 	}
 }
 
-// benchCodecEncode measures encoding the deref: fresh allocation per message
-// (paper) vs appending into a pooled buffer (pooled).
-func benchCodecEncode(b *testing.B, pooled bool) {
+// benchCodecEncode measures encoding the deref by appending into a pooled
+// buffer, as the transport's send paths do.
+func benchCodecEncode(b *testing.B) {
 	m := ledgerDeref()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if pooled {
-			buf := wire.GetBuf()
-			data := wire.EncodeTo((*buf)[:0], m)
-			*buf = data[:0]
-			wire.PutBuf(buf)
-		} else {
-			wire.Encode(m)
-		}
+		buf := wire.GetBuf()
+		data := wire.EncodeTo((*buf)[:0], m)
+		*buf = data[:0]
+		wire.PutBuf(buf)
 	}
 }
 
-// benchCodecDecode measures decoding the deref: copying every string and
-// byte field out of the frame (paper) vs borrowing them in place (borrowed).
-func benchCodecDecode(b *testing.B, borrowed bool) {
+// benchCodecDecode measures decoding the deref with its string and byte
+// fields borrowed in place, as a server's inbound path does.
+func benchCodecDecode(b *testing.B) {
 	data := wire.Encode(ledgerDeref())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		if borrowed {
-			_, err = wire.DecodeBorrowed(data)
-		} else {
-			_, err = wire.Decode(data)
-		}
-		if err != nil {
+		if _, err := wire.DecodeBorrowed(data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -219,12 +161,9 @@ func benchCodecDecode(b *testing.B, borrowed bool) {
 
 // benchScatteredTree measures a full distributed closure on the simulator: 3
 // sites, tree pointers scattered across them, deref batching on — the
-// end-to-end shape the paper's Figure 4 midpoint uses. Recorded for trend
-// data; not ratio-gated (see gatedSuites).
-func benchScatteredTree(b *testing.B, memopt bool) {
-	c := cluster.NewSim(3, cluster.Options{
-		Cost: sim.Free(), DerefBatch: 8, MemOpt: memopt,
-	})
+// end-to-end shape the paper's Figure 4 midpoint uses.
+func benchScatteredTree(b *testing.B) {
+	c := cluster.NewSim(3, cluster.Options{Cost: sim.Free(), DerefBatch: 8})
 	d, err := workload.Build(c, workload.Spec{
 		N: 120, Machines: 3, StructureMachines: 3, Seed: 1,
 	})
@@ -241,61 +180,27 @@ func benchScatteredTree(b *testing.B, memopt bool) {
 	}
 }
 
-// --- gates ---
+// --- gate ---
 
-func (l *Ledger) find(suite, variant string) *LedgerEntry {
+func (l *Ledger) find(suite string) *LedgerEntry {
 	for i := range l.Entries {
-		if l.Entries[i].Suite == suite && l.Entries[i].Variant == variant {
+		if l.Entries[i].Suite == suite {
 			return &l.Entries[i]
 		}
 	}
 	return nil
-}
-
-// optimizedVariant returns the non-paper entry of a suite.
-func (l *Ledger) optimizedVariant(suite string) *LedgerEntry {
-	for i := range l.Entries {
-		if l.Entries[i].Suite == suite && l.Entries[i].Variant != "paper" {
-			return &l.Entries[i]
-		}
-	}
-	return nil
-}
-
-// Gate checks the within-run acceptance bar: on every gated suite the
-// optimized variant allocates at most optAllocFrac of the paper-exact
-// variant. Returns one message per violation; empty means pass.
-func (l *Ledger) Gate() []string {
-	var bad []string
-	for _, s := range gatedSuites {
-		paper, opt := l.find(s, "paper"), l.optimizedVariant(s)
-		if paper == nil || opt == nil {
-			bad = append(bad, fmt.Sprintf("%s: suite missing from run", s))
-			continue
-		}
-		limit := float64(paper.AllocsPerOp) * optAllocFrac
-		if float64(opt.AllocsPerOp) > limit {
-			bad = append(bad, fmt.Sprintf(
-				"%s: %s allocs/op %d > %.1f (%.0f%% of paper's %d; bar is ≤%.0f%%)",
-				s, opt.Variant, opt.AllocsPerOp, limit,
-				100*float64(opt.AllocsPerOp)/float64(paper.AllocsPerOp),
-				paper.AllocsPerOp, 100*optAllocFrac))
-		}
-	}
-	return bad
 }
 
 // DiffBaseline compares this run against a committed baseline. failures are
 // allocation regressions beyond the noise bars (CI-fatal); notes flag
-// entries that improved past the bar or exist on only one side (the baseline
+// suites that improved past the bar or exist on only one side (the baseline
 // is stale and should be regenerated — informational, never fatal).
 func (l *Ledger) DiffBaseline(base *Ledger) (failures, notes []string) {
 	for i := range base.Entries {
 		be := &base.Entries[i]
-		cur := l.find(be.Suite, be.Variant)
-		key := be.Suite + "/" + be.Variant
+		cur := l.find(be.Suite)
 		if cur == nil {
-			notes = append(notes, key+": in baseline but not in this run")
+			notes = append(notes, be.Suite+": in baseline but not in this run")
 			continue
 		}
 		check := func(metric string, got, want int64, frac float64, floor int64) {
@@ -305,11 +210,11 @@ func (l *Ledger) DiffBaseline(base *Ledger) (failures, notes []string) {
 			case got > want+bar:
 				failures = append(failures, fmt.Sprintf(
 					"%s: %s regressed: %d vs baseline %d (noise bar ±%d)",
-					key, metric, got, want, bar))
+					be.Suite, metric, got, want, bar))
 			case got < want-bar:
 				notes = append(notes, fmt.Sprintf(
 					"%s: %s improved past the noise bar (%d vs %d) — refresh benchmarks/BASELINE.json",
-					key, metric, got, want))
+					be.Suite, metric, got, want))
 			}
 		}
 		check("allocs/op", cur.AllocsPerOp, be.AllocsPerOp, allocNoiseFrac, allocNoiseFloor)
@@ -317,42 +222,21 @@ func (l *Ledger) DiffBaseline(base *Ledger) (failures, notes []string) {
 	}
 	for i := range l.Entries {
 		e := &l.Entries[i]
-		if base.find(e.Suite, e.Variant) == nil {
-			notes = append(notes, e.Suite+"/"+e.Variant+
+		if base.find(e.Suite) == nil {
+			notes = append(notes, e.Suite+
 				": new suite not in baseline — refresh benchmarks/BASELINE.json")
 		}
 	}
 	return failures, notes
 }
 
-// Table renders the ledger as an aligned text table, suites in run order,
-// with the optimized variant's alloc reduction against its paper twin.
+// Table renders the ledger as an aligned text table, suites in run order.
 func (l *Ledger) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-22s %-10s %14s %12s %12s %10s\n",
-		"suite", "variant", "ns/op", "B/op", "allocs/op", "Δallocs")
-	suites := make([]string, 0, 4)
-	seen := map[string]bool{}
+	fmt.Fprintf(&b, "%-22s %14s %12s %12s\n", "suite", "ns/op", "B/op", "allocs/op")
 	for _, e := range l.Entries {
-		if !seen[e.Suite] {
-			seen[e.Suite] = true
-			suites = append(suites, e.Suite)
-		}
-	}
-	for _, s := range suites {
-		paper := l.find(s, "paper")
-		for _, e := range l.Entries {
-			if e.Suite != s {
-				continue
-			}
-			delta := ""
-			if paper != nil && e.Variant != "paper" && paper.AllocsPerOp > 0 {
-				delta = fmt.Sprintf("%+.0f%%",
-					100*(float64(e.AllocsPerOp)-float64(paper.AllocsPerOp))/float64(paper.AllocsPerOp))
-			}
-			fmt.Fprintf(&b, "%-22s %-10s %14.1f %12d %12d %10s\n",
-				e.Suite, e.Variant, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp, delta)
-		}
+		fmt.Fprintf(&b, "%-22s %14.1f %12d %12d\n",
+			e.Suite, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp)
 	}
 	return b.String()
 }

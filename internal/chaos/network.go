@@ -21,7 +21,11 @@ type Handler func(from object.SiteID, m wire.Msg)
 // when the link stays severed until the sender gives up).
 //
 // Messages are encoded and re-decoded per delivered copy, so receivers get
-// independent values and the wire codec is exercised on every hop.
+// independent values and the wire codec is exercised on every hop. The
+// decode is the borrowed one (wire.DecodeBorrowed): string and []byte fields
+// alias the sender's encoded frame. That needs no release protocol here —
+// the fabric never mutates a frame, and the garbage collector keeps it alive
+// as long as any borrowed field does.
 type Network struct {
 	inj *Injector
 
@@ -30,7 +34,6 @@ type Network struct {
 	links    map[[2]object.SiteID]*chaosLink
 	timers   map[*time.Timer]struct{}
 	closed   bool
-	zeroCopy bool
 	wg       sync.WaitGroup
 
 	// Retransmission policy; fixed, tuned for tests.
@@ -77,18 +80,6 @@ func NewNetwork(inj *Injector) *Network {
 // Injector returns the fault injector the network consults, so tests can
 // partition and heal links mid-run.
 func (n *Network) Injector() *Injector { return n.inj }
-
-// SetZeroCopy switches delivery to the borrowed decode (wire.DecodeBorrowed):
-// string and []byte fields of hot-path messages alias the sender's encoded
-// frame instead of copying. Safe here without any release protocol — the
-// fabric retains each frame unmutated until acked (for retransmission), and
-// the garbage collector keeps it alive as long as any borrowed field does.
-// Answers are byte-identical either way.
-func (n *Network) SetZeroCopy(on bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.zeroCopy = on
-}
 
 // Register installs the handler for site id. Handlers run either inline in
 // the sender's goroutine (zero-delay deliveries) or on timer goroutines, so
@@ -222,18 +213,11 @@ func (n *Network) handoff(from, to object.SiteID, data []byte) {
 	n.mu.Lock()
 	h := n.handlers[to]
 	closed := n.closed
-	zc := n.zeroCopy
 	n.mu.Unlock()
 	if h == nil || closed {
 		return
 	}
-	var m wire.Msg
-	var err error
-	if zc {
-		m, err = wire.DecodeBorrowed(data)
-	} else {
-		m, err = wire.Decode(data)
-	}
+	m, err := wire.DecodeBorrowed(data)
 	if err != nil {
 		panic(fmt.Sprintf("chaos: undecodable frame on %d->%d: %v", from, to, err))
 	}

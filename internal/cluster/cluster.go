@@ -102,16 +102,6 @@ type Options struct {
 	// engine steps by deficit round robin over client ids
 	// (wire.Submit.ClientID) with this quantum, instead of FIFO order.
 	FairQuantum int
-	// MemOpt enables each site's hot-path memory optimizations: packed
-	// open-addressing mark tables, pooled engine scratch, and the packed
-	// sender-side deref dedup cache. Answers are byte-identical with the
-	// paper-exact structures; only the allocation profile changes.
-	MemOpt bool
-	// ZeroCopy (LocalCluster only) decodes inter-site messages in place over
-	// the sender's encoded frame instead of copying every string. Implies
-	// routing traffic through the in-memory fabric even without Chaos (a
-	// fault-free one), since direct in-process handoff never encodes.
-	ZeroCopy bool
 }
 
 // siteIDs returns 1..n.
@@ -170,7 +160,6 @@ func buildSite(id object.SiteID, all []object.SiteID, opts Options, marks *site.
 		QueryDeadline:           opts.QueryDeadline,
 		Workers:                 opts.Workers,
 		FairQuantum:             opts.FairQuantum,
-		MemOpt:                  opts.MemOpt,
 	})
 	return s, st, dir, reg
 }

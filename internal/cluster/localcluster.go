@@ -93,17 +93,12 @@ func NewLocal(n int, opts Options) *LocalCluster {
 	if opts.OracleMarkTable {
 		marks = site.NewGlobalMarks()
 	}
-	if opts.Chaos != nil || opts.HeartbeatInterval > 0 || opts.ZeroCopy {
+	if opts.Chaos != nil || opts.HeartbeatInterval > 0 {
 		var inj *chaos.Injector
 		if opts.Chaos != nil {
 			inj = chaos.NewInjector(*opts.Chaos)
 		}
 		c.net = chaos.NewNetwork(inj)
-		if opts.ZeroCopy {
-			// Borrowed decode needs encoded frames to borrow from; the
-			// fault-free fabric provides them when Chaos is off.
-			c.net.SetZeroCopy(true)
-		}
 		c.hbEvery = opts.HeartbeatInterval
 		c.suspectAfter = opts.SuspectAfter
 		if c.hbEvery > 0 && c.suspectAfter <= 0 {
@@ -431,6 +426,9 @@ func (ls *localSite) take() (func(*site.Site) []wire.Envelope, bool) {
 		return nil, false
 	}
 	f := ls.mailbox[0]
+	// Zero the vacated slot: the backing array outlives the entry, and a
+	// stale closure would pin the message (and the frame it borrows from).
+	ls.mailbox[0] = nil
 	ls.mailbox = ls.mailbox[1:]
 	return f, true
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"hyperfile/internal/object"
+	"hyperfile/internal/packed"
 	"hyperfile/internal/pattern"
 	"hyperfile/internal/plan"
 	"hyperfile/internal/query"
@@ -73,39 +74,14 @@ type StepResult struct {
 }
 
 // Marks is the mark-table abstraction: the set of (object, filter index)
-// pairs already processed. The default is an engine-local map, per the
-// paper's design; a shared implementation enables the shared-memory
-// multiprocessor mode of section 6.
+// pairs already processed. The default is an engine-owned packed table
+// (packedMarks), per-site as in the paper's design; a shared implementation
+// enables the shared-memory multiprocessor mode of section 6.
 type Marks interface {
 	// TestAndSet records (id, idx) and reports whether it was already set.
 	TestAndSet(id object.ID, idx int) bool
 	// Test reports whether (id, idx) is set.
 	Test(id object.ID, idx int) bool
-}
-
-// mapMarks is the default single-threaded mark table.
-type mapMarks map[object.ID]map[int]struct{}
-
-func (m mapMarks) Test(id object.ID, idx int) bool {
-	set, ok := m[id]
-	if !ok {
-		return false
-	}
-	_, hit := set[idx]
-	return hit
-}
-
-func (m mapMarks) TestAndSet(id object.ID, idx int) bool {
-	set, ok := m[id]
-	if !ok {
-		set = make(map[int]struct{})
-		m[id] = set
-	}
-	if _, hit := set[idx]; hit {
-		return true
-	}
-	set[idx] = struct{}{}
-	return false
 }
 
 // Engine processes one query at one site; each query context owns one
@@ -134,10 +110,8 @@ type Engine struct {
 	work  []Item
 	head  int
 	marks Marks
-	// memopt enables the pooled memory model (see WithMemOpt): workptr is
-	// the pooled backing for work, env the per-engine scratch binding
-	// environment reused across Steps.
-	memopt  bool
+	// workptr is the pooled backing for work, env the per-engine scratch
+	// binding environment reused across Steps; ReleaseScratch returns both.
 	workptr *[]Item
 	env     pattern.Env
 	// spawn, when set, receives locally-dereferenced items instead of the
@@ -197,12 +171,13 @@ func NewPlanned(p *plan.Plan, src Source, opts ...Option) *Engine {
 	for _, o := range opts {
 		o(e)
 	}
-	if e.memopt {
-		e.acquireScratch()
-	}
+	// After the options, so a table installed via WithMarks is never
+	// overridden (and no pooled set is acquired just to leak).
 	if e.marks == nil {
-		e.marks = make(mapMarks)
+		e.marks = packedMarks{s: packed.Get()}
 	}
+	e.workptr = workPool.Get().(*[]Item)
+	e.work = (*e.workptr)[:0]
 	return e
 }
 
@@ -303,32 +278,13 @@ func (e *Engine) Stats() Stats {
 	return e.stats
 }
 
-// ReleaseMarks drops the engine-owned mark table. Only valid once the query
-// is finished at this site: a retained context keeps its engine alive for
-// the distributed-set seed list but never processes again, and its marks
-// would otherwise pin one entry per (object, filter) pair the query ever
-// touched. A table shared via WithMarks is left alone — its owner decides
-// its lifetime.
-func (e *Engine) ReleaseMarks() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.releaseMarksLocked()
-}
-
 // MarkCount returns the number of marked (object, filter) pairs in an
 // engine-owned mark table, or -1 for a shared table installed via
 // WithMarks (whose size is not this engine's to report).
 func (e *Engine) MarkCount() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	switch m := e.marks.(type) {
-	case mapMarks:
-		n := 0
-		for _, set := range m {
-			n += len(set)
-		}
-		return n
-	case packedMarks:
+	if m, ok := e.marks.(packedMarks); ok {
 		return m.s.Len()
 	}
 	return -1

@@ -8,13 +8,12 @@ import (
 	"hyperfile/internal/pattern"
 )
 
-// packedMarks is the memory-optimized engine-owned mark table: an
-// open-addressing set over packed (birth, seq, filter) keys. One flat slot
-// array replaces the nested map-of-maps, so marking an (object, filter)
-// pair allocates nothing in the steady state. It satisfies Marks, so
-// WithMarks-style sharing semantics are unchanged — but unlike a table
-// installed via WithMarks, a packedMarks is engine-owned and ReleaseMarks
-// returns its storage to the pool.
+// packedMarks is the engine-owned mark table: an open-addressing set over
+// packed (birth, seq, filter) keys. One flat slot array stands in for the
+// paper's per-object sets of filter indices, so marking an (object, filter)
+// pair allocates nothing in the steady state. Unlike a table installed via
+// WithMarks, a packedMarks is engine-owned and ReleaseScratch returns its
+// storage to the pool.
 type packedMarks struct{ s *packed.Set }
 
 func (m packedMarks) Test(id object.ID, idx int) bool {
@@ -27,47 +26,29 @@ func (m packedMarks) TestAndSet(id object.ID, idx int) bool {
 	return m.s.TestAndSet(hi, lo)
 }
 
-// The pools below back WithMemOpt engines. Lifetimes follow the query
-// context: storage is acquired when the engine is built and returned by
-// ReleaseScratch/ReleaseMarks when the site finishes, force-completes, or
-// retains the context — the same three paths that already release the
-// sent-cache and global marks.
+// maxPooledWork bounds the working-set backing arrays workPool keeps. The
+// pool hands any array to any query and releasing one clears its whole
+// capacity, so a queue grown by one huge closure must not be inherited (and
+// re-cleared) by every small query after it. 4096 items holds the frontier
+// of the paper's largest tree (2700 objects).
+const maxPooledWork = 4096
+
+// The pools below (and packed's set pool) back every engine. Lifetimes
+// follow the query context: storage is acquired when the engine is built and
+// returned by ReleaseScratch when the site finishes, force-completes, or
+// retains the context — the same three paths that release the sent-cache and
+// global marks. An engine that is never released just leaves its storage to
+// the garbage collector.
 var (
-	markSetPool = sync.Pool{New: func() any { return packed.NewSet(0) }}
-	workPool    = sync.Pool{New: func() any { w := make([]Item, 0, 64); return &w }}
-	envPool     = sync.Pool{New: func() any { return pattern.Env{} }}
+	workPool = sync.Pool{New: func() any { w := make([]Item, 0, 64); return &w }}
+	envPool  = sync.Pool{New: func() any { return pattern.Env{} }}
 )
 
-// WithMemOpt switches the engine to the pooled memory model: a packed
-// open-addressing mark table instead of the nested maps, a pooled working-set
-// backing array, and a per-engine scratch binding environment reused across
-// Steps instead of one map allocation per processed object. Answers are
-// byte-identical to the default model (the equivalence matrix proves it);
-// only the allocation profile changes. Callers owning the context must call
-// ReleaseScratch once the query is finished, force-completed, or retained.
-func WithMemOpt() Option {
-	return func(e *Engine) { e.memopt = true }
-}
-
-// acquireScratch installs pooled storage on a WithMemOpt engine. Called from
-// NewPlanned after options are applied, so a table installed via WithMarks
-// is never overridden (and no pooled set is acquired just to leak).
-func (e *Engine) acquireScratch() {
-	if e.marks == nil {
-		e.marks = packedMarks{s: markSetPool.Get().(*packed.Set)}
-	}
-	e.workptr = workPool.Get().(*[]Item)
-	e.work = (*e.workptr)[:0]
-}
-
 // stepEnv returns the binding environment for the item about to be
-// processed: a cleared per-engine scratch map under WithMemOpt (Step is
-// serialized by e.mu and the environment never outlives one Step), or a
-// fresh map on the paper-exact path.
+// processed: the per-engine scratch map, cleared. Step is serialized by e.mu
+// and the environment never outlives one Step, so one map serves every
+// object the engine processes.
 func (e *Engine) stepEnv() pattern.Env {
-	if !e.memopt {
-		return pattern.Env{}
-	}
 	if e.env == nil {
 		e.env = envPool.Get().(pattern.Env)
 	}
@@ -76,21 +57,22 @@ func (e *Engine) stepEnv() pattern.Env {
 }
 
 // ReleaseScratch returns the engine's pooled storage — working-set backing,
-// scratch environment, and packed mark table — and is a no-op for
-// paper-exact engines. Like ReleaseMarks it is only valid once the query is
-// finished at this site: the engine stays safe to poke (a straggler Enqueue
-// just allocates a small fresh queue) but is no longer on the pooled path.
+// scratch environment, and engine-owned mark table; a table shared via
+// WithMarks is left alone, its owner decides its lifetime. Only valid once
+// the query is finished at this site: a retained context keeps its engine
+// alive for the distributed-set seed list but never processes again, and its
+// marks would otherwise pin one entry per (object, filter) pair the query
+// ever touched. The engine stays safe to poke — a straggler Enqueue or mark
+// lands in small fresh storage — but is no longer on the pooled path.
 func (e *Engine) ReleaseScratch() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.memopt {
-		return
-	}
 	if e.workptr != nil {
-		full := e.work[:cap(e.work)]
-		clear(full) // drop Iters/MVars references before pooling
-		*e.workptr = full[:0]
-		workPool.Put(e.workptr)
+		if full := e.work[:cap(e.work)]; len(full) <= maxPooledWork {
+			clear(full) // drop Iters/MVars references before pooling
+			*e.workptr = full[:0]
+			workPool.Put(e.workptr)
+		}
 		e.workptr = nil
 	}
 	e.work, e.head = nil, 0
@@ -99,20 +81,8 @@ func (e *Engine) ReleaseScratch() {
 		envPool.Put(e.env)
 		e.env = nil
 	}
-	e.releaseMarksLocked()
-}
-
-// releaseMarksLocked drops an engine-owned mark table (map or packed); a
-// shared table installed via WithMarks is left alone.
-func (e *Engine) releaseMarksLocked() {
-	switch m := e.marks.(type) {
-	case mapMarks:
-		e.marks = make(mapMarks)
-	case packedMarks:
-		m.s.Reset()
-		markSetPool.Put(m.s)
-		// The context is finished; if anything marks again it lands in a
-		// small fresh map, off the pooled path.
-		e.marks = make(mapMarks)
+	if m, ok := e.marks.(packedMarks); ok {
+		packed.Put(m.s)
+		e.marks = packedMarks{s: new(packed.Set)}
 	}
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,6 +10,37 @@ import (
 	"hyperfile/internal/store"
 )
 
+// mapMarks is the paper-shaped mark table — per object, the set of filter
+// indices at which it has been processed — kept as the differential oracle
+// for packedMarks (installed on whole engines through WithMarks).
+type mapMarks map[object.ID]map[int]struct{}
+
+func (m mapMarks) Test(id object.ID, idx int) bool {
+	_, hit := m[id][idx]
+	return hit
+}
+
+func (m mapMarks) TestAndSet(id object.ID, idx int) bool {
+	set, ok := m[id]
+	if !ok {
+		set = make(map[int]struct{})
+		m[id] = set
+	}
+	if _, hit := set[idx]; hit {
+		return true
+	}
+	set[idx] = struct{}{}
+	return false
+}
+
+func (m mapMarks) count() int {
+	n := 0
+	for _, set := range m {
+		n += len(set)
+	}
+	return n
+}
+
 // TestPackedMarksDifferential drives packedMarks and mapMarks with identical
 // randomized op streams — TestAndSet, Test, and full release — over a
 // collision-heavy id space (few Birth sites, clustered Seq values, small
@@ -18,7 +48,7 @@ import (
 func TestPackedMarksDifferential(t *testing.T) {
 	for _, seed := range []int64{3, 19, 91} {
 		rng := rand.New(rand.NewSource(seed))
-		pm := packedMarks{s: packed.NewSet(0)}
+		pm := packedMarks{s: new(packed.Set)}
 		mm := make(mapMarks)
 		genPair := func() (object.ID, int) {
 			id := object.ID{
@@ -50,11 +80,12 @@ func TestPackedMarksDifferential(t *testing.T) {
 	}
 }
 
-// TestMemOptEngineSameAnswers: a WithMemOpt engine (packed marks, pooled
-// queue, scratch env) must return exactly the answer of the default engine
-// on random graphs, in both queue disciplines, including after scratch
-// release and reuse by a following engine.
-func TestMemOptEngineSameAnswers(t *testing.T) {
+// TestEngineMatchesMapMarksOracle: the default engine (packed marks, pooled
+// queue, scratch env) must return exactly the answer, statistics and mark
+// count of an engine running on the map-table oracle, on random graphs, in
+// both queue disciplines, including after scratch release and reuse of the
+// pooled storage by a following engine.
+func TestEngineMatchesMapMarksOracle(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := store.New(1)
@@ -76,69 +107,110 @@ func TestMemOptEngineSameAnswers(t *testing.T) {
 		}
 		c := query.MustCompile(`S [ (Pointer, "Reference", ?X) ^^X ]** (keyword, "hot", ?) -> T`)
 		for _, order := range []Order{BFS, DFS} {
-			base := New(c, s, WithOrder(order))
-			opt := New(c, s, WithOrder(order), WithMemOpt())
+			oracle := make(mapMarks)
+			base := New(c, s, WithOrder(order), WithMarks(oracle))
+			eng := New(c, s, WithOrder(order))
 			base.AddInitial(objs[0].ID)
-			opt.AddInitial(objs[0].ID)
+			eng.AddInitial(objs[0].ID)
 			base.Run()
-			opt.Run()
-			if !base.Results().Equal(opt.Results()) {
-				t.Fatalf("seed %d order %v: memopt answer differs: %v vs %v",
-					seed, order, opt.Results(), base.Results())
+			eng.Run()
+			if !base.Results().Equal(eng.Results()) {
+				t.Fatalf("seed %d order %v: answer differs from oracle: %v vs %v",
+					seed, order, eng.Results(), base.Results())
 			}
-			bs, os := base.Stats(), opt.Stats()
-			if bs != os {
-				t.Fatalf("seed %d order %v: memopt stats differ: %+v vs %+v", seed, order, os, bs)
+			bs, es := base.Stats(), eng.Stats()
+			if bs != es {
+				t.Fatalf("seed %d order %v: stats differ from oracle: %+v vs %+v", seed, order, es, bs)
 			}
-			if opt.MarkCount() == 0 && bs.Processed > 0 {
-				t.Fatalf("seed %d: memopt engine never marked", seed)
+			if got, want := eng.MarkCount(), oracle.count(); got != want {
+				t.Fatalf("seed %d order %v: %d marks, oracle holds %d", seed, order, got, want)
 			}
-			opt.ReleaseScratch()
-			if opt.MarkCount() != 0 {
-				t.Fatalf("seed %d: %d marks survived ReleaseScratch", seed, opt.MarkCount())
+			eng.ReleaseScratch()
+			if eng.MarkCount() != 0 {
+				t.Fatalf("seed %d: %d marks survived ReleaseScratch", seed, eng.MarkCount())
 			}
 		}
 	}
 }
 
-// TestMemOptFetchesAndBindings: the scratch environment is cleared between
-// Steps — bindings from one object must never leak into the next object's
-// match, and fetched values must come out identical to the default engine.
-func TestMemOptFetchesAndBindings(t *testing.T) {
+// TestReleaseScratchCapsPooledStorage: storage grown past the pool caps by
+// one large query is dropped on release, not handed to the next query (whose
+// release would pay to clear it), and the released engine stays usable — a
+// straggler Enqueue and its marks land in small fresh storage.
+func TestReleaseScratchCapsPooledStorage(t *testing.T) {
+	s := store.New(1)
+	ids := buildChain(t, s, 3, "hot")
+	c := query.MustCompile(`S [ (Pointer, "Reference", ?X) ^^X ]** (keyword, "hot", ?) -> T`)
+	e := New(c, s)
+	for i := 0; i <= maxPooledWork; i++ {
+		e.push(NewItem(object.ID{Birth: 9, Seq: uint64(i)}))
+	}
+	if cap(e.work) <= maxPooledWork {
+		t.Fatalf("working set cap %d did not outgrow the pool cap %d", cap(e.work), maxPooledWork)
+	}
+	big := e.marks.(packedMarks).s
+	// Past packed.maxPooledSlots (1<<15) members the table cannot fit a
+	// poolable slot array at any load factor.
+	for i := 0; big.Len() <= 1<<15; i++ {
+		e.marks.TestAndSet(object.ID{Birth: 9, Seq: uint64(i)}, i%4)
+	}
+	e.ReleaseScratch()
+	for i := 0; i < 8; i++ {
+		w := workPool.Get().(*[]Item)
+		if cap(*w) > maxPooledWork {
+			t.Fatalf("pool handed out a %d-item queue, cap is %d", cap(*w), maxPooledWork)
+		}
+		if set := packed.Get(); set == big {
+			t.Fatal("pool handed out the oversized mark table")
+		}
+	}
+	if e.MarkCount() != 0 || e.HasWork() {
+		t.Fatalf("release left %d marks, work=%v", e.MarkCount(), e.HasWork())
+	}
+
+	e.Enqueue(NewItem(ids[0]))
+	e.Run()
+	if got := e.Results(); len(got) != len(ids) {
+		t.Fatalf("straggler run after release found %d results, want %d", len(got), len(ids))
+	}
+	if e.MarkCount() == 0 {
+		t.Fatal("straggler run after release marked nothing")
+	}
+	e.ReleaseScratch() // a retained context releases twice; must stay safe
+}
+
+// TestScratchEnvFetchesAndBindings: one scratch environment serves every
+// Step, cleared in between — bindings from one object must never leak into
+// the next object's match. On a 6-ring each object binds one pointer and
+// fetches its own name, so a leaked ?X would show up as extra dereferences
+// and a leaked fetch as a name credited to the wrong object.
+func TestScratchEnvFetchesAndBindings(t *testing.T) {
 	s := store.New(1)
 	ids := buildChain(t, s, 6, "hot")
-	src := `S [ (Pointer, "Reference", ?X) ^^X ]** (keyword, ?K, ?) (name, ->N, ?) -> T`
+	want := map[object.ID]string{}
 	for i, id := range ids {
 		o, _ := s.Get(id)
-		o.Add("name", object.String(string(rune('a'+i))), object.Value{})
+		want[id] = string(rune('a' + i))
+		o.Add("name", object.String(want[id]), object.Value{})
 		if err := s.Put(o); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c := query.MustCompile(src)
-	base := New(c, s)
-	opt := New(c, s, WithMemOpt())
-	base.AddInitial(ids[0])
-	opt.AddInitial(ids[0])
-	base.Run()
-	opt.Run()
-	if !base.Results().Equal(opt.Results()) {
-		t.Fatalf("results differ: %v vs %v", opt.Results(), base.Results())
+	c := query.MustCompile(`S [ (Pointer, "Reference", ?X) ^^X ]** (keyword, ?K, ?) (name, ->N, ?) -> T`)
+	e := New(c, s)
+	e.AddInitial(ids[0])
+	st := e.Run()
+	if st.LocalDerefs != len(ids) || st.Results != len(ids) {
+		t.Fatalf("stats %+v: want exactly %d derefs and results", st, len(ids))
 	}
-	_, bf := base.TakeResults()
-	_, of := opt.TakeResults()
-	if len(bf) != len(of) {
-		t.Fatalf("fetch count differs: %d vs %d", len(of), len(bf))
+	_, fetches := e.TakeResults()
+	if len(fetches) != len(ids) {
+		t.Fatalf("%d fetches, want %d: %+v", len(fetches), len(ids), fetches)
 	}
-	key := func(f Fetch) string { return fmt.Sprintf("%s|%v|%v", f.Var, f.From, f.Val) }
-	seen := map[string]int{}
-	for _, f := range bf {
-		seen[key(f)]++
-	}
-	for _, f := range of {
-		if seen[key(f)] == 0 {
-			t.Fatalf("memopt fetched %+v, absent from default run", f)
+	for _, f := range fetches {
+		if f.Var != "N" || f.Val.Str != want[f.From] {
+			t.Fatalf("fetch %+v, want N=%q from that object", f, want[f.From])
 		}
-		seen[key(f)]--
+		delete(want, f.From)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"hyperfile/internal/object"
+	"hyperfile/internal/packed"
 	"hyperfile/internal/query"
 )
 
@@ -22,13 +23,13 @@ import (
 // sharedMarks is a Marks implementation safe for concurrent engines.
 type sharedMarks struct {
 	mu sync.Mutex
-	m  mapMarks
+	m  packedMarks
 }
 
 // NewSharedMarks returns a concurrency-safe mark table for engines
 // cooperating on one query.
 func NewSharedMarks() Marks {
-	return &sharedMarks{m: make(mapMarks)}
+	return &sharedMarks{m: packedMarks{s: new(packed.Set)}}
 }
 
 func (s *sharedMarks) Test(id object.ID, idx int) bool {

@@ -1,9 +1,9 @@
 // Package packed provides an open-addressing hash set over 128-bit keys
-// packed into two uint64 words. It replaces the nested
-// map[object.ID]map[int]struct{} shape used by the engine mark table and the
-// sender-side sent-cache on the memory-optimized hot path: one flat slot
-// array, no per-object inner maps, no per-entry boxing, and a Reset that
-// reuses the backing storage across queries via a pool.
+// packed into two uint64 words. It is the storage of the engine mark table
+// and the sender-side sent-cache: one flat slot array in place of a nested
+// map[object.ID]map[int]struct{}, no per-object inner maps, no per-entry
+// boxing, and a pool (Get/Put) that reuses the backing storage across
+// queries.
 //
 // The packing convention for the tree's (object, filter-index) pairs is
 // IDKey: hi = Birth<<32 | uint32(idx), lo = Seq. Birth is a SiteID and never
@@ -12,7 +12,11 @@
 // (hi, lo) value — including (0, 0) — is a valid member.
 package packed
 
-import "hyperfile/internal/object"
+import (
+	"sync"
+
+	"hyperfile/internal/object"
+)
 
 // IDKey packs an (object id, filter index) pair into a 128-bit key.
 // Filter indices are small non-negative ints; the low 32 bits of hi hold
@@ -27,30 +31,11 @@ type slot struct {
 }
 
 // Set is an open-addressing set with linear probing. The zero value is
-// ready to use. Not safe for concurrent use — like mapMarks and the sent
-// map it replaces, it is owned by one query context.
+// ready to use. Not safe for concurrent use — it is owned by one query
+// context.
 type Set struct {
 	slots []slot
 	n     int
-}
-
-// NewSet returns a set pre-sized for about hint members.
-func NewSet(hint int) *Set {
-	s := &Set{}
-	if hint > 0 {
-		s.grow(tableSizeFor(hint))
-	}
-	return s
-}
-
-// tableSizeFor returns the smallest power-of-two table that keeps hint
-// members under the 3/4 load factor.
-func tableSizeFor(hint int) int {
-	size := 16
-	for size*3 < hint*4 {
-		size *= 2
-	}
-	return size
 }
 
 // hash mixes both words with a splitmix64-style finalizer; linear probing
@@ -109,6 +94,29 @@ func (s *Set) TestAndSet(hi, lo uint64) bool {
 func (s *Set) Reset() {
 	clear(s.slots)
 	s.n = 0
+}
+
+// maxPooledSlots bounds the tables the pool keeps. Reset is O(capacity) and
+// the pool hands any table to any query, so a table grown by one huge
+// closure must not be inherited (and re-cleared) by every small query after
+// it. 1<<15 slots (768 KiB) holds the ~11k marks of a closure over the
+// paper's largest dataset (2700 objects) with room to spare.
+const maxPooledSlots = 1 << 15
+
+var setPool = sync.Pool{New: func() any { return new(Set) }}
+
+// Get returns an empty set from the pool.
+func Get() *Set { return setPool.Get().(*Set) }
+
+// Put empties s and returns it to the pool; the caller must not touch s
+// afterwards. A table grown past maxPooledSlots is left to the garbage
+// collector instead.
+func Put(s *Set) {
+	if len(s.slots) > maxPooledSlots {
+		return
+	}
+	s.Reset()
+	setPool.Put(s)
 }
 
 func (s *Set) grow(size int) {

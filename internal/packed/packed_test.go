@@ -15,7 +15,7 @@ import (
 func TestDifferentialAgainstMap(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1991} {
 		rng := rand.New(rand.NewSource(seed))
-		s := NewSet(0)
+		s := new(Set)
 		ref := map[[2]uint64]bool{}
 		genKey := func() (uint64, uint64) {
 			id := object.ID{
@@ -64,7 +64,7 @@ func TestDifferentialAgainstMap(t *testing.T) {
 // tracked explicitly, not via a sentinel), and ids differing only in Seq,
 // only in Birth, or only in filter index never alias.
 func TestZeroKeyAndAliasing(t *testing.T) {
-	s := NewSet(4)
+	s := new(Set)
 	if s.TestAndSet(0, 0) {
 		t.Fatal("zero key reported present in empty set")
 	}
@@ -93,5 +93,30 @@ func TestZeroKeyAndAliasing(t *testing.T) {
 	}
 	if s.Len() != len(keys)+1 {
 		t.Fatalf("Len = %d, want %d", s.Len(), len(keys)+1)
+	}
+}
+
+// TestPoolDropsOversizedTables: Put recycles a table emptied, but a table
+// grown past maxPooledSlots is dropped — Reset is O(capacity), so a pooled
+// giant would tax every small query that drew it.
+func TestPoolDropsOversizedTables(t *testing.T) {
+	small := Get()
+	small.TestAndSet(1, 2)
+	Put(small)
+
+	big := Get()
+	for i := uint64(0); len(big.slots) <= maxPooledSlots; i++ {
+		big.TestAndSet(i, i)
+	}
+	Put(big)
+
+	for i := 0; i < 8; i++ {
+		s := Get()
+		if s == big || len(s.slots) > maxPooledSlots {
+			t.Fatalf("pool handed out a %d-slot table, cap is %d", len(s.slots), maxPooledSlots)
+		}
+		if s.Len() != 0 || s.Contains(1, 2) {
+			t.Fatal("pool handed out a table that was not emptied")
+		}
 	}
 }

@@ -73,20 +73,12 @@ type Server struct {
 type mail struct {
 	from object.SiteID
 	msg  wire.Msg
-	// buf, when non-nil, is the pooled read buffer msg's borrowed fields
-	// alias (transport ZeroCopy). The loop releases it after HandleMessage
-	// and dispatch have fully consumed the message.
+	// buf is the pooled read buffer msg's borrowed fields alias (nil for
+	// thunks). The loop releases it after HandleMessage and dispatch have
+	// fully consumed the message, which must not be touched afterwards: in
+	// race builds the bytes are poisoned so a straggling borrowed read fails
+	// loudly.
 	buf *wire.ReadBuf
-}
-
-// release returns the message's read buffer (if any) to the pool. The
-// message must not be touched afterwards: in race builds the bytes are
-// poisoned so a straggling borrowed read fails loudly.
-func (m *mail) release() {
-	if m.buf != nil {
-		m.buf.Release()
-		m.buf = nil
-	}
 }
 
 // New starts a server for the given site configuration, listening on addr.
@@ -130,14 +122,11 @@ func NewOpts(cfg site.Config, addr string, logger *slog.Logger, opts Options) (*
 			srv.heard[peer] = now
 		}
 	}
-	if opts.Transport.ZeroCopy {
-		// The mailbox decouples the reader goroutine from the site goroutine,
-		// so the transport cannot release a borrowed buffer when the handler
-		// returns; take ownership of the reference instead and release it in
-		// the loop once the message is fully consumed.
-		opts.Transport.BufHandler = srv.postBuf
-	}
-	tr, err := transport.ListenTCPOpts(cfg.ID, addr, srv.post, opts.Transport)
+	// The server owns its inbound bytes: the mailbox holds each message's
+	// buffer reference until the site goroutine has fully consumed it, so
+	// the transport can decode in place.
+	opts.Transport.BufHandler = srv.post
+	tr, err := transport.ListenTCPOpts(cfg.ID, addr, nil, opts.Transport)
 	if err != nil {
 		return nil, err
 	}
@@ -225,20 +214,13 @@ func (srv *Server) Stats() site.Stats {
 
 // post is the transport handler: enqueue and wake the site goroutine.
 // Heartbeats feed the failure detector and stop here; any other traffic from
-// a monitored peer also refreshes its liveness clock.
-func (srv *Server) post(from object.SiteID, m wire.Msg) {
-	srv.postBuf(from, m, nil)
-}
-
-// postBuf is the zero-copy transport handler: same as post, but the message
-// arrives with the pooled buffer it was decoded over and this server owns
-// the reference until the loop finishes with the message.
-func (srv *Server) postBuf(from object.SiteID, m wire.Msg, buf *wire.ReadBuf) {
+// a monitored peer also refreshes its liveness clock. The message arrives
+// with the pooled buffer it was decoded over, and this server owns the
+// reference until the loop finishes with the message.
+func (srv *Server) post(from object.SiteID, m wire.Msg, buf *wire.ReadBuf) {
 	srv.noteHeard(from)
 	if _, ok := m.(*wire.Heartbeat); ok {
-		if buf != nil {
-			buf.Release()
-		}
+		buf.Release()
 		return
 	}
 	srv.mu.Lock()
@@ -344,6 +326,9 @@ func (srv *Server) take() (mail, bool) {
 		return mail{}, false
 	}
 	m := srv.mailbox[0]
+	// Zero the vacated slot: the backing array outlives the entry, and a
+	// stale copy would pin the message and its read buffer.
+	srv.mailbox[0] = mail{}
 	srv.mailbox = srv.mailbox[1:]
 	return m, true
 }
@@ -388,7 +373,7 @@ func (srv *Server) loop() {
 			if err != nil {
 				srv.lg.Error("message rejected", "from", m.from.String(),
 					"kind", m.msg.Kind().String(), "err", err)
-				m.release()
+				m.buf.Release()
 				continue
 			}
 			srv.dispatch(out)
@@ -396,7 +381,7 @@ func (srv *Server) loop() {
 			// kinds are copy-decoded, bodies are cloned into contexts, tokens
 			// are banked at dispatch) and every outbound envelope was encoded
 			// by Send above, so the buffer can recycle now.
-			m.release()
+			m.buf.Release()
 			srv.pokeSteppers()
 			continue
 		}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"hyperfile/internal/store"
 	"hyperfile/internal/transport"
 	"hyperfile/internal/waitfor"
+	"hyperfile/internal/wire"
 )
 
 // testDeployment spins n servers plus a client on loopback, fully meshed.
@@ -110,18 +112,145 @@ func TestTCPQueryEndToEnd(t *testing.T) {
 }
 
 // TestTCPBatchedDerefEndToEnd is TestTCPQueryEndToEnd with deref batching
-// on: the batched frame must cross the real TCP transport and leave the
-// answer unchanged.
+// on, so Deref bodies — the borrowed-decode hot path — cross the real TCP
+// transport. The servers read frames into pooled ref-counted buffers, decode
+// them in place, carry the borrowed messages through the async mailbox, and
+// release after dispatch; under -race the released bytes are poisoned, so
+// any site logic still holding a borrowed string corrupts loudly here. Three
+// rounds from rotating origins make released buffers recycle between queries
+// (a stale borrow would read the next query's bytes), and the fetch query
+// sends borrowed field values into the always-copied FetchVal lists.
 func TestTCPBatchedDerefEndToEnd(t *testing.T) {
 	_, stores, client := testDeploymentCfg(t, 3, Options{},
 		func(cfg *site.Config) { cfg.DerefBatch = 4 })
 	ids := loadServerRing(t, stores, 30)
-	cm, err := client.Exec(1, tcpClosure, ids[:1], 10*time.Second)
+	addTitles(t, stores, ids)
+	for i := 0; i < 3; i++ {
+		cm, err := client.Exec(object.SiteID(i%3+1), tcpClosure, ids[:1], 10*time.Second)
+		if err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		if len(cm.IDs) != 15 || cm.Count != 15 {
+			t.Errorf("round %d: results = %d ids count %d, want 15", i, len(cm.IDs), cm.Count)
+		}
+	}
+	fm, err := client.Exec(1, tcpFetchClosure, ids[:1], 10*time.Second)
+	if err != nil {
+		t.Fatalf("fetch query: %v", err)
+	}
+	if len(fm.Fetches) != 15 {
+		t.Fatalf("fetch query returned %d values, want 15", len(fm.Fetches))
+	}
+	for _, f := range fm.Fetches {
+		if f.Var != "title" || f.Val.Str != "t" {
+			t.Fatalf("fetched %+v, want title=t", f)
+		}
+	}
+}
+
+// tcpFetchClosure is tcpClosure also fetching each hot object's title.
+const tcpFetchClosure = `S [ (Pointer, "Reference", ?X) ^^X ]** (keyword, "hot", ?) (String, "Title", ->title) -> T`
+
+// addTitles gives every ring object a (String, "Title", "t") tuple for
+// tcpFetchClosure to ship back.
+func addTitles(t *testing.T, stores []*store.Store, ids []object.ID) {
+	t.Helper()
+	for i, id := range ids {
+		st := stores[i%len(stores)]
+		o, ok := st.Get(id)
+		if !ok {
+			t.Fatalf("object %v missing from its store", id)
+		}
+		o.Add("String", object.String("Title"), object.String("t"))
+		if err := st.Put(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestTCPClientMayRetainComplete: who owns the bytes selects the decode. The
+// client registers a plain Handler and keeps every Complete it is handed, so
+// the transport must give it copies — never fields borrowed from a pooled
+// read buffer. A Complete carrying a Reason, an Unreachable list, Spans and
+// Fetches is kept across 50 further queries, whose frames recycle (and, under
+// -race, poison) the client's read buffers; every field must read back
+// unchanged.
+func TestTCPClientMayRetainComplete(t *testing.T) {
+	servers, stores, client := testDeploymentOpts(t, 3, Options{
+		HeartbeatInterval: 25 * time.Millisecond,
+		SuspectAfter:      150 * time.Millisecond,
+		Transport: transport.Options{
+			RetransmitBase: 5 * time.Millisecond,
+			RetransmitMax:  50 * time.Millisecond,
+			MaxAttempts:    10,
+		},
+	})
+	ids := loadServerRing(t, stores, 12)
+	addTitles(t, stores, ids)
+	servers[2].Close() // site 3 crashes: the answer is partial, with a reason
+	if err := waitfor.Until(5*time.Second, func() bool {
+		return servers[0].PeerIsDown(3) && servers[1].PeerIsDown(3)
+	}); err != nil {
+		t.Fatalf("survivors never suspected the dead site: %v", err)
+	}
+	kept, err := client.Exec(1, tcpFetchClosure, ids[:1], 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cm.IDs) != 15 || cm.Count != 15 {
-		t.Errorf("results = %d ids count %d, want 15", len(cm.IDs), cm.Count)
+	// Absolute values first: a borrowed field is poisoned the moment the
+	// transport recycles the buffer, which is before the handler ever ran.
+	check := func(stage string) {
+		t.Helper()
+		if kept.Reason != "peer down" || len(kept.Unreachable) != 1 || kept.Unreachable[0] != 3 {
+			t.Fatalf("%s: Reason %q Unreachable %v, want \"peer down\" [3]", stage, kept.Reason, kept.Unreachable)
+		}
+		if len(kept.Spans) == 0 || len(kept.Fetches) == 0 {
+			t.Fatalf("%s: workload is broken, no spans or fetches: %+v", stage, kept)
+		}
+		for _, f := range kept.Fetches {
+			if f.Var != "title" || f.Val.Str != "t" {
+				t.Fatalf("%s: fetched %+v, want title=t", stage, f)
+			}
+		}
+	}
+	check("on arrival")
+	render := func() string {
+		return fmt.Sprintf("%v %+v %+v", kept.IDs, kept.Spans, kept.Fetches)
+	}
+	want := render()
+	for i := 0; i < 50; i++ {
+		q := tcpFetchClosure
+		if i%2 == 1 {
+			q = `S (keyword, "hot", ?) -> T`
+		}
+		if _, err := client.Exec(object.SiteID(i%2+1), q, ids[:1], 10*time.Second); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+	check("after 50 more queries")
+	if got := render(); got != want {
+		t.Fatalf("retained Complete changed under the client:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestTakeZeroesVacatedMailboxSlot: the mailbox advances by reslicing, so the
+// consumed entry must be cleared or the backing array keeps pinning the
+// message and its read buffer until the next reallocation.
+func TestTakeZeroesVacatedMailboxSlot(t *testing.T) {
+	srv := &Server{}
+	srv.mailbox = []mail{
+		{from: 2, msg: &wire.Heartbeat{Seq: 1}},
+		{from: 3, msg: &wire.Heartbeat{Seq: 2}},
+	}
+	backing := srv.mailbox
+	if m, ok := srv.take(); !ok || m.from != 2 {
+		t.Fatalf("take = %+v, %v", m, ok)
+	}
+	if backing[0] != (mail{}) {
+		t.Fatalf("vacated slot still holds %+v", backing[0])
+	}
+	if backing[1].from != 3 || len(srv.mailbox) != 1 {
+		t.Fatalf("take disturbed the queued entry: %+v", srv.mailbox)
 	}
 }
 

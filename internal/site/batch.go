@@ -2,7 +2,6 @@ package site
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"hyperfile/internal/engine"
@@ -33,8 +32,8 @@ import (
 // lives in the qctx — and is released with the rest of the context state
 // when the query finishes here, so it cannot outlive the query.
 
-// sentKey identifies one dereference for the sent-cache (and for the
-// per-query index of the GlobalMarks oracle): the query is implicit.
+// sentKey identifies one dereference in the per-query index of the
+// GlobalMarks oracle: the query is implicit.
 type sentKey struct {
 	id    object.ID
 	start int
@@ -66,32 +65,15 @@ func itersKey(iters []int) string {
 	return fmt.Sprint(iters)
 }
 
-// sentPool recycles packed sent-cache sets across queries on MemOpt sites;
-// releaseQueryResources resets and returns them.
-var sentPool = sync.Pool{New: func() any { return packed.NewSet(0) }}
-
-// sentBefore tests-and-sets the sent-cache for ref: the map form by default,
-// the pooled packed-key set under Config.MemOpt. Both store exactly the
-// (object id, start) pairs this context has shipped, so the two forms are
-// observably identical (the differential suite in batch_test.go drives them
-// with identical streams).
-func (s *Site) sentBefore(ctx *qctx, ref engine.RemoteRef) bool {
-	if s.cfg.MemOpt {
-		if ctx.psent == nil {
-			ctx.psent = sentPool.Get().(*packed.Set)
-		}
-		hi, lo := packed.IDKey(ref.ID, ref.Start)
-		return ctx.psent.TestAndSet(hi, lo)
-	}
-	k := sentKey{id: ref.ID, start: ref.Start}
-	if _, ok := ctx.sent[k]; ok {
-		return true
-	}
+// sentBefore tests-and-sets the sent-cache for ref: a pooled packed-key set
+// holding exactly the (object id, start) pairs this context has shipped,
+// drawn on first use and released with the rest of the query's resources.
+func (ctx *qctx) sentBefore(ref engine.RemoteRef) bool {
 	if ctx.sent == nil {
-		ctx.sent = make(map[sentKey]struct{})
+		ctx.sent = packed.Get()
 	}
-	ctx.sent[k] = struct{}{}
-	return false
+	hi, lo := packed.IDKey(ref.ID, ref.Start)
+	return ctx.sent.TestAndSet(hi, lo)
 }
 
 // queueFor returns (creating if needed) the queue for a destination/cursor.
@@ -121,7 +103,7 @@ func (s *Site) emitDeref(ctx *qctx, ref engine.RemoteRef) ([]wire.Envelope, erro
 		}
 		return []wire.Envelope{env}, nil
 	}
-	if s.sentBefore(ctx, ref) {
+	if ctx.sentBefore(ref) {
 		s.stats.DerefsSuppressed++
 		s.met.derefsSuppressed.Inc()
 		return nil, nil
@@ -201,18 +183,15 @@ func (s *Site) flushAllQueues(ctx *qctx) ([]wire.Envelope, error) {
 // reuse (a retained context answers seeds from ctx.retained only — it never
 // dereferences again).
 func (s *Site) releaseQueryResources(ctx *qctx) {
-	ctx.sent = nil
 	ctx.queues = nil
 	ctx.qorder = nil
-	if ctx.psent != nil {
-		ctx.psent.Reset()
-		sentPool.Put(ctx.psent)
-		ctx.psent = nil
+	if ctx.sent != nil {
+		packed.Put(ctx.sent)
+		ctx.sent = nil
 	}
-	// Return the engine's pooled scratch (working-set backing, binding
-	// environment, packed mark table) on the same three paths that release
-	// the sent-cache: finish, force-complete, retain. No-op for paper-exact
-	// engines.
+	// Return the engine's pooled storage (working-set backing, binding
+	// environment, mark table) on the same three paths that release the
+	// sent-cache: finish, force-complete, retain.
 	ctx.eng.ReleaseScratch()
 	if s.cfg.GlobalMarks != nil {
 		s.cfg.GlobalMarks.Release(ctx.qid)

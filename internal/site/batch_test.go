@@ -6,21 +6,38 @@ import (
 
 	"hyperfile/internal/engine"
 	"hyperfile/internal/object"
+	"hyperfile/internal/query"
+	"hyperfile/internal/store"
 )
 
-// TestSentCacheDifferential drives the map-based and packed sent-caches with
-// identical randomized dereference streams and asserts identical suppression
-// decisions at every step. The id generator is collision-heavy — few birth
-// sites, Seq clustered on powers of two, small starts — so the packed set's
-// probe chains actually wrap. A second round after releasing the packed set
-// back to its pool proves a recycled set behaves exactly like a fresh map.
+// mapSent is the map-form sent-cache — the shape the packed set took over
+// from — kept as its differential oracle.
+type mapSent map[sentKey]struct{}
+
+func (m mapSent) sentBefore(ref engine.RemoteRef) bool {
+	k := sentKey{id: ref.ID, start: ref.Start}
+	if _, ok := m[k]; ok {
+		return true
+	}
+	m[k] = struct{}{}
+	return false
+}
+
+// TestSentCacheDifferential drives the packed sent-cache and the map oracle
+// with identical randomized dereference streams and asserts identical
+// suppression decisions at every step. The id generator is collision-heavy —
+// few birth sites, Seq clustered on powers of two, small starts — so the
+// packed set's probe chains actually wrap. A second round after releasing
+// the packed set back to its pool proves a recycled set behaves exactly like
+// a fresh map.
 func TestSentCacheDifferential(t *testing.T) {
 	for _, seed := range []int64{3, 19, 1991} {
 		rng := rand.New(rand.NewSource(seed))
-		mapSite := &Site{cfg: Config{}}
-		packedSite := &Site{cfg: Config{MemOpt: true}}
+		s := &Site{}
+		compiled := query.MustCompile(`S (keyword, "k", ?) -> T`)
 		for round := 0; round < 2; round++ {
-			mctx, pctx := &qctx{}, &qctx{}
+			oracle := mapSent{}
+			ctx := &qctx{eng: engine.New(compiled, store.New(1))}
 			for op := 0; op < 20000; op++ {
 				ref := engine.RemoteRef{
 					ID: object.ID{
@@ -29,69 +46,20 @@ func TestSentCacheDifferential(t *testing.T) {
 					},
 					Start: rng.Intn(4),
 				}
-				got := packedSite.sentBefore(pctx, ref)
-				want := mapSite.sentBefore(mctx, ref)
+				got := ctx.sentBefore(ref)
+				want := oracle.sentBefore(ref)
 				if got != want {
 					t.Fatalf("seed %d round %d op %d: packed sentBefore(%v/%d) = %v, map says %v",
 						seed, round, op, ref.ID, ref.Start, got, want)
 				}
 			}
-			// Release exactly as releaseQueryResources does, then rerun the
-			// stream against fresh contexts: the recycled set must carry
-			// nothing over.
-			pctx.psent.Reset()
-			sentPool.Put(pctx.psent)
-			pctx.psent = nil
-		}
-	}
-}
-
-// TestMemOptRetentionReleasesPackedState is the memopt twin of
-// TestBatchingStateReleasedOnRetain: when a distributed answer retains the
-// contexts, every site must have returned its pooled per-query state — the
-// packed sent-cache, the engine's packed mark table and scratch — while the
-// retained context stays answerable.
-func TestMemOptRetentionReleasesPackedState(t *testing.T) {
-	h := newHarness(t, 3, func(cfg *Config) {
-		cfg.DerefBatch = 4
-		cfg.MemOpt = true
-		cfg.DistributedSetThreshold = 1
-	})
-	root := h.store(1).NewObject().Add("keyword", object.Keyword("hot"), object.Value{})
-	for _, leafSite := range []object.SiteID{2, 3} {
-		for i := 0; i < 4; i++ {
-			leaf := h.store(leafSite).NewObject().
-				Add("keyword", object.Keyword("hot"), object.Value{})
-			leaf.Add("Pointer", object.String("Ref"), object.Pointer(leaf.ID))
-			if err := h.store(leafSite).Put(leaf); err != nil {
-				t.Fatal(err)
+			// Release through the production path, then rerun the stream
+			// against fresh contexts: the recycled set must carry nothing
+			// over.
+			s.releaseQueryResources(ctx)
+			if ctx.sent != nil {
+				t.Fatal("release left the sent-cache attached")
 			}
-			root.Add("Pointer", object.String("Ref"), object.Pointer(leaf.ID))
-		}
-	}
-	if err := h.store(1).Put(root); err != nil {
-		t.Fatal(err)
-	}
-	cm := h.exec(1, 1, ringClosure, []object.ID{root.ID})
-	if !cm.Distributed || cm.Count != 9 {
-		t.Fatalf("expected a distributed answer of 9, got count=%d distributed=%v", cm.Count, cm.Distributed)
-	}
-	for id, s := range h.sites {
-		ctx := s.contexts[cm.QID]
-		if ctx == nil || !ctx.finished {
-			t.Fatalf("site %v: retained context missing or unfinished", id)
-		}
-		if ctx.psent != nil {
-			t.Errorf("site %v: packed sent-cache survived retention", id)
-		}
-		if ctx.sent != nil || ctx.queues != nil || ctx.qorder != nil {
-			t.Errorf("site %v: batching state survived retention", id)
-		}
-		if n := ctx.eng.MarkCount(); n != 0 {
-			t.Errorf("site %v: engine mark table still holds %d marks after scratch release", id, n)
-		}
-		if len(ctx.retained) == 0 {
-			t.Errorf("site %v: retained id list is empty", id)
 		}
 	}
 }

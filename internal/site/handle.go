@@ -370,7 +370,6 @@ func (s *Site) handleFinish(from object.SiteID, m *wire.Finish) []wire.Envelope 
 		// its dedup state can never be consulted again.
 		s.finishCtx(ctx)
 		s.releaseQueryResources(ctx)
-		ctx.eng.ReleaseMarks()
 		return nil
 	}
 	s.dropCtx(m.QID)

@@ -131,13 +131,6 @@ type Config struct {
 	// the site agree on one configured value. Zero or one is the paper's
 	// single-threaded stepping, exactly.
 	Workers int
-	// MemOpt enables the pooled memory model on the query hot path: the
-	// engine's packed open-addressing mark table, pooled working-set and
-	// binding-environment scratch (released when the context finishes,
-	// force-completes, or is retained), and the packed-key sent-cache in
-	// place of the map form. Answers are byte-identical to the default —
-	// the equivalence matrix proves it; only the allocation profile changes.
-	MemOpt bool
 	// FairQuantum, when positive, replaces FIFO scheduling with per-client
 	// deficit-round-robin fairness: each client id (wire.Submit.ClientID;
 	// participant work buckets under client 0) gets this many engine steps —
@@ -309,15 +302,12 @@ type qctx struct {
 	// Batched-deref state, active only with Config.DerefBatch > 0: queues
 	// holds the per-(destination, cursor) outgoing queues, qorder their
 	// creation order (flushes must be deterministic for the simulator), and
-	// sent the sender-side sent-cache mirroring the receivers' mark tables.
-	// All three are released when the query finishes at this site.
+	// sent the sender-side sent-cache mirroring the receivers' mark tables
+	// (a pooled packed-key set). All three are released when the query
+	// finishes at this site.
 	queues map[batchKey]*derefQueue
 	qorder []*derefQueue
-	sent   map[sentKey]struct{}
-	// psent is the sent-cache in its Config.MemOpt form: a pooled packed-key
-	// open-addressing set used instead of the sent map, released (back to
-	// the pool) with the rest of the query's resources.
-	psent *packed.Set
+	sent   *packed.Set
 
 	// engaged records the remote sites this originator context has sent
 	// work to (derefs or seeds), so a peer-death mid-query can tell which
@@ -548,8 +538,8 @@ func (s *Site) planFor(body string, hash []byte) (p *plan.Plan, fp query.Fingerp
 	start := time.Now()
 	// Clone before compiling: the parser aliases its input, so every keyword
 	// and field-name literal inside the AST — and therefore inside the built
-	// plan, which outlives this message — is a substring of body. Under
-	// zero-copy transport body borrows the frame's read buffer, which is
+	// plan, which outlives this message — is a substring of body. A
+	// borrowed-decoded body aliases the frame's read buffer, which is
 	// recycled after dispatch; a plan aliasing it would silently compare
 	// filters against recycled bytes. Compile-path only, so the copy is paid
 	// once per compilation, never per message.
@@ -581,21 +571,16 @@ func (s *Site) planFor(body string, hash []byte) (p *plan.Plan, fp query.Fingerp
 // trace context's dereference depth at which this site joined (0 at the
 // origin). fp and pinned come from planFor.
 func (s *Site) newCtx(qid wire.QueryID, origin object.SiteID, body string, p *plan.Plan, fp query.Fingerprint, pinned bool, hop uint32) *qctx {
-	engOpts := []engine.Option{
-		engine.WithLocator(routerLocator{r: s.cfg.Router, self: s.cfg.ID}),
-		engine.WithOrder(s.cfg.Order),
-	}
-	if s.cfg.MemOpt {
-		engOpts = append(engOpts, engine.WithMemOpt())
-	}
 	ctx := &qctx{
 		qid:    qid,
 		origin: origin,
-		// Clone: the context outlives the message that created it, and under
-		// zero-copy transport the body string may borrow the frame's read
-		// buffer, which is released after dispatch.
+		// Clone: the context outlives the message that created it, and a
+		// borrowed-decoded body string aliases the frame's read buffer,
+		// which is released after dispatch.
 		body: strings.Clone(body),
-		eng:  engine.NewPlanned(p, s.cfg.Store, engOpts...),
+		eng: engine.NewPlanned(p, s.cfg.Store,
+			engine.WithLocator(routerLocator{r: s.cfg.Router, self: s.cfg.ID}),
+			engine.WithOrder(s.cfg.Order)),
 		det: termination.NewInstrumented(s.cfg.TermMode, s.cfg.ID, origin,
 			termination.Metrics{Splits: s.met.termSplits, Returns: s.met.termReturns}),
 		isOrigin:   origin == s.cfg.ID,

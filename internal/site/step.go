@@ -356,7 +356,6 @@ func (s *Site) checkDone(ctx *qctx, out []wire.Envelope) ([]wire.Envelope, error
 		// global marks, the engine's mark table — is dead weight now.
 		ctx.retained = ctx.results.Sorted()
 		s.releaseQueryResources(ctx)
-		ctx.eng.ReleaseMarks()
 	} else {
 		s.dropCtx(ctx.qid)
 	}

@@ -63,9 +63,10 @@ var ErrBacklog = errors.New("transport: unacked backlog full")
 type Handler func(from object.SiteID, m wire.Msg)
 
 // BufHandler receives inbound messages decoded in place over a pooled read
-// buffer (Options.ZeroCopy). The handler takes ownership of the reference:
-// it must call buf.Release() once the message — including every borrowed
-// string and []byte field — is no longer touched, even if processing is
+// buffer (wire.DecodeBorrowed): string and []byte fields of hot-path
+// messages alias the buffer instead of copying. The handler takes ownership
+// of the reference: it must call buf.Release() once the message — including
+// every borrowed field — is no longer touched, even if processing is
 // asynchronous. Retain/Release extend the lifetime across further handoffs.
 type BufHandler func(from object.SiteID, m wire.Msg, buf *wire.ReadBuf)
 
@@ -103,17 +104,12 @@ type Options struct {
 	// Fault, when non-nil, injects faults on outbound frames (drop /
 	// duplicate / delay) below the reliability layer, for chaos testing.
 	Fault Fault
-	// ZeroCopy reads inbound payloads into pooled, ref-counted buffers and
-	// decodes them in place (wire.DecodeBorrowed): string and []byte fields
-	// of hot-path messages alias the read buffer instead of copying. Off by
-	// default; answers are byte-identical either way — only the allocation
-	// profile changes.
-	ZeroCopy bool
-	// BufHandler, when non-nil alongside ZeroCopy, receives each inbound
-	// message together with the buffer its borrowed fields alias and owns
-	// the reference (it must Release). When nil, the plain Handler is called
-	// and the transport releases the buffer as soon as it returns, so the
-	// handler must finish with the message synchronously.
+	// BufHandler, when non-nil, receives every inbound message in place of
+	// the plain Handler, decoded borrowed over the pooled buffer it was read
+	// into, and owns that buffer's reference (it must Release). Who owns the
+	// bytes selects the decode: an endpoint without a BufHandler gets fully
+	// copied messages it may keep forever, and the transport recycles the
+	// read buffer before the Handler even runs.
 	BufHandler BufHandler
 	// Metrics, when non-nil, receives transport counters (frames sent /
 	// retransmitted / deduped / abandoned, connects, dial failures) and the
@@ -639,18 +635,10 @@ func (t *TCP) ackLoop(p *peer, c net.Conn) {
 	p.mu.Unlock()
 }
 
-// readAck reads one reverse-path frame and decodes it. Under ZeroCopy the
-// payload lands in a pooled buffer released before returning — acks carry no
-// strings, so the copying decode borrows nothing and the buffer can recycle
-// immediately.
+// readAck reads one reverse-path frame and decodes it. The payload lands in
+// a pooled buffer released before returning: the copying decode keeps no
+// reference into it.
 func (t *TCP) readAck(c net.Conn) (wire.Msg, error) {
-	if !t.opts.ZeroCopy {
-		fr, err := wire.ReadFrame(c, maxFrame)
-		if err != nil {
-			return nil, err
-		}
-		return wire.Decode(fr.Payload)
-	}
 	fr, buf, err := wire.ReadFrameBuf(c, maxFrame)
 	if err != nil {
 		return nil, err
@@ -694,33 +682,24 @@ func (t *TCP) readLoop(c net.Conn) {
 		t.mu.Unlock()
 	}()
 	for {
-		var fr wire.Frame
-		var buf *wire.ReadBuf
+		fr, buf, err := wire.ReadFrameBuf(c, maxFrame)
+		if err != nil {
+			return
+		}
 		var m wire.Msg
-		var err error
-		if t.opts.ZeroCopy {
-			fr, buf, err = wire.ReadFrameBuf(c, maxFrame)
-			if err != nil {
-				return
-			}
+		if t.opts.BufHandler != nil {
 			m, err = wire.DecodeBorrowed(fr.Payload)
 		} else {
-			fr, err = wire.ReadFrame(c, maxFrame)
-			if err != nil {
-				return
-			}
 			m, err = wire.Decode(fr.Payload)
 		}
 		if err != nil {
-			if buf != nil {
-				buf.Release()
-			}
+			buf.Release()
 			return
 		}
 		if fr.Seq == 0 {
 			if _, isAck := m.(*wire.Ack); !isAck {
 				t.deliver(fr.From, m, buf)
-			} else if buf != nil {
+			} else {
 				buf.Release()
 			}
 			continue
@@ -732,26 +711,22 @@ func (t *TCP) readLoop(c net.Conn) {
 			t.deliver(fr.From, m, buf)
 		} else {
 			t.met.framesDeduped.Inc()
-			if buf != nil {
-				buf.Release()
-			}
+			buf.Release()
 		}
 	}
 }
 
 // deliver hands one admitted inbound message to the application layer. A
-// non-nil buf means the message was decoded in place over it: the BufHandler
-// takes the reference if configured, otherwise the transport releases as
-// soon as the synchronous handler returns.
+// registered BufHandler takes the message, borrowed fields and all, together
+// with the buffer reference. A plain Handler got a copying decode and may
+// keep the message, so the buffer recycles before it runs.
 func (t *TCP) deliver(from object.SiteID, m wire.Msg, buf *wire.ReadBuf) {
-	if buf != nil && t.opts.BufHandler != nil {
+	if t.opts.BufHandler != nil {
 		t.opts.BufHandler(from, m, buf)
 		return
 	}
+	buf.Release()
 	t.handler(from, m)
-	if buf != nil {
-		buf.Release()
-	}
 }
 
 // writeAck sends an ack for seq back on the inbound connection (the reverse

@@ -149,9 +149,10 @@ func Decode(data []byte) (Msg, error) {
 }
 
 // DecodeBorrowed parses a message whose string and byte fields alias data
-// directly (zero-copy). The caller owns the lifetime contract: the returned
-// message and everything extracted from it must not be used after data is
-// invalidated — in the transport, after the frame's ReadBuf is released.
+// directly, copying nothing. The caller owns the lifetime contract: the
+// returned message and everything extracted from it must not be used after
+// data is invalidated — in the transport, after the frame's ReadBuf is
+// released.
 //
 // Message kinds that receivers retain wholesale (Submit parks in the
 // admission queue; StatsReq, Migrate, and MigrateData carry client addresses

@@ -62,27 +62,36 @@ func AppendFrameMsg(dst []byte, from object.SiteID, epoch, seq uint64, m Msg) []
 	return dst
 }
 
+// readFrameHeader reads and validates one frame header, returning the frame
+// (Payload still unset) and the payload length that follows on r.
+func readFrameHeader(r io.Reader, maxPayload uint32) (Frame, uint32, error) {
+	var hdr [frameHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return Frame{}, 0, err
+	}
+	if [4]byte(hdr[:4]) != FrameMagic {
+		return Frame{}, 0, fmt.Errorf("%w: bad magic %x", ErrFrame, hdr[:4])
+	}
+	n := binary.BigEndian.Uint32(hdr[4:8])
+	if n > maxPayload {
+		return Frame{}, 0, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrFrame, n, maxPayload)
+	}
+	return Frame{
+		From:  object.SiteID(binary.BigEndian.Uint32(hdr[8:12])),
+		Epoch: binary.BigEndian.Uint64(hdr[12:20]),
+		Seq:   binary.BigEndian.Uint64(hdr[20:28]),
+	}, n, nil
+}
+
 // ReadFrameBuf reads one frame like ReadFrame, but places the payload in a
 // pooled, ref-counted buffer instead of a fresh allocation. The returned
 // frame's Payload aliases the buffer; the caller (and anything it decodes
 // with DecodeBorrowed) must stop touching both before the last Release.
 // On error no buffer is retained.
 func ReadFrameBuf(r io.Reader, maxPayload uint32) (Frame, *ReadBuf, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	f, n, err := readFrameHeader(r, maxPayload)
+	if err != nil {
 		return Frame{}, nil, err
-	}
-	if [4]byte(hdr[:4]) != FrameMagic {
-		return Frame{}, nil, fmt.Errorf("%w: bad magic %x", ErrFrame, hdr[:4])
-	}
-	n := binary.BigEndian.Uint32(hdr[4:8])
-	if n > maxPayload {
-		return Frame{}, nil, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrFrame, n, maxPayload)
-	}
-	f := Frame{
-		From:  object.SiteID(binary.BigEndian.Uint32(hdr[8:12])),
-		Epoch: binary.BigEndian.Uint64(hdr[12:20]),
-		Seq:   binary.BigEndian.Uint64(hdr[20:28]),
 	}
 	buf := newReadBuf(int(n))
 	if n > 0 {
@@ -95,26 +104,14 @@ func ReadFrameBuf(r io.Reader, maxPayload uint32) (Frame, *ReadBuf, error) {
 	return f, buf, nil
 }
 
-// ReadFrame reads one frame from r. maxPayload bounds the payload length a
-// corrupt or malicious header can demand. Errors wrapping ErrFrame mean the
-// stream is corrupt and the connection should be dropped; io errors pass
-// through unchanged.
+// ReadFrame reads one frame from r into a freshly allocated payload.
+// maxPayload bounds the payload length a corrupt or malicious header can
+// demand. Errors wrapping ErrFrame mean the stream is corrupt and the
+// connection should be dropped; io errors pass through unchanged.
 func ReadFrame(r io.Reader, maxPayload uint32) (Frame, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	f, n, err := readFrameHeader(r, maxPayload)
+	if err != nil {
 		return Frame{}, err
-	}
-	if [4]byte(hdr[:4]) != FrameMagic {
-		return Frame{}, fmt.Errorf("%w: bad magic %x", ErrFrame, hdr[:4])
-	}
-	n := binary.BigEndian.Uint32(hdr[4:8])
-	if n > maxPayload {
-		return Frame{}, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrFrame, n, maxPayload)
-	}
-	f := Frame{
-		From:  object.SiteID(binary.BigEndian.Uint32(hdr[8:12])),
-		Epoch: binary.BigEndian.Uint64(hdr[12:20]),
-		Seq:   binary.BigEndian.Uint64(hdr[20:28]),
 	}
 	if n > 0 {
 		f.Payload = make([]byte, n)

@@ -97,6 +97,7 @@ func (pq *PreparedQuery) Run(initial []ID) (IDSet, error) {
 		e.AddInitial(initial...)
 		e.Run()
 		results, fetches = e.TakeResults()
+		e.ReleaseScratch()
 	}
 	for _, f := range fetches {
 		if h, ok := pq.onFetch[f.Var]; ok {
