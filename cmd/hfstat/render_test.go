@@ -22,6 +22,12 @@ func TestRenderGolden(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.Counter("site_derefs_sent").Add(12)
 	reg.Counter("transport_frames_retransmitted").Add(4)
+	// frames per write = 40/9, acks per frame = 7/38: the two batching
+	// ratios are read off adjacent counters.
+	reg.Counter("transport_frames_sent").Add(40)
+	reg.Counter("transport_writes").Add(9)
+	reg.Counter("transport_frames_received").Add(38)
+	reg.Counter("transport_acks_sent").Add(7)
 	reg.Counter("termination_weight_splits").Add(7)
 	reg.Gauge("site_live_contexts").Set(1)
 	for _, v := range []uint64{3, 9, 15, 200} {

@@ -95,7 +95,7 @@ func main() {
 	flag.DurationVar(&cfg.QueryDeadline, "query-deadline", 0, "default per-query time budget; expired queries return annotated partials (0 = none)")
 	flag.IntVar(&cfg.Workers, "workers", 0, "stepping-pool goroutines for this site (0 or 1 = single stepper)")
 	flag.IntVar(&cfg.FairQuantum, "fair-quantum", 0, "per-client deficit-round-robin step credits per turn (0 = FIFO scheduling)")
-	flag.StringVar(&cfg.MetricsAddr, "metrics-addr", "", "serve /debug/hyperfile on this address (empty = off)")
+	flag.StringVar(&cfg.MetricsAddr, "metrics-addr", "", "serve /debug/hyperfile and /debug/pprof/ on this address (empty = off)")
 	flag.DurationVar(&cfg.Heartbeat, "heartbeat", 0, "peer heartbeat interval (0 = no failure detector)")
 	flag.DurationVar(&cfg.SuspectAfter, "suspect-after", 0, "silence before a peer is declared down (default 4x heartbeat)")
 	flag.Int64Var(&cfg.ChaosSeed, "chaos-seed", 0, "fault-injection RNG seed (0 = from clock)")

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"net/http/pprof"
 
 	"hyperfile/internal/metrics"
 	"hyperfile/internal/site"
@@ -44,7 +45,9 @@ func (srv *Server) DebugHandler() http.Handler {
 }
 
 // ServeDebug starts an HTTP listener on addr exposing /debug/hyperfile and
-// returns the bound address. The listener closes when the server does.
+// the runtime profiles under /debug/pprof/ (the listener is opt-in, so the
+// profiler needs no switch of its own), and returns the bound address. The
+// listener closes when the server does.
 func (srv *Server) ServeDebug(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -52,6 +55,12 @@ func (srv *Server) ServeDebug(addr string) (string, error) {
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/debug/hyperfile", srv.DebugHandler())
+	// Index also serves the named profiles (heap, goroutine, mutex, ...).
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	hs := &http.Server{Handler: mux}
 	srv.wg.Add(1)
 	go func() {

@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,6 +28,9 @@ var update = flag.Bool("update", false, "rewrite golden files")
 func TestDebugSnapshotGoldenJSON(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.Counter("transport_frames_sent").Add(3)
+	reg.Counter("transport_writes").Add(1)
+	reg.Counter("transport_frames_received").Add(4)
+	reg.Counter("transport_acks_sent").Add(2)
 	reg.Counter("termination_weight_splits").Add(2)
 	reg.Gauge("site_live_contexts").Set(1)
 	reg.Histogram("site_step_us").Observe(5)
@@ -144,5 +149,15 @@ func TestDebugEndpointUnderChaos(t *testing.T) {
 	}
 	if q := snap.Metrics.Histograms["site_query_quiescence_us"]; q.Count == 0 {
 		t.Error("quiescence histogram empty at originator")
+	}
+
+	// The same listener serves the runtime profiles.
+	prof, err := http.Get(fmt.Sprintf("http://%s/debug/pprof/goroutine?debug=1", addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prof.Body.Close()
+	if body, _ := io.ReadAll(prof.Body); prof.StatusCode != http.StatusOK || !strings.Contains(string(body), "goroutine profile:") {
+		t.Errorf("/debug/pprof/goroutine: status %d, body %.80q", prof.StatusCode, body)
 	}
 }

@@ -333,15 +333,29 @@ func (srv *Server) take() (mail, bool) {
 	return m, true
 }
 
+// flushEvery bounds a burst: how many loop iterations — messages handled or
+// engine steps taken — may queue envelopes before the transport is flushed.
+// A storm of small messages then shares one write per peer, while the first
+// envelope of a burst waits at most this many steps (well under a
+// millisecond) for its write. A loop always flushes before it blocks, so a
+// lone message never waits at all.
+const flushEvery = 16
+
 func (srv *Server) loop() {
 	defer srv.wg.Done()
+	burst := 0 // iterations since the last flush
 	for {
 		select {
 		case <-srv.quit:
 			return
 		default:
 		}
+		if burst >= flushEvery {
+			srv.tr.Flush()
+			burst = 0
+		}
 		if m, ok := srv.take(); ok {
+			burst++
 			if th, ok := m.msg.(thunkMsg); ok {
 				th.f()
 				continue
@@ -380,12 +394,14 @@ func (srv *Server) loop() {
 			// The site retains nothing that aliases the read buffer (retained
 			// kinds are copy-decoded, bodies are cloned into contexts, tokens
 			// are banked at dispatch) and every outbound envelope was encoded
-			// by Send above, so the buffer can recycle now.
+			// when dispatch queued it — only its frame bytes wait for the
+			// flush — so the buffer can recycle now.
 			m.buf.Release()
 			srv.pokeSteppers()
 			continue
 		}
 		if srv.s.HasWork() {
+			burst++
 			_, envs, _, err := srv.s.Step()
 			if err != nil {
 				srv.lg.Error("engine step failed", "err", err)
@@ -394,6 +410,8 @@ func (srv *Server) loop() {
 			srv.dispatch(envs)
 			continue
 		}
+		srv.tr.Flush()
+		burst = 0
 		select {
 		case <-srv.quit:
 			return
@@ -405,9 +423,11 @@ func (srv *Server) loop() {
 // stepLoop is one extra pool worker: it steps the site while work remains,
 // then sleeps until the main loop signals fresh work. Liveness never depends
 // on these workers — the main loop also steps — so a missed wake costs only
-// parallelism, never progress.
+// parallelism, never progress. Like the main loop it flushes what it queued
+// after a bounded burst and before it sleeps.
 func (srv *Server) stepLoop(wake chan struct{}) {
 	defer srv.wg.Done()
+	burst := 0
 	for {
 		select {
 		case <-srv.quit:
@@ -420,6 +440,11 @@ func (srv *Server) stepLoop(wake chan struct{}) {
 			return
 		}
 		srv.dispatch(envs)
+		if burst++; did && burst < flushEvery {
+			continue
+		}
+		srv.tr.Flush()
+		burst = 0
 		if did {
 			continue
 		}
@@ -442,9 +467,11 @@ func (srv *Server) pokeSteppers() {
 	}
 }
 
+// dispatch queues outbound envelopes on the transport. Each is encoded here
+// and now; the bytes go out with the calling loop's next flush.
 func (srv *Server) dispatch(envs []wire.Envelope) {
 	for _, env := range envs {
-		if err := srv.tr.Send(env.To, env.Msg); err != nil {
+		if err := srv.tr.Queue(env.To, env.Msg); err != nil {
 			// A down peer must not wedge the server: partial results are
 			// better than none. The termination credit on that message is
 			// lost; the client's timeout/abort path recovers.

@@ -343,6 +343,48 @@ func TestTCPClientRestartSameSiteID(t *testing.T) {
 	}
 }
 
+// TestTCPClientLinkDialedOncePerAddress: a server re-learns the client's
+// address from every Submit, and that must not cost a connection per query.
+// 100 queries from one client leave exactly one dial on the server→client
+// link (a single-server deployment has no other outbound link); a client
+// restarted on a new port is re-dialed, once.
+func TestTCPClientLinkDialedOncePerAddress(t *testing.T) {
+	servers, stores, client := testDeployment(t, 1)
+	ids := loadServerRing(t, stores, 6)
+	dials := func() uint64 {
+		s := servers[0].Metrics().Snapshot()
+		return s.Counters["transport_connects"] + s.Counters["transport_reconnects"]
+	}
+	run := func(c *Client, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			cm, err := c.Exec(1, tcpClosure, ids[:1], 10*time.Second)
+			if err != nil {
+				t.Fatalf("query %d: %v", i, err)
+			}
+			if len(cm.IDs) != 3 {
+				t.Fatalf("query %d: results = %d, want 3", i, len(cm.IDs))
+			}
+		}
+	}
+	run(client, 100)
+	if got := dials(); got != 1 {
+		t.Errorf("100 queries dialed the client %d times, want 1", got)
+	}
+
+	client.Close()
+	second, err := NewClient(client.ID(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	second.AddServer(1, servers[0].Addr())
+	run(second, 10)
+	if got := dials(); got != 2 {
+		t.Errorf("dials after the client moved to a new port = %d, want 2", got)
+	}
+}
+
 func TestTCPConcurrentClients(t *testing.T) {
 	_, stores, client := testDeployment(t, 3)
 	ids := loadServerRing(t, stores, 18)

@@ -19,20 +19,45 @@
 // wrong magic — a stray client, an incompatible version — drops the
 // connection immediately.
 //
+// The unit of I/O is the batch, not the frame. A filtering query is a storm
+// of ~150-byte messages, so a syscall per frame costs more than the frame's
+// processing. On the way out a message is encoded when it is queued (Queue,
+// or Send = Queue + flush of that peer) — the frame owns its bytes for
+// retransmission, and the caller may recycle whatever the message aliased
+// as soon as Queue returns — and the framed bytes wait in a per-peer buffer
+// that leaves in one write, under one deadline, at the next Flush. On the
+// way in both directions read through a bufio.Reader, so one read(2) drains
+// every frame the kernel holds. Acknowledgements are owed per read, not per
+// frame: when a reader has to go back to the kernel for more bytes it writes
+// — after holding on for RetransmitBase/8 in case more frames come to share
+// it — one cumulative wire.Ack: the dedup floor, "everything at or below
+// this sequence number has been handed to the handler, exactly once", plus
+// a selective ack for each frame that arrived above a gap (only loss or
+// reordering produces those). A duplicate at or below the floor is answered
+// by the floor again, since the ack that should have retired it may be the
+// one that was lost. The sender retires the whole acknowledged prefix of its
+// pending queue per ack; a lost cumulative ack is healed by the next one.
+// Fault injection stays per frame: every frame and every ack is judged on
+// its own, and a dropped one never enters its batch.
+//
 // Outbound connections dial lazily and asynchronously; a failed dial is
 // cached with exponential backoff so a down peer costs one dial per backoff
-// window, not one per message. Every frame write carries a write deadline
-// so a stalled peer cannot wedge a sender goroutine. Send errors only for
+// window, not one per message. Every write carries a write deadline so a
+// stalled peer cannot wedge a sender goroutine. Send errors only for
 // unknown peers, a closed transport, or backlog overflow — delivery trouble
 // is handled by retransmission and, ultimately, by the failure detector
 // layered above.
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,6 +70,22 @@ import (
 // maxFrame bounds incoming frame payloads (a result batch with many ids
 // stays far below this).
 const maxFrame = 16 << 20
+
+// maxBatchBytes bounds a peer's outbound buffer: queueing past it forces a
+// flush, and a frame at least this large is written on its own instead of
+// being copied in. It sits well under a loopback socket buffer, so a full
+// batch still leaves in one write.
+const maxBatchBytes = 32 << 10
+
+// ackHoldDiv sets how long an owed acknowledgement may wait for later frames
+// to share it: RetransmitBase/ackHoldDiv (2.5 ms by default), far enough
+// under the earliest retransmission (0.75 × RetransmitBase) that a held ack
+// never provokes one.
+const ackHoldDiv = 8
+
+// readBufBytes sizes the buffered reader of an inbound connection: one
+// read(2) takes up to two full outbound batches.
+const readBufBytes = 64 << 10
 
 // ErrUnknownPeer is returned when sending to a site with no registered
 // address.
@@ -89,8 +130,8 @@ type Options struct {
 	// MaxAttempts caps transmissions per frame; past it the frame is
 	// abandoned and the peer failure detector is trusted to notice.
 	MaxAttempts int // default 30
-	// WriteTimeout bounds every frame write so a stalled peer cannot wedge
-	// a sender.
+	// WriteTimeout bounds every write (a batch of frames or of acks) so a
+	// stalled peer cannot wedge a sender.
 	WriteTimeout time.Duration // default 5s
 	// DialTimeout bounds outbound connection attempts.
 	DialTimeout time.Duration // default 3s
@@ -126,6 +167,8 @@ type tcpMetrics struct {
 	framesReceived      *metrics.Counter
 	framesDeduped       *metrics.Counter
 	framesAbandoned     *metrics.Counter
+	writes              *metrics.Counter
+	acksSent            *metrics.Counter
 	acksReceived        *metrics.Counter
 	unknownMsgs         *metrics.Counter
 	connects            *metrics.Counter
@@ -145,6 +188,8 @@ func newTCPMetrics(reg *metrics.Registry) tcpMetrics {
 		framesReceived:      reg.Counter("transport_frames_received"),
 		framesDeduped:       reg.Counter("transport_frames_deduped"),
 		framesAbandoned:     reg.Counter("transport_frames_abandoned"),
+		writes:              reg.Counter("transport_writes"),
+		acksSent:            reg.Counter("transport_acks_sent"),
 		acksReceived:        reg.Counter("transport_acks_received"),
 		unknownMsgs:         reg.Counter("hf_wire_unknown_msgs"),
 		connects:            reg.Counter("transport_connects"),
@@ -197,10 +242,14 @@ type TCP struct {
 	stopCh  chan struct{}
 	wg      sync.WaitGroup
 
-	mu      sync.Mutex
-	peers   map[object.SiteID]*peer
-	inbound map[net.Conn]struct{}
-	dedup   map[object.SiteID]*dedupWindow
+	mu    sync.Mutex
+	peers map[object.SiteID]*peer
+	// peerList holds the same peers as an immutable slice (replaced, never
+	// appended in place), so Flush and the retransmission tick walk them
+	// without allocating or holding mu.
+	peerList []*peer
+	inbound  map[net.Conn]struct{}
+	dedup    map[object.SiteID]*dedupWindow
 }
 
 // peer holds the outbound state for one remote site. Lock ordering: p.mu
@@ -215,6 +264,14 @@ type peer struct {
 	dialing bool
 	nextSeq uint64
 	pending []*pendingFrame // unacked frames, ascending seq
+	// out holds framed bytes queued for the next flush. It is non-empty only
+	// while conn is up: losing the connection discards it, because every
+	// reliable frame in it is also in pending and the connect-time flush
+	// sends those.
+	out []byte
+	// outReliable records that out carries at least one reliable frame (the
+	// transport_writes counter leaves heartbeat-only writes out).
+	outReliable bool
 	// everConnected distinguishes a first connect from a reconnect in the
 	// metrics.
 	everConnected bool
@@ -228,8 +285,10 @@ type peer struct {
 
 // pendingFrame is one reliable frame awaiting acknowledgement.
 type pendingFrame struct {
-	seq      uint64
-	data     []byte // fully framed bytes, header included
+	seq  uint64
+	data []byte // fully framed bytes, header included
+	// attempts counts transmissions handed to the link (fault-dropped ones
+	// included); it stays 0 while the frame waits behind a down link.
 	attempts int
 	nextAt   time.Time // earliest retransmission time
 	// firstSent anchors the ack round-trip measurement; it includes any
@@ -301,50 +360,115 @@ func (t *TCP) spawn(fn func()) bool {
 	return true
 }
 
-// AddPeer registers (or updates) the address of a site. Re-registering
-// drops any cached connection and clears the dial backoff, so a restarted
-// peer is re-dialed immediately; queued unacked frames survive and are
-// retransmitted to the new address.
+// AddPeer registers (or updates) the address of a site. A changed address
+// drops any cached connection, so a peer restarted elsewhere is re-dialed at
+// once; re-registering the address already on file keeps the live connection
+// (servers re-learn a client's address from every Submit). Either way the
+// dial backoff is cleared, and queued unacked frames survive to be
+// retransmitted.
 func (t *TCP) AddPeer(id object.SiteID, addr string) {
 	t.mu.Lock()
 	p := t.peers[id]
 	if p == nil {
 		p = &peer{id: id}
 		t.peers[id] = p
+		t.peerList = append(t.peerList[:len(t.peerList):len(t.peerList)], p)
 	}
 	t.mu.Unlock()
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.addr = addr
-	if p.conn != nil {
-		_ = p.conn.Close()
-		p.conn = nil
+	if p.addr != addr {
+		p.addr = addr
+		if p.conn != nil {
+			dropConnLocked(p, p.conn)
+		}
 	}
 	p.dialFails, p.nextDialAt, p.lastDialErr = 0, time.Time{}, nil
 }
 
-// Send queues one message for reliable delivery to a peer and transmits it
-// immediately when a connection is up (dialing in the background
-// otherwise). A nil return means the message is queued and will be
-// delivered exactly once unless the peer stays unreachable past the
-// retransmission budget; it does NOT mean the peer has received it. Errors:
-// ErrUnknownPeer, ErrClosed, ErrBacklog.
-func (t *TCP) Send(to object.SiteID, m wire.Msg) error {
-	if t.closed.Load() {
-		return ErrClosed
-	}
+// peer returns the registered peer for id, or nil.
+func (t *TCP) peer(id object.SiteID) *peer {
 	t.mu.Lock()
-	p := t.peers[to]
-	t.mu.Unlock()
-	if p == nil {
-		return fmt.Errorf("%w: %v", ErrUnknownPeer, to)
-	}
+	defer t.mu.Unlock()
+	return t.peers[id]
+}
 
+// peerFor resolves a destination for the send paths.
+func (t *TCP) peerFor(to object.SiteID) (*peer, error) {
+	if t.closed.Load() {
+		return nil, ErrClosed
+	}
+	p := t.peer(to)
+	if p == nil {
+		return nil, fmt.Errorf("%w: %v", ErrUnknownPeer, to)
+	}
+	return p, nil
+}
+
+// peerSnapshot returns the current peers; the slice is immutable.
+func (t *TCP) peerSnapshot() []*peer {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.peerList
+}
+
+// Send queues one message for reliable delivery to a peer and transmits it
+// (with anything else queued to that peer) immediately when a connection is
+// up, dialing in the background otherwise. A nil return means the message is
+// queued and will be delivered exactly once unless the peer stays
+// unreachable past the retransmission budget; it does NOT mean the peer has
+// received it. Errors: ErrUnknownPeer, ErrClosed, ErrBacklog.
+func (t *TCP) Send(to object.SiteID, m wire.Msg) error {
+	p, err := t.peerFor(to)
+	if err != nil {
+		return err
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	// lint:ignore lockhold a frame that overflows the batch is written under p.mu by design; bounded by WriteTimeout (writeLocked sets a deadline)
+	if err := t.queueLocked(p, m); err != nil {
+		return err
+	}
+	// lint:ignore lockhold the batch write runs under p.mu by design; bounded by WriteTimeout (writeLocked sets a deadline)
+	t.flushLocked(p)
+	return nil
+}
+
+// Queue is Send without the write: the message is encoded now — so the
+// caller may recycle anything m aliases as soon as Queue returns — and its
+// frame waits in the peer's outbound buffer until Flush (or a Send to the
+// same peer, or the buffer's byte bound) puts the whole batch on the wire in
+// one write. A caller that queues must Flush before it blocks; the
+// retransmission tick flushes stragglers within RetransmitBase regardless.
+func (t *TCP) Queue(to object.SiteID, m wire.Msg) error {
+	p, err := t.peerFor(to)
+	if err != nil {
+		return err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	// lint:ignore lockhold a frame that overflows the batch is written under p.mu by design; bounded by WriteTimeout (writeLocked sets a deadline)
+	return t.queueLocked(p, m)
+}
+
+// Flush writes every peer's queued frames, one write per peer. It is safe
+// for concurrent use with Send, Queue and other Flushes.
+func (t *TCP) Flush() {
+	for _, p := range t.peerSnapshot() {
+		p.mu.Lock()
+		// lint:ignore lockhold the batch write runs under p.mu by design; bounded by WriteTimeout (writeLocked sets a deadline)
+		t.flushLocked(p)
+		p.mu.Unlock()
+	}
+}
+
+// queueLocked assigns the next sequence number, encodes m into a pending
+// frame and, when the link is up, batches its first transmission. Callers
+// hold p.mu.
+func (t *TCP) queueLocked(p *peer, m wire.Msg) error {
 	if len(p.pending) >= t.opts.MaxUnacked {
-		return fmt.Errorf("%w: %d frames queued to %v", ErrBacklog, len(p.pending), to)
+		return fmt.Errorf("%w: %d frames queued to %v", ErrBacklog, len(p.pending), p.id)
 	}
 	p.nextSeq++
 	// Encode straight into the frame buffer: the pending frame owns these
@@ -352,12 +476,11 @@ func (t *TCP) Send(to object.SiteID, m wire.Msg) error {
 	// payload temporary AppendFrame would need is gone.
 	data := wire.AppendFrameMsg(make([]byte, 0, 128), t.self, t.epoch, p.nextSeq, m)
 	now := time.Now()
-	pf := &pendingFrame{seq: p.nextSeq, data: data, attempts: 1, nextAt: now.Add(t.backoff(1)), firstSent: now}
+	pf := &pendingFrame{seq: p.nextSeq, data: data, nextAt: now.Add(t.backoff(1)), firstSent: now}
 	t.met.framesSent.Inc()
 	p.pending = append(p.pending, pf)
 	if t.ensureConnLocked(p) != nil {
-		// lint:ignore lockhold first transmission writes under p.mu by design; bounded by WriteTimeout (writeRawLocked sets a deadline)
-		t.writeLocked(p, data)
+		t.transmitLocked(p, pf, now)
 	}
 	return nil
 }
@@ -366,25 +489,22 @@ func (t *TCP) Send(to object.SiteID, m wire.Msg) error {
 // ack, no retransmission, silently skipped while the peer connection is
 // down. Heartbeats use this — a lost heartbeat is itself the signal.
 func (t *TCP) SendUnreliable(to object.SiteID, m wire.Msg) error {
-	if t.closed.Load() {
-		return ErrClosed
+	p, err := t.peerFor(to)
+	if err != nil {
+		return err
 	}
-	t.mu.Lock()
-	p := t.peers[to]
-	t.mu.Unlock()
-	if p == nil {
-		return fmt.Errorf("%w: %v", ErrUnknownPeer, to)
-	}
-	// Not pooled: a fault-injected delayed write may retain data past this
-	// call (writeLocked's spawned goroutine), so the buffer cannot be
+	// Not pooled: a fault-injected delayed transmission may retain data past
+	// this call (batchLocked's spawned goroutine), so the buffer cannot be
 	// recycled here. AppendFrameMsg still avoids the payload temporary.
 	data := wire.AppendFrameMsg(nil, t.self, t.epoch, 0, m)
 	t.met.framesUnreliable.Inc()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if t.ensureConnLocked(p) != nil {
-		// lint:ignore lockhold best-effort write under p.mu by design; bounded by WriteTimeout (writeRawLocked sets a deadline)
-		t.writeLocked(p, data)
+		// lint:ignore lockhold best-effort write under p.mu by design; bounded by WriteTimeout (writeLocked sets a deadline)
+		t.batchLocked(p, data, false)
+		// lint:ignore lockhold best-effort write under p.mu by design; bounded by WriteTimeout (writeLocked sets a deadline)
+		t.flushLocked(p)
 	}
 	return nil
 }
@@ -393,9 +513,7 @@ func (t *TCP) SendUnreliable(to object.SiteID, m wire.Msg) error {
 // failed dials, the earliest next attempt, and the last error. All zero
 // when the peer is healthy or unknown.
 func (t *TCP) DialState(id object.SiteID) (fails int, next time.Time, lastErr error) {
-	t.mu.Lock()
-	p := t.peers[id]
-	t.mu.Unlock()
+	p := t.peer(id)
 	if p == nil {
 		return 0, time.Time{}, nil
 	}
@@ -406,9 +524,7 @@ func (t *TCP) DialState(id object.SiteID) (fails int, next time.Time, lastErr er
 
 // Pending reports the number of unacknowledged frames queued to a peer.
 func (t *TCP) Pending(id object.SiteID) int {
-	t.mu.Lock()
-	p := t.peers[id]
-	t.mu.Unlock()
+	p := t.peer(id)
 	if p == nil {
 		return 0
 	}
@@ -467,32 +583,48 @@ func (t *TCP) dialPeer(p *peer, addr string) {
 		p.everConnected = true
 	}
 	if !t.spawn(func() { t.ackLoop(p, c) }) {
-		_ = c.Close()
-		p.conn = nil
+		dropConnLocked(p, c)
 		return
 	}
-	// Flush everything queued while the link was down; the regular
-	// retransmission schedule takes over from here.
+	// Send everything queued while the link was down, as one batch; the
+	// regular retransmission schedule takes over from here. The outbound
+	// buffer is empty at this point (it never outlives a connection), so
+	// each frame goes out exactly once.
 	now := time.Now()
 	for _, pf := range p.pending {
-		pf.attempts++
-		pf.nextAt = now.Add(t.backoff(pf.attempts))
-		t.met.framesRetransmitted.Inc()
-		// lint:ignore lockhold reconnect flush writes under p.mu by design; bounded by WriteTimeout (writeRawLocked sets a deadline)
-		t.writeLocked(p, pf.data)
+		// lint:ignore lockhold connect flush writes under p.mu by design; bounded by WriteTimeout (writeLocked sets a deadline)
+		t.transmitLocked(p, pf, now)
 	}
+	// lint:ignore lockhold connect flush writes under p.mu by design; bounded by WriteTimeout (writeLocked sets a deadline)
+	t.flushLocked(p)
 }
 
-// writeLocked pushes one framed message through the fault filter and onto
-// the wire. Callers hold p.mu.
-func (t *TCP) writeLocked(p *peer, data []byte) {
+// transmitLocked hands one pending frame to the link once more: it advances
+// the retransmission schedule and batches the frame's bytes. Only a frame
+// that has been handed over before counts as a retransmission — one that
+// waited behind a down link is sent for the first time by the connect
+// flush. Callers hold p.mu with the connection up.
+func (t *TCP) transmitLocked(p *peer, pf *pendingFrame, now time.Time) {
+	if pf.attempts > 0 {
+		t.met.framesRetransmitted.Inc()
+	}
+	pf.attempts++
+	pf.nextAt = now.Add(t.backoff(pf.attempts))
+	t.batchLocked(p, pf.data, true)
+}
+
+// batchLocked pushes one framed message through the fault filter into the
+// outbound buffer: a dropped frame never enters the batch, a duplicated one
+// enters it twice, a delayed one joins (and flushes) a later batch. Callers
+// hold p.mu.
+func (t *TCP) batchLocked(p *peer, data []byte, reliable bool) {
 	drop, copies, delay := t.judge(p.id)
 	if drop {
 		return
 	}
 	if delay <= 0 {
 		for i := 0; i < copies; i++ {
-			t.writeRawLocked(p, data)
+			t.appendOutLocked(p, data, reliable)
 		}
 		return
 	}
@@ -510,25 +642,66 @@ func (t *TCP) writeLocked(p *peer, data []byte) {
 		if p.conn == c && c != nil {
 			for i := 0; i < copies; i++ {
 				// lint:ignore lockhold fault-injected delayed write re-takes p.mu by design; bounded by WriteTimeout
-				t.writeRawLocked(p, data)
+				t.appendOutLocked(p, data, reliable)
 			}
+			// lint:ignore lockhold fault-injected delayed write re-takes p.mu by design; bounded by WriteTimeout
+			t.flushLocked(p)
 		}
 	})
 }
 
-// writeRawLocked writes framed bytes with a deadline; a write error drops
-// the connection so the retransmission path re-dials. Callers hold p.mu.
-func (t *TCP) writeRawLocked(p *peer, data []byte) {
+// appendOutLocked adds framed bytes to the outbound buffer, flushing first
+// when they would take it past maxBatchBytes. Callers hold p.mu.
+func (t *TCP) appendOutLocked(p *peer, data []byte, reliable bool) {
+	if len(p.out)+len(data) > maxBatchBytes {
+		t.flushLocked(p)
+	}
+	switch {
+	case p.conn == nil:
+		// That flush lost the link. Nothing may wait in out across a
+		// reconnect; a reliable frame is in pending and goes out then.
+	case len(data) >= maxBatchBytes:
+		t.writeLocked(p, data, reliable)
+	default:
+		p.out = append(p.out, data...)
+		p.outReliable = p.outReliable || reliable
+	}
+}
+
+// flushLocked writes the outbound buffer, if any, in one write. Callers
+// hold p.mu.
+func (t *TCP) flushLocked(p *peer) {
+	if len(p.out) == 0 {
+		return
+	}
+	t.writeLocked(p, p.out, p.outReliable)
+	p.out, p.outReliable = p.out[:0], false
+}
+
+// writeLocked writes framed bytes with a deadline; a write error drops the
+// connection so the retransmission path re-dials. Callers hold p.mu.
+func (t *TCP) writeLocked(p *peer, data []byte, reliable bool) {
 	c := p.conn
 	if c == nil {
 		return
 	}
+	if reliable {
+		t.met.writes.Inc()
+	}
 	_ = c.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
 	if _, err := c.Write(data); err != nil {
-		_ = c.Close()
-		if p.conn == c {
-			p.conn = nil
-		}
+		dropConnLocked(p, c)
+	}
+}
+
+// dropConnLocked closes c and, if it is still p's connection, forgets it
+// together with the outbound buffer: the reliable frames in there are all
+// in pending, and the next connect sends those. Callers hold p.mu.
+func dropConnLocked(p *peer, c net.Conn) {
+	_ = c.Close()
+	if p.conn == c {
+		p.conn = nil
+		p.out, p.outReliable = p.out[:0], false
 	}
 }
 
@@ -550,8 +723,10 @@ func (t *TCP) judge(id object.SiteID) (drop bool, copies int, delay time.Duratio
 	return t.opts.Fault.Judge(t.self, id)
 }
 
-// retransmitLoop periodically rewrites unacked frames that are past their
-// backoff, abandoning frames that exhaust MaxAttempts.
+// retransmitLoop periodically re-batches unacked frames that are past their
+// backoff, abandoning frames that exhaust MaxAttempts, and flushes whatever
+// each peer has queued — its own retransmissions and any frame a caller
+// queued without flushing.
 func (t *TCP) retransmitLoop() {
 	tick := t.opts.RetransmitBase / 2
 	if tick < time.Millisecond {
@@ -565,47 +740,39 @@ func (t *TCP) retransmitLoop() {
 			return
 		case <-ticker.C:
 		}
-		t.mu.Lock()
-		peers := make([]*peer, 0, len(t.peers))
-		for _, p := range t.peers {
-			peers = append(peers, p)
-		}
-		t.mu.Unlock()
-		for _, p := range peers {
+		for _, p := range t.peerSnapshot() {
 			p.mu.Lock()
-			if len(p.pending) == 0 {
-				p.mu.Unlock()
-				continue
-			}
-			c := t.ensureConnLocked(p)
-			now := time.Now()
-			keep := p.pending[:0]
-			for _, pf := range p.pending {
-				if pf.attempts >= t.opts.MaxAttempts {
-					t.met.framesAbandoned.Inc()
-					continue // abandoned; the failure detector takes over
+			if len(p.pending) > 0 {
+				c := t.ensureConnLocked(p)
+				now := time.Now()
+				keep := p.pending[:0]
+				for _, pf := range p.pending {
+					if pf.attempts >= t.opts.MaxAttempts {
+						t.met.framesAbandoned.Inc()
+						continue // abandoned; the failure detector takes over
+					}
+					keep = append(keep, pf)
+					if c != nil && now.After(pf.nextAt) {
+						// lint:ignore lockhold retransmission writes under p.mu by design; bounded by WriteTimeout (writeLocked sets a deadline)
+						t.transmitLocked(p, pf, now)
+					}
 				}
-				keep = append(keep, pf)
-				if c != nil && now.After(pf.nextAt) {
-					pf.attempts++
-					pf.nextAt = now.Add(t.backoff(pf.attempts))
-					t.met.framesRetransmitted.Inc()
-					// lint:ignore lockhold retransmission writes under p.mu by design; bounded by WriteTimeout (writeRawLocked sets a deadline)
-					t.writeLocked(p, pf.data)
-				}
+				clear(p.pending[len(keep):])
+				p.pending = keep
 			}
-			clear(p.pending[len(keep):])
-			p.pending = keep
+			// lint:ignore lockhold retransmission writes under p.mu by design; bounded by WriteTimeout (writeLocked sets a deadline)
+			t.flushLocked(p)
 			p.mu.Unlock()
 		}
 	}
 }
 
 // ackLoop reads acknowledgements arriving on the reverse path of an
-// outbound connection and retires the matching pending frames.
+// outbound connection and retires the pending frames they cover.
 func (t *TCP) ackLoop(p *peer, c net.Conn) {
+	br := bufio.NewReader(c)
 	for {
-		m, err := t.readAck(c)
+		m, err := t.readAck(br)
 		if err != nil {
 			break
 		}
@@ -616,30 +783,45 @@ func (t *TCP) ackLoop(p *peer, c net.Conn) {
 			t.met.unknownMsgs.Inc()
 			continue
 		}
+		t.met.acksReceived.Inc()
 		p.mu.Lock()
-		for i, pf := range p.pending {
-			if pf.seq == ack.Seq {
-				p.pending = append(p.pending[:i], p.pending[i+1:]...)
-				t.met.acksReceived.Inc()
-				t.met.ackRTTUS.ObserveDuration(time.Since(pf.firstSent))
-				break
-			}
-		}
+		t.retireLocked(p, ack)
 		p.mu.Unlock()
 	}
-	_ = c.Close()
 	p.mu.Lock()
-	if p.conn == c {
-		p.conn = nil
-	}
+	dropConnLocked(p, c)
 	p.mu.Unlock()
+}
+
+// retireLocked drops the pending frames an ack covers: the whole prefix at
+// or below its cumulative floor, then the one selectively acknowledged frame
+// above it, if any. pending ascends by seq, so neither needs a scan of the
+// frames that stay. Callers hold p.mu.
+func (t *TCP) retireLocked(p *peer, ack *wire.Ack) {
+	now := time.Now()
+	n := 0
+	for n < len(p.pending) && p.pending[n].seq <= ack.Cum {
+		t.met.ackRTTUS.ObserveDuration(now.Sub(p.pending[n].firstSent))
+		n++
+	}
+	// Zero the retired slots: the backing array outlives them.
+	clear(p.pending[:n])
+	p.pending = p.pending[n:]
+	if ack.Seq <= ack.Cum {
+		return
+	}
+	i := sort.Search(len(p.pending), func(i int) bool { return p.pending[i].seq >= ack.Seq })
+	if i < len(p.pending) && p.pending[i].seq == ack.Seq {
+		t.met.ackRTTUS.ObserveDuration(now.Sub(p.pending[i].firstSent))
+		p.pending = slices.Delete(p.pending, i, i+1)
+	}
 }
 
 // readAck reads one reverse-path frame and decodes it. The payload lands in
 // a pooled buffer released before returning: the copying decode keeps no
 // reference into it.
-func (t *TCP) readAck(c net.Conn) (wire.Msg, error) {
-	fr, buf, err := wire.ReadFrameBuf(c, maxFrame)
+func (t *TCP) readAck(r *bufio.Reader) (wire.Msg, error) {
+	fr, buf, err := wire.ReadFrameBuf(r, maxFrame)
 	if err != nil {
 		return nil, err
 	}
@@ -669,11 +851,128 @@ func (t *TCP) acceptLoop() {
 	}
 }
 
+// inboundConn is the read side of one accepted connection: the source the
+// buffered frame reader fills from, and the acknowledgements owed to the
+// sender whose frames have been consumed since the last fill. Only the read
+// loop's goroutine touches it (it is also the only writer on the connection),
+// so it needs no lock.
+type inboundConn struct {
+	t *TCP
+	c net.Conn
+
+	// from/epoch identify the sender the owed acks go to; owed is set once a
+	// reliable frame of theirs has been consumed.
+	from  object.SiteID
+	epoch uint64
+	owed  bool
+	since time.Time // when the oldest owed ack became owed
+	cum   uint64    // that sender's dedup floor as of its last frame
+	sel   []uint64  // sequence numbers consumed while above the floor
+	// timed records that the connection carries a read deadline (the hold
+	// on an owed ack) that the next fill must clear.
+	timed bool
+}
+
+// Read fills the buffered reader. The reader comes here only when it has
+// handed out everything it held and must go back to the kernel, which makes
+// this the place to settle what is owed: at most one ack write per read(2),
+// however many frames the last one brought. Owed acks are not written at
+// once, though. They wait — the read takes a deadline — for up to
+// RetransmitBase/ackHoldDiv from the oldest, so that traffic arriving one
+// frame at a time (a query hopping serially between sites) shares acks too;
+// if frames keep coming, the deadline of the next fill has already passed
+// and the acks go out then. A frame is always delivered before its ack is
+// held, so the hold adds nothing to a message's latency.
+func (in *inboundConn) Read(b []byte) (int, error) {
+	for {
+		if in.owed || in.timed {
+			var until time.Time // zero: wait for bytes indefinitely
+			if in.owed {
+				until = in.since.Add(in.t.opts.RetransmitBase / ackHoldDiv)
+			}
+			_ = in.c.SetReadDeadline(until)
+			in.timed = in.owed
+		}
+		// Close interrupts a reader by moving its deadline into the past,
+		// not by closing the connection under it, so that the acks a
+		// departing endpoint still owes get written. It marks the transport
+		// closed first: a deadline set above either precedes Close's, and
+		// the read below fails at once, or finds the mark here.
+		if in.t.closed.Load() {
+			in.flushAcks()
+			return 0, ErrClosed
+		}
+		n, err := in.c.Read(b)
+		if n > 0 || !in.owed || !errors.Is(err, os.ErrDeadlineExceeded) {
+			return n, err
+		}
+		in.flushAcks() // the hold ran out with nothing more to read
+	}
+}
+
+// owe records that the frame (from, epoch, seq) is to be acknowledged, floor
+// being the sender's dedup floor once the frame was admitted or recognised.
+// Duplicates are owed too: the earlier ack may have been lost. At or below
+// the floor the cumulative ack covers it; above — past a gap — it gets a
+// selective ack, so the sender stops retransmitting it while the gap heals.
+func (in *inboundConn) owe(from object.SiteID, epoch, seq, floor uint64) {
+	if in.owed && (from != in.from || epoch != in.epoch) {
+		// One connection carries one sender incarnation; should that ever
+		// not hold, acks must not mix two sequence spaces.
+		in.flushAcks()
+	}
+	if !in.owed {
+		in.since = time.Now()
+	}
+	in.from, in.epoch, in.owed, in.cum = from, epoch, true, floor
+	if seq > floor {
+		in.sel = append(in.sel, seq)
+	}
+}
+
+// flushAcks writes the owed acknowledgements back on the inbound connection
+// (the reverse path — the receiver may have no dialable address for the
+// sender) in one write: the cumulative floor, riding on a selective ack for
+// each frame still above it. Each ack passes the fault filter on its own.
+func (in *inboundConn) flushAcks() {
+	if !in.owed {
+		return
+	}
+	t := in.t
+	b := wire.GetBuf()
+	data := *b
+	ack := func(seq uint64) {
+		if drop, _, _ := t.judge(in.from); drop {
+			return
+		}
+		t.met.acksSent.Inc()
+		data = wire.AppendFrameMsg(data, t.self, t.epoch, 0, &wire.Ack{Seq: seq, Cum: in.cum})
+	}
+	selective := false
+	for _, seq := range in.sel {
+		if seq > in.cum { // the gap below it may have filled since
+			ack(seq)
+			selective = true
+		}
+	}
+	if !selective {
+		ack(0)
+	}
+	if len(data) > 0 {
+		_ = in.c.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
+		_, _ = in.c.Write(data) // an error surfaces as a read failure shortly after
+	}
+	*b = data[:0]
+	wire.PutBuf(b)
+	in.owed, in.sel = false, in.sel[:0]
+}
+
 // readLoop consumes frames from one inbound connection: unreliable frames
-// (seq 0) go straight to the handler, reliable frames are acked on the same
-// connection and delivered through the dedup window so the handler sees
-// each message exactly once. Corrupt frames poison the stream and drop the
-// connection; the sender's retransmissions arrive on a fresh one.
+// (seq 0) go straight to the handler, reliable frames are delivered through
+// the dedup window so the handler sees each message exactly once, and
+// acknowledged in one write when the buffered reader next goes back to the
+// kernel. Corrupt frames poison the stream and drop the connection; the
+// sender's retransmissions arrive on a fresh one.
 func (t *TCP) readLoop(c net.Conn) {
 	defer func() {
 		_ = c.Close()
@@ -681,8 +980,10 @@ func (t *TCP) readLoop(c net.Conn) {
 		delete(t.inbound, c)
 		t.mu.Unlock()
 	}()
+	in := &inboundConn{t: t, c: c}
+	br := bufio.NewReaderSize(in, readBufBytes)
 	for {
-		fr, buf, err := wire.ReadFrameBuf(c, maxFrame)
+		fr, buf, err := wire.ReadFrameBuf(br, maxFrame)
 		if err != nil {
 			return
 		}
@@ -696,22 +997,24 @@ func (t *TCP) readLoop(c net.Conn) {
 			buf.Release()
 			return
 		}
-		if fr.Seq == 0 {
-			if _, isAck := m.(*wire.Ack); !isAck {
-				t.deliver(fr.From, m, buf)
-			} else {
-				buf.Release()
-			}
-			continue
+		reliable, fresh := fr.Seq != 0, false
+		if reliable {
+			var floor uint64
+			fresh, floor = t.dedupAdmit(fr.From, fr.Epoch, fr.Seq)
+			in.owe(fr.From, fr.Epoch, fr.Seq, floor)
 		}
-		// Always ack, even duplicates: the earlier ack may have been lost.
-		t.writeAck(c, fr.From, fr.Seq)
-		if t.dedupAdmit(fr.From, fr.Epoch, fr.Seq) {
+		switch _, isAck := m.(*wire.Ack); {
+		case fresh:
 			t.met.framesReceived.Inc()
 			t.deliver(fr.From, m, buf)
-		} else {
+		case reliable:
 			t.met.framesDeduped.Inc()
 			buf.Release()
+		case isAck:
+			// Acks travel on the reverse path; a stray one stops here.
+			buf.Release()
+		default:
+			t.deliver(fr.From, m, buf)
 		}
 	}
 }
@@ -729,25 +1032,11 @@ func (t *TCP) deliver(from object.SiteID, m wire.Msg, buf *wire.ReadBuf) {
 	t.handler(from, m)
 }
 
-// writeAck sends an ack for seq back on the inbound connection (the reverse
-// path — the receiver may have no dialable address for the sender). Only
-// the read loop writes to an inbound connection, so no locking is needed.
-func (t *TCP) writeAck(c net.Conn, to object.SiteID, seq uint64) {
-	if drop, _, _ := t.judge(to); drop {
-		return
-	}
-	b := wire.GetBuf()
-	data := wire.AppendFrameMsg(*b, t.self, t.epoch, 0, &wire.Ack{Seq: seq})
-	_ = c.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
-	_, _ = c.Write(data) // an error surfaces as a read failure shortly after
-	*b = data[:0]
-	wire.PutBuf(b)
-}
-
-// dedupAdmit records one reliable frame and reports whether it is new. A
-// changed epoch means the sender restarted: its sequence space started
-// over, so the window resets.
-func (t *TCP) dedupAdmit(from object.SiteID, epoch, seq uint64) bool {
+// dedupAdmit records one reliable frame and reports whether it is new,
+// together with the sender's floor afterwards: every sequence number at or
+// below it has been admitted. A changed epoch means the sender restarted:
+// its sequence space started over, so the window (and the floor) resets.
+func (t *TCP) dedupAdmit(from object.SiteID, epoch, seq uint64) (fresh bool, floor uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	w := t.dedup[from]
@@ -756,24 +1045,32 @@ func (t *TCP) dedupAdmit(from object.SiteID, epoch, seq uint64) bool {
 		t.dedup[from] = w
 	}
 	if seq <= w.floor {
-		return false
+		return false, w.floor
 	}
-	if _, dup := w.seen[seq]; dup {
-		return false
+	if seq > w.floor+1 {
+		// Above a gap: park it in the sparse set until the gap fills.
+		if _, dup := w.seen[seq]; dup {
+			return false, w.floor
+		}
+		w.seen[seq] = struct{}{}
+		return true, w.floor
 	}
-	w.seen[seq] = struct{}{}
-	for {
+	// In order — the common case never touches the set.
+	w.floor++
+	for len(w.seen) > 0 {
 		if _, ok := w.seen[w.floor+1]; !ok {
 			break
 		}
 		delete(w.seen, w.floor+1)
 		w.floor++
 	}
-	return true
+	return true, w.floor
 }
 
 // Close shuts the listener and all connections, stops retransmission, and
-// waits for every goroutine to drain. Unacked frames are discarded.
+// waits for every goroutine to drain. Unacked frames are discarded; owed
+// acknowledgements are still written, so a peer is not left retransmitting
+// to an endpoint that received its message and then went away.
 func (t *TCP) Close() error {
 	t.spawnMu.Lock()
 	already := t.closed.Swap(true)
@@ -784,26 +1081,23 @@ func (t *TCP) Close() error {
 	close(t.stopCh)
 	err := t.ln.Close()
 	t.mu.Lock()
-	peers := make([]*peer, 0, len(t.peers))
-	for _, p := range t.peers {
-		peers = append(peers, p)
-	}
 	conns := make([]net.Conn, 0, len(t.inbound))
 	for c := range t.inbound {
 		conns = append(conns, c)
 	}
 	t.mu.Unlock()
-	for _, p := range peers {
+	for _, p := range t.peerSnapshot() {
 		p.mu.Lock()
 		if p.conn != nil {
-			_ = p.conn.Close()
-			p.conn = nil
+			dropConnLocked(p, p.conn)
 		}
 		p.pending = nil
 		p.mu.Unlock()
 	}
 	for _, c := range conns {
-		_ = c.Close()
+		// Each read loop settles its acks and closes its own connection
+		// (see inboundConn.Read).
+		_ = c.SetReadDeadline(time.Unix(1, 0))
 	}
 	t.wg.Wait()
 	return err

@@ -126,6 +126,7 @@ func EncodeTo(dst []byte, m Msg) []byte {
 		e.str(m.ClientAddr)
 	case *Ack:
 		e.u64(m.Seq)
+		e.u64(m.Cum)
 	case *Heartbeat:
 		e.u64(m.Seq)
 	case *StatsResp:
@@ -329,7 +330,12 @@ func decode(data []byte, borrow bool) (Msg, error) {
 	case KStatsReq:
 		m = &StatsReq{Seq: d.u64(), ClientAddr: d.str()}
 	case KAck:
-		m = &Ack{Seq: d.u64()}
+		a := &Ack{Seq: d.u64()}
+		// Trailing, optional: frames predating cumulative acks end here.
+		if d.err == nil && d.pos < len(d.buf) {
+			a.Cum = d.u64()
+		}
+		m = a
 	case KHeartbeat:
 		m = &Heartbeat{Seq: d.u64()}
 	case KStatsResp:

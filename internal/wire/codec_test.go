@@ -319,6 +319,23 @@ func TestDecodePreClientIDSubmit(t *testing.T) {
 	}
 }
 
+// TestDecodePreCumulativeAck: the one-field Ack layout (pre-cumulative
+// encoders) still decodes, as a purely selective ack; the current layout
+// round-trips both fields.
+func TestDecodePreCumulativeAck(t *testing.T) {
+	roundTrip(t, &Ack{Seq: 300, Cum: 257})
+	roundTrip(t, &Ack{Cum: 1})
+	data := Encode(&Ack{Seq: 300, Cum: 7})
+	// Cum 7 < 128 encodes as the final varint byte; strip it.
+	got, err := Decode(data[:len(data)-1])
+	if err != nil {
+		t.Fatalf("pre-cumulative Ack frame: %v", err)
+	}
+	if a, ok := got.(*Ack); !ok || a.Seq != 300 || a.Cum != 0 {
+		t.Errorf("pre-cumulative frame decoded %#v, want Ack{Seq: 300, Cum: 0}", got)
+	}
+}
+
 func TestDecodeRandomBytesNeverPanic(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 5000; i++ {

@@ -19,7 +19,7 @@ var updateCorpus = flag.Bool("update-corpus", false, "rewrite the committed fuzz
 // compatSeeds is the committed compatibility corpus: one named frame stream
 // per wire-format generation we promise to keep decoding. Each payload is a
 // message layout that once went over the wire — current layouts with the
-// trailing optionals present (ClientID, BudgetUS, BodyHash, Reason), the
+// trailing optionals present (ClientID, BudgetUS, BodyHash, Reason, Cum), the
 // truncated pre-optional layouts from before each field existed, and the
 // legacy single-id KDeref frame. go test loads these through FuzzFrame's
 // seed corpus, so the coverage survives CI fuzz-cache loss.
@@ -57,11 +57,24 @@ func compatSeeds() map[string][]byte {
 		"seed_pre_budget": seedZero[:len(seedZero)-1],
 	}
 
-	seeds := make(map[string][]byte, len(payloads))
+	// Later generations. A frame's Seq is its rank within its generation's
+	// map, so additions go in a new map: inserting into payloads would
+	// renumber, and so rewrite, the frames frozen above.
+	ackCum := Encode(&Ack{Seq: 9, Cum: 7})
+	ackZero := Encode(&Ack{Seq: 9})
+	cumulativeAcks := map[string][]byte{
+		"ack_cumulative": ackCum,
+		// Pre-cumulative generation: the frame ends after Seq.
+		"ack_pre_cumulative": ackZero[:len(ackZero)-1],
+	}
+
+	seeds := make(map[string][]byte, len(payloads)+len(cumulativeAcks))
 	var seq uint64
-	for _, name := range sortedKeys(payloads) {
-		seq++
-		seeds[name] = AppendFrame(nil, Frame{From: 3, Epoch: 1, Seq: seq, Payload: payloads[name]})
+	for _, generation := range []map[string][]byte{payloads, cumulativeAcks} {
+		for _, name := range sortedKeys(generation) {
+			seq++
+			seeds[name] = AppendFrame(nil, Frame{From: 3, Epoch: 1, Seq: seq, Payload: generation[name]})
+		}
 	}
 	return seeds
 }

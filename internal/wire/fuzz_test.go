@@ -43,6 +43,7 @@ func FuzzDecode(f *testing.F) {
 		&StatsReq{Seq: 1, ClientAddr: "a:1"},
 		&StatsResp{Seq: 1, Site: 2, Contexts: 3, Objects: 4, Counters: []Counter{{Name: "n", Value: 5}}},
 		&Ack{Seq: 42},
+		&Ack{Seq: 9, Cum: 7},
 		&Heartbeat{Seq: 7},
 		&Submit{QID: qid, Client: 7, Body: "S -> T", BudgetUS: 250_000},
 		&Deref{QID: qid, Origin: 1, ObjIDs: []object.ID{id}, Token: []byte{1}, BudgetUS: 99},
@@ -60,6 +61,9 @@ func FuzzDecode(f *testing.F) {
 	// fuzzer keeps exploring the previous frame generation.
 	preClient := Encode(&Submit{QID: qid, Client: 7, Body: "S -> T", BudgetUS: 9})
 	f.Add(preClient[:len(preClient)-1])
+	// Pre-cumulative Ack layout: the frame ends after Seq.
+	preCum := Encode(&Ack{Seq: 9})
+	f.Add(preCum[:len(preCum)-1])
 	// The legacy single-id Deref layout (kind byte KDeref) is never emitted
 	// anymore but must keep decoding; seed the fuzzer with one such frame.
 	f.Add(legacyDerefFrame(qid, 1, "S -> T", id, 1, []int{2}, []byte{1}, 2))

@@ -62,7 +62,7 @@ const (
 	KMigrateDone
 	// KMigrated reports the outcome to the requesting client.
 	KMigrated
-	// KAck acknowledges receipt of one reliably-delivered transport frame;
+	// KAck acknowledges receipt of reliably-delivered transport frames;
 	// it never reaches site logic (the transport layer consumes it).
 	KAck
 	// KHeartbeat is a liveness probe between sites, feeding the peer
@@ -477,13 +477,20 @@ func (m *Cancel) Kind() Kind { return KCancel }
 // Query returns the query id.
 func (m *Cancel) Query() QueryID { return m.QID }
 
-// Ack acknowledges one reliably-delivered transport frame. Seq is the frame
-// sequence number being acknowledged (per sender-receiver link). Acks travel
-// on the reverse path of the connection that carried the frame and are
-// themselves sent unreliably: a lost ack triggers a retransmission, which the
-// receiver's dedup window absorbs.
+// Ack acknowledges reliably-delivered transport frames of one sender epoch
+// (per sender-receiver link). Cum is cumulative: every frame with a sequence
+// number at or below it has been delivered, so the sender retires that whole
+// prefix. Seq, when above Cum, selectively acknowledges one frame that
+// arrived past a gap — only loss or reordering produces those — so it is not
+// retransmitted while the gap heals. Acks travel on the reverse path of the
+// connection that carried the frames and are themselves sent unreliably: a
+// lost ack is healed by the next cumulative one, or triggers a
+// retransmission that the receiver's dedup window absorbs and acks again.
 type Ack struct {
 	Seq uint64
+	// Cum is trailing and optional on the wire: the pre-cumulative layout
+	// ends after Seq and decodes as Cum 0, which retires nothing beyond Seq.
+	Cum uint64
 }
 
 // Kind returns KAck.
