@@ -223,7 +223,7 @@ func TestResultAtNonOriginatorRejected(t *testing.T) {
 
 func TestStaleControlIgnored(t *testing.T) {
 	h := newHarness(t, 1, nil)
-	msg := &wire.Control{QID: wire.QueryID{Origin: 9, Seq: 1}, Token: []byte{0, 1, 1, 0, 1, 1}}
+	msg := &wire.Control{QID: wire.QueryID{Origin: 9, Seq: 1}, Token: []byte{0, 1}} // a credit of 1
 	if _, err := h.sites[1].HandleMessage(2, msg); err != nil {
 		t.Errorf("stale control should be ignored: %v", err)
 	}

@@ -2,7 +2,6 @@ package termination
 
 import (
 	"fmt"
-	"math/big"
 	"sync"
 
 	"hyperfile/internal/object"
@@ -36,7 +35,7 @@ type Audit struct {
 
 type auditState struct {
 	dets     []*weighted
-	inflight *big.Rat
+	inflight credit
 	// outstanding counts emitted-but-not-yet-ingested tokens by their wire
 	// encoding. Ingesting a token with no outstanding copy means it was
 	// forged or delivered twice — the failure the sum check alone cannot see,
@@ -62,7 +61,7 @@ func (a *Audit) Wrap(query string, d Detector) Detector {
 	defer a.mu.Unlock()
 	st := a.qs[query]
 	if st == nil {
-		st = &auditState{inflight: new(big.Rat), outstanding: make(map[string]int)}
+		st = &auditState{outstanding: make(map[string]int)}
 		a.qs[query] = st
 	}
 	st.dets = append(st.dets, w)
@@ -91,27 +90,28 @@ func (a *Audit) Events() int {
 // addInflight decodes a token and adds its credit to the query's in-flight
 // pool; subInflight is its inverse.
 func (a *Audit) addInflight(st *auditState, token []byte) {
-	c, err := decodeRat(token)
-	if err != nil {
+	var c credit
+	if err := c.decode(token); err != nil {
 		a.fail("audit: emitted token does not decode: %v", err)
 		return
 	}
-	st.inflight.Add(st.inflight, c)
+	st.inflight.absorb(&c)
 	st.outstanding[string(token)]++
 }
 
 func (a *Audit) subInflight(st *auditState, token []byte) {
-	c, err := decodeRat(token)
-	if err != nil {
+	var c credit
+	if err := c.decode(token); err != nil {
 		a.fail("audit: ingested token does not decode: %v", err)
 		return
 	}
 	if st.outstanding[string(token)] == 0 {
-		a.fail("audit: token worth %v ingested without an outstanding emission (forged or delivered twice)", c)
+		a.fail("audit: token worth %v ingested without an outstanding emission (forged or delivered twice)", &c)
 		return
 	}
 	st.outstanding[string(token)]--
-	st.inflight.Sub(st.inflight, c)
+	c.mant.Neg(&c.mant)
+	st.inflight.absorb(&c)
 }
 
 func (a *Audit) fail(format string, args ...any) {
@@ -123,14 +123,20 @@ func (a *Audit) fail(format string, args ...any) {
 // check asserts the conservation invariant for one query. Callers hold a.mu.
 func (a *Audit) check(q string, st *auditState) {
 	st.events++
-	sum := new(big.Rat).Set(st.inflight)
-	for _, w := range st.dets {
-		sum.Add(sum, w.held)
-		sum.Add(sum, w.recovered)
+	var sum credit
+	add := func(c *credit) { // absorb moves credit, and the ledgers keep theirs
+		part := credit{exp: c.exp}
+		part.mant.Set(&c.mant)
+		sum.absorb(&part)
 	}
-	if sum.Cmp(big.NewRat(1, 1)) != 0 {
+	add(&st.inflight)
+	for _, w := range st.dets {
+		add(&w.held)
+		add(&w.recovered)
+	}
+	if !sum.isOne() {
 		a.fail("audit: query %s credit sum = %v after %d events (held+recovered+inflight must be 1)",
-			q, sum, st.events)
+			q, &sum, st.events)
 	}
 }
 

@@ -11,7 +11,12 @@
 //     message carries a share of the sender's credit; a site returns all
 //     held credit to the originator when its working set drains. Global
 //     termination holds exactly when the originator has recovered credit 1.
-//     Credits are exact rationals, so detection is never spurious.
+//     Credits only ever halve and add, so each is an exact dyadic rational,
+//     an odd mantissa over a power of two: detection is never spurious, and
+//     a split costs an exponent increment. A token is the exponent as a
+//     canonical uvarint followed by the mantissa's minimal big-endian bytes
+//     (1/2 is 01 01, 3/1024 is 0a 03), one encoding per value, bounded at
+//     exponent 2^19 on decode before anything is allocated.
 //
 //   - DijkstraScholten: the classic diffusing-computation detector, kept as
 //     an ablation alternative. Every work message is eventually acknowledged;

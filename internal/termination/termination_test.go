@@ -10,39 +10,6 @@ import (
 	"hyperfile/internal/object"
 )
 
-func TestRatTokenRoundTrip(t *testing.T) {
-	rats := []*big.Rat{
-		big.NewRat(1, 1),
-		big.NewRat(1, 2),
-		big.NewRat(3, 1024),
-		new(big.Rat).SetFrac(big.NewInt(1), new(big.Int).Lsh(big.NewInt(1), 300)),
-	}
-	for _, r := range rats {
-		got, err := decodeRat(encodeRat(r))
-		if err != nil {
-			t.Fatalf("decode(%v): %v", r, err)
-		}
-		if got.Cmp(r) != 0 {
-			t.Errorf("round trip %v -> %v", r, got)
-		}
-	}
-}
-
-func TestRatTokenErrors(t *testing.T) {
-	bad := [][]byte{
-		nil,
-		{0},
-		{0, 1},                                 // truncated body
-		{0, 0, 0, 0},                           // zero denominator
-		append(encodeRat(big.NewRat(1, 2)), 9), // trailing
-	}
-	for _, tok := range bad {
-		if _, err := decodeRat(tok); !errors.Is(err, ErrToken) {
-			t.Errorf("decodeRat(%v) = %v, want ErrToken", tok, err)
-		}
-	}
-}
-
 func TestWeightedSendWithoutCreditFails(t *testing.T) {
 	w := newWeighted(2, 1, Metrics{}) // participant, no credit yet
 	if _, err := w.OnSend(3); !errors.Is(err, ErrToken) {
@@ -99,14 +66,14 @@ func TestWeightedTwoSiteExchange(t *testing.T) {
 func TestWeightedOverRecoveryDetected(t *testing.T) {
 	origin := newWeighted(1, 1, Metrics{})
 	origin.OnIdle() // recovers 1
-	if err := origin.OnControl(2, encodeRat(big.NewRat(1, 2))); !errors.Is(err, ErrToken) {
+	if err := origin.OnControl(2, creditOf(big.NewInt(1), 1).encode()); !errors.Is(err, ErrToken) {
 		t.Errorf("over-recovery: %v", err)
 	}
 }
 
 func TestControlAtNonOriginatorRejected(t *testing.T) {
 	w := newWeighted(2, 1, Metrics{})
-	if err := w.OnControl(1, encodeRat(big.NewRat(1, 2))); !errors.Is(err, ErrToken) {
+	if err := w.OnControl(1, creditOf(big.NewInt(1), 1).encode()); !errors.Is(err, ErrToken) {
 		t.Errorf("OnControl at participant: %v", err)
 	}
 }
@@ -151,10 +118,17 @@ func TestDSTwoSiteExchange(t *testing.T) {
 	_ = acks
 }
 
-// execution runs a randomized multi-site computation under a detector mode
-// and checks safety (Done never true while activity remains) and liveness
-// (Done eventually true).
-func execution(t *testing.T, mode Mode, seed int64, sites int) {
+// detectorMaker builds the detector of site self for a query of origin.
+type detectorMaker func(self, origin object.SiteID) Detector
+
+func ofMode(mode Mode) detectorMaker {
+	return func(self, origin object.SiteID) Detector { return New(mode, self, origin) }
+}
+
+// execution runs a randomized multi-site computation under one kind of
+// detector (mode names it in failures) and checks safety (Done never true
+// while activity remains) and liveness (Done eventually true).
+func execution(t *testing.T, mode any, mk detectorMaker, seed int64, sites int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	origin := object.SiteID(1)
@@ -162,7 +136,7 @@ func execution(t *testing.T, mode Mode, seed int64, sites int) {
 	work := make(map[object.SiteID]int, sites)
 	for i := 1; i <= sites; i++ {
 		id := object.SiteID(i)
-		det[id] = New(mode, id, origin)
+		det[id] = mk(id, origin)
 		work[id] = 0
 	}
 	work[origin] = 1 + rng.Intn(5)
@@ -259,28 +233,28 @@ func execution(t *testing.T, mode Mode, seed int64, sites int) {
 
 func TestWeightedRandomExecutions(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
-		execution(t, Weighted, seed, 2+int(seed)%7)
+		execution(t, Weighted, ofMode(Weighted), seed, 2+int(seed)%7)
 	}
 }
 
 func TestDSRandomExecutions(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
-		execution(t, DijkstraScholten, seed, 2+int(seed)%7)
+		execution(t, DijkstraScholten, ofMode(DijkstraScholten), seed, 2+int(seed)%7)
 	}
 }
 
-func TestDeepChainCreditsStayExact(t *testing.T) {
-	// A long chain of sites each halving the credit: denominators reach
-	// 2^depth; detection must still be exact.
-	const depth = 300
-	origin := newWeighted(1, 1, Metrics{})
+// serialChain hands one credit share down depth sites in series, each
+// halving it and returning its own half, so denominators reach 2^depth and
+// the originator's recovered sum ends at exactly 1.
+func serialChain(t testing.TB, mk detectorMaker, depth int) {
+	origin := mk(1, 1)
 	tok, err := origin.OnSend(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	origin.OnIdle()
 	for i := 0; i < depth; i++ {
-		site := newWeighted(2, 1, Metrics{})
+		site := mk(2, 1)
 		if _, err := site.OnWorkReceived(1, tok); err != nil {
 			t.Fatal(err)
 		}
@@ -300,7 +274,7 @@ func TestDeepChainCreditsStayExact(t *testing.T) {
 	if origin.Done() {
 		t.Fatal("done while final credit share outstanding")
 	}
-	last := newWeighted(3, 1, Metrics{})
+	last := mk(3, 1)
 	if _, err := last.OnWorkReceived(2, tok); err != nil {
 		t.Fatal(err)
 	}
@@ -312,6 +286,40 @@ func TestDeepChainCreditsStayExact(t *testing.T) {
 		t.Error("not done after deep-chain recovery")
 	}
 }
+
+// wideFanout has the originator split width times, one share per
+// participant, and bank the width returns in reverse order.
+func wideFanout(t testing.TB, mk detectorMaker, width int) {
+	origin := mk(1, 1)
+	returns := make([][]byte, width)
+	for i := range returns {
+		tok, err := origin.OnSend(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		site := mk(2, 1)
+		if _, err := site.OnWorkReceived(1, tok); err != nil {
+			t.Fatal(err)
+		}
+		returns[i] = site.OnIdle()[0].Token
+	}
+	origin.OnIdle()
+	for i := width - 1; i >= 0; i-- {
+		if origin.Done() {
+			t.Fatalf("done with %d returns outstanding", i+1)
+		}
+		if err := origin.OnControl(2, returns[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !origin.Done() {
+		t.Error("not done after every return was banked")
+	}
+}
+
+func TestDeepChainCreditsStayExact(t *testing.T) { serialChain(t, ofMode(Weighted), 300) }
+
+func TestWideFanoutCreditsStayExact(t *testing.T) { wideFanout(t, ofMode(Weighted), 200) }
 
 func TestModeString(t *testing.T) {
 	if Weighted.String() != "weighted" || DijkstraScholten.String() != "dijkstra-scholten" {

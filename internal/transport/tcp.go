@@ -22,13 +22,14 @@
 // The unit of I/O is the batch, not the frame. A filtering query is a storm
 // of ~150-byte messages, so a syscall per frame costs more than the frame's
 // processing. On the way out a message is encoded when it is queued (Queue,
-// or Send = Queue + flush of that peer) — the frame owns its bytes for
-// retransmission, and the caller may recycle whatever the message aliased
-// as soon as Queue returns — and the framed bytes wait in a per-peer buffer
-// that leaves in one write, under one deadline, at the next Flush. On the
-// way in both directions read through a bufio.Reader, so one read(2) drains
-// every frame the kernel holds. Acknowledgements are owed per read, not per
-// frame: when a reader has to go back to the kernel for more bytes it writes
+// or Send = Queue + flush of that peer) — onto the peer's sendWindow, which
+// keeps the bytes for retransmission without an allocation per frame, and
+// the caller may recycle whatever the message aliased as soon as Queue
+// returns — and the framed bytes wait in a per-peer buffer that leaves in
+// one write, under one deadline, at the next Flush. On the way in both
+// directions read through a bufio.Reader, so one read(2) drains every frame
+// the kernel holds. Acknowledgements are owed per read, not per frame: when
+// a reader has to go back to the kernel for more bytes it writes
 // — after holding on for RetransmitBase/8 in case more frames come to share
 // it — one cumulative wire.Ack: the dedup floor, "everything at or below
 // this sequence number has been handed to the handler, exactly once", plus
@@ -51,12 +52,12 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"os"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -237,6 +238,9 @@ type TCP struct {
 	opts    Options
 	met     tcpMetrics
 
+	// start anchors the retransmission clock: pending frames keep their
+	// deadlines as monotonic nanoseconds since start (see sendWindow).
+	start   time.Time
 	closed  atomic.Bool
 	spawnMu sync.RWMutex // serializes goroutine spawn against Close
 	stopCh  chan struct{}
@@ -263,7 +267,7 @@ type peer struct {
 	conn    net.Conn
 	dialing bool
 	nextSeq uint64
-	pending []*pendingFrame // unacked frames, ascending seq
+	pending sendWindow // unacked frames, ascending seq
 	// out holds framed bytes queued for the next flush. It is non-empty only
 	// while conn is up: losing the connection discards it, because every
 	// reliable frame in it is also in pending and the connect-time flush
@@ -281,19 +285,6 @@ type peer struct {
 	dialFails   int
 	nextDialAt  time.Time
 	lastDialErr error
-}
-
-// pendingFrame is one reliable frame awaiting acknowledgement.
-type pendingFrame struct {
-	seq  uint64
-	data []byte // fully framed bytes, header included
-	// attempts counts transmissions handed to the link (fault-dropped ones
-	// included); it stays 0 while the frame waits behind a down link.
-	attempts int
-	nextAt   time.Time // earliest retransmission time
-	// firstSent anchors the ack round-trip measurement; it includes any
-	// time the frame spent queued behind a down link.
-	firstSent time.Time
 }
 
 // dedupWindow tracks delivered sequence numbers from one sender epoch:
@@ -326,6 +317,7 @@ func ListenTCPOpts(self object.SiteID, addr string, handler Handler, opts Option
 		ln:      ln,
 		handler: handler,
 		opts:    opts.withDefaults(),
+		start:   time.Now(),
 		stopCh:  make(chan struct{}),
 		peers:   make(map[object.SiteID]*peer),
 		inbound: make(map[net.Conn]struct{}),
@@ -467,23 +459,24 @@ func (t *TCP) Flush() {
 // frame and, when the link is up, batches its first transmission. Callers
 // hold p.mu.
 func (t *TCP) queueLocked(p *peer, m wire.Msg) error {
-	if len(p.pending) >= t.opts.MaxUnacked {
-		return fmt.Errorf("%w: %d frames queued to %v", ErrBacklog, len(p.pending), p.id)
+	if p.pending.unacked >= t.opts.MaxUnacked {
+		return fmt.Errorf("%w: %d frames queued to %v", ErrBacklog, p.pending.unacked, p.id)
 	}
 	p.nextSeq++
-	// Encode straight into the frame buffer: the pending frame owns these
-	// bytes until acked, so there is nothing to pool, but the separate
-	// payload temporary AppendFrame would need is gone.
-	data := wire.AppendFrameMsg(make([]byte, 0, 128), t.self, t.epoch, p.nextSeq, m)
-	now := time.Now()
-	pf := &pendingFrame{seq: p.nextSeq, data: data, nextAt: now.Add(t.backoff(1)), firstSent: now}
+	// Encode straight onto the peer's slab: the window owns these bytes
+	// until they are acked, and a frame costs no allocation of its own.
+	now := t.now()
+	pf := p.pending.push(t.self, t.epoch, p.nextSeq, m, now, now+int64(t.backoff(1)))
 	t.met.framesSent.Inc()
-	p.pending = append(p.pending, pf)
 	if t.ensureConnLocked(p) != nil {
 		t.transmitLocked(p, pf, now)
 	}
 	return nil
 }
+
+// now is the retransmission clock: monotonic nanoseconds since the
+// transport started.
+func (t *TCP) now() int64 { return int64(time.Since(t.start)) }
 
 // SendUnreliable transmits one message best-effort: no sequence number, no
 // ack, no retransmission, silently skipped while the peer connection is
@@ -530,7 +523,7 @@ func (t *TCP) Pending(id object.SiteID) int {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.pending)
+	return p.pending.unacked
 }
 
 // ensureConnLocked returns the live connection to p, starting a background
@@ -590,10 +583,13 @@ func (t *TCP) dialPeer(p *peer, addr string) {
 	// regular retransmission schedule takes over from here. The outbound
 	// buffer is empty at this point (it never outlives a connection), so
 	// each frame goes out exactly once.
-	now := time.Now()
-	for _, pf := range p.pending {
-		// lint:ignore lockhold connect flush writes under p.mu by design; bounded by WriteTimeout (writeLocked sets a deadline)
-		t.transmitLocked(p, pf, now)
+	now := t.now()
+	live := p.pending.live()
+	for i := range live {
+		if pf := &live[i]; !pf.done {
+			// lint:ignore lockhold connect flush writes under p.mu by design; bounded by WriteTimeout (writeLocked sets a deadline)
+			t.transmitLocked(p, pf, now)
+		}
 	}
 	// lint:ignore lockhold connect flush writes under p.mu by design; bounded by WriteTimeout (writeLocked sets a deadline)
 	t.flushLocked(p)
@@ -604,19 +600,21 @@ func (t *TCP) dialPeer(p *peer, addr string) {
 // that has been handed over before counts as a retransmission — one that
 // waited behind a down link is sent for the first time by the connect
 // flush. Callers hold p.mu with the connection up.
-func (t *TCP) transmitLocked(p *peer, pf *pendingFrame, now time.Time) {
+func (t *TCP) transmitLocked(p *peer, pf *pendingFrame, now int64) {
 	if pf.attempts > 0 {
 		t.met.framesRetransmitted.Inc()
 	}
 	pf.attempts++
-	pf.nextAt = now.Add(t.backoff(pf.attempts))
-	t.batchLocked(p, pf.data, true)
+	pf.nextAt = now + int64(t.backoff(int(pf.attempts)))
+	t.batchLocked(p, p.pending.data(pf), true)
 }
 
 // batchLocked pushes one framed message through the fault filter into the
 // outbound buffer: a dropped frame never enters the batch, a duplicated one
-// enters it twice, a delayed one joins (and flushes) a later batch. Callers
-// hold p.mu.
+// enters it twice, a delayed one joins (and flushes) a later batch. data is
+// only borrowed (a reliable frame's bytes live on the peer's slab, which
+// moves and is reused), so the delayed path, the one that outlives the call,
+// takes a copy. Callers hold p.mu.
 func (t *TCP) batchLocked(p *peer, data []byte, reliable bool) {
 	drop, copies, delay := t.judge(p.id)
 	if drop {
@@ -628,6 +626,7 @@ func (t *TCP) batchLocked(p *peer, data []byte, reliable bool) {
 		}
 		return
 	}
+	data = bytes.Clone(data)
 	c := p.conn
 	t.spawn(func() {
 		timer := time.NewTimer(delay)
@@ -742,23 +741,23 @@ func (t *TCP) retransmitLoop() {
 		}
 		for _, p := range t.peerSnapshot() {
 			p.mu.Lock()
-			if len(p.pending) > 0 {
+			if p.pending.unacked > 0 {
 				c := t.ensureConnLocked(p)
-				now := time.Now()
-				keep := p.pending[:0]
-				for _, pf := range p.pending {
-					if pf.attempts >= t.opts.MaxAttempts {
+				now := t.now()
+				live := p.pending.live()
+				for i := range live {
+					pf := &live[i]
+					switch {
+					case pf.done:
+					case int(pf.attempts) >= t.opts.MaxAttempts:
 						t.met.framesAbandoned.Inc()
-						continue // abandoned; the failure detector takes over
-					}
-					keep = append(keep, pf)
-					if c != nil && now.After(pf.nextAt) {
+						p.pending.retire(pf) // abandoned; the failure detector takes over
+					case c != nil && now > pf.nextAt:
 						// lint:ignore lockhold retransmission writes under p.mu by design; bounded by WriteTimeout (writeLocked sets a deadline)
 						t.transmitLocked(p, pf, now)
 					}
 				}
-				clear(p.pending[len(keep):])
-				p.pending = keep
+				p.pending.trim()
 			}
 			// lint:ignore lockhold retransmission writes under p.mu by design; bounded by WriteTimeout (writeLocked sets a deadline)
 			t.flushLocked(p)
@@ -798,23 +797,25 @@ func (t *TCP) ackLoop(p *peer, c net.Conn) {
 // above it, if any. pending ascends by seq, so neither needs a scan of the
 // frames that stay. Callers hold p.mu.
 func (t *TCP) retireLocked(p *peer, ack *wire.Ack) {
-	now := time.Now()
+	now := t.now()
+	retire := func(pf *pendingFrame) {
+		if p.pending.retire(pf) {
+			t.met.ackRTTUS.ObserveDuration(time.Duration(now - pf.firstSent))
+		}
+	}
+	live := p.pending.live()
 	n := 0
-	for n < len(p.pending) && p.pending[n].seq <= ack.Cum {
-		t.met.ackRTTUS.ObserveDuration(now.Sub(p.pending[n].firstSent))
-		n++
+	for ; n < len(live) && live[n].seq <= ack.Cum; n++ {
+		retire(&live[n])
 	}
-	// Zero the retired slots: the backing array outlives them.
-	clear(p.pending[:n])
-	p.pending = p.pending[n:]
-	if ack.Seq <= ack.Cum {
-		return
+	if ack.Seq > ack.Cum {
+		live = live[n:]
+		i := sort.Search(len(live), func(i int) bool { return live[i].seq >= ack.Seq })
+		if i < len(live) && live[i].seq == ack.Seq {
+			retire(&live[i])
+		}
 	}
-	i := sort.Search(len(p.pending), func(i int) bool { return p.pending[i].seq >= ack.Seq })
-	if i < len(p.pending) && p.pending[i].seq == ack.Seq {
-		t.met.ackRTTUS.ObserveDuration(now.Sub(p.pending[i].firstSent))
-		p.pending = slices.Delete(p.pending, i, i+1)
-	}
+	p.pending.trim()
 }
 
 // readAck reads one reverse-path frame and decodes it. The payload lands in
@@ -1091,7 +1092,7 @@ func (t *TCP) Close() error {
 		if p.conn != nil {
 			dropConnLocked(p, p.conn)
 		}
-		p.pending = nil
+		p.pending = sendWindow{}
 		p.mu.Unlock()
 	}
 	for _, c := range conns {
