@@ -26,10 +26,8 @@ import (
 
 func main() {
 	code := run()
-	// Teardown check: a clean benchmark run must not strand goroutines —
-	// the observability experiment in particular spins up real local
-	// clusters, and a leak here means some site or transport survived its
-	// Close.
+	// Teardown check: a clean benchmark run must not strand goroutines — a
+	// leak here means some site or transport survived its Close.
 	if code == 0 {
 		if leaked := leaktest.Check(5 * time.Second); len(leaked) > 0 {
 			fmt.Fprintf(os.Stderr, "hfbench: %d goroutine(s) still running after teardown:\n\n%s\n",
@@ -49,7 +47,6 @@ func run() int {
 	csv := flag.Bool("csv", false, "emit machine-readable CSV (experiment,key,value) instead of text")
 	svg := flag.String("svg", "", "also write Figure 4 as an SVG chart to this path (requires running E5)")
 	list := flag.Bool("list", false, "list experiments and exit")
-	obs := flag.String("observability", "", "measure metrics-layer overhead on a local cluster and write JSON here (runs only this)")
 	batching := flag.String("batching", "", "compare deref batching off/on over the standard workloads and write JSON here (runs only this; exits 1 if batching does not cut scattered-tree messages at least 2x or changes any result)")
 	batchSize := flag.Int("batch-size", 8, "deref batch size for -batching")
 	plan := flag.String("plan", "", "compare plan cache and index pushdown off/on and write JSON here (runs only this; exits 1 if the cache does not cut repeated-body compiles at least 2x, pushdown does not cut scans at least 2x, or either changes any result)")
@@ -193,25 +190,6 @@ func run() int {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *batching)
 		return code
-	}
-
-	if *obs != "" {
-		r, err := bench.RunObservability(3, 60, 20, 3)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hfbench:", err)
-			return 1
-		}
-		b, err := r.JSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hfbench:", err)
-			return 1
-		}
-		if err := os.WriteFile(*obs, b, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "hfbench:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (overhead %.2f%%)\n", *obs, r.OverheadPct)
-		return 0
 	}
 
 	if *list {

@@ -18,7 +18,8 @@
 // Entry points:
 //
 //   - DB: a single-site, embedded store with local query execution.
-//   - NewCluster: an in-process multi-site service (goroutine per site).
+//   - NewCluster: an in-process multi-site service, one server per site
+//     on an in-memory network.
 //   - NewSimCluster: a deterministic virtual-time cluster for experiments.
 //   - NewServer / NewClient: the TCP deployment, one server per machine.
 package hyperfile
@@ -115,7 +116,9 @@ func PaperCosts() CostModel { return sim.Paper() }
 // ParseQuery parses a filtering query in concrete syntax.
 func ParseQuery(src string) (*Query, error) { return query.Parse(src) }
 
-// NewCluster starts an in-process cluster of n sites.
+// NewCluster starts an in-process cluster of n sites: n servers, the same
+// runtime NewServer starts, exchanging encoded messages over an in-memory
+// network instead of TCP.
 func NewCluster(n int, opts Options) *Cluster { return cluster.NewLocal(n, opts) }
 
 // NewSimCluster builds a deterministic simulated cluster of n sites.

@@ -6,9 +6,10 @@
 //     the calibrated cost model; it is deterministic and reproduces the
 //     paper's timed experiments (section 5).
 //
-//   - LocalCluster runs one goroutine per site with in-process message
-//     passing; it exercises real concurrency and is what the examples and
-//     the TCP server build on.
+//   - LocalCluster wires N unmodified server.Servers — the runtime
+//     hyperfiled deploys — over the in-memory chaos fabric, plus a client
+//     endpoint; it exercises real concurrency with every message encoded
+//     and decoded as on the wire.
 package cluster
 
 import (
@@ -19,7 +20,6 @@ import (
 	"hyperfile/internal/chaos"
 	"hyperfile/internal/engine"
 	"hyperfile/internal/index"
-	"hyperfile/internal/metrics"
 	"hyperfile/internal/naming"
 	"hyperfile/internal/object"
 	"hyperfile/internal/sim"
@@ -54,9 +54,9 @@ type Options struct {
 	// OracleMarkTable shares a zero-cost global mark table among all sites
 	// (ablation of the paper's local-mark-table design decision).
 	OracleMarkTable bool
-	// Chaos, when non-nil, routes LocalCluster inter-site traffic through an
-	// in-memory reliable-delivery network subject to the configured faults
-	// (drop, duplicate, delay, reorder, partition). SimCluster ignores it.
+	// Chaos, when non-nil, subjects LocalCluster's in-memory reliable-delivery
+	// fabric to the configured faults (drop, duplicate, delay, reorder,
+	// partition); nil leaves the fabric fault-free. SimCluster ignores it.
 	Chaos *chaos.Config
 	// HeartbeatInterval enables LocalCluster's failure detector: each site
 	// probes its peers at this interval and declares a peer down after
@@ -65,10 +65,6 @@ type Options struct {
 	// SuspectAfter is the silence threshold before a peer is declared down
 	// (default 4 × HeartbeatInterval).
 	SuspectAfter time.Duration
-	// Metrics gives every site its own metrics registry, exposed through the
-	// cluster's Metrics(id) accessor. Off by default so benchmarks can
-	// measure the uninstrumented baseline; query tracing is always on.
-	Metrics bool
 	// PlanCache, when positive, gives every site a plan cache of this many
 	// entries: repeated query bodies reuse their compiled physical plan
 	// instead of being re-parsed per query context (0 = off).
@@ -88,13 +84,16 @@ type Options struct {
 	// QueryDeadline, when positive, is the default per-query time budget:
 	// the remaining budget propagates on every cross-site hop and an expired
 	// query returns an annotated partial answer instead of running on.
-	// LocalCluster runs a deadline sweeper when this (or MaxInflight) is
-	// set; SimCluster's virtual time ignores deadlines.
+	// When this or MaxInflight is set, each LocalCluster server runs a
+	// deadline sweeper that ticks every 50 ms, or every QueryDeadline/4
+	// clamped to [1 ms, 100 ms] when a deadline is set. SimCluster's
+	// virtual time ignores deadlines.
 	QueryDeadline time.Duration
-	// Workers is the per-site worker-pool size. LocalCluster runs this many
-	// goroutines per site, stepping different query contexts concurrently
+	// Workers is the per-site worker-pool size. Each LocalCluster server's
+	// main loop is the only message handler and also steps; Workers−1 extra
+	// goroutines only step, advancing different query contexts concurrently
 	// (each context stays pinned to one worker per step, preserving the
-	// paper's per-item execution order per query); SimCluster models the
+	// paper's per-item execution order per query). SimCluster models the
 	// same pool as parallel step slots in virtual time. Zero or one is the
 	// paper's single-threaded stepping.
 	Workers int
@@ -113,10 +112,10 @@ func siteIDs(n int) []object.SiteID {
 	return ids
 }
 
-// buildSite constructs one site plus its store, (optional) directory, and
-// (optional) metrics registry. marks is the shared oracle mark table (nil
+// siteConfig builds one site's configuration, including its fresh store and
+// (under UseNaming) directory. marks is the shared oracle mark table (nil
 // unless OracleMarkTable).
-func buildSite(id object.SiteID, all []object.SiteID, opts Options, marks *site.GlobalMarks) (*site.Site, *store.Store, *naming.Directory, *metrics.Registry) {
+func siteConfig(id object.SiteID, all []object.SiteID, opts Options, marks *site.GlobalMarks) site.Config {
 	st := store.New(id)
 	var dir *naming.Directory
 	var router site.Router = site.BirthRouter{}
@@ -130,16 +129,12 @@ func buildSite(id object.SiteID, all []object.SiteID, opts Options, marks *site.
 			peers = append(peers, other)
 		}
 	}
-	var reg *metrics.Registry
-	if opts.Metrics {
-		reg = metrics.NewRegistry()
-	}
 	var ix *index.Keyword
 	if opts.Index {
 		ix = index.NewKeyword()
 		st.AttachIndex(ix)
 	}
-	s := site.New(site.Config{
+	return site.Config{
 		ID:                      id,
 		Store:                   st,
 		Router:                  router,
@@ -152,7 +147,6 @@ func buildSite(id object.SiteID, all []object.SiteID, opts Options, marks *site.
 		DerefBatch:              opts.DerefBatch,
 		TermAudit:               opts.TermAudit,
 		GlobalMarks:             marks,
-		Metrics:                 reg,
 		Index:                   ix,
 		PlanCacheSize:           opts.PlanCache,
 		MaxInflight:             opts.MaxInflight,
@@ -160,8 +154,7 @@ func buildSite(id object.SiteID, all []object.SiteID, opts Options, marks *site.
 		QueryDeadline:           opts.QueryDeadline,
 		Workers:                 opts.Workers,
 		FairQuantum:             opts.FairQuantum,
-	})
-	return s, st, dir, reg
+	}
 }
 
 // Result is a finished query as seen by the client.

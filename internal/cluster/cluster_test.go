@@ -552,6 +552,33 @@ func TestLocalClusterTimeoutPartial(t *testing.T) {
 	}
 }
 
+// TestLocalClusterSetDownRevives: a downed site's links heal when it comes
+// back up, and the next query gets the full answer again.
+func TestLocalClusterSetDownRevives(t *testing.T) {
+	c := NewLocal(3, Options{})
+	defer c.Close()
+	ids := loadRingLocal(t, c, 12, []string{"hot"})
+	c.SetDown(3, true)
+	res, err := c.Exec(1, closureQuery, ids[:1], 300*time.Millisecond)
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("down: err = %v, want ErrTimeout", err)
+	}
+	if res == nil || !res.Partial || len(res.IDs) == 0 || len(res.IDs) >= 12 {
+		t.Fatalf("down: want a non-empty partial answer, got %+v", res)
+	}
+	c.SetDown(3, false)
+	res, err = c.Exec(1, closureQuery, ids[:1], 10*time.Second)
+	if err != nil {
+		t.Fatalf("revived: %v", err)
+	}
+	if res.Partial || len(res.IDs) != 12 {
+		t.Errorf("revived: %d results (partial %v), want all 12", len(res.IDs), res.Partial)
+	}
+	if err := c.Err(); err != nil {
+		t.Errorf("internal error: %v", err)
+	}
+}
+
 func TestLocalClusterMigration(t *testing.T) {
 	c := NewLocal(3, Options{UseNaming: true})
 	defer c.Close()

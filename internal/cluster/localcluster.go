@@ -3,6 +3,8 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"hyperfile/internal/metrics"
 	"hyperfile/internal/naming"
 	"hyperfile/internal/object"
+	"hyperfile/internal/server"
 	"hyperfile/internal/site"
 	"hyperfile/internal/store"
 	"hyperfile/internal/wire"
@@ -22,20 +25,17 @@ var ErrTimeout = errors.New("cluster: query timed out")
 // ErrClosed is returned when submitting to a closed cluster.
 var ErrClosed = errors.New("cluster: closed")
 
-// LocalCluster runs one goroutine per site with in-process message passing.
-// It exercises the same site logic as SimCluster under real concurrency.
+// LocalCluster runs one server.Server per site — the same runtime hyperfiled
+// deploys — over an in-memory chaos.Network, and talks to them through a
+// client endpoint on that fabric. The cluster itself only wires the servers
+// together, decides who can reach whom (SetDown), and holds the client's
+// waiters.
 type LocalCluster struct {
-	ids    []object.SiteID
-	sites  map[object.SiteID]*localSite
-	stores map[object.SiteID]*store.Store
-	dirs   map[object.SiteID]*naming.Directory
-	regs   map[object.SiteID]*metrics.Registry
-
-	// net carries inter-site traffic when chaos or the failure detector is
-	// enabled (nil otherwise: envelopes are posted directly).
-	net          *chaos.Network
-	hbEvery      time.Duration
-	suspectAfter time.Duration
+	ids     []object.SiteID
+	servers map[object.SiteID]*server.Server
+	stores  map[object.SiteID]*store.Store
+	dirs    map[object.SiteID]*naming.Directory
+	net     *chaos.Network
 
 	mu         sync.Mutex
 	nextQID    uint64
@@ -43,8 +43,6 @@ type LocalCluster struct {
 	migWaiters map[uint64]chan *wire.Migrated
 	closed     bool
 	firstErr   error
-
-	wg sync.WaitGroup
 }
 
 // queryReply is what resolves a waiting Exec: a completion, or an admission
@@ -54,120 +52,49 @@ type queryReply struct {
 	reject   *wire.Reject
 }
 
-// localSite owns one Site driven by a pool of worker goroutines
-// (Options.Workers; one by default). Work arrives through an unbounded
-// mailbox of thunks so deliveries never deadlock; workers drain the mailbox
-// and step engine work interchangeably — the Site's own locking and
-// per-context pinning make both safe from any worker.
-type localSite struct {
-	c  *LocalCluster
-	id object.SiteID
-	s  *site.Site
-
-	mu      sync.Mutex
-	mailbox []func(*site.Site) []wire.Envelope
-	// wakes holds one capacity-1 wake channel per worker: a single shared
-	// channel would wake only one worker per post, leaving the rest asleep
-	// while several contexts have runnable work.
-	wakes []chan struct{}
-	quit  chan struct{}
-	down  bool
-
-	// Failure-detector state (nil maps unless the detector is enabled).
-	heard     map[object.SiteID]time.Time
-	suspected map[object.SiteID]bool
-}
+// quiet discards the servers' logs: failures surface through Err and the
+// query results, and a partitioned test cluster would otherwise flood the
+// test output with detector warnings.
+var quiet = slog.New(slog.NewTextHandler(io.Discard, nil))
 
 // NewLocal builds and starts a cluster of n sites.
 func NewLocal(n int, opts Options) *LocalCluster {
 	c := &LocalCluster{
 		ids:        siteIDs(n),
-		sites:      make(map[object.SiteID]*localSite, n),
+		servers:    make(map[object.SiteID]*server.Server, n),
 		stores:     make(map[object.SiteID]*store.Store, n),
 		dirs:       make(map[object.SiteID]*naming.Directory, n),
-		regs:       make(map[object.SiteID]*metrics.Registry, n),
 		waiters:    make(map[wire.QueryID]chan queryReply),
 		migWaiters: make(map[uint64]chan *wire.Migrated),
 	}
+	var inj *chaos.Injector
+	if opts.Chaos != nil {
+		inj = chaos.NewInjector(*opts.Chaos)
+	}
+	c.net = chaos.NewNetwork(inj)
 	var marks *site.GlobalMarks
 	if opts.OracleMarkTable {
 		marks = site.NewGlobalMarks()
 	}
-	if opts.Chaos != nil || opts.HeartbeatInterval > 0 {
-		var inj *chaos.Injector
-		if opts.Chaos != nil {
-			inj = chaos.NewInjector(*opts.Chaos)
-		}
-		c.net = chaos.NewNetwork(inj)
-		c.hbEvery = opts.HeartbeatInterval
-		c.suspectAfter = opts.SuspectAfter
-		if c.hbEvery > 0 && c.suspectAfter <= 0 {
-			c.suspectAfter = 4 * c.hbEvery
-		}
-	}
+	// The client registers first and each server registers before its loops
+	// start; no server sends reliably before a client request reaches it, so
+	// every reliable send finds its receiver.
+	c.net.Register(clientID, c.receive)
+	srvOpts := server.Options{HeartbeatInterval: opts.HeartbeatInterval, SuspectAfter: opts.SuspectAfter}
 	for _, id := range c.ids {
-		s, st, dir, reg := buildSite(id, c.ids, opts, marks)
-		c.stores[id] = st
-		if dir != nil {
-			c.dirs[id] = dir
+		cfg := siteConfig(id, c.ids, opts, marks)
+		c.stores[id] = cfg.Store
+		if cfg.Directory != nil {
+			c.dirs[id] = cfg.Directory
 		}
-		if reg != nil {
-			c.regs[id] = reg
-		}
-		workers := opts.Workers
-		if workers < 1 {
-			workers = 1
-		}
-		ls := &localSite{
-			c:     c,
-			id:    id,
-			s:     s,
-			wakes: make([]chan struct{}, workers),
-			quit:  make(chan struct{}),
-		}
-		for i := range ls.wakes {
-			ls.wakes[i] = make(chan struct{}, 1)
-		}
-		c.sites[id] = ls
-		if opts.QueryDeadline > 0 || opts.MaxInflight > 0 {
-			c.wg.Add(1)
-			go ls.sweeperLoop(sweepInterval(opts.QueryDeadline))
-		}
-		if c.net != nil {
-			if c.hbEvery > 0 {
-				// Initialise detector state before Register: a peer's
-				// heartbeat may arrive as soon as the handler is installed.
-				ls.heard = make(map[object.SiteID]time.Time, n-1)
-				ls.suspected = make(map[object.SiteID]bool)
-				now := time.Now()
-				for _, peer := range c.ids {
-					if peer != id {
-						ls.heard[peer] = now
-					}
-				}
-			}
-			c.net.Register(id, ls.receive)
-			if c.hbEvery > 0 {
-				c.wg.Add(1)
-				go ls.heartbeatLoop(c.hbEvery, c.suspectAfter)
-			}
-		}
-		for _, wake := range ls.wakes {
-			c.wg.Add(1)
-			go ls.loop(wake)
-		}
+		c.servers[id] = server.NewFabric(cfg, c.net, quiet, srvOpts)
 	}
 	return c
 }
 
-// Injector exposes the chaos fault injector so tests can partition and heal
-// links at runtime (nil unless Options.Chaos was set).
-func (c *LocalCluster) Injector() *chaos.Injector {
-	if c.net == nil {
-		return nil
-	}
-	return c.net.Injector()
-}
+// Injector exposes the fabric's fault injector so tests can partition and
+// heal links at runtime.
+func (c *LocalCluster) Injector() *chaos.Injector { return c.net.Injector() }
 
 // Sites returns the site ids.
 func (c *LocalCluster) Sites() []object.SiteID { return c.ids }
@@ -178,21 +105,16 @@ func (c *LocalCluster) Store(id object.SiteID) *store.Store { return c.stores[id
 // Directory returns a site's naming directory (nil unless UseNaming).
 func (c *LocalCluster) Directory(id object.SiteID) *naming.Directory { return c.dirs[id] }
 
-// Metrics returns a site's metrics registry (nil unless Options.Metrics).
-// Snapshot it rather than reading instruments while queries run.
-func (c *LocalCluster) Metrics(id object.SiteID) *metrics.Registry { return c.regs[id] }
+// Metrics returns a site's metrics registry. Snapshot it rather than reading
+// instruments while queries run.
+func (c *LocalCluster) Metrics(id object.SiteID) *metrics.Registry { return c.servers[id].Metrics() }
 
 // PeerIsDown reports whether site at currently suspects peer dead (always
 // false without the failure detector). Tests poll this instead of sleeping
 // for a detector interval.
 func (c *LocalCluster) PeerIsDown(at, peer object.SiteID) bool {
-	ls, ok := c.sites[at]
-	if !ok {
-		return false
-	}
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	return ls.suspected[peer]
+	srv, ok := c.servers[at]
+	return ok && srv.PeerIsDown(peer)
 }
 
 // Put stores an object at a site (setup time), registering it with naming.
@@ -206,45 +128,32 @@ func (c *LocalCluster) Move(id object.ID, to object.SiteID) error {
 	return moveObject(c.stores, c.dirs, id, to)
 }
 
-// SiteStats snapshots a site's statistics. The site goroutine may be
-// mutating them concurrently, so call this only when the cluster is idle
-// (between queries) for exact values.
-func (c *LocalCluster) SiteStats(id object.SiteID) site.Stats {
-	ls := c.sites[id]
-	ch := make(chan site.Stats, 1)
-	ls.post(func(s *site.Site) []wire.Envelope {
-		ch <- s.Stats()
-		return nil
-	})
-	return <-ch
-}
+// SiteStats snapshots a site's statistics. The site may be mutating them
+// concurrently, so call this only when the cluster is idle (between
+// queries) for exact values.
+func (c *LocalCluster) SiteStats(id object.SiteID) site.Stats { return c.servers[id].Stats() }
 
 // SiteContexts reports a site's live query-context count, read on the site
 // goroutine so the value is consistent with message processing. Tests poll it
-// to confirm cancelled or expired queries drained instead of lingering. Only
-// call it on live sites: a SetDown site discards its mailbox, so the read
-// would block until revival.
-func (c *LocalCluster) SiteContexts(id object.SiteID) int {
-	ls := c.sites[id]
-	ch := make(chan int, 1)
-	ls.post(func(s *site.Site) []wire.Envelope {
-		ch <- s.Contexts()
-		return nil
-	})
-	return <-ch
-}
+// to confirm cancelled or expired queries drained instead of lingering.
+func (c *LocalCluster) SiteContexts(id object.SiteID) int { return c.servers[id].Contexts() }
 
-// SetDown simulates a crashed site: its mailbox drains into the void and
-// deliveries to it are dropped.
+// SetDown simulates a crashed site by partitioning (down) or healing every
+// link of id, the client's included. The site keeps running, but nothing it
+// sends or is sent arrives, which is a crash as its peers see it. Healing
+// restores every link of id, including any a test cut through Injector.
 func (c *LocalCluster) SetDown(id object.SiteID, down bool) {
-	ls := c.sites[id]
-	ls.mu.Lock()
-	ls.down = down
-	ls.mu.Unlock()
-	ls.poke()
+	inj := c.net.Injector()
+	for _, peer := range append([]object.SiteID{clientID}, c.ids...) {
+		if down {
+			inj.Partition(id, peer)
+		} else {
+			inj.Heal(id, peer)
+		}
+	}
 }
 
-// Close stops all site goroutines.
+// Close stops the servers, then the fabric.
 func (c *LocalCluster) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -253,271 +162,42 @@ func (c *LocalCluster) Close() {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	for _, ls := range c.sites {
-		close(ls.quit)
-		ls.poke()
+	for _, srv := range c.servers {
+		srv.Close()
 	}
-	c.wg.Wait()
-	if c.net != nil {
-		c.net.Close()
+	c.net.Close()
+}
+
+// receive is the client endpoint's fabric handler: each reply resolves the
+// waiter it answers.
+func (c *LocalCluster) receive(from object.SiteID, m wire.Msg) {
+	switch m := m.(type) {
+	case *wire.Complete:
+		c.reply(m.QID, queryReply{complete: m})
+	case *wire.Reject:
+		c.reply(m.QID, queryReply{reject: m})
+	case *wire.Migrated:
+		c.mu.Lock()
+		ch := c.migWaiters[m.Seq]
+		delete(c.migWaiters, m.Seq)
+		c.mu.Unlock()
+		if ch != nil {
+			ch <- m
+		}
+	default:
+		// Sites address only completions, rejections and migration acks to
+		// the client; anything else is a protocol bug.
+		c.fail(fmt.Errorf("cluster: site %v sent the client an unexpected %v", from, m.Kind()))
 	}
 }
 
-// receive is the chaos-network delivery handler: heartbeats feed the failure
-// detector and stop there; everything else is posted to the site mailbox.
-func (ls *localSite) receive(from object.SiteID, m wire.Msg) {
-	ls.noteHeard(from)
-	if _, ok := m.(*wire.Heartbeat); ok {
-		return
-	}
-	ls.post(func(s *site.Site) []wire.Envelope {
-		out, err := s.HandleMessage(from, m)
-		if err != nil {
-			ls.c.fail(err)
-			return nil
-		}
-		return out
-	})
-}
-
-// noteHeard refreshes a peer's liveness clock; any traffic counts, not just
-// heartbeats. A formerly suspected peer that speaks again is reinstated.
-func (ls *localSite) noteHeard(from object.SiteID) {
-	ls.mu.Lock()
-	if ls.heard == nil {
-		ls.mu.Unlock()
-		return
-	}
-	ls.heard[from] = time.Now()
-	wasSuspect := ls.suspected[from]
-	delete(ls.suspected, from)
-	ls.mu.Unlock()
-	if wasSuspect {
-		ls.post(func(s *site.Site) []wire.Envelope {
-			s.PeerUp(from)
-			return nil
-		})
-	}
-}
-
-// heartbeatLoop probes peers every interval and declares any peer silent for
-// longer than suspectAfter dead, feeding site.PeerDown on the site goroutine.
-func (ls *localSite) heartbeatLoop(every, suspectAfter time.Duration) {
-	defer ls.c.wg.Done()
-	ticker := time.NewTicker(every)
-	defer ticker.Stop()
-	var seq uint64
-	for {
-		select {
-		case <-ls.quit:
-			return
-		case <-ticker.C:
-		}
-		if ls.isDown() {
-			// A crashed site neither probes nor suspects; restart the
-			// silence clocks so revival doesn't mass-declare peers dead.
-			ls.resetHeard()
-			continue
-		}
-		seq++
-		for _, peer := range ls.c.ids {
-			if peer != ls.id {
-				ls.c.net.SendUnreliable(ls.id, peer, &wire.Heartbeat{Seq: seq})
-			}
-		}
-		ls.checkSuspects(suspectAfter)
-	}
-}
-
-// sweepInterval picks the deadline sweeper's tick: a quarter of the default
-// query deadline, clamped so very short deadlines don't spin and very long
-// ones still shed promptly.
-func sweepInterval(deadline time.Duration) time.Duration {
-	every := deadline / 4
-	if every < time.Millisecond {
-		every = time.Millisecond
-	}
-	if every > 100*time.Millisecond {
-		every = 100 * time.Millisecond
-	}
-	return every
-}
-
-// sweeperLoop periodically expires deadlines and drains the admission queue
-// on the site goroutine. Without it, a site with no traffic would never
-// notice an expired context or a shed-worthy queued Submit.
-func (ls *localSite) sweeperLoop(every time.Duration) {
-	defer ls.c.wg.Done()
-	ticker := time.NewTicker(every)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ls.quit:
-			return
-		case <-ticker.C:
-		}
-		if ls.isDown() {
-			continue
-		}
-		ls.post(func(s *site.Site) []wire.Envelope {
-			out, err := s.ExpireDeadlines()
-			if err != nil {
-				ls.c.fail(err)
-				return nil
-			}
-			return out
-		})
-	}
-}
-
-func (ls *localSite) resetHeard() {
-	now := time.Now()
-	ls.mu.Lock()
-	for peer := range ls.heard {
-		ls.heard[peer] = now
-	}
-	ls.mu.Unlock()
-}
-
-func (ls *localSite) checkSuspects(suspectAfter time.Duration) {
-	now := time.Now()
-	var newly []object.SiteID
-	ls.mu.Lock()
-	for peer, last := range ls.heard {
-		if !ls.suspected[peer] && now.Sub(last) > suspectAfter {
-			ls.suspected[peer] = true
-			newly = append(newly, peer)
-		}
-	}
-	ls.mu.Unlock()
-	for _, peer := range newly {
-		peer := peer
-		ls.post(func(s *site.Site) []wire.Envelope {
-			return s.PeerDown(peer)
-		})
-	}
-}
-
-// post enqueues a thunk on the site's mailbox.
-func (ls *localSite) post(f func(*site.Site) []wire.Envelope) {
-	ls.mu.Lock()
-	ls.mailbox = append(ls.mailbox, f)
-	ls.mu.Unlock()
-	ls.poke()
-}
-
-func (ls *localSite) poke() {
-	for _, wake := range ls.wakes {
-		select {
-		case wake <- struct{}{}:
-		default:
-		}
-	}
-}
-
-func (ls *localSite) take() (func(*site.Site) []wire.Envelope, bool) {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	if ls.down {
-		ls.mailbox = nil
-		return nil, false
-	}
-	if len(ls.mailbox) == 0 {
-		return nil, false
-	}
-	f := ls.mailbox[0]
-	// Zero the vacated slot: the backing array outlives the entry, and a
-	// stale closure would pin the message (and the frame it borrows from).
-	ls.mailbox[0] = nil
-	ls.mailbox = ls.mailbox[1:]
-	return f, true
-}
-
-func (ls *localSite) isDown() bool {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	return ls.down
-}
-
-// loop is one site worker: drain the mailbox, then step engine work,
-// blocking on its own wake channel when fully idle. With Options.Workers > 1
-// several of these run against the same Site; the Site serializes its
-// bookkeeping internally and pins each query context to the worker stepping
-// it, so concurrent loops advance different contexts in parallel. A Step
-// that loses the race for the last runnable context simply reports no work
-// and the worker goes back to sleep.
-func (ls *localSite) loop(wake chan struct{}) {
-	defer ls.c.wg.Done()
-	for {
-		select {
-		case <-ls.quit:
-			return
-		default:
-		}
-		if f, ok := ls.take(); ok {
-			ls.dispatch(f(ls.s))
-			continue
-		}
-		if !ls.isDown() && ls.s.HasWork() {
-			_, envs, did, err := ls.s.Step()
-			if err != nil {
-				ls.c.fail(err)
-				return
-			}
-			ls.dispatch(envs)
-			if did {
-				continue
-			}
-		}
-		select {
-		case <-ls.quit:
-			return
-		case <-wake:
-		}
-	}
-}
-
-// dispatch delivers envelopes to their destinations.
-func (ls *localSite) dispatch(envs []wire.Envelope) {
-	for _, env := range envs {
-		env := env
-		if env.To == clientID {
-			switch cm := env.Msg.(type) {
-			case *wire.Complete:
-				ls.c.complete(cm)
-			case *wire.Reject:
-				ls.c.rejected(cm)
-			case *wire.Migrated:
-				ls.c.migrated(cm)
-			default:
-				// Sites address only completions and migration acks to the
-				// client; anything else here is a protocol bug. Count it so
-				// hfstat and the debug endpoint surface it instead of the
-				// message vanishing.
-				ls.c.regs[ls.id].Counter("hf_wire_unknown_msgs").Inc()
-			}
-			continue
-		}
-		if ls.c.net != nil {
-			// Reliable chaos-network path: faults, retransmission and dedup
-			// happen inside the network; errors (unknown site, closed) are
-			// indistinguishable from loss and handled by the detector.
-			_ = ls.c.net.Send(ls.id, env.To, env.Msg)
-			continue
-		}
-		dst, ok := ls.c.sites[env.To]
-		if !ok {
-			continue
-		}
-		from := ls.id
-		dst.post(func(s *site.Site) []wire.Envelope {
-			out, err := s.HandleMessage(from, env.Msg)
-			if err != nil {
-				ls.c.fail(err)
-				return nil
-			}
-			return out
-		})
+func (c *LocalCluster) reply(qid wire.QueryID, r queryReply) {
+	c.mu.Lock()
+	ch := c.waiters[qid]
+	delete(c.waiters, qid)
+	c.mu.Unlock()
+	if ch != nil {
+		ch <- r
 	}
 }
 
@@ -529,40 +209,20 @@ func (c *LocalCluster) fail(err error) {
 	c.mu.Unlock()
 }
 
-func (c *LocalCluster) complete(cm *wire.Complete) {
-	c.mu.Lock()
-	ch := c.waiters[cm.QID]
-	delete(c.waiters, cm.QID)
-	c.mu.Unlock()
-	if ch != nil {
-		ch <- queryReply{complete: cm}
-	}
-}
-
-func (c *LocalCluster) rejected(rm *wire.Reject) {
-	c.mu.Lock()
-	ch := c.waiters[rm.QID]
-	delete(c.waiters, rm.QID)
-	c.mu.Unlock()
-	if ch != nil {
-		ch <- queryReply{reject: rm}
-	}
-}
-
-func (c *LocalCluster) migrated(m *wire.Migrated) {
-	c.mu.Lock()
-	ch := c.migWaiters[m.Seq]
-	delete(c.migWaiters, m.Seq)
-	c.mu.Unlock()
-	if ch != nil {
-		ch <- m
-	}
+// send is a client request to site to. The fabric refuses only a closed
+// network or an unknown site, which the callers rule out or recover from by
+// timing out, so the error is dropped like a lost message.
+func (c *LocalCluster) send(to object.SiteID, m wire.Msg) {
+	_ = c.net.Send(clientID, to, m)
 }
 
 // MigrateLive moves an object between sites through the live migration
 // protocol (unlike Move, which bypasses the sites at setup time). Requires
 // UseNaming.
 func (c *LocalCluster) MigrateLive(id object.ID, to object.SiteID, timeout time.Duration) error {
+	if _, ok := c.servers[id.Birth]; !ok {
+		return fmt.Errorf("cluster: unknown birth site %v", id.Birth)
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -574,18 +234,7 @@ func (c *LocalCluster) MigrateLive(id object.ID, to object.SiteID, timeout time.
 	c.migWaiters[seq] = ch
 	c.mu.Unlock()
 
-	owner, ok := c.sites[id.Birth]
-	if !ok {
-		return fmt.Errorf("cluster: unknown birth site %v", id.Birth)
-	}
-	req := &wire.Migrate{Seq: seq, ID: id, To: to, Client: clientID}
-	owner.post(func(s *site.Site) []wire.Envelope {
-		out, err := s.HandleMessage(clientID, req)
-		if err != nil {
-			c.fail(err)
-		}
-		return out
-	})
+	c.send(id.Birth, &wire.Migrate{Seq: seq, ID: id, To: to, Client: clientID})
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
@@ -658,10 +307,8 @@ type execSpec struct {
 }
 
 func (c *LocalCluster) exec(spec execSpec) (*Result, wire.QueryID, error) {
-	origin, body, initial, from := spec.origin, spec.body, spec.initial, spec.from
-	budget, timeout := spec.budget, spec.timeout
-	ls, ok := c.sites[origin]
-	if !ok {
+	origin, budget := spec.origin, spec.budget
+	if _, ok := c.servers[origin]; !ok {
 		return nil, wire.QueryID{}, fmt.Errorf("cluster: no site %v", origin)
 	}
 	c.mu.Lock()
@@ -675,38 +322,25 @@ func (c *LocalCluster) exec(spec execSpec) (*Result, wire.QueryID, error) {
 	c.waiters[qid] = ch
 	c.mu.Unlock()
 
-	sub := &wire.Submit{QID: qid, Client: clientID, Body: body, Initial: initial,
-		InitialFromResultOf: from, ClientID: spec.clientID}
+	sub := &wire.Submit{QID: qid, Client: clientID, Body: spec.body, Initial: spec.initial,
+		InitialFromResultOf: spec.from, ClientID: spec.clientID}
 	if budget > 0 {
 		sub.BudgetUS = uint64(budget.Microseconds())
 		if sub.BudgetUS == 0 {
 			sub.BudgetUS = 1 // sub-microsecond budgets round up, not off
 		}
 	}
-	ls.post(func(s *site.Site) []wire.Envelope {
-		out, err := s.HandleMessage(clientID, sub)
-		if err != nil {
-			c.fail(err)
-		}
-		return out
-	})
+	c.send(origin, sub)
 
-	timer := time.NewTimer(timeout)
+	timer := time.NewTimer(spec.timeout)
 	defer timer.Stop()
 	select {
 	case r := <-ch:
 		return c.resolve(r, qid)
 	case <-timer.C:
-		// Abort on the site goroutine; it will deliver a partial Complete
-		// (or a Reject, if the query was still waiting for admission).
-		ls.post(func(s *site.Site) []wire.Envelope {
-			out, err := s.HandleMessage(clientID, &wire.Cancel{QID: qid, Reason: "cancelled by client"})
-			if err != nil {
-				c.fail(err)
-				return nil
-			}
-			return out
-		})
+		// Abort at the originator; it will deliver a partial Complete (or a
+		// Reject, if the query was still waiting for admission).
+		c.Cancel(qid)
 		select {
 		case r := <-ch:
 			res, _, err := c.resolve(r, qid)
@@ -715,10 +349,7 @@ func (c *LocalCluster) exec(spec execSpec) (*Result, wire.QueryID, error) {
 			}
 			return res, qid, ErrTimeout
 		case <-time.After(5 * time.Second):
-			c.mu.Lock()
-			err := c.firstErr
-			c.mu.Unlock()
-			if err != nil {
+			if err := c.Err(); err != nil {
 				return nil, qid, err
 			}
 			return nil, qid, ErrTimeout
@@ -741,23 +372,25 @@ func (c *LocalCluster) resolve(r queryReply, qid wire.QueryID) (*Result, wire.Qu
 // their termination credit and tear down. Unknown or already-finished
 // queries are no-ops.
 func (c *LocalCluster) Cancel(qid wire.QueryID) {
-	ls, ok := c.sites[qid.Origin]
-	if !ok {
+	if _, ok := c.servers[qid.Origin]; !ok {
 		return
 	}
-	ls.post(func(s *site.Site) []wire.Envelope {
-		out, err := s.HandleMessage(clientID, &wire.Cancel{QID: qid, Reason: "cancelled by client"})
-		if err != nil {
-			c.fail(err)
-			return nil
-		}
-		return out
-	})
+	c.send(qid.Origin, &wire.Cancel{QID: qid, Reason: "cancelled by client"})
 }
 
-// Err returns the first internal error any site hit (nil normally).
+// Err returns the first internal error the client endpoint or any site hit
+// (nil normally).
 func (c *LocalCluster) Err() error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.firstErr
+	err := c.firstErr
+	c.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	for _, id := range c.ids {
+		if err := c.servers[id].Err(); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -5,20 +5,17 @@ import (
 	"testing"
 	"time"
 
-	"hyperfile/internal/chaos"
 	"hyperfile/internal/object"
 	"hyperfile/internal/sim"
-	"hyperfile/internal/site"
-	"hyperfile/internal/wire"
 	"hyperfile/internal/workload"
 )
 
 // TestMemoryModelEquivalence is the memory model's acceptance matrix: every
-// query class runs on 1, 3, and 9 sites through the simulator, the goroutine
-// runner's direct hand-off (which never encodes), and the goroutine runner's
-// encoding fabric (a fault-free chaos network, so every inter-site message is
-// decoded borrowed over the sender's frame). All three must return
-// byte-identical sorted result-id sets. The simulator additionally runs
+// query class runs on 1, 3, and 9 sites through the simulator and through the
+// goroutine runner, whose servers talk over the encoding fabric (a fault-free
+// chaos network, so every message is decoded borrowed over the sender's
+// frame). Both must return byte-identical sorted result-id sets. The
+// simulator additionally runs
 // twice, the second time on pooled tables and scratch the first run released:
 // recycled storage must make every decision fresh storage did — same dedup
 // skips, same suppressed derefs, same message counts — so a mark or
@@ -61,18 +58,13 @@ func TestMemoryModelEquivalence(t *testing.T) {
 			idx[id] = i
 		}
 
-		var direct, fabric *LocalCluster
-		var dDirect, dFabric *workload.Dataset
+		var local *LocalCluster
+		var dLocal *workload.Dataset
 		if machines == 3 || machines == 9 {
-			direct = NewLocal(machines, Options{DerefBatch: batchSize})
-			defer direct.Close()
-			fabric = NewLocal(machines, Options{DerefBatch: batchSize, Chaos: &chaos.Config{Seed: 1}})
-			defer fabric.Close()
+			local = NewLocal(machines, Options{DerefBatch: batchSize})
+			defer local.Close()
 			var err error
-			if dDirect, err = workload.Build(direct, spec); err != nil {
-				t.Fatal(err)
-			}
-			if dFabric, err = workload.Build(fabric, spec); err != nil {
+			if dLocal, err = workload.Build(local, spec); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -120,18 +112,14 @@ func TestMemoryModelEquivalence(t *testing.T) {
 				t.Fatalf("%s: logical answer differs from previous topology", name)
 			}
 
-			if direct != nil {
-				ld, err := direct.Exec(1, q, []object.ID{dDirect.Root}, 30*time.Second)
+			if local != nil {
+				lr, err := local.Exec(1, q, []object.ID{dLocal.Root}, 30*time.Second)
 				if err != nil {
-					t.Fatalf("%s: local direct: %v", name, err)
+					t.Fatalf("%s: local: %v", name, err)
 				}
-				lf, err := fabric.Exec(1, q, []object.ID{dFabric.Root}, 30*time.Second)
-				if err != nil {
-					t.Fatalf("%s: local fabric: %v", name, err)
-				}
-				if !equalIDs(want.IDs, ld.IDs) || !equalIDs(want.IDs, lf.IDs) {
-					t.Fatalf("%s: goroutine runner disagrees with simulator (%d direct / %d fabric vs %d ids)",
-						name, len(ld.IDs), len(lf.IDs), len(want.IDs))
+				if !equalIDs(want.IDs, lr.IDs) {
+					t.Fatalf("%s: goroutine runner disagrees with simulator (%d vs %d ids)",
+						name, len(lr.IDs), len(want.IDs))
 				}
 			}
 		}
@@ -143,25 +131,5 @@ func TestMemoryModelEquivalence(t *testing.T) {
 		if st := fresh.TotalStats(); machines > 1 && st.DerefsSuppressed == 0 {
 			t.Errorf("%d sites: sent-cache never suppressed a deref; matrix is not exercising it", machines)
 		}
-	}
-}
-
-// TestTakeZeroesVacatedMailboxSlot: the mailbox advances by reslicing, so the
-// consumed thunk must be cleared or the backing array keeps pinning its
-// captured message (and, on the fabric, the whole frame it borrows from)
-// until the next reallocation.
-func TestTakeZeroesVacatedMailboxSlot(t *testing.T) {
-	ls := &localSite{}
-	thunk := func(*site.Site) []wire.Envelope { return nil }
-	ls.mailbox = []func(*site.Site) []wire.Envelope{thunk, thunk}
-	backing := ls.mailbox
-	if f, ok := ls.take(); !ok || f == nil {
-		t.Fatal("take returned nothing from a non-empty mailbox")
-	}
-	if backing[0] != nil {
-		t.Fatal("vacated slot still holds the consumed thunk")
-	}
-	if backing[1] == nil || len(ls.mailbox) != 1 {
-		t.Fatal("take disturbed the queued entry")
 	}
 }

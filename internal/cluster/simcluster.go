@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"hyperfile/internal/metrics"
 	"hyperfile/internal/naming"
 	"hyperfile/internal/object"
 	"hyperfile/internal/sim"
@@ -78,8 +77,6 @@ type simSite struct {
 	ctxBusy map[wire.QueryID]time.Duration
 	// Counters for experiment reporting.
 	msgsIn, msgsOut int
-	// reg is the site's metrics registry (nil unless Options.Metrics).
-	reg *metrics.Registry
 }
 
 type inMsg struct {
@@ -103,15 +100,15 @@ func NewSim(n int, opts Options) *SimCluster {
 		marks = site.NewGlobalMarks()
 	}
 	for _, id := range c.ids {
-		s, st, dir, reg := buildSite(id, c.ids, opts, marks)
-		ss := &simSite{c: c, s: s, id: id, store: st, reg: reg}
+		cfg := siteConfig(id, c.ids, opts, marks)
+		ss := &simSite{c: c, s: site.New(cfg), id: id, store: cfg.Store}
 		if opts.Workers > 1 {
 			ss.slots = make([]time.Duration, opts.Workers)
 			ss.ctxBusy = make(map[wire.QueryID]time.Duration)
 		}
 		c.sites[id] = ss
-		if dir != nil {
-			c.dirs[id] = dir
+		if cfg.Directory != nil {
+			c.dirs[id] = cfg.Directory
 		}
 	}
 	return c
@@ -119,15 +116,6 @@ func NewSim(n int, opts Options) *SimCluster {
 
 // Sites returns the site ids (1..n).
 func (c *SimCluster) Sites() []object.SiteID { return c.ids }
-
-// Metrics returns a site's metrics registry (nil unless Options.Metrics).
-func (c *SimCluster) Metrics(id object.SiteID) *metrics.Registry {
-	ss, ok := c.sites[id]
-	if !ok {
-		return nil
-	}
-	return ss.reg
-}
 
 // Store returns the object store of a site, for loading data. It must only
 // be used for setup and inspection, not while the simulation is running.
@@ -258,10 +246,8 @@ func (c *SimCluster) deliver(from, to object.SiteID, m wire.Msg, at time.Duratio
 			})
 		default:
 			// Sites address only completions and rejections to the sim
-			// client; anything else is a protocol bug. Count it on the
-			// sender's registry (when metrics are on) rather than dropping
-			// it invisibly.
-			c.sites[from].reg.Counter("hf_wire_unknown_msgs").Inc()
+			// client; anything else is a protocol bug, and it stops the run.
+			c.err = fmt.Errorf("cluster: site %v sent the client an unexpected %v", from, m.Kind())
 		}
 		return
 	}

@@ -38,7 +38,7 @@ func checkSorted(t *testing.T, spans []wire.Span) {
 // contributes spans, the originator's spans are hop 0, participants are
 // deeper, and per-site metrics agree with the trace.
 func TestTraceTimelineCoversAllSites(t *testing.T) {
-	c := NewLocal(3, Options{Metrics: true})
+	c := NewLocal(3, Options{})
 	defer c.Close()
 	ids := loadRingLocal(t, c, 18, []string{"hot", "cold"})
 	res, err := c.Exec(1, closureQuery, ids[:1], 15*time.Second)

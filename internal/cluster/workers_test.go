@@ -231,7 +231,6 @@ func TestSchedulerInterleaveStress(t *testing.T) {
 	c := NewLocal(machines, Options{
 		Workers:     4,
 		FairQuantum: 2,
-		Metrics:     true,
 		Chaos: &chaos.Config{
 			Seed: 37, DropRate: 0.05, DupRate: 0.05,
 			DelayRate: 0.20, MinDelay: 200 * time.Microsecond, MaxDelay: 2 * time.Millisecond,

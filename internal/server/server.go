@@ -2,6 +2,8 @@
 // transport, and provides the matching client. This is the deployment shape
 // of the paper's prototype: one server process per machine, an experimental
 // client on a separate machine submitting queries and receiving results.
+// NewFabric runs the same server over the in-memory chaos fabric, which is
+// how the in-process cluster is built.
 package server
 
 import (
@@ -40,11 +42,25 @@ type Options struct {
 	TraceCap int
 }
 
-// Server owns one Site on its own goroutine, fed by the TCP transport.
+// link is the message-passing surface a Server runs over: *transport.TCP in
+// deployment, the in-memory fabric in process (NewFabric). Queue is reliable
+// and takes effect by the next Flush; SendUnreliable is best-effort and is
+// what heartbeats ride on.
+type link interface {
+	Self() object.SiteID
+	Addr() string
+	AddPeer(id object.SiteID, addr string)
+	Queue(to object.SiteID, m wire.Msg) error
+	Flush()
+	SendUnreliable(to object.SiteID, m wire.Msg) error
+	Close() error
+}
+
+// Server owns one Site on its own goroutine, fed by its link.
 type Server struct {
 	cfg  site.Config
 	s    *site.Site
-	tr   *transport.TCP
+	tr   link
 	lg   *slog.Logger
 	opts Options
 
@@ -57,6 +73,9 @@ type Server struct {
 	quit    chan struct{}
 	once    sync.Once
 	wg      sync.WaitGroup
+
+	errMu    sync.Mutex
+	firstErr error
 
 	// stepWakes holds one cap-1 wake channel per extra stepping worker
 	// (Config.Workers > 1). The main loop stays the only message handler;
@@ -89,6 +108,22 @@ func New(cfg site.Config, addr string, logger *slog.Logger) (*Server, error) {
 
 // NewOpts is New with explicit transport and failure-detection options.
 func NewOpts(cfg site.Config, addr string, logger *slog.Logger, opts Options) (*Server, error) {
+	srv := newServer(cfg, logger, opts)
+	// The server owns its inbound bytes: the mailbox holds each message's
+	// buffer reference until the site goroutine has fully consumed it, so
+	// the transport can decode in place.
+	tcpOpts := srv.opts.Transport
+	tcpOpts.BufHandler = srv.post
+	tr, err := transport.ListenTCPOpts(cfg.ID, addr, nil, tcpOpts)
+	if err != nil {
+		return nil, err
+	}
+	srv.start(tr)
+	return srv, nil
+}
+
+// newServer builds a server with no link and no running loops.
+func newServer(cfg site.Config, logger *slog.Logger, opts Options) *Server {
 	if logger == nil {
 		logger = slog.Default()
 	}
@@ -122,14 +157,14 @@ func NewOpts(cfg site.Config, addr string, logger *slog.Logger, opts Options) (*
 			srv.heard[peer] = now
 		}
 	}
-	// The server owns its inbound bytes: the mailbox holds each message's
-	// buffer reference until the site goroutine has fully consumed it, so
-	// the transport can decode in place.
-	opts.Transport.BufHandler = srv.post
-	tr, err := transport.ListenTCPOpts(cfg.ID, addr, nil, opts.Transport)
-	if err != nil {
-		return nil, err
-	}
+	return srv
+}
+
+// start attaches the server's link and launches its loops: the main loop
+// (the only message handler), Workers−1 step-only workers, and the
+// heartbeat and deadline-sweep tickers when configured.
+func (srv *Server) start(tr link) {
+	cfg, opts := srv.cfg, srv.opts
 	srv.tr = tr
 	srv.wg.Add(1)
 	go srv.loop()
@@ -147,7 +182,6 @@ func NewOpts(cfg site.Config, addr string, logger *slog.Logger, opts Options) (*
 		srv.wg.Add(1)
 		go srv.sweeperLoop()
 	}
-	return srv, nil
 }
 
 // sweeperLoop periodically expires query deadlines and drains the admission
@@ -176,7 +210,7 @@ func (srv *Server) sweeperLoop() {
 		srv.postThunk(func() {
 			out, err := srv.s.ExpireDeadlines()
 			if err != nil {
-				srv.lg.Error("deadline sweep failed", "err", err)
+				srv.fail("deadline sweep failed", err)
 				return
 			}
 			srv.dispatch(out)
@@ -184,7 +218,7 @@ func (srv *Server) sweeperLoop() {
 	}
 }
 
-// Addr returns the server's bound address.
+// Addr returns the server's bound address ("" on the in-memory fabric).
 func (srv *Server) Addr() string { return srv.tr.Addr() }
 
 // ID returns the server's site id.
@@ -210,6 +244,39 @@ func (srv *Server) Stats() site.Stats {
 	case <-srv.quit:
 		return site.Stats{}
 	}
+}
+
+// Contexts reports the site's live query-context count, read on the site
+// goroutine so it is consistent with message processing. Tests poll it to
+// confirm that finished, cancelled, or expired queries drained.
+func (srv *Server) Contexts() int {
+	ch := make(chan int, 1)
+	srv.postThunk(func() { ch <- srv.s.Contexts() })
+	select {
+	case n := <-ch:
+		return n
+	case <-srv.quit:
+		return 0
+	}
+}
+
+// Err returns the first error the server logged while handling a message,
+// stepping the engine, or sweeping deadlines (nil normally).
+func (srv *Server) Err() error {
+	srv.errMu.Lock()
+	defer srv.errMu.Unlock()
+	return srv.firstErr
+}
+
+// fail logs err under msg (with args as extra attributes) and keeps the
+// first such error for Err.
+func (srv *Server) fail(msg string, err error, args ...any) {
+	srv.lg.Error(msg, append(args, "err", err)...)
+	srv.errMu.Lock()
+	if srv.firstErr == nil {
+		srv.firstErr = err
+	}
+	srv.errMu.Unlock()
 }
 
 // post is the transport handler: enqueue and wake the site goroutine.
@@ -385,8 +452,8 @@ func (srv *Server) loop() {
 			}
 			out, err := srv.s.HandleMessage(m.from, m.msg)
 			if err != nil {
-				srv.lg.Error("message rejected", "from", m.from.String(),
-					"kind", m.msg.Kind().String(), "err", err)
+				srv.fail("message rejected", err, "from", m.from.String(),
+					"kind", m.msg.Kind().String())
 				m.buf.Release()
 				continue
 			}
@@ -404,7 +471,7 @@ func (srv *Server) loop() {
 			burst++
 			_, envs, _, err := srv.s.Step()
 			if err != nil {
-				srv.lg.Error("engine step failed", "err", err)
+				srv.fail("engine step failed", err)
 				return
 			}
 			srv.dispatch(envs)
@@ -436,7 +503,7 @@ func (srv *Server) stepLoop(wake chan struct{}) {
 		}
 		_, envs, did, err := srv.s.Step()
 		if err != nil {
-			srv.lg.Error("engine step failed", "err", err)
+			srv.fail("engine step failed", err)
 			return
 		}
 		srv.dispatch(envs)

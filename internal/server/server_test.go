@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"hyperfile/internal/chaos"
 	"hyperfile/internal/naming"
 	"hyperfile/internal/object"
 	"hyperfile/internal/site"
@@ -556,6 +557,99 @@ func TestContextsCleanedAcrossManyQueries(t *testing.T) {
 		if resp.Contexts != 0 {
 			t.Errorf("site %v leaks %d contexts", resp.Site, resp.Contexts)
 		}
+	}
+}
+
+// TestContextsDrainAfterQuery: Contexts reads every site's live contexts on
+// its own goroutine, and all of them are gone once a query has finished.
+func TestContextsDrainAfterQuery(t *testing.T) {
+	servers, stores, client := testDeployment(t, 3)
+	ids := loadServerRing(t, stores, 12)
+	if _, err := client.Exec(1, tcpClosure, ids[:1], 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// Participants drop their contexts on the Finish that follows the
+	// Complete, so poll rather than read once.
+	if err := waitfor.Until(5*time.Second, func() bool {
+		for _, s := range servers {
+			if s.Contexts() != 0 {
+				return false
+			}
+		}
+		return true
+	}); err != nil {
+		t.Fatalf("contexts never drained: %v", err)
+	}
+}
+
+// TestContextsCountsWaitingQuery: a query waiting on a peer holds its
+// originator's context, and Contexts counts it. Site 2 is a bare fabric
+// endpoint that swallows the Deref, so the query never finishes.
+func TestContextsCountsWaitingQuery(t *testing.T) {
+	fabric := chaos.NewNetwork(nil)
+	defer fabric.Close()
+	srv := NewFabric(site.Config{ID: 1, Store: store.New(1), Peers: []object.SiteID{2}}, fabric, nil, Options{})
+	defer srv.Close()
+	derefs := make(chan wire.Msg, 4)
+	fabric.Register(2, func(_ object.SiteID, m wire.Msg) { derefs <- m })
+	fabric.Register(100, func(object.SiteID, wire.Msg) {})
+	sub := &wire.Submit{QID: wire.QueryID{Origin: 1, Seq: 1}, Client: 100,
+		Body: `S (keyword, "ok", ?) -> T`, Initial: []object.ID{{Birth: 2, Seq: 1}}}
+	if err := fabric.Send(100, 1, sub); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-derefs:
+		if _, ok := m.(*wire.Deref); !ok {
+			t.Fatalf("site 2 got %+v, want a Deref", m)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("origin never dereferenced the remote initial object")
+	}
+	if n := srv.Contexts(); n != 1 {
+		t.Fatalf("Contexts = %d while the query waits on site 2, want 1", n)
+	}
+}
+
+// TestErrReportsRejectedMessage: a message the site rejects is kept for Err,
+// and the server goes on serving. The server runs on the in-memory fabric so
+// the test can address it a message no well-behaved peer would send.
+func TestErrReportsRejectedMessage(t *testing.T) {
+	fabric := chaos.NewNetwork(nil)
+	defer fabric.Close()
+	st := store.New(1)
+	srv := NewFabric(site.Config{ID: 1, Store: st}, fabric, nil, Options{})
+	defer srv.Close()
+	replies := make(chan wire.Msg, 4)
+	fabric.Register(100, func(_ object.SiteID, m wire.Msg) { replies <- m })
+	if err := srv.Err(); err != nil {
+		t.Fatalf("fresh server reports %v", err)
+	}
+	if err := fabric.Send(100, 1, &wire.Complete{QID: wire.QueryID{Origin: 1, Seq: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := waitfor.Until(5*time.Second, func() bool { return srv.Err() != nil }); err != nil {
+		t.Fatalf("rejected message never surfaced: %v", err)
+	}
+	if err := srv.Err(); !errors.Is(err, site.ErrProtocol) {
+		t.Fatalf("Err = %v, want a protocol error", err)
+	}
+	o := st.NewObject().Add("keyword", object.Keyword("ok"), object.Value{})
+	if err := st.Put(o); err != nil {
+		t.Fatal(err)
+	}
+	sub := &wire.Submit{QID: wire.QueryID{Origin: 1, Seq: 2}, Client: 100,
+		Body: `S (keyword, "ok", ?) -> T`, Initial: []object.ID{o.ID}}
+	if err := fabric.Send(100, 1, sub); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-replies:
+		if cm, ok := m.(*wire.Complete); !ok || len(cm.IDs) != 1 {
+			t.Fatalf("reply = %+v, want a Complete with one id", m)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("server stopped serving after the rejected message")
 	}
 }
 

@@ -15,12 +15,8 @@ import (
 	"hyperfile/internal/wire"
 )
 
-// The chaos injector must satisfy the transport's structural Fault hook,
-// and TCP must satisfy the Transport interface extracted into chaos.
-var (
-	_ Fault           = (*chaos.Injector)(nil)
-	_ chaos.Transport = (*TCP)(nil)
-)
+// The chaos injector must satisfy the transport's structural Fault hook.
+var _ Fault = (*chaos.Injector)(nil)
 
 // collector gathers inbound messages.
 type collector struct {

@@ -77,8 +77,12 @@ func (b *ReadBuf) Retain() {
 }
 
 // Release drops one reference; the last release poisons (race builds) and
-// recycles the storage.
+// recycles the storage. A nil buffer is a no-op: messages delivered by the
+// in-memory fabric are owned by the garbage collector and carry none.
 func (b *ReadBuf) Release() {
+	if b == nil {
+		return
+	}
 	n := b.refs.Add(-1)
 	if n < 0 {
 		panic("wire: ReadBuf over-released")

@@ -119,6 +119,13 @@ func TestReadBufOverReleasePanics(t *testing.T) {
 	buf.Release()
 }
 
+// TestNilReadBufRelease: a message with no pooled buffer behind it (the
+// in-memory fabric's) releases as a no-op.
+func TestNilReadBufRelease(t *testing.T) {
+	var buf *ReadBuf
+	buf.Release()
+}
+
 // TestEncodeToAppends: EncodeTo must append after existing bytes and yield
 // exactly Encode's output, and GetBuf/PutBuf must hand back usable scratch.
 func TestEncodeToAppends(t *testing.T) {
