@@ -8,6 +8,7 @@ import (
 	"hyperfile/internal/fileserver"
 	"hyperfile/internal/object"
 	"hyperfile/internal/store"
+	"hyperfile/internal/termination"
 	"hyperfile/internal/wire"
 	"hyperfile/internal/workload"
 )
@@ -76,12 +77,20 @@ func RunE1(cfg Config) (*Report, error) {
 		QID: wire.QueryID{Origin: 1, Seq: 42}, Origin: 1,
 		Body:   workload.ClosureQuery("Tree", "Rand10", 5),
 		ObjIDs: []object.ID{{Birth: 3, Seq: 123}}, Start: 2, Iters: []int{7},
-		Token: make([]byte, 12),
+		Token: firstSplitToken(),
 	}
 	size := len(wire.Encode(deref))
 	r.addf("dereference message size:   %6d bytes (paper: ~40 bytes)", size)
 	r.set("deref_bytes", float64(size))
 	return r, nil
+}
+
+// firstSplitToken is the credit token of an originator's first split, 1/2 in
+// two bytes. With credit handed on, every hop of a serial chain carries
+// exactly this share.
+func firstSplitToken() []byte {
+	tok, _ := termination.New(termination.Weighted, 1, 1).OnSend(2) // a fresh originator holds 1
+	return tok
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
@@ -349,7 +358,7 @@ func RunE9(cfg Config) (*Report, error) {
 	derefBytes := len(wire.Encode(&wire.Deref{
 		QID: wire.QueryID{Origin: 1, Seq: 1}, Origin: 1,
 		Body:   workload.ClosureQuery("Tree", "Rand10", 5),
-		ObjIDs: []object.ID{d.Root}, Token: make([]byte, 12),
+		ObjIDs: []object.ID{d.Root}, Token: firstSplitToken(),
 	}))
 	hfBytes := st.DerefsSent * derefBytes
 	r.addf("HyperFile: %4d deref messages x %d bytes = %8d bytes shipped",

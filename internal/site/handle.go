@@ -201,6 +201,12 @@ func (s *Site) handleDeref(from object.SiteID, m *wire.Deref) ([]wire.Envelope, 
 	if err != nil {
 		return out, err
 	}
+	// Spans handed on with the sender's credit travel on with this site's.
+	if ctx.isOrigin {
+		ctx.ingestSpans(m.Spans)
+	} else {
+		ctx.pendingSpans = append(ctx.pendingSpans, m.Spans...)
+	}
 	if ctx.finished {
 		// Late work for a finished (retained) query: nothing to process.
 		return s.afterEvent(ctx, out)

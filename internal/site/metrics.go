@@ -34,8 +34,9 @@ type siteMetrics struct {
 	forwards         *metrics.Counter
 	completed        *metrics.Counter
 
-	termSplits  *metrics.Counter
-	termReturns *metrics.Counter
+	termSplits   *metrics.Counter
+	termReturns  *metrics.Counter
+	termHandOffs *metrics.Counter
 
 	// Overload protection (Config.MaxInflight / QueryDeadline).
 	admitted        *metrics.Counter
@@ -105,6 +106,7 @@ func newSiteMetrics(reg *metrics.Registry) siteMetrics {
 	m.completed = reg.Counter("site_completed")
 	m.termSplits = reg.Counter("termination_weight_splits")
 	m.termReturns = reg.Counter("termination_weight_returns")
+	m.termHandOffs = reg.Counter("termination_weight_handoffs")
 	m.admitted = reg.Counter("hf_admitted")
 	m.rejected = reg.Counter("hf_rejected")
 	m.shed = reg.Counter("hf_shed")

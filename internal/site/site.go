@@ -330,8 +330,9 @@ type qctx struct {
 	// is its insertion order so span emission is deterministic.
 	stepAgg map[int]*spanAgg
 	filters []int
-	// pendingSpans holds emitted spans awaiting an origin-bound message
-	// (participant side).
+	// pendingSpans holds spans awaiting a message to carry them toward the
+	// originator (participant side): this site's own, and those that arrived
+	// on Derefs carrying another site's credit.
 	pendingSpans []wire.Span
 	// Originator side: timeline accumulates every span (own and remote),
 	// seenSpans dedups remote spans by (site, seq).
@@ -582,7 +583,7 @@ func (s *Site) newCtx(qid wire.QueryID, origin object.SiteID, body string, p *pl
 			engine.WithLocator(routerLocator{r: s.cfg.Router, self: s.cfg.ID}),
 			engine.WithOrder(s.cfg.Order)),
 		det: termination.NewInstrumented(s.cfg.TermMode, s.cfg.ID, origin,
-			termination.Metrics{Splits: s.met.termSplits, Returns: s.met.termReturns}),
+			termination.Metrics{Splits: s.met.termSplits, Returns: s.met.termReturns, HandOffs: s.met.termHandOffs}),
 		isOrigin:   origin == s.cfg.ID,
 		fp:         fp,
 		planPinned: pinned,

@@ -221,9 +221,11 @@ func (s *Site) afterEvent(ctx *qctx, out []wire.Envelope) ([]wire.Envelope, erro
 	// tokens (piggybacking the origin-bound token on the last result
 	// message, as the paper piggybacks credit on results). Sites this
 	// participant skipped as unreachable ride along so the originator can
-	// annotate the final answer. Trace spans ride the same way: on the last
-	// result message, or on an origin-bound control — tracing never adds a
-	// message of its own.
+	// annotate the final answer. A drain with nothing for the originator but
+	// work for others hands its credit on with the last Deref instead, so
+	// no message goes home at all. Trace spans follow the credit: on the
+	// last result message, the hand-off Deref, or an origin-bound control —
+	// tracing never adds a message of its own.
 	ctx.pendingSpans = append(ctx.pendingSpans, s.takeSpans(ctx)...)
 	msgs := s.buildResultMsgs(ctx, results, fetches)
 	if unr := s.takeUnreachable(ctx); len(unr) > 0 {
@@ -231,6 +233,11 @@ func (s *Site) afterEvent(ctx *qctx, out []wire.Envelope) ([]wire.Envelope, erro
 			msgs = []*wire.Result{{QID: ctx.qid}}
 		}
 		msgs[len(msgs)-1].Unreachable = unr
+	}
+	if len(msgs) == 0 {
+		if err := s.handOff(ctx, out); err != nil {
+			return out, err
+		}
 	}
 	tokens := ctx.det.OnIdle()
 	var originTok []byte
@@ -261,6 +268,38 @@ func (s *Site) afterEvent(ctx *qctx, out []wire.Envelope) ([]wire.Envelope, erro
 		}
 	}
 	return out, nil
+}
+
+// maxCarriedSpans bounds the trace spans one Deref carries onward. A drain
+// holding more returns its credit and spans home in a Control instead, so a
+// chain that never revisits the originator cannot grow its Derefs by a span
+// per hop.
+const maxCarriedSpans = 32
+
+// handOff moves a draining participant's held credit, and its unsent spans,
+// onto the last Deref of this query in out, the envelopes of the current
+// drain; the detector's idle hook then has nothing to return. It does
+// nothing when out holds no such Deref, when the spans would exceed
+// maxCarriedSpans, or when the detector cannot hand off.
+func (s *Site) handOff(ctx *qctx, out []wire.Envelope) error {
+	if len(ctx.pendingSpans) > maxCarriedSpans {
+		return nil
+	}
+	for i := len(out) - 1; i >= 0; i-- {
+		d, ok := out[i].Msg.(*wire.Deref)
+		if !ok || d.QID != ctx.qid {
+			continue
+		}
+		merged, ok, err := ctx.det.HandOff(d.Token)
+		if err != nil || !ok {
+			return err
+		}
+		d.Token = merged
+		d.Spans = ctx.pendingSpans
+		ctx.pendingSpans = nil
+		return nil
+	}
+	return nil
 }
 
 // buildResultMsgs packages a drain's results, applying the distributed-set

@@ -17,7 +17,8 @@ import (
 // atomic even when sites run on separate goroutines. In-flight credit is
 // tracked by decoding every token a wrapped detector emits (OnSend, OnIdle)
 // and crediting it back when a token is ingested (OnWorkReceived,
-// OnControl). The first violation is recorded and reported by Err.
+// OnControl); a hand-off replaces the emitted token with the merged one.
+// The first violation is recorded and reported by Err.
 //
 // The invariant only holds on lossless paths: force-completion after a peer
 // death deliberately abandons credit (it is parked at a corpse and can never
@@ -178,6 +179,22 @@ func (ad *auditDetector) OnWorkReceived(from object.SiteID, token []byte) ([]Con
 	}
 	ad.a.check(ad.q, st)
 	return ctls, nil
+}
+
+// HandOff swaps the pre-merge token for the merged one in the ledger: the
+// former will never be sent, so ingesting it later is a forgery.
+func (ad *auditDetector) HandOff(token []byte) ([]byte, bool, error) {
+	ad.a.mu.Lock()
+	defer ad.a.mu.Unlock()
+	merged, ok, err := ad.w.HandOff(token)
+	if err != nil || !ok {
+		return merged, ok, err
+	}
+	st := ad.state()
+	ad.a.subInflight(st, token)
+	ad.a.addInflight(st, merged)
+	ad.a.check(ad.q, st)
+	return merged, true, nil
 }
 
 func (ad *auditDetector) OnIdle() []ControlMsg {

@@ -105,6 +105,64 @@ func TestAuditCatchesForgedToken(t *testing.T) {
 	}
 }
 
+// TestAuditHandOff: a participant hands its credit on with its last work
+// message. The sum holds throughout, the merged token is the one outstanding,
+// and the pre-merge token — which is never sent — is a forgery if ingested.
+func TestAuditHandOff(t *testing.T) {
+	a := NewAudit()
+	origin := a.Wrap("q1", New(Weighted, 1, 1))
+	p2 := a.Wrap("q1", New(Weighted, 2, 1))
+	p3 := a.Wrap("q1", New(Weighted, 3, 1))
+	tok, err := origin.OnSend(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin.OnIdle()
+	if _, err := p2.OnWorkReceived(1, tok); err != nil {
+		t.Fatal(err)
+	}
+	pre, err := p2.OnSend(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, ok, err := p2.HandOff(pre)
+	if err != nil || !ok {
+		t.Fatalf("HandOff = %v, %v", ok, err)
+	}
+	if cms := p2.OnIdle(); len(cms) != 0 {
+		t.Fatalf("OnIdle after a hand-off returned %v", cms)
+	}
+	st := a.qs["q1"]
+	if n := st.outstanding[string(pre)]; n != 0 {
+		t.Errorf("pre-merge token %x still outstanding %d times", pre, n)
+	}
+	if n := st.outstanding[string(merged)]; n != 1 {
+		t.Errorf("merged token %x outstanding %d times, want 1", merged, n)
+	}
+	if _, err := p3.OnWorkReceived(2, merged); err != nil {
+		t.Fatal(err)
+	}
+	for _, cm := range p3.OnIdle() {
+		if err := origin.OnControl(3, cm.Token); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !origin.Done() {
+		t.Fatal("origin not done after the handed-on credit came home")
+	}
+	if err := a.Err(); err != nil {
+		t.Fatalf("conservation violated across a hand-off: %v", err)
+	}
+	// The pre-merge share was absorbed into the merged token; delivering it
+	// as well would mint credit.
+	if _, err := p3.OnWorkReceived(2, pre); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Err(); err == nil || !strings.Contains(err.Error(), "forged") {
+		t.Fatalf("ingesting the pre-merge token: audit reports %v, want a forgery", err)
+	}
+}
+
 // TestAuditPassthroughNonWeighted: Dijkstra-Scholten detectors have no
 // conserved credit; Wrap must return them unchanged.
 func TestAuditPassthroughNonWeighted(t *testing.T) {

@@ -234,14 +234,20 @@ func diffMaker(t testing.TB) detectorMaker {
 }
 
 // The differential tests run every schedule the package has against the
-// dyadic detector and the big.Rat oracle at once (see diffDetector).
+// dyadic detector and the big.Rat oracle at once (see diffDetector), with
+// hand-offs on a seeded share of drains.
 func TestDifferentialRandomSchedules(t *testing.T) {
+	handedOff := 0
 	for seed := int64(0); seed < 64; seed++ {
-		execution(t, "dyadic vs big.Rat", diffMaker(t), seed, 2+int(seed)%8)
+		handedOff += execution(t, "dyadic vs big.Rat", diffMaker(t), seed, 2+int(seed)%8, 0.5)
 	}
+	if handedOff == 0 {
+		t.Fatal("no schedule handed credit off")
+	}
+	t.Logf("%d hand-offs across the schedules", handedOff)
 }
 
-func TestDifferentialSerialChain(t *testing.T) { serialChain(t, diffMaker(t), 270) }
+func TestDifferentialSerialChain(t *testing.T) { serialChain(t, diffMaker(t), 270, 0.5) }
 
 func TestDifferentialWideFanout(t *testing.T) { wideFanout(t, diffMaker(t), 200) }
 
@@ -284,7 +290,7 @@ func BenchmarkWeightedFanout(b *testing.B) {
 func BenchmarkWeightedChain(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		serialChain(b, ofMode(Weighted), 270)
+		serialChain(b, ofMode(Weighted), 270, 0)
 	}
 }
 

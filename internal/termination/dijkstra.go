@@ -54,6 +54,10 @@ func (d *ds) OnWorkReceived(from object.SiteID, _ []byte) ([]ControlMsg, error) 
 	return nil, nil
 }
 
+// HandOff declines: an engagement tree cannot move a parent's obligation
+// onto a child's message.
+func (d *ds) HandOff([]byte) ([]byte, bool, error) { return nil, false, nil }
+
 // OnIdle disengages when possible: at the root this is global termination;
 // elsewhere it acknowledges the parent.
 func (d *ds) OnIdle() []ControlMsg {

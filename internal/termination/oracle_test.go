@@ -49,6 +49,16 @@ func (w *ratWeighted) OnWorkReceived(_ object.SiteID, token []byte) ([]ControlMs
 	return nil, nil
 }
 
+func (w *ratWeighted) HandOff(token []byte) ([]byte, bool, error) {
+	c, err := decodeRat(token)
+	if err != nil {
+		return nil, false, err
+	}
+	c.Add(c, w.held)
+	w.held.SetInt64(0)
+	return encodeRat(c), true, nil
+}
+
 func (w *ratWeighted) OnIdle() []ControlMsg {
 	if w.held.Sign() == 0 {
 		return nil
@@ -200,6 +210,20 @@ func (d *diffDetector) OnWorkReceived(from object.SiteID, token []byte) ([]Contr
 	_, oerr := d.o.OnWorkReceived(from, otok)
 	d.agree("OnWorkReceived", err, oerr)
 	return nil, err
+}
+
+func (d *diffDetector) HandOff(token []byte) ([]byte, bool, error) {
+	tok, otok := d.unpack(token)
+	merged, ok, err := d.w.HandOff(tok)
+	omerged, ook, oerr := d.o.HandOff(otok)
+	d.agree("HandOff", err, oerr)
+	if ok != ook {
+		d.t.Fatalf("HandOff: ok %v, oracle %v", ok, ook)
+	}
+	if err != nil || !ok {
+		return nil, ok, err
+	}
+	return d.pack(merged, omerged), true, nil
 }
 
 func (d *diffDetector) OnIdle() []ControlMsg {

@@ -8,9 +8,11 @@
 //
 //   - Weighted: the weighted-message (credit) algorithm the paper's
 //     prototype implements. The originator starts with credit 1; every work
-//     message carries a share of the sender's credit; a site returns all
-//     held credit to the originator when its working set drains. Global
-//     termination holds exactly when the originator has recovered credit 1.
+//     message carries a share of the sender's credit; a site whose working
+//     set drains hands all held credit on with the last work message of that
+//     drain (HandOff), or returns it to the originator when the drain sent
+//     none. Global termination holds exactly when the originator has
+//     recovered credit 1.
 //     Credits only ever halve and add, so each is an exact dyadic rational,
 //     an odd mantissa over a power of two: detection is never spurious, and
 //     a split costs an exponent increment. A token is the exponent as a
@@ -73,6 +75,13 @@ type Detector interface {
 	// OnWorkReceived ingests the token of an arriving work message and may
 	// emit immediate control messages.
 	OnWorkReceived(from object.SiteID, token []byte) ([]ControlMsg, error)
+	// HandOff merges everything the detector holds into token, one OnSend
+	// emitted for a work message not yet sent, and returns the merged token
+	// to send in its place (ok). A site about to go idle calls it on its
+	// last outgoing work message, so its credit rides the work instead of
+	// returning home; OnIdle then has nothing to return. Detectors that
+	// cannot hand off report ok false and change nothing.
+	HandOff(token []byte) (merged []byte, ok bool, err error)
 	// OnIdle reports that the local working set is empty; it returns control
 	// messages to emit (credit returns, acknowledgements).
 	OnIdle() []ControlMsg
@@ -96,16 +105,20 @@ func Quiet(d Detector) bool {
 // ErrToken is the base error for malformed or impossible detection tokens.
 var ErrToken = errors.New("termination: bad token")
 
-// Metrics holds the detection counters a detector increments. Both fields
-// are nil-safe no-ops when unset, so the zero Metrics disables accounting.
+// Metrics holds the detection counters a detector increments. Every field
+// is a nil-safe no-op when unset, so the zero Metrics disables accounting.
 type Metrics struct {
 	// Splits counts weight splits: each work message that carries away a
 	// share of the sender's credit (or, for Dijkstra-Scholten, each message
 	// adding to the sender's deficit).
 	Splits *metrics.Counter
 	// Returns counts weight returns: credit flowing back toward the
-	// originator (or acknowledgements shrinking a deficit).
+	// originator (or acknowledgements shrinking a deficit). Credit handed
+	// on with work is not a return.
 	Returns *metrics.Counter
+	// HandOffs counts hand-offs: held credit merged onto an outgoing work
+	// message's token instead of being returned.
+	HandOffs *metrics.Counter
 }
 
 // New returns a detector of the given mode for site self processing a query

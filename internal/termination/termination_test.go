@@ -118,6 +118,96 @@ func TestDSTwoSiteExchange(t *testing.T) {
 	_ = acks
 }
 
+// participantHolding returns a participant that received 1/2 from a fresh
+// originator and split it once: it holds 1/4, and tok is the unsent 1/4.
+func participantHolding(t *testing.T, m Metrics) (origin, part *weighted, tok []byte) {
+	t.Helper()
+	origin, part = newWeighted(1, 1, Metrics{}), newWeighted(2, 1, m)
+	in, err := origin.OnSend(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := part.OnWorkReceived(1, in); err != nil {
+		t.Fatal(err)
+	}
+	if tok, err = part.OnSend(3); err != nil {
+		t.Fatal(err)
+	}
+	return origin, part, tok
+}
+
+func TestHandOffMergesHeldIntoToken(t *testing.T) {
+	reg := metrics.NewRegistry()
+	m := Metrics{Returns: reg.Counter("returns"), HandOffs: reg.Counter("handoffs")}
+	origin, part, tok := participantHolding(t, m)
+	merged, ok, err := part.HandOff(tok)
+	if err != nil || !ok {
+		t.Fatalf("HandOff = %v, %v", ok, err)
+	}
+	var got credit
+	if err := got.decode(merged); err != nil {
+		t.Fatalf("merged token %x does not decode: %v", merged, err)
+	}
+	if got.rat().Cmp(big.NewRat(1, 2)) != 0 { // token 1/4 + held 1/4
+		t.Errorf("merged token worth %v, want 1/2", &got)
+	}
+	if !Quiet(part) {
+		t.Errorf("participant still holds %v after handing off", &part.held)
+	}
+	if cms := part.OnIdle(); len(cms) != 0 {
+		t.Errorf("OnIdle after a hand-off returned %v", cms)
+	}
+	if m.HandOffs.Load() != 1 || m.Returns.Load() != 0 {
+		t.Errorf("handoffs %d returns %d, want 1 and 0", m.HandOffs.Load(), m.Returns.Load())
+	}
+	// The next site holds everything, and its return completes the query.
+	next := newWeighted(3, 1, Metrics{})
+	if _, err := next.OnWorkReceived(2, merged); err != nil {
+		t.Fatal(err)
+	}
+	origin.OnIdle()
+	for _, cm := range next.OnIdle() {
+		if err := origin.OnControl(3, cm.Token); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !origin.Done() {
+		t.Error("not done after the handed-on credit came home")
+	}
+}
+
+func TestHandOffRejectsMalformedToken(t *testing.T) {
+	for name, tok := range malformedTokens() {
+		_, part, _ := participantHolding(t, Metrics{})
+		if _, ok, err := part.HandOff(tok); ok || !errors.Is(err, ErrToken) {
+			t.Errorf("HandOff(%s %x) = %v, %v, want ErrToken", name, tok, ok, err)
+		}
+		if part.held.rat().Cmp(big.NewRat(1, 4)) != 0 {
+			t.Errorf("%s: a refused hand-off changed held to %v", name, &part.held)
+		}
+	}
+}
+
+func TestDSDeclinesHandOff(t *testing.T) {
+	root, leaf := newDS(1, 1, Metrics{}), newDS(2, 1, Metrics{})
+	if _, err := root.OnSend(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := leaf.OnWorkReceived(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	tok, err := leaf.OnSend(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged, ok, err := leaf.HandOff(tok); ok || err != nil || merged != nil {
+		t.Fatalf("DS HandOff = %x, %v, %v, want nil, false, nil", merged, ok, err)
+	}
+	if leaf.deficit != 1 || !leaf.engaged {
+		t.Errorf("declined hand-off changed the leaf: deficit %d engaged %v", leaf.deficit, leaf.engaged)
+	}
+}
+
 // detectorMaker builds the detector of site self for a query of origin.
 type detectorMaker func(self, origin object.SiteID) Detector
 
@@ -127,10 +217,15 @@ func ofMode(mode Mode) detectorMaker {
 
 // execution runs a randomized multi-site computation under one kind of
 // detector (mode names it in failures) and checks safety (Done never true
-// while activity remains) and liveness (Done eventually true).
-func execution(t *testing.T, mode any, mk detectorMaker, seed int64, sites int) {
+// while activity remains) and liveness (Done eventually true). A participant
+// that drains right after sending work hands its credit on with the last
+// message it sent in handOff of those drains, as the site layer does; the
+// number of hand-offs the detectors accepted is returned.
+func execution(t *testing.T, mode any, mk detectorMaker, seed int64, sites int, handOff float64) (handedOff int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
+	// A second stream, so the hand-off draws leave the schedule's alone.
+	handRng := rand.New(rand.NewSource(^seed))
 	origin := object.SiteID(1)
 	det := make(map[object.SiteID]Detector, sites)
 	work := make(map[object.SiteID]int, sites)
@@ -189,6 +284,7 @@ func execution(t *testing.T, mode any, mk detectorMaker, seed int64, sites int) 
 		// Choose: process a work unit or deliver a message.
 		if len(busy) > 0 && (len(inflight) == 0 || rng.Intn(2) == 0) {
 			id := busy[rng.Intn(len(busy))]
+			last := -1 // index in inflight of the work this step sent last
 			// While processing, possibly send new work to random sites.
 			if totalSent < 200 {
 				for k := rng.Intn(3); k > 0; k-- {
@@ -201,10 +297,24 @@ func execution(t *testing.T, mode any, mk detectorMaker, seed int64, sites int) 
 						t.Fatalf("mode %v seed %d: OnSend: %v", mode, seed, err)
 					}
 					inflight = append(inflight, msg{from: id, to: to, token: tok})
+					last = len(inflight) - 1
 					totalSent++
 				}
 			}
 			work[id]--
+			if work[id] == 0 && id != origin && last >= 0 && handRng.Float64() < handOff {
+				merged, ok, err := det[id].HandOff(inflight[last].token)
+				if err != nil {
+					t.Fatalf("mode %v seed %d: HandOff: %v", mode, seed, err)
+				}
+				if ok {
+					inflight[last].token = merged
+					handedOff++
+					if cms := det[id].OnIdle(); len(cms) != 0 {
+						t.Fatalf("mode %v seed %d: %d returns after a hand-off", mode, seed, len(cms))
+					}
+				}
+			}
 			idleCheck(id)
 		} else if len(inflight) > 0 {
 			i := rng.Intn(len(inflight))
@@ -229,24 +339,32 @@ func execution(t *testing.T, mode any, mk detectorMaker, seed int64, sites int) 
 	if !det[origin].Done() {
 		t.Fatalf("mode %v seed %d: never terminated (inflight=%d)", mode, seed, len(inflight))
 	}
+	return handedOff
 }
 
 func TestWeightedRandomExecutions(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
-		execution(t, Weighted, ofMode(Weighted), seed, 2+int(seed)%7)
+		execution(t, Weighted, ofMode(Weighted), seed, 2+int(seed)%7, 0)
 	}
 }
 
+// TestDSRandomExecutions offers hand-offs too: Dijkstra-Scholten declines
+// every one, and its acknowledgements still terminate the computation.
 func TestDSRandomExecutions(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
-		execution(t, DijkstraScholten, ofMode(DijkstraScholten), seed, 2+int(seed)%7)
+		if n := execution(t, DijkstraScholten, ofMode(DijkstraScholten), seed, 2+int(seed)%7, 0.5); n != 0 {
+			t.Fatalf("seed %d: Dijkstra-Scholten accepted %d hand-offs", seed, n)
+		}
 	}
 }
 
-// serialChain hands one credit share down depth sites in series, each
-// halving it and returning its own half, so denominators reach 2^depth and
-// the originator's recovered sum ends at exactly 1.
-func serialChain(t testing.TB, mk detectorMaker, depth int) {
+// serialChain hands one credit share down depth sites in series. Each site
+// halves it and returns its own half, so denominators reach 2^depth and the
+// originator's recovered sum ends at exactly 1 — except on the seeded
+// handOff share of hops, where the site hands its half on with the work
+// instead and the share travels undivided.
+func serialChain(t testing.TB, mk detectorMaker, depth int, handOff float64) {
+	rng := rand.New(rand.NewSource(int64(depth)))
 	origin := mk(1, 1)
 	tok, err := origin.OnSend(2)
 	if err != nil {
@@ -262,12 +380,22 @@ func serialChain(t testing.TB, mk detectorMaker, depth int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ret := site.OnIdle()
-		if len(ret) != 1 {
-			t.Fatalf("depth %d: returns = %v", i, ret)
+		wantReturns := 1
+		if rng.Float64() < handOff {
+			merged, ok, err := site.HandOff(next)
+			if err != nil || !ok {
+				t.Fatalf("depth %d: HandOff = %v, %v", i, ok, err)
+			}
+			next, wantReturns = merged, 0
 		}
-		if err := origin.OnControl(2, ret[0].Token); err != nil {
-			t.Fatal(err)
+		ret := site.OnIdle()
+		if len(ret) != wantReturns || !Quiet(site) {
+			t.Fatalf("depth %d: returns = %v, quiet %v", i, ret, Quiet(site))
+		}
+		for _, r := range ret {
+			if err := origin.OnControl(2, r.Token); err != nil {
+				t.Fatal(err)
+			}
 		}
 		tok = next
 	}
@@ -317,7 +445,7 @@ func wideFanout(t testing.TB, mk detectorMaker, width int) {
 	}
 }
 
-func TestDeepChainCreditsStayExact(t *testing.T) { serialChain(t, ofMode(Weighted), 300) }
+func TestDeepChainCreditsStayExact(t *testing.T) { serialChain(t, ofMode(Weighted), 300, 0) }
 
 func TestWideFanoutCreditsStayExact(t *testing.T) { wideFanout(t, ofMode(Weighted), 200) }
 

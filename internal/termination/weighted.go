@@ -167,6 +167,19 @@ func (w *weighted) OnWorkReceived(_ object.SiteID, token []byte) ([]ControlMsg, 
 	return nil, nil
 }
 
+// HandOff moves all held credit onto an outgoing work message's token, which
+// must be one this detector's OnSend emitted and that has not been sent yet.
+// The merged share travels with the work instead of returning home in a
+// Control of its own. On a malformed token held is left untouched.
+func (w *weighted) HandOff(token []byte) ([]byte, bool, error) {
+	if err := w.in.decode(token); err != nil {
+		return nil, false, err
+	}
+	w.in.absorb(&w.held)
+	w.m.HandOffs.Inc()
+	return w.in.encode(), true, nil
+}
+
 // OnIdle returns all held credit to the originator. At the originator itself
 // the credit moves directly to the recovered pool.
 func (w *weighted) OnIdle() []ControlMsg {

@@ -60,6 +60,9 @@ func EncodeTo(dst []byte, m Msg) []byte {
 		e.u64(uint64(m.Hop))
 		e.bytes(m.BodyHash)
 		e.u64(m.BudgetUS)
+		if len(m.Spans) > 0 {
+			e.spans(m.Spans)
+		}
 	case *Result:
 		e.qid(m.QID)
 		e.ids(m.IDs)
@@ -237,13 +240,17 @@ func decode(data []byte, borrow bool) (Msg, error) {
 		}
 		r.Token = d.bytes()
 		r.Hop = uint32(d.u64())
-		// Trailing, optional: frames predating the plan cache end here, and
-		// frames predating time budgets end after BodyHash.
+		// Trailing, optional: frames predating the plan cache end here,
+		// frames predating time budgets end after BodyHash, and frames
+		// without spans end after BudgetUS.
 		if d.err == nil && d.pos < len(d.buf) {
 			r.BodyHash = d.bytes()
 		}
 		if d.err == nil && d.pos < len(d.buf) {
 			r.BudgetUS = d.u64()
+		}
+		if d.err == nil && d.pos < len(d.buf) {
+			r.Spans = d.spans()
 		}
 		m = r
 	case KResult:

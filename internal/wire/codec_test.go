@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/hex"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -62,6 +63,17 @@ func TestRoundTripAllKinds(t *testing.T) {
 		QID: qid, Origin: 2, Body: "S -> T", BodyHash: hash,
 		ObjIDs: []object.ID{id1}, Token: []byte{8}, Hop: 1, BudgetUS: 750_000,
 	})
+	roundTrip(t, &Deref{
+		QID: qid, Origin: 2, Body: "S -> T", BodyHash: hash,
+		ObjIDs: []object.ID{id1}, Token: []byte{1, 1}, Hop: 3, BudgetUS: 750_000,
+		Spans: []Span{
+			{Site: 3, Seq: 1, Hop: 1, Filter: 0, In: 1, Out: 1, DurationUS: 12},
+			{Site: 5, Seq: 4, Hop: 2, Filter: 1, In: 2, Out: 0, DurationUS: 300},
+		},
+	})
+	// Spans without a budget: BudgetUS still occupies its byte.
+	roundTrip(t, &Deref{QID: qid, Origin: 2, ObjIDs: []object.ID{id2},
+		Spans: []Span{{Site: 4, Seq: 2, Hop: 5}}})
 	roundTrip(t, &Result{
 		QID: qid, IDs: []object.ID{id1},
 		Fetches: []FetchVal{
@@ -193,7 +205,8 @@ func TestDecodeTruncationsNeverPanic(t *testing.T) {
 		&Submit{QID: QueryID{1, 2}, Body: "S -> T", Initial: []object.ID{{Birth: 1, Seq: 2}},
 			BudgetUS: 500_000, ClientID: 9_000},
 		&Deref{QID: QueryID{1, 2}, Body: "S -> T", Iters: []int{1, 2}, Token: []byte{5},
-			BodyHash: make([]byte, 32), BudgetUS: 500_000},
+			BodyHash: make([]byte, 32), BudgetUS: 500_000,
+			Spans: []Span{{Site: 2, Seq: 1, Hop: 1, In: 1, Out: 1, DurationUS: 9}}},
 		&Seed{QID: QueryID{1, 2}, Body: "S -> T", FromQID: QueryID{1, 1}, Token: []byte{5},
 			BudgetUS: 500_000},
 		&Result{QID: QueryID{1, 2}, IDs: []object.ID{{Birth: 1, Seq: 2}},
@@ -204,14 +217,17 @@ func TestDecodeTruncationsNeverPanic(t *testing.T) {
 	}
 	for _, m := range msgs {
 		// Cuts exactly before an optional trailing field are, by design, valid
-		// older-generation frames: a Deref may legally end before BodyHash
-		// (pre-plan-cache) or before BudgetUS (pre-deadline), a Submit before
-		// ClientID (pre-fairness) or before BudgetUS, and a Seed before
-		// BudgetUS. Every other cut must error.
+		// older-generation frames: a Deref may legally end before Spans (no
+		// spans), before BudgetUS (pre-deadline) or before BodyHash
+		// (pre-plan-cache), a Submit before ClientID (pre-fairness) or before
+		// BudgetUS, and a Seed before BudgetUS. Every other cut must error.
 		var legacy []Msg
 		switch v := m.(type) {
 		case *Deref:
 			c := *v
+			c.Spans = nil
+			preSpans := c
+			legacy = append(legacy, &preSpans)
 			c.BudgetUS = 0
 			preBudget := c
 			legacy = append(legacy, &preBudget)
@@ -250,6 +266,54 @@ func TestDecodeTruncationsNeverPanic(t *testing.T) {
 				t.Errorf("%T truncated to %d bytes decoded successfully", m, n)
 			}
 		}
+	}
+}
+
+// TestDerefWithoutSpansEncodesAsBefore pins the bytes of a Deref carrying
+// every field but Spans: its encoding predates Spans and must not change, so
+// senders and receivers on either side of the field interoperate.
+func TestDerefWithoutSpansEncodesAsBefore(t *testing.T) {
+	m := &Deref{
+		QID: QueryID{Origin: 1, Seq: 7}, Origin: 1, Body: "S -> T",
+		ObjIDs: []object.ID{{Birth: 2, Seq: 9}}, Start: 1, Iters: []int{2},
+		Token: []byte{1, 1}, Hop: 3, BodyHash: []byte{0xAB, 0xCD}, BudgetUS: 300,
+	}
+	const want = "100107010653202d3e20540102090101020201010302abcdac02"
+	if got := hex.EncodeToString(Encode(m)); got != want {
+		t.Errorf("Deref without spans encodes as\n %s, want\n %s", got, want)
+	}
+	m.Spans = []Span{}
+	if got := hex.EncodeToString(Encode(m)); got != want {
+		t.Errorf("Deref with empty spans encodes as\n %s, want\n %s", got, want)
+	}
+}
+
+// TestDecodePreSpansDeref: a Deref frame that ends after BudgetUS — every
+// frame from before Spans existed, and every one sent without spans since —
+// decodes with Spans nil and every other field intact.
+func TestDecodePreSpansDeref(t *testing.T) {
+	full := &Deref{
+		QID: QueryID{Origin: 2, Seq: 42}, Origin: 2, Body: "S -> T",
+		ObjIDs: []object.ID{{Birth: 3, Seq: 7}}, Token: []byte{1, 1}, Hop: 2,
+		BodyHash: make([]byte, 32), BudgetUS: 123,
+		Spans: []Span{{Site: 3, Seq: 1, Hop: 1, In: 1, Out: 1, DurationUS: 5}},
+	}
+	pre := *full
+	pre.Spans = nil
+	data := Encode(full)
+	got, err := Decode(data[:len(Encode(&pre))])
+	if err != nil {
+		t.Fatalf("pre-spans Deref frame: %v", err)
+	}
+	d, ok := got.(*Deref)
+	if !ok {
+		t.Fatalf("decoded %T, want *Deref", got)
+	}
+	if d.Spans != nil {
+		t.Errorf("pre-spans frame decoded Spans = %v, want nil", d.Spans)
+	}
+	if !reflect.DeepEqual(d, &pre) {
+		t.Errorf("pre-spans frame decoded\n %#v, want\n %#v", d, &pre)
 	}
 }
 

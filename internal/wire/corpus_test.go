@@ -19,7 +19,8 @@ var updateCorpus = flag.Bool("update-corpus", false, "rewrite the committed fuzz
 // compatSeeds is the committed compatibility corpus: one named frame stream
 // per wire-format generation we promise to keep decoding. Each payload is a
 // message layout that once went over the wire — current layouts with the
-// trailing optionals present (ClientID, BudgetUS, BodyHash, Reason, Cum), the
+// trailing optionals present (ClientID, BudgetUS, BodyHash, Reason, Cum,
+// Deref Spans), the
 // truncated pre-optional layouts from before each field existed, and the
 // legacy single-id KDeref frame. go test loads these through FuzzFrame's
 // seed corpus, so the coverage survives CI fuzz-cache loss.
@@ -68,9 +69,19 @@ func compatSeeds() map[string][]byte {
 		"ack_pre_cumulative": ackZero[:len(ackZero)-1],
 	}
 
-	seeds := make(map[string][]byte, len(payloads)+len(cumulativeAcks))
+	derefSpans := map[string][]byte{
+		// A Deref handing credit on carries the spans that came with it.
+		"deref_spans": Encode(&Deref{QID: qid, Origin: 1, Body: "S -> T", ObjIDs: []object.ID{id},
+			Token: []byte{1, 1}, Hop: 4, BodyHash: []byte{0xAB, 0xCD}, BudgetUS: 99,
+			Spans: []Span{
+				{Site: 2, Seq: 1, Hop: 1, Filter: 0, In: 1, Out: 1, DurationUS: 40},
+				{Site: 3, Seq: 1, Hop: 2, Filter: 0, In: 1, Out: 0, DurationUS: 7},
+			}}),
+	}
+
+	seeds := make(map[string][]byte, len(payloads)+len(cumulativeAcks)+len(derefSpans))
 	var seq uint64
-	for _, generation := range []map[string][]byte{payloads, cumulativeAcks} {
+	for _, generation := range []map[string][]byte{payloads, cumulativeAcks, derefSpans} {
 		for _, name := range sortedKeys(generation) {
 			seq++
 			seeds[name] = AppendFrame(nil, Frame{From: 3, Epoch: 1, Seq: seq, Payload: generation[name]})

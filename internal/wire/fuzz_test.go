@@ -53,6 +53,9 @@ func FuzzDecode(f *testing.F) {
 		&Complete{QID: qid, Partial: true, Reason: "cancelled by client"},
 		&Submit{QID: qid, Client: 7, Body: "S -> T", ClientID: 42},
 		&Submit{QID: qid, Client: 7, Body: "S -> T", BudgetUS: 250_000, ClientID: 1 << 40},
+		&Deref{QID: qid, Origin: 1, Body: "S -> T", ObjIDs: []object.ID{id}, Token: []byte{1, 1}, Hop: 2,
+			BodyHash: []byte{0xAB}, BudgetUS: 99,
+			Spans: []Span{{Site: 2, Seq: 1, Hop: 1, In: 1, Out: 1, DurationUS: 40}}},
 	}
 	for _, m := range seeds {
 		f.Add(Encode(m))
@@ -123,6 +126,11 @@ func FuzzFrame(f *testing.F) {
 	f.Add(AppendFrame(nil, Frame{From: 1, Seq: 0}))   // unreliable, empty payload
 	f.Add(append(good, good...))                      // two frames back to back
 	f.Add([]byte{'H', 'F', 0, 2, 255, 255, 255, 255}) // huge length prefix
+	// A Deref carrying spans, as a site handing its credit on sends one.
+	f.Add(AppendFrame(nil, Frame{From: 2, Epoch: 1, Seq: 2, Payload: Encode(&Deref{
+		QID: QueryID{Origin: 1, Seq: 3}, Origin: 1, ObjIDs: []object.ID{{Birth: 2, Seq: 9}}, Token: []byte{1, 1},
+		Spans: []Span{{Site: 3, Seq: 2, Hop: 2, In: 1, DurationUS: 6}},
+	})}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)

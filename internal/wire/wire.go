@@ -103,9 +103,10 @@ func (k Kind) String() string {
 
 // Span is one cross-site trace record: while executing a query, each site
 // aggregates the objects it processed per filter step over a drain interval
-// and emits one span per (filter, interval). Spans ride on messages already
-// bound for the originator (Result and Control), which assembles them into a
-// single per-query timeline — tracing adds no messages of its own.
+// and emits one span per (filter, interval). Spans ride on messages the site
+// sends anyway — Result and Control to the originator, or the Deref that
+// carries its termination credit onward — and the originator assembles them
+// into a single per-query timeline: tracing adds no messages of its own.
 type Span struct {
 	// Site is where the work happened.
 	Site object.SiteID
@@ -189,7 +190,9 @@ type Deref struct {
 	Start  int
 	Iters  []int
 	// Token is the termination-detection payload (a credit share for the
-	// weighted-message algorithm; empty for Dijkstra-Scholten).
+	// weighted-message algorithm; empty for Dijkstra-Scholten). On the last
+	// Deref of a drain it carries everything the sender held, so the sender
+	// sends no credit return of its own.
 	Token []byte
 	// Hop is the trace context's dereference depth: the sender's own hop
 	// plus one. The receiving site stamps it on the spans it emits.
@@ -207,6 +210,13 @@ type Deref struct {
 	// every hop and one slow peer cannot pin resources cluster-wide.
 	// Trailing and optional, after BodyHash.
 	BudgetUS uint64
+	// Spans carries trace records toward the originator with the sender's
+	// termination credit: a site that drains by handing its credit on with
+	// this Deref hands on its unsent spans too, and the receiver forwards
+	// them the same way (or, at the originator, records them). Trailing and
+	// optional, after BudgetUS, and encoded only when non-empty, so a Deref
+	// without spans is byte-identical to the layout before the field existed.
+	Spans []Span
 }
 
 // Kind returns KDeref.
@@ -254,7 +264,7 @@ func (m *Result) Kind() Kind { return KResult }
 func (m *Result) Query() QueryID { return m.QID }
 
 // Control carries a standalone termination token (e.g. a Dijkstra-Scholten
-// ack, or a credit return with no results attached).
+// ack, or a credit return that no Result or Deref of the same drain carries).
 type Control struct {
 	QID   QueryID
 	Token []byte
