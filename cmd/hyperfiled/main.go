@@ -41,7 +41,6 @@ type config struct {
 	Save          string
 	ResultBatch   int
 	DistThreshold int
-	DerefBatch    int
 	PlanCache     int
 	Index         bool
 	TermMode      string
@@ -79,31 +78,7 @@ type config struct {
 
 func main() {
 	var cfg config
-	flag.UintVar(&cfg.SiteID, "site", 1, "this server's site id")
-	flag.StringVar(&cfg.Listen, "listen", "127.0.0.1:0", "listen address")
-	flag.StringVar(&cfg.Peers, "peers", "", "comma-separated peer list: id=host:port,...")
-	flag.StringVar(&cfg.Data, "data", "", "JSON-lines object file to load at startup")
-	flag.StringVar(&cfg.Save, "save", "", "write a snapshot of the store here on shutdown")
-	flag.IntVar(&cfg.ResultBatch, "result-batch", 0, "max result ids per message (0 = unbounded)")
-	flag.IntVar(&cfg.DistThreshold, "dist-threshold", 0, "distributed-set retention threshold (0 = off)")
-	flag.IntVar(&cfg.DerefBatch, "deref-batch", 0, "max object ids per outgoing Deref message, with sender-side duplicate suppression (0 = one per message)")
-	flag.IntVar(&cfg.PlanCache, "plan-cache", 0, "plan-cache entries: repeated query bodies reuse their compiled physical plan (0 = off)")
-	flag.BoolVar(&cfg.Index, "index", false, "maintain a keyword index and push exact-match selections down to it")
-	flag.StringVar(&cfg.TermMode, "termination", "weighted", "termination detector: weighted | dijkstra-scholten")
-	flag.IntVar(&cfg.MaxInflight, "max-inflight", 0, "max live query contexts before admission control kicks in (0 = unbounded)")
-	flag.IntVar(&cfg.AdmissionQueue, "admission-queue", 0, "Submits queued while at max-inflight before rejecting (0 = reject immediately)")
-	flag.DurationVar(&cfg.QueryDeadline, "query-deadline", 0, "default per-query time budget; expired queries return annotated partials (0 = none)")
-	flag.IntVar(&cfg.Workers, "workers", 0, "stepping-pool goroutines for this site (0 or 1 = single stepper)")
-	flag.IntVar(&cfg.FairQuantum, "fair-quantum", 0, "per-client deficit-round-robin step credits per turn (0 = FIFO scheduling)")
-	flag.StringVar(&cfg.MetricsAddr, "metrics-addr", "", "serve /debug/hyperfile and /debug/pprof/ on this address (empty = off)")
-	flag.DurationVar(&cfg.Heartbeat, "heartbeat", 0, "peer heartbeat interval (0 = no failure detector)")
-	flag.DurationVar(&cfg.SuspectAfter, "suspect-after", 0, "silence before a peer is declared down (default 4x heartbeat)")
-	flag.Int64Var(&cfg.ChaosSeed, "chaos-seed", 0, "fault-injection RNG seed (0 = from clock)")
-	flag.Float64Var(&cfg.ChaosDrop, "chaos-drop", 0, "probability of dropping an outbound frame")
-	flag.Float64Var(&cfg.ChaosDup, "chaos-dup", 0, "probability of duplicating an outbound frame")
-	flag.Float64Var(&cfg.ChaosDelay, "chaos-delay", 0, "probability of delaying an outbound frame")
-	flag.DurationVar(&cfg.ChaosMaxDelay, "chaos-max-delay", 10*time.Millisecond, "maximum injected delay")
-	flag.Float64Var(&cfg.ChaosReorder, "chaos-reorder", 0, "probability of reordering an outbound frame")
+	flags(&cfg, flag.CommandLine)
 	flag.Parse()
 
 	lg := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -113,6 +88,34 @@ func main() {
 		lg.Error("fatal", "err", err)
 		os.Exit(1)
 	}
+}
+
+// flags defines hyperfiled's command line on fs, bound to cfg.
+func flags(cfg *config, fs *flag.FlagSet) {
+	fs.UintVar(&cfg.SiteID, "site", 1, "this server's site id")
+	fs.StringVar(&cfg.Listen, "listen", "127.0.0.1:0", "listen address")
+	fs.StringVar(&cfg.Peers, "peers", "", "comma-separated peer list: id=host:port,...")
+	fs.StringVar(&cfg.Data, "data", "", "JSON-lines object file to load at startup")
+	fs.StringVar(&cfg.Save, "save", "", "write a snapshot of the store here on shutdown")
+	fs.IntVar(&cfg.ResultBatch, "result-batch", 0, "max result ids per message (0 = unbounded)")
+	fs.IntVar(&cfg.DistThreshold, "dist-threshold", 0, "distributed-set retention threshold (0 = off)")
+	fs.IntVar(&cfg.PlanCache, "plan-cache", 0, "plan-cache entries: repeated query bodies reuse their compiled physical plan (0 = off)")
+	fs.BoolVar(&cfg.Index, "index", false, "maintain a keyword index and push exact-match selections down to it")
+	fs.StringVar(&cfg.TermMode, "termination", "weighted", "termination detector: weighted | dijkstra-scholten")
+	fs.IntVar(&cfg.MaxInflight, "max-inflight", 0, "max live query contexts before admission control kicks in (0 = unbounded)")
+	fs.IntVar(&cfg.AdmissionQueue, "admission-queue", 0, "Submits queued while at max-inflight before rejecting (0 = reject immediately)")
+	fs.DurationVar(&cfg.QueryDeadline, "query-deadline", 0, "default per-query time budget; expired queries return annotated partials (0 = none)")
+	fs.IntVar(&cfg.Workers, "workers", 0, "stepping-pool goroutines for this site (0 or 1 = single stepper)")
+	fs.IntVar(&cfg.FairQuantum, "fair-quantum", 0, "per-client deficit-round-robin step credits per turn (0 = FIFO scheduling)")
+	fs.StringVar(&cfg.MetricsAddr, "metrics-addr", "", "serve /debug/hyperfile and /debug/pprof/ on this address (empty = off)")
+	fs.DurationVar(&cfg.Heartbeat, "heartbeat", 0, "peer heartbeat interval (0 = no failure detector)")
+	fs.DurationVar(&cfg.SuspectAfter, "suspect-after", 0, "silence before a peer is declared down (default 4x heartbeat)")
+	fs.Int64Var(&cfg.ChaosSeed, "chaos-seed", 0, "fault-injection RNG seed (0 = from clock)")
+	fs.Float64Var(&cfg.ChaosDrop, "chaos-drop", 0, "probability of dropping an outbound frame")
+	fs.Float64Var(&cfg.ChaosDup, "chaos-dup", 0, "probability of duplicating an outbound frame")
+	fs.Float64Var(&cfg.ChaosDelay, "chaos-delay", 0, "probability of delaying an outbound frame")
+	fs.DurationVar(&cfg.ChaosMaxDelay, "chaos-max-delay", 10*time.Millisecond, "maximum injected delay")
+	fs.Float64Var(&cfg.ChaosReorder, "chaos-reorder", 0, "probability of reordering an outbound frame")
 }
 
 // run starts the server and blocks until a signal arrives on stop. When
@@ -222,7 +225,7 @@ func run(cfg config, lg *slog.Logger, stop <-chan os.Signal, ready chan<- string
 	srv, err := server.NewOpts(site.Config{
 		ID: id, Store: st, Peers: peerIDs,
 		ResultBatch: cfg.ResultBatch, DistributedSetThreshold: cfg.DistThreshold,
-		DerefBatch: cfg.DerefBatch, TermMode: mode,
+		DerefBatch: site.DerefBatchSize, TermMode: mode,
 		Index: ix, PlanCacheSize: cfg.PlanCache,
 		MaxInflight: cfg.MaxInflight, AdmissionQueue: cfg.AdmissionQueue,
 		QueryDeadline: cfg.QueryDeadline,

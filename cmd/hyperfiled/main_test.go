@@ -1,9 +1,17 @@
 package main
 
 import (
+	"encoding/json"
+	"flag"
+	"fmt"
+	"io"
 	"log/slog"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -343,4 +351,157 @@ func TestParsePeers(t *testing.T) {
 			t.Errorf("parsePeers(%q): expected error", bad)
 		}
 	}
+}
+
+// TestDerefBatchFlagRemoved: batching is the protocol, not a switch.
+func TestDerefBatchFlagRemoved(t *testing.T) {
+	var cfg config
+	fs := flag.NewFlagSet("hyperfiled", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	flags(&cfg, fs)
+	err := fs.Parse([]string{"-deref-batch", "8"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("-deref-batch: err = %v, want an undefined-flag error", err)
+	}
+}
+
+// TestDefaultFlagClusterBatchesFanOut boots three hyperfiled sites over TCP
+// with only the deployment flags set, and runs a query whose root fans out
+// to eight objects on each other site. With no switch to turn it on, each
+// peer's share travels as one batched Deref: hf_deref_batched is positive
+// and more ids than messages were sent. The answer is exact.
+func TestDefaultFlagClusterBatchesFanOut(t *testing.T) {
+	const sites, fan = 3, 8
+	dir := t.TempDir()
+	write := func(s object.SiteID, objs []*object.Object) {
+		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("site-%d.jsonl", s)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if err := dump.Write(f, objs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hot := func(st *store.Store) *object.Object {
+		return st.NewObject().Add("keyword", object.Keyword("hot"), object.Value{})
+	}
+	// Site 1 holds only the root; every leaf is on another site. want lists
+	// the answer in the sorted order Complete uses.
+	root := hot(store.New(1))
+	want := []object.ID{root.ID}
+	for s := object.SiteID(2); s <= sites; s++ {
+		st := store.New(s)
+		var leaves []*object.Object
+		for i := 0; i < fan; i++ {
+			leaf := hot(st)
+			root.Add("Pointer", object.String("Ref"), object.Pointer(leaf.ID))
+			leaves = append(leaves, leaf)
+			want = append(want, leaf.ID)
+		}
+		write(s, leaves)
+	}
+	write(1, []*object.Object{root})
+
+	var addrs []string
+	var shutdown func()
+	for attempt := 1; ; attempt++ {
+		var err error
+		if addrs, shutdown, err = bootSites(t, dir, sites); err == nil {
+			break
+		} else if attempt == 3 {
+			t.Fatal(err)
+		}
+	}
+	defer shutdown()
+
+	cl, err := server.NewClient(500, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for i := 0; i < sites; i++ {
+		cl.AddServer(object.SiteID(i+1), addrs[i])
+	}
+	cm, err := cl.Exec(1, `S (Pointer, "Ref", ?X) ^^X (keyword, "hot", ?) -> T`, []object.ID{root.ID}, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cm.Partial || !slices.Equal(cm.IDs, want) {
+		t.Errorf("answer %v (partial %v), want %v", cm.IDs, cm.Partial, want)
+	}
+
+	resp, err := http.Get("http://" + addrs[sites] + "/debug/hyperfile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap server.DebugSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	c := snap.Metrics.Counters
+	if c["hf_deref_batched"] == 0 || c["site_deref_entries_sent"] <= c["site_derefs_sent"] {
+		t.Errorf("origin sent %d Derefs carrying %d ids, %d batched: want batches",
+			c["site_derefs_sent"], c["site_deref_entries_sent"], c["hf_deref_batched"])
+	}
+}
+
+// bootSites runs sites hyperfiled instances on dir's site-N.jsonl files and
+// returns their listen addresses followed by their metrics addresses, and a
+// function that shuts them all down. Every site must know its peers'
+// addresses before any of them boots, so each port is reserved on :0 and
+// released for its server to bind; another process can take a port in
+// between. A site that fails to boot stops the ones already up and the error
+// is returned, so the caller can retry on fresh ports.
+func bootSites(t *testing.T, dir string, sites int) ([]string, func(), error) {
+	addrs := make([]string, 2*sites)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = ln.Addr().String()
+		ln.Close()
+	}
+	lg := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelError}))
+	var stops []chan os.Signal
+	var dones []chan error
+	shutdown := func() {
+		for i := range stops {
+			stops[i] <- os.Interrupt
+			if err := <-dones[i]; err != nil {
+				t.Errorf("site %d: run returned %v", i+1, err)
+			}
+		}
+	}
+	for i := 0; i < sites; i++ {
+		var peers []string
+		for j := 0; j < sites; j++ {
+			if j != i {
+				peers = append(peers, fmt.Sprintf("%d=%s", j+1, addrs[j]))
+			}
+		}
+		var cfg config
+		fs := flag.NewFlagSet("hyperfiled", flag.ContinueOnError)
+		flags(&cfg, fs)
+		if err := fs.Parse([]string{
+			"-site", fmt.Sprint(i + 1), "-listen", addrs[i],
+			"-peers", strings.Join(peers, ","),
+			"-data", filepath.Join(dir, fmt.Sprintf("site-%d.jsonl", i+1)),
+			"-metrics-addr", addrs[sites+i],
+		}); err != nil {
+			t.Fatal(err)
+		}
+		stop, done, ready := make(chan os.Signal, 1), make(chan error, 1), make(chan string, 1)
+		go func() { done <- run(cfg, lg, stop, ready) }()
+		select {
+		case <-ready:
+			stops, dones = append(stops, stop), append(dones, done)
+		case err := <-done:
+			shutdown()
+			return nil, nil, fmt.Errorf("site %d exited early: %w", i+1, err)
+		}
+	}
+	return addrs, shutdown, nil
 }

@@ -400,14 +400,14 @@ func (srv *Server) take() (mail, bool) {
 	return m, true
 }
 
-// flushEvery bounds a burst: how many loop iterations — messages handled or
-// engine steps taken — may queue envelopes before the transport is flushed.
-// A storm of small messages then shares one write per peer, while the first
-// envelope of a burst waits at most this many steps (well under a
-// millisecond) for its write. A loop always flushes before it blocks, so a
-// lone message never waits at all.
-const flushEvery = 16
-
+// loop handles messages and steps the site, flushing the transport after
+// every site.FlushEvery iterations — messages handled or engine steps
+// taken. A storm of small messages then shares one write per peer, while the
+// first envelope of a burst waits at most that many iterations (well under a
+// millisecond) for its write. The site holds queued Derefs for at most as
+// many of a context's steps, so one number bounds how long outbound work
+// waits at a site. A loop always flushes before it blocks, so a lone message
+// never waits at all.
 func (srv *Server) loop() {
 	defer srv.wg.Done()
 	burst := 0 // iterations since the last flush
@@ -417,7 +417,7 @@ func (srv *Server) loop() {
 			return
 		default:
 		}
-		if burst >= flushEvery {
+		if burst >= site.FlushEvery {
 			srv.tr.Flush()
 			burst = 0
 		}
@@ -507,7 +507,7 @@ func (srv *Server) stepLoop(wake chan struct{}) {
 			return
 		}
 		srv.dispatch(envs)
-		if burst++; did && burst < flushEvery {
+		if burst++; did && burst < site.FlushEvery {
 			continue
 		}
 		srv.tr.Flush()

@@ -1,7 +1,7 @@
 package site
 
 import (
-	"fmt"
+	"slices"
 	"time"
 
 	"hyperfile/internal/engine"
@@ -10,20 +10,27 @@ import (
 	"hyperfile/internal/wire"
 )
 
-// Deref batching (Config.DerefBatch > 0).
+// Deref batching.
 //
 // The paper's dominant cost is per-message, not per-object: §5 charges
 // ~50 ms per remote dereference message against ~8 ms to process an object,
 // and the prototype already batches Result messages. Batching extends the
 // same idea to the forward path: each query context keeps one outgoing
 // queue per (destination, cursor) and coalesces remote references into
-// Deref messages of up to DerefBatch object ids. A queue is flushed when it
-// reaches the batch size, and afterEvent flushes every queue before the
-// detector's idle hook runs — queued work must either be on the wire
-// (carrying its credit share) or not exist by the time this site reports
-// itself idle, or the termination weights would no longer sum to 1. Each
-// batch message splits off a single credit share covering all of its
-// entries.
+// Deref messages of up to Config.DerefBatch object ids. A queue is flushed
+// on the first of three triggers:
+//   - cap: it reaches the batch size;
+//   - hold: its context has taken FlushEvery engine steps with queues since
+//     the last full flush, and every queue of the context ships, so no
+//     remote work waits behind a long local drain;
+//   - drain: afterEvent flushes every queue before the detector's idle hook
+//     runs — queued work must either be on the wire (carrying its credit
+//     share) or not exist by the time this site reports itself idle, or the
+//     termination weights would no longer sum to 1.
+//
+// Each batch message splits off a single credit share covering all of its
+// entries. With DerefBatch 0 every reference is a one-id queue flushed at
+// once: the paper's protocol, through the same emit path.
 //
 // The sent-cache mirrors the receivers' mark tables on the sender: a
 // receiver drops any (object, start) it has already processed for the
@@ -32,6 +39,17 @@ import (
 // lives in the qctx — and is released with the rest of the context state
 // when the query finishes here, so it cannot outlive the query.
 
+// DerefBatchSize is the batch size hyperfiled runs: at most this many object
+// ids per outgoing Deref message.
+const DerefBatchSize = 16
+
+// FlushEvery is how long outbound work may wait at a site, counted in loop
+// iterations. It bounds a transport burst — the server flushes its queued
+// frames after this many messages handled or steps taken — and a context's
+// deref hold: queued remote references ship after at most this many of the
+// context's engine steps.
+const FlushEvery = 16
+
 // sentKey identifies one dereference in the per-query index of the
 // GlobalMarks oracle: the query is implicit.
 type sentKey struct {
@@ -39,30 +57,13 @@ type sentKey struct {
 	start int
 }
 
-// batchKey groups queued remote references that may legally share one Deref
-// message: same destination and same cursor (start + iteration counters).
-type batchKey struct {
-	to    object.SiteID
-	start int
-	iters string
-}
-
-// derefQueue is one per-(destination, cursor) outgoing queue.
+// derefQueue is one per-(destination, cursor) outgoing queue: references
+// that may legally share one Deref message.
 type derefQueue struct {
 	to    object.SiteID
 	start int
 	iters []int
 	ids   []object.ID
-}
-
-// itersKey renders an iteration-counter slice as a map key. Iters are tiny
-// (one small int per nesting level), so the string form is cheap and
-// canonical.
-func itersKey(iters []int) string {
-	if len(iters) == 0 {
-		return ""
-	}
-	return fmt.Sprint(iters)
 }
 
 // sentBefore tests-and-sets the sent-cache for ref: a pooled packed-key set
@@ -77,67 +78,66 @@ func (ctx *qctx) sentBefore(ref engine.RemoteRef) bool {
 }
 
 // queueFor returns (creating if needed) the queue for a destination/cursor.
+// A context holds only the handful of queues of its current burst, so a
+// linear scan beats a map. The returned pointer is valid until the next
+// queueFor or full flush.
 func (ctx *qctx) queueFor(to object.SiteID, start int, iters []int) *derefQueue {
-	k := batchKey{to: to, start: start, iters: itersKey(iters)}
-	if q, ok := ctx.queues[k]; ok {
-		return q
+	for i := range ctx.qorder {
+		q := &ctx.qorder[i]
+		if q.to == to && q.start == start && slices.Equal(q.iters, iters) {
+			return q
+		}
 	}
-	if ctx.queues == nil {
-		ctx.queues = make(map[batchKey]*derefQueue)
-	}
-	q := &derefQueue{to: to, start: start, iters: append([]int(nil), iters...)}
-	ctx.queues[k] = q
-	ctx.qorder = append(ctx.qorder, q)
-	return q
+	ctx.qorder = append(ctx.qorder, derefQueue{to: to, start: start, iters: iters})
+	return &ctx.qorder[len(ctx.qorder)-1]
 }
 
-// emitDeref routes one remote reference out of the site: immediately as a
-// single-id Deref when batching is off (the paper's exact protocol), or
-// through the context's per-destination queue — flushing it if it reaches
-// the batch size — when Config.DerefBatch > 0.
-func (s *Site) emitDeref(ctx *qctx, ref engine.RemoteRef) ([]wire.Envelope, error) {
-	if s.cfg.DerefBatch <= 0 {
-		env, ok, err := s.sendDeref(ctx, ref)
-		if err != nil || !ok {
-			return nil, err
-		}
-		return []wire.Envelope{env}, nil
-	}
-	if ctx.sentBefore(ref) {
+// emitDeref routes one remote reference out of the site through the
+// context's per-destination queue, flushing the queue if it reaches the
+// batch size, and appends any Deref it ships to out. With DerefBatch 0 the
+// queue's cap is one and the sent-cache is skipped: the paper's exact
+// protocol. With the global-mark-table ablation active, a dereference anyone
+// already sent is suppressed.
+func (s *Site) emitDeref(ctx *qctx, ref engine.RemoteRef, out []wire.Envelope) ([]wire.Envelope, error) {
+	if s.cfg.DerefBatch > 0 && ctx.sentBefore(ref) {
 		s.stats.DerefsSuppressed++
 		s.met.derefsSuppressed.Inc()
-		return nil, nil
+		return out, nil
 	}
 	if s.cfg.GlobalMarks != nil && s.cfg.GlobalMarks.TestAndSet(ctx.qid, ref.ID, ref.Start) {
-		return nil, nil
+		return out, nil
 	}
 	owner, _ := s.cfg.Router.Owner(ref.ID)
+	if s.cfg.DerefBatch <= 0 {
+		// A one-id queue of its own: nothing else could join it.
+		return s.flushQueue(ctx, &derefQueue{to: owner, start: ref.Start, iters: ref.Iters, ids: []object.ID{ref.ID}}, out)
+	}
 	q := ctx.queueFor(owner, ref.Start, ref.Iters)
 	q.ids = append(q.ids, ref.ID)
 	if len(q.ids) >= s.cfg.DerefBatch {
-		return s.flushQueue(ctx, q)
+		return s.flushQueue(ctx, q, out)
 	}
-	return nil, nil
+	return out, nil
 }
 
-// flushQueue ships one queue as a single Deref message, splitting off one
-// credit share for the whole batch. A queue whose destination has been
-// declared dead is discarded and the peer recorded as unreachable — exactly
-// as sendDeref suppresses single sends to dead peers, and likewise before
-// OnSend so no credit is parked at a corpse.
-func (s *Site) flushQueue(ctx *qctx, q *derefQueue) ([]wire.Envelope, error) {
+// flushQueue ships one queue as a single Deref message appended to out,
+// splitting off one credit share for the whole batch. A queue whose
+// destination has been declared dead is discarded and the peer recorded as
+// unreachable — before OnSend, so no credit is parked at a corpse — and the
+// final answer is annotated.
+func (s *Site) flushQueue(ctx *qctx, q *derefQueue, out []wire.Envelope) ([]wire.Envelope, error) {
 	ids := q.ids
 	q.ids = nil
 	if len(ids) == 0 {
-		return nil, nil
+		return out, nil
 	}
 	if s.down[q.to] {
 		s.noteUnreachable(ctx, q.to)
-		return nil, nil
+		return out, nil
 	}
 	tok, err := ctx.det.OnSend(q.to)
 	if err != nil {
-		return nil, err
+		return out, err
 	}
 	if ctx.isOrigin {
 		ctx.engage(q.to)
@@ -151,28 +151,28 @@ func (s *Site) flushQueue(ctx *qctx, q *derefQueue) ([]wire.Envelope, error) {
 		s.stats.DerefsBatched++
 		s.met.derefsBatched.Inc()
 	}
-	return []wire.Envelope{{To: q.to, Msg: &wire.Deref{
+	return append(out, wire.Envelope{To: q.to, Msg: &wire.Deref{
 		QID: ctx.qid, Origin: ctx.origin, Body: ctx.body, BodyHash: ctx.fp.Bytes(),
 		ObjIDs: ids, Start: q.start, Iters: q.iters, Token: tok,
 		Hop: ctx.hop + 1, BudgetUS: ctx.budgetUS(time.Now()),
-	}}}, nil
+	}}), nil
 }
 
-// flushAllQueues drains every non-empty queue in creation order. afterEvent
-// calls it before the detector's idle hook so quiescence is never reported
-// with work still parked locally.
-func (s *Site) flushAllQueues(ctx *qctx) ([]wire.Envelope, error) {
-	if len(ctx.qorder) == 0 {
-		return nil, nil
-	}
-	var out []wire.Envelope
-	for _, q := range ctx.qorder {
-		envs, err := s.flushQueue(ctx, q)
-		if err != nil {
+// flushAllQueues ships every non-empty queue in creation order, appending the
+// Derefs to out, and empties the queue list while keeping its capacity for
+// the next burst. afterEvent calls it before the detector's idle hook so
+// quiescence is never reported with work still parked locally; Step calls it
+// when the context's hold runs out.
+func (s *Site) flushAllQueues(ctx *qctx, out []wire.Envelope) ([]wire.Envelope, error) {
+	for i := range ctx.qorder {
+		var err error
+		if out, err = s.flushQueue(ctx, &ctx.qorder[i], out); err != nil {
 			return out, err
 		}
-		out = append(out, envs...)
 	}
+	clear(ctx.qorder) // drop the shipped iters the backing array still references
+	ctx.qorder = ctx.qorder[:0]
+	ctx.held = 0
 	return out, nil
 }
 
@@ -183,7 +183,6 @@ func (s *Site) flushAllQueues(ctx *qctx) ([]wire.Envelope, error) {
 // reuse (a retained context answers seeds from ctx.retained only — it never
 // dereferences again).
 func (s *Site) releaseQueryResources(ctx *qctx) {
-	ctx.queues = nil
 	ctx.qorder = nil
 	if ctx.sent != nil {
 		packed.Put(ctx.sent)

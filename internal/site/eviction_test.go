@@ -129,7 +129,7 @@ func TestBatchingStateReleasedOnRetain(t *testing.T) {
 		if ctx == nil || !ctx.finished {
 			t.Fatalf("site %v: retained context missing or unfinished", id)
 		}
-		if ctx.sent != nil || ctx.queues != nil || ctx.qorder != nil {
+		if ctx.sent != nil || ctx.qorder != nil {
 			t.Errorf("site %v: batching state survived retention", id)
 		}
 		if n := ctx.eng.MarkCount(); n != 0 {

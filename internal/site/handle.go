@@ -169,11 +169,9 @@ func (s *Site) admitSubmit(m *wire.Submit, deadline time.Time) ([]wire.Envelope,
 				ctx.eng.AddInitial(id)
 				continue
 			}
-			envs, err := s.emitDeref(ctx, engine.RemoteRef{ID: id, Start: 0})
-			if err != nil {
+			if out, err = s.emitDeref(ctx, engine.RemoteRef{ID: id, Start: 0}, out); err != nil {
 				return out, err
 			}
-			out = append(out, envs...)
 		}
 	}
 	s.markReady(ctx)

@@ -212,7 +212,7 @@ func (s *Site) cancelOrigin(ctx *qctx, reason string) []wire.Envelope {
 		ctx.fetches = append(ctx.fetches, wire.FetchVal{Var: f.Var, From: f.From, Val: f.Val})
 	}
 	ctx.eng.DiscardWork()
-	ctx.queues, ctx.qorder = nil, nil
+	ctx.qorder = nil
 	ctx.timeline = append(ctx.timeline, s.takeSpans(ctx)...)
 	s.finishCtx(ctx)
 	s.stats.Completed++
@@ -258,7 +258,7 @@ func (s *Site) cancelParticipant(ctx *qctx) []wire.Envelope {
 	s.met.cancelled.Inc()
 	ctx.eng.DiscardWork()
 	ctx.eng.TakeResults()
-	ctx.queues, ctx.qorder = nil, nil
+	ctx.qorder = nil
 	s.finishCtx(ctx)
 	out := s.controlEnvelopes(ctx, ctx.det.OnIdle())
 	if termination.Quiet(ctx.det) {
@@ -278,7 +278,7 @@ func (s *Site) expireParticipant(ctx *qctx) ([]wire.Envelope, error) {
 	s.stats.DeadlineExpired++
 	s.met.deadlineExpired.Inc()
 	ctx.eng.DiscardWork()
-	ctx.queues, ctx.qorder = nil, nil
+	ctx.qorder = nil
 	s.noteUnreachable(ctx, s.cfg.ID)
 	out, err := s.afterEvent(ctx, nil)
 	if err != nil {

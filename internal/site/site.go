@@ -78,7 +78,8 @@ type Config struct {
 	// per-destination batches of up to this many object ids per Deref
 	// message, and enables the sender-side sent-cache that suppresses
 	// re-sends the destination's mark table would reject anyway. Zero keeps
-	// the paper's one-object-per-message protocol exactly.
+	// the paper's one-object-per-message protocol exactly; hyperfiled runs
+	// DerefBatchSize.
 	DerefBatch int
 	// TermAudit, when non-nil, wraps every query's termination detector in
 	// the conservation checker (test-only): the sum of held, recovered, and
@@ -299,14 +300,15 @@ type qctx struct {
 	fp         query.Fingerprint
 	planPinned bool
 
-	// Batched-deref state, active only with Config.DerefBatch > 0: queues
-	// holds the per-(destination, cursor) outgoing queues, qorder their
-	// creation order (flushes must be deterministic for the simulator), and
-	// sent the sender-side sent-cache mirroring the receivers' mark tables
-	// (a pooled packed-key set). All three are released when the query
-	// finishes at this site.
-	queues map[batchKey]*derefQueue
-	qorder []*derefQueue
+	// Batched-deref state, used only with Config.DerefBatch > 0: qorder
+	// holds the per-(destination, cursor) outgoing queues since the last full
+	// flush in creation order (flushes must be deterministic for the
+	// simulator), held counts the engine steps taken with queues since the
+	// last full flush, and sent is the sender-side sent-cache mirroring the
+	// receivers' mark tables (a pooled packed-key set). All are released when
+	// the query finishes at this site.
+	qorder []derefQueue
+	held   int
 	sent   *packed.Set
 
 	// engaged records the remote sites this originator context has sent

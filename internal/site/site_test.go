@@ -88,17 +88,21 @@ func (h *harness) pump() {
 	}
 }
 
-func (h *harness) exec(origin object.SiteID, qid uint64, body string, initial []object.ID) *wire.Complete {
+// submit hands a Submit for body to the originator and delivers its output.
+func (h *harness) submit(qid wire.QueryID, body string, initial []object.ID) {
 	h.t.Helper()
-	sub := &wire.Submit{
-		QID: wire.QueryID{Origin: origin, Seq: qid}, Client: client,
-		Body: body, Initial: initial,
-	}
-	out, err := h.sites[origin].HandleMessage(client, sub)
+	out, err := h.sites[qid.Origin].HandleMessage(client, &wire.Submit{
+		QID: qid, Client: client, Body: body, Initial: initial,
+	})
 	if err != nil {
 		h.t.Fatalf("submit: %v", err)
 	}
-	h.deliver(origin, out)
+	h.deliver(qid.Origin, out)
+}
+
+func (h *harness) exec(origin object.SiteID, qid uint64, body string, initial []object.ID) *wire.Complete {
+	h.t.Helper()
+	h.submit(wire.QueryID{Origin: origin, Seq: qid}, body, initial)
 	h.pump()
 	if len(h.completes) == 0 {
 		h.t.Fatalf("no completion")

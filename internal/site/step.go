@@ -97,14 +97,22 @@ func (s *Site) Step() (StepOutcome, []wire.Envelope, bool, error) {
 		return outcome, out, true, err
 	}
 	var out []wire.Envelope
+	var err error
 	for _, ref := range res.Remote {
-		envs, err := s.emitDeref(ctx, ref)
-		if err != nil {
+		if out, err = s.emitDeref(ctx, ref, out); err != nil {
 			return outcome, out, true, err
 		}
-		out = append(out, envs...)
 	}
-	out, err := s.afterEvent(ctx, out)
+	// The hold: after FlushEvery of this context's steps with queues since
+	// the last full flush, every queue ships, however long the local drain.
+	if len(ctx.qorder) > 0 {
+		if ctx.held++; ctx.held >= FlushEvery {
+			if out, err = s.flushAllQueues(ctx, out); err != nil {
+				return outcome, out, true, err
+			}
+		}
+	}
+	out, err = s.afterEvent(ctx, out)
 	// Requeue at the tail while work remains: contexts with work take
 	// strictly alternating turns (round-robin fairness).
 	s.markReady(ctx)
@@ -147,39 +155,6 @@ func (s *Site) nextWithWork() *qctx {
 	return nil
 }
 
-// sendDeref builds a Deref envelope for a remote reference, splitting off a
-// termination credit. With the global-mark-table ablation active, a
-// dereference anyone already sent is suppressed (ok = false). A dereference
-// to a peer declared dead is likewise suppressed — before OnSend, so no
-// credit is split off to park at a corpse — and the peer is recorded as
-// unreachable so the final answer is annotated.
-func (s *Site) sendDeref(ctx *qctx, ref engine.RemoteRef) (env wire.Envelope, ok bool, err error) {
-	if s.cfg.GlobalMarks != nil && s.cfg.GlobalMarks.TestAndSet(ctx.qid, ref.ID, ref.Start) {
-		return wire.Envelope{}, false, nil
-	}
-	owner, _ := s.cfg.Router.Owner(ref.ID)
-	if s.down[owner] {
-		s.noteUnreachable(ctx, owner)
-		return wire.Envelope{}, false, nil
-	}
-	tok, err := ctx.det.OnSend(owner)
-	if err != nil {
-		return wire.Envelope{}, false, err
-	}
-	if ctx.isOrigin {
-		ctx.engage(owner)
-	}
-	s.stats.DerefsSent++
-	s.stats.DerefEntriesSent++
-	s.met.derefsSent.Inc()
-	s.met.derefEntriesSent.Inc()
-	return wire.Envelope{To: owner, Msg: &wire.Deref{
-		QID: ctx.qid, Origin: ctx.origin, Body: ctx.body, BodyHash: ctx.fp.Bytes(),
-		ObjIDs: []object.ID{ref.ID}, Start: ref.Start, Iters: ref.Iters, Token: tok,
-		Hop: ctx.hop + 1, BudgetUS: ctx.budgetUS(time.Now()),
-	}}, true, nil
-}
-
 // afterEvent performs the on-drain duties whenever a context's working set
 // is empty: flush local results to the originator, run the detector's idle
 // hook, and — at the originator — check for global termination.
@@ -197,11 +172,10 @@ func (s *Site) afterEvent(ctx *qctx, out []wire.Envelope) ([]wire.Envelope, erro
 	// Going quiescent: every queued dereference must be on the wire (with
 	// its credit share) before the detector's idle hook reports this site
 	// drained, or the termination weights would not sum to 1.
-	flushed, err := s.flushAllQueues(ctx)
+	out, err := s.flushAllQueues(ctx, out)
 	if err != nil {
 		return out, err
 	}
-	out = append(out, flushed...)
 	results, fetches := ctx.eng.TakeResults()
 
 	if ctx.isOrigin {
