@@ -59,9 +59,9 @@ func (s *Stats) Add(other Stats) {
 type StepResult struct {
 	// Item is the item that was popped.
 	Item Item
-	// Processed is false when the item was skipped via the mark table or its
-	// object is not present locally.
-	Processed bool
+	// Processed is false when the item was skipped via the mark table
+	// (Skipped) or its object is not present locally (Missing).
+	Processed, Skipped, Missing bool
 	// Passed is true when the object passed every filter and joined the
 	// result set.
 	Passed bool
@@ -347,6 +347,7 @@ func (e *Engine) Step() (StepResult, bool) {
 	// the set of filter indices at which the object has been processed).
 	if e.marks.Test(it.ID, it.Start) {
 		e.stats.Skipped++
+		res.Skipped = true
 		e.emit(TraceEvent{ID: it.ID, Filter: -1, Action: TraceSkipped})
 		return res, true
 	}
@@ -355,6 +356,7 @@ func (e *Engine) Step() (StepResult, bool) {
 		// The object is gone (deleted or moved between naming and
 		// processing). Partial results are better than none: drop it.
 		e.stats.Missing++
+		res.Missing = true
 		e.emit(TraceEvent{ID: it.ID, Filter: -1, Action: TraceMissing})
 		return res, true
 	}
@@ -415,9 +417,9 @@ func (e *Engine) Run() Stats {
 
 // applySelect implements E for selection filters: the object passes if any
 // tuple matches all three patterns; bindings and fetches are applied for
-// every matching tuple. The physical operator supplies specialized matchers,
-// an optional index probe run ahead of the scan, and an early exit for
-// effect-free selections.
+// every matching tuple. The physical operator supplies the in-place tuple
+// matcher, an optional index probe run ahead of the scan, and an early exit
+// for effect-free selections.
 func (e *Engine) applySelect(op *plan.Op, obj *object.Object, it *Item, res *StepResult) bool {
 	if op.Probe != nil {
 		e.stats.IndexProbes++
@@ -449,19 +451,20 @@ func (e *Engine) applySelect(op *plan.Op, obj *object.Object, it *Item, res *Ste
 // effect-free selection stops at the first match — later matches could only
 // re-confirm the same boolean.
 func (e *Engine) scanSelect(op *plan.Op, obj *object.Object, it *Item, res *StepResult) bool {
-	sel := op.F.Sel
+	sel := &op.F.Sel
 	matched := false
-	for _, t := range obj.Tuples {
+	for i := range obj.Tuples {
+		t := &obj.Tuples[i]
 		e.stats.TuplesScanned++
-		if !op.MatchTuple(t, it.MVars) {
+		if !op.Match(t, it.MVars) {
 			continue
 		}
 		matched = true
 		if !op.HasEffects {
 			break
 		}
-		applyFieldEffects(sel.Key, t.Key, it, obj.ID, e, res)
-		applyFieldEffects(sel.Data, t.Data, it, obj.ID, e, res)
+		e.applyFieldEffects(&sel.Key, &t.Key, it, obj.ID, res)
+		e.applyFieldEffects(&sel.Data, &t.Data, it, obj.ID, res)
 	}
 	return matched
 }
@@ -480,12 +483,14 @@ func (e *Engine) applyFused(op *plan.Op, obj *object.Object, it *Item, res *Step
 	return e.applyDeref(e.p.Ops[it.Next].F, it, res)
 }
 
-func applyFieldEffects(p pattern.P, v object.Value, it *Item, from object.ID, e *Engine, res *StepResult) {
-	if name, ok := p.BindsVar(); ok {
-		it.MVars.Bind(name, v)
-	}
-	if name, ok := p.FetchesVar(); ok {
-		fe := Fetch{Var: name, From: from, Val: v}
+// applyFieldEffects binds or fetches the matched field *v as pattern *p asks;
+// the value is copied only when it is kept.
+func (e *Engine) applyFieldEffects(p *pattern.P, v *object.Value, it *Item, from object.ID, res *StepResult) {
+	switch p.Op {
+	case pattern.OpBind:
+		it.MVars.Bind(p.Var, *v)
+	case pattern.OpFetch:
+		fe := Fetch{Var: p.Var, From: from, Val: *v}
 		e.fetches = append(e.fetches, fe)
 		res.Fetches = append(res.Fetches, fe)
 		e.stats.Fetched++

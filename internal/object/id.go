@@ -10,6 +10,7 @@
 package object
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"strconv"
@@ -51,11 +52,15 @@ func (id ID) String() string {
 
 // Less imposes a total order on ids (birth site first, then sequence). It is
 // used to produce deterministic result listings.
-func (id ID) Less(other ID) bool {
-	if id.Birth != other.Birth {
-		return id.Birth < other.Birth
+func (id ID) Less(other ID) bool { return id.Compare(other) < 0 }
+
+// Compare is the same order as a three-way comparison (-1, 0, +1), the form
+// slices.SortFunc takes.
+func (id ID) Compare(other ID) int {
+	if c := cmp.Compare(id.Birth, other.Birth); c != 0 {
+		return c
 	}
-	return id.Seq < other.Seq
+	return cmp.Compare(id.Seq, other.Seq)
 }
 
 // ErrBadID is returned by ParseID for malformed id strings.

@@ -2,6 +2,7 @@ package object
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -185,7 +186,7 @@ func (s IDSet) Sorted() []ID {
 	for id := range s {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, ID.Compare)
 	return out
 }
 

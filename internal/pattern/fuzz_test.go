@@ -7,8 +7,9 @@ import (
 )
 
 // FuzzPattern throws arbitrary operators, literals, and values at the
-// matcher: Matches, String, BindsVar, and FetchesVar must never panic, and
-// Matches must be deterministic and side-effect free on the environment.
+// matcher: Match, String, BindsVar, and FetchesVar must never panic, and
+// Match must agree with the closure oracle, be deterministic, and leave the
+// environment untouched.
 func FuzzPattern(f *testing.F) {
 	f.Add(uint8(0), uint8(1), "hello", int64(0), 0.0, 1.0, "X", uint8(1), "hello world", int64(0), 0.5)
 	f.Add(uint8(1), uint8(2), "hot", int64(7), -1.0, 1.0, "Y", uint8(2), "hot", int64(7), 0.0)
@@ -73,13 +74,15 @@ func FuzzPattern(f *testing.F) {
 		env.Bind(varName, lit)
 		before := len(env.Lookup(varName))
 
-		m1 := p.Matches(val, env)
-		m2 := p.Matches(val, env.Clone())
-		if m1 != m2 {
-			t.Fatalf("Matches not deterministic: %v then %v for %v on %v", m1, m2, p, val)
+		m1 := p.Match(&val, env)
+		if want := oracle(p)(val, env); m1 != want {
+			t.Fatalf("Match = %v, closure oracle = %v for %v on %v", m1, want, p, val)
 		}
-		if got := len(env.Lookup(varName)); got != before {
-			t.Fatalf("Matches mutated the environment: %d bindings, had %d", got, before)
+		if m2 := p.Matches(val, env.Clone()); m1 != m2 {
+			t.Fatalf("Match not deterministic: %v then %v for %v on %v", m1, m2, p, val)
+		}
+		if got := len(env.Lookup(varName)); len(env) != 1 || got != before {
+			t.Fatalf("Match mutated the environment: %d vars / %d bindings, had 1 / %d", len(env), got, before)
 		}
 		_ = p.String()
 		if name, ok := p.BindsVar(); ok && name != varName {

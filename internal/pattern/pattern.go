@@ -137,32 +137,35 @@ func Use(name string) P { return P{Op: OpUse, Var: name} }
 // Fetch returns a retrieval pattern ("->name").
 func Fetch(name string) P { return P{Op: OpFetch, Var: name} }
 
-// Matches reports whether v satisfies the pattern under env. Matches is
+// Match reports whether *v satisfies the pattern under env. Match is
 // side-effect free: OpBind and OpFetch match like OpAny here; the caller
 // applies bindings/fetches only after the whole tuple matches, per the paper
 // ("the ?X adds the field value to the bindings for X if the tuple otherwise
 // matches").
-func (p P) Matches(v object.Value, env Env) bool {
+//
+// Both the pattern and the value are taken by pointer, and the operator is
+// dispatched by a switch rather than through a func value: a pointer handed
+// to a func value escapes, so a tuple matched through one would move to the
+// heap. This is the engine's per-tuple kernel.
+func (p *P) Match(v *object.Value, env Env) bool {
 	switch p.Op {
 	case OpAny, OpBind, OpFetch:
 		return true
 	case OpLiteral:
-		// Text literals match both strings and keywords: queries should not
-		// care which of the two text kinds an application stored.
-		if isText(p.Lit) && isText(v) {
-			return p.Lit.Str == v.Str
+		switch {
+		case isText(&p.Lit):
+			// Text literals match both strings and keywords: queries should
+			// not care which of the two text kinds an application stored.
+			return isText(v) && v.Str == p.Lit.Str
+		case p.Lit.IsNumeric():
+			return v.IsNumeric() && v.AsFloat() == p.Lit.AsFloat()
+		default:
+			return v.Equal(p.Lit)
 		}
-		return v.Equal(p.Lit)
 	case OpSubstring:
-		if v.Kind != object.KindString && v.Kind != object.KindKeyword {
-			return false
-		}
-		return strings.Contains(v.Str, p.Lit.Str)
+		return isText(v) && strings.Contains(v.Str, p.Lit.Str)
 	case OpRegex:
-		if v.Kind != object.KindString && v.Kind != object.KindKeyword {
-			return false
-		}
-		return p.re != nil && p.re.MatchString(v.Str)
+		return isText(v) && p.re != nil && p.re.MatchString(v.Str)
 	case OpRange:
 		if !v.IsNumeric() {
 			return false
@@ -171,7 +174,7 @@ func (p P) Matches(v object.Value, env Env) bool {
 		return f >= p.Lo && f <= p.Hi
 	case OpUse:
 		for _, b := range env.Lookup(p.Var) {
-			if b.Equal(v) {
+			if b.Equal(*v) {
 				return true
 			}
 		}
@@ -181,7 +184,10 @@ func (p P) Matches(v object.Value, env Env) bool {
 	}
 }
 
-func isText(v object.Value) bool {
+// Matches is Match for a value held by value.
+func (p P) Matches(v object.Value, env Env) bool { return p.Match(&v, env) }
+
+func isText(v *object.Value) bool {
 	return v.Kind == object.KindString || v.Kind == object.KindKeyword
 }
 
@@ -202,6 +208,39 @@ func (p P) FetchesVar() (string, bool) {
 	}
 	return "", false
 }
+
+// UsesVar reports whether the pattern tests against a matching variable's
+// current bindings ("$X"), returning the variable name. Such a pattern is
+// environment-dependent: its outcome can differ between tuples of the same
+// object as earlier tuples add bindings.
+func (p P) UsesVar() (string, bool) {
+	if p.Op == OpUse {
+		return p.Var, true
+	}
+	return "", false
+}
+
+// EffectFree reports whether matching the pattern has no side effects: it
+// neither binds a matching variable nor fetches a field value. A selection
+// whose field patterns are all effect-free can stop scanning tuples at the
+// first match.
+func (p P) EffectFree() bool {
+	return p.Op != OpBind && p.Op != OpFetch
+}
+
+// LiteralValue returns the literal a pattern compares against, for index
+// pushdown. Only OpLiteral patterns have one.
+func (p P) LiteralValue() (object.Value, bool) {
+	if p.Op == OpLiteral {
+		return p.Lit, true
+	}
+	return object.Value{}, false
+}
+
+// IsAny reports whether the pattern is the bare wildcard (no test, no
+// effects) — distinct from OpBind/OpFetch, which also match everything but
+// carry effects.
+func (p P) IsAny() bool { return p.Op == OpAny }
 
 // String renders the pattern in query syntax.
 func (p P) String() string {

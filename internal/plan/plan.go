@@ -1,14 +1,17 @@
 // Package plan is the physical-plan layer between query.Compiled and the
 // engine: plan.Build lowers the flat filter list F_1..F_n into an array of
-// executable operators with the per-tuple dispatch resolved once, at plan
-// time, instead of re-switched per tuple at run time.
+// executable operators, deciding once, at plan time, what each selection
+// needs at run time.
 //
 // Three lowerings happen here:
 //
-//   - Pattern specialization: each selection's field patterns compile to
-//     dedicated match funcs (literal equality, substring/regex/range "glob"
-//     tests, environment lookups), and effect-free selections are marked so
-//     the engine can stop scanning an object's tuples at the first match.
+//   - Selection classing: each selection is recorded as literal, glob
+//     (substring/regex/range), binding or env-dependent (hf_plan_ops_*), and
+//     effect-free selections are marked so the engine can stop scanning an
+//     object's tuples at the first match. Matching itself is one switch per
+//     field pattern, run on the tuple by pointer (Op.Match); there are no
+//     per-pattern closures, because a pointer handed to a func value escapes
+//     and would move every matched tuple to the heap.
 //
 //   - Index-aware selection pushdown: a selection whose type is a literal tag
 //     and whose key is an indexable literal resolves through the site's
@@ -90,8 +93,6 @@ type Op struct {
 
 	// Selection fields (Kind == query.FSelect).
 
-	// Key and Data are the specialized field matchers.
-	Key, Data pattern.FieldMatch
 	// Class records which specialization the selection compiled to.
 	Class MatchClass
 	// HasEffects reports that a matching tuple binds or fetches; without
@@ -111,11 +112,15 @@ type Op struct {
 	FuseDeref bool
 }
 
-// MatchTuple reports whether one tuple satisfies the selection under env,
-// with semantics identical to the generic triple pattern.Matches path.
-func (op *Op) MatchTuple(t object.Tuple, env pattern.Env) bool {
-	return op.F.Sel.Type.Matches(t.Type) && op.Key(t.Key, env) && op.Data(t.Data, env)
+// Match reports whether tuple *t satisfies the selection under env. The
+// tuple is matched in place: nothing is copied, and t does not escape.
+func (op *Op) Match(t *object.Tuple, env pattern.Env) bool {
+	sel := &op.F.Sel
+	return sel.Type.Matches(t.Type) && sel.Key.Match(&t.Key, env) && sel.Data.Match(&t.Data, env)
 }
+
+// MatchTuple is Match for a tuple held by value.
+func (op *Op) MatchTuple(t object.Tuple, env pattern.Env) bool { return op.Match(&t, env) }
 
 // Counts aggregates what a plan compiled to, for observability.
 type Counts struct {
@@ -204,11 +209,9 @@ func Build(c *query.Compiled, st *store.Store, ix *index.Keyword) *Plan {
 	return p
 }
 
-// buildSelect fills a selection operator: specialized matchers, class, and
-// (when an index is available) the pushdown probe.
+// buildSelect fills a selection operator: class, effects, and (when an index
+// is available) the pushdown probe.
 func buildSelect(op *Op, sel query.Select, ix *index.Keyword) {
-	op.Key = sel.Key.Compile()
-	op.Data = sel.Data.Compile()
 	op.HasEffects = !sel.Key.EffectFree() || !sel.Data.EffectFree()
 	op.Class = classify(sel)
 

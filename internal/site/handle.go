@@ -319,9 +319,7 @@ func (s *Site) handleResult(from object.SiteID, m *wire.Result) ([]wire.Envelope
 	s.stats.ResultsReceived++
 	s.met.resultsReceived.Inc()
 	ctx.ingestSpans(m.Spans)
-	for _, id := range m.IDs {
-		ctx.results.Add(id)
-	}
+	ctx.results = append(ctx.results, m.IDs...)
 	ctx.count += m.Count
 	ctx.fetches = append(ctx.fetches, m.Fetches...)
 	if m.Retained {

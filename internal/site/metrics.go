@@ -3,6 +3,7 @@ package site
 import (
 	"fmt"
 
+	"hyperfile/internal/engine"
 	"hyperfile/internal/metrics"
 	"hyperfile/internal/plan"
 )
@@ -172,9 +173,21 @@ func (m *siteMetrics) filterStep(i int) *metrics.Counter {
 	return m.filterSteps[i]
 }
 
-func d(post, pre int) uint64 {
-	if post <= pre {
-		return 0
+// noteStep feeds the step counters from one engine step's own report, so
+// each counter moves by exactly what the step added to the engine's Stats.
+func (m *siteMetrics) noteStep(res *engine.StepResult) {
+	m.steps.Inc()
+	m.localDerefs.Add(uint64(res.LocalSpawned))
+	if res.Processed {
+		m.processed.Inc()
 	}
-	return uint64(post - pre)
+	if res.Passed {
+		m.resultsAdded.Inc()
+	}
+	if res.Skipped {
+		m.marksSkipped.Inc()
+	}
+	if res.Missing {
+		m.missing.Inc()
+	}
 }

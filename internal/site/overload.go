@@ -182,9 +182,10 @@ func (ctx *qctx) noteBudget(budgetUS uint64, now time.Time) {
 }
 
 // checkDeadline expires ctx if its budget ran out, reporting whether it did
-// (an expired context must not be stepped or given work).
+// (an expired context must not be stepped or given work). A context with no
+// deadline returns before reading the clock: this runs on every step.
 func (s *Site) checkDeadline(ctx *qctx) ([]wire.Envelope, bool, error) {
-	if ctx.finished || !expired(ctx, time.Now()) {
+	if ctx.finished || ctx.deadline.IsZero() || !expired(ctx, time.Now()) {
 		return nil, false, nil
 	}
 	if ctx.isOrigin {
@@ -205,12 +206,7 @@ func (s *Site) cancelOrigin(ctx *qctx, reason string) []wire.Envelope {
 	if ctx.finished {
 		return nil
 	}
-	results, fetches := ctx.eng.TakeResults()
-	ctx.results.AddAll(results)
-	ctx.count += len(results)
-	for _, f := range fetches {
-		ctx.fetches = append(ctx.fetches, wire.FetchVal{Var: f.Var, From: f.From, Val: f.Val})
-	}
+	ctx.collectLocal()
 	ctx.eng.DiscardWork()
 	ctx.qorder = nil
 	ctx.timeline = append(ctx.timeline, s.takeSpans(ctx)...)
@@ -229,7 +225,7 @@ func (s *Site) cancelOrigin(ctx *qctx, reason string) []wire.Envelope {
 	s.recordTrace(ctx, spans, true)
 	out = append(out, wire.Envelope{To: ctx.client, Msg: &wire.Complete{
 		QID:         ctx.qid,
-		IDs:         ctx.results.Sorted(),
+		IDs:         ctx.answer(),
 		Fetches:     ctx.fetches,
 		Count:       ctx.count,
 		Distributed: ctx.distributed,

@@ -256,9 +256,10 @@ type qctx struct {
 	isOrigin bool
 	finished bool
 
-	// Originator-side accumulation.
+	// Originator-side accumulation. results collects ids unsorted and with
+	// repeats, as drains and Results arrive; answer sorts and dedups it once.
 	client      object.SiteID
-	results     object.IDSet
+	results     []object.ID
 	fetches     []wire.FetchVal
 	count       int
 	distributed bool
@@ -590,7 +591,6 @@ func (s *Site) newCtx(qid wire.QueryID, origin object.SiteID, body string, p *pl
 		fp:         fp,
 		planPinned: pinned,
 	}
-	ctx.results = make(object.IDSet)
 	ctx.created = time.Now()
 	ctx.hop = hop
 	if s.cfg.TermAudit != nil {

@@ -1,6 +1,7 @@
 package site
 
 import (
+	"slices"
 	"time"
 
 	"hyperfile/internal/engine"
@@ -52,7 +53,6 @@ func (s *Site) Step() (StepOutcome, []wire.Envelope, bool, error) {
 		}
 		return StepOutcome{Query: ctx.qid}, envs, true, err
 	}
-	pre := ctx.eng.Stats()
 	// The engine runs outside the site lock: workers stepping different
 	// contexts serialize only on site bookkeeping, not on filter evaluation.
 	// The pin (re-set here, in the same critical section as the pop) keeps
@@ -64,13 +64,7 @@ func (s *Site) Step() (StepOutcome, []wire.Envelope, bool, error) {
 	res, _ := ctx.eng.Step()
 	stepDur := time.Since(start)
 	s.mu.Lock()
-	post := ctx.eng.Stats()
-	s.met.steps.Inc()
-	s.met.processed.Add(d(post.Processed, pre.Processed))
-	s.met.resultsAdded.Add(d(post.Results, pre.Results))
-	s.met.marksSkipped.Add(d(post.Skipped, pre.Skipped))
-	s.met.missing.Add(d(post.Missing, pre.Missing))
-	s.met.localDerefs.Add(d(post.LocalDerefs, pre.LocalDerefs))
+	s.met.noteStep(&res)
 	s.met.stepUS.ObserveDuration(stepDur)
 	s.met.filterStep(res.Item.Start).Inc()
 	s.met.clientStep(ctx.fairClient).Inc()
@@ -176,16 +170,10 @@ func (s *Site) afterEvent(ctx *qctx, out []wire.Envelope) ([]wire.Envelope, erro
 	if err != nil {
 		return out, err
 	}
-	results, fetches := ctx.eng.TakeResults()
-
 	if ctx.isOrigin {
 		// The originator accumulates its own results — and its own trace
 		// spans — directly.
-		ctx.results.AddAll(results)
-		ctx.count += len(results)
-		for _, f := range fetches {
-			ctx.fetches = append(ctx.fetches, wire.FetchVal{Var: f.Var, From: f.From, Val: f.Val})
-		}
+		ctx.collectLocal()
 		ctx.timeline = append(ctx.timeline, s.takeSpans(ctx)...)
 		ctx.det.OnIdle() // recovers the originator's own credit internally
 		return s.checkDone(ctx, out)
@@ -201,6 +189,7 @@ func (s *Site) afterEvent(ctx *qctx, out []wire.Envelope) ([]wire.Envelope, erro
 	// last result message, the hand-off Deref, or an origin-bound control —
 	// tracing never adds a message of its own.
 	ctx.pendingSpans = append(ctx.pendingSpans, s.takeSpans(ctx)...)
+	results, fetches := ctx.eng.TakeResults()
 	msgs := s.buildResultMsgs(ctx, results, fetches)
 	if unr := s.takeUnreachable(ctx); len(unr) > 0 {
 		if len(msgs) == 0 {
@@ -351,9 +340,10 @@ func (s *Site) checkDone(ctx *qctx, out []wire.Envelope) ([]wire.Envelope, error
 	}
 	spans := s.assembleTimeline(ctx)
 	s.recordTrace(ctx, spans, len(unr) > 0)
+	ids := ctx.answer()
 	out = append(out, wire.Envelope{To: ctx.client, Msg: &wire.Complete{
 		QID:         ctx.qid,
-		IDs:         ctx.results.Sorted(),
+		IDs:         ids,
 		Fetches:     ctx.fetches,
 		Count:       ctx.count,
 		Distributed: ctx.distributed,
@@ -367,7 +357,7 @@ func (s *Site) checkDone(ctx *qctx, out []wire.Envelope) ([]wire.Envelope, error
 		// become the originator's retained portion for follow-up seeding.
 		// Everything else the finished query held — sent-cache, queues,
 		// global marks, the engine's mark table — is dead weight now.
-		ctx.retained = ctx.results.Sorted()
+		ctx.retained = ids
 		s.releaseQueryResources(ctx)
 	} else {
 		s.dropCtx(ctx.qid)
@@ -405,12 +395,7 @@ func (s *Site) abortLocked(qid wire.QueryID) []wire.Envelope {
 // unreachable sites; live peers are told to clean up.
 func (s *Site) forceComplete(ctx *qctx) []wire.Envelope {
 	// Sweep up whatever the local engine produced so far.
-	results, fetches := ctx.eng.TakeResults()
-	ctx.results.AddAll(results)
-	ctx.count += len(results)
-	for _, f := range fetches {
-		ctx.fetches = append(ctx.fetches, wire.FetchVal{Var: f.Var, From: f.From, Val: f.Val})
-	}
+	ctx.collectLocal()
 	s.finishCtx(ctx)
 	s.stats.Completed++
 	s.met.completed.Inc()
@@ -427,7 +412,7 @@ func (s *Site) forceComplete(ctx *qctx) []wire.Envelope {
 	s.recordTrace(ctx, spans, true)
 	out = append(out, wire.Envelope{To: ctx.client, Msg: &wire.Complete{
 		QID:         ctx.qid,
-		IDs:         ctx.results.Sorted(),
+		IDs:         ctx.answer(),
 		Fetches:     ctx.fetches,
 		Count:       ctx.count,
 		Distributed: ctx.distributed,
@@ -438,4 +423,28 @@ func (s *Site) forceComplete(ctx *qctx) []wire.Envelope {
 	}})
 	s.dropCtx(ctx.qid)
 	return out
+}
+
+// collectLocal folds the originator's own drained results and fetches into
+// the accumulated answer.
+func (ctx *qctx) collectLocal() {
+	results, fetches := ctx.eng.TakeResults()
+	for id := range results {
+		ctx.results = append(ctx.results, id)
+	}
+	ctx.count += len(results)
+	for _, f := range fetches {
+		ctx.fetches = append(ctx.fetches, wire.FetchVal{Var: f.Var, From: f.From, Val: f.Val})
+	}
+}
+
+// answer sorts and deduplicates the accumulated ids in place and returns
+// them: the Complete's IDs, in the order IDSet.Sorted gives. The slice is
+// clipped because the Complete (and ctx.retained) share it: an append by any
+// holder, such as a straggling Result at a draining context, must copy
+// rather than write into the array the others read.
+func (ctx *qctx) answer() []object.ID {
+	slices.SortFunc(ctx.results, object.ID.Compare)
+	ctx.results = slices.Clip(slices.Compact(ctx.results))
+	return ctx.results
 }
