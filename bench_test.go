@@ -110,12 +110,6 @@ func BenchmarkAblationMarkTable(b *testing.B) {
 	runExperiment(b, "A1", "local_time", "oracle_time", "saved_frac")
 }
 
-// BenchmarkAblationTermination compares weighted-credit and
-// Dijkstra-Scholten termination detection.
-func BenchmarkAblationTermination(b *testing.B) {
-	runExperiment(b, "A2", "weighted_time", "ds_time", "ds_controls")
-}
-
 // BenchmarkAblationIndex compares index lookups against query traversal.
 func BenchmarkAblationIndex(b *testing.B) {
 	runExperiment(b, "A3", "lookup_us", "traversal_us")

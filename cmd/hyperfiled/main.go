@@ -29,7 +29,6 @@ import (
 	"hyperfile/internal/server"
 	"hyperfile/internal/site"
 	"hyperfile/internal/store"
-	"hyperfile/internal/termination"
 )
 
 // config collects everything run needs; flags map onto it one to one.
@@ -43,7 +42,6 @@ type config struct {
 	DistThreshold int
 	PlanCache     int
 	Index         bool
-	TermMode      string
 
 	// Overload protection: bound live query contexts, queue (or reject)
 	// Submits past the bound, and impose a default per-query time budget.
@@ -101,7 +99,6 @@ func flags(cfg *config, fs *flag.FlagSet) {
 	fs.IntVar(&cfg.DistThreshold, "dist-threshold", 0, "distributed-set retention threshold (0 = off)")
 	fs.IntVar(&cfg.PlanCache, "plan-cache", 0, "plan-cache entries: repeated query bodies reuse their compiled physical plan (0 = off)")
 	fs.BoolVar(&cfg.Index, "index", false, "maintain a keyword index and push exact-match selections down to it")
-	fs.StringVar(&cfg.TermMode, "termination", "weighted", "termination detector: weighted | dijkstra-scholten")
 	fs.IntVar(&cfg.MaxInflight, "max-inflight", 0, "max live query contexts before admission control kicks in (0 = unbounded)")
 	fs.IntVar(&cfg.AdmissionQueue, "admission-queue", 0, "Submits queued while at max-inflight before rejecting (0 = reject immediately)")
 	fs.DurationVar(&cfg.QueryDeadline, "query-deadline", 0, "default per-query time budget; expired queries return annotated partials (0 = none)")
@@ -125,15 +122,6 @@ func run(cfg config, lg *slog.Logger, stop <-chan os.Signal, ready chan<- string
 	peers, err := parsePeers(cfg.Peers)
 	if err != nil {
 		return err
-	}
-	var mode termination.Mode
-	switch cfg.TermMode {
-	case "weighted":
-		mode = termination.Weighted
-	case "dijkstra-scholten", "ds":
-		mode = termination.DijkstraScholten
-	default:
-		return fmt.Errorf("unknown termination mode %q", cfg.TermMode)
 	}
 	for _, r := range []struct {
 		name string
@@ -222,15 +210,7 @@ func run(cfg config, lg *slog.Logger, stop <-chan os.Signal, ready chan<- string
 	for pid := range peers {
 		peerIDs = append(peerIDs, pid)
 	}
-	srv, err := server.NewOpts(site.Config{
-		ID: id, Store: st, Peers: peerIDs,
-		ResultBatch: cfg.ResultBatch, DistributedSetThreshold: cfg.DistThreshold,
-		DerefBatch: site.DerefBatchSize, TermMode: mode,
-		Index: ix, PlanCacheSize: cfg.PlanCache,
-		MaxInflight: cfg.MaxInflight, AdmissionQueue: cfg.AdmissionQueue,
-		QueryDeadline: cfg.QueryDeadline,
-		Workers:       cfg.Workers, FairQuantum: cfg.FairQuantum,
-	}, cfg.Listen, lg, opts)
+	srv, err := server.NewOpts(siteConfig(cfg, st, ix, peerIDs), cfg.Listen, lg, opts)
 	if err != nil {
 		return err
 	}
@@ -264,6 +244,20 @@ func run(cfg config, lg *slog.Logger, stop <-chan os.Signal, ready chan<- string
 		lg.Info("snapshot written", "file", cfg.Save, "objects", st.Len())
 	}
 	return nil
+}
+
+// siteConfig builds the site's configuration from the flags. Everything the
+// flags leave at their defaults stays at the site.Config zero value, which
+// site.New fills in with the production protocol.
+func siteConfig(cfg config, st *store.Store, ix *index.Keyword, peers []object.SiteID) site.Config {
+	return site.Config{
+		ID: object.SiteID(cfg.SiteID), Store: st, Peers: peers,
+		ResultBatch: cfg.ResultBatch, DistributedSetThreshold: cfg.DistThreshold,
+		Index: ix, PlanCacheSize: cfg.PlanCache,
+		MaxInflight: cfg.MaxInflight, AdmissionQueue: cfg.AdmissionQueue,
+		QueryDeadline: cfg.QueryDeadline,
+		Workers:       cfg.Workers, FairQuantum: cfg.FairQuantum,
+	}
 }
 
 // parsePeers parses "1=host:port,2=host:port".

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"hyperfile/internal/dump"
 	"hyperfile/internal/object"
 	"hyperfile/internal/server"
+	"hyperfile/internal/site"
 	"hyperfile/internal/store"
 )
 
@@ -51,7 +53,6 @@ func TestRunServeQueryShutdownSnapshot(t *testing.T) {
 	go func() {
 		done <- run(config{
 			SiteID: 1, Listen: "127.0.0.1:0", Data: dataPath, Save: savePath,
-			TermMode: "weighted",
 		}, lg, stop, ready)
 	}()
 	var addr string
@@ -96,7 +97,7 @@ func TestRunServeQueryShutdownSnapshot(t *testing.T) {
 func TestRunRejectsBadConfig(t *testing.T) {
 	lg := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelError}))
 	stop := make(chan os.Signal)
-	base := config{SiteID: 1, Listen: "127.0.0.1:0", TermMode: "weighted"}
+	base := config{SiteID: 1, Listen: "127.0.0.1:0"}
 	bad := base
 	bad.Peers = "bogus-peers"
 	if err := run(bad, lg, stop, nil); err == nil {
@@ -106,11 +107,6 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	bad.Data = "/nonexistent/data"
 	if err := run(bad, lg, stop, nil); err == nil {
 		t.Error("expected data-file error")
-	}
-	bad = base
-	bad.TermMode = "martian"
-	if err := run(bad, lg, stop, nil); err == nil {
-		t.Error("expected termination-mode error")
 	}
 	bad = base
 	bad.ChaosDrop = 2
@@ -191,7 +187,7 @@ func TestRunWorkerPoolFlags(t *testing.T) {
 	lg := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelError}))
 	go func() {
 		done <- run(config{
-			SiteID: 1, Listen: "127.0.0.1:0", Data: dataPath, TermMode: "weighted",
+			SiteID: 1, Listen: "127.0.0.1:0", Data: dataPath,
 			Workers: 4, FairQuantum: 2,
 		}, lg, stop, ready)
 	}()
@@ -248,7 +244,7 @@ func TestRunOverloadFlags(t *testing.T) {
 	lg := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelError}))
 	go func() {
 		done <- run(config{
-			SiteID: 1, Listen: "127.0.0.1:0", Data: dataPath, TermMode: "weighted",
+			SiteID: 1, Listen: "127.0.0.1:0", Data: dataPath,
 			MaxInflight: 4, AdmissionQueue: 8, QueryDeadline: 5 * time.Second,
 		}, lg, stop, ready)
 	}()
@@ -303,7 +299,7 @@ func TestRunWithChaosAndHeartbeat(t *testing.T) {
 	lg := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelError}))
 	go func() {
 		done <- run(config{
-			SiteID: 1, Listen: "127.0.0.1:0", Data: dataPath, TermMode: "weighted",
+			SiteID: 1, Listen: "127.0.0.1:0", Data: dataPath,
 			Heartbeat: 50 * time.Millisecond,
 			ChaosSeed: 99, ChaosDrop: 0.2, ChaosDup: 0.1,
 			ChaosDelay: 0.3, ChaosMaxDelay: 2 * time.Millisecond,
@@ -353,15 +349,39 @@ func TestParsePeers(t *testing.T) {
 	}
 }
 
-// TestDerefBatchFlagRemoved: batching is the protocol, not a switch.
+// TestDerefBatchFlagRemoved: batching is the protocol, not a switch, and
+// so is the weighted termination detector. Each removed flag is an error.
 func TestDerefBatchFlagRemoved(t *testing.T) {
+	for _, args := range [][]string{
+		{"-deref-batch", "8"},
+		{"-termination", "weighted"},
+	} {
+		var cfg config
+		fs := flag.NewFlagSet("hyperfiled", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		flags(&cfg, fs)
+		err := fs.Parse(args)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err = %v, want an undefined-flag error", args[0], err)
+		}
+	}
+}
+
+// TestSiteConfigFromDefaultFlags: with every flag at its default, hyperfiled
+// builds its site from the site.Config zero value plus identity, store and
+// peers, so site.New alone decides the production protocol.
+func TestSiteConfigFromDefaultFlags(t *testing.T) {
 	var cfg config
 	fs := flag.NewFlagSet("hyperfiled", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
 	flags(&cfg, fs)
-	err := fs.Parse([]string{"-deref-batch", "8"})
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
-		t.Errorf("-deref-batch: err = %v, want an undefined-flag error", err)
+	if err := fs.Parse([]string{"-site", "2"}); err != nil {
+		t.Fatal(err)
+	}
+	st := store.New(2)
+	peers := []object.SiteID{1, 3}
+	got := siteConfig(cfg, st, nil, peers)
+	if want := (site.Config{ID: 2, Store: st, Peers: peers}); !reflect.DeepEqual(got, want) {
+		t.Errorf("siteConfig from default flags = %+v, want %+v", got, want)
 	}
 }
 

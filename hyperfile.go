@@ -37,7 +37,6 @@ import (
 	"hyperfile/internal/sim"
 	"hyperfile/internal/site"
 	"hyperfile/internal/store"
-	"hyperfile/internal/termination"
 	"hyperfile/internal/wire"
 )
 
@@ -100,15 +99,6 @@ var (
 	NewIDSet = object.NewIDSet
 )
 
-// Termination algorithm selectors (Options.TermMode).
-const (
-	// TermWeighted is the weighted-message (credit) detector the paper's
-	// prototype implements.
-	TermWeighted = termination.Weighted
-	// TermDijkstraScholten is the diffusing-computation detector.
-	TermDijkstraScholten = termination.DijkstraScholten
-)
-
 // PaperCosts returns the cost model calibrated to the paper's measured
 // constants (8 ms/object, 20 ms/result, ~50 ms/remote message).
 func PaperCosts() CostModel { return sim.Paper() }
@@ -124,8 +114,9 @@ func NewCluster(n int, opts Options) *Cluster { return cluster.NewLocal(n, opts)
 // NewSimCluster builds a deterministic simulated cluster of n sites.
 func NewSimCluster(n int, opts Options) *SimCluster { return cluster.NewSim(n, opts) }
 
-// NewServer starts a TCP server for one site. store may be pre-loaded;
-// peers list the other sites. Pass logger nil for the default.
+// NewServer starts a TCP server for one site, running the protocol
+// hyperfiled runs. store may be pre-loaded; peers list the other sites. Pass
+// logger nil for the default.
 func NewServer(id SiteID, st *store.Store, peers []SiteID, addr string, logger *slog.Logger) (*Server, error) {
 	return server.New(site.Config{ID: id, Store: st, Peers: peers}, addr, logger)
 }

@@ -12,7 +12,6 @@ import (
 	"hyperfile/internal/object"
 	"hyperfile/internal/query"
 	"hyperfile/internal/store"
-	"hyperfile/internal/termination"
 	"hyperfile/internal/workload"
 )
 
@@ -50,34 +49,6 @@ func RunA1(cfg Config) (*Report, error) {
 	frac := saved / r.Values["local_derefs"]
 	r.addf("duplicate messages an ideal global table saves: %.0f (%.0f%%)", saved, frac*100)
 	r.set("saved_frac", frac)
-	return r, nil
-}
-
-// RunA2 compares the termination detectors: the weighted-message algorithm
-// piggybacks credits on existing traffic; Dijkstra-Scholten pays one
-// acknowledgement per work message.
-func RunA2(cfg Config) (*Report, error) {
-	r := newReport("A2", "weighted-credit vs Dijkstra-Scholten termination",
-		"the prototype implements the weighted-message algorithm")
-	for _, mode := range []termination.Mode{termination.Weighted, termination.DijkstraScholten} {
-		tb, err := newBed(cfg, 3, 3, cluster.Options{TermMode: mode})
-		if err != nil {
-			return nil, err
-		}
-		avg, err := tb.avgClosure(cfg, "Rand50", "Rand10")
-		if err != nil {
-			return nil, err
-		}
-		st := tb.c.TotalStats()
-		r.addf("%-18s: %6.2f s avg, %5d deref msgs, %5d control msgs",
-			mode, secs(avg), st.DerefsSent, st.ControlsSent)
-		key := "weighted"
-		if mode == termination.DijkstraScholten {
-			key = "ds"
-		}
-		r.set(key+"_time", secs(avg))
-		r.set(key+"_controls", float64(st.ControlsSent))
-	}
 	return r, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"hyperfile/internal/cluster"
 	"hyperfile/internal/fileserver"
 	"hyperfile/internal/object"
+	"hyperfile/internal/site"
 	"hyperfile/internal/store"
 	"hyperfile/internal/termination"
 	"hyperfile/internal/wire"
@@ -338,7 +339,7 @@ func RunE9(cfg Config) (*Report, error) {
 
 	// Build one dataset over plain stores shared by both systems.
 	stores := map[object.SiteID]*store.Store{}
-	c := cluster.NewSim(3, cluster.Options{Cost: cfg.Cost})
+	c := cluster.NewSim(3, cluster.Options{Cost: cfg.Cost, DerefBatch: site.Unbatched})
 	d, err := workload.Build(c, workload.Spec{
 		N: cfg.Objects, Machines: 3, Seed: cfg.Seed, PayloadBytes: payload,
 	})

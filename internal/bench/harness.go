@@ -15,6 +15,7 @@ import (
 	"hyperfile/internal/cluster"
 	"hyperfile/internal/object"
 	"hyperfile/internal/sim"
+	"hyperfile/internal/site"
 	"hyperfile/internal/workload"
 )
 
@@ -112,7 +113,6 @@ func All() []Experiment {
 		{"E8", "distributed result sets (section 5 refinement)", RunE8},
 		{"E9", "message cost vs the file-server baseline", RunE9},
 		{"A1", "ablation: local vs global (oracle) mark table", RunA1},
-		{"A2", "ablation: weighted-credit vs Dijkstra-Scholten termination", RunA2},
 		{"A3", "ablation: reachability+keyword index vs query traversal", RunA3},
 		{"A4", "ablation: breadth-first vs depth-first working set", RunA4},
 		{"A5", "ablation: shared-memory multiprocessor processing", RunA5},
@@ -155,9 +155,14 @@ type testbed struct {
 }
 
 // newBed builds a sim cluster of `machines` sites carrying a dataset whose
-// logical structure was generated for `structure` machines.
+// logical structure was generated for `structure` machines. The sites run
+// the paper's protocol, one object id per Deref (site.Unbatched), unless
+// opts sets a batch size: these experiments reproduce the paper's tables.
 func newBed(cfg Config, machines, structure int, opts cluster.Options) (*testbed, error) {
 	opts.Cost = cfg.Cost
+	if opts.DerefBatch == 0 {
+		opts.DerefBatch = site.Unbatched
+	}
 	c := cluster.NewSim(machines, opts)
 	d, err := workload.Build(c, workload.Spec{
 		N:                 cfg.Objects,

@@ -35,15 +35,14 @@ type Options struct {
 	Cost sim.CostModel
 	// Order is the working-set discipline for every site.
 	Order engine.Order
-	// TermMode selects the termination-detection algorithm.
-	TermMode termination.Mode
 	// ResultBatch caps ids per result message (0 = unbounded).
 	ResultBatch int
 	// DistributedSetThreshold enables the section-5 refinement (0 = off).
 	DistributedSetThreshold int
-	// DerefBatch coalesces outgoing remote dereferences into per-destination
-	// Deref messages of up to this many object ids, with sender-side
-	// duplicate suppression (0 = the paper's one-object-per-message protocol).
+	// DerefBatch caps the object ids per outgoing Deref message, with
+	// sender-side duplicate suppression (site.Config.DerefBatch): 0 is the
+	// production batch size, site.Unbatched the paper's
+	// one-object-per-message protocol.
 	DerefBatch int
 	// TermAudit, when non-nil, wraps every site's termination detectors in
 	// the conservation checker (test-only).
@@ -141,7 +140,6 @@ func siteConfig(id object.SiteID, all []object.SiteID, opts Options, marks *site
 		Directory:               dir,
 		Peers:                   peers,
 		Order:                   opts.Order,
-		TermMode:                opts.TermMode,
 		ResultBatch:             opts.ResultBatch,
 		DistributedSetThreshold: opts.DistributedSetThreshold,
 		DerefBatch:              opts.DerefBatch,

@@ -9,7 +9,7 @@ import (
 	"hyperfile/internal/chaos"
 	"hyperfile/internal/object"
 	"hyperfile/internal/sim"
-	"hyperfile/internal/termination"
+	"hyperfile/internal/site"
 	"hyperfile/internal/waitfor"
 )
 
@@ -179,16 +179,18 @@ func equalIntSets(a, b []int) bool {
 	return true
 }
 
-func TestSimBothTerminationModes(t *testing.T) {
-	for _, mode := range []termination.Mode{termination.Weighted, termination.DijkstraScholten} {
-		c := NewSim(3, Options{Cost: sim.Paper(), TermMode: mode})
+// TestSimBothProtocols: the paper's one-id-per-Deref protocol and the
+// production batched one give the same answer.
+func TestSimBothProtocols(t *testing.T) {
+	for _, batch := range []int{site.Unbatched, 0} {
+		c := NewSim(3, Options{Cost: sim.Paper(), DerefBatch: batch})
 		ids := loadRingSim(t, c, 24, []string{"hot", "cold"})
 		res, _, err := c.Exec(2, closureQuery, ids[:1])
 		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
+			t.Fatalf("DerefBatch %d: %v", batch, err)
 		}
 		if len(res.IDs) != 12 {
-			t.Errorf("mode %v: %d results, want 12", mode, len(res.IDs))
+			t.Errorf("DerefBatch %d: %d results, want 12", batch, len(res.IDs))
 		}
 	}
 }
@@ -453,20 +455,6 @@ func TestSimSeededWithoutRetention(t *testing.T) {
 	}
 	if res.Count != 0 {
 		t.Errorf("count = %d, want 0", res.Count)
-	}
-}
-
-// TestSimDownSiteWithDS: partial results also work under Dijkstra-Scholten.
-func TestSimDownSiteWithDS(t *testing.T) {
-	c := NewSim(3, Options{Cost: sim.Paper(), TermMode: termination.DijkstraScholten})
-	ids := loadRingSim(t, c, 12, []string{"hot"})
-	c.SetDown(2, true)
-	res, _, err := c.Exec(1, closureQuery, ids[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Partial {
-		t.Error("expected partial result")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"hyperfile/internal/chaos"
 	"hyperfile/internal/object"
 	"hyperfile/internal/sim"
+	"hyperfile/internal/site"
 	"hyperfile/internal/termination"
 	"hyperfile/internal/workload"
 )
@@ -116,7 +117,7 @@ func TestCrossTopologyBatchingEquivalence(t *testing.T) {
 			}
 			return c, d
 		}
-		plain, dPlain := build(0)
+		plain, dPlain := build(site.Unbatched)
 		batched, dBatched := build(batchSize)
 
 		// id -> logical index, for the cross-topology comparison.
@@ -128,7 +129,7 @@ func TestCrossTopologyBatchingEquivalence(t *testing.T) {
 		var locPlain, locBatched *LocalCluster
 		var dLocP, dLocB *workload.Dataset
 		if machines == 3 || machines == 9 {
-			locPlain = NewLocal(machines, Options{})
+			locPlain = NewLocal(machines, Options{DerefBatch: site.Unbatched})
 			defer locPlain.Close()
 			locBatched = NewLocal(machines, Options{DerefBatch: batchSize})
 			defer locBatched.Close()

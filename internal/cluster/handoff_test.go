@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"hyperfile/internal/object"
+	"hyperfile/internal/site"
 	"hyperfile/internal/termination"
 	"hyperfile/internal/wire"
 )
@@ -66,7 +67,7 @@ func TestSerialChainHandsCreditOn(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"plain", Options{}},
+		{"plain", Options{DerefBatch: site.Unbatched}},
 		{"deref-batch", Options{DerefBatch: 4}},
 		{"workers", Options{Workers: 2}},
 	} {

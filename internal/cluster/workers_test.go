@@ -11,6 +11,7 @@ import (
 	"hyperfile/internal/chaos"
 	"hyperfile/internal/object"
 	"hyperfile/internal/sim"
+	"hyperfile/internal/site"
 	"hyperfile/internal/termination"
 	"hyperfile/internal/workload"
 )
@@ -47,7 +48,7 @@ func TestWorkerPoolEquivalence(t *testing.T) {
 			}
 			return c, d
 		}
-		base, dBase := build("baseline", Options{Cost: sim.Free()})
+		base, dBase := build("baseline", Options{Cost: sim.Free(), DerefBatch: site.Unbatched})
 		audit := termination.NewAudit()
 		pooled, dPooled := build("workers=4", Options{
 			Cost: sim.Free(), Workers: 4, TermAudit: audit,

@@ -36,7 +36,7 @@ type CostModel struct {
 	// single-id Deref costs exactly RecvMsg, matching the unbatched protocol.
 	DerefItem time.Duration
 	// CtlSend/CtlRecv are the CPU shares for tiny control messages
-	// (termination credits, acknowledgements), much smaller than full
+	// (termination credit returns), much smaller than full
 	// dereference processing.
 	CtlSend time.Duration
 	CtlRecv time.Duration

@@ -142,7 +142,10 @@ type Failure struct {
 	DetectUS int64  `json:"detect_us,omitempty"`
 }
 
-// Exec selects the execution features layered over the paper-exact pipeline.
+// Exec selects the execution features of a scenario's sites; the zero Exec
+// runs the production configuration. DerefBatch is site.Config.DerefBatch:
+// 0 is the production batch size, a negative value the paper's
+// one-object-per-Deref protocol.
 type Exec struct {
 	Workers        int  `json:"workers,omitempty"`
 	DerefBatch     int  `json:"deref_batch,omitempty"`

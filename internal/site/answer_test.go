@@ -54,6 +54,9 @@ func TestOriginatorAnswerOnEveryPath(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			h := newHarness(t, 3, func(c *Config) {
+				// Each Deref must leave in the Submit's own output, so site 3's
+				// can be held back: the paper's protocol sends them at once.
+				c.DerefBatch = Unbatched
 				c.ResultBatch = 1
 				if tc.retain && c.ID == 3 {
 					c.DistributedSetThreshold = 1

@@ -29,7 +29,7 @@ import (
 //     termination weights would no longer sum to 1.
 //
 // Each batch message splits off a single credit share covering all of its
-// entries. With DerefBatch 0 every reference is a one-id queue flushed at
+// entries. Under Unbatched every reference is a one-id queue flushed at
 // once: the paper's protocol, through the same emit path.
 //
 // The sent-cache mirrors the receivers' mark tables on the sender: a
@@ -39,9 +39,16 @@ import (
 // lives in the qctx — and is released with the rest of the context state
 // when the query finishes here, so it cannot outlive the query.
 
-// DerefBatchSize is the batch size hyperfiled runs: at most this many object
-// ids per outgoing Deref message.
+// DerefBatchSize is the production batch size, what a zero
+// Config.DerefBatch means: at most this many object ids per outgoing Deref
+// message.
 const DerefBatchSize = 16
+
+// Unbatched, as Config.DerefBatch, selects the paper's protocol: one object
+// id per Deref message, sent at once, with no sent-cache. The experiments
+// that reproduce the paper's tables run it. Any negative value means the
+// same.
+const Unbatched = -1
 
 // FlushEvery is how long outbound work may wait at a site, counted in loop
 // iterations. It bounds a transport burst — the server flushes its queued
@@ -94,7 +101,7 @@ func (ctx *qctx) queueFor(to object.SiteID, start int, iters []int) *derefQueue 
 
 // emitDeref routes one remote reference out of the site through the
 // context's per-destination queue, flushing the queue if it reaches the
-// batch size, and appends any Deref it ships to out. With DerefBatch 0 the
+// batch size, and appends any Deref it ships to out. Under Unbatched the
 // queue's cap is one and the sent-cache is skipped: the paper's exact
 // protocol. With the global-mark-table ablation active, a dereference anyone
 // already sent is suppressed.

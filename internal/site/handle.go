@@ -6,7 +6,6 @@ import (
 
 	"hyperfile/internal/engine"
 	"hyperfile/internal/object"
-	"hyperfile/internal/termination"
 	"hyperfile/internal/wire"
 )
 
@@ -186,7 +185,7 @@ func (s *Site) handleDeref(from object.SiteID, m *wire.Deref) ([]wire.Envelope, 
 		// Bounce the termination payload instead of abandoning it: if the
 		// originator is draining a cancelled query, the return is what lets
 		// the drain complete.
-		return s.bounceToken(m.QID, from, m.Origin, m.Token), nil
+		return s.bounceToken(m.QID, m.Origin, m.Token), nil
 	}
 	ctx, err := s.ctxFor(m.QID, m.Origin, m.Body, m.BodyHash, m.Hop)
 	if err != nil {
@@ -195,9 +194,8 @@ func (s *Site) handleDeref(from object.SiteID, m *wire.Deref) ([]wire.Envelope, 
 	ctx.noteBudget(m.BudgetUS, time.Now())
 	s.stats.DerefsReceived++
 	s.met.derefsReceived.Inc()
-	out, err := s.ingestToken(ctx, from, m.Token)
-	if err != nil {
-		return out, err
+	if _, err := ctx.det.OnWorkReceived(from, m.Token); err != nil {
+		return nil, err
 	}
 	// Spans handed on with the sender's credit travel on with this site's.
 	if ctx.isOrigin {
@@ -207,7 +205,7 @@ func (s *Site) handleDeref(from object.SiteID, m *wire.Deref) ([]wire.Envelope, 
 	}
 	if ctx.finished {
 		// Late work for a finished (retained) query: nothing to process.
-		return s.afterEvent(ctx, out)
+		return s.afterEvent(ctx, nil)
 	}
 	// A batch's ids may have diverged since the sender grouped them: some
 	// live here, some have moved. Moved ones are forwarded, grouped per
@@ -231,6 +229,7 @@ func (s *Site) handleDeref(from object.SiteID, m *wire.Deref) ([]wire.Envelope, 
 		}
 		ctx.eng.Enqueue(engine.Item{ID: objID, Start: m.Start, Iters: m.Iters})
 	}
+	var out []wire.Envelope
 	for _, owner := range fwdOrder {
 		ids := fwd[owner]
 		tok, err := ctx.det.OnSend(owner)
@@ -259,7 +258,7 @@ func (s *Site) handleDeref(from object.SiteID, m *wire.Deref) ([]wire.Envelope, 
 // handleSeed seeds a context from the retained results of a previous query.
 func (s *Site) handleSeed(from object.SiteID, m *wire.Seed) ([]wire.Envelope, error) {
 	if s.tombstoned(m.QID) {
-		return s.bounceToken(m.QID, from, m.Origin, m.Token), nil
+		return s.bounceToken(m.QID, m.Origin, m.Token), nil
 	}
 	ctx, err := s.ctxFor(m.QID, m.Origin, m.Body, nil, m.Hop)
 	if err != nil {
@@ -268,40 +267,17 @@ func (s *Site) handleSeed(from object.SiteID, m *wire.Seed) ([]wire.Envelope, er
 	ctx.noteBudget(m.BudgetUS, time.Now())
 	s.stats.SeedsReceived++
 	s.met.seedsReceived.Inc()
-	out, err := s.ingestToken(ctx, from, m.Token)
-	if err != nil {
-		return out, err
+	if _, err := ctx.det.OnWorkReceived(from, m.Token); err != nil {
+		return nil, err
 	}
 	if prev, ok := s.contexts[m.FromQID]; ok {
 		ctx.eng.AddInitial(prev.retained...)
 	}
 	s.markReady(ctx)
 	if envs, did, err := s.checkDeadline(ctx); did || err != nil {
-		return append(out, envs...), err
+		return envs, err
 	}
-	return s.afterEvent(ctx, out)
-}
-
-// ingestToken runs the termination detector's work-received hook and wraps
-// any immediate control responses.
-func (s *Site) ingestToken(ctx *qctx, from object.SiteID, token []byte) ([]wire.Envelope, error) {
-	ctls, err := ctx.det.OnWorkReceived(from, token)
-	if err != nil {
-		return nil, err
-	}
-	return s.controlEnvelopes(ctx, ctls), nil
-}
-
-func (s *Site) controlEnvelopes(ctx *qctx, ctls []termination.ControlMsg) []wire.Envelope {
-	var out []wire.Envelope
-	for _, c := range ctls {
-		s.stats.ControlsSent++
-		s.met.controlsSent.Inc()
-		out = append(out, wire.Envelope{To: c.To, Msg: &wire.Control{
-			QID: ctx.qid, Token: c.Token,
-		}})
-	}
-	return out
+	return s.afterEvent(ctx, nil)
 }
 
 // handleResult installs a flush from a participant into the originator's

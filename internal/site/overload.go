@@ -29,14 +29,13 @@ import (
 	"time"
 
 	"hyperfile/internal/object"
-	"hyperfile/internal/termination"
 	"hyperfile/internal/wire"
 )
 
-// cancelDrainGrace bounds how long a cancelled or expired context may linger
-// to collect outstanding termination credit. A drain that cannot complete —
-// credit parked at a peer that died mid-cancel — is abandoned by the next
-// ExpireDeadlines sweep after the grace.
+// cancelDrainGrace bounds how long a cancelled or expired originator context
+// may linger to collect outstanding termination credit. A drain that cannot
+// complete — credit parked at a peer that died mid-cancel — is abandoned by
+// the next ExpireDeadlines sweep after the grace.
 const cancelDrainGrace = 5 * time.Second
 
 // pendingSubmit is one Submit waiting in the admission queue, with the
@@ -245,48 +244,43 @@ func (s *Site) cancelOrigin(ctx *qctx, reason string) []wire.Envelope {
 
 // cancelParticipant tears down a participant context on wire.Cancel: the
 // working set and local results are discarded (the originator has already
-// answered its client) and all held termination credit returns immediately.
-// The context is dropped as soon as the detector holds nothing — instantly
-// for the weighted algorithm; Dijkstra-Scholten participants with
-// unacknowledged messages of their own drain first.
+// answered its client), all held termination credit returns immediately,
+// and the context is dropped.
 func (s *Site) cancelParticipant(ctx *qctx) []wire.Envelope {
 	s.stats.Cancelled++
 	s.met.cancelled.Inc()
 	ctx.eng.DiscardWork()
 	ctx.eng.TakeResults()
 	ctx.qorder = nil
-	s.finishCtx(ctx)
-	out := s.controlEnvelopes(ctx, ctx.det.OnIdle())
-	if termination.Quiet(ctx.det) {
-		s.dropCtx(ctx.qid)
-	} else {
-		ctx.draining = true
-		ctx.drainUntil = time.Now().Add(cancelDrainGrace)
+	var out []wire.Envelope
+	for _, c := range ctx.det.OnIdle() {
+		s.stats.ControlsSent++
+		s.met.controlsSent.Inc()
+		out = append(out, wire.Envelope{To: c.To, Msg: &wire.Control{QID: ctx.qid, Token: c.Token}})
 	}
+	s.dropCtx(ctx.qid)
 	return out
 }
 
 // expireParticipant sheds a participant context whose budget ran out: the
 // results accumulated so far ship to the originator annotated with *this*
 // site in the unreachable set — the final answer names the site that shed
-// work — along with all held credit, and the context is torn down.
+// work — along with all held credit, and the context is dropped.
 func (s *Site) expireParticipant(ctx *qctx) ([]wire.Envelope, error) {
 	s.stats.DeadlineExpired++
 	s.met.deadlineExpired.Inc()
+	// DiscardWork waits out a step another worker has in flight. That worker
+	// finds the context gone when it relocks and sheds the step's output, so
+	// the drain below does not wait for its pin.
 	ctx.eng.DiscardWork()
+	ctx.stepping = false
 	ctx.qorder = nil
 	s.noteUnreachable(ctx, s.cfg.ID)
 	out, err := s.afterEvent(ctx, nil)
 	if err != nil {
 		return out, err
 	}
-	s.finishCtx(ctx)
-	if termination.Quiet(ctx.det) {
-		s.dropCtx(ctx.qid)
-	} else {
-		ctx.draining = true
-		ctx.drainUntil = time.Now().Add(cancelDrainGrace)
-	}
+	s.dropCtx(ctx.qid)
 	return out, nil
 }
 
@@ -327,22 +321,10 @@ func (s *Site) handleCancel(m *wire.Cancel) ([]wire.Envelope, error) {
 }
 
 // bounceToken handles the termination payload of a work message that arrived
-// for a tombstoned query: the weighted algorithm's credit share is returned
-// to the originator unchanged (if it is draining a cancelled query, these
-// returns are what let the drain complete; if it is long gone, it drops the
-// stray Control). Dijkstra-Scholten work carries no token — the sender is
-// acknowledged instead, shrinking its deficit.
-func (s *Site) bounceToken(qid wire.QueryID, from, origin object.SiteID, token []byte) []wire.Envelope {
-	if s.cfg.TermMode == termination.DijkstraScholten {
-		if from == s.cfg.ID {
-			// lint:ignore creditflow Dijkstra-Scholten work carries no weighted token; a self-addressed stray needs no ack either
-			return nil
-		}
-		s.stats.ControlsSent++
-		s.met.controlsSent.Inc()
-		// lint:ignore creditflow Dijkstra-Scholten work carries no weighted token; the ack Control below returns the credit in deficit form
-		return []wire.Envelope{{To: from, Msg: &wire.Control{QID: qid}}}
-	}
+// for a tombstoned query: the credit share is returned to the originator
+// unchanged (if it is draining a cancelled query, these returns are what let
+// the drain complete; if it is long gone, it drops the stray Control).
+func (s *Site) bounceToken(qid wire.QueryID, origin object.SiteID, token []byte) []wire.Envelope {
 	if len(token) == 0 {
 		return nil
 	}
@@ -351,18 +333,12 @@ func (s *Site) bounceToken(qid wire.QueryID, from, origin object.SiteID, token [
 	return []wire.Envelope{{To: origin, Msg: &wire.Control{QID: qid, Token: token}}}
 }
 
-// drainEvent advances a draining context after a message event: newly
-// ingested credit is returned (participants) or banked (originator), and
-// the context is dropped once the detector holds nothing more.
+// drainEvent advances a draining originator after a message event: newly
+// arrived credit is banked, and the context is dropped once all of it is
+// home.
 func (s *Site) drainEvent(ctx *qctx, out []wire.Envelope) []wire.Envelope {
-	out = append(out, s.controlEnvelopes(ctx, ctx.det.OnIdle())...)
-	if ctx.isOrigin {
-		if ctx.det.Done() {
-			s.dropCtx(ctx.qid)
-		}
-		return out
-	}
-	if termination.Quiet(ctx.det) {
+	ctx.det.OnIdle()
+	if ctx.det.Done() {
 		s.dropCtx(ctx.qid)
 	}
 	return out
@@ -389,9 +365,9 @@ func (s *Site) ExpireDeadlines() ([]wire.Envelope, error) {
 		}
 		if ctx.draining {
 			if now.After(ctx.drainUntil) {
-				// The drain cannot complete — credit or acknowledgements
-				// parked at a peer that died mid-cancel. Abandon it rather
-				// than hold the context forever.
+				// The drain cannot complete — credit parked at a peer that
+				// died mid-cancel. Abandon it rather than hold the context
+				// forever.
 				s.dropCtx(qid)
 			}
 			continue

@@ -1,6 +1,7 @@
 package site
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -275,6 +276,48 @@ func TestCancelParticipantReturnsCredit(t *testing.T) {
 	}
 	if st := h.sites[2].Stats(); st.Cancelled != 1 {
 		t.Errorf("participant cancelled = %d, want 1", st.Cancelled)
+	}
+}
+
+// TestExpirePinnedParticipantReturnsCredit: a participant's budget runs out
+// while another worker has the context pinned mid-step. The sweep still
+// returns the participant's credit and drops the context at once, so the
+// originator completes without waiting for that worker.
+func TestExpirePinnedParticipantReturnsCredit(t *testing.T) {
+	aud := termination.NewAudit()
+	h := newHarness(t, 2, func(c *Config) { c.TermAudit = aud })
+	remote := h.store(2).NewObject().Add("keyword", object.Keyword("hot"), object.Value{})
+	if err := h.store(2).Put(remote); err != nil {
+		t.Fatal(err)
+	}
+	qid := wire.QueryID{Origin: 1, Seq: 1}
+	out, err := h.sites[1].HandleMessage(client, &wire.Submit{
+		QID: qid, Client: client,
+		Body: `S (keyword, "hot", ?) -> T`, Initial: []object.ID{remote.ID},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.deliver(1, out) // participant context now holds work and credit
+	ctx := h.sites[2].contexts[qid]
+	ctx.stepping = true
+	ctx.deadline = time.Now().Add(-time.Second)
+	envs, err := h.sites[2].ExpireDeadlines()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.sites[2].Contexts() != 0 {
+		t.Errorf("expired participant context not dropped")
+	}
+	h.deliver(2, envs)
+	if len(h.completes) != 1 || h.sites[1].Contexts() != 0 {
+		t.Fatalf("originator did not complete: %d completions, %d contexts", len(h.completes), h.sites[1].Contexts())
+	}
+	if cm := h.completes[0]; !cm.Partial || !slices.Equal(cm.Unreachable, []object.SiteID{2}) {
+		t.Errorf("partial %v unreachable %v, want a partial naming s2", cm.Partial, cm.Unreachable)
+	}
+	if err := aud.Err(); err != nil {
+		t.Errorf("credit conservation violated: %v", err)
 	}
 }
 

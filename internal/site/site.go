@@ -66,20 +66,18 @@ type Config struct {
 	Peers []object.SiteID
 	// Order is the working-set discipline.
 	Order engine.Order
-	// TermMode selects the termination-detection algorithm.
-	TermMode termination.Mode
 	// ResultBatch caps ids per Result message; 0 means unbounded.
 	ResultBatch int
 	// DistributedSetThreshold, when positive, makes a participant withhold
 	// its local result ids and report only a count whenever a drain yields
 	// more than this many results (the paper's distributed-set refinement).
 	DistributedSetThreshold int
-	// DerefBatch, when positive, coalesces outgoing remote dereferences into
-	// per-destination batches of up to this many object ids per Deref
-	// message, and enables the sender-side sent-cache that suppresses
-	// re-sends the destination's mark table would reject anyway. Zero keeps
-	// the paper's one-object-per-message protocol exactly; hyperfiled runs
-	// DerefBatchSize.
+	// DerefBatch caps the object ids per outgoing Deref message: remote
+	// dereferences coalesce into per-destination batches, and a sender-side
+	// sent-cache suppresses re-sends the destination's mark table would
+	// reject anyway. Zero means DerefBatchSize, the protocol hyperfiled runs;
+	// Unbatched (any negative value) is the paper's one-object-per-message
+	// protocol exactly.
 	DerefBatch int
 	// TermAudit, when non-nil, wraps every query's termination detector in
 	// the conservation checker (test-only): the sum of held, recovered, and
@@ -287,10 +285,10 @@ type qctx struct {
 	// cancels the query (originator) or sheds the context after returning
 	// its credit (participant).
 	deadline time.Time
-	// draining marks a finished context kept only to collect outstanding
-	// termination credit (origin side of a cancel) or to settle remaining
-	// acknowledgements (Dijkstra-Scholten participants). drainUntil bounds
-	// the wait; a drain that cannot complete is abandoned there.
+	// draining marks a finished originator context kept only to collect
+	// outstanding termination credit after a cancel or expiry; participants
+	// never drain. drainUntil bounds the wait; a drain that cannot complete
+	// is abandoned there.
 	draining   bool
 	drainUntil time.Time
 
@@ -301,13 +299,13 @@ type qctx struct {
 	fp         query.Fingerprint
 	planPinned bool
 
-	// Batched-deref state, used only with Config.DerefBatch > 0: qorder
-	// holds the per-(destination, cursor) outgoing queues since the last full
-	// flush in creation order (flushes must be deterministic for the
-	// simulator), held counts the engine steps taken with queues since the
-	// last full flush, and sent is the sender-side sent-cache mirroring the
-	// receivers' mark tables (a pooled packed-key set). All are released when
-	// the query finishes at this site.
+	// Batched-deref state, unused under Unbatched: qorder holds the
+	// per-(destination, cursor) outgoing queues since the last full flush in
+	// creation order (flushes must be deterministic for the simulator), held
+	// counts the engine steps taken with queues since the last full flush,
+	// and sent is the sender-side sent-cache mirroring the receivers' mark
+	// tables (a pooled packed-key set). All are released when the query
+	// finishes at this site.
 	qorder []derefQueue
 	held   int
 	sent   *packed.Set
@@ -363,10 +361,15 @@ func (ctx *qctx) engage(peer object.SiteID) {
 	ctx.engaged[peer] = struct{}{}
 }
 
-// New returns a site with the given configuration.
+// New returns a site with the given configuration. A zero DerefBatch becomes
+// DerefBatchSize here, the one place the production protocol is written down,
+// so every builder of a Config gets it without naming it.
 func New(cfg Config) *Site {
 	if cfg.Router == nil {
 		cfg.Router = BirthRouter{}
+	}
+	if cfg.DerefBatch == 0 {
+		cfg.DerefBatch = DerefBatchSize
 	}
 	s := &Site{
 		cfg:      cfg,
@@ -585,7 +588,7 @@ func (s *Site) newCtx(qid wire.QueryID, origin object.SiteID, body string, p *pl
 		eng: engine.NewPlanned(p, s.cfg.Store,
 			engine.WithLocator(routerLocator{r: s.cfg.Router, self: s.cfg.ID}),
 			engine.WithOrder(s.cfg.Order)),
-		det: termination.NewInstrumented(s.cfg.TermMode, s.cfg.ID, origin,
+		det: termination.NewInstrumented(s.cfg.ID, origin,
 			termination.Metrics{Splits: s.met.termSplits, Returns: s.met.termReturns, HandOffs: s.met.termHandOffs}),
 		isOrigin:   origin == s.cfg.ID,
 		fp:         fp,

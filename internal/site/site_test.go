@@ -369,7 +369,9 @@ func TestPeerDownSkipsDerefAndAnnotates(t *testing.T) {
 // termination credit would hang the query forever; PeerDown force-completes
 // the engaged originator context with a partial answer naming the site.
 func TestPeerDownForceCompletesEngagedQuery(t *testing.T) {
-	h := newHarness(t, 2, nil)
+	// The Deref must be on the wire, engaging site 2, before the originator
+	// steps: the paper's protocol sends it with the Submit's output.
+	h := newHarness(t, 2, func(c *Config) { c.DerefBatch = Unbatched })
 	local := h.store(1).NewObject().Add("keyword", object.Keyword("hot"), object.Value{})
 	if err := h.store(1).Put(local); err != nil {
 		t.Fatal(err)
@@ -480,9 +482,11 @@ func TestDistributedSetRetention(t *testing.T) {
 	}
 }
 
-func TestTermModesEquivalentResults(t *testing.T) {
-	for _, mode := range []termination.Mode{termination.Weighted, termination.DijkstraScholten} {
-		h := newHarness(t, 3, func(c *Config) { c.TermMode = mode })
+// TestProtocolsEquivalentResults: the paper's one-id-per-Deref protocol and
+// the production batched one return the same answer.
+func TestProtocolsEquivalentResults(t *testing.T) {
+	for _, batch := range []int{Unbatched, 0} {
+		h := newHarness(t, 3, func(c *Config) { c.DerefBatch = batch })
 		objs := make([]*object.Object, 9)
 		for i := range objs {
 			objs[i] = h.store(object.SiteID(i%3 + 1)).NewObject()
@@ -498,7 +502,7 @@ func TestTermModesEquivalentResults(t *testing.T) {
 		}
 		cm := h.exec(1, 1, `S [ (Pointer, "Ref", ?X) ^^X ]** (keyword, "hot", ?) -> T`, ids[:1])
 		if len(cm.IDs) != 9 {
-			t.Errorf("mode %v: results = %d, want 9", mode, len(cm.IDs))
+			t.Errorf("DerefBatch %d: results = %d, want 9", batch, len(cm.IDs))
 		}
 	}
 }

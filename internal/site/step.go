@@ -179,15 +179,15 @@ func (s *Site) afterEvent(ctx *qctx, out []wire.Envelope) ([]wire.Envelope, erro
 		return s.checkDone(ctx, out)
 	}
 
-	// Participant: ship the flush to the originator, then the detector
-	// tokens (piggybacking the origin-bound token on the last result
-	// message, as the paper piggybacks credit on results). Sites this
-	// participant skipped as unreachable ride along so the originator can
-	// annotate the final answer. A drain with nothing for the originator but
-	// work for others hands its credit on with the last Deref instead, so
-	// no message goes home at all. Trace spans follow the credit: on the
-	// last result message, the hand-off Deref, or an origin-bound control —
-	// tracing never adds a message of its own.
+	// Participant: ship the flush to the originator with the credit going
+	// home on the last result message, as the paper piggybacks credit on
+	// results. Sites this participant skipped as unreachable ride along so
+	// the originator can annotate the final answer. A drain with nothing for
+	// the originator but work for others hands its credit on with the last
+	// Deref instead, so no message goes home at all; a drain with neither
+	// returns its credit in a Control. Trace spans follow the credit: on the
+	// last result message, the hand-off Deref, or the Control — tracing
+	// never adds a message of its own.
 	ctx.pendingSpans = append(ctx.pendingSpans, s.takeSpans(ctx)...)
 	results, fetches := ctx.eng.TakeResults()
 	msgs := s.buildResultMsgs(ctx, results, fetches)
@@ -202,24 +202,22 @@ func (s *Site) afterEvent(ctx *qctx, out []wire.Envelope) ([]wire.Envelope, erro
 			return out, err
 		}
 	}
-	tokens := ctx.det.OnIdle()
-	var originTok []byte
-	for _, t := range tokens {
-		if t.To == ctx.origin && originTok == nil && len(msgs) > 0 {
-			originTok = t.Token
+	// OnIdle returns at most one share, bound for the originator.
+	for _, ret := range ctx.det.OnIdle() {
+		if len(msgs) > 0 {
+			msgs[len(msgs)-1].Token = ret.Token
 			continue
 		}
 		s.stats.ControlsSent++
 		s.met.controlsSent.Inc()
-		ctl := &wire.Control{QID: ctx.qid, Token: t.Token}
-		if t.To == ctx.origin && len(msgs) == 0 && len(ctx.pendingSpans) > 0 {
+		ctl := &wire.Control{QID: ctx.qid, Token: ret.Token}
+		if len(ctx.pendingSpans) > 0 {
 			ctl.Spans = ctx.pendingSpans
 			ctx.pendingSpans = nil
 		}
-		out = append(out, wire.Envelope{To: t.To, Msg: ctl})
+		out = append(out, wire.Envelope{To: ret.To, Msg: ctl})
 	}
 	if len(msgs) > 0 {
-		msgs[len(msgs)-1].Token = originTok
 		if len(ctx.pendingSpans) > 0 {
 			msgs[len(msgs)-1].Spans = ctx.pendingSpans
 			ctx.pendingSpans = nil
@@ -242,8 +240,8 @@ const maxCarriedSpans = 32
 // handOff moves a draining participant's held credit, and its unsent spans,
 // onto the last Deref of this query in out, the envelopes of the current
 // drain; the detector's idle hook then has nothing to return. It does
-// nothing when out holds no such Deref, when the spans would exceed
-// maxCarriedSpans, or when the detector cannot hand off.
+// nothing when out holds no such Deref, or when the spans would exceed
+// maxCarriedSpans.
 func (s *Site) handOff(ctx *qctx, out []wire.Envelope) error {
 	if len(ctx.pendingSpans) > maxCarriedSpans {
 		return nil
@@ -253,8 +251,8 @@ func (s *Site) handOff(ctx *qctx, out []wire.Envelope) error {
 		if !ok || d.QID != ctx.qid {
 			continue
 		}
-		merged, ok, err := ctx.det.HandOff(d.Token)
-		if err != nil || !ok {
+		merged, err := ctx.det.HandOff(d.Token)
+		if err != nil {
 			return err
 		}
 		d.Token = merged

@@ -51,13 +51,9 @@ func NewAudit() *Audit {
 }
 
 // Wrap registers a detector under the query key and returns the checking
-// wrapper. Non-weighted detectors (Dijkstra-Scholten has no conserved
-// quantity to audit) are returned unchanged.
+// wrapper. d must come from New or NewInstrumented.
 func (a *Audit) Wrap(query string, d Detector) Detector {
-	w, ok := d.(*weighted)
-	if !ok {
-		return d
-	}
+	w := d.(*weighted)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	st := a.qs[query]
@@ -168,33 +164,29 @@ func (ad *auditDetector) OnSend(to object.SiteID) ([]byte, error) {
 func (ad *auditDetector) OnWorkReceived(from object.SiteID, token []byte) ([]ControlMsg, error) {
 	ad.a.mu.Lock()
 	defer ad.a.mu.Unlock()
-	ctls, err := ad.w.OnWorkReceived(from, token)
-	if err != nil {
-		return ctls, err
+	if _, err := ad.w.OnWorkReceived(from, token); err != nil {
+		return nil, err
 	}
 	st := ad.state()
 	ad.a.subInflight(st, token)
-	for _, c := range ctls {
-		ad.a.addInflight(st, c.Token)
-	}
 	ad.a.check(ad.q, st)
-	return ctls, nil
+	return nil, nil
 }
 
 // HandOff swaps the pre-merge token for the merged one in the ledger: the
 // former will never be sent, so ingesting it later is a forgery.
-func (ad *auditDetector) HandOff(token []byte) ([]byte, bool, error) {
+func (ad *auditDetector) HandOff(token []byte) ([]byte, error) {
 	ad.a.mu.Lock()
 	defer ad.a.mu.Unlock()
-	merged, ok, err := ad.w.HandOff(token)
-	if err != nil || !ok {
-		return merged, ok, err
+	merged, err := ad.w.HandOff(token)
+	if err != nil {
+		return nil, err
 	}
 	st := ad.state()
 	ad.a.subInflight(st, token)
 	ad.a.addInflight(st, merged)
 	ad.a.check(ad.q, st)
-	return merged, true, nil
+	return merged, nil
 }
 
 func (ad *auditDetector) OnIdle() []ControlMsg {
@@ -225,11 +217,4 @@ func (ad *auditDetector) Done() bool {
 	ad.a.mu.Lock()
 	defer ad.a.mu.Unlock()
 	return ad.w.Done()
-}
-
-// Quiet delegates to the wrapped detector (see weighted.Quiet).
-func (ad *auditDetector) Quiet() bool {
-	ad.a.mu.Lock()
-	defer ad.a.mu.Unlock()
-	return ad.w.Quiet()
 }

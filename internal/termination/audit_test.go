@@ -125,9 +125,9 @@ func TestAuditHandOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, ok, err := p2.HandOff(pre)
-	if err != nil || !ok {
-		t.Fatalf("HandOff = %v, %v", ok, err)
+	merged, err := p2.HandOff(pre)
+	if err != nil {
+		t.Fatalf("HandOff: %v", err)
 	}
 	if cms := p2.OnIdle(); len(cms) != 0 {
 		t.Fatalf("OnIdle after a hand-off returned %v", cms)
@@ -160,16 +160,6 @@ func TestAuditHandOff(t *testing.T) {
 	}
 	if err := a.Err(); err == nil || !strings.Contains(err.Error(), "forged") {
 		t.Fatalf("ingesting the pre-merge token: audit reports %v, want a forgery", err)
-	}
-}
-
-// TestAuditPassthroughNonWeighted: Dijkstra-Scholten detectors have no
-// conserved credit; Wrap must return them unchanged.
-func TestAuditPassthroughNonWeighted(t *testing.T) {
-	a := NewAudit()
-	d := New(DijkstraScholten, 2, 1)
-	if got := a.Wrap("q1", d); got != d {
-		t.Fatalf("Wrap(%T) = %T, want passthrough", d, got)
 	}
 }
 

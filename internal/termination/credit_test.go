@@ -283,14 +283,14 @@ func TestSteadyStateAllocations(t *testing.T) {
 func BenchmarkWeightedFanout(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		wideFanout(b, ofMode(Weighted), 200)
+		wideFanout(b, newDetector, 200)
 	}
 }
 
 func BenchmarkWeightedChain(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		serialChain(b, ofMode(Weighted), 270, 0)
+		serialChain(b, newDetector, 270, 0)
 	}
 }
 

@@ -49,14 +49,14 @@ func (w *ratWeighted) OnWorkReceived(_ object.SiteID, token []byte) ([]ControlMs
 	return nil, nil
 }
 
-func (w *ratWeighted) HandOff(token []byte) ([]byte, bool, error) {
+func (w *ratWeighted) HandOff(token []byte) ([]byte, error) {
 	c, err := decodeRat(token)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	c.Add(c, w.held)
 	w.held.SetInt64(0)
-	return encodeRat(c), true, nil
+	return encodeRat(c), nil
 }
 
 func (w *ratWeighted) OnIdle() []ControlMsg {
@@ -90,8 +90,6 @@ func (w *ratWeighted) OnControl(_ object.SiteID, token []byte) error {
 func (w *ratWeighted) Done() bool {
 	return w.isOrigin() && w.recovered.Cmp(big.NewRat(1, 1)) == 0
 }
-
-func (w *ratWeighted) Quiet() bool { return w.held.Sign() == 0 }
 
 func encodeRat(r *big.Rat) []byte {
 	num := r.Num().Bytes()
@@ -145,7 +143,7 @@ func creditOf(num *big.Int, exp uint) *credit {
 // step behind one Detector, so any schedule written against the interface is
 // a differential test. Its token is the dyadic token and the oracle's, the
 // first length-prefixed. After every call it requires: the same error or
-// none, the same Done and Quiet, every emitted pair of tokens worth the same
+// none, the same Done, the same held and recovered credit, every emitted pair of tokens worth the same
 // rational, and each dyadic token the one encoding of its value.
 type diffDetector struct {
 	t testing.TB
@@ -186,8 +184,8 @@ func (d *diffDetector) agree(op string, err, oerr error) {
 	if (err == nil) != (oerr == nil) {
 		d.t.Fatalf("%s: error %v, oracle %v", op, err, oerr)
 	}
-	if d.w.Done() != d.o.Done() || d.w.Quiet() != d.o.Quiet() {
-		d.t.Fatalf("%s: done/quiet %v/%v, oracle %v/%v", op, d.w.Done(), d.w.Quiet(), d.o.Done(), d.o.Quiet())
+	if d.w.Done() != d.o.Done() {
+		d.t.Fatalf("%s: done %v, oracle %v", op, d.w.Done(), d.o.Done())
 	}
 	if d.w.held.rat().Cmp(d.o.held) != 0 || d.w.recovered.rat().Cmp(d.o.recovered) != 0 {
 		d.t.Fatalf("%s: held %v recovered %v, oracle %v %v", op, &d.w.held, &d.w.recovered, d.o.held, d.o.recovered)
@@ -212,18 +210,15 @@ func (d *diffDetector) OnWorkReceived(from object.SiteID, token []byte) ([]Contr
 	return nil, err
 }
 
-func (d *diffDetector) HandOff(token []byte) ([]byte, bool, error) {
+func (d *diffDetector) HandOff(token []byte) ([]byte, error) {
 	tok, otok := d.unpack(token)
-	merged, ok, err := d.w.HandOff(tok)
-	omerged, ook, oerr := d.o.HandOff(otok)
+	merged, err := d.w.HandOff(tok)
+	omerged, oerr := d.o.HandOff(otok)
 	d.agree("HandOff", err, oerr)
-	if ok != ook {
-		d.t.Fatalf("HandOff: ok %v, oracle %v", ok, ook)
+	if err != nil {
+		return nil, err
 	}
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	return d.pack(merged, omerged), true, nil
+	return d.pack(merged, omerged), nil
 }
 
 func (d *diffDetector) OnIdle() []ControlMsg {
@@ -248,5 +243,4 @@ func (d *diffDetector) OnControl(from object.SiteID, token []byte) error {
 	return err
 }
 
-func (d *diffDetector) Done() bool  { return d.w.Done() }
-func (d *diffDetector) Quiet() bool { return d.w.Quiet() }
+func (d *diffDetector) Done() bool { return d.w.Done() }

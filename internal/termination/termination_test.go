@@ -2,6 +2,7 @@ package termination
 
 import (
 	"errors"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -78,46 +79,6 @@ func TestControlAtNonOriginatorRejected(t *testing.T) {
 	}
 }
 
-func TestDSUnexpectedAckRejected(t *testing.T) {
-	d := newDS(1, 1, Metrics{})
-	if err := d.OnControl(2, nil); !errors.Is(err, ErrToken) {
-		t.Errorf("unexpected ack: %v", err)
-	}
-}
-
-func TestDSTwoSiteExchange(t *testing.T) {
-	root := newDS(1, 1, Metrics{})
-	leaf := newDS(2, 1, Metrics{})
-
-	if _, err := root.OnSend(2); err != nil {
-		t.Fatal(err)
-	}
-	if msgs := root.OnIdle(); len(msgs) != 0 || root.Done() {
-		t.Fatalf("root idle with deficit: msgs=%v done=%v", msgs, root.Done())
-	}
-	ctl, err := leaf.OnWorkReceived(1, nil)
-	if err != nil || len(ctl) != 0 {
-		t.Fatalf("first engagement should not ack immediately: %v %v", ctl, err)
-	}
-	// A second message while engaged is acked immediately.
-	ctl, err = leaf.OnWorkReceived(1, nil)
-	if err != nil || len(ctl) != 1 || ctl[0].To != 1 {
-		t.Fatalf("second message ack = %v %v", ctl, err)
-	}
-	if err := root.OnControl(2, ctl[0].Token); err != nil {
-		t.Fatal(err)
-	}
-	// Wait: root sent twice? No - root sent once; simulate the second send.
-	// (Covered by the random executions test below; here just finish.)
-	acks := leaf.OnIdle()
-	if len(acks) != 1 || acks[0].To != 1 {
-		t.Fatalf("leaf disengage acks = %v", acks)
-	}
-	// root.deficit is now 0 after one real ack; the extra ack above was for
-	// a message we never sent, so reset via a fresh scenario instead.
-	_ = acks
-}
-
 // participantHolding returns a participant that received 1/2 from a fresh
 // originator and split it once: it holds 1/4, and tok is the unsent 1/4.
 func participantHolding(t *testing.T, m Metrics) (origin, part *weighted, tok []byte) {
@@ -140,9 +101,9 @@ func TestHandOffMergesHeldIntoToken(t *testing.T) {
 	reg := metrics.NewRegistry()
 	m := Metrics{Returns: reg.Counter("returns"), HandOffs: reg.Counter("handoffs")}
 	origin, part, tok := participantHolding(t, m)
-	merged, ok, err := part.HandOff(tok)
-	if err != nil || !ok {
-		t.Fatalf("HandOff = %v, %v", ok, err)
+	merged, err := part.HandOff(tok)
+	if err != nil {
+		t.Fatalf("HandOff: %v", err)
 	}
 	var got credit
 	if err := got.decode(merged); err != nil {
@@ -151,7 +112,7 @@ func TestHandOffMergesHeldIntoToken(t *testing.T) {
 	if got.rat().Cmp(big.NewRat(1, 2)) != 0 { // token 1/4 + held 1/4
 		t.Errorf("merged token worth %v, want 1/2", &got)
 	}
-	if !Quiet(part) {
+	if !part.held.isZero() {
 		t.Errorf("participant still holds %v after handing off", &part.held)
 	}
 	if cms := part.OnIdle(); len(cms) != 0 {
@@ -179,8 +140,8 @@ func TestHandOffMergesHeldIntoToken(t *testing.T) {
 func TestHandOffRejectsMalformedToken(t *testing.T) {
 	for name, tok := range malformedTokens() {
 		_, part, _ := participantHolding(t, Metrics{})
-		if _, ok, err := part.HandOff(tok); ok || !errors.Is(err, ErrToken) {
-			t.Errorf("HandOff(%s %x) = %v, %v, want ErrToken", name, tok, ok, err)
+		if _, err := part.HandOff(tok); !errors.Is(err, ErrToken) {
+			t.Errorf("HandOff(%s %x) = %v, want ErrToken", name, tok, err)
 		}
 		if part.held.rat().Cmp(big.NewRat(1, 4)) != 0 {
 			t.Errorf("%s: a refused hand-off changed held to %v", name, &part.held)
@@ -188,40 +149,30 @@ func TestHandOffRejectsMalformedToken(t *testing.T) {
 	}
 }
 
-func TestDSDeclinesHandOff(t *testing.T) {
-	root, leaf := newDS(1, 1, Metrics{}), newDS(2, 1, Metrics{})
-	if _, err := root.OnSend(2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := leaf.OnWorkReceived(1, nil); err != nil {
-		t.Fatal(err)
-	}
-	tok, err := leaf.OnSend(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged, ok, err := leaf.HandOff(tok); ok || err != nil || merged != nil {
-		t.Fatalf("DS HandOff = %x, %v, %v, want nil, false, nil", merged, ok, err)
-	}
-	if leaf.deficit != 1 || !leaf.engaged {
-		t.Errorf("declined hand-off changed the leaf: deficit %d engaged %v", leaf.deficit, leaf.engaged)
-	}
-}
-
 // detectorMaker builds the detector of site self for a query of origin.
 type detectorMaker func(self, origin object.SiteID) Detector
 
-func ofMode(mode Mode) detectorMaker {
-	return func(self, origin object.SiteID) Detector { return New(mode, self, origin) }
+// newDetector is the detectorMaker of the production detector.
+func newDetector(self, origin object.SiteID) Detector { return New(Weighted, self, origin) }
+
+// quiet reports that a detector a detectorMaker built holds no credit.
+func quiet(d Detector) bool {
+	switch d := d.(type) {
+	case *weighted:
+		return d.held.isZero()
+	case *diffDetector:
+		return d.w.held.isZero()
+	}
+	panic(fmt.Sprintf("quiet: unexpected detector %T", d))
 }
 
 // execution runs a randomized multi-site computation under one kind of
-// detector (mode names it in failures) and checks safety (Done never true
+// detector (name names it in failures) and checks safety (Done never true
 // while activity remains) and liveness (Done eventually true). A participant
 // that drains right after sending work hands its credit on with the last
 // message it sent in handOff of those drains, as the site layer does; the
-// number of hand-offs the detectors accepted is returned.
-func execution(t *testing.T, mode any, mk detectorMaker, seed int64, sites int, handOff float64) (handedOff int) {
+// number of hand-offs is returned.
+func execution(t *testing.T, name string, mk detectorMaker, seed int64, sites int, handOff float64) (handedOff int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	// A second stream, so the hand-off draws leave the schedule's alone.
@@ -261,12 +212,12 @@ func execution(t *testing.T, mode any, mk detectorMaker, seed int64, sites int, 
 		}
 		for id, w := range work {
 			if w != 0 {
-				t.Fatalf("mode %v seed %d: Done with work at %v", mode, seed, id)
+				t.Fatalf("%s seed %d: Done with work at %v", name, seed, id)
 			}
 		}
 		for _, m := range inflight {
 			if !m.control {
-				t.Fatalf("mode %v seed %d: Done with work message in flight", mode, seed)
+				t.Fatalf("%s seed %d: Done with work message in flight", name, seed)
 			}
 		}
 	}
@@ -294,7 +245,7 @@ func execution(t *testing.T, mode any, mk detectorMaker, seed int64, sites int, 
 					}
 					tok, err := det[id].OnSend(to)
 					if err != nil {
-						t.Fatalf("mode %v seed %d: OnSend: %v", mode, seed, err)
+						t.Fatalf("%s seed %d: OnSend: %v", name, seed, err)
 					}
 					inflight = append(inflight, msg{from: id, to: to, token: tok})
 					last = len(inflight) - 1
@@ -303,16 +254,14 @@ func execution(t *testing.T, mode any, mk detectorMaker, seed int64, sites int, 
 			}
 			work[id]--
 			if work[id] == 0 && id != origin && last >= 0 && handRng.Float64() < handOff {
-				merged, ok, err := det[id].HandOff(inflight[last].token)
+				merged, err := det[id].HandOff(inflight[last].token)
 				if err != nil {
-					t.Fatalf("mode %v seed %d: HandOff: %v", mode, seed, err)
+					t.Fatalf("%s seed %d: HandOff: %v", name, seed, err)
 				}
-				if ok {
-					inflight[last].token = merged
-					handedOff++
-					if cms := det[id].OnIdle(); len(cms) != 0 {
-						t.Fatalf("mode %v seed %d: %d returns after a hand-off", mode, seed, len(cms))
-					}
+				inflight[last].token = merged
+				handedOff++
+				if cms := det[id].OnIdle(); len(cms) != 0 {
+					t.Fatalf("%s seed %d: %d returns after a hand-off", name, seed, len(cms))
 				}
 			}
 			idleCheck(id)
@@ -322,12 +271,12 @@ func execution(t *testing.T, mode any, mk detectorMaker, seed int64, sites int, 
 			inflight = append(inflight[:i], inflight[i+1:]...)
 			if m.control {
 				if err := det[m.to].OnControl(m.from, m.token); err != nil {
-					t.Fatalf("mode %v seed %d: OnControl: %v", mode, seed, err)
+					t.Fatalf("%s seed %d: OnControl: %v", name, seed, err)
 				}
 			} else {
 				cms, err := det[m.to].OnWorkReceived(m.from, m.token)
 				if err != nil {
-					t.Fatalf("mode %v seed %d: OnWorkReceived: %v", mode, seed, err)
+					t.Fatalf("%s seed %d: OnWorkReceived: %v", name, seed, err)
 				}
 				emit(m.to, cms)
 				work[m.to]++
@@ -337,24 +286,14 @@ func execution(t *testing.T, mode any, mk detectorMaker, seed int64, sites int, 
 		checkSafety()
 	}
 	if !det[origin].Done() {
-		t.Fatalf("mode %v seed %d: never terminated (inflight=%d)", mode, seed, len(inflight))
+		t.Fatalf("%s seed %d: never terminated (inflight=%d)", name, seed, len(inflight))
 	}
 	return handedOff
 }
 
 func TestWeightedRandomExecutions(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
-		execution(t, Weighted, ofMode(Weighted), seed, 2+int(seed)%7, 0)
-	}
-}
-
-// TestDSRandomExecutions offers hand-offs too: Dijkstra-Scholten declines
-// every one, and its acknowledgements still terminate the computation.
-func TestDSRandomExecutions(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
-		if n := execution(t, DijkstraScholten, ofMode(DijkstraScholten), seed, 2+int(seed)%7, 0.5); n != 0 {
-			t.Fatalf("seed %d: Dijkstra-Scholten accepted %d hand-offs", seed, n)
-		}
+		execution(t, "weighted", newDetector, seed, 2+int(seed)%7, 0)
 	}
 }
 
@@ -382,15 +321,15 @@ func serialChain(t testing.TB, mk detectorMaker, depth int, handOff float64) {
 		}
 		wantReturns := 1
 		if rng.Float64() < handOff {
-			merged, ok, err := site.HandOff(next)
-			if err != nil || !ok {
-				t.Fatalf("depth %d: HandOff = %v, %v", i, ok, err)
+			merged, err := site.HandOff(next)
+			if err != nil {
+				t.Fatalf("depth %d: HandOff: %v", i, err)
 			}
 			next, wantReturns = merged, 0
 		}
 		ret := site.OnIdle()
-		if len(ret) != wantReturns || !Quiet(site) {
-			t.Fatalf("depth %d: returns = %v, quiet %v", i, ret, Quiet(site))
+		if len(ret) != wantReturns || !quiet(site) {
+			t.Fatalf("depth %d: returns = %v, quiet %v", i, ret, quiet(site))
 		}
 		for _, r := range ret {
 			if err := origin.OnControl(2, r.Token); err != nil {
@@ -445,43 +384,35 @@ func wideFanout(t testing.TB, mk detectorMaker, width int) {
 	}
 }
 
-func TestDeepChainCreditsStayExact(t *testing.T) { serialChain(t, ofMode(Weighted), 300, 0) }
+func TestDeepChainCreditsStayExact(t *testing.T) { serialChain(t, newDetector, 300, 0) }
 
-func TestWideFanoutCreditsStayExact(t *testing.T) { wideFanout(t, ofMode(Weighted), 200) }
-
-func TestModeString(t *testing.T) {
-	if Weighted.String() != "weighted" || DijkstraScholten.String() != "dijkstra-scholten" {
-		t.Errorf("mode names wrong")
-	}
-}
+func TestWideFanoutCreditsStayExact(t *testing.T) { wideFanout(t, newDetector, 200) }
 
 // TestInstrumentedCounters checks that weight splits and returns are counted
-// for both detector families (and that the zero Metrics stays a no-op, which
-// every other test in this file exercises implicitly).
+// (and that the zero Metrics stays a no-op, which every other test in this
+// file exercises implicitly).
 func TestInstrumentedCounters(t *testing.T) {
-	for _, mode := range []Mode{Weighted, DijkstraScholten} {
-		reg := metrics.NewRegistry()
-		m := Metrics{Splits: reg.Counter("splits"), Returns: reg.Counter("returns")}
-		origin := NewInstrumented(mode, 1, 1, m)
-		remote := NewInstrumented(mode, 2, 1, m)
-		tok, err := origin.OnSend(2)
-		if err != nil {
+	reg := metrics.NewRegistry()
+	m := Metrics{Splits: reg.Counter("splits"), Returns: reg.Counter("returns")}
+	origin := NewInstrumented(1, 1, m)
+	remote := NewInstrumented(2, 1, m)
+	tok, err := origin.OnSend(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := remote.OnWorkReceived(1, tok); err != nil {
+		t.Fatal(err)
+	}
+	for _, cm := range remote.OnIdle() {
+		if err := origin.OnControl(2, cm.Token); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := remote.OnWorkReceived(1, tok); err != nil {
-			t.Fatal(err)
-		}
-		for _, cm := range remote.OnIdle() {
-			if err := origin.OnControl(2, cm.Token); err != nil {
-				t.Fatal(err)
-			}
-		}
-		origin.OnIdle()
-		if got := m.Splits.Load(); got == 0 {
-			t.Errorf("%v: splits = 0, want > 0", mode)
-		}
-		if got := m.Returns.Load(); got == 0 {
-			t.Errorf("%v: returns = 0, want > 0", mode)
-		}
+	}
+	origin.OnIdle()
+	if got := m.Splits.Load(); got == 0 {
+		t.Errorf("splits = 0, want > 0")
+	}
+	if got := m.Returns.Load(); got == 0 {
+		t.Errorf("returns = 0, want > 0")
 	}
 }

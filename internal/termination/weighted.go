@@ -171,13 +171,13 @@ func (w *weighted) OnWorkReceived(_ object.SiteID, token []byte) ([]ControlMsg, 
 // must be one this detector's OnSend emitted and that has not been sent yet.
 // The merged share travels with the work instead of returning home in a
 // Control of its own. On a malformed token held is left untouched.
-func (w *weighted) HandOff(token []byte) ([]byte, bool, error) {
+func (w *weighted) HandOff(token []byte) ([]byte, error) {
 	if err := w.in.decode(token); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	w.in.absorb(&w.held)
 	w.m.HandOffs.Inc()
-	return w.in.encode(), true, nil
+	return w.in.encode(), nil
 }
 
 // OnIdle returns all held credit to the originator. At the originator itself
@@ -213,8 +213,3 @@ func (w *weighted) OnControl(_ object.SiteID, token []byte) error {
 
 // Done reports whether the originator has recovered the full credit.
 func (w *weighted) Done() bool { return w.isOrigin() && w.recovered.isOne() }
-
-// Quiet reports that this detector holds no credit: everything it ever
-// held has been returned (or, at the originator, banked as recovered).
-// A quiet participant can be discarded without abandoning credit.
-func (w *weighted) Quiet() bool { return w.held.isZero() }

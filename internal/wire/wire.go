@@ -189,10 +189,10 @@ type Deref struct {
 	ObjIDs []object.ID
 	Start  int
 	Iters  []int
-	// Token is the termination-detection payload (a credit share for the
-	// weighted-message algorithm; empty for Dijkstra-Scholten). On the last
-	// Deref of a drain it carries everything the sender held, so the sender
-	// sends no credit return of its own.
+	// Token is the termination-detection payload: a share of the sender's
+	// weighted-message credit. On the last Deref of a drain it carries
+	// everything the sender held, so the sender sends no credit return of
+	// its own.
 	Token []byte
 	// Hop is the trace context's dereference depth: the sender's own hop
 	// plus one. The receiving site stamps it on the spans it emits.
@@ -263,8 +263,8 @@ func (m *Result) Kind() Kind { return KResult }
 // Query returns the query id.
 func (m *Result) Query() QueryID { return m.QID }
 
-// Control carries a standalone termination token (e.g. a Dijkstra-Scholten
-// ack, or a credit return that no Result or Deref of the same drain carries).
+// Control carries a standalone termination token: a credit return that no
+// Result or Deref of the same drain carries.
 type Control struct {
 	QID   QueryID
 	Token []byte
