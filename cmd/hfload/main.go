@@ -53,7 +53,6 @@ func run() int {
 	admissionQueue := flag.Int("admission-queue", cfg.AdmissionQueue, "per-site admission queue length")
 	deadline := flag.Duration("query-deadline", cfg.QueryDeadline, "default per-query budget")
 	workers := flag.Int("workers", cfg.Workers, "per-site stepping workers (0 or 1 = the paper's single stepper)")
-	fairQuantum := flag.Int("fair-quantum", cfg.FairQuantum, "per-client DRR step credits per turn (0 = FIFO)")
 	calibration := flag.Int("calibration", cfg.Calibration, "closed-loop queries for the capacity estimate")
 	queries := flag.Int("queries", cfg.Queries, "open-loop arrivals per load point")
 	mult := flag.String("mult", "0.5,1,2,4", "offered-load points as multiples of calibrated capacity")
@@ -66,7 +65,7 @@ func run() int {
 
 	cfg.Machines, cfg.Objects, cfg.Seed = *machines, *objects, *seed
 	cfg.MaxInflight, cfg.AdmissionQueue, cfg.QueryDeadline = *maxInflight, *admissionQueue, *deadline
-	cfg.Workers, cfg.FairQuantum = *workers, *fairQuantum
+	cfg.Workers = *workers
 	cfg.Calibration, cfg.Queries, cfg.Timeout, cfg.Chaos = *calibration, *queries, *timeout, *chaosOn
 	var err error
 	cfg.Multipliers, err = parseMultipliers(*mult)
@@ -136,8 +135,8 @@ func parseMultipliers(spec string) ([]float64, error) {
 }
 
 func printResult(r *bench.LoadResult) {
-	fmt.Printf("cluster: %d machines, %d objects, max-inflight %d, admission-queue %d, deadline %dms, workers %d, fair-quantum %d\n",
-		r.Machines, r.Objects, r.MaxInflight, r.AdmissionQueue, r.QueryDeadlineMS, r.Workers, r.FairQuantum)
+	fmt.Printf("cluster: %d machines, %d objects, max-inflight %d, admission-queue %d, deadline %dms, workers %d\n",
+		r.Machines, r.Objects, r.MaxInflight, r.AdmissionQueue, r.QueryDeadlineMS, r.Workers)
 	fmt.Printf("calibrated capacity: %.0f qps (closed loop at the admission bound)\n\n", r.CapacityQPS)
 	fmt.Printf("%6s %10s %8s %6s %8s %9s %7s %6s %10s %10s %10s\n",
 		"load", "target", "offered", "ok", "partial", "rejected", "errors", "hangs", "p50", "p95", "p99")

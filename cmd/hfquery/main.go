@@ -39,18 +39,10 @@ func main() {
 	budget := flag.Duration("budget", 0, "server-side time budget riding the Submit; expired queries return annotated partials (0 = none)")
 	stats := flag.Bool("stats", false, "print each server's counters and exit")
 	explain := flag.Bool("explain", false, "print the query's execution plan and exit (no servers needed)")
-	migrate := flag.String("migrate", "", "live-migrate an object: 'id=site' (e.g. s2:5=3)")
 	flag.Parse()
 
 	if *explain {
 		if err := explainQuery(os.Stdout, flag.Args()); err != nil {
-			fmt.Fprintln(os.Stderr, "hfquery:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *migrate != "" {
-		if err := runMigrate(os.Stdout, *servers, *clientID, *listen, *migrate, *timeout); err != nil {
 			fmt.Fprintln(os.Stderr, "hfquery:", err)
 			os.Exit(1)
 		}
@@ -162,42 +154,6 @@ func run(w io.Writer, servers string, origin, clientID uint, listen, initial, sc
 		return fmt.Errorf("no query given")
 	}
 	return exec(strings.Join(args, " "), defaultInitial)
-}
-
-// runMigrate performs a live object migration: spec is "id=site".
-func runMigrate(w io.Writer, servers string, clientID uint, listen, spec string, timeout time.Duration) error {
-	idStr, siteStr, ok := strings.Cut(spec, "=")
-	if !ok {
-		return fmt.Errorf("bad -migrate spec %q (want id=site, e.g. s2:5=3)", spec)
-	}
-	id, err := object.ParseID(strings.TrimSpace(idStr))
-	if err != nil {
-		return err
-	}
-	siteNum, err := strconv.ParseUint(strings.TrimSpace(siteStr), 10, 32)
-	if err != nil {
-		return fmt.Errorf("bad destination site %q: %v", siteStr, err)
-	}
-	addrs, err := parseServers(servers)
-	if err != nil {
-		return err
-	}
-	if len(addrs) == 0 {
-		return fmt.Errorf("no servers given (use -servers)")
-	}
-	cl, err := server.NewClient(object.SiteID(clientID), listen)
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
-	for sid, addr := range addrs {
-		cl.AddServer(sid, addr)
-	}
-	if err := cl.Migrate(id, object.SiteID(siteNum), timeout); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "moved %s to site s%d\n", id, siteNum)
-	return nil
 }
 
 // explainQuery prints the compiled plan of the query in args.

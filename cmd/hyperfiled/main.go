@@ -33,15 +33,14 @@ import (
 
 // config collects everything run needs; flags map onto it one to one.
 type config struct {
-	SiteID        uint
-	Listen        string
-	Peers         string
-	Data          string
-	Save          string
-	ResultBatch   int
-	DistThreshold int
-	PlanCache     int
-	Index         bool
+	SiteID      uint
+	Listen      string
+	Peers       string
+	Data        string
+	Save        string
+	ResultBatch int
+	PlanCache   int
+	Index       bool
 
 	// Overload protection: bound live query contexts, queue (or reject)
 	// Submits past the bound, and impose a default per-query time budget.
@@ -49,11 +48,9 @@ type config struct {
 	AdmissionQueue int
 	QueryDeadline  time.Duration
 
-	// Parallel stepping and per-client fairness: Workers sizes the site's
-	// stepping pool (0 or 1 = the paper's single stepper), FairQuantum
-	// replaces FIFO scheduling with per-client deficit round robin.
-	Workers     int
-	FairQuantum int
+	// Workers sizes the site's stepping pool (0 or 1 = the paper's single
+	// stepper).
+	Workers int
 
 	// MetricsAddr exposes /debug/hyperfile (metrics + query traces) over
 	// HTTP when non-empty.
@@ -96,14 +93,12 @@ func flags(cfg *config, fs *flag.FlagSet) {
 	fs.StringVar(&cfg.Data, "data", "", "JSON-lines object file to load at startup")
 	fs.StringVar(&cfg.Save, "save", "", "write a snapshot of the store here on shutdown")
 	fs.IntVar(&cfg.ResultBatch, "result-batch", 0, "max result ids per message (0 = unbounded)")
-	fs.IntVar(&cfg.DistThreshold, "dist-threshold", 0, "distributed-set retention threshold (0 = off)")
 	fs.IntVar(&cfg.PlanCache, "plan-cache", 0, "plan-cache entries: repeated query bodies reuse their compiled physical plan (0 = off)")
 	fs.BoolVar(&cfg.Index, "index", false, "maintain a keyword index and push exact-match selections down to it")
 	fs.IntVar(&cfg.MaxInflight, "max-inflight", 0, "max live query contexts before admission control kicks in (0 = unbounded)")
 	fs.IntVar(&cfg.AdmissionQueue, "admission-queue", 0, "Submits queued while at max-inflight before rejecting (0 = reject immediately)")
 	fs.DurationVar(&cfg.QueryDeadline, "query-deadline", 0, "default per-query time budget; expired queries return annotated partials (0 = none)")
 	fs.IntVar(&cfg.Workers, "workers", 0, "stepping-pool goroutines for this site (0 or 1 = single stepper)")
-	fs.IntVar(&cfg.FairQuantum, "fair-quantum", 0, "per-client deficit-round-robin step credits per turn (0 = FIFO scheduling)")
 	fs.StringVar(&cfg.MetricsAddr, "metrics-addr", "", "serve /debug/hyperfile and /debug/pprof/ on this address (empty = off)")
 	fs.DurationVar(&cfg.Heartbeat, "heartbeat", 0, "peer heartbeat interval (0 = no failure detector)")
 	fs.DurationVar(&cfg.SuspectAfter, "suspect-after", 0, "silence before a peer is declared down (default 4x heartbeat)")
@@ -156,9 +151,6 @@ func run(cfg config, lg *slog.Logger, stop <-chan os.Signal, ready chan<- string
 	}
 	if cfg.Workers < 0 {
 		return fmt.Errorf("-workers %d is negative", cfg.Workers)
-	}
-	if cfg.FairQuantum < 0 {
-		return fmt.Errorf("-fair-quantum %d is negative", cfg.FairQuantum)
 	}
 
 	st := store.New(id)
@@ -252,11 +244,9 @@ func run(cfg config, lg *slog.Logger, stop <-chan os.Signal, ready chan<- string
 func siteConfig(cfg config, st *store.Store, ix *index.Keyword, peers []object.SiteID) site.Config {
 	return site.Config{
 		ID: object.SiteID(cfg.SiteID), Store: st, Peers: peers,
-		ResultBatch: cfg.ResultBatch, DistributedSetThreshold: cfg.DistThreshold,
-		Index: ix, PlanCacheSize: cfg.PlanCache,
+		ResultBatch: cfg.ResultBatch, Index: ix, PlanCacheSize: cfg.PlanCache,
 		MaxInflight: cfg.MaxInflight, AdmissionQueue: cfg.AdmissionQueue,
-		QueryDeadline: cfg.QueryDeadline,
-		Workers:       cfg.Workers, FairQuantum: cfg.FairQuantum,
+		QueryDeadline: cfg.QueryDeadline, Workers: cfg.Workers,
 	}
 }
 

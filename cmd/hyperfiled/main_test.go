@@ -153,17 +153,12 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if err := run(bad, lg, stop, nil); err == nil {
 		t.Error("expected negative workers error")
 	}
-	bad = base
-	bad.FairQuantum = -1
-	if err := run(bad, lg, stop, nil); err == nil {
-		t.Error("expected negative fair-quantum error")
-	}
 }
 
-// TestRunWorkerPoolFlags boots a server with a stepping pool and DRR
-// fairness enabled and checks that queries still answer exactly — the flags
-// wire through site.Config and the server spawns the extra step workers
-// without perturbing results or shutdown.
+// TestRunWorkerPoolFlags boots a server with a stepping pool and checks that
+// queries still answer exactly — the flag wires through site.Config and the
+// server spawns the extra step workers without perturbing results or
+// shutdown.
 func TestRunWorkerPoolFlags(t *testing.T) {
 	st := store.New(1)
 	o := st.NewObject().Add("keyword", object.Keyword("net"), object.Value{})
@@ -188,7 +183,7 @@ func TestRunWorkerPoolFlags(t *testing.T) {
 	go func() {
 		done <- run(config{
 			SiteID: 1, Listen: "127.0.0.1:0", Data: dataPath,
-			Workers: 4, FairQuantum: 2,
+			Workers: 4,
 		}, lg, stop, ready)
 	}()
 	var addr string
@@ -349,12 +344,17 @@ func TestParsePeers(t *testing.T) {
 	}
 }
 
-// TestDerefBatchFlagRemoved: batching is the protocol, not a switch, and
-// so is the weighted termination detector. Each removed flag is an error.
+// TestDerefBatchFlagRemoved: batching is the protocol, not a switch, and so
+// are the weighted termination detector and the round robin over clients.
+// Distributed-set retention is gone from the command line: it kept contexts
+// that no TCP client can seed a follow-up query from. Each removed flag is an
+// error.
 func TestDerefBatchFlagRemoved(t *testing.T) {
 	for _, args := range [][]string{
 		{"-deref-batch", "8"},
 		{"-termination", "weighted"},
+		{"-fair-quantum", "2"},
+		{"-dist-threshold", "100"},
 	} {
 		var cfg config
 		fs := flag.NewFlagSet("hyperfiled", flag.ContinueOnError)

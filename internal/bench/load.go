@@ -33,11 +33,9 @@ type LoadConfig struct {
 	AdmissionQueue int
 	QueryDeadline  time.Duration
 	// Workers sizes each site's stepping pool (0 or 1 = the paper's single
-	// stepper); FairQuantum enables per-client deficit-round-robin scheduling.
-	// Both pass straight into cluster.Options, so the harness drives the
-	// overload machinery and the pool together.
-	Workers     int
-	FairQuantum int
+	// stepper). It passes straight into cluster.Options, so the harness
+	// drives the overload machinery and the pool together.
+	Workers int
 
 	// Calibration is how many closed-loop queries estimate the cluster's
 	// capacity (arrival rates are expressed as multiples of it).
@@ -117,7 +115,6 @@ type LoadResult struct {
 	AdmissionQueue  int         `json:"admission_queue"`
 	QueryDeadlineMS int64       `json:"query_deadline_ms"`
 	Workers         int         `json:"workers"`
-	FairQuantum     int         `json:"fair_quantum"`
 	CapacityQPS     float64     `json:"capacity_qps"`
 	Points          []LoadPoint `json:"points"`
 }
@@ -215,7 +212,6 @@ func LoadScenario(cfg LoadConfig, multiplier, targetQPS float64) *sim.Scenario {
 		Workload: sim.Workload{Kind: "paper", Objects: cfg.Objects, Queries: qs},
 		Exec: sim.Exec{
 			Workers:        cfg.Workers,
-			FairQuantum:    cfg.FairQuantum,
 			MaxInflight:    cfg.MaxInflight,
 			AdmissionQueue: cfg.AdmissionQueue,
 		},
@@ -233,7 +229,6 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 		AdmissionQueue: cfg.AdmissionQueue,
 		QueryDeadline:  cfg.QueryDeadline,
 		Workers:        cfg.Workers,
-		FairQuantum:    cfg.FairQuantum,
 	}
 	if cfg.Chaos {
 		opts.Chaos = &chaos.Config{
@@ -259,7 +254,7 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 		Machines: cfg.Machines, Objects: cfg.Objects, Seed: cfg.Seed,
 		MaxInflight: cfg.MaxInflight, AdmissionQueue: cfg.AdmissionQueue,
 		QueryDeadlineMS: cfg.QueryDeadline.Milliseconds(),
-		Workers:         cfg.Workers, FairQuantum: cfg.FairQuantum,
+		Workers:         cfg.Workers,
 	}
 	out.CapacityQPS, err = calibrate(c, d, cfg)
 	if err != nil {

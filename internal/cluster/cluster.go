@@ -96,10 +96,6 @@ type Options struct {
 	// same pool as parallel step slots in virtual time. Zero or one is the
 	// paper's single-threaded stepping.
 	Workers int
-	// FairQuantum, when positive, schedules each site's admissions and
-	// engine steps by deficit round robin over client ids
-	// (wire.Submit.ClientID) with this quantum, instead of FIFO order.
-	FairQuantum int
 }
 
 // siteIDs returns 1..n.
@@ -151,7 +147,6 @@ func siteConfig(id object.SiteID, all []object.SiteID, opts Options, marks *site
 		AdmissionQueue:          opts.AdmissionQueue,
 		QueryDeadline:           opts.QueryDeadline,
 		Workers:                 opts.Workers,
-		FairQuantum:             opts.FairQuantum,
 	}
 }
 

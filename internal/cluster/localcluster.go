@@ -280,10 +280,9 @@ func (c *LocalCluster) ExecSeeded(origin object.SiteID, body string, from wire.Q
 	return res, err
 }
 
-// ExecAs is Exec under a fairness identity: clientID rides the Submit
-// (wire.Submit.ClientID) and, with Options.FairQuantum set, sites schedule
-// this query's admission and engine steps by deficit round robin against
-// other clients' work. With fairness off the id is carried but inert.
+// ExecAs is Exec under a client identity: clientID rides the Submit
+// (wire.Submit.ClientID), and the origin site admits and steps this query in
+// round robin against other clients' work (site.Step).
 func (c *LocalCluster) ExecAs(clientID uint64, origin object.SiteID, body string, initial []object.ID, timeout time.Duration) (*Result, error) {
 	res, _, err := c.exec(execSpec{origin: origin, body: body, initial: initial, clientID: clientID, timeout: timeout})
 	return res, err

@@ -64,7 +64,6 @@ func RunScenario(spec *sim.Scenario) (*ScenarioRun, error) {
 		PlanCache:      spec.Exec.PlanCache,
 		Index:          spec.Exec.Index,
 		ResultBatch:    spec.Exec.ResultBatch,
-		FairQuantum:    spec.Exec.FairQuantum,
 		MaxInflight:    spec.Exec.MaxInflight,
 		AdmissionQueue: spec.Exec.AdmissionQueue,
 	}

@@ -61,14 +61,13 @@ type simSite struct {
 	s         *site.Site
 	store     *store.Store
 	id        object.SiteID
-	freeAt    time.Duration
 	inbox     []inMsg
 	scheduled bool
 	down      bool
-	// slots models the worker pool in virtual time (Options.Workers > 1):
-	// each unit of work is charged to the earliest-free slot, so up to
-	// len(slots) steps overlap. nil keeps the serial single-freeAt path
-	// unchanged (committed benchmark JSONs depend on its exact times).
+	// slots models the worker pool in virtual time, one slot per worker
+	// (max(1, Options.Workers)): each unit of work is charged to the
+	// earliest-free slot, so up to len(slots) steps overlap. With one slot
+	// the site is the paper's serial CPU.
 	slots []time.Duration
 	// ctxBusy is each query context's busy-until horizon: a context is
 	// pinned to one worker at a time, so its own steps never overlap even
@@ -101,12 +100,11 @@ func NewSim(n int, opts Options) *SimCluster {
 	}
 	for _, id := range c.ids {
 		cfg := siteConfig(id, c.ids, opts, marks)
-		ss := &simSite{c: c, s: site.New(cfg), id: id, store: cfg.Store}
-		if opts.Workers > 1 {
-			ss.slots = make([]time.Duration, opts.Workers)
-			ss.ctxBusy = make(map[wire.QueryID]time.Duration)
+		c.sites[id] = &simSite{
+			c: c, s: site.New(cfg), id: id, store: cfg.Store,
+			slots:   make([]time.Duration, max(1, opts.Workers)),
+			ctxBusy: make(map[wire.QueryID]time.Duration),
 		}
-		c.sites[id] = ss
 		if cfg.Directory != nil {
 			c.dirs[id] = cfg.Directory
 		}
@@ -283,11 +281,7 @@ func (ss *simSite) kick() {
 		return
 	}
 	ss.scheduled = true
-	free := ss.freeAt
-	if ss.slots != nil {
-		free = ss.slots[ss.minSlot()]
-	}
-	ss.c.loop.At(maxDur(ss.c.loop.Now(), free), ss.run)
+	ss.c.loop.At(maxDur(ss.c.loop.Now(), ss.slots[ss.minSlot()]), ss.run)
 }
 
 // minSlot returns the index of the earliest-free worker slot.
@@ -363,32 +357,24 @@ func (ss *simSite) run() {
 		return
 	}
 
-	if ss.slots == nil {
-		ss.freeAt = now + cost
-		for _, env := range out {
-			ss.freeAt += ss.sendCost(env.Msg)
-			ss.msgsOut++
-			ss.c.deliver(ss.id, env.To, env.Msg, ss.freeAt+ss.c.lat(ss.id, env.To))
-		}
-	} else {
-		// Worker-pool accounting: charge the work to the earliest-free slot,
-		// starting no sooner than the touched context's own busy horizon —
-		// parallelism across queries, never within one (per-context pinning
-		// for steps, the engine mutex for handlers).
-		slot := ss.minSlot()
-		begin := maxDur(now, ss.slots[slot])
-		if busyOK {
-			begin = maxDur(begin, ss.ctxBusy[busyQ])
-		}
-		ss.slots[slot] = begin + cost
-		for _, env := range out {
-			ss.slots[slot] += ss.sendCost(env.Msg)
-			ss.msgsOut++
-			ss.c.deliver(ss.id, env.To, env.Msg, ss.slots[slot]+ss.c.lat(ss.id, env.To))
-		}
-		if busyOK {
-			ss.ctxBusy[busyQ] = ss.slots[slot]
-		}
+	// Charge the work to the earliest-free slot, starting no sooner than the
+	// touched context's own busy horizon — parallelism across queries, never
+	// within one (per-context pinning for steps, the engine mutex for
+	// handlers). With one slot both bounds are at most now: run fires no
+	// earlier than the slot frees, and no context's horizon passes the slot.
+	slot := ss.minSlot()
+	begin := maxDur(now, ss.slots[slot])
+	if busyOK {
+		begin = maxDur(begin, ss.ctxBusy[busyQ])
+	}
+	ss.slots[slot] = begin + cost
+	for _, env := range out {
+		ss.slots[slot] += ss.sendCost(env.Msg)
+		ss.msgsOut++
+		ss.c.deliver(ss.id, env.To, env.Msg, ss.slots[slot]+ss.c.lat(ss.id, env.To))
+	}
+	if busyOK {
+		ss.ctxBusy[busyQ] = ss.slots[slot]
 	}
 	ss.kick()
 }

@@ -13,6 +13,7 @@ import (
 	"hyperfile/internal/sim"
 	"hyperfile/internal/site"
 	"hyperfile/internal/termination"
+	"hyperfile/internal/waitfor"
 	"hyperfile/internal/workload"
 )
 
@@ -205,14 +206,17 @@ func TestWorkerPoolSpeedsUpVirtualTime(t *testing.T) {
 // change a result.
 //
 // Phase two is the fairness window, run on an all-local dataset so the
-// contexts contend for the stepper rather than the network (deficit round
-// robin arbitrates CPU; a network-bound context is absent from the ready
-// queue and there is nothing to arbitrate). A greedy client keeps ten streams
-// in flight against a light client's two; DRR serves the two client buckets
-// equally, so the greedy client is bounded to roughly its quantum-
-// proportional half of the attributed engine steps — the light client must
-// collect at least 30% (per-context FIFO round robin would give it ~17%) —
-// while the light client's p99 latency stays bounded.
+// contexts contend for the stepper rather than the network (the round robin
+// arbitrates CPU; a network-bound context is absent from the ready queue and
+// there is nothing to arbitrate). A greedy client keeps ten streams in flight
+// against a light client's two, every stream running the same query. Round
+// robin over clients serves the two client lanes equally, so the light
+// client must complete at least 30% of the window's queries — round robin
+// over contexts would give it 2/12 — while its p99 latency stays bounded.
+// The window closes on a completion count, not a clock: a greedy query takes
+// about five light ones, and the greedy client's ten queries finish together,
+// so a short window (say, under the race detector) could close before the
+// first greedy burst and read any share at all.
 //
 // The package-wide leaktest.Main fails the binary if any site worker
 // outlives Close.
@@ -227,11 +231,12 @@ func TestSchedulerInterleaveStress(t *testing.T) {
 		lightStreams  = 2
 		hammer        = 800 * time.Millisecond
 		warmup        = 200 * time.Millisecond
-		window        = 1200 * time.Millisecond
+		// window is how many completions the fairness window counts: about
+		// three rounds of the greedy client's ten, and as many light ones.
+		window = 64
 	)
 	c := NewLocal(machines, Options{
-		Workers:     4,
-		FairQuantum: 2,
+		Workers: 4,
 		Chaos: &chaos.Config{
 			Seed: 37, DropRate: 0.05, DupRate: 0.05,
 			DelayRate: 0.20, MinDelay: 200 * time.Microsecond, MaxDelay: 2 * time.Millisecond,
@@ -240,7 +245,11 @@ func TestSchedulerInterleaveStress(t *testing.T) {
 	})
 	defer c.Close()
 	// Distributed dataset for the interleave hammer; all-local dataset
-	// (every object on the origin site) for the fairness window.
+	// (every object on the origin site) for the fairness window. The local
+	// dataset is large so each query's fixed start and finish costs stay
+	// small beside its steps: at 2000 objects the light share fell to
+	// 0.23-0.30 with the rest of the suite running on a two-core machine, at
+	// 10000 it holds at 0.35-0.41.
 	dDist, err := workload.Build(c, workload.Spec{N: 90, Machines: machines, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +273,13 @@ func TestSchedulerInterleaveStress(t *testing.T) {
 		mu      sync.Mutex
 		latency []time.Duration
 		answers int64
-		errs    = make(chan error, greedyStreams+lightStreams+1)
+		// done counts each client's completed queries in the fairness
+		// window, which opens with windowOpen and takes the first window
+		// completions after it (counted stays at window once it closes).
+		done       = map[uint64]*int64{}
+		windowOpen atomic.Bool
+		counted    atomic.Int64
+		errs       = make(chan error, greedyStreams+lightStreams+1)
 	)
 	check := func(who string, wantIDs []object.ID, res *Result, err error) bool {
 		switch {
@@ -280,10 +295,12 @@ func TestSchedulerInterleaveStress(t *testing.T) {
 		return true
 	}
 	// streams runs n concurrent client streams of the same query until stop
-	// closes, checking every answer; when collect is set, per-query latencies
-	// are recorded.
+	// closes, checking every answer and counting completions per client;
+	// when collect is set, per-query latencies are recorded.
 	streams := func(wg *sync.WaitGroup, stop chan struct{}, n int, clientID uint64,
 		who string, q string, root object.ID, wantIDs []object.ID, collect bool) {
+		count := new(int64)
+		done[clientID] = count
 		for w := 0; w < n; w++ {
 			wg.Add(1)
 			go func() {
@@ -299,7 +316,11 @@ func TestSchedulerInterleaveStress(t *testing.T) {
 					if !check(who, wantIDs, res, err) {
 						return
 					}
-					if collect {
+					inWindow := windowOpen.Load() && counted.Add(1) <= window
+					if inWindow {
+						atomic.AddInt64(count, 1)
+					}
+					if collect && inWindow {
 						mu.Lock()
 						latency = append(latency, time.Since(t0))
 						mu.Unlock()
@@ -323,8 +344,8 @@ func TestSchedulerInterleaveStress(t *testing.T) {
 		t.Fatalf("interleave hammer completed only %d answers; stress exercised nothing", hammered)
 	}
 
-	// Phase two: fairness window on the all-local dataset, fresh client ids
-	// so the step counters cover only this phase.
+	// Phase two: fairness window on the all-local dataset, with client ids of
+	// its own.
 	const greedyID, lightID = uint64(3), uint64(4)
 	var wgF sync.WaitGroup
 	stopF := make(chan struct{})
@@ -332,16 +353,8 @@ func TestSchedulerInterleaveStress(t *testing.T) {
 	streams(&wgF, stopF, lightStreams, lightID, "fair-light", localQ, dLocal.Root, wantLocal.IDs, true)
 	// lint:ignore baresleep fixed warmup before the measurement window opens, not a condition wait
 	time.Sleep(warmup)
-	reg := c.Metrics(origin)
-	g0 := reg.Counter(fmt.Sprintf("hf_client_%d_steps", greedyID)).Load()
-	l0 := reg.Counter(fmt.Sprintf("hf_client_%d_steps", lightID)).Load()
-	mu.Lock()
-	latency = nil // measure latency over the window only
-	mu.Unlock()
-	// lint:ignore baresleep fixed-duration measurement window — step shares are compared over exactly this interval
-	time.Sleep(window)
-	g1 := reg.Counter(fmt.Sprintf("hf_client_%d_steps", greedyID)).Load()
-	l1 := reg.Counter(fmt.Sprintf("hf_client_%d_steps", lightID)).Load()
+	windowOpen.Store(true)
+	windowErr := waitfor.Until(time.Minute, func() bool { return counted.Load() >= window })
 	close(stopF)
 	wgF.Wait()
 	close(errs)
@@ -351,16 +364,16 @@ func TestSchedulerInterleaveStress(t *testing.T) {
 	if err := c.Err(); err != nil {
 		t.Fatalf("internal error: %v", err)
 	}
-
-	greedy, light := g1-g0, l1-l0
-	if greedy+light == 0 {
-		t.Fatal("no attributed steps in the fairness window")
+	if windowErr != nil {
+		t.Fatalf("fairness window: %d of %d completions: %v", counted.Load(), window, windowErr)
 	}
+
+	greedy, light := atomic.LoadInt64(done[greedyID]), atomic.LoadInt64(done[lightID])
 	share := float64(light) / float64(greedy+light)
-	t.Logf("fairness window steps: greedy %d, light %d (light share %.2f); total answers %d",
+	t.Logf("fairness window completions: greedy %d, light %d (light share %.2f); total answers %d",
 		greedy, light, share, atomic.LoadInt64(&answers))
 	if share < 0.30 {
-		t.Errorf("light client got %.2f of attributed steps, want >= 0.30 (DRR ~0.5, FIFO ~0.17)", share)
+		t.Errorf("light client completed %.2f of the window's queries, want >= 0.30 (per client ~0.5, per context 2/12)", share)
 	}
 	// Fairness must also show up where the client feels it: tail latency.
 	mu.Lock()
@@ -376,6 +389,6 @@ func TestSchedulerInterleaveStress(t *testing.T) {
 		t.Errorf("light client p99 latency %v; starved behind the greedy burst", p99)
 	}
 	if c.SiteStats(origin).FairDeferred == 0 {
-		t.Error("FairDeferred = 0: the DRR scheduler never deferred anyone under contention")
+		t.Error("FairDeferred = 0: no client ever waited on another's turn under contention")
 	}
 }

@@ -540,7 +540,9 @@ func TestServerSurvivesGarbageFrames(t *testing.T) {
 	}
 }
 
-// TestContextsCleanedAcrossManyQueries: contexts must not leak.
+// TestContextsCleanedAcrossManyQueries: contexts must not leak. The last
+// query's participant drops its context on the Finish that follows the
+// Complete, so each site's Stats is polled until it reports none.
 func TestContextsCleanedAcrossManyQueries(t *testing.T) {
 	servers, stores, client := testDeployment(t, 2)
 	ids := loadServerRing(t, stores, 8)
@@ -550,12 +552,15 @@ func TestContextsCleanedAcrossManyQueries(t *testing.T) {
 		}
 	}
 	for _, srv := range servers {
-		resp, err := client.Stats(srv.ID(), 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Contexts != 0 {
-			t.Errorf("site %v leaks %d contexts", resp.Site, resp.Contexts)
+		var resp *wire.StatsResp
+		if err := waitfor.Until(5*time.Second, func() bool {
+			var err error
+			if resp, err = client.Stats(srv.ID(), 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			return resp.Contexts == 0
+		}); err != nil {
+			t.Errorf("site %v leaks %d contexts: %v", resp.Site, resp.Contexts, err)
 		}
 	}
 }

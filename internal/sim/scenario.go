@@ -145,14 +145,14 @@ type Failure struct {
 // Exec selects the execution features of a scenario's sites; the zero Exec
 // runs the production configuration. DerefBatch is site.Config.DerefBatch:
 // 0 is the production batch size, a negative value the paper's
-// one-object-per-Deref protocol.
+// one-object-per-Deref protocol. Keys it does not name, such as the retired
+// fair_quantum, are ignored.
 type Exec struct {
 	Workers        int  `json:"workers,omitempty"`
 	DerefBatch     int  `json:"deref_batch,omitempty"`
 	PlanCache      int  `json:"plan_cache,omitempty"`
 	Index          bool `json:"index,omitempty"`
 	ResultBatch    int  `json:"result_batch,omitempty"`
-	FairQuantum    int  `json:"fair_quantum,omitempty"`
 	MaxInflight    int  `json:"max_inflight,omitempty"`
 	AdmissionQueue int  `json:"admission_queue,omitempty"`
 }

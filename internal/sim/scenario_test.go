@@ -300,7 +300,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		{AtUS: 50, Kind: "crash", Site: 3, DetectUS: 200},
 	}
 	s.Exec = Exec{Workers: 4, DerefBatch: 8, PlanCache: 4, Index: true,
-		FairQuantum: 2, MaxInflight: 8, AdmissionQueue: 4}
+		MaxInflight: 8, AdmissionQueue: 4}
 	s.TraceMessages = true
 
 	b, err := MarshalSpec(s)
@@ -320,6 +320,28 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	}
 	if string(b) != string(b2) {
 		t.Errorf("round trip not stable:\n  %s\n  %s", b, b2)
+	}
+}
+
+// TestSpecIgnoresRetiredExecKeys: a spec written when exec still named
+// fair_quantum parses, and the key changes nothing.
+func TestSpecIgnoresRetiredExecKeys(t *testing.T) {
+	s := validSpec()
+	s.Exec = Exec{Workers: 4}
+	b, err := MarshalSpec(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Replace(string(b), `"workers":4`, `"workers":4,"fair_quantum":2`, 1)
+	if old == string(b) {
+		t.Fatalf("spec has no exec.workers key to extend: %s", b)
+	}
+	got, err := UnmarshalSpec([]byte(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Exec != s.Exec {
+		t.Errorf("exec = %+v, want %+v", got.Exec, s.Exec)
 	}
 }
 

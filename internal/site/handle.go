@@ -103,16 +103,14 @@ func (s *Site) handleSubmit(m *wire.Submit) ([]wire.Envelope, error) {
 	if _, ok := s.contexts[m.QID]; ok {
 		return nil, fmt.Errorf("%w: duplicate submit for %v", ErrProtocol, m.QID)
 	}
-	for _, p := range s.admitQ {
-		if p.m.QID == m.QID {
-			return nil, fmt.Errorf("%w: duplicate submit for %v", ErrProtocol, m.QID)
-		}
+	if s.admitQ.has(func(p pendingSubmit) bool { return p.m.QID == m.QID }) {
+		return nil, fmt.Errorf("%w: duplicate submit for %v", ErrProtocol, m.QID)
 	}
 	deadline := s.submitDeadline(m, time.Now())
 	if s.atCapacity() {
-		if len(s.admitQ) < s.cfg.AdmissionQueue {
-			s.admitQ = append(s.admitQ, pendingSubmit{m: m, deadline: deadline})
-			s.met.admissionQueue.Set(int64(len(s.admitQ)))
+		if s.admitQ.n < s.cfg.AdmissionQueue {
+			s.admitQ.push(s.admitQ.lane(m.ClientID), pendingSubmit{m: m, deadline: deadline})
+			s.met.admissionQueue.Set(int64(s.admitQ.n))
 			return nil, nil
 		}
 		return []wire.Envelope{s.reject(m, "admission: site at max-inflight, queue full")}, nil
@@ -130,9 +128,8 @@ func (s *Site) admitSubmit(m *wire.Submit, deadline time.Time) ([]wire.Envelope,
 			QID: m.QID, Err: err.Error(),
 		}}}, nil
 	}
-	ctx := s.newCtx(m.QID, s.cfg.ID, m.Body, p, fp, pinned, 0)
+	ctx := s.newCtx(m.QID, s.cfg.ID, m.ClientID, m.Body, p, fp, pinned, 0)
 	ctx.client = m.Client
-	ctx.fairClient = m.ClientID
 	ctx.deadline = deadline
 	s.stats.Admitted++
 	s.met.admitted.Inc()

@@ -46,8 +46,8 @@ type siteMetrics struct {
 	cancelled       *metrics.Counter
 	deadlineExpired *metrics.Counter
 
-	// fairDeferred counts DRR turns where a client with queued work was
-	// passed over with its quantum spent (Config.FairQuantum).
+	// fairDeferred counts scheduling turns taken while another client
+	// waited in the same round robin (Stats.FairDeferred).
 	fairDeferred *metrics.Counter
 
 	planCacheHits      *metrics.Counter
@@ -75,10 +75,6 @@ type siteMetrics struct {
 	// filterSteps[i] counts engine steps that started at filter i, grown
 	// lazily (queries rarely exceed a handful of filters).
 	filterSteps []*metrics.Counter
-	// clientSteps counts engine steps per fairness client id, registered
-	// lazily on first step for a client (cardinality follows distinct
-	// Submit.ClientID values, which deployments keep small).
-	clientSteps map[uint64]*metrics.Counter
 }
 
 func newSiteMetrics(reg *metrics.Registry) siteMetrics {
@@ -143,22 +139,6 @@ func (m *siteMetrics) notePlanOps(c plan.Counts) {
 	m.planOpsProbe.Add(uint64(c.Probes))
 	m.planOpsPure.Add(uint64(c.PureProbes))
 	m.planOpsFused.Add(uint64(c.Fused))
-}
-
-// clientStep returns the per-client step counter for a fairness client id.
-func (m *siteMetrics) clientStep(client uint64) *metrics.Counter {
-	if m.reg == nil {
-		return nil
-	}
-	c, ok := m.clientSteps[client]
-	if !ok {
-		if m.clientSteps == nil {
-			m.clientSteps = make(map[uint64]*metrics.Counter)
-		}
-		c = m.reg.Counter(fmt.Sprintf("hf_client_%d_steps", client))
-		m.clientSteps[client] = c
-	}
-	return c
 }
 
 // filterStep returns the per-filter step counter for filter index i.

@@ -72,78 +72,50 @@ func (s *Site) reject(m *wire.Submit, reason string) wire.Envelope {
 	return wire.Envelope{To: m.Client, Msg: &wire.Reject{QID: m.QID, Reason: reason}}
 }
 
-// drainAdmission admits queued Submits while capacity allows, shedding the
-// ones whose deadline passed while they waited. Called after every event
-// that may have released an inflight slot.
+// drainAdmission admits queued Submits in round robin over clients while
+// capacity allows, so one client's burst does not starve the clients queued
+// behind it. A Submit whose deadline passed while it waited is shed when it
+// reaches the head of the queue, even with no slot to grant; ExpireDeadlines
+// sheds the rest. Called after every event that may have released an
+// inflight slot.
 func (s *Site) drainAdmission() ([]wire.Envelope, error) {
-	if len(s.admitQ) == 0 {
+	if s.admitQ.n == 0 {
 		return nil, nil
 	}
-	if s.fair != nil {
-		return s.drainAdmissionFair()
-	}
-	var out []wire.Envelope
 	now := time.Now()
-	for len(s.admitQ) > 0 {
-		p := s.admitQ[0]
-		if !p.deadline.IsZero() && now.After(p.deadline) {
-			s.admitQ = s.admitQ[1:]
-			s.stats.Shed++
-			s.met.shed.Inc()
-			out = append(out, wire.Envelope{To: p.m.Client, Msg: &wire.Reject{
-				QID: p.m.QID, Reason: "shed: deadline expired in admission queue",
-			}})
-			continue
-		}
+	var out []wire.Envelope
+	unexpired := func(p pendingSubmit) bool { return s.keepQueued(p, now, &out) }
+	var err error
+	for s.admitQ.n > 0 && err == nil {
 		if s.atCapacity() {
+			s.admitQ.any(unexpired)
 			break
 		}
-		s.admitQ = s.admitQ[1:]
-		envs, err := s.admitSubmit(p.m, p.deadline)
-		out = append(out, envs...)
-		if err != nil {
-			s.met.admissionQueue.Set(int64(len(s.admitQ)))
-			return out, err
+		p, shared, ok := s.admitQ.pop(unexpired)
+		if !ok {
+			break
 		}
+		s.noteTurn(shared)
+		var envs []wire.Envelope
+		envs, err = s.admitSubmit(p.m, p.deadline)
+		out = append(out, envs...)
 	}
-	s.met.admissionQueue.Set(int64(len(s.admitQ)))
-	return out, nil
+	s.met.admissionQueue.Set(int64(s.admitQ.n))
+	return out, err
 }
 
-// drainAdmissionFair admits queued Submits under deficit round robin over
-// client ids (Config.FairQuantum): one greedy client's burst of queued
-// Submits no longer starves the clients behind it. Expired entries are shed
-// wherever they sit — the next served entry need not be the head, so
-// head-only shedding would let dead entries linger mid-queue.
-func (s *Site) drainAdmissionFair() ([]wire.Envelope, error) {
-	var out []wire.Envelope
-	now := time.Now()
-	kept := s.admitQ[:0]
-	for _, p := range s.admitQ {
-		if !p.deadline.IsZero() && now.After(p.deadline) {
-			s.stats.Shed++
-			s.met.shed.Inc()
-			out = append(out, wire.Envelope{To: p.m.Client, Msg: &wire.Reject{
-				QID: p.m.QID, Reason: "shed: deadline expired in admission queue",
-			}})
-			continue
-		}
-		kept = append(kept, p)
+// keepQueued reports whether a queued Submit is still within its deadline at
+// now, and otherwise sheds it: a typed Reject to its client joins out.
+func (s *Site) keepQueued(p pendingSubmit, now time.Time, out *[]wire.Envelope) bool {
+	if p.deadline.IsZero() || !now.After(p.deadline) {
+		return true
 	}
-	s.admitQ = kept
-	for len(s.admitQ) > 0 && !s.atCapacity() {
-		i := s.nextFairAdmit()
-		p := s.admitQ[i]
-		s.admitQ = append(s.admitQ[:i], s.admitQ[i+1:]...)
-		envs, err := s.admitSubmit(p.m, p.deadline)
-		out = append(out, envs...)
-		if err != nil {
-			s.met.admissionQueue.Set(int64(len(s.admitQ)))
-			return out, err
-		}
-	}
-	s.met.admissionQueue.Set(int64(len(s.admitQ)))
-	return out, nil
+	s.stats.Shed++
+	s.met.shed.Inc()
+	*out = append(*out, wire.Envelope{To: p.m.Client, Msg: &wire.Reject{
+		QID: p.m.QID, Reason: "shed: deadline expired in admission queue",
+	}})
+	return false
 }
 
 // expired reports whether ctx's budget has run out.
@@ -289,16 +261,21 @@ func (s *Site) expireParticipant(ctx *qctx) ([]wire.Envelope, error) {
 // tombstoned so work still in flight toward this site cannot resurrect it
 // after the cancel.
 func (s *Site) handleCancel(m *wire.Cancel) ([]wire.Envelope, error) {
-	for i, p := range s.admitQ {
-		if p.m.QID == m.QID {
-			s.admitQ = append(s.admitQ[:i], s.admitQ[i+1:]...)
-			s.met.admissionQueue.Set(int64(len(s.admitQ)))
-			s.stats.Cancelled++
-			s.met.cancelled.Inc()
-			return []wire.Envelope{{To: p.m.Client, Msg: &wire.Reject{
-				QID: m.QID, Reason: "cancelled before admission",
-			}}}, nil
+	var queued *wire.Submit
+	s.admitQ.filter(func(p pendingSubmit) bool {
+		if p.m.QID != m.QID {
+			return true
 		}
+		queued = p.m
+		return false
+	})
+	if queued != nil {
+		s.met.admissionQueue.Set(int64(s.admitQ.n))
+		s.stats.Cancelled++
+		s.met.cancelled.Inc()
+		return []wire.Envelope{{To: queued.Client, Msg: &wire.Reject{
+			QID: m.QID, Reason: "cancelled before admission",
+		}}}, nil
 	}
 	ctx, ok := s.contexts[m.QID]
 	if !ok {
@@ -387,20 +364,8 @@ func (s *Site) ExpireDeadlines() ([]wire.Envelope, error) {
 			}
 		}
 	}
-	kept := s.admitQ[:0]
-	for _, p := range s.admitQ {
-		if !p.deadline.IsZero() && now.After(p.deadline) {
-			s.stats.Shed++
-			s.met.shed.Inc()
-			out = append(out, wire.Envelope{To: p.m.Client, Msg: &wire.Reject{
-				QID: p.m.QID, Reason: "shed: deadline expired in admission queue",
-			}})
-			continue
-		}
-		kept = append(kept, p)
-	}
-	s.admitQ = kept
-	s.met.admissionQueue.Set(int64(len(s.admitQ)))
+	s.admitQ.filter(func(p pendingSubmit) bool { return s.keepQueued(p, now, &out) })
+	s.met.admissionQueue.Set(int64(s.admitQ.n))
 	drained, err := s.drainAdmission()
 	return append(out, drained...), err
 }

@@ -321,32 +321,35 @@ func TestExpirePinnedParticipantReturnsCredit(t *testing.T) {
 	}
 }
 
-// TestReadyQueueCompactsStaleEntries is the regression test for unbounded
-// ready-queue growth: contexts that finish while queued used to leave their
-// entries behind until they happened to reach the head. Cancelling a pile of
-// queued queries must leave the queue compacted, not full of garbage.
-func TestReadyQueueCompactsStaleEntries(t *testing.T) {
+// TestReadyQueueHoldsNoFinishedContexts is the regression test for dead
+// ready-queue entries: a context that finished while queued used to leave its
+// entry behind until it reached the head, and under the per-client scheduler
+// that preceded the single queue, for good. Cancelling 64 queued queries,
+// split over two clients, must leave no entry, no client lane and no context.
+func TestReadyQueueHoldsNoFinishedContexts(t *testing.T) {
 	h := newHarness(t, 1, nil)
+	s := h.sites[1]
 	local := h.store(1).NewObject().Add("keyword", object.Keyword("hot"), object.Value{})
 	if err := h.store(1).Put(local); err != nil {
 		t.Fatal(err)
 	}
 	const n = 64
 	for seq := uint64(1); seq <= n; seq++ {
-		out, err := h.sites[1].HandleMessage(client, &wire.Submit{
+		out, err := s.HandleMessage(client, &wire.Submit{
 			QID: wire.QueryID{Origin: 1, Seq: seq}, Client: client,
 			Body: `S (keyword, "hot", ?) -> T`, Initial: []object.ID{local.ID},
+			ClientID: seq%2 + 1,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		h.deliver(1, out)
 	}
-	if len(h.sites[1].ready) != n {
-		t.Fatalf("ready queue = %d, want %d queued contexts", len(h.sites[1].ready), n)
+	if got := s.ready.n; got != n {
+		t.Fatalf("ready queue = %d, want %d queued contexts", got, n)
 	}
 	for seq := uint64(1); seq <= n; seq++ {
-		envs, err := h.sites[1].HandleMessage(client, &wire.Cancel{
+		envs, err := s.HandleMessage(client, &wire.Cancel{
 			QID: wire.QueryID{Origin: 1, Seq: seq},
 		})
 		if err != nil {
@@ -354,15 +357,14 @@ func TestReadyQueueCompactsStaleEntries(t *testing.T) {
 		}
 		h.deliver(1, envs)
 	}
-	if got := len(h.sites[1].ready); got > n/2 {
-		t.Errorf("ready queue holds %d entries after all queries finished, want compacted", got)
+	if got := s.ready.n; got != 0 {
+		t.Errorf("ready queue holds %d entries after every query finished, want 0", got)
 	}
-	if h.sites[1].readyStale != 0 && h.sites[1].readyStale*2 > len(h.sites[1].ready) {
-		t.Errorf("readyStale = %d with queue len %d, compaction did not run",
-			h.sites[1].readyStale, len(h.sites[1].ready))
+	if got := len(s.ready.lanes); got != 0 {
+		t.Errorf("%d client lanes outlived their contexts", got)
 	}
-	if h.sites[1].Contexts() != 0 {
-		t.Errorf("contexts leaked: %d", h.sites[1].Contexts())
+	if s.Contexts() != 0 {
+		t.Errorf("contexts leaked: %d", s.Contexts())
 	}
 	if len(h.completes) != n {
 		t.Errorf("completes = %d, want %d cancelled partials", len(h.completes), n)

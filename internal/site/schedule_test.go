@@ -72,19 +72,26 @@ func TestPinnedContextNotRescheduled(t *testing.T) {
 	}
 }
 
-// TestPinnedContextNotRescheduledFair repeats the pin check under the DRR
-// scheduler, whose pop path is separate code.
+// TestPinnedContextNotRescheduledFair repeats the pin check with two clients
+// in the round robin: while client 7's only context is pinned, the pop must
+// pass over client 7's lane to client 8's context instead of handing the
+// pinned context to a second worker, and with both pinned nothing is
+// steppable.
 func TestPinnedContextNotRescheduledFair(t *testing.T) {
-	h := newHarness(t, 1, func(c *Config) { c.FairQuantum = 2 })
+	h := newHarness(t, 1, nil)
 	s := h.sites[1]
 	ctx := submitLocal(t, h, 1, 1, 7, 4)
+	other := submitLocal(t, h, 1, 2, 8, 4)
 
 	if got := s.nextWithWork(); got != ctx || !ctx.stepping {
-		t.Fatalf("fair pop: got %v (stepping=%v)", got, ctx.stepping)
+		t.Fatalf("first pop: got %v (stepping=%v), want client 7's context pinned", got, ctx.stepping)
 	}
 	s.markReady(ctx)
+	if got := s.nextWithWork(); got != other {
+		t.Fatalf("second pop: got %v, want client 8's context", got)
+	}
 	if again := s.nextWithWork(); again != nil {
-		t.Fatalf("fair pop returned %v while the context is mid-step", again.qid)
+		t.Fatalf("pop returned %v while both contexts are mid-step", again.qid)
 	}
 	ctx.stepping = false
 	s.markReady(ctx)
@@ -93,12 +100,13 @@ func TestPinnedContextNotRescheduledFair(t *testing.T) {
 	}
 }
 
-// TestFairStepSharing checks the step scheduler's DRR guarantee: a client
-// with many queued queries cannot crowd out a client with one. Client 1
-// holds three contexts with work, client 2 one; under plain FIFO round
-// robin client 2 would get 1/4 of the steps, under DRR it gets half.
+// TestFairStepSharing checks the step scheduler's round robin over clients:
+// a client with many queued queries cannot crowd out a client with one.
+// Client 1 holds three contexts with work, client 2 one; round robin over
+// contexts would give client 2 a quarter of the steps, over clients it gets
+// half.
 func TestFairStepSharing(t *testing.T) {
-	h := newHarness(t, 1, func(c *Config) { c.FairQuantum = 1 })
+	h := newHarness(t, 1, nil)
 	s := h.sites[1]
 	submitLocal(t, h, 1, 1, 1, 12)
 	submitLocal(t, h, 1, 2, 1, 12)
@@ -112,7 +120,7 @@ func TestFairStepSharing(t *testing.T) {
 		if ctx == nil {
 			t.Fatalf("no work at pop %d", i)
 		}
-		steps[ctx.fairClient]++
+		steps[ctx.lane.client]++
 		ctx.eng.Step()
 		ctx.stepping = false
 		s.markReady(ctx)
@@ -125,15 +133,14 @@ func TestFairStepSharing(t *testing.T) {
 	}
 }
 
-// TestFairAdmissionSharing checks the admission queue's DRR: with the one
-// inflight slot occupied, a greedy client queues four Submits before a light
-// client queues one; the light client must still be admitted by the second
-// slot grant, not behind the whole burst.
+// TestFairAdmissionSharing checks the admission queue's round robin: with
+// the one inflight slot occupied, a greedy client queues four Submits before
+// a light client queues one; the light client must still be admitted by the
+// second slot grant, not behind the whole burst.
 func TestFairAdmissionSharing(t *testing.T) {
 	h := newHarness(t, 1, func(c *Config) {
 		c.MaxInflight = 1
 		c.AdmissionQueue = 8
-		c.FairQuantum = 1
 	})
 	s := h.sites[1]
 	// Occupy the only slot.
@@ -166,7 +173,7 @@ func TestFairAdmissionSharing(t *testing.T) {
 	// Run everything down; MaxInflight=1 serializes admissions, so the
 	// order of Complete messages is the admission order.
 	var order []uint64
-	for guard := 0; s.HasWork() || s.Contexts() > 0 || len(s.admitQ) > 0; guard++ {
+	for guard := 0; s.HasWork() || s.Contexts() > 0 || s.admitQ.n > 0; guard++ {
 		if guard > 10_000 {
 			t.Fatal("no quiescence")
 		}
@@ -193,5 +200,49 @@ func TestFairAdmissionSharing(t *testing.T) {
 	}
 	if pos < 0 || pos > 2 {
 		t.Errorf("light client admitted at position %d (%v), want within first two grants", pos, order)
+	}
+}
+
+// TestClientLanesFreedWithLastContext: a client's lane lives only while the
+// client has a live context or a queued Submit. Ten thousand distinct
+// clients each submit one query, most of them waiting in the admission
+// queue, and once every query has finished no lane is left in either
+// rotation.
+func TestClientLanesFreedWithLastContext(t *testing.T) {
+	const n = 10_000
+	h := newHarness(t, 1, func(c *Config) {
+		c.MaxInflight = 64
+		c.AdmissionQueue = n
+	})
+	s := h.sites[1]
+	o := h.store(1).NewObject().Add("k", object.String("a"), object.Value{})
+	if err := h.store(1).Put(o); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= n; i++ {
+		out, err := s.HandleMessage(client, &wire.Submit{
+			QID: wire.QueryID{Origin: 1, Seq: uint64(i)}, Client: client,
+			Body: `S (k, "a", ?) -> T`, Initial: []object.ID{o.ID}, ClientID: uint64(i),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.deliver(1, out)
+	}
+	if got := len(s.admitQ.lanes); got != n-64 {
+		t.Fatalf("admission lanes = %d, want one per queued client (%d)", got, n-64)
+	}
+	h.pump()
+	if len(h.completes) != n || s.Contexts() != 0 || s.admitQ.n != 0 {
+		t.Fatalf("%d completions, %d contexts, %d queued: want %d, 0, 0",
+			len(h.completes), s.Contexts(), s.admitQ.n, n)
+	}
+	for name, lanes := range map[string]int{
+		"ready lanes": len(s.ready.lanes), "ready ring": len(s.ready.ring),
+		"admission lanes": len(s.admitQ.lanes), "admission ring": len(s.admitQ.ring),
+	} {
+		if lanes != 0 {
+			t.Errorf("%s = %d after every client finished, want 0", name, lanes)
+		}
 	}
 }

@@ -130,13 +130,6 @@ type Config struct {
 	// the site agree on one configured value. Zero or one is the paper's
 	// single-threaded stepping, exactly.
 	Workers int
-	// FairQuantum, when positive, replaces FIFO scheduling with per-client
-	// deficit-round-robin fairness: each client id (wire.Submit.ClientID;
-	// participant work buckets under client 0) gets this many engine steps —
-	// and this many admissions — per scheduling turn before the next client
-	// is served. The scheduler is work-conserving: a lone client is never
-	// throttled. Zero keeps the exact FIFO/round-robin order of the paper.
-	FairQuantum int
 }
 
 // Stats counts a site's protocol activity.
@@ -175,9 +168,9 @@ type Stats struct {
 	Shed            int
 	Cancelled       int
 	DeadlineExpired int
-	// FairDeferred counts scheduling turns where a client with queued work
-	// was passed over because its deficit-round-robin quantum was spent
-	// (Config.FairQuantum). Zero with fairness off.
+	// FairDeferred counts scheduling turns (steps and admissions) taken
+	// while another client also waited in the same round robin. It stays
+	// zero while every query comes from one client.
 	FairDeferred int
 	Engine       engine.Stats
 }
@@ -195,29 +188,18 @@ type Site struct {
 	// order preserves context creation order (PeerDown iterates it
 	// deterministically).
 	order []wire.QueryID
-	// ready is the FIFO queue of contexts believed to have working-set
-	// items. Stepping pops the head and re-appends it while work remains,
-	// which is round-robin over the contexts that actually have work —
-	// replacing an O(contexts) scan per step with O(1) queue operations.
-	// Entries can go stale (a context drains, finishes, or is dropped while
-	// queued); consumers prune them lazily against the per-context ready
-	// flag and the engine's own working set. readyStale counts the queued
-	// entries whose context has finished or been dropped — when they
-	// outnumber the live entries the queue is compacted, so a long-lived
-	// site's queue cannot grow without bound on lazily-pruned garbage.
-	ready      []wire.QueryID
-	readyStale int
-	// fair, when non-nil (Config.FairQuantum > 0), replaces the FIFO ready
-	// queue with per-client deficit-round-robin buckets; fairAdmit is the
-	// admission queue's matching DRR state.
-	fair      *fairSched
-	fairAdmit fairAdmitState
-	stats     Stats
+	// ready holds the contexts with working-set items, in round robin over
+	// clients (schedule.go). Stepping pops one and re-queues it while work
+	// remains, so no step scans idle contexts. A context leaves the queue
+	// when it finishes, so no dead entry outlives its query.
+	ready rotation[*qctx]
+	stats Stats
 
 	// inflight counts unfinished contexts (admission control's notion of
-	// load); admitQ holds Submits waiting for an inflight slot.
+	// load); admitQ holds Submits waiting for an inflight slot, in the same
+	// round robin as ready.
 	inflight int
-	admitQ   []pendingSubmit
+	admitQ   rotation[pendingSubmit]
 
 	// down marks peers the failure detector has declared dead; dereferences
 	// to them are suppressed (and recorded as unreachable) instead of
@@ -275,9 +257,10 @@ type qctx struct {
 	// the context and hand it to a second worker. The stepping worker clears
 	// the pin and re-marks readiness itself when the step completes.
 	stepping bool
-	// fairClient is the submitting client's fairness bucket
-	// (wire.Submit.ClientID at the originator; 0 for participant contexts).
-	fairClient uint64
+	// lane is the context's client lane in the ready rotation
+	// (wire.Submit.ClientID at the originator; 0 for participant contexts),
+	// held from creation until the context finishes, then nil.
+	lane *lane[*qctx]
 
 	// deadline, when non-zero, is when this context's time budget runs out:
 	// derived from the Submit budget (or Config.QueryDeadline) at the
@@ -379,9 +362,6 @@ func New(cfg Config) *Site {
 	if cfg.PlanCacheSize > 0 {
 		s.plans = plan.NewCache(cfg.PlanCacheSize)
 	}
-	if cfg.FairQuantum > 0 {
-		s.fair = newFairSched(cfg.FairQuantum)
-	}
 	return s
 }
 
@@ -416,39 +396,28 @@ func (s *Site) markReady(ctx *qctx) {
 		return
 	}
 	ctx.ready = true
-	if s.fair != nil {
-		s.fair.push(ctx.fairClient, ctx.qid)
-		return
-	}
-	s.ready = append(s.ready, ctx.qid)
+	s.ready.push(ctx.lane, ctx)
 }
 
-// HasWork reports whether any query context has working-set items. Stale
-// queue heads (drained, finished, or dropped contexts) are pruned on the
-// way — required for correctness, not just tidiness: the ready queue is the
-// only thing consulted, so a stale head left in place would make an idle
-// site claim work forever. A context pinned mid-step is invisible here; its
-// worker re-marks it when the step completes.
+// steppable reports whether a queued context still has work, unflagging it
+// when it has none so the queue can drop the entry.
+func steppable(ctx *qctx) bool {
+	if ctx.eng.HasWork() {
+		return true
+	}
+	ctx.ready = false
+	return false
+}
+
+// HasWork reports whether any query context has working-set items. Drained
+// queue heads are pruned on the way — required for correctness, not just
+// tidiness: the ready queue is the only thing consulted, so a stale head left
+// in place would make an idle site claim work forever. A context pinned
+// mid-step is invisible here; its worker re-marks it when the step completes.
 func (s *Site) HasWork() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.fair != nil {
-		return s.fairHasWork()
-	}
-	for len(s.ready) > 0 {
-		ctx := s.contexts[s.ready[0]]
-		if ctx != nil && ctx.ready && !ctx.finished && ctx.eng.HasWork() {
-			return true
-		}
-		if ctx == nil || ctx.finished {
-			s.readyStale--
-		}
-		if ctx != nil {
-			ctx.ready = false
-		}
-		s.ready = s.ready[1:]
-	}
-	return false
+	return s.ready.any(steppable)
 }
 
 // Contexts returns the number of live query contexts.
@@ -574,10 +543,11 @@ func (s *Site) planFor(body string, hash []byte) (p *plan.Plan, fp query.Fingerp
 	return p, fp, pinned, nil
 }
 
-// newCtx builds a context for a query executing the given plan. hop is the
+// newCtx builds a context for a query executing the given plan, scheduled
+// under client (wire.Submit.ClientID; 0 for participant work). hop is the
 // trace context's dereference depth at which this site joined (0 at the
 // origin). fp and pinned come from planFor.
-func (s *Site) newCtx(qid wire.QueryID, origin object.SiteID, body string, p *plan.Plan, fp query.Fingerprint, pinned bool, hop uint32) *qctx {
+func (s *Site) newCtx(qid wire.QueryID, origin object.SiteID, client uint64, body string, p *plan.Plan, fp query.Fingerprint, pinned bool, hop uint32) *qctx {
 	ctx := &qctx{
 		qid:    qid,
 		origin: origin,
@@ -591,6 +561,7 @@ func (s *Site) newCtx(qid wire.QueryID, origin object.SiteID, body string, p *pl
 		det: termination.NewInstrumented(s.cfg.ID, origin,
 			termination.Metrics{Splits: s.met.termSplits, Returns: s.met.termReturns, HandOffs: s.met.termHandOffs}),
 		isOrigin:   origin == s.cfg.ID,
+		lane:       s.ready.hold(client),
 		fp:         fp,
 		planPinned: pinned,
 	}
@@ -607,48 +578,25 @@ func (s *Site) newCtx(qid wire.QueryID, origin object.SiteID, body string, p *pl
 }
 
 // finishCtx marks a context finished exactly once: it releases the admission
-// slot, records the end-to-end latency at the originator, and accounts its
-// (now stale) ready-queue entry. Every transition to the finished state
-// funnels through here.
+// slot, records the end-to-end latency at the originator, and takes the
+// context out of the ready queue and off its client lane, which is freed with
+// the client's last context. Every transition to the finished state funnels
+// through here.
 func (s *Site) finishCtx(ctx *qctx) {
 	if ctx.finished {
 		return
 	}
 	ctx.finished = true
 	s.inflight--
-	if ctx.ready && s.fair == nil {
-		// Fair-mode buckets prune their own stale entries at every visit;
-		// the stale counter and compaction belong to the FIFO queue only.
-		s.readyStale++
-		s.compactReady()
+	if ctx.ready {
+		s.ready.remove(ctx.lane, ctx)
+		ctx.ready = false
 	}
+	s.ready.release(ctx.lane)
+	ctx.lane = nil
 	if ctx.isOrigin {
 		s.met.queryLatencyUS.ObserveDuration(time.Since(ctx.created))
 	}
-}
-
-// compactReady rebuilds the ready queue without its dead entries once they
-// outnumber the live ones. Lazy pruning alone only removes stale entries
-// that reach the queue head; on a long-lived site with persistent load the
-// head keeps being re-taken by live contexts and mid-queue garbage from
-// thousands of finished queries would otherwise accumulate forever.
-func (s *Site) compactReady() {
-	if s.readyStale*2 <= len(s.ready) {
-		return
-	}
-	live := s.ready[:0]
-	for _, qid := range s.ready {
-		if ctx := s.contexts[qid]; ctx != nil && ctx.ready && !ctx.finished {
-			live = append(live, qid)
-		}
-	}
-	// Drop the tail so stale ids do not linger in the backing array.
-	tail := s.ready[len(live):]
-	for i := range tail {
-		tail[i] = wire.QueryID{}
-	}
-	s.ready = live
-	s.readyStale = 0
 }
 
 // ctxFor returns the context for qid, creating it from a Deref/Seed message
@@ -665,7 +613,7 @@ func (s *Site) ctxFor(qid wire.QueryID, origin object.SiteID, body string, bodyH
 	if err != nil {
 		return nil, fmt.Errorf("%w: query %v body does not compile: %v", ErrProtocol, qid, err)
 	}
-	return s.newCtx(qid, origin, body, p, fp, pinned, hop), nil
+	return s.newCtx(qid, origin, 0, body, p, fp, pinned, hop), nil
 }
 
 // dropCtx removes a context, folding its engine statistics into the site's

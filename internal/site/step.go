@@ -20,12 +20,11 @@ type StepOutcome struct {
 	ResultAdded bool
 }
 
-// Step advances one query context by one working-set item, round-robin over
-// contexts with work (deficit round robin over clients with FairQuantum
-// set). It returns the envelopes to deliver and reports false when no
-// context has work. An error indicates a broken protocol invariant (e.g. a
-// termination-credit underflow) and leaves the query wedged; callers should
-// surface it.
+// Step advances one query context by one working-set item, in round robin
+// over clients and, within a client, over its contexts with work. It returns
+// the envelopes to deliver and reports false when no context has work. An
+// error indicates a broken protocol invariant (e.g. a termination-credit
+// underflow) and leaves the query wedged; callers should surface it.
 //
 // Step is safe to call from multiple worker goroutines: the pop pins the
 // chosen context to this worker, the site lock is released while the
@@ -67,7 +66,6 @@ func (s *Site) Step() (StepOutcome, []wire.Envelope, bool, error) {
 	s.met.noteStep(&res)
 	s.met.stepUS.ObserveDuration(stepDur)
 	s.met.filterStep(res.Item.Start).Inc()
-	s.met.clientStep(ctx.fairClient).Inc()
 	ctx.noteStep(res, stepDur)
 	outcome := StepOutcome{
 		Query:       ctx.qid,
@@ -107,8 +105,8 @@ func (s *Site) Step() (StepOutcome, []wire.Envelope, bool, error) {
 		}
 	}
 	out, err = s.afterEvent(ctx, out)
-	// Requeue at the tail while work remains: contexts with work take
-	// strictly alternating turns (round-robin fairness).
+	// Requeue at the client's tail while work remains: contexts with work
+	// take strictly alternating turns (round-robin fairness).
 	s.markReady(ctx)
 	if err == nil {
 		var drained []wire.Envelope
@@ -118,35 +116,30 @@ func (s *Site) Step() (StepOutcome, []wire.Envelope, bool, error) {
 	return outcome, out, true, err
 }
 
-// nextWithWork pops the first ready context that still has work and pins it
+// nextWithWork pops the next ready context that still has work and pins it
 // to the calling worker (ctx.stepping) in the same critical section — the
 // pop and the pin must be atomic, or work arriving between them could
 // requeue the context and hand it to a second worker. Step re-queues the
-// context at the tail afterwards, so the rotation order is preserved
-// without scanning idle contexts.
+// context at its client's tail afterwards, so the rotation order is
+// preserved without scanning idle contexts.
 func (s *Site) nextWithWork() *qctx {
-	if s.fair != nil {
-		return s.fairPop()
+	ctx, shared, ok := s.ready.pop(steppable)
+	if !ok {
+		return nil
 	}
-	for len(s.ready) > 0 {
-		qid := s.ready[0]
-		s.ready = s.ready[1:]
-		ctx := s.contexts[qid]
-		if ctx == nil {
-			s.readyStale--
-			continue
-		}
-		ctx.ready = false
-		if ctx.finished {
-			s.readyStale--
-			continue
-		}
-		if ctx.eng.HasWork() {
-			ctx.stepping = true
-			return ctx
-		}
+	s.noteTurn(shared)
+	ctx.ready = false
+	ctx.stepping = true
+	return ctx
+}
+
+// noteTurn counts a scheduling turn taken while another client waited
+// (Stats.FairDeferred).
+func (s *Site) noteTurn(shared bool) {
+	if shared {
+		s.stats.FairDeferred++
+		s.met.fairDeferred.Inc()
 	}
-	return nil
 }
 
 // afterEvent performs the on-drain duties whenever a context's working set

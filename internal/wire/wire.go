@@ -161,12 +161,12 @@ type Submit struct {
 	// so sites need no clock synchronization. Trailing and optional: frames
 	// from older clients decode with BudgetUS zero.
 	BudgetUS uint64
-	// ClientID identifies the submitting client for per-client fair
-	// scheduling (deficit round robin over admissions and step credits).
-	// Distinct from Client, which is the wire endpoint the Complete goes to:
-	// many logical clients may share one endpoint. Trailing and optional:
-	// frames from older clients decode with ClientID zero (one shared
-	// fairness bucket, the pre-fairness behavior).
+	// ClientID identifies the submitting client for the origin site's round
+	// robin over clients (admissions and engine steps). Distinct from
+	// Client, which is the wire endpoint the Complete goes to: many logical
+	// clients may share one endpoint. Trailing and optional: frames from
+	// older clients decode with ClientID zero (the one shared lane that
+	// participant work also uses).
 	ClientID uint64
 }
 
