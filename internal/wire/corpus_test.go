@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,16 +16,16 @@ import (
 	"hyperfile/internal/object"
 )
 
-var updateCorpus = flag.Bool("update-corpus", false, "rewrite the committed fuzz seed corpus under testdata/fuzz")
+var updateCorpus = flag.Bool("update-corpus", false, "write committed fuzz seeds that are missing under testdata/fuzz (never rewrites one)")
 
 // compatSeeds is the committed compatibility corpus: one named frame stream
 // per wire-format generation we promise to keep decoding. Each payload is a
 // message layout that once went over the wire — current layouts with the
 // trailing optionals present (ClientID, BudgetUS, BodyHash, Reason, Cum,
-// Deref Spans), the
-// truncated pre-optional layouts from before each field existed, and the
-// legacy single-id KDeref frame. go test loads these through FuzzFrame's
-// seed corpus, so the coverage survives CI fuzz-cache loss.
+// Deref Spans), the truncated pre-optional layouts from before each field
+// existed, the legacy single-id KDeref frame, and one frame per kind with
+// every field set. go test loads these through FuzzFrame's seed corpus, so
+// the coverage survives CI fuzz-cache loss.
 func compatSeeds() map[string][]byte {
 	qid := QueryID{Origin: 1, Seq: 3}
 	id := object.ID{Birth: 2, Seq: 9}
@@ -79,9 +81,51 @@ func compatSeeds() map[string][]byte {
 			}}),
 	}
 
-	seeds := make(map[string][]byte, len(payloads)+len(cumulativeAcks)+len(derefSpans))
+	// Every kind with every field set: the kinds no generation above pins,
+	// and the fields the frames above leave zero, so each message layout
+	// has one frozen frame that exercises all of it.
+	id2 := object.ID{Birth: 300, Seq: 1 << 33}
+	spans := []Span{
+		{Site: 2, Seq: 1, Hop: 1, Filter: 3, In: 200, Out: 150, DurationUS: 40_000},
+		{Site: 3, Seq: 2, Hop: 2, Filter: 0, In: 1, Out: 0, DurationUS: 7},
+	}
+	fetches := []FetchVal{
+		{Var: "none", From: id, Val: object.Value{}},
+		{Var: "title", From: id, Val: object.String("HyperFile")},
+		{Var: "kw", From: id2, Val: object.Keyword("db")},
+		{Var: "size", From: id2, Val: object.Int(-5)},
+		{Var: "score", From: id2, Val: object.Float(2.75)},
+		{Var: "link", From: id, Val: object.Pointer(id2)},
+		{Var: "body", From: id2, Val: object.Bytes([]byte{0, 255, 7})},
+	}
+	everyField := map[string][]byte{
+		"submit_every_field": Encode(&Submit{QID: qid, Client: 7, ClientAddr: "127.0.0.1:9999",
+			Body: "S -> T", Initial: []object.ID{id, id2}, InitialFromResultOf: QueryID{Origin: 1, Seq: 2},
+			BudgetUS: 250_000, ClientID: 1 << 40}),
+		"deref_every_field": Encode(&Deref{QID: qid, Origin: 1, Body: "S -> T", ObjIDs: []object.ID{id, id2},
+			Start: 2, Iters: []int{3, 130}, Token: []byte{1, 1}, Hop: 200, BodyHash: []byte{0xAB, 0xCD},
+			BudgetUS: 99, Spans: spans}),
+		"seed_every_field": Encode(&Seed{QID: qid, Origin: 1, Body: "S -> T", FromQID: QueryID{Origin: 1, Seq: 2},
+			Token: []byte{1}, Hop: 3, BudgetUS: 400}),
+		"result": Encode(&Result{QID: qid, IDs: []object.ID{id, id2}, Fetches: fetches, Count: 300,
+			Retained: true, Token: []byte{2, 0xFF}, Unreachable: []object.SiteID{4, 500}, Spans: spans}),
+		"complete_every_field": Encode(&Complete{QID: qid, IDs: []object.ID{id2}, Fetches: fetches, Count: 300,
+			Distributed: true, Partial: true, Err: "boom", Unreachable: []object.SiteID{4},
+			Spans: spans, Reason: "peer down"}),
+		"control":      Encode(&Control{QID: qid, Token: []byte{3, 1}, Spans: spans}),
+		"finish":       Encode(&Finish{QID: qid, Retain: true}),
+		"stats_req":    Encode(&StatsReq{Seq: 77, ClientAddr: "127.0.0.1:8080"}),
+		"stats_resp":   Encode(&StatsResp{Seq: 77, Site: 3, Contexts: 2, Objects: 90_000, Counters: []Counter{{Name: "derefs_sent", Value: 12}, {Name: "completed", Value: 1 << 20}}}),
+		"migrate":      Encode(&Migrate{Seq: 5, ID: id2, To: 3, Client: 9, ClientAddr: "c:1", Hops: 2}),
+		"migrate_data": Encode(&MigrateData{Seq: 5, Obj: []byte(`{"id":"s2:9"}`), Client: 9, ClientAddr: "c:1"}),
+		"migrate_done": Encode(&MigrateDone{ID: id2, NewSite: 3}),
+		"migrated":     Encode(&Migrated{Seq: 5, ID: id2, OK: true, Err: "moved twice"}),
+		"heartbeat":    Encode(&Heartbeat{Seq: 1 << 14}),
+	}
+
+	seeds := make(map[string][]byte, len(payloads)+len(cumulativeAcks)+len(derefSpans)+len(everyField))
 	var seq uint64
-	for _, generation := range []map[string][]byte{payloads, cumulativeAcks, derefSpans} {
+	for _, generation := range []map[string][]byte{payloads, cumulativeAcks, derefSpans, everyField} {
 		for _, name := range sortedKeys(generation) {
 			seq++
 			seeds[name] = AppendFrame(nil, Frame{From: 3, Epoch: 1, Seq: seq, Payload: generation[name]})
@@ -131,8 +175,9 @@ func parseCorpusFile(src string) ([]byte, error) {
 //
 //	go test ./internal/wire -run TestFuzzSeedCorpusCommitted -update-corpus
 //
-// after intentionally extending the wire format (never edit committed seeds:
-// old generations' bytes must stay frozen, so additions are new files).
+// after adding a generation to compatSeeds. The flag only creates missing
+// files: committed seeds are frozen, so a seed whose bytes differ from the
+// encoder's fails with or without it.
 func TestFuzzSeedCorpusCommitted(t *testing.T) {
 	seeds := compatSeeds()
 	if *updateCorpus {
@@ -143,19 +188,19 @@ func TestFuzzSeedCorpusCommitted(t *testing.T) {
 	for _, name := range sortedKeys(seeds) {
 		path := filepath.Join(corpusDir, name)
 		want := corpusFile(seeds[name])
-		if *updateCorpus {
+		got, err := os.ReadFile(path)
+		if errors.Is(err, fs.ErrNotExist) && *updateCorpus {
 			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			continue
 		}
-		got, err := os.ReadFile(path)
 		if err != nil {
 			t.Errorf("missing committed seed %s (rerun with -update-corpus): %v", name, err)
 			continue
 		}
 		if string(got) != want {
-			t.Errorf("committed seed %s drifted from the encoder; wire compat may be broken (or rerun with -update-corpus if the change is intentional)", name)
+			t.Errorf("committed seed %s drifted from the encoder; wire compat is broken (committed seeds are never rewritten)", name)
 		}
 	}
 }
