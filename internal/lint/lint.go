@@ -72,7 +72,7 @@ func (d Diagnostic) String() string {
 func All() []*Analyzer {
 	return []*Analyzer{
 		Lockhold, Baresleep, Wireswitch, Goorphan, Nakedmetric,
-		Lockorder, Wirefield, Creditflow, Pairwise, Atomicfield,
+		Lockorder, Creditflow, Pairwise, Atomicfield,
 	}
 }
 

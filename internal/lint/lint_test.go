@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -108,8 +109,14 @@ func TestRepoIsClean(t *testing.T) {
 
 // TestAnalyzerRegistry pins the analyzer set: names must be unique,
 // non-empty, and documented — the ignore machinery and -checks flag key off
-// them.
+// them — and the set is exactly the list below, in reporting order, so
+// adding or deleting an analyzer is an explicit edit here.
 func TestAnalyzerRegistry(t *testing.T) {
+	want := []string{
+		"lockhold", "baresleep", "wireswitch", "goorphan", "nakedmetric",
+		"lockorder", "creditflow", "pairwise", "atomicfield",
+	}
+	var names []string
 	seen := map[string]bool{}
 	for _, a := range All() {
 		if a.Name == "" || a.Doc == "" {
@@ -122,8 +129,9 @@ func TestAnalyzerRegistry(t *testing.T) {
 			t.Errorf("duplicate analyzer name %q", a.Name)
 		}
 		seen[a.Name] = true
+		names = append(names, a.Name)
 	}
-	if len(seen) < 10 {
-		t.Errorf("analyzer set shrank to %d; PR 3 shipped five and this PR five more", len(seen))
+	if !slices.Equal(names, want) {
+		t.Errorf("analyzers = %q, want %q", names, want)
 	}
 }

@@ -1,6 +1,6 @@
 // Package wire is a corpus stub of the real wire package: same import path,
-// same shape (a Kind enum with a KInvalid sentinel, a Msg interface with
-// concrete implementations, and an encoder/decoder pair), tiny vocabulary.
+// same shape (a Kind enum with a KInvalid sentinel and a Msg interface with
+// concrete implementations), tiny vocabulary.
 package wire
 
 type Kind uint8
@@ -14,31 +14,14 @@ const (
 
 type Msg interface{ Kind() Kind }
 
-// Submit is the clean exemplar: encode and decode agree, the trailing field
-// is optional, and the legacy layout (decoded under KInvalid in codec.go)
-// stops at the optional boundary.
-type Submit struct {
-	Addr   string
-	Budget uint64
-}
+type Submit struct{}
 
 func (*Submit) Kind() Kind { return KSubmit }
 
-// Result's decode disagrees with its encode (see codec.go).
-type Result struct {
-	QID uint64
-	N   uint64
-}
+type Result struct{}
 
 func (*Result) Kind() Kind { return KResult }
 
-// Complete carries three wirefield violations: encode order, a non-optional
-// field after an optional one, and a field that is never encoded.
-type Complete struct {
-	X   uint64
-	Opt uint64
-	Y   uint64
-	Z   uint64 // want "field Z of Complete is never encoded"
-}
+type Complete struct{}
 
 func (*Complete) Kind() Kind { return KComplete }

@@ -12,10 +12,6 @@ import (
 // ErrDecode is the base error for malformed wire data.
 var ErrDecode = errors.New("wire: decode error")
 
-// maxSliceLen bounds decoded slice lengths to keep a corrupt or malicious
-// length prefix from forcing a huge allocation.
-const maxSliceLen = 1 << 24
-
 // Encode serializes a message to the compact binary wire form: a kind byte
 // followed by the payload fields in order, integers as uvarints and
 // strings/byte-slices length-prefixed.
@@ -26,124 +22,18 @@ func Encode(m Msg) []byte {
 // EncodeTo appends m's wire form to dst and returns the extended slice. It
 // is the allocation-free form of Encode: callers on the hot path encode
 // into a pooled buffer (GetBuf/PutBuf) or directly into a frame under
-// construction (AppendFrameMsg) instead of allocating per message.
+// construction (AppendFrameMsg) instead of allocating per message. It only
+// reads m, so one message may be encoded from several goroutines at once.
 func EncodeTo(dst []byte, m Msg) []byte {
-	e := &encoder{buf: dst}
 	k := m.Kind()
 	// Deref frames always encode in the batched layout. KDeref stays on the
 	// wire only as a legacy single-id layout that Decode still accepts.
 	if k == KDeref {
 		k = KDerefBatch
 	}
-	e.u8(uint8(k))
-	switch m := m.(type) {
-	case *Submit:
-		e.qid(m.QID)
-		e.u64(uint64(m.Client))
-		e.str(m.ClientAddr)
-		e.str(m.Body)
-		e.ids(m.Initial)
-		e.qid(m.InitialFromResultOf)
-		e.u64(m.BudgetUS)
-		e.u64(m.ClientID)
-	case *Deref:
-		e.qid(m.QID)
-		e.u64(uint64(m.Origin))
-		e.str(m.Body)
-		e.ids(m.ObjIDs)
-		e.u64(uint64(m.Start))
-		e.u64(uint64(len(m.Iters)))
-		for _, it := range m.Iters {
-			e.u64(uint64(it))
-		}
-		e.bytes(m.Token)
-		e.u64(uint64(m.Hop))
-		e.bytes(m.BodyHash)
-		e.u64(m.BudgetUS)
-		if len(m.Spans) > 0 {
-			e.spans(m.Spans)
-		}
-	case *Result:
-		e.qid(m.QID)
-		e.ids(m.IDs)
-		e.fetches(m.Fetches)
-		e.u64(uint64(m.Count))
-		e.bool(m.Retained)
-		e.bytes(m.Token)
-		e.sites(m.Unreachable)
-		e.spans(m.Spans)
-	case *Control:
-		e.qid(m.QID)
-		e.bytes(m.Token)
-		e.spans(m.Spans)
-	case *Finish:
-		e.qid(m.QID)
-		e.bool(m.Retain)
-	case *Complete:
-		e.qid(m.QID)
-		e.ids(m.IDs)
-		e.fetches(m.Fetches)
-		e.u64(uint64(m.Count))
-		e.bool(m.Distributed)
-		e.bool(m.Partial)
-		e.str(m.Err)
-		e.sites(m.Unreachable)
-		e.spans(m.Spans)
-		e.str(m.Reason)
-	case *Seed:
-		e.qid(m.QID)
-		e.u64(uint64(m.Origin))
-		e.str(m.Body)
-		e.qid(m.FromQID)
-		e.bytes(m.Token)
-		e.u64(uint64(m.Hop))
-		e.u64(m.BudgetUS)
-	case *Reject:
-		e.qid(m.QID)
-		e.str(m.Reason)
-	case *Cancel:
-		e.qid(m.QID)
-		e.str(m.Reason)
-	case *Migrate:
-		e.u64(m.Seq)
-		e.id(m.ID)
-		e.u64(uint64(m.To))
-		e.u64(uint64(m.Client))
-		e.str(m.ClientAddr)
-		e.u8(m.Hops)
-	case *MigrateData:
-		e.u64(m.Seq)
-		e.bytes(m.Obj)
-		e.u64(uint64(m.Client))
-		e.str(m.ClientAddr)
-	case *MigrateDone:
-		e.id(m.ID)
-		e.u64(uint64(m.NewSite))
-	case *Migrated:
-		e.u64(m.Seq)
-		e.id(m.ID)
-		e.bool(m.OK)
-		e.str(m.Err)
-	case *StatsReq:
-		e.u64(m.Seq)
-		e.str(m.ClientAddr)
-	case *Ack:
-		e.u64(m.Seq)
-		e.u64(m.Cum)
-	case *Heartbeat:
-		e.u64(m.Seq)
-	case *StatsResp:
-		e.u64(m.Seq)
-		e.u64(uint64(m.Site))
-		e.u64(m.Contexts)
-		e.u64(m.Objects)
-		e.u64(uint64(len(m.Counters)))
-		for _, c := range m.Counters {
-			e.str(c.Name)
-			e.u64(c.Value)
-		}
-	}
-	return e.buf
+	c := coder{buf: append(dst, uint8(k))}
+	walk(&c, m)
+	return c.buf
 }
 
 // Decode parses a message from its wire form. Every string and byte field
@@ -184,452 +74,556 @@ func borrowedWholesale(k Kind) bool {
 }
 
 func decode(data []byte, borrow bool) (Msg, error) {
-	d := &decoder{buf: data}
-	kind := Kind(d.u8())
-	d.borrow = borrow && borrowedWholesale(kind)
-	var m Msg
-	switch kind {
-	case KSubmit:
-		s := &Submit{}
-		s.QID = d.qid()
-		s.Client = object.SiteID(d.u64())
-		s.ClientAddr = d.str()
-		s.Body = d.str()
-		s.Initial = d.ids()
-		s.InitialFromResultOf = d.qid()
-		// Trailing, optional: frames predating time budgets end here.
-		if d.err == nil && d.pos < len(d.buf) {
-			s.BudgetUS = d.u64()
-		}
-		// Trailing, optional: frames predating client ids end here.
-		if d.err == nil && d.pos < len(d.buf) {
-			s.ClientID = d.u64()
-		}
-		m = s
-	case KDeref:
-		// Legacy layout: exactly one object id, not length-prefixed.
-		r := &Deref{}
-		r.QID = d.qid()
-		r.Origin = object.SiteID(d.u64())
-		r.Body = d.str()
-		r.ObjIDs = []object.ID{d.id()}
-		r.Start = int(d.u64())
-		n := d.len()
-		if d.err == nil && n > 0 {
-			r.Iters = make([]int, n)
-			for i := range r.Iters {
-				r.Iters[i] = int(d.u64())
-			}
-		}
-		r.Token = d.bytes()
-		r.Hop = uint32(d.u64())
-		m = r
-	case KDerefBatch:
-		r := &Deref{}
-		r.QID = d.qid()
-		r.Origin = object.SiteID(d.u64())
-		r.Body = d.str()
-		r.ObjIDs = d.ids()
-		r.Start = int(d.u64())
-		n := d.len()
-		if d.err == nil && n > 0 {
-			r.Iters = make([]int, n)
-			for i := range r.Iters {
-				r.Iters[i] = int(d.u64())
-			}
-		}
-		r.Token = d.bytes()
-		r.Hop = uint32(d.u64())
-		// Trailing, optional: frames predating the plan cache end here,
-		// frames predating time budgets end after BodyHash, and frames
-		// without spans end after BudgetUS.
-		if d.err == nil && d.pos < len(d.buf) {
-			r.BodyHash = d.bytes()
-		}
-		if d.err == nil && d.pos < len(d.buf) {
-			r.BudgetUS = d.u64()
-		}
-		if d.err == nil && d.pos < len(d.buf) {
-			r.Spans = d.spans()
-		}
-		m = r
-	case KResult:
-		r := &Result{}
-		r.QID = d.qid()
-		r.IDs = d.ids()
-		r.Fetches = d.fetches()
-		r.Count = int(d.u64())
-		r.Retained = d.bool()
-		r.Token = d.bytes()
-		r.Unreachable = d.sites()
-		r.Spans = d.spans()
-		m = r
-	case KControl:
-		c := &Control{}
-		c.QID = d.qid()
-		c.Token = d.bytes()
-		c.Spans = d.spans()
-		m = c
-	case KFinish:
-		f := &Finish{}
-		f.QID = d.qid()
-		f.Retain = d.bool()
-		m = f
-	case KComplete:
-		c := &Complete{}
-		c.QID = d.qid()
-		c.IDs = d.ids()
-		c.Fetches = d.fetches()
-		c.Count = int(d.u64())
-		c.Distributed = d.bool()
-		c.Partial = d.bool()
-		c.Err = d.str()
-		c.Unreachable = d.sites()
-		c.Spans = d.spans()
-		// Trailing, optional: frames predating partial-answer reasons end
-		// here.
-		if d.err == nil && d.pos < len(d.buf) {
-			c.Reason = d.str()
-		}
-		m = c
-	case KSeed:
-		s := &Seed{}
-		s.QID = d.qid()
-		s.Origin = object.SiteID(d.u64())
-		s.Body = d.str()
-		s.FromQID = d.qid()
-		s.Token = d.bytes()
-		s.Hop = uint32(d.u64())
-		// Trailing, optional: frames predating time budgets end here.
-		if d.err == nil && d.pos < len(d.buf) {
-			s.BudgetUS = d.u64()
-		}
-		m = s
-	case KReject:
-		m = &Reject{QID: d.qid(), Reason: d.str()}
-	case KCancel:
-		m = &Cancel{QID: d.qid(), Reason: d.str()}
-	case KMigrate:
-		mg := &Migrate{}
-		mg.Seq = d.u64()
-		mg.ID = d.id()
-		mg.To = object.SiteID(d.u64())
-		mg.Client = object.SiteID(d.u64())
-		mg.ClientAddr = d.str()
-		mg.Hops = d.u8()
-		m = mg
-	case KMigrateData:
-		md := &MigrateData{}
-		md.Seq = d.u64()
-		md.Obj = d.bytes()
-		md.Client = object.SiteID(d.u64())
-		md.ClientAddr = d.str()
-		m = md
-	case KMigrateDone:
-		m = &MigrateDone{ID: d.id(), NewSite: object.SiteID(d.u64())}
-	case KMigrated:
-		mg := &Migrated{}
-		mg.Seq = d.u64()
-		mg.ID = d.id()
-		mg.OK = d.bool()
-		mg.Err = d.str()
-		m = mg
-	case KStatsReq:
-		m = &StatsReq{Seq: d.u64(), ClientAddr: d.str()}
-	case KAck:
-		a := &Ack{Seq: d.u64()}
-		// Trailing, optional: frames predating cumulative acks end here.
-		if d.err == nil && d.pos < len(d.buf) {
-			a.Cum = d.u64()
-		}
-		m = a
-	case KHeartbeat:
-		m = &Heartbeat{Seq: d.u64()}
-	case KStatsResp:
-		r := &StatsResp{}
-		r.Seq = d.u64()
-		r.Site = object.SiteID(d.u64())
-		r.Contexts = d.u64()
-		r.Objects = d.u64()
-		n := d.len()
-		if d.err == nil && n > 0 {
-			r.Counters = make([]Counter, n)
-			for i := range r.Counters {
-				r.Counters[i].Name = d.str()
-				r.Counters[i].Value = d.u64()
-			}
-		}
-		m = r
-	default:
+	c := coder{buf: data, dec: true}
+	var k uint8
+	c.u8(&k)
+	kind := Kind(k)
+	c.borrow = borrow && borrowedWholesale(kind)
+	m := newMsg(kind)
+	switch {
+	case m == nil:
 		return nil, fmt.Errorf("%w: unknown kind %d", ErrDecode, kind)
+	case kind == KDeref:
+		m.(*Deref).walkLegacy(&c)
+	default:
+		walk(&c, m)
 	}
-	if d.err != nil {
-		return nil, d.err
+	if c.err != nil {
+		return nil, c.err
 	}
-	if len(d.buf) != d.pos {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrDecode, len(d.buf)-d.pos)
+	if len(c.buf) != c.pos {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrDecode, len(c.buf)-c.pos)
 	}
 	return m, nil
 }
 
-type encoder struct{ buf []byte }
-
-func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *encoder) u64(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *encoder) bool(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
+// newMsg returns a zero message of kind k to decode into, nil if k is
+// unknown. Both Deref layouts decode into a Deref.
+func newMsg(k Kind) Msg {
+	switch k {
+	case KSubmit:
+		return new(Submit)
+	case KDeref, KDerefBatch:
+		return new(Deref)
+	case KResult:
+		return new(Result)
+	case KControl:
+		return new(Control)
+	case KFinish:
+		return new(Finish)
+	case KComplete:
+		return new(Complete)
+	case KSeed:
+		return new(Seed)
+	case KReject:
+		return new(Reject)
+	case KCancel:
+		return new(Cancel)
+	case KMigrate:
+		return new(Migrate)
+	case KMigrateData:
+		return new(MigrateData)
+	case KMigrateDone:
+		return new(MigrateDone)
+	case KMigrated:
+		return new(Migrated)
+	case KStatsReq:
+		return new(StatsReq)
+	case KStatsResp:
+		return new(StatsResp)
+	case KAck:
+		return new(Ack)
+	case KHeartbeat:
+		return new(Heartbeat)
 	}
-}
-func (e *encoder) str(s string) {
-	e.u64(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-func (e *encoder) bytes(b []byte) {
-	e.u64(uint64(len(b)))
-	e.buf = append(e.buf, b...)
-}
-func (e *encoder) id(id object.ID) {
-	e.u64(uint64(id.Birth))
-	e.u64(id.Seq)
-}
-func (e *encoder) qid(q QueryID) {
-	e.u64(uint64(q.Origin))
-	e.u64(q.Seq)
-}
-func (e *encoder) ids(ids []object.ID) {
-	e.u64(uint64(len(ids)))
-	for _, id := range ids {
-		e.id(id)
-	}
-}
-func (e *encoder) sites(ss []object.SiteID) {
-	e.u64(uint64(len(ss)))
-	for _, s := range ss {
-		e.u64(uint64(s))
-	}
-}
-func (e *encoder) value(v object.Value) {
-	e.u8(uint8(v.Kind))
-	switch v.Kind {
-	case object.KindString, object.KindKeyword:
-		e.str(v.Str)
-	case object.KindInt:
-		e.u64(uint64(v.Int))
-	case object.KindFloat:
-		e.u64(math.Float64bits(v.Float))
-	case object.KindPointer:
-		e.id(v.Ptr)
-	case object.KindBytes:
-		e.bytes(v.Bytes)
-	}
-}
-func (e *encoder) spans(ss []Span) {
-	e.u64(uint64(len(ss)))
-	for _, s := range ss {
-		e.u64(uint64(s.Site))
-		e.u64(s.Seq)
-		e.u64(uint64(s.Hop))
-		e.u64(uint64(s.Filter))
-		e.u64(uint64(s.In))
-		e.u64(uint64(s.Out))
-		e.u64(s.DurationUS)
-	}
-}
-func (e *encoder) fetches(fs []FetchVal) {
-	e.u64(uint64(len(fs)))
-	for _, f := range fs {
-		e.str(f.Var)
-		e.id(f.From)
-		e.value(f.Val)
-	}
+	return nil
 }
 
-type decoder struct {
+// walk runs m's layout over c. It is the one dispatch both directions
+// share; the calls are static so that c stays on its caller's stack.
+func walk(c *coder, m Msg) {
+	switch m := m.(type) {
+	case *Submit:
+		m.walk(c)
+	case *Deref:
+		m.walk(c)
+	case *Result:
+		m.walk(c)
+	case *Control:
+		m.walk(c)
+	case *Finish:
+		m.walk(c)
+	case *Complete:
+		m.walk(c)
+	case *Seed:
+		m.walk(c)
+	case *Reject:
+		m.walk(c)
+	case *Cancel:
+		m.walk(c)
+	case *Migrate:
+		m.walk(c)
+	case *MigrateData:
+		m.walk(c)
+	case *MigrateDone:
+		m.walk(c)
+	case *Migrated:
+		m.walk(c)
+	case *StatsReq:
+		m.walk(c)
+	case *StatsResp:
+		m.walk(c)
+	case *Ack:
+		m.walk(c)
+	case *Heartbeat:
+		m.walk(c)
+	}
+}
+
+// The message layouts. Each walk lists its message's fields once, in wire
+// order. A field added to a message goes at the end of its walk behind
+// c.tail, so frames from senders that predate it still decode; a frozen
+// frame in the compat corpus (corpus_test.go) pins every layout's bytes.
+
+func (m *Submit) walk(c *coder) {
+	c.qid(&m.QID)
+	c.site(&m.Client)
+	c.str(&m.ClientAddr)
+	c.str(&m.Body)
+	c.ids(&m.Initial)
+	c.qid(&m.InitialFromResultOf)
+	// Frames predating time budgets end here.
+	if c.tail(true) {
+		c.u64(&m.BudgetUS)
+	}
+	// Frames predating client ids end here.
+	if c.tail(true) {
+		c.u64(&m.ClientID)
+	}
+}
+
+func (m *Deref) walk(c *coder) {
+	c.qid(&m.QID)
+	c.site(&m.Origin)
+	c.str(&m.Body)
+	c.ids(&m.ObjIDs)
+	m.walkCursor(c)
+	// Frames predating the plan cache end here.
+	if c.tail(true) {
+		c.bytes(&m.BodyHash)
+	}
+	// Frames predating time budgets end here.
+	if c.tail(true) {
+		c.u64(&m.BudgetUS)
+	}
+	// Frames without spans end here, so a Deref without spans encodes as it
+	// did before the field existed.
+	if c.tail(len(m.Spans) > 0) {
+		c.spans(&m.Spans)
+	}
+}
+
+// walkLegacy decodes the pre-batching KDeref layout, which is never
+// encoded: exactly one object id, not length-prefixed, then the cursor.
+func (m *Deref) walkLegacy(c *coder) {
+	c.qid(&m.QID)
+	c.site(&m.Origin)
+	c.str(&m.Body)
+	m.ObjIDs = make([]object.ID, 1)
+	c.id(&m.ObjIDs[0])
+	m.walkCursor(c)
+}
+
+// walkCursor is the part of a Deref both its layouts share.
+func (m *Deref) walkCursor(c *coder) {
+	c.int(&m.Start)
+	c.ints(&m.Iters)
+	c.bytes(&m.Token)
+	c.u32(&m.Hop)
+}
+
+func (m *Result) walk(c *coder) {
+	c.qid(&m.QID)
+	c.ids(&m.IDs)
+	c.fetches(&m.Fetches)
+	c.int(&m.Count)
+	c.bool(&m.Retained)
+	c.bytes(&m.Token)
+	c.sites(&m.Unreachable)
+	c.spans(&m.Spans)
+}
+
+func (m *Control) walk(c *coder) {
+	c.qid(&m.QID)
+	c.bytes(&m.Token)
+	c.spans(&m.Spans)
+}
+
+func (m *Finish) walk(c *coder) {
+	c.qid(&m.QID)
+	c.bool(&m.Retain)
+}
+
+func (m *Complete) walk(c *coder) {
+	c.qid(&m.QID)
+	c.ids(&m.IDs)
+	c.fetches(&m.Fetches)
+	c.int(&m.Count)
+	c.bool(&m.Distributed)
+	c.bool(&m.Partial)
+	c.str(&m.Err)
+	c.sites(&m.Unreachable)
+	c.spans(&m.Spans)
+	// Frames predating partial-answer reasons end here.
+	if c.tail(true) {
+		c.str(&m.Reason)
+	}
+}
+
+func (m *Seed) walk(c *coder) {
+	c.qid(&m.QID)
+	c.site(&m.Origin)
+	c.str(&m.Body)
+	c.qid(&m.FromQID)
+	c.bytes(&m.Token)
+	c.u32(&m.Hop)
+	// Frames predating time budgets end here.
+	if c.tail(true) {
+		c.u64(&m.BudgetUS)
+	}
+}
+
+func (m *Reject) walk(c *coder) {
+	c.qid(&m.QID)
+	c.str(&m.Reason)
+}
+
+func (m *Cancel) walk(c *coder) {
+	c.qid(&m.QID)
+	c.str(&m.Reason)
+}
+
+func (m *Migrate) walk(c *coder) {
+	c.u64(&m.Seq)
+	c.id(&m.ID)
+	c.site(&m.To)
+	c.site(&m.Client)
+	c.str(&m.ClientAddr)
+	c.u8(&m.Hops)
+}
+
+func (m *MigrateData) walk(c *coder) {
+	c.u64(&m.Seq)
+	c.bytes(&m.Obj)
+	c.site(&m.Client)
+	c.str(&m.ClientAddr)
+}
+
+func (m *MigrateDone) walk(c *coder) {
+	c.id(&m.ID)
+	c.site(&m.NewSite)
+}
+
+func (m *Migrated) walk(c *coder) {
+	c.u64(&m.Seq)
+	c.id(&m.ID)
+	c.bool(&m.OK)
+	c.str(&m.Err)
+}
+
+func (m *StatsReq) walk(c *coder) {
+	c.u64(&m.Seq)
+	c.str(&m.ClientAddr)
+}
+
+func (m *StatsResp) walk(c *coder) {
+	c.u64(&m.Seq)
+	c.site(&m.Site)
+	c.u64(&m.Contexts)
+	c.u64(&m.Objects)
+	cs := slice(c, &m.Counters)
+	for i := range cs {
+		c.str(&cs[i].Name)
+		c.u64(&cs[i].Value)
+	}
+}
+
+func (m *Ack) walk(c *coder) {
+	c.u64(&m.Seq)
+	// Frames predating cumulative acks end here.
+	if c.tail(true) {
+		c.u64(&m.Cum)
+	}
+}
+
+func (m *Heartbeat) walk(c *coder) {
+	c.u64(&m.Seq)
+}
+
+// coder walks a message layout in one of two directions. Encoding appends
+// each field to buf and never writes to the message. Decoding reads each
+// field from buf at pos into the message; the first malformed field sets
+// err, and every read after it yields zero. Each primitive below handles
+// both directions; those on the hot path encode with inlined appends and
+// no nested calls, which keeps an encode close to a hand-written one.
+type coder struct {
 	buf []byte
 	pos int
 	err error
-	// borrow makes str and bytes alias buf instead of copying (see
-	// DecodeBorrowed); fetches always copies regardless.
+	dec bool
+	// borrow makes decoded strings and byte slices alias buf instead of
+	// copying (see DecodeBorrowed); fetches always copy regardless.
 	borrow bool
 }
 
-func (d *decoder) fail(msg string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s at byte %d", ErrDecode, msg, d.pos)
+func (c *coder) fail(msg string) {
+	if c.err == nil {
+		c.err = fmt.Errorf("%w: %s at byte %d", ErrDecode, msg, c.pos)
 	}
 }
 
-func (d *decoder) u8() uint8 {
-	if d.err != nil {
-		return 0
+// tail guards a trailing optional field: encoding writes it when present,
+// decoding reads it when bytes remain.
+func (c *coder) tail(present bool) bool {
+	if c.dec {
+		return c.err == nil && c.pos < len(c.buf)
 	}
-	if d.pos >= len(d.buf) {
-		d.fail("truncated byte")
-		return 0
-	}
-	v := d.buf[d.pos]
-	d.pos++
-	return v
+	return present
 }
 
-func (d *decoder) u64() uint64 {
-	if d.err != nil {
-		return 0
+// put appends a uvarint.
+func (c *coder) put(x uint64) {
+	c.buf = binary.AppendUvarint(c.buf, x)
+}
+
+// get reads a uvarint; it is for decoding only.
+func (c *coder) get() (x uint64) {
+	c.u64(&x)
+	return x
+}
+
+// u8 walks one raw byte.
+func (c *coder) u8(v *uint8) {
+	switch {
+	case !c.dec:
+		c.buf = append(c.buf, *v)
+	case c.err == nil && c.pos < len(c.buf):
+		*v = c.buf[c.pos]
+		c.pos++
+	default:
+		c.fail("truncated byte")
 	}
-	v, n := binary.Uvarint(d.buf[d.pos:])
+}
+
+func (c *coder) bool(v *bool) {
+	var b uint8
+	if *v {
+		b = 1
+	}
+	c.u8(&b)
+	if c.dec {
+		*v = b != 0
+	}
+}
+
+func (c *coder) u64(v *uint64)         { uvarint(c, v) }
+func (c *coder) u32(v *uint32)         { uvarint(c, v) }
+func (c *coder) int(v *int)            { uvarint(c, v) }
+func (c *coder) site(v *object.SiteID) { uvarint(c, v) }
+
+// uvarint walks an integer field as a uvarint. Decoding truncates to the
+// field's width, as a conversion does.
+func uvarint[T ~uint32 | ~uint64 | ~int | ~int64](c *coder, v *T) {
+	if !c.dec {
+		c.put(uint64(*v))
+		return
+	}
+	x, n := uint64(0), 0
+	if c.err == nil {
+		x, n = binary.Uvarint(c.buf[c.pos:])
+	}
 	if n <= 0 {
-		d.fail("bad uvarint")
+		c.fail("bad uvarint")
+		return
+	}
+	c.pos += n
+	*v = T(x)
+}
+
+func (c *coder) id(v *object.ID) {
+	if !c.dec {
+		c.put(uint64(v.Birth))
+		c.put(v.Seq)
+		return
+	}
+	v.Birth = object.SiteID(c.get())
+	v.Seq = c.get()
+}
+
+func (c *coder) qid(v *QueryID) {
+	if !c.dec {
+		c.put(uint64(v.Origin))
+		c.put(v.Seq)
+		return
+	}
+	v.Origin = object.SiteID(c.get())
+	v.Seq = c.get()
+}
+
+// len walks a length prefix. Decoding fails unless the bytes left could
+// hold n elements — each takes at least one — so a forged prefix can never
+// make decode allocate more than the frame it came in.
+func (c *coder) len(n int) int {
+	if !c.dec {
+		c.put(uint64(n))
+		return n
+	}
+	x := c.get()
+	if x > uint64(len(c.buf)-c.pos) {
+		c.fail("length prefix exceeds the bytes left")
 		return 0
 	}
-	d.pos += n
-	return v
+	return int(x)
 }
 
-// len decodes a slice length and bounds-checks it.
-func (d *decoder) len() int {
-	n := d.u64()
-	if d.err == nil && n > maxSliceLen {
-		d.fail("length prefix too large")
-		return 0
+// slice walks a slice's length prefix and returns the slice whose elements
+// the caller walks next: on decode, a new one of the length read.
+func slice[T any](c *coder, s *[]T) []T {
+	n := c.len(len(*s))
+	if c.dec && n > 0 {
+		*s = make([]T, n)
 	}
-	return int(n)
+	return *s
 }
 
-func (d *decoder) bool() bool { return d.u8() != 0 }
-
-func (d *decoder) str() string {
-	n := d.len()
-	if d.err != nil {
-		return ""
-	}
-	if d.pos+n > len(d.buf) {
-		d.fail("truncated string")
-		return ""
-	}
-	var s string
-	if d.borrow {
-		s = borrowString(d.buf[d.pos : d.pos+n])
-	} else {
-		s = string(d.buf[d.pos : d.pos+n])
-	}
-	d.pos += n
-	return s
-}
-
-func (d *decoder) bytes() []byte {
-	n := d.len()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if d.pos+n > len(d.buf) {
-		d.fail("truncated bytes")
-		return nil
-	}
-	var b []byte
-	if d.borrow {
-		// Full-slice expression caps the alias so an append can never
-		// clobber the bytes of the next field.
-		b = d.buf[d.pos : d.pos+n : d.pos+n]
-	} else {
-		b = make([]byte, n)
-		copy(b, d.buf[d.pos:d.pos+n])
-	}
-	d.pos += n
+// next reads a length-prefixed byte string, aliasing buf.
+func (c *coder) next() []byte {
+	n := c.len(0)
+	b := c.buf[c.pos : c.pos+n : c.pos+n]
+	c.pos += n
 	return b
 }
 
-func (d *decoder) id() object.ID {
-	return object.ID{Birth: object.SiteID(d.u64()), Seq: d.u64()}
+func (c *coder) str(s *string) {
+	if !c.dec {
+		c.put(uint64(len(*s)))
+		c.buf = append(c.buf, *s...)
+		return
+	}
+	if b := c.next(); c.borrow {
+		*s = borrowString(b)
+	} else {
+		*s = string(b)
+	}
 }
 
-func (d *decoder) qid() QueryID {
-	return QueryID{Origin: object.SiteID(d.u64()), Seq: d.u64()}
-}
-
-func (d *decoder) ids() []object.ID {
-	n := d.len()
-	if d.err != nil || n == 0 {
-		return nil
+func (c *coder) bytes(v *[]byte) {
+	if !c.dec {
+		c.put(uint64(len(*v)))
+		c.buf = append(c.buf, *v...)
+		return
 	}
-	ids := make([]object.ID, n)
-	for i := range ids {
-		ids[i] = d.id()
-	}
-	return ids
-}
-
-func (d *decoder) sites() []object.SiteID {
-	n := d.len()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	ss := make([]object.SiteID, n)
-	for i := range ss {
-		ss[i] = object.SiteID(d.u64())
-	}
-	return ss
-}
-
-func (d *decoder) value() object.Value {
-	k := object.Kind(d.u8())
-	switch k {
-	case object.KindNil:
-		return object.Value{}
-	case object.KindString:
-		return object.String(d.str())
-	case object.KindKeyword:
-		return object.Keyword(d.str())
-	case object.KindInt:
-		return object.Int(int64(d.u64()))
-	case object.KindFloat:
-		return object.Float(math.Float64frombits(d.u64()))
-	case object.KindPointer:
-		return object.Pointer(d.id())
-	case object.KindBytes:
-		return object.Bytes(d.bytes())
+	switch b := c.next(); {
+	case len(b) == 0:
+		// An empty field decodes as nil.
+	case c.borrow:
+		*v = b
 	default:
-		d.fail("unknown value kind")
-		return object.Value{}
+		*v = append([]byte(nil), b...)
 	}
 }
 
-func (d *decoder) spans() []Span {
-	n := d.len()
-	if d.err != nil || n == 0 {
-		return nil
+// ids and ints encode in one loop, calling nothing per element: a Complete
+// can carry thousands of ids.
+func (c *coder) ids(s *[]object.ID) {
+	if !c.dec {
+		c.put(uint64(len(*s)))
+		for _, id := range *s {
+			c.put(uint64(id.Birth))
+			c.put(id.Seq)
+		}
+		return
 	}
-	ss := make([]Span, n)
+	ids := slice(c, s)
+	for i := range ids {
+		c.id(&ids[i])
+	}
+}
+
+func (c *coder) sites(s *[]object.SiteID) {
+	ss := slice(c, s)
 	for i := range ss {
-		ss[i].Site = object.SiteID(d.u64())
-		ss[i].Seq = d.u64()
-		ss[i].Hop = uint32(d.u64())
-		ss[i].Filter = uint32(d.u64())
-		ss[i].In = uint32(d.u64())
-		ss[i].Out = uint32(d.u64())
-		ss[i].DurationUS = d.u64()
+		c.site(&ss[i])
 	}
-	return ss
 }
 
-func (d *decoder) fetches() []FetchVal {
-	n := d.len()
-	if d.err != nil || n == 0 {
-		return nil
+func (c *coder) ints(s *[]int) {
+	if !c.dec {
+		c.put(uint64(len(*s)))
+		for _, x := range *s {
+			c.put(uint64(x))
+		}
+		return
 	}
+	is := slice(c, s)
+	for i := range is {
+		c.int(&is[i])
+	}
+}
+
+func (c *coder) spans(s *[]Span) {
+	ss := slice(c, s)
+	for i := range ss {
+		sp := &ss[i]
+		c.site(&sp.Site)
+		c.u64(&sp.Seq)
+		c.u32(&sp.Hop)
+		c.u32(&sp.Filter)
+		c.u32(&sp.In)
+		c.u32(&sp.Out)
+		c.u64(&sp.DurationUS)
+	}
+}
+
+func (c *coder) fetches(s *[]FetchVal) {
 	// Fetched values are retained by the originator for the lifetime of the
 	// query, far past any read-buffer release: always copy, even under
 	// DecodeBorrowed.
-	wasBorrow := d.borrow
-	d.borrow = false
-	defer func() { d.borrow = wasBorrow }()
-	fs := make([]FetchVal, n)
+	borrow := c.borrow
+	c.borrow = false
+	fs := slice(c, s)
 	for i := range fs {
-		fs[i].Var = d.str()
-		fs[i].From = d.id()
-		fs[i].Val = d.value()
+		c.str(&fs[i].Var)
+		c.id(&fs[i].From)
+		c.value(&fs[i].Val)
 	}
-	return fs
+	c.borrow = borrow
+}
+
+// value walks a kind byte and then the one field that kind uses.
+func (c *coder) value(v *object.Value) {
+	k := uint8(v.Kind)
+	c.u8(&k)
+	if c.dec {
+		v.Kind = object.Kind(k)
+	}
+	switch object.Kind(k) {
+	case object.KindNil:
+	case object.KindString, object.KindKeyword:
+		c.str(&v.Str)
+	case object.KindInt:
+		uvarint(c, &v.Int)
+	case object.KindFloat:
+		bits := math.Float64bits(v.Float)
+		c.u64(&bits)
+		if c.dec {
+			v.Float = math.Float64frombits(bits)
+		}
+	case object.KindPointer:
+		c.id(&v.Ptr)
+	case object.KindBytes:
+		c.bytes(&v.Bytes)
+	default:
+		c.fail("unknown value kind")
+	}
 }

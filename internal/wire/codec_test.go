@@ -1,10 +1,15 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -130,26 +135,28 @@ func TestRoundTripAllKinds(t *testing.T) {
 		Counters: []Counter{{Name: "derefs_sent", Value: 12}, {Name: "completed", Value: 3}},
 	})
 	roundTrip(t, &StatsResp{Seq: 1})
+	// Every field of every type, so no walk leaves a field out.
+	for _, m := range everyKind(t) {
+		roundTrip(t, m)
+	}
 }
 
 // legacyDerefFrame hand-encodes the pre-batching KDeref wire layout: exactly
 // one object id, not length-prefixed. Encoders no longer emit it, but frames
 // from older senders must keep decoding.
 func legacyDerefFrame(qid QueryID, origin object.SiteID, body string, id object.ID, start int, iters []int, token []byte, hop uint32) []byte {
-	e := &encoder{}
-	e.u8(uint8(KDeref))
-	e.qid(qid)
-	e.u64(uint64(origin))
-	e.str(body)
-	e.id(id)
-	e.u64(uint64(start))
-	e.u64(uint64(len(iters)))
-	for _, it := range iters {
-		e.u64(uint64(it))
-	}
-	e.bytes(token)
-	e.u64(uint64(hop))
-	return e.buf
+	c := &coder{}
+	k := uint8(KDeref)
+	c.u8(&k)
+	c.qid(&qid)
+	c.site(&origin)
+	c.str(&body)
+	c.id(&id)
+	c.int(&start)
+	c.ints(&iters)
+	c.bytes(&token)
+	c.u32(&hop)
+	return c.buf
 }
 
 func TestDecodeLegacySingleIDDeref(t *testing.T) {
@@ -176,12 +183,6 @@ func TestDecodeLegacySingleIDDeref(t *testing.T) {
 	if Encode(m)[0] != byte(KDerefBatch) {
 		t.Fatalf("re-encode kept legacy kind byte %d", Encode(m)[0])
 	}
-	// Truncations of the legacy layout must error, never panic.
-	for n := 0; n < len(data); n++ {
-		if _, err := Decode(data[:n]); err == nil {
-			t.Errorf("legacy frame truncated to %d bytes decoded successfully", n)
-		}
-	}
 }
 
 func TestDecodeErrors(t *testing.T) {
@@ -200,55 +201,141 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestDecodeTruncationsNeverPanic(t *testing.T) {
-	msgs := []Msg{
-		&Submit{QID: QueryID{1, 2}, Body: "S -> T", Initial: []object.ID{{Birth: 1, Seq: 2}},
-			BudgetUS: 500_000, ClientID: 9_000},
-		&Deref{QID: QueryID{1, 2}, Body: "S -> T", Iters: []int{1, 2}, Token: []byte{5},
-			BodyHash: make([]byte, 32), BudgetUS: 500_000,
-			Spans: []Span{{Site: 2, Seq: 1, Hop: 1, In: 1, Out: 1, DurationUS: 9}}},
-		&Seed{QID: QueryID{1, 2}, Body: "S -> T", FromQID: QueryID{1, 1}, Token: []byte{5},
-			BudgetUS: 500_000},
-		&Result{QID: QueryID{1, 2}, IDs: []object.ID{{Birth: 1, Seq: 2}},
-			Fetches: []FetchVal{{Var: "v", Val: object.String("x")}}},
-		&Complete{QID: QueryID{1, 2}, Err: "e", Reason: "cancelled"},
-		&Reject{QID: QueryID{1, 2}, Reason: "full"},
-		&Cancel{QID: QueryID{1, 2}, Reason: "expired"},
-	}
-	for _, m := range msgs {
-		// Cuts exactly before an optional trailing field are, by design, valid
-		// older-generation frames: a Deref may legally end before Spans (no
-		// spans), before BudgetUS (pre-deadline) or before BodyHash
-		// (pre-plan-cache), a Submit before ClientID (pre-fairness) or before
-		// BudgetUS, and a Seed before BudgetUS. Every other cut must error.
-		var legacy []Msg
-		switch v := m.(type) {
-		case *Deref:
-			c := *v
-			c.Spans = nil
-			preSpans := c
-			legacy = append(legacy, &preSpans)
-			c.BudgetUS = 0
-			preBudget := c
-			legacy = append(legacy, &preBudget)
-			c.BodyHash = nil
-			legacy = append(legacy, &c)
-		case *Submit:
-			c := *v
-			c.ClientID = 0
-			preClient := c
-			legacy = append(legacy, &preClient)
-			c.BudgetUS = 0
-			legacy = append(legacy, &c)
-		case *Seed:
-			c := *v
-			c.BudgetUS = 0
-			legacy = append(legacy, &c)
-		case *Complete:
-			c := *v
-			c.Reason = ""
-			legacy = append(legacy, &c)
+// everyKind returns one message of each of the 17 types, with every exported
+// field set to a non-zero value (see fillNonZero).
+func everyKind(t *testing.T) []Msg {
+	t.Helper()
+	var msgs []Msg
+	seen := map[reflect.Type]bool{}
+	for k := KSubmit; int(k) < len(kindNames); k++ {
+		m := newMsg(k)
+		if m == nil {
+			t.Fatalf("no message type for kind %v", k)
 		}
+		typ := reflect.TypeOf(m)
+		if seen[typ] {
+			continue // KDeref and KDerefBatch share Deref
+		}
+		seen[typ] = true
+		n := 0
+		fillNonZero(reflect.ValueOf(m).Elem(), &n)
+		for i := 0; i < typ.Elem().NumField(); i++ {
+			if f := typ.Elem().Field(i); f.IsExported() && reflect.ValueOf(m).Elem().Field(i).IsZero() {
+				t.Fatalf("%s.%s left zero", typ.Elem().Name(), f.Name)
+			}
+		}
+		msgs = append(msgs, m)
+	}
+	if len(msgs) != 17 {
+		t.Fatalf("%d message types, want 17", len(msgs))
+	}
+	return msgs
+}
+
+// fillNonZero sets every exported field reachable from v to a non-zero
+// value, distinct per field: n counts the values handed out so far. Slices
+// get two elements; an object.Value gets a valid non-nil kind.
+func fillNonZero(v reflect.Value, n *int) {
+	*n++
+	if v.Type() == reflect.TypeOf(object.Value{}) {
+		vals := []object.Value{
+			object.String("s"), object.Keyword("k"), object.Int(int64(-*n)),
+			object.Float(float64(*n) + 0.5), object.Pointer(object.ID{Birth: 2, Seq: uint64(*n)}),
+			object.Bytes([]byte{byte(*n), 0}),
+		}
+		v.Set(reflect.ValueOf(vals[*n%len(vals)]))
+		return
+	}
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(int64(100 * *n))
+	case reflect.Uint8, reflect.Uint32, reflect.Uint64:
+		x := uint64(100 * *n)
+		if v.OverflowUint(x) {
+			x = uint64(*n%255 + 1)
+		}
+		v.SetUint(x)
+	case reflect.String:
+		v.SetString(fmt.Sprintf("v%d", *n))
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < 2; i++ {
+			fillNonZero(v.Index(i), n)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				fillNonZero(v.Field(i), n)
+			}
+		}
+	default:
+		panic("fillNonZero: unhandled kind " + v.Kind().String())
+	}
+}
+
+// TestEncodeIsReadOnly encodes the same messages from two goroutines at once.
+// Encoding must only read the message, so under -race any store to one — even
+// of the value it already holds — fails here.
+func TestEncodeIsReadOnly(t *testing.T) {
+	msgs := everyKind(t)
+	want := make([][]byte, len(msgs))
+	for i, m := range msgs {
+		want[i] = Encode(m)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, m := range msgs {
+				if got := Encode(m); !bytes.Equal(got, want[i]) {
+					errs <- fmt.Errorf("%T encodes differently under concurrency", m)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// trailingOptionals names, per message type, the fields read behind c.tail,
+// in wire order. A frame may end just before any of them.
+var trailingOptionals = map[reflect.Type][]string{
+	reflect.TypeOf(Submit{}):   {"BudgetUS", "ClientID"},
+	reflect.TypeOf(Deref{}):    {"BodyHash", "BudgetUS", "Spans"},
+	reflect.TypeOf(Complete{}): {"Reason"},
+	reflect.TypeOf(Seed{}):     {"BudgetUS"},
+	reflect.TypeOf(Ack{}):      {"Cum"},
+}
+
+// TestDecodeTruncationsNeverPanic cuts a fully populated message of every
+// type, and the legacy KDeref frame, at every byte. Each cut must fail to
+// decode, except a cut exactly before a trailing optional field: that is a
+// valid older-generation frame, and must decode with that field and every
+// later one zero.
+func TestDecodeTruncationsNeverPanic(t *testing.T) {
+	for _, m := range everyKind(t) {
+		typ := reflect.TypeOf(m).Elem()
+		opts := trailingOptionals[typ]
+		// older[i] is m as a sender predating opts[i] would send it.
+		older := make([]Msg, len(opts))
+		for i := range opts {
+			v := reflect.New(typ)
+			v.Elem().Set(reflect.ValueOf(m).Elem())
+			for _, name := range opts[i:] {
+				f := v.Elem().FieldByName(name)
+				f.Set(reflect.Zero(f.Type()))
+			}
+			older[i] = v.Interface().(Msg)
+		}
+		hits := make([]int, len(older))
 		data := Encode(m)
 		for n := 0; n < len(data); n++ {
 			got, err := Decode(data[:n])
@@ -256,15 +343,26 @@ func TestDecodeTruncationsNeverPanic(t *testing.T) {
 				continue
 			}
 			ok := false
-			for _, l := range legacy {
-				if reflect.DeepEqual(got, l) {
+			for i, o := range older {
+				if reflect.DeepEqual(got, o) {
+					hits[i]++
 					ok = true
-					break
 				}
 			}
 			if !ok {
 				t.Errorf("%T truncated to %d bytes decoded successfully", m, n)
 			}
+		}
+		for i, h := range hits {
+			if h != 1 {
+				t.Errorf("%T: the cut before %s decoded %d times, want once", m, opts[i], h)
+			}
+		}
+	}
+	legacy := legacyDerefFrame(QueryID{1, 2}, 1, "S -> T", object.ID{Birth: 2, Seq: 9}, 1, []int{2}, []byte{1}, 2)
+	for n := 0; n < len(legacy); n++ {
+		if _, err := Decode(legacy[:n]); err == nil {
+			t.Errorf("legacy KDeref truncated to %d bytes decoded successfully", n)
 		}
 	}
 }
@@ -409,14 +507,27 @@ func TestDecodeRandomBytesNeverPanic(t *testing.T) {
 	}
 }
 
+// TestHugeLengthPrefixRejected: a length prefix is bounded by the bytes left
+// in the frame, so a few forged bytes announcing a huge slice fail without
+// allocating it — for 1<<24-1 elements that was 256 MB of ids in a Result
+// and 384 MB of counters in a StatsResp.
 func TestHugeLengthPrefixRejected(t *testing.T) {
-	// KResult followed by a qid and then an absurd id-count.
-	e := &encoder{}
-	e.u8(uint8(KResult))
-	e.qid(QueryID{1, 1})
-	e.u64(1 << 40) // ids length
-	if _, err := Decode(e.buf); !errors.Is(err, ErrDecode) {
-		t.Errorf("huge length: %v, want ErrDecode", err)
+	frames := map[string][]byte{
+		"result 1<<40":       binary.AppendUvarint([]byte{byte(KResult), 1, 1}, 1<<40),
+		"result 1<<24-1":     binary.AppendUvarint([]byte{byte(KResult), 1, 1}, 1<<24-1),
+		"stats-resp 1<<24-1": binary.AppendUvarint([]byte{byte(KStatsResp), 1, 1, 1, 1}, 1<<24-1),
+	}
+	for name, data := range frames {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(data)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrDecode) {
+			t.Errorf("%s: %d-byte frame: %v, want ErrDecode", name, len(data), err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s: decoding a %d-byte frame allocated %d bytes", name, len(data), n)
+		}
 	}
 }
 
