@@ -47,9 +47,9 @@ type LoadConfig struct {
 	Multipliers []float64
 	// Timeout is the client-side per-query deadline — the hang bound.
 	Timeout time.Duration
-	// Chaos routes inter-site traffic through the fault-injecting reliable
-	// network (drop, duplicate, delay, reorder, seeded from Seed), so the
-	// load points run against a degraded fabric — the acceptance regime is
+	// Chaos subjects every frame below the transport's reliability layer to
+	// faults (drop, duplicate, delay, reorder, seeded from Seed), so the
+	// load points run against degraded links — the acceptance regime is
 	// "2x capacity with chaos", not a clean LAN.
 	Chaos bool
 }

@@ -1,22 +1,11 @@
 package chaos
 
 import (
-	"sync"
 	"testing"
 	"time"
 
 	"hyperfile/internal/object"
-	"hyperfile/internal/waitfor"
-	"hyperfile/internal/wire"
 )
-
-// waitQuiesce polls until the network has no in-flight traffic.
-func waitQuiesce(t *testing.T, n *Network) {
-	t.Helper()
-	if err := waitfor.Until(10*time.Second, n.Quiesce); err != nil {
-		t.Fatal("network never quiesced")
-	}
-}
 
 func TestInjectorDeterminism(t *testing.T) {
 	cfg := Config{Seed: 42, DropRate: 0.3, DupRate: 0.2, DelayRate: 0.5, MaxDelay: time.Millisecond}
@@ -53,97 +42,5 @@ func TestInjectorPartitionAndHeal(t *testing.T) {
 	in.HealAll()
 	if drop, _, _ := in.Judge(2, 3); drop {
 		t.Error("HealAll left link severed")
-	}
-}
-
-// TestNetworkExactlyOnce: despite heavy drop, duplication, and delay, every
-// reliable send is delivered to the handler exactly once.
-func TestNetworkExactlyOnce(t *testing.T) {
-	n := NewNetwork(NewInjector(Config{
-		Seed: 7, DropRate: 0.3, DupRate: 0.3,
-		DelayRate: 0.5, MinDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond,
-		ReorderRate: 0.2,
-	}))
-	defer n.Close()
-
-	var mu sync.Mutex
-	got := make(map[uint64]int)
-	n.Register(2, func(from object.SiteID, m wire.Msg) {
-		mu.Lock()
-		got[m.(*wire.Finish).QID.Seq]++
-		mu.Unlock()
-	})
-	n.Register(1, func(object.SiteID, wire.Msg) {})
-
-	const total = 300
-	for i := uint64(0); i < total; i++ {
-		if err := n.Send(1, 2, &wire.Finish{QID: wire.QueryID{Origin: 1, Seq: i}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitQuiesce(t, n)
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != total {
-		t.Fatalf("delivered %d distinct messages, want %d", len(got), total)
-	}
-	for seq, c := range got {
-		if c != 1 {
-			t.Fatalf("seq %d delivered %d times", seq, c)
-		}
-	}
-}
-
-// TestNetworkGivesUpOnPartition: a permanently severed link exhausts the
-// retransmission budget without delivering, and the network still quiesces.
-func TestNetworkGivesUpOnPartition(t *testing.T) {
-	n := NewNetwork(NewInjector(Config{Seed: 3}))
-	defer n.Close()
-	delivered := make(chan struct{}, 1)
-	n.Register(2, func(object.SiteID, wire.Msg) { delivered <- struct{}{} })
-	n.Register(1, func(object.SiteID, wire.Msg) {})
-	n.Injector().Partition(1, 2)
-	if err := n.Send(1, 2, &wire.Finish{}); err != nil {
-		t.Fatal(err)
-	}
-	waitQuiesce(t, n)
-	select {
-	case <-delivered:
-		t.Fatal("message crossed a severed link")
-	default:
-	}
-}
-
-func TestSendUnreliable(t *testing.T) {
-	n := NewNetwork(NewInjector(Config{Seed: 5, DropRate: 1}))
-	defer n.Close()
-	count := 0
-	var mu sync.Mutex
-	n.Register(2, func(object.SiteID, wire.Msg) { mu.Lock(); count++; mu.Unlock() })
-	for i := 0; i < 20; i++ {
-		n.SendUnreliable(1, 2, &wire.Heartbeat{Seq: uint64(i)})
-	}
-	waitQuiesce(t, n)
-	mu.Lock()
-	if count != 0 {
-		t.Errorf("DropRate=1 delivered %d heartbeats", count)
-	}
-	mu.Unlock()
-}
-
-func TestSendUnknownSite(t *testing.T) {
-	n := NewNetwork(nil)
-	defer n.Close()
-	if err := n.Send(1, 9, &wire.Finish{}); err == nil {
-		t.Error("send to unregistered site succeeded")
-	}
-}
-
-func TestSendAfterClose(t *testing.T) {
-	n := NewNetwork(nil)
-	n.Register(2, func(object.SiteID, wire.Msg) {})
-	n.Close()
-	if err := n.Send(1, 2, &wire.Finish{}); err == nil {
-		t.Error("send on closed network succeeded")
 	}
 }

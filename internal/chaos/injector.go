@@ -1,9 +1,10 @@
 // Package chaos provides deterministic fault injection for the HyperFile
 // networking stack. An Injector decides, per message, whether to drop,
-// duplicate, delay, or partition traffic between sites; it plugs into
-// transport.TCP (as its Fault hook) and into the in-memory Network used by
-// cluster and termination tests. All randomness flows from a single seed so
-// a failing run can be replayed exactly.
+// duplicate, delay, or partition traffic between sites. It plugs into
+// transport.TCP as its Fault hook, below the reliability layer, so the same
+// faults drive hyperfiled's -chaos-* flags and the in-process cluster's
+// loopback servers. All randomness flows from a single seed so a failing run
+// can be replayed exactly.
 package chaos
 
 import (

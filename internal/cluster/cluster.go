@@ -7,9 +7,9 @@
 //     paper's timed experiments (section 5).
 //
 //   - LocalCluster wires N unmodified server.Servers — the runtime
-//     hyperfiled deploys — over the in-memory chaos fabric, plus a client
-//     endpoint; it exercises real concurrency with every message encoded
-//     and decoded as on the wire.
+//     hyperfiled deploys — over loopback transport.TCP, plus a client
+//     endpoint; it exercises real concurrency over production's framing,
+//     acknowledgement, retransmission and dedup.
 package cluster
 
 import (
@@ -53,9 +53,10 @@ type Options struct {
 	// OracleMarkTable shares a zero-cost global mark table among all sites
 	// (ablation of the paper's local-mark-table design decision).
 	OracleMarkTable bool
-	// Chaos, when non-nil, subjects LocalCluster's in-memory reliable-delivery
-	// fabric to the configured faults (drop, duplicate, delay, reorder,
-	// partition); nil leaves the fabric fault-free. SimCluster ignores it.
+	// Chaos, when non-nil, subjects every frame LocalCluster's endpoints send
+	// to the configured faults (drop, duplicate, delay, reorder, partition),
+	// below the transport's reliability layer; nil leaves the links
+	// fault-free. SimCluster ignores it.
 	Chaos *chaos.Config
 	// HeartbeatInterval enables LocalCluster's failure detector: each site
 	// probes its peers at this interval and declares a peer down after

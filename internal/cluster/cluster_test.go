@@ -504,6 +504,30 @@ func TestLocalClusterBasic(t *testing.T) {
 	}
 }
 
+// TestLocalClusterRunsOverTransport pins the link LocalCluster runs on: every
+// site of a cross-site query sends its frames through transport.TCP and has
+// them acknowledged, so the in-process suites exercise production's framing,
+// acks and retransmission rather than a link of their own.
+func TestLocalClusterRunsOverTransport(t *testing.T) {
+	c := NewLocal(3, Options{})
+	defer c.Close()
+	ids := loadRingLocal(t, c, 30, []string{"hot", "cold"})
+	if _, err := c.Exec(1, closureQuery, ids[:1], 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range c.Sites() {
+		// Acks trail the frames they answer, so poll for them.
+		if err := waitfor.Until(5*time.Second, func() bool {
+			snap := c.Metrics(id).Snapshot()
+			return snap.Counters["transport_frames_sent"] > 0 && snap.Counters["transport_acks_received"] > 0
+		}); err != nil {
+			snap := c.Metrics(id).Snapshot()
+			t.Errorf("site %v: transport_frames_sent %d, transport_acks_received %d; want both > 0",
+				id, snap.Counters["transport_frames_sent"], snap.Counters["transport_acks_received"])
+		}
+	}
+}
+
 func TestLocalClusterConcurrentQueries(t *testing.T) {
 	c := NewLocal(3, Options{})
 	defer c.Close()

@@ -311,9 +311,9 @@ func TestPlanCacheAndIndexEquivalence(t *testing.T) {
 // after every single detector event — in particular, each batch message must
 // carry exactly one credit share, and the flush-before-idle rule must hold
 // (queued work while a site reports idle would show up here as a dip below 1).
-// The fabric decodes every token borrowed, and redelivered copies alias one
-// frame, so a credit lost or double-counted through pooled scratch or a
-// shared token would also surface here.
+// The transport decodes every token borrowed over a pooled read buffer, so a
+// credit lost or double-counted through pooled scratch or a recycled buffer
+// would also surface here.
 func TestBatchingConservesTerminationWeightUnderChaos(t *testing.T) {
 	audit := termination.NewAudit()
 	c := NewLocal(3, Options{

@@ -15,6 +15,7 @@ import (
 	"hyperfile/internal/server"
 	"hyperfile/internal/site"
 	"hyperfile/internal/store"
+	"hyperfile/internal/transport"
 	"hyperfile/internal/wire"
 )
 
@@ -26,16 +27,17 @@ var ErrTimeout = errors.New("cluster: query timed out")
 var ErrClosed = errors.New("cluster: closed")
 
 // LocalCluster runs one server.Server per site — the same runtime hyperfiled
-// deploys — over an in-memory chaos.Network, and talks to them through a
-// client endpoint on that fabric. The cluster itself only wires the servers
-// together, decides who can reach whom (SetDown), and holds the client's
-// waiters.
+// deploys — over loopback transport.TCP, and talks to them through a client
+// endpoint of its own. Every endpoint judges its frames with one shared
+// chaos.Injector. The cluster itself only wires the endpoints together,
+// decides who can reach whom (SetDown), and holds the client's waiters.
 type LocalCluster struct {
 	ids     []object.SiteID
 	servers map[object.SiteID]*server.Server
 	stores  map[object.SiteID]*store.Store
 	dirs    map[object.SiteID]*naming.Directory
-	net     *chaos.Network
+	inj     *chaos.Injector
+	tr      *transport.TCP
 
 	mu         sync.Mutex
 	nextQID    uint64
@@ -57,7 +59,8 @@ type queryReply struct {
 // test output with detector warnings.
 var quiet = slog.New(slog.NewTextHandler(io.Discard, nil))
 
-// NewLocal builds and starts a cluster of n sites.
+// NewLocal builds and starts a cluster of n sites. It panics if it cannot
+// listen on a loopback address, which only a host without loopback hits.
 func NewLocal(n int, opts Options) *LocalCluster {
 	c := &LocalCluster{
 		ids:        siteIDs(n),
@@ -67,34 +70,51 @@ func NewLocal(n int, opts Options) *LocalCluster {
 		waiters:    make(map[wire.QueryID]chan queryReply),
 		migWaiters: make(map[uint64]chan *wire.Migrated),
 	}
-	var inj *chaos.Injector
+	cc := chaos.Config{Seed: 1}
 	if opts.Chaos != nil {
-		inj = chaos.NewInjector(*opts.Chaos)
+		cc = *opts.Chaos
 	}
-	c.net = chaos.NewNetwork(inj)
+	c.inj = chaos.NewInjector(cc)
 	var marks *site.GlobalMarks
 	if opts.OracleMarkTable {
 		marks = site.NewGlobalMarks()
 	}
-	// The client registers first and each server registers before its loops
-	// start; no server sends reliably before a client request reaches it, so
-	// every reliable send finds its receiver.
-	c.net.Register(clientID, c.receive)
-	srvOpts := server.Options{HeartbeatInterval: opts.HeartbeatInterval, SuspectAfter: opts.SuspectAfter}
+	tr, err := transport.ListenTCPOpts(clientID, "127.0.0.1:0", c.receive, transport.Options{Fault: c.inj})
+	if err != nil {
+		panic(fmt.Sprintf("cluster: client endpoint: %v", err))
+	}
+	c.tr = tr
+	srvOpts := server.Options{HeartbeatInterval: opts.HeartbeatInterval, SuspectAfter: opts.SuspectAfter,
+		Transport: transport.Options{Fault: c.inj}}
 	for _, id := range c.ids {
 		cfg := siteConfig(id, c.ids, opts, marks)
 		c.stores[id] = cfg.Store
 		if cfg.Directory != nil {
 			c.dirs[id] = cfg.Directory
 		}
-		c.servers[id] = server.NewFabric(cfg, c.net, quiet, srvOpts)
+		srv, err := server.NewOpts(cfg, "127.0.0.1:0", quiet, srvOpts)
+		if err != nil {
+			panic(fmt.Sprintf("cluster: site %v: %v", id, err))
+		}
+		c.servers[id] = srv
+	}
+	// Every endpoint knows every other before the first query: no server
+	// sends before a client request reaches it.
+	for _, a := range c.servers {
+		a.AddPeer(clientID, c.tr.Addr())
+		c.tr.AddPeer(a.ID(), a.Addr())
+		for _, b := range c.servers {
+			if a != b {
+				a.AddPeer(b.ID(), b.Addr())
+			}
+		}
 	}
 	return c
 }
 
-// Injector exposes the fabric's fault injector so tests can partition and
-// heal links at runtime.
-func (c *LocalCluster) Injector() *chaos.Injector { return c.net.Injector() }
+// Injector exposes the fault injector every endpoint consults, so tests can
+// partition and heal links at runtime.
+func (c *LocalCluster) Injector() *chaos.Injector { return c.inj }
 
 // Sites returns the site ids.
 func (c *LocalCluster) Sites() []object.SiteID { return c.ids }
@@ -143,17 +163,16 @@ func (c *LocalCluster) SiteContexts(id object.SiteID) int { return c.servers[id]
 // sends or is sent arrives, which is a crash as its peers see it. Healing
 // restores every link of id, including any a test cut through Injector.
 func (c *LocalCluster) SetDown(id object.SiteID, down bool) {
-	inj := c.net.Injector()
 	for _, peer := range append([]object.SiteID{clientID}, c.ids...) {
 		if down {
-			inj.Partition(id, peer)
+			c.inj.Partition(id, peer)
 		} else {
-			inj.Heal(id, peer)
+			c.inj.Heal(id, peer)
 		}
 	}
 }
 
-// Close stops the servers, then the fabric.
+// Close stops the servers, then the client endpoint.
 func (c *LocalCluster) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -165,11 +184,11 @@ func (c *LocalCluster) Close() {
 	for _, srv := range c.servers {
 		srv.Close()
 	}
-	c.net.Close()
+	_ = c.tr.Close()
 }
 
-// receive is the client endpoint's fabric handler: each reply resolves the
-// waiter it answers.
+// receive is the client endpoint's handler: each reply resolves the waiter it
+// answers.
 func (c *LocalCluster) receive(from object.SiteID, m wire.Msg) {
 	switch m := m.(type) {
 	case *wire.Complete:
@@ -209,11 +228,11 @@ func (c *LocalCluster) fail(err error) {
 	c.mu.Unlock()
 }
 
-// send is a client request to site to. The fabric refuses only a closed
-// network or an unknown site, which the callers rule out or recover from by
-// timing out, so the error is dropped like a lost message.
+// send is a client request to site to. The transport refuses only a closed
+// endpoint, an unknown site or a full backlog, which the callers rule out or
+// recover from by timing out, so the error is dropped like a lost message.
 func (c *LocalCluster) send(to object.SiteID, m wire.Msg) {
-	_ = c.net.Send(clientID, to, m)
+	_ = c.tr.Send(to, m)
 }
 
 // MigrateLive moves an object between sites through the live migration

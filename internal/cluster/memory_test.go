@@ -12,16 +12,15 @@ import (
 
 // TestMemoryModelEquivalence is the memory model's acceptance matrix: every
 // query class runs on 1, 3, and 9 sites through the simulator and through the
-// goroutine runner, whose servers talk over the encoding fabric (a fault-free
-// chaos network, so every message is decoded borrowed over the sender's
-// frame). Both must return byte-identical sorted result-id sets. The
-// simulator additionally runs
-// twice, the second time on pooled tables and scratch the first run released:
-// recycled storage must make every decision fresh storage did — same dedup
-// skips, same suppressed derefs, same message counts — so a mark or
-// sent-cache entry surviving a release would show up as a statistics
-// mismatch even if the answer survived. Deref batching is on so the
-// sent-cache path is actually exercised.
+// goroutine runner, whose servers talk over loopback transport.TCP (so every
+// message is decoded borrowed over a pooled read buffer, poisoned on release
+// under -race). Both must return byte-identical sorted result-id sets. The
+// simulator additionally runs twice, the second time on pooled tables and
+// scratch the first run released: recycled storage must make every decision
+// fresh storage did — same dedup skips, same suppressed derefs, same message
+// counts — so a mark or sent-cache entry surviving a release would show up as
+// a statistics mismatch even if the answer survived. Deref batching is on so
+// the sent-cache path is actually exercised.
 func TestMemoryModelEquivalence(t *testing.T) {
 	const (
 		nObjects  = 120

@@ -174,7 +174,7 @@ func TestCancelStormConservesWeightUnderChaos(t *testing.T) {
 	}
 
 	// Every context — completed, cancelled, or expired — must drain: credit
-	// returns over the reliable chaos network, so nothing may linger.
+	// returns over the reliable transport, so nothing may linger.
 	if err := waitfor.Until(10*time.Second, func() bool {
 		for _, id := range c.Sites() {
 			if c.SiteContexts(id) != 0 {

@@ -17,7 +17,7 @@ import (
 //   - channel sends, receives, and selects without a default clause,
 //   - time.Sleep,
 //   - Read/Write on a net.Conn,
-//   - Send/SendUnreliable on the transport and chaos-network layers,
+//   - Send/SendUnreliable on the transport layer,
 //   - calls to same-package functions that transitively do any of the above
 //     on their synchronous path.
 //
@@ -304,14 +304,10 @@ func (lp *lockholdPass) blockingCall(call *ast.CallExpr) (string, bool) {
 				return "net.Conn." + fn.Name(), true
 			}
 		}
-		// Transport sends: the reliability layer and the chaos network both
-		// expose Send/SendUnreliable that may write to the wire.
+		// Transport sends: Send/SendUnreliable may write to the wire.
 		if fn.Name() == "Send" || fn.Name() == "SendUnreliable" {
-			if recv != nil && recv.Obj().Pkg() != nil {
-				switch recv.Obj().Pkg().Path() {
-				case "hyperfile/internal/transport", "hyperfile/internal/chaos":
-					return recv.Obj().Name() + "." + fn.Name(), true
-				}
+			if recv != nil && recv.Obj().Pkg() != nil && recv.Obj().Pkg().Path() == "hyperfile/internal/transport" {
+				return recv.Obj().Name() + "." + fn.Name(), true
 			}
 		}
 	}

@@ -2,8 +2,7 @@
 // transport, and provides the matching client. This is the deployment shape
 // of the paper's prototype: one server process per machine, an experimental
 // client on a separate machine submitting queries and receiving results.
-// NewFabric runs the same server over the in-memory chaos fabric, which is
-// how the in-process cluster is built.
+// The in-process cluster runs the same servers on loopback addresses.
 package server
 
 import (
@@ -42,25 +41,11 @@ type Options struct {
 	TraceCap int
 }
 
-// link is the message-passing surface a Server runs over: *transport.TCP in
-// deployment, the in-memory fabric in process (NewFabric). Queue is reliable
-// and takes effect by the next Flush; SendUnreliable is best-effort and is
-// what heartbeats ride on.
-type link interface {
-	Self() object.SiteID
-	Addr() string
-	AddPeer(id object.SiteID, addr string)
-	Queue(to object.SiteID, m wire.Msg) error
-	Flush()
-	SendUnreliable(to object.SiteID, m wire.Msg) error
-	Close() error
-}
-
-// Server owns one Site on its own goroutine, fed by its link.
+// Server owns one Site on its own goroutine, fed by its transport.
 type Server struct {
 	cfg  site.Config
 	s    *site.Site
-	tr   link
+	tr   *transport.TCP
 	lg   *slog.Logger
 	opts Options
 
@@ -106,24 +91,10 @@ func New(cfg site.Config, addr string, logger *slog.Logger) (*Server, error) {
 	return NewOpts(cfg, addr, logger, Options{})
 }
 
-// NewOpts is New with explicit transport and failure-detection options.
+// NewOpts is New with explicit transport and failure-detection options. It
+// starts the main loop (the only message handler), Workers−1 step-only
+// workers, and the heartbeat and deadline-sweep tickers when configured.
 func NewOpts(cfg site.Config, addr string, logger *slog.Logger, opts Options) (*Server, error) {
-	srv := newServer(cfg, logger, opts)
-	// The server owns its inbound bytes: the mailbox holds each message's
-	// buffer reference until the site goroutine has fully consumed it, so
-	// the transport can decode in place.
-	tcpOpts := srv.opts.Transport
-	tcpOpts.BufHandler = srv.post
-	tr, err := transport.ListenTCPOpts(cfg.ID, addr, nil, tcpOpts)
-	if err != nil {
-		return nil, err
-	}
-	srv.start(tr)
-	return srv, nil
-}
-
-// newServer builds a server with no link and no running loops.
-func newServer(cfg site.Config, logger *slog.Logger, opts Options) *Server {
 	if logger == nil {
 		logger = slog.Default()
 	}
@@ -157,14 +128,15 @@ func newServer(cfg site.Config, logger *slog.Logger, opts Options) *Server {
 			srv.heard[peer] = now
 		}
 	}
-	return srv
-}
-
-// start attaches the server's link and launches its loops: the main loop
-// (the only message handler), Workers−1 step-only workers, and the
-// heartbeat and deadline-sweep tickers when configured.
-func (srv *Server) start(tr link) {
-	cfg, opts := srv.cfg, srv.opts
+	// The server owns its inbound bytes: the mailbox holds each message's
+	// buffer reference until the site goroutine has fully consumed it, so
+	// the transport can decode in place.
+	tcpOpts := opts.Transport
+	tcpOpts.BufHandler = srv.post
+	tr, err := transport.ListenTCPOpts(cfg.ID, addr, nil, tcpOpts)
+	if err != nil {
+		return nil, err
+	}
 	srv.tr = tr
 	srv.wg.Add(1)
 	go srv.loop()
@@ -182,6 +154,7 @@ func (srv *Server) start(tr link) {
 		srv.wg.Add(1)
 		go srv.sweeperLoop()
 	}
+	return srv, nil
 }
 
 // sweeperLoop periodically expires query deadlines and drains the admission
@@ -218,7 +191,7 @@ func (srv *Server) sweeperLoop() {
 	}
 }
 
-// Addr returns the server's bound address ("" on the in-memory fabric).
+// Addr returns the server's bound address.
 func (srv *Server) Addr() string { return srv.tr.Addr() }
 
 // ID returns the server's site id.

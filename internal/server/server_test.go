@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"hyperfile/internal/chaos"
 	"hyperfile/internal/naming"
 	"hyperfile/internal/object"
 	"hyperfile/internal/site"
@@ -587,20 +586,35 @@ func TestContextsDrainAfterQuery(t *testing.T) {
 	}
 }
 
+// bareEndpoint starts a plain transport endpoint as site id, wired to srv in
+// both directions, whose every inbound message goes to h.
+func bareEndpoint(t *testing.T, srv *Server, id object.SiteID, h transport.Handler) *transport.TCP {
+	t.Helper()
+	ep, err := transport.ListenTCP(id, "127.0.0.1:0", h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ep.Close() })
+	ep.AddPeer(srv.ID(), srv.Addr())
+	srv.AddPeer(id, ep.Addr())
+	return ep
+}
+
 // TestContextsCountsWaitingQuery: a query waiting on a peer holds its
-// originator's context, and Contexts counts it. Site 2 is a bare fabric
+// originator's context, and Contexts counts it. Site 2 is a bare transport
 // endpoint that swallows the Deref, so the query never finishes.
 func TestContextsCountsWaitingQuery(t *testing.T) {
-	fabric := chaos.NewNetwork(nil)
-	defer fabric.Close()
-	srv := NewFabric(site.Config{ID: 1, Store: store.New(1), Peers: []object.SiteID{2}}, fabric, nil, Options{})
+	srv, err := NewOpts(site.Config{ID: 1, Store: store.New(1), Peers: []object.SiteID{2}}, "127.0.0.1:0", nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer srv.Close()
 	derefs := make(chan wire.Msg, 4)
-	fabric.Register(2, func(_ object.SiteID, m wire.Msg) { derefs <- m })
-	fabric.Register(100, func(object.SiteID, wire.Msg) {})
+	bareEndpoint(t, srv, 2, func(_ object.SiteID, m wire.Msg) { derefs <- m })
+	client := bareEndpoint(t, srv, 100, func(object.SiteID, wire.Msg) {})
 	sub := &wire.Submit{QID: wire.QueryID{Origin: 1, Seq: 1}, Client: 100,
 		Body: `S (keyword, "ok", ?) -> T`, Initial: []object.ID{{Birth: 2, Seq: 1}}}
-	if err := fabric.Send(100, 1, sub); err != nil {
+	if err := client.Send(1, sub); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -617,20 +631,21 @@ func TestContextsCountsWaitingQuery(t *testing.T) {
 }
 
 // TestErrReportsRejectedMessage: a message the site rejects is kept for Err,
-// and the server goes on serving. The server runs on the in-memory fabric so
-// the test can address it a message no well-behaved peer would send.
+// and the server goes on serving. A bare transport endpoint addresses the
+// server a message no well-behaved peer would send.
 func TestErrReportsRejectedMessage(t *testing.T) {
-	fabric := chaos.NewNetwork(nil)
-	defer fabric.Close()
 	st := store.New(1)
-	srv := NewFabric(site.Config{ID: 1, Store: st}, fabric, nil, Options{})
+	srv, err := NewOpts(site.Config{ID: 1, Store: st}, "127.0.0.1:0", nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer srv.Close()
 	replies := make(chan wire.Msg, 4)
-	fabric.Register(100, func(_ object.SiteID, m wire.Msg) { replies <- m })
+	client := bareEndpoint(t, srv, 100, func(_ object.SiteID, m wire.Msg) { replies <- m })
 	if err := srv.Err(); err != nil {
 		t.Fatalf("fresh server reports %v", err)
 	}
-	if err := fabric.Send(100, 1, &wire.Complete{QID: wire.QueryID{Origin: 1, Seq: 1}}); err != nil {
+	if err := client.Send(1, &wire.Complete{QID: wire.QueryID{Origin: 1, Seq: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := waitfor.Until(5*time.Second, func() bool { return srv.Err() != nil }); err != nil {
@@ -645,7 +660,7 @@ func TestErrReportsRejectedMessage(t *testing.T) {
 	}
 	sub := &wire.Submit{QID: wire.QueryID{Origin: 1, Seq: 2}, Client: 100,
 		Body: `S (keyword, "ok", ?) -> T`, Initial: []object.ID{o.ID}}
-	if err := fabric.Send(100, 1, sub); err != nil {
+	if err := client.Send(1, sub); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -713,8 +728,9 @@ func BenchmarkTCPQuery(b *testing.B) {
 }
 
 // TestTCPLiveMigration exercises the full migration protocol over real TCP:
-// Migrate -> MigrateData -> MigrateDone -> Migrated, then queries that
-// forward through the naming chain.
+// Migrate -> MigrateData -> MigrateDone (second move only: the first leaves
+// from the birth site) -> Migrated, then queries that forward through the
+// naming chain.
 func TestTCPLiveMigration(t *testing.T) {
 	const n = 3
 	stores := make([]*store.Store, n)

@@ -44,7 +44,7 @@ func (s *Site) dispatch(from object.SiteID, m wire.Msg) ([]wire.Envelope, error)
 	case *wire.Migrate:
 		return s.handleMigrate(m)
 	case *wire.MigrateData:
-		return s.handleMigrateData(m)
+		return s.handleMigrateData(from, m)
 	case *wire.MigrateDone:
 		s.handleMigrateDone(m)
 		return nil, nil
@@ -105,6 +105,15 @@ func (s *Site) handleSubmit(m *wire.Submit) ([]wire.Envelope, error) {
 	}
 	if s.admitQ.has(func(p pendingSubmit) bool { return p.m.QID == m.QID }) {
 		return nil, fmt.Errorf("%w: duplicate submit for %v", ErrProtocol, m.QID)
+	}
+	if s.tombstoned(m.QID) {
+		// A client Cancel overtook its Submit and tombstoned the query here:
+		// answer as a Cancel of a queued Submit does, and start nothing.
+		s.stats.Cancelled++
+		s.met.cancelled.Inc()
+		return []wire.Envelope{{To: m.Client, Msg: &wire.Reject{
+			QID: m.QID, Reason: "cancelled before admission",
+		}}}, nil
 	}
 	deadline := s.submitDeadline(m, time.Now())
 	if s.atCapacity() {

@@ -16,7 +16,8 @@ import (
 //
 //	client -> presumed owner:  Migrate            (forwarded while stale)
 //	owner  -> new site:        MigrateData        (the full object)
-//	new site -> birth site:    MigrateDone        (authority update)
+//	new site -> birth site:    MigrateDone        (authority update, unless
+//	                                               the birth site sent the object)
 //	new site -> client:        Migrated           (outcome)
 //
 // In-flight dereferences racing with the move are safe: a deref reaching
@@ -74,8 +75,9 @@ func (s *Site) handleMigrate(m *wire.Migrate) ([]wire.Envelope, error) {
 	}}}, nil
 }
 
-// handleMigrateData installs a migrated object at its new site.
-func (s *Site) handleMigrateData(m *wire.MigrateData) ([]wire.Envelope, error) {
+// handleMigrateData installs a migrated object at its new site; from is the
+// site that sent it.
+func (s *Site) handleMigrateData(from object.SiteID, m *wire.MigrateData) ([]wire.Envelope, error) {
 	fail := func(reason string) []wire.Envelope {
 		return []wire.Envelope{{To: m.Client, Msg: &wire.Migrated{Seq: m.Seq, Err: reason}}}
 	}
@@ -96,7 +98,10 @@ func (s *Site) handleMigrateData(m *wire.MigrateData) ([]wire.Envelope, error) {
 	}
 	s.stats.MigrationsIn++
 	out := []wire.Envelope{}
-	if o.ID.Birth != s.cfg.ID {
+	// A birth site that sent the object recorded the move as it did so.
+	// Telling it again is not just redundant: updates from different sites
+	// are not ordered, so a late MigrateDone could overwrite a newer move.
+	if o.ID.Birth != s.cfg.ID && o.ID.Birth != from {
 		out = append(out, wire.Envelope{To: o.ID.Birth, Msg: &wire.MigrateDone{
 			ID: o.ID, NewSite: s.cfg.ID,
 		}})

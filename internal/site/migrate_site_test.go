@@ -101,3 +101,46 @@ func TestMigrateEndToEndThroughSites(t *testing.T) {
 			h.sites[2].Stats().MigrationsOut, h.sites[3].Stats().MigrationsIn)
 	}
 }
+
+// TestMigrateLateDoneCannotUndoNewerMove: the birth site moves an object
+// away and a second move follows before the first destination's traffic has
+// landed at the birth site. The birth site recorded the first move itself,
+// so nothing from that destination may arrive late and overwrite the
+// authority the second move set.
+func TestMigrateLateDoneCannotUndoNewerMove(t *testing.T) {
+	h := migHarness(t, 3)
+	o := h.store(2).NewObject().Add("keyword", object.Keyword("k"), object.Value{})
+	if err := h.store(2).Put(o); err != nil {
+		t.Fatal(err)
+	}
+	h.dirs[2].Register(o.ID)
+
+	data, err := h.sites[2].HandleMessage(client, &wire.Migrate{Seq: 1, ID: o.ID, To: 3, Client: client})
+	if err != nil || len(data) != 1 {
+		t.Fatalf("first move = %v, %v; want one MigrateData", data, err)
+	}
+	// Site 3 installs the object; what it sends is held in flight.
+	late, err := h.sites[3].HandleMessage(2, data[0].Msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, env := range late {
+		if _, ok := env.Msg.(*wire.MigrateDone); ok {
+			t.Errorf("destination told the birth site about a move the birth site made")
+		}
+	}
+	// The second move runs to completion: birth site 2 forwards to site 3,
+	// which ships the object to site 1, which updates the authority.
+	out, err := h.sites[2].HandleMessage(client, &wire.Migrate{Seq: 2, ID: o.ID, To: 1, Client: client})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.deliver(2, out)
+	if owner, auth := h.dirs[2].Owner(o.ID); owner != 1 || !auth {
+		t.Fatalf("authority after the second move = %v (auth %v), want s1", owner, auth)
+	}
+	h.deliver(3, late)
+	if owner, auth := h.dirs[2].Owner(o.ID); owner != 1 || !auth {
+		t.Errorf("authority after the first move's late traffic = %v (auth %v), want s1", owner, auth)
+	}
+}

@@ -279,6 +279,44 @@ func TestCancelParticipantReturnsCredit(t *testing.T) {
 	}
 }
 
+// TestCancelBeforeSubmitRejects: a client Cancel that overtakes its Submit
+// tombstones the query at the originator, so the late Submit is answered
+// with a Reject and opens no context. Work for that query bounced back to
+// the originator is dropped there, not addressed to the site itself.
+func TestCancelBeforeSubmitRejects(t *testing.T) {
+	h := newHarness(t, 2, nil)
+	qid := wire.QueryID{Origin: 1, Seq: 1}
+	if out, err := h.sites[1].HandleMessage(client, &wire.Cancel{QID: qid, Reason: "cancelled by client"}); err != nil || len(out) != 0 {
+		t.Fatalf("cancel of an unknown query = %v, %v; want no envelopes", out, err)
+	}
+	out, err := h.sites[1].HandleMessage(client, &wire.Submit{
+		QID: qid, Client: client,
+		Body: `S (keyword, "hot", ?) -> T`, Initial: []object.ID{{Birth: 2, Seq: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 1 || out[0].To != client {
+		t.Fatalf("envelopes = %v, want one Reject to the client", out)
+	}
+	if rej, ok := out[0].Msg.(*wire.Reject); !ok || rej.QID != qid {
+		t.Fatalf("got %+v, want a Reject for %v", out[0].Msg, qid)
+	}
+	if n := h.sites[1].Contexts(); n != 0 {
+		t.Errorf("contexts = %d after the late Submit, want 0", n)
+	}
+	if st := h.sites[1].Stats(); st.Cancelled != 1 || st.Admitted != 0 {
+		t.Errorf("cancelled %d admitted %d, want 1 and 0", st.Cancelled, st.Admitted)
+	}
+	out, err = h.sites[1].HandleMessage(2, &wire.Deref{
+		QID: qid, Origin: 1, Body: `S (keyword, "hot", ?) -> T`,
+		ObjIDs: []object.ID{{Birth: 1, Seq: 1}}, Token: []byte{1},
+	})
+	if err != nil || len(out) != 0 {
+		t.Errorf("Deref at the tombstoned originator = %v, %v; want no envelopes", out, err)
+	}
+}
+
 // TestExpirePinnedParticipantReturnsCredit: a participant's budget runs out
 // while another worker has the context pinned mid-step. The sweep still
 // returns the participant's credit and drops the context at once, so the

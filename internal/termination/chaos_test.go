@@ -7,23 +7,25 @@ import (
 
 	"hyperfile/internal/chaos"
 	"hyperfile/internal/object"
+	"hyperfile/internal/transport"
 	"hyperfile/internal/wire"
 )
 
-// The chaos termination test drives real weighted-credit detectors through
-// the chaos network: transmissions are dropped, duplicated, delayed and
-// reordered, and the reliability layer (retransmission + receiver dedup)
-// must present an exactly-once stream to the detectors — otherwise credit is
-// lost or double-counted and detection either never fires or fires early.
+// The chaos termination test drives real weighted-credit detectors over
+// loopback transport.TCP endpoints whose frames a chaos.Injector drops,
+// duplicates, delays and reorders, and the reliability layer
+// (retransmission + receiver dedup) must present an exactly-once stream to
+// the detectors — otherwise credit is lost or double-counted and detection
+// either never fires or fires early.
 
 // termSite is one participant: a detector fed from an unbounded mailbox so
-// chaos-network deliveries (which may run inline inside Send) never re-enter
-// the detector concurrently.
+// deliveries, which arrive on the transport's reader goroutines, never
+// re-enter the detector concurrently.
 type termSite struct {
 	id  object.SiteID
 	n   int
 	det Detector
-	net *chaos.Network
+	tr  *transport.TCP
 
 	mu    sync.Mutex
 	inbox []termEvent
@@ -77,10 +79,10 @@ func (s *termSite) peerFor(depth, j int) object.SiteID {
 	return object.SiteID(p + 1)
 }
 
-// emit ships detector control messages over the chaos network.
+// emit ships detector control messages over the site's transport.
 func (s *termSite) emit(qid wire.QueryID, ctls []ControlMsg) {
 	for _, c := range ctls {
-		if err := s.net.Send(s.id, c.To, &wire.Control{QID: qid, Token: c.Token}); err != nil {
+		if err := s.tr.Send(c.To, &wire.Control{QID: qid, Token: c.Token}); err != nil {
 			s.fail(err)
 		}
 	}
@@ -100,7 +102,7 @@ func (s *termSite) handle(qid wire.QueryID, ev termEvent) {
 				return
 			}
 			work := &wire.Deref{QID: qid, Origin: 1, Start: 3, Token: tok}
-			if err := s.net.Send(s.id, object.SiteID(peer), work); err != nil {
+			if err := s.tr.Send(object.SiteID(peer), work); err != nil {
 				s.fail(err)
 			}
 		}
@@ -120,7 +122,7 @@ func (s *termSite) handle(qid wire.QueryID, ev termEvent) {
 				return
 			}
 			work := &wire.Deref{QID: qid, Origin: 1, Start: m.Start - 1, Token: tok}
-			if err := s.net.Send(s.id, peer, work); err != nil {
+			if err := s.tr.Send(peer, work); err != nil {
 				s.fail(err)
 			}
 		}
@@ -162,7 +164,7 @@ func (s *termSite) loop(qid wire.QueryID, wg *sync.WaitGroup) {
 // reordered in flight.
 func TestWeightedTerminationUnderChaos(t *testing.T) {
 	const n = 4
-	net := chaos.NewNetwork(chaos.NewInjector(chaos.Config{
+	inj := chaos.NewInjector(chaos.Config{
 		Seed:        17,
 		DropRate:    0.25,
 		DupRate:     0.25,
@@ -170,8 +172,7 @@ func TestWeightedTerminationUnderChaos(t *testing.T) {
 		MinDelay:    100 * time.Microsecond,
 		MaxDelay:    2 * time.Millisecond,
 		ReorderRate: 0.30,
-	}))
-	defer net.Close()
+	})
 
 	qid := wire.QueryID{Origin: 1, Seq: 1}
 	errs := make(chan error, 1)
@@ -184,7 +185,6 @@ func TestWeightedTerminationUnderChaos(t *testing.T) {
 			id:   id,
 			n:    n,
 			det:  New(Weighted, id, 1),
-			net:  net,
 			wake: make(chan struct{}, 1),
 			quit: make(chan struct{}),
 			errs: errs,
@@ -193,8 +193,20 @@ func TestWeightedTerminationUnderChaos(t *testing.T) {
 			s.doneOnce = &sync.Once{}
 			s.done = done
 		}
+		tr, err := transport.ListenTCPOpts(id, "127.0.0.1:0", s.post, transport.Options{Fault: inj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		s.tr = tr
 		sites = append(sites, s)
-		net.Register(id, s.post)
+	}
+	for _, a := range sites {
+		for _, b := range sites {
+			if a != b {
+				a.tr.AddPeer(b.id, b.tr.Addr())
+			}
+		}
 	}
 	for _, s := range sites {
 		wg.Add(1)

@@ -77,8 +77,7 @@ func (b *ReadBuf) Retain() {
 }
 
 // Release drops one reference; the last release poisons (race builds) and
-// recycles the storage. A nil buffer is a no-op: messages delivered by the
-// in-memory fabric are owned by the garbage collector and carry none.
+// recycles the storage. A nil buffer is a no-op.
 func (b *ReadBuf) Release() {
 	if b == nil {
 		return

@@ -119,8 +119,7 @@ func TestReadBufOverReleasePanics(t *testing.T) {
 	buf.Release()
 }
 
-// TestNilReadBufRelease: a message with no pooled buffer behind it (the
-// in-memory fabric's) releases as a no-op.
+// TestNilReadBufRelease: releasing a nil buffer is a no-op.
 func TestNilReadBufRelease(t *testing.T) {
 	var buf *ReadBuf
 	buf.Release()
