@@ -89,11 +89,12 @@ type Options struct {
 	// clamped to [1 ms, 100 ms] when a deadline is set. SimCluster's
 	// virtual time ignores deadlines.
 	QueryDeadline time.Duration
-	// Workers is the per-site worker-pool size. Each LocalCluster server's
-	// main loop is the only message handler and also steps; Workers−1 extra
-	// goroutines only step, advancing different query contexts concurrently
-	// (each context stays pinned to one worker per step, preserving the
-	// paper's per-item execution order per query). SimCluster models the
+	// Workers is the per-site worker-pool size. In each LocalCluster server
+	// the turn holder (the transport reader that delivered the mail, or the
+	// server's loop) is the only message handler and also steps; Workers−1
+	// extra goroutines only step, advancing different query contexts
+	// concurrently (each context stays pinned to one worker per step,
+	// preserving the paper's per-item execution order per query). SimCluster models the
 	// same pool as parallel step slots in virtual time. Zero or one is the
 	// paper's single-threaded stepping.
 	Workers int

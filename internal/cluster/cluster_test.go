@@ -11,6 +11,7 @@ import (
 	"hyperfile/internal/sim"
 	"hyperfile/internal/site"
 	"hyperfile/internal/waitfor"
+	"hyperfile/internal/workload"
 )
 
 // loadRingSim builds a cross-site ring of n objects (object i at site
@@ -525,6 +526,36 @@ func TestLocalClusterRunsOverTransport(t *testing.T) {
 			t.Errorf("site %v: transport_frames_sent %d, transport_acks_received %d; want both > 0",
 				id, snap.Counters["transport_frames_sent"], snap.Counters["transport_acks_received"])
 		}
+	}
+}
+
+// TestChainHopsRunOnReaders: on the paper's chain every hop is remote and
+// strictly serial, so the transport reader that delivers a hop's Deref finds
+// the turn free and runs the hop itself instead of waking its site's loop.
+// Summed over the sites, reader turns are at least the remote hops.
+func TestChainHopsRunOnReaders(t *testing.T) {
+	const n = 60 // every pointer crosses sites, the closing one included
+	c := NewLocal(3, Options{})
+	defer c.Close()
+	d, err := workload.Build(c, workload.Spec{N: n, Machines: 3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Exec(1, workload.ClosureQueryKeyword("Chain", "Unique", "u7"), []object.ID{d.Root}, 15*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.IDs) != 1 || res.IDs[0] != d.IDs[7] {
+		t.Fatalf("answer %v, want [%v]", res.IDs, d.IDs[7])
+	}
+	var reader, loop uint64
+	for _, id := range c.Sites() {
+		turns := c.Metrics(id).Snapshot().Counters
+		reader += turns["hf_turns_reader"]
+		loop += turns["hf_turns_loop"]
+	}
+	if reader < n {
+		t.Errorf("hf_turns_reader = %d over the sites (loop %d), want >= %d: one per remote hop", reader, loop, n)
 	}
 }
 

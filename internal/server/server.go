@@ -3,6 +3,14 @@
 // of the paper's prototype: one server process per machine, an experimental
 // client on a separate machine submitting queries and receiving results.
 // The in-process cluster runs the same servers on loopback addresses.
+//
+// A server runs its site to completion on the goroutine that brought the
+// work: the transport reader that delivered a read(2)'s frames takes the
+// turn at its read boundary, handles them, steps the site for a bounded
+// burst, flushes what that produced and only then reads again, so a serial
+// hop costs no hand-off to another thread. The loop goroutine runs the turns
+// nobody's read brought (thunks from the tickers and from Stats/Contexts)
+// and finishes what a reader's bounded turn left over.
 package server
 
 import (
@@ -41,7 +49,10 @@ type Options struct {
 	TraceCap int
 }
 
-// Server owns one Site on its own goroutine, fed by its transport.
+// Server owns one Site fed by its transport. The site runs in turns: whoever
+// holds the turn — the transport reader that delivered the mail, or the
+// server's loop goroutine — alone handles mail and also steps; extra pool
+// workers only step.
 type Server struct {
 	cfg  site.Config
 	s    *site.Site
@@ -54,6 +65,9 @@ type Server struct {
 
 	mu      sync.Mutex
 	mailbox []mail
+	// running marks the turn as held (guarded by mu): its holder alone takes
+	// mail, so messages are handled one at a time, in arrival order.
+	running bool
 	wake    chan struct{}
 	quit    chan struct{}
 	once    sync.Once
@@ -63,10 +77,14 @@ type Server struct {
 	firstErr error
 
 	// stepWakes holds one cap-1 wake channel per extra stepping worker
-	// (Config.Workers > 1). The main loop stays the only message handler;
+	// (Config.Workers > 1). The turn holder stays the only message handler;
 	// the extra workers only call Step, so the site's per-context pinning
 	// is what keeps them off each other's queries.
 	stepWakes []chan struct{}
+
+	// turnsReader and turnsLoop count turns run by transport readers and by
+	// the loop goroutine.
+	turnsReader, turnsLoop *metrics.Counter
 
 	// Failure-detector state (nil maps unless HeartbeatInterval > 0).
 	hbMu      sync.Mutex
@@ -78,10 +96,10 @@ type mail struct {
 	from object.SiteID
 	msg  wire.Msg
 	// buf is the pooled read buffer msg's borrowed fields alias (nil for
-	// thunks). The loop releases it after HandleMessage and dispatch have
-	// fully consumed the message, which must not be touched afterwards: in
-	// race builds the bytes are poisoned so a straggling borrowed read fails
-	// loudly.
+	// thunks). The turn that handles the message releases it once
+	// HandleMessage and dispatch have fully consumed the message, which must
+	// not be touched afterwards: in race builds the bytes are poisoned so a
+	// straggling borrowed read fails loudly.
 	buf *wire.ReadBuf
 }
 
@@ -92,8 +110,10 @@ func New(cfg site.Config, addr string, logger *slog.Logger) (*Server, error) {
 }
 
 // NewOpts is New with explicit transport and failure-detection options. It
-// starts the main loop (the only message handler), Workers−1 step-only
-// workers, and the heartbeat and deadline-sweep tickers when configured.
+// hooks the turn onto the transport's read boundary (Options.Transport.Idle
+// is the server's own), and starts the loop that runs turns for thunks and
+// for work a reader's bounded turn left over, Workers−1 step-only workers,
+// and the heartbeat and deadline-sweep tickers when configured.
 func NewOpts(cfg site.Config, addr string, logger *slog.Logger, opts Options) (*Server, error) {
 	if logger == nil {
 		logger = slog.Default()
@@ -119,6 +139,9 @@ func NewOpts(cfg site.Config, addr string, logger *slog.Logger, opts Options) (*
 		traces: cfg.Traces,
 		wake:   make(chan struct{}, 1),
 		quit:   make(chan struct{}),
+
+		turnsReader: opts.Metrics.Counter("hf_turns_reader"),
+		turnsLoop:   opts.Metrics.Counter("hf_turns_loop"),
 	}
 	if opts.HeartbeatInterval > 0 {
 		srv.heard = make(map[object.SiteID]time.Time, len(cfg.Peers))
@@ -129,10 +152,11 @@ func NewOpts(cfg site.Config, addr string, logger *slog.Logger, opts Options) (*
 		}
 	}
 	// The server owns its inbound bytes: the mailbox holds each message's
-	// buffer reference until the site goroutine has fully consumed it, so
-	// the transport can decode in place.
+	// buffer reference until a turn has fully consumed it, so the transport
+	// can decode in place.
 	tcpOpts := opts.Transport
 	tcpOpts.BufHandler = srv.post
+	tcpOpts.Idle = srv.idle
 	tr, err := transport.ListenTCPOpts(cfg.ID, addr, nil, tcpOpts)
 	if err != nil {
 		return nil, err
@@ -158,7 +182,7 @@ func NewOpts(cfg site.Config, addr string, logger *slog.Logger, opts Options) (*
 }
 
 // sweeperLoop periodically expires query deadlines and drains the admission
-// queue on the site goroutine. Without it an idle server would never notice
+// queue in a turn. Without it an idle server would never notice
 // an expired context, an abandoned drain, or a shed-worthy queued Submit.
 func (srv *Server) sweeperLoop() {
 	defer srv.wg.Done()
@@ -219,8 +243,8 @@ func (srv *Server) Stats() site.Stats {
 	}
 }
 
-// Contexts reports the site's live query-context count, read on the site
-// goroutine so it is consistent with message processing. Tests poll it to
+// Contexts reports the site's live query-context count, read in a turn so it
+// is consistent with message processing. Tests poll it to
 // confirm that finished, cancelled, or expired queries drained.
 func (srv *Server) Contexts() int {
 	ch := make(chan int, 1)
@@ -252,11 +276,14 @@ func (srv *Server) fail(msg string, err error, args ...any) {
 	srv.errMu.Unlock()
 }
 
-// post is the transport handler: enqueue and wake the site goroutine.
-// Heartbeats feed the failure detector and stop here; any other traffic from
-// a monitored peer also refreshes its liveness clock. The message arrives
-// with the pooled buffer it was decoded over, and this server owns the
-// reference until the loop finishes with the message.
+// post is the transport handler: it only queues. Heartbeats feed the failure
+// detector and stop here; any other traffic from a monitored peer also
+// refreshes its liveness clock. The message arrives with the pooled buffer it
+// was decoded over, and this server owns the reference until a turn finishes
+// with the message. When nobody holds the turn the delivering reader runs it
+// at its read boundary (idle), after the rest of that read's frames have
+// queued behind this one; otherwise the loop is poked as a backstop to the
+// holder's release.
 func (srv *Server) post(from object.SiteID, m wire.Msg, buf *wire.ReadBuf) {
 	srv.noteHeard(from)
 	if _, ok := m.(*wire.Heartbeat); ok {
@@ -265,12 +292,15 @@ func (srv *Server) post(from object.SiteID, m wire.Msg, buf *wire.ReadBuf) {
 	}
 	srv.mu.Lock()
 	srv.mailbox = append(srv.mailbox, mail{from: from, msg: m, buf: buf})
+	held := srv.running
 	srv.mu.Unlock()
-	srv.poke()
+	if held {
+		srv.poke()
+	}
 }
 
 // noteHeard refreshes a peer's liveness clock; a formerly suspected peer that
-// speaks again is reinstated on the site goroutine.
+// speaks again is reinstated in a turn.
 func (srv *Server) noteHeard(from object.SiteID) {
 	srv.hbMu.Lock()
 	if _, monitored := srv.heard[from]; !monitored {
@@ -338,7 +368,8 @@ func (srv *Server) checkSuspects() {
 	}
 }
 
-// postThunk runs f on the site goroutine (from == 0 marks thunks).
+// postThunk runs f in a turn (from == 0 marks thunks). It always pokes the
+// loop: a thunk has no reader behind it.
 func (srv *Server) postThunk(f func()) {
 	srv.mu.Lock()
 	srv.mailbox = append(srv.mailbox, mail{msg: thunkMsg{f}})
@@ -373,98 +404,168 @@ func (srv *Server) take() (mail, bool) {
 	return m, true
 }
 
-// loop handles messages and steps the site, flushing the transport after
-// every site.FlushEvery iterations — messages handled or engine steps
-// taken. A storm of small messages then shares one write per peer, while the
-// first envelope of a burst waits at most that many iterations (well under a
-// millisecond) for its write. The site holds queued Derefs for at most as
-// many of a context's steps, so one number bounds how long outbound work
-// waits at a site. A loop always flushes before it blocks, so a lone message
-// never waits at all.
+// idle is the transport's read-boundary hook. A reader that finds mail and
+// the turn free runs a bounded turn itself, so a serial hop is handled,
+// stepped and flushed on the goroutine that read it instead of waking the
+// loop.
+func (srv *Server) idle() {
+	if srv.acquire(true) {
+		srv.turnsReader.Inc()
+		srv.turn(site.FlushEvery)
+	}
+}
+
+// loop sleeps until poked, then runs a turn until the site is idle — unless
+// another goroutine holds the turn, whose release pokes again if anything is
+// left.
 func (srv *Server) loop() {
 	defer srv.wg.Done()
-	burst := 0 // iterations since the last flush
 	for {
 		select {
 		case <-srv.quit:
 			return
-		default:
+		case <-srv.wake:
+		}
+		if srv.acquire(false) {
+			srv.turnsLoop.Inc()
+			srv.turn(0)
+		}
+	}
+}
+
+// acquire takes the turn if nobody holds it and the server is not closing. A
+// reader takes it only when there is mail to handle.
+func (srv *Server) acquire(reader bool) bool {
+	if srv.closing() {
+		return false
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if srv.running || reader && len(srv.mailbox) == 0 {
+		return false
+	}
+	srv.running = true
+	return true
+}
+
+// closing reports whether Close has begun.
+func (srv *Server) closing() bool {
+	select {
+	case <-srv.quit:
+		return true
+	default:
+		return false
+	}
+}
+
+// release gives the turn back. Mail that arrived while it was held, or steps
+// left over, poke the loop, so no wake-up is lost between holders.
+func (srv *Server) release() {
+	srv.mu.Lock()
+	srv.running = false
+	more := len(srv.mailbox) > 0
+	srv.mu.Unlock()
+	if more || srv.s.HasWork() {
+		srv.poke()
+	}
+}
+
+// turn is the one body every turn holder runs: it handles mail and steps the
+// site, flushing the transport after every site.FlushEvery iterations —
+// messages handled or engine steps taken — and once at the end, then
+// releases the turn. A storm of small messages then shares one write per
+// peer, while the first envelope of a burst waits at most that many
+// iterations (well under a millisecond) for its write. The site holds queued
+// Derefs for at most as many of a context's steps, so one number bounds how
+// long outbound work waits at a site. A turn always flushes before it ends,
+// so a lone message never waits at all. budget > 0 bounds the iterations (a
+// reader's turn); 0 runs until the site is idle (the loop's). A Step error
+// is recorded and ends the turn; the server keeps serving.
+func (srv *Server) turn(budget int) {
+	burst := 0 // iterations since the last flush
+	for n := 0; budget == 0 || n < budget; n++ {
+		if srv.closing() {
+			break
 		}
 		if burst >= site.FlushEvery {
 			srv.tr.Flush()
 			burst = 0
 		}
 		if m, ok := srv.take(); ok {
-			burst++
-			if th, ok := m.msg.(thunkMsg); ok {
-				th.f()
-				continue
-			}
-			// Learn client addresses from messages that carry them. This is
-			// a peek, not the dispatch: every message — matched here or not
-			// — falls through to HandleMessage below, which rejects unknown
-			// kinds with an error.
-			// lint:ignore wireswitch address-learning peek; full dispatch with error default is site.HandleMessage
-			switch cm := m.msg.(type) {
-			case *wire.Submit:
-				if cm.ClientAddr != "" {
-					srv.tr.AddPeer(cm.Client, cm.ClientAddr)
-				}
-			case *wire.StatsReq:
-				if cm.ClientAddr != "" {
-					srv.tr.AddPeer(m.from, cm.ClientAddr)
-				}
-			case *wire.Migrate:
-				if cm.ClientAddr != "" {
-					srv.tr.AddPeer(cm.Client, cm.ClientAddr)
-				}
-			case *wire.MigrateData:
-				if cm.ClientAddr != "" {
-					srv.tr.AddPeer(cm.Client, cm.ClientAddr)
-				}
-			}
-			out, err := srv.s.HandleMessage(m.from, m.msg)
-			if err != nil {
-				srv.fail("message rejected", err, "from", m.from.String(),
-					"kind", m.msg.Kind().String())
-				m.buf.Release()
-				continue
-			}
-			srv.dispatch(out)
-			// The site retains nothing that aliases the read buffer (retained
-			// kinds are copy-decoded, bodies are cloned into contexts, tokens
-			// are banked at dispatch) and every outbound envelope was encoded
-			// when dispatch queued it — only its frame bytes wait for the
-			// flush — so the buffer can recycle now.
-			m.buf.Release()
-			srv.pokeSteppers()
-			continue
+			srv.handle(m)
+		} else if !srv.s.HasWork() || !srv.step() {
+			break
 		}
-		if srv.s.HasWork() {
-			burst++
-			_, envs, _, err := srv.s.Step()
-			if err != nil {
-				srv.fail("engine step failed", err)
-				return
-			}
-			srv.dispatch(envs)
-			continue
+		burst++
+	}
+	srv.tr.Flush()
+	srv.release()
+}
+
+// handle runs one piece of mail: a thunk, or a message for the site.
+func (srv *Server) handle(m mail) {
+	if th, ok := m.msg.(thunkMsg); ok {
+		th.f()
+		return
+	}
+	// Learn client addresses from messages that carry them. This is a peek,
+	// not the dispatch: every message — matched here or not — falls through
+	// to HandleMessage below, which rejects unknown kinds with an error.
+	// lint:ignore wireswitch address-learning peek; full dispatch with error default is site.HandleMessage
+	switch cm := m.msg.(type) {
+	case *wire.Submit:
+		if cm.ClientAddr != "" {
+			srv.tr.AddPeer(cm.Client, cm.ClientAddr)
 		}
-		srv.tr.Flush()
-		burst = 0
-		select {
-		case <-srv.quit:
-			return
-		case <-srv.wake:
+	case *wire.StatsReq:
+		if cm.ClientAddr != "" {
+			srv.tr.AddPeer(m.from, cm.ClientAddr)
+		}
+	case *wire.Migrate:
+		if cm.ClientAddr != "" {
+			srv.tr.AddPeer(cm.Client, cm.ClientAddr)
+		}
+	case *wire.MigrateData:
+		if cm.ClientAddr != "" {
+			srv.tr.AddPeer(cm.Client, cm.ClientAddr)
 		}
 	}
+	out, err := srv.s.HandleMessage(m.from, m.msg)
+	if err != nil {
+		srv.fail("message rejected", err, "from", m.from.String(),
+			"kind", m.msg.Kind().String())
+		m.buf.Release()
+		return
+	}
+	srv.dispatch(out)
+	// The site retains nothing that aliases the read buffer (retained kinds
+	// are copy-decoded, bodies are cloned into contexts, tokens are banked at
+	// dispatch) and every outbound envelope was encoded when dispatch queued
+	// it — only its frame bytes wait for the flush — so the buffer can
+	// recycle now.
+	m.buf.Release()
+	srv.pokeSteppers()
+}
+
+// step takes one engine step and queues what it sent, reporting whether a
+// context advanced. A Step error is recorded and reported as no progress, so
+// the caller ends its turn and goes on serving.
+func (srv *Server) step() bool {
+	_, envs, did, err := srv.s.Step()
+	if err != nil {
+		srv.fail("engine step failed", err)
+		return false
+	}
+	srv.dispatch(envs)
+	return did
 }
 
 // stepLoop is one extra pool worker: it steps the site while work remains,
-// then sleeps until the main loop signals fresh work. Liveness never depends
-// on these workers — the main loop also steps — so a missed wake costs only
-// parallelism, never progress. Like the main loop it flushes what it queued
-// after a bounded burst and before it sleeps.
+// then sleeps until a turn holder signals fresh work. It never takes the
+// turn, so it handles no mail. Liveness never depends on these workers — the
+// turn holder also steps — so a missed wake costs only parallelism, never
+// progress. Like a turn it flushes what it queued after a bounded burst and
+// before it sleeps, and a Step error ends its burst, not the worker.
 func (srv *Server) stepLoop(wake chan struct{}) {
 	defer srv.wg.Done()
 	burst := 0
@@ -474,12 +575,7 @@ func (srv *Server) stepLoop(wake chan struct{}) {
 			return
 		default:
 		}
-		_, envs, did, err := srv.s.Step()
-		if err != nil {
-			srv.fail("engine step failed", err)
-			return
-		}
-		srv.dispatch(envs)
+		did := srv.step()
 		if burst++; did && burst < site.FlushEvery {
 			continue
 		}

@@ -1,12 +1,15 @@
 package server
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
+	"hyperfile/internal/metrics"
 	"hyperfile/internal/naming"
 	"hyperfile/internal/object"
 	"hyperfile/internal/site"
@@ -832,5 +835,145 @@ func TestLoadObjects(t *testing.T) {
 	}
 	if len(cm.IDs) != 1 {
 		t.Errorf("results = %v", cm.IDs)
+	}
+}
+
+// TestReaderTurnHandsOffToLoop: the reader that delivers a Submit runs the
+// site turn itself, bounded to site.FlushEvery messages plus steps. A query
+// needing four times that many steps at one site completes with no further
+// inbound traffic, so the reader's release handed the rest to the loop (with
+// one worker the loop's own turn counter shows it; with a pool the extra
+// workers step too). Stats and Contexts called from another goroutine while
+// turns run still return.
+func TestReaderTurnHandsOffToLoop(t *testing.T) {
+	const (
+		n     = 4 * site.FlushEvery
+		burst = 8 // queries submitted at once while Stats/Contexts probe
+	)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			st := store.New(1)
+			ids := loadServerRing(t, []*store.Store{st}, n)
+			reg := metrics.NewRegistry()
+			srv, err := NewOpts(site.Config{ID: 1, Store: st, Workers: workers}, "127.0.0.1:0", nil, Options{Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			replies := make(chan *wire.Complete, 1+burst) // one per query
+			client := bareEndpoint(t, srv, 100, func(_ object.SiteID, m wire.Msg) {
+				if cm, ok := m.(*wire.Complete); ok {
+					replies <- cm
+				}
+			})
+			submit := func(seq uint64) {
+				t.Helper()
+				sub := &wire.Submit{QID: wire.QueryID{Origin: 1, Seq: seq}, Client: 100,
+					Body: tcpClosure, Initial: ids[:1]}
+				if err := client.Send(1, sub); err != nil {
+					t.Fatal(err)
+				}
+			}
+			await := func() {
+				t.Helper()
+				select {
+				case cm := <-replies:
+					if cm.Err != "" || len(cm.IDs) != n/2 {
+						t.Fatalf("Complete %v: %d ids (err %q), want %d", cm.QID, len(cm.IDs), cm.Err, n/2)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("query never completed after the reader's bounded turn")
+				}
+			}
+
+			submit(1)
+			await()
+			turns := reg.Snapshot().Counters
+			if turns["hf_turns_reader"] == 0 {
+				t.Error("hf_turns_reader = 0: the delivering reader ran no turn")
+			}
+			if workers == 1 && turns["hf_turns_loop"] == 0 {
+				t.Error("hf_turns_loop = 0: the reader's remainder never reached the loop")
+			}
+
+			stop := make(chan struct{})
+			probes := make(chan int, 1)
+			go func() {
+				k := 0
+				for {
+					select {
+					case <-stop:
+						probes <- k
+						return
+					default:
+					}
+					_ = srv.Stats()
+					_ = srv.Contexts()
+					k++
+				}
+			}()
+			for q := uint64(2); q < 2+burst; q++ {
+				submit(q)
+			}
+			for q := 0; q < burst; q++ {
+				await()
+			}
+			close(stop)
+			select {
+			case k := <-probes:
+				if k == 0 {
+					t.Error("no Stats/Contexts probe returned while the burst ran")
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Stats/Contexts never returned while turns ran")
+			}
+		})
+	}
+}
+
+// TestStepErrorKeepsServing: a Step error is recorded and ends the turn; the
+// server goes on handling messages. A bare peer sends a Deref whose credit
+// sits at the detector's exponent cap (2^19), so the participant's step
+// cannot split a share off for the remote reference it finds. A Submit sent
+// afterwards must still be answered.
+func TestStepErrorKeepsServing(t *testing.T) {
+	st := store.New(1)
+	srv, err := NewOpts(site.Config{ID: 1, Store: st, Peers: []object.SiteID{2}}, "127.0.0.1:0", nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hop := st.NewObject().
+		Add("keyword", object.Keyword("hot"), object.Value{}).
+		Add("Pointer", object.String("Reference"), object.Pointer(object.ID{Birth: 2, Seq: 1}))
+	if err := st.Put(hop); err != nil {
+		t.Fatal(err)
+	}
+	peer := bareEndpoint(t, srv, 2, func(object.SiteID, wire.Msg) {})
+	replies := make(chan wire.Msg, 1)
+	client := bareEndpoint(t, srv, 100, func(_ object.SiteID, m wire.Msg) { replies <- m })
+	capped := append(binary.AppendUvarint(nil, 1<<19), 1)
+	if err := peer.Send(1, &wire.Deref{QID: wire.QueryID{Origin: 2, Seq: 1}, Origin: 2,
+		Body: tcpClosure, ObjIDs: []object.ID{hop.ID}, Token: capped}); err != nil {
+		t.Fatal(err)
+	}
+	if err := waitfor.Until(5*time.Second, func() bool { return srv.Err() != nil }); err != nil {
+		t.Fatalf("the capped credit never failed a step: %v", err)
+	}
+	if err := srv.Err(); !strings.Contains(err.Error(), "cannot halve") {
+		t.Fatalf("Err = %v, want the step's credit-split error", err)
+	}
+	sub := &wire.Submit{QID: wire.QueryID{Origin: 1, Seq: 1}, Client: 100,
+		Body: `S (keyword, "hot", ?) -> T`, Initial: []object.ID{hop.ID}}
+	if err := client.Send(1, sub); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-replies:
+		if cm, ok := m.(*wire.Complete); !ok || len(cm.IDs) != 1 {
+			t.Fatalf("reply = %+v, want a Complete with one id", m)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("server stopped serving after the step error")
 	}
 }

@@ -520,3 +520,58 @@ func TestCloseSettlesOwedAcks(t *testing.T) {
 		t.Errorf("%d retransmissions; the ack should have been written by Close", got)
 	}
 }
+
+// TestIdleRunsOncePerRead: the Idle hook marks the read boundary, not each
+// frame. Three reliable frames that arrive in one write all reach the
+// BufHandler before the hook runs, and the hook runs exactly once more
+// before the reader blocks: the ack for all three, written after the hook,
+// finds it run once for the connection's first read and once for this one.
+// A receiver that batches what one read brought depends on this.
+func TestIdleRunsOncePerRead(t *testing.T) {
+	var (
+		mu        sync.Mutex
+		delivered int
+		seen      []int // delivered, as of each hook run
+		tr        atomic.Pointer[TCP]
+	)
+	opts := Options{
+		BufHandler: func(_ object.SiteID, _ wire.Msg, buf *wire.ReadBuf) {
+			buf.Release()
+			mu.Lock()
+			delivered++
+			mu.Unlock()
+		},
+		Idle: func() {
+			mu.Lock()
+			seen = append(seen, delivered)
+			mu.Unlock()
+			tr.Load().Flush() // the hook holds no transport lock
+		},
+	}
+	ep, err := ListenTCPOpts(2, "127.0.0.1:0", nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Store(ep)
+	t.Cleanup(func() { _ = ep.Close() })
+	c, err := net.Dial("tcp", ep.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var data []byte
+	for seq := uint64(1); seq <= 3; seq++ {
+		data = wire.AppendFrameMsg(data, 1, 7, seq, finish(int(seq)))
+	}
+	if _, err := c.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if ack := readAck(t, c); ack.Cum != 3 {
+		t.Fatalf("ack %+v, want one cumulative ack for all three frames", ack)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(seen) != 2 || seen[0] != 0 || seen[1] != 3 {
+		t.Fatalf("hook saw %v delivered frames at its runs, want [0 3]: once before the first read, once after all three", seen)
+	}
+}

@@ -38,6 +38,8 @@
 // by the floor again, since the ack that should have retired it may be the
 // one that was lost. The sender retires the whole acknowledged prefix of its
 // pending queue per ack; a lost cumulative ack is healed by the next one.
+// The same boundary is the receiver's: Options.Idle runs there, so a server
+// can do, on the reader's goroutine, the work that one read delivered.
 // Fault injection stays per frame: every frame and every ack is judged on
 // its own, and a dropped one never enters its batch.
 //
@@ -153,6 +155,15 @@ type Options struct {
 	// copied messages it may keep forever, and the transport recycles the
 	// read buffer before the Handler even runs.
 	BufHandler BufHandler
+	// Idle, when non-nil, runs on an inbound reader's goroutine at every read
+	// boundary: the reader has handed out every frame its last read(2)
+	// brought and is about to go back to the kernel, before it holds or
+	// writes the acks it owes. A receiver that only queued what the handler
+	// delivered runs that work here, once per read rather than once per
+	// frame, on the goroutine that read it. It holds no transport lock, so
+	// it may Queue, Send and Flush; the reader reads nothing until it
+	// returns.
+	Idle func()
 	// Metrics, when non-nil, receives transport counters (frames sent /
 	// retransmitted / deduped / abandoned, connects, dial failures) and the
 	// ack round-trip histogram. Nil disables accounting.
@@ -883,8 +894,11 @@ type inboundConn struct {
 // frame at a time (a query hopping serially between sites) shares acks too;
 // if frames keep coming, the deadline of the next fill has already passed
 // and the acks go out then. A frame is always delivered before its ack is
-// held, so the hold adds nothing to a message's latency.
+// held, so the hold adds nothing to a message's latency. The Idle hook runs
+// first, once per read: whatever the frames just delivered set off is done,
+// and flushed, before the reader holds its acks or blocks.
 func (in *inboundConn) Read(b []byte) (int, error) {
+	in.t.idle()
 	for {
 		if in.owed || in.timed {
 			var until time.Time // zero: wait for bytes indefinitely
@@ -973,9 +987,11 @@ func (in *inboundConn) flushAcks() {
 // the dedup window so the handler sees each message exactly once, and
 // acknowledged in one write when the buffered reader next goes back to the
 // kernel. Corrupt frames poison the stream and drop the connection; the
-// sender's retransmissions arrive on a fresh one.
+// sender's retransmissions arrive on a fresh one. A reader that stops
+// between reads still runs the Idle hook for what it delivered.
 func (t *TCP) readLoop(c net.Conn) {
 	defer func() {
+		t.idle()
 		_ = c.Close()
 		t.mu.Lock()
 		delete(t.inbound, c)
@@ -1031,6 +1047,13 @@ func (t *TCP) deliver(from object.SiteID, m wire.Msg, buf *wire.ReadBuf) {
 	}
 	buf.Release()
 	t.handler(from, m)
+}
+
+// idle runs the Idle hook, if any.
+func (t *TCP) idle() {
+	if t.opts.Idle != nil {
+		t.opts.Idle()
+	}
 }
 
 // dedupAdmit records one reliable frame and reports whether it is new,
