@@ -178,7 +178,7 @@ func (db *DB) Exec(src string, initial []ID) (IDSet, []Fetch, Stats, error) {
 	e.AddInitial(initial...)
 	stats := e.Run()
 	results, fetches := e.TakeResults()
-	return results, fetches, stats, nil
+	return object.NewIDSet(results...), fetches, stats, nil
 }
 
 // BuildKeywordIndex builds an inverted index over the database's current

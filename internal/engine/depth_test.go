@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -152,8 +153,17 @@ func TestChildItersProperty(t *testing.T) {
 			it.Iters = append(it.Iters, int(l)+1)
 		}
 		d := int(rawDepth%6) + 1
-		child := it.childIters(d)
+		child := it.childIters(d, nil)
 		if len(child) != d {
+			return false
+		}
+		// The same stack comes back as is; any other is not reused.
+		if again := it.childIters(d, child); &again[0] != &child[0] {
+			return false
+		}
+		other := slices.Clone(child)
+		other[0]++
+		if got := it.childIters(d, other); &got[0] == &other[0] || !slices.Equal(got, child) {
 			return false
 		}
 		// Every level except the innermost is inherited (padded with 1);
@@ -172,7 +182,7 @@ func TestChildItersProperty(t *testing.T) {
 
 func TestChildItersDepthZero(t *testing.T) {
 	it := Item{Iters: []int{3}}
-	if got := it.childIters(0); got != nil {
+	if got := it.childIters(0, []int{4}); got != nil {
 		t.Errorf("depth-0 child iters = %v, want nil", got)
 	}
 }
@@ -214,7 +224,7 @@ func TestRetrievalInsideIterator(t *testing.T) {
 	}
 	// Every object in the closure passed the body's keyword fetch at least
 	// once; dedup-by-source must equal the result set.
-	if !fetchedFrom.Equal(results) {
+	if !fetchedFrom.Equal(object.NewIDSet(results...)) {
 		t.Errorf("fetch sources %v != results %v", fetchedFrom, results)
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sync"
 
 	"hyperfile/internal/object"
@@ -120,9 +121,14 @@ type Engine struct {
 	// trace, when set, receives every processing step.
 	trace func(TraceEvent)
 
-	results object.IDSet
+	// results is append-only between drains: an object that passes at two
+	// start positions is appended twice, and TakeResults sorts and compacts
+	// once per drain instead of paying a map insert per result.
+	results []object.ID
 	fetches []Fetch
 	stats   Stats
+	// iters is the child iteration stack applyDeref built last.
+	iters []int
 }
 
 // Option configures an Engine.
@@ -163,10 +169,9 @@ func New(q *query.Compiled, src Source, opts ...Option) *Engine {
 // probes, the index must cover the same objects src serves.
 func NewPlanned(p *plan.Plan, src Source, opts ...Option) *Engine {
 	e := &Engine{
-		p:       p,
-		src:     src,
-		loc:     AllLocal{},
-		results: make(object.IDSet),
+		p:   p,
+		src: src,
+		loc: AllLocal{},
 	}
 	for _, o := range opts {
 		o(e)
@@ -249,25 +254,26 @@ func (e *Engine) DiscardWork() {
 	e.head = 0
 }
 
-// Results returns the local result set accumulated so far. The set is live;
-// callers must not mutate it, and under a multi-worker site must not read it
-// while the context may still be stepped (use TakeResults for a stable
-// snapshot).
+// Results returns a snapshot set of the results accumulated since the last
+// TakeResults. It is built on every call and does not follow later steps;
+// the site and the API take results with TakeResults alone.
 func (e *Engine) Results() object.IDSet {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.results
+	return object.NewIDSet(e.results...)
 }
 
-// TakeResults returns the accumulated results and fetches and resets both,
-// supporting the paper's protocol of flushing Q.result to the originator
-// whenever the working set drains.
-func (e *Engine) TakeResults() (object.IDSet, []Fetch) {
+// TakeResults returns the results accumulated since the last call, sorted
+// (ID.Compare) and without duplicates, and the fetches, and resets both.
+// This supports the paper's protocol of flushing Q.result to the originator
+// whenever the working set drains. The caller owns the returned slice.
+func (e *Engine) TakeResults() ([]object.ID, []Fetch) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	r, f := e.results, e.fetches
-	e.results = make(object.IDSet)
-	e.fetches = nil
+	slices.SortFunc(r, object.ID.Compare)
+	r = slices.Clip(slices.Compact(r))
+	e.results, e.fetches = nil, nil
 	return r, f
 }
 
@@ -384,7 +390,7 @@ func (e *Engine) Step() (StepResult, bool) {
 		}
 	}
 	if alive {
-		e.results.Add(it.ID)
+		e.results = append(e.results, it.ID)
 		e.stats.Results++
 		res.Passed = true
 		e.emit(TraceEvent{ID: it.ID, Filter: -1, Action: TraceResult})
@@ -502,14 +508,22 @@ func (e *Engine) applyFieldEffects(p *pattern.P, v *object.Value, it *Item, from
 // the dereferencing object continues; otherwise it is consumed.
 func (e *Engine) applyDeref(f query.Filter, it *Item, res *StepResult) bool {
 	next := it.Next + 1
-	childIters := it.childIters(f.Depth)
+	// Children share iteration stacks: nothing writes an Item's Iters in
+	// place, and a RemoteRef's stack is only read into its Deref. So every
+	// child of this object gets the one stack, and it is the last one built
+	// whenever that holds the same counters, as it does for all the objects
+	// of one level of a breadth-first tree.
+	var childIters []int
 	for _, v := range it.MVars.Lookup(f.Var) {
 		if v.Kind != object.KindPointer {
 			continue
 		}
+		if childIters == nil {
+			childIters = it.childIters(f.Depth, e.iters)
+			e.iters = childIters
+		}
 		if e.loc.IsLocal(v.Ptr) {
-			child := Item{ID: v.Ptr, Start: next, Next: next}
-			child.Iters = append([]int(nil), childIters...)
+			child := Item{ID: v.Ptr, Start: next, Next: next, Iters: childIters}
 			if e.spawn != nil {
 				e.spawn(child)
 			} else {
@@ -518,8 +532,7 @@ func (e *Engine) applyDeref(f query.Filter, it *Item, res *StepResult) bool {
 			e.stats.LocalDerefs++
 			res.LocalSpawned++
 		} else {
-			ref := RemoteRef{ID: v.Ptr, Start: next}
-			ref.Iters = append([]int(nil), childIters...)
+			ref := RemoteRef{ID: v.Ptr, Start: next, Iters: childIters}
 			res.Remote = append(res.Remote, ref)
 			e.stats.RemoteDerefs++
 		}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hyperfile/internal/object"
@@ -493,5 +494,61 @@ func TestWildcardPointerDeref(t *testing.T) {
 	res, _ := run(t, s, `S (Pointer, ?, ?X) ^X (String, "Author", "Joe") -> T`, caller.ID)
 	if !res.Equal(object.NewIDSet(lib.ID, callee.ID)) {
 		t.Errorf("results = %v", res)
+	}
+}
+
+// revisitQuery reaches an object at two start positions: through the
+// Ref closure (start 2, looping back to the body) and through the Alt
+// dereference after it (start 5, the final selection only).
+const revisitQuery = `S [ (Pointer, "Ref", ?X) ^^X ]** (Pointer, "Alt", ?Y) ^^Y (keyword, "hot", ?) -> T`
+
+// putRevisit stores the revisit fixture in s: a has Ref->q and Alt->p, q
+// has Ref->p, and p has Ref->q and Alt->a, all "hot". Run from a, BFS
+// processes p at start 5 (from a's Alt) before p at start 2 (from q's Ref),
+// and the first visit marks only filter 5, so p passes twice in one drain.
+// q has no Alt tuple and never passes. p is created first, so the order
+// results are added in (a, p, p) is not sorted.
+func putRevisit(t *testing.T, s *store.Store) (a, p object.ID) {
+	t.Helper()
+	po, qo, ao := s.NewObject(), s.NewObject(), s.NewObject()
+	hot := func(o *object.Object) *object.Object { return o.Add("keyword", object.Keyword("hot"), object.Value{}) }
+	ptr := func(o *object.Object, key string, to object.ID) {
+		o.Add("Pointer", object.String(key), object.Pointer(to))
+	}
+	ptr(hot(ao), "Ref", qo.ID)
+	ptr(ao, "Alt", po.ID)
+	ptr(hot(qo), "Ref", po.ID)
+	ptr(hot(po), "Ref", qo.ID)
+	ptr(po, "Alt", ao.ID)
+	for _, o := range []*object.Object{po, qo, ao} {
+		if err := s.Put(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ao.ID, po.ID
+}
+
+// TestTakeResultsDedupsRevisits: an object that passes at two start
+// positions is added to the results twice; TakeResults returns it once, in
+// ID order, while Stats.Results still counts both passes.
+func TestTakeResultsDedupsRevisits(t *testing.T) {
+	s := store.New(1)
+	a, p := putRevisit(t, s)
+	e := New(query.MustCompile(revisitQuery), s)
+	defer e.ReleaseScratch()
+	e.AddInitial(a)
+	st := e.Run()
+	if st.Results != 3 {
+		t.Fatalf("Stats.Results = %d, want 3 (a once, p twice): the fixture must revisit", st.Results)
+	}
+	if got := e.Results(); !got.Equal(object.NewIDSet(a, p)) {
+		t.Errorf("Results() = %v, want {a, p}", got)
+	}
+	got, _ := e.TakeResults()
+	if want := []object.ID{p, a}; !slices.Equal(got, want) {
+		t.Errorf("TakeResults = %v, want %v", got, want)
+	}
+	if again, _ := e.TakeResults(); len(again) != 0 {
+		t.Errorf("second TakeResults = %v, want empty", again)
 	}
 }

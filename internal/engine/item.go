@@ -50,12 +50,23 @@ func (it *Item) iterAt(d int) int {
 	return 1
 }
 
-// childIters builds the iteration stack for an object dereferenced at static
-// nesting depth d: the parent stack normalized to length d (padded with 1s,
-// truncated if deeper) with the innermost counter incremented.
-func (it *Item) childIters(d int) []int {
+// childIters returns the iteration stack for an object dereferenced at
+// static nesting depth d: the parent stack normalized to length d (padded
+// with 1s, truncated if deeper) with the innermost counter incremented. When
+// last already holds that stack it is returned itself, so objects whose
+// children need the same counters can hand them one shared stack.
+func (it *Item) childIters(d int, last []int) []int {
 	if d == 0 {
 		return nil
+	}
+	if len(last) == d {
+		same := true
+		for i := range d - 1 {
+			same = same && last[i] == it.iterAt(i)
+		}
+		if same && last[d-1] == it.iterAt(d-1)+1 {
+			return last
+		}
 	}
 	s := make([]int, d)
 	for i := 0; i < d; i++ {

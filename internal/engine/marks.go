@@ -45,14 +45,18 @@ var (
 )
 
 // stepEnv returns the binding environment for the item about to be
-// processed: the per-engine scratch map, cleared. Step is serialized by e.mu
-// and the environment never outlives one Step, so one map serves every
-// object the engine processes.
+// processed: the per-engine scratch map with every binding set truncated to
+// empty. Step is serialized by e.mu and the environment never outlives one
+// Step, so one map serves every object the engine processes, and a Bind
+// appends into the backing array the previous object's binds left behind.
+// An empty binding set reads exactly like an absent one (Env.Lookup).
 func (e *Engine) stepEnv() pattern.Env {
 	if e.env == nil {
 		e.env = envPool.Get().(pattern.Env)
 	}
-	clear(e.env)
+	for k, vs := range e.env {
+		e.env[k] = vs[:0]
+	}
 	return e.env
 }
 

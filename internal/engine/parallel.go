@@ -121,7 +121,7 @@ func RunParallel(q *query.Compiled, src Source, workers int, initial []object.ID
 	var (
 		wg      sync.WaitGroup
 		mu      sync.Mutex
-		merged  = make(object.IDSet)
+		merged  []object.ID
 		fetches []Fetch
 		stats   Stats
 	)
@@ -143,12 +143,12 @@ func RunParallel(q *query.Compiled, src Source, workers int, initial []object.ID
 			}
 			r, f := e.TakeResults()
 			mu.Lock()
-			merged.AddAll(r)
+			merged = append(merged, r...)
 			fetches = append(fetches, f...)
 			stats.Add(e.Stats())
 			mu.Unlock()
 		}()
 	}
 	wg.Wait()
-	return ParallelResult{Results: merged, Fetches: fetches, Stats: stats, Workers: workers}
+	return ParallelResult{Results: object.NewIDSet(merged...), Fetches: fetches, Stats: stats, Workers: workers}
 }

@@ -64,7 +64,8 @@ func TestParallelFetchesComplete(t *testing.T) {
 	serial := New(c, s)
 	serial.AddInitial(ids[0])
 	serial.Run()
-	wantResults, wantFetches := serial.TakeResults()
+	ids0, wantFetches := serial.TakeResults()
+	wantResults := object.NewIDSet(ids0...)
 
 	got := RunParallel(c, s, 4, []object.ID{ids[0]})
 	if !got.Results.Equal(wantResults) {

@@ -194,3 +194,44 @@ func TestStepCountersMatchEngineStats(t *testing.T) {
 		}
 	}
 }
+
+// TestParticipantDrainDedupsRevisits runs a query in which site 2's single
+// drain passes the same object at two start positions: p is reached at
+// start 5 through a's Alt pointer and, after that visit marked only filter
+// 5, again at start 2 through q's Ref closure. The drain's results must ship
+// once each, sorted, and both Result.Count and Complete.Count must count
+// distinct ids (2), not passes (3).
+func TestParticipantDrainDedupsRevisits(t *testing.T) {
+	h := newHarness(t, 2, nil)
+	st := h.store(2)
+	po, qo, ao := st.NewObject(), st.NewObject(), st.NewObject()
+	hot := func(o *object.Object) *object.Object { return o.Add("keyword", object.Keyword("hot"), object.Value{}) }
+	ptr := func(o *object.Object, key string, to object.ID) {
+		o.Add("Pointer", object.String(key), object.Pointer(to))
+	}
+	ptr(hot(ao), "Ref", qo.ID)
+	ptr(ao, "Alt", po.ID)
+	ptr(hot(qo), "Ref", po.ID)
+	ptr(hot(po), "Ref", qo.ID)
+	ptr(po, "Alt", ao.ID)
+	for _, o := range []*object.Object{po, qo, ao} {
+		if err := st.Put(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cm := h.exec(1, 1, `S [ (Pointer, "Ref", ?X) ^^X ]** (Pointer, "Alt", ?Y) ^^Y (keyword, "hot", ?) -> T`,
+		[]object.ID{ao.ID})
+	if got := h.sites[2].Stats().Engine.Results; got != 3 {
+		t.Fatalf("site 2 added %d results, want 3 (a once, p twice): the fixture must revisit", got)
+	}
+	want := []object.ID{po.ID, ao.ID}
+	if len(h.results) != 1 {
+		t.Fatalf("site 2 sent %d Results, want one drain's", len(h.results))
+	}
+	if r := h.results[0]; !slices.Equal(r.IDs, want) || r.Count != len(want) {
+		t.Errorf("Result IDs %v Count %d, want %v Count %d", r.IDs, r.Count, want, len(want))
+	}
+	if !slices.Equal(cm.IDs, want) || cm.Count != len(want) {
+		t.Errorf("Complete IDs %v Count %d, want %v Count %d", cm.IDs, cm.Count, want, len(want))
+	}
+}

@@ -21,7 +21,11 @@ import "slices"
 // client's last live context or queued Submit.
 type lane[T comparable] struct {
 	client uint64
-	items  []T
+	// items[head:] are the queued entries, oldest first. A pop advances head
+	// instead of re-slicing, so the backing array survives the pop and a
+	// lane popped and pushed back every turn never reallocates.
+	items []T
+	head  int
 	// holders counts the live contexts pinned to this lane (the ready
 	// rotation only). A held lane keeps its ring slot while its one context
 	// is out being stepped, so a client with a single query does not fall to
@@ -29,6 +33,9 @@ type lane[T comparable] struct {
 	holders int
 	inRing  bool
 }
+
+// queued returns l's entries, oldest first.
+func (l *lane[T]) queued() []T { return l.items[l.head:] }
 
 // rotation serves per-client lanes in round robin. Every lane with entries
 // is in the ring; an empty lane leaves it when a visit finds it empty.
@@ -62,7 +69,7 @@ func (r *rotation[T]) hold(client uint64) *lane[T] {
 // release drops one holder of l, freeing l when nothing else keeps it.
 func (r *rotation[T]) release(l *lane[T]) {
 	l.holders--
-	if l.holders > 0 || len(l.items) > 0 {
+	if l.holders > 0 || len(l.queued()) > 0 {
 		return
 	}
 	if l.inRing {
@@ -74,6 +81,13 @@ func (r *rotation[T]) release(l *lane[T]) {
 
 // push queues v at the tail of l, entering l into the ring if it was out.
 func (r *rotation[T]) push(l *lane[T], v T) {
+	if l.head > 0 && len(l.items) == cap(l.items) {
+		// The lane is about to grow while popped slots sit in front of head:
+		// compact in place instead of reallocating.
+		n := copy(l.items, l.queued())
+		clear(l.items[n:])
+		l.items, l.head = l.items[:n], 0
+	}
 	l.items = append(l.items, v)
 	r.n++
 	if !l.inRing {
@@ -82,22 +96,26 @@ func (r *rotation[T]) push(l *lane[T], v T) {
 	}
 }
 
-// take removes l's entry at index i. Taking the head re-slices, so a pop is
-// O(1) however long the lane.
+// take removes l's queued entry at index i. Taking the head advances head,
+// so a pop is O(1) however long the lane; the lane rewinds to the front of
+// its array when it empties.
 func (r *rotation[T]) take(l *lane[T], i int) {
 	if i == 0 {
 		var zero T
-		l.items[0] = zero
-		l.items = l.items[1:]
+		l.items[l.head] = zero
+		l.head++
+		if l.head == len(l.items) {
+			l.items, l.head = l.items[:0], 0
+		}
 	} else {
-		l.items = slices.Delete(l.items, i, i+1)
+		l.items = slices.Delete(l.items, l.head+i, l.head+i+1)
 	}
 	r.n--
 }
 
 // remove deletes v from l's queue, if it is there.
 func (r *rotation[T]) remove(l *lane[T], v T) {
-	if i := slices.Index(l.items, v); i >= 0 {
+	if i := slices.Index(l.queued(), v); i >= 0 {
 		r.take(l, i)
 	}
 }
@@ -118,7 +136,7 @@ func (r *rotation[T]) unring(i int) {
 
 // prune drops l's head entries that live rejects.
 func (r *rotation[T]) prune(l *lane[T], live func(T) bool) {
-	for len(l.items) > 0 && !live(l.items[0]) {
+	for len(l.queued()) > 0 && !live(l.items[l.head]) {
 		r.take(l, 0)
 	}
 }
@@ -133,14 +151,14 @@ func (r *rotation[T]) pop(live func(T) bool) (v T, shared, ok bool) {
 		}
 		l := r.ring[r.next]
 		r.prune(l, live)
-		if len(l.items) == 0 {
+		if len(l.queued()) == 0 {
 			r.unring(r.next)
 			continue
 		}
-		v, shared = l.items[0], len(r.ring) > 1
+		v, shared = l.items[l.head], len(r.ring) > 1
 		r.take(l, 0)
 		r.next++
-		if len(l.items) == 0 && l.holders == 0 {
+		if len(l.queued()) == 0 && l.holders == 0 {
 			r.unring(r.next - 1)
 		}
 		return v, shared, true
@@ -154,7 +172,7 @@ func (r *rotation[T]) any(live func(T) bool) bool {
 	for i := 0; i < len(r.ring); {
 		l := r.ring[i]
 		r.prune(l, live)
-		if len(l.items) > 0 {
+		if len(l.queued()) > 0 {
 			return true
 		}
 		r.unring(i)
@@ -165,7 +183,7 @@ func (r *rotation[T]) any(live func(T) bool) bool {
 // has reports whether some queued entry satisfies f.
 func (r *rotation[T]) has(f func(T) bool) bool {
 	for _, l := range r.ring {
-		if slices.ContainsFunc(l.items, f) {
+		if slices.ContainsFunc(l.queued(), f) {
 			return true
 		}
 	}
@@ -177,14 +195,14 @@ func (r *rotation[T]) filter(keep func(T) bool) {
 	for i := 0; i < len(r.ring); {
 		l := r.ring[i]
 		kept := l.items[:0]
-		for _, v := range l.items {
+		for _, v := range l.queued() {
 			if keep(v) {
 				kept = append(kept, v)
 			}
 		}
-		r.n -= len(l.items) - len(kept)
+		r.n -= len(l.queued()) - len(kept)
 		clear(l.items[len(kept):])
-		l.items = kept
+		l.items, l.head = kept, 0
 		if len(kept) == 0 {
 			r.unring(i)
 			continue

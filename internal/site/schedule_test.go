@@ -1,6 +1,7 @@
 package site
 
 import (
+	"slices"
 	"testing"
 
 	"hyperfile/internal/object"
@@ -244,5 +245,71 @@ func TestClientLanesFreedWithLastContext(t *testing.T) {
 		if lanes != 0 {
 			t.Errorf("%s = %d after every client finished, want 0", name, lanes)
 		}
+	}
+}
+
+// TestRotationCycleDoesNotAllocate pins the lane's head index: a lane popped
+// and pushed back every turn, as the ready rotation does with a context that
+// still has work, reuses its backing array. A pop that re-slices the head
+// off instead shrinks the array by one slot per turn, and the push after it
+// reallocates once the slots run out.
+func TestRotationCycleDoesNotAllocate(t *testing.T) {
+	live := func(int) bool { return true }
+	for _, n := range []int{1, 2} {
+		var r rotation[int]
+		l := r.hold(1)
+		for v := range n {
+			r.push(l, v)
+		}
+		cycle := func() {
+			v, _, ok := r.pop(live)
+			if !ok {
+				t.Fatal("pop found no entry")
+			}
+			r.push(l, v)
+		}
+		cycle()
+		if a := testing.AllocsPerRun(100, cycle); a != 0 {
+			t.Errorf("%d-entry lane: %.1f allocs per pop/push cycle, want 0", n, a)
+		}
+		if got := l.queued(); len(got) != n || r.n != n {
+			t.Errorf("%d-entry lane holds %v (n=%d) after cycling", n, got, r.n)
+		}
+	}
+}
+
+// TestRotationHeadIndex runs remove, filter, has and push on a lane whose
+// head has moved past popped entries.
+func TestRotationHeadIndex(t *testing.T) {
+	live := func(int) bool { return true }
+	var r rotation[int]
+	l := r.hold(1)
+	for v := range 5 {
+		r.push(l, v)
+	}
+	for want := range 2 {
+		if v, _, ok := r.pop(live); !ok || v != want {
+			t.Fatalf("pop = %d, %v; want %d", v, ok, want)
+		}
+	}
+	r.remove(l, 3)
+	if got := l.queued(); !slices.Equal(got, []int{2, 4}) || r.n != 2 {
+		t.Fatalf("after remove: %v (n=%d), want [2 4]", got, r.n)
+	}
+	if r.has(func(v int) bool { return v < 2 }) {
+		t.Error("has found a popped entry")
+	}
+	r.filter(func(v int) bool { return v != 2 })
+	r.push(l, 5)
+	if got := l.queued(); !slices.Equal(got, []int{4, 5}) || r.n != 2 {
+		t.Fatalf("after filter and push: %v (n=%d), want [4 5]", got, r.n)
+	}
+	for _, want := range []int{4, 5} {
+		if v, _, ok := r.pop(live); !ok || v != want {
+			t.Fatalf("pop = %d, %v; want %d", v, ok, want)
+		}
+	}
+	if r.any(live) || l.head != 0 || len(l.items) != 0 {
+		t.Errorf("emptied lane: any=%v head=%d items=%v", r.any(live), l.head, l.items)
 	}
 }

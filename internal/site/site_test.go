@@ -21,6 +21,8 @@ type harness struct {
 	sites     map[object.SiteID]*Site
 	dirs      map[object.SiteID]*naming.Directory
 	completes []*wire.Complete
+	// results records every Result message delivered to a site.
+	results []*wire.Result
 }
 
 func newHarness(t *testing.T, n int, tweak func(*Config)) *harness {
@@ -59,6 +61,9 @@ func (h *harness) deliver(from object.SiteID, envs []wire.Envelope) {
 		dst, ok := h.sites[env.To]
 		if !ok {
 			continue // dropped (down site)
+		}
+		if r, ok := env.Msg.(*wire.Result); ok {
+			h.results = append(h.results, r)
 		}
 		out, err := dst.HandleMessage(from, env.Msg)
 		if err != nil {

@@ -258,21 +258,20 @@ func (s *Site) handOff(ctx *qctx, out []wire.Envelope) error {
 
 // buildResultMsgs packages a drain's results, applying the distributed-set
 // threshold and the result batch size.
-func (s *Site) buildResultMsgs(ctx *qctx, results object.IDSet, fetches []engine.Fetch) []*wire.Result {
+func (s *Site) buildResultMsgs(ctx *qctx, ids []object.ID, fetches []engine.Fetch) []*wire.Result {
 	var fv []wire.FetchVal
 	for _, f := range fetches {
 		fv = append(fv, wire.FetchVal{Var: f.Var, From: f.From, Val: f.Val})
 	}
-	if len(results) == 0 && len(fv) == 0 {
+	if len(ids) == 0 && len(fv) == 0 {
 		return nil
 	}
-	if t := s.cfg.DistributedSetThreshold; t > 0 && len(results) > t {
-		ctx.retained = append(ctx.retained, results.Sorted()...)
+	if t := s.cfg.DistributedSetThreshold; t > 0 && len(ids) > t {
+		ctx.retained = append(ctx.retained, ids...)
 		return []*wire.Result{{
-			QID: ctx.qid, Count: len(results), Retained: true, Fetches: fv,
+			QID: ctx.qid, Count: len(ids), Retained: true, Fetches: fv,
 		}}
 	}
-	ids := results.Sorted()
 	batch := s.cfg.ResultBatch
 	if batch <= 0 || batch > len(ids) {
 		batch = len(ids)
@@ -420,9 +419,7 @@ func (s *Site) forceComplete(ctx *qctx) []wire.Envelope {
 // the accumulated answer.
 func (ctx *qctx) collectLocal() {
 	results, fetches := ctx.eng.TakeResults()
-	for id := range results {
-		ctx.results = append(ctx.results, id)
-	}
+	ctx.results = append(ctx.results, results...)
 	ctx.count += len(results)
 	for _, f := range fetches {
 		ctx.fetches = append(ctx.fetches, wire.FetchVal{Var: f.Var, From: f.From, Val: f.Val})
@@ -430,7 +427,7 @@ func (ctx *qctx) collectLocal() {
 }
 
 // answer sorts and deduplicates the accumulated ids in place and returns
-// them: the Complete's IDs, in the order IDSet.Sorted gives. The slice is
+// them: the Complete's IDs, in ID.Compare order. The slice is
 // clipped because the Complete (and ctx.retained) share it: an append by any
 // holder, such as a straggling Result at a draining context, must copy
 // rather than write into the array the others read.

@@ -96,7 +96,9 @@ func (pq *PreparedQuery) Run(initial []ID) (IDSet, error) {
 		e := engine.New(pq.compiled, pq.db.st)
 		e.AddInitial(initial...)
 		e.Run()
-		results, fetches = e.TakeResults()
+		var ids []ID
+		ids, fetches = e.TakeResults()
+		results = object.NewIDSet(ids...)
 		e.ReleaseScratch()
 	}
 	for _, f := range fetches {
@@ -132,7 +134,7 @@ func (db *DB) ExecTrace(src string, initial []ID, cb func(TraceEvent)) (IDSet, [
 	e.AddInitial(initial...)
 	e.Run()
 	results, fetches := e.TakeResults()
-	return results, fetches, nil
+	return object.NewIDSet(results...), fetches, nil
 }
 
 // Explain returns the human-readable execution plan of a query, including
