@@ -29,7 +29,8 @@ func (p onePlacer) Put(_ object.SiteID, o *object.Object) error { return p.st.Pu
 const maxAllocsPerObject = 0.15
 
 // TestDrainAllocsPerObject pins the per-object path at no allocation in the
-// steady state: a step rebinds into the scratch environment's slices, the
+// steady state, drained one item at a time (Step) and in runs (StepN, as a
+// server steps): a step rebinds into the scratch environment's slices, the
 // objects of one tree level hand their children one iteration stack, and a
 // result is an append.
 func TestDrainAllocsPerObject(t *testing.T) {
@@ -39,21 +40,35 @@ func TestDrainAllocsPerObject(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := query.MustCompile(workload.ClosureQueryKeyword("Tree", "Common", "all"))
-	var processed, results int
-	drain := func() {
-		e := New(c, st)
-		e.AddInitial(d.Root)
-		processed = e.Run().Processed
-		ids, _ := e.TakeResults()
-		results = len(ids)
-		e.ReleaseScratch()
-	}
-	drain() // warm the work, environment and mark-table pools
-	allocs := testing.AllocsPerRun(20, drain)
-	if processed != 300 || results != 300 {
-		t.Fatalf("drain processed %d objects and found %d results, want 300 each", processed, results)
-	}
-	if per := allocs / float64(processed); per > maxAllocsPerObject {
-		t.Errorf("%.0f allocs over %d objects = %.2f per object, want <= %.2f", allocs, processed, per, maxAllocsPerObject)
+	for _, tc := range []struct {
+		name  string
+		drain func(e *Engine) int
+	}{
+		{"Step", func(e *Engine) int { return e.Run().Processed }},
+		{"StepN", func(e *Engine) int {
+			n := 0
+			for r := e.StepN(16); r.Steps > 0; r = e.StepN(16) {
+				n += r.Processed
+			}
+			return n
+		}},
+	} {
+		var processed, results int
+		drain := func() {
+			e := New(c, st)
+			e.AddInitial(d.Root)
+			processed = tc.drain(e)
+			ids, _ := e.TakeResults()
+			results = len(ids)
+			e.ReleaseScratch()
+		}
+		drain() // warm the work, environment and mark-table pools
+		allocs := testing.AllocsPerRun(20, drain)
+		if processed != 300 || results != 300 {
+			t.Fatalf("%s: drain processed %d objects and found %d results, want 300 each", tc.name, processed, results)
+		}
+		if per := allocs / float64(processed); per > maxAllocsPerObject {
+			t.Errorf("%s: %.0f allocs over %d objects = %.2f per object, want <= %.2f", tc.name, allocs, processed, per, maxAllocsPerObject)
+		}
 	}
 }

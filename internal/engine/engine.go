@@ -87,11 +87,11 @@ type Marks interface {
 
 // Engine processes one query at one site; each query context owns one
 // engine. All exported methods are serialized by an internal mutex so a
-// site's worker pool can run Step on one context while message handlers
-// call Enqueue/HasWork/Stats on the same engine. The mutex covers the whole
-// of Step, so the mark table, working set, and iterator state on items need
-// no finer synchronization: at most one goroutine is ever inside the filter
-// pipeline. Sites additionally pin each context to a single worker, so two
+// site's worker pool can run Step or StepN on one context while message
+// handlers call Enqueue/HasWork/Stats on the same engine. The mutex covers
+// the whole of Step, and of a StepN run, so the mark table, working set, and
+// iterator state on items need no finer synchronization: at most one
+// goroutine is ever inside the filter pipeline. Sites additionally pin each context to a single worker, so two
 // Steps of the same engine never even contend. (Concurrent processing
 // shares state across engines via WithMarks and WithSpawnSink — see
 // RunParallel; a table installed with WithMarks must itself be
@@ -308,6 +308,14 @@ func (e *Engine) push(it Item) {
 	e.work = append(e.work, it)
 }
 
+// peek returns the item pop would take next.
+func (e *Engine) peek() *Item {
+	if e.order == DFS {
+		return &e.work[len(e.work)-1]
+	}
+	return &e.work[e.head]
+}
+
 func (e *Engine) pop() Item {
 	var it Item
 	if e.order == DFS {
@@ -337,15 +345,84 @@ func (e *Engine) pop() Item {
 //
 // This is the body of Figure 3's outer loop. Exposing it one item at a time
 // lets the simulator charge per-object processing cost and interleave message
-// arrivals, and lets a real server yield between objects.
+// arrivals. A real server steps in runs (StepN) and yields between runs.
 func (e *Engine) Step() (StepResult, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if len(e.work) == e.head {
 		return StepResult{}, false
 	}
-	it := e.pop()
-	res := StepResult{Item: it}
+	res := StepResult{Item: e.pop()}
+	e.step(&res)
+	return res, true
+}
+
+// Run is what one StepN call did, summed over the items it took. Its counts
+// are exactly what the run added to the engine's Stats.
+type Run struct {
+	// Start is the start position every item of the run shared.
+	Start int
+	// Steps counts the items taken; Processed, Results, Skipped and Missing
+	// count them as StepResult's flags do, and LocalSpawned sums theirs.
+	Steps, Processed, Results, Skipped, Missing, LocalSpawned int
+	// Out counts the items that passed, spawned local work or surfaced a
+	// remote reference: a trace span's Out.
+	Out int
+	// Remote lists the remote references of the run's last item, the only
+	// one that can have any. Fetches lists every item's retrieved values.
+	Remote  []RemoteRef
+	Fetches []Fetch
+}
+
+// StepN takes up to limit consecutive items under one lock, running each
+// exactly as Step would. The run ends early at an item whose start position
+// differs from the first's, so one run feeds one per-filter span, and after
+// an item that surfaces a remote reference, so the caller routes references
+// item by item as it would after Step. Steps is 0 when the working set is
+// empty.
+func (e *Engine) StepN(limit int) Run {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var r Run
+	for r.Steps < limit && len(e.work) > e.head {
+		if r.Steps > 0 && e.peek().Start != r.Start {
+			break
+		}
+		res := StepResult{Item: e.pop(), Fetches: r.Fetches}
+		e.step(&res)
+		if r.Steps == 0 {
+			r.Start = res.Item.Start
+		}
+		r.Steps++
+		r.LocalSpawned += res.LocalSpawned
+		r.Fetches = res.Fetches
+		if res.Processed {
+			r.Processed++
+		}
+		if res.Passed {
+			r.Results++
+		}
+		if res.Skipped {
+			r.Skipped++
+		}
+		if res.Missing {
+			r.Missing++
+		}
+		if res.Passed || res.LocalSpawned > 0 || len(res.Remote) > 0 {
+			r.Out++
+		}
+		if len(res.Remote) > 0 {
+			r.Remote = res.Remote
+			break
+		}
+	}
+	return r
+}
+
+// step runs the item in res through the filters, filling in the rest of res.
+// Step and StepN share it.
+func (e *Engine) step(res *StepResult) {
+	it := res.Item
 	e.emit(TraceEvent{ID: it.ID, Filter: -1, Iter: it.iterAt(max(len(it.Iters)-1, 0)), Action: TraceDequeued})
 
 	// Duplicate suppression: "if a marked object is found in the working
@@ -355,7 +432,7 @@ func (e *Engine) Step() (StepResult, bool) {
 		e.stats.Skipped++
 		res.Skipped = true
 		e.emit(TraceEvent{ID: it.ID, Filter: -1, Action: TraceSkipped})
-		return res, true
+		return
 	}
 	obj, ok := e.src.Get(it.ID)
 	if !ok {
@@ -364,7 +441,7 @@ func (e *Engine) Step() (StepResult, bool) {
 		e.stats.Missing++
 		res.Missing = true
 		e.emit(TraceEvent{ID: it.ID, Filter: -1, Action: TraceMissing})
-		return res, true
+		return
 	}
 	e.stats.Processed++
 	res.Processed = true
@@ -379,12 +456,12 @@ func (e *Engine) Step() (StepResult, bool) {
 		switch op.Kind {
 		case query.FSelect:
 			if op.FuseDeref {
-				alive = e.applyFused(op, obj, &it, &res)
+				alive = e.applyFused(op, obj, &it, res)
 			} else {
-				alive = e.applySelect(op, obj, &it, &res)
+				alive = e.applySelect(op, obj, &it, res)
 			}
 		case query.FDeref:
-			alive = e.applyDeref(op.F, &it, &res)
+			alive = e.applyDeref(op.F, &it, res)
 		case query.FIter:
 			e.applyIter(op.F, &it)
 		}
@@ -395,7 +472,6 @@ func (e *Engine) Step() (StepResult, bool) {
 		res.Passed = true
 		e.emit(TraceEvent{ID: it.ID, Filter: -1, Action: TraceResult})
 	}
-	return res, true
 }
 
 // Run drains the working set completely (single-site processing) and returns

@@ -18,12 +18,13 @@ import (
 //     opposite orders deadlock the moment they run concurrently, even when
 //     each is individually correct.
 //
-//  2. engine.Engine.Step must never run while site.Site.mu is held (directly
-//     or through any call chain). This is the PR 7 worker-pool contract:
-//     Step pops and pins a context under the site lock, releases the lock
-//     around the engine run, and re-locks for bookkeeping — an engine step
-//     under the site lock serializes every worker on one context's filter
-//     evaluation and re-introduces the very contention the pool removes.
+//  2. engine.Engine.Step (or StepN, its run of items) must never run while
+//     site.Site.mu is held (directly or through any call chain). This is the
+//     worker-pool contract: a site step pops and pins a context under the
+//     site lock, releases the lock around the engine run, and re-locks for
+//     bookkeeping — an engine step under the site lock serializes every
+//     worker on one context's filter evaluation and re-introduces the very
+//     contention the pool removes.
 //
 // The analysis is type-level: all instances of a type share one lock node,
 // so holding siteA.mu while locking siteB.mu still records site.mu →
@@ -41,9 +42,14 @@ var Lockorder = &Analyzer{
 // Identities the Engine.Step rule keys on. The corpus stubs mirror these
 // import paths, so the same constants serve both the real tree and testdata.
 const (
-	siteMuLock    = "hyperfile/internal/site.Site.mu"
-	engineStepKey = "hyperfile/internal/engine|Engine.Step"
+	siteMuLock     = "hyperfile/internal/site.Site.mu"
+	engineStepKey  = "hyperfile/internal/engine|Engine.Step"
+	engineStepNKey = "hyperfile/internal/engine|Engine.StepN"
 )
+
+// isEngineStep reports whether key is one of the engine's stepping entry
+// points.
+func isEngineStep(key string) bool { return key == engineStepKey || key == engineStepNKey }
 
 // lockEdge is one observed ordering: to was acquired while from was held.
 type lockEdge struct {
@@ -182,7 +188,7 @@ func (lp *lockorderPass) close() {
 		changed = false
 		for key := range lp.bodies {
 			for callee := range lp.calls[key] {
-				if callee == engineStepKey || lp.stepSet[callee] {
+				if isEngineStep(callee) || lp.stepSet[callee] {
 					if !lp.stepSet[key] {
 						lp.stepSet[key] = true
 						changed = true
@@ -319,7 +325,7 @@ func (lp *lockorderPass) scanCalls(e ast.Expr, held map[string]token.Pos, info *
 		if key == "" {
 			return true
 		}
-		if key == engineStepKey || lp.stepSet[key] {
+		if isEngineStep(key) || lp.stepSet[key] {
 			if pos, ok := held[siteMuLock]; ok {
 				lp.pass.Reportf(call.Pos(),
 					"engine.Engine.Step runs on this call path while the site lock (held since %s) is still held; release site.Site.mu around the engine step",

@@ -17,3 +17,11 @@ func (e *Engine) Step() bool {
 	e.n++
 	return e.n < 10
 }
+
+// StepN advances the engine by up to limit quanta under one lock.
+func (e *Engine) StepN(limit int) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.n += limit
+	return limit
+}

@@ -30,6 +30,13 @@ func (s *Site) stepViaHelper() {
 
 func (s *Site) runEngine() { s.eng.Step() }
 
+// runUnderLock violates it with a run of steps.
+func (s *Site) runUnderLock() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.eng.StepN(16) // want "engine.Engine.Step runs on this call path while the site lock"
+}
+
 // stepOutsideLock is the correct shape: the site lock is released around the
 // engine step.
 func (s *Site) stepOutsideLock() {

@@ -78,7 +78,7 @@ type Server struct {
 
 	// stepWakes holds one cap-1 wake channel per extra stepping worker
 	// (Config.Workers > 1). The turn holder stays the only message handler;
-	// the extra workers only call Step, so the site's per-context pinning
+	// the extra workers only step the site, so its per-context pinning
 	// is what keeps them off each other's queries.
 	stepWakes []chan struct{}
 
@@ -472,18 +472,19 @@ func (srv *Server) release() {
 
 // turn is the one body every turn holder runs: it handles mail and steps the
 // site, flushing the transport after every site.FlushEvery iterations —
-// messages handled or engine steps taken — and once at the end, then
-// releases the turn. A storm of small messages then shares one write per
-// peer, while the first envelope of a burst waits at most that many
-// iterations (well under a millisecond) for its write. The site holds queued
-// Derefs for at most as many of a context's steps, so one number bounds how
-// long outbound work waits at a site. A turn always flushes before it ends,
-// so a lone message never waits at all. budget > 0 bounds the iterations (a
-// reader's turn); 0 runs until the site is idle (the loop's). A Step error
-// is recorded and ends the turn; the server keeps serving.
+// messages handled or items stepped, a run of items counting as that many —
+// and once at the end, then releases the turn. A storm of small messages
+// then shares one write per peer, while the first envelope of a burst waits
+// at most that many iterations (well under a millisecond) for its write. The
+// site holds queued Derefs for at most as many of a context's steps, so one
+// number bounds how long outbound work waits at a site. A turn always
+// flushes before it ends, so a lone message never waits at all. budget > 0
+// bounds the iterations (a reader's turn); 0 runs until the site is idle
+// (the loop's). A run never crosses the next flush or the budget. A step
+// error is recorded and ends the turn; the server keeps serving.
 func (srv *Server) turn(budget int) {
 	burst := 0 // iterations since the last flush
-	for n := 0; budget == 0 || n < budget; n++ {
+	for n := 0; budget == 0 || n < budget; {
 		if srv.closing() {
 			break
 		}
@@ -491,12 +492,20 @@ func (srv *Server) turn(budget int) {
 			srv.tr.Flush()
 			burst = 0
 		}
+		used := 1
 		if m, ok := srv.take(); ok {
 			srv.handle(m)
-		} else if !srv.s.HasWork() || !srv.step() {
-			break
+		} else {
+			limit := site.FlushEvery - burst
+			if budget > 0 {
+				limit = min(limit, budget-n)
+			}
+			if used = srv.step(limit); used == 0 {
+				break
+			}
 		}
-		burst++
+		burst += used
+		n += used
 	}
 	srv.tr.Flush()
 	srv.release()
@@ -547,25 +556,27 @@ func (srv *Server) handle(m mail) {
 	srv.pokeSteppers()
 }
 
-// step takes one engine step and queues what it sent, reporting whether a
-// context advanced. A Step error is recorded and reported as no progress, so
-// the caller ends its turn and goes on serving.
-func (srv *Server) step() bool {
-	_, envs, did, err := srv.s.Step()
+// step runs up to limit items of one context and queues what it sent,
+// returning the iterations used: 0 when no context had work. A step error is
+// recorded and reported as no progress, so the caller ends its turn and goes
+// on serving.
+func (srv *Server) step(limit int) int {
+	n, envs, err := srv.s.StepN(limit)
 	if err != nil {
 		srv.fail("engine step failed", err)
-		return false
+		return 0
 	}
 	srv.dispatch(envs)
-	return did
+	return n
 }
 
 // stepLoop is one extra pool worker: it steps the site while work remains,
 // then sleeps until a turn holder signals fresh work. It never takes the
 // turn, so it handles no mail. Liveness never depends on these workers — the
 // turn holder also steps — so a missed wake costs only parallelism, never
-// progress. Like a turn it flushes what it queued after a bounded burst and
-// before it sleeps, and a Step error ends its burst, not the worker.
+// progress. Like a turn it flushes what it queued after a bounded burst of
+// items and before it sleeps, and a step error ends its burst, not the
+// worker.
 func (srv *Server) stepLoop(wake chan struct{}) {
 	defer srv.wg.Done()
 	burst := 0
@@ -575,13 +586,13 @@ func (srv *Server) stepLoop(wake chan struct{}) {
 			return
 		default:
 		}
-		did := srv.step()
-		if burst++; did && burst < site.FlushEvery {
+		n := srv.step(site.FlushEvery - burst)
+		if burst += n; n > 0 && burst < site.FlushEvery {
 			continue
 		}
 		srv.tr.Flush()
 		burst = 0
-		if did {
+		if n > 0 {
 			continue
 		}
 		select {

@@ -2,6 +2,7 @@ package site
 
 import (
 	"fmt"
+	"time"
 
 	"hyperfile/internal/engine"
 	"hyperfile/internal/metrics"
@@ -153,21 +154,16 @@ func (m *siteMetrics) filterStep(i int) *metrics.Counter {
 	return m.filterSteps[i]
 }
 
-// noteStep feeds the step counters from one engine step's own report, so
-// each counter moves by exactly what the step added to the engine's Stats.
-func (m *siteMetrics) noteStep(res *engine.StepResult) {
-	m.steps.Inc()
-	m.localDerefs.Add(uint64(res.LocalSpawned))
-	if res.Processed {
-		m.processed.Inc()
-	}
-	if res.Passed {
-		m.resultsAdded.Inc()
-	}
-	if res.Skipped {
-		m.marksSkipped.Inc()
-	}
-	if res.Missing {
-		m.missing.Inc()
-	}
+// noteRun feeds the step counters and the step histogram from one engine
+// run's own report, so each counter moves by exactly what the run added to
+// the engine's Stats.
+func (m *siteMetrics) noteRun(r *engine.Run, dur time.Duration) {
+	m.steps.Add(uint64(r.Steps))
+	m.processed.Add(uint64(r.Processed))
+	m.resultsAdded.Add(uint64(r.Results))
+	m.marksSkipped.Add(uint64(r.Skipped))
+	m.missing.Add(uint64(r.Missing))
+	m.localDerefs.Add(uint64(r.LocalSpawned))
+	m.stepUS.ObserveDuration(dur)
+	m.filterStep(r.Start).Add(uint64(r.Steps))
 }

@@ -4,8 +4,9 @@
 // distributed-set refinement of section 5.
 //
 // A Site is a transport-agnostic state machine: messages go in through
-// HandleMessage, engine work is advanced one object at a time through Step,
-// and both return the envelopes to deliver. All sites run an identical
+// HandleMessage, engine work is advanced one object at a time through Step or
+// in runs of one context's items through StepN, and both return the envelopes
+// to deliver. All sites run an identical
 // algorithm, exactly as in the paper. A Site is safe for concurrent use: a
 // runner may call Step from a pool of worker goroutines while message
 // handlers run, subject to Config.Workers. Site bookkeeping is serialized by
@@ -178,7 +179,7 @@ type Stats struct {
 // Site is one HyperFile server.
 type Site struct {
 	// mu guards all site state below. Public entry points acquire it;
-	// internal helpers assume it is held. Step releases it while a context's
+	// internal helpers assume it is held. StepN releases it while a context's
 	// engine evaluates filters (the context stays pinned via qctx.stepping),
 	// so the lock order is strictly site.mu before engine-internal locking —
 	// nothing acquires mu while inside an engine call.

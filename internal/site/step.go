@@ -26,18 +26,40 @@ type StepOutcome struct {
 // error indicates a broken protocol invariant (e.g. a termination-credit
 // underflow) and leaves the query wedged; callers should surface it.
 //
-// Step is safe to call from multiple worker goroutines: the pop pins the
+// Step is a run of one (StepN): the simulator charges each object's cost
+// and interleaves message arrivals between items.
+func (s *Site) Step() (StepOutcome, []wire.Envelope, bool, error) {
+	outcome, n, out, err := s.stepN(1)
+	return outcome, out, n > 0, err
+}
+
+// StepN advances the next context in the round robin by a run of up to limit
+// consecutive working-set items (engine.Engine.StepN), paying the site's
+// lock, clock reads, counters and drain duties once per run. It returns the
+// iterations used — the items stepped, or 1 for a context its deadline shed
+// or a cancel emptied — and 0 when no context has work. A context with queued Derefs runs no
+// further than the item on which its hold fires, so the site ships exactly
+// what one-item Steps would have, after the same item. Runs are for a site
+// serving one client (every TCP client shares client 0): while contexts of
+// two or more clients are live, StepN steps one item per turn, as Step does.
+//
+// StepN is safe to call from multiple worker goroutines: the pop pins the
 // chosen context to this worker, the site lock is released while the
 // context's engine evaluates filters, and all bookkeeping before and after
 // the engine run happens under the lock. Parallel workers therefore step
 // different contexts concurrently while each context keeps the paper's
 // strict one-item-at-a-time execution order.
-func (s *Site) Step() (StepOutcome, []wire.Envelope, bool, error) {
+func (s *Site) StepN(limit int) (int, []wire.Envelope, error) {
+	_, n, out, err := s.stepN(limit)
+	return n, out, err
+}
+
+func (s *Site) stepN(limit int) (StepOutcome, int, []wire.Envelope, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ctx := s.nextWithWork()
 	if ctx == nil {
-		return StepOutcome{}, nil, false, nil
+		return StepOutcome{}, 0, nil, nil
 	}
 	// An expired context is not stepped: its remaining work is shed and the
 	// query completes as an annotated partial answer. The deadline path runs
@@ -50,32 +72,46 @@ func (s *Site) Step() (StepOutcome, []wire.Envelope, bool, error) {
 			drained, err = s.drainAdmission()
 			envs = append(envs, drained...)
 		}
-		return StepOutcome{Query: ctx.qid}, envs, true, err
+		return StepOutcome{Query: ctx.qid}, 1, envs, err
+	}
+	// A run trades the round robin's grain for bookkeeping. While another
+	// client holds live contexts here, a turn stays one item: with long
+	// turns, a client with more contexts than another pins more of the
+	// stepping workers and takes more of the cores (DESIGN.md §11).
+	if len(s.ready.lanes) > 1 {
+		limit = 1
+	}
+	// The hold counts this context's steps with queues open: a run ends on
+	// the step that fires it.
+	queued := len(ctx.qorder) > 0
+	if queued {
+		limit = min(limit, FlushEvery-ctx.held)
 	}
 	// The engine runs outside the site lock: workers stepping different
 	// contexts serialize only on site bookkeeping, not on filter evaluation.
 	// The pin (re-set here, in the same critical section as the pop) keeps
 	// every other worker off this context; the engine's own mutex orders the
-	// step against message handlers touching the same engine.
+	// run against message handlers touching the same engine.
 	ctx.stepping = true
 	s.mu.Unlock()
 	start := time.Now()
-	res, _ := ctx.eng.Step()
-	stepDur := time.Since(start)
+	run := ctx.eng.StepN(limit)
+	dur := time.Since(start)
 	s.mu.Lock()
-	s.met.noteStep(&res)
-	s.met.stepUS.ObserveDuration(stepDur)
-	s.met.filterStep(res.Item.Start).Inc()
-	ctx.noteStep(res, stepDur)
+	s.met.noteRun(&run, dur)
+	ctx.noteRun(&run, dur)
+	// A popped context costs an iteration even if a cancel emptied its
+	// working set before the run took anything.
+	n := max(run.Steps, 1)
 	outcome := StepOutcome{
 		Query:       ctx.qid,
-		Processed:   res.Processed,
-		ResultAdded: res.Passed,
+		Processed:   run.Processed > 0,
+		ResultAdded: run.Results > 0,
 	}
 	ctx.stepping = false
 	if ctx.finished {
 		// The context was cancelled or force-completed while the engine ran.
-		// Its detector has already settled its credit, so this step's remote
+		// Its detector has already settled its credit, so this run's remote
 		// references must not split any off (an OnSend now would break the
 		// held + recovered + in-flight == 1 invariant); the references are
 		// shed with the rest of the discarded working set. afterEvent still
@@ -86,21 +122,28 @@ func (s *Site) Step() (StepOutcome, []wire.Envelope, bool, error) {
 			drained, err = s.drainAdmission()
 			out = append(out, drained...)
 		}
-		return outcome, out, true, err
+		return outcome, n, out, err
 	}
 	var out []wire.Envelope
 	var err error
-	for _, ref := range res.Remote {
+	for _, ref := range run.Remote {
 		if out, err = s.emitDeref(ctx, ref, out); err != nil {
-			return outcome, out, true, err
+			return outcome, n, out, err
 		}
 	}
 	// The hold: after FlushEvery of this context's steps with queues since
 	// the last full flush, every queue ships, however long the local drain.
+	// Only a run's last item can open a queue, so a run that found none
+	// open adds one step.
 	if len(ctx.qorder) > 0 {
-		if ctx.held++; ctx.held >= FlushEvery {
+		if queued {
+			ctx.held += run.Steps
+		} else {
+			ctx.held++
+		}
+		if ctx.held >= FlushEvery {
 			if out, err = s.flushAllQueues(ctx, out); err != nil {
-				return outcome, out, true, err
+				return outcome, n, out, err
 			}
 		}
 	}
@@ -113,7 +156,7 @@ func (s *Site) Step() (StepOutcome, []wire.Envelope, bool, error) {
 		drained, err = s.drainAdmission()
 		out = append(out, drained...)
 	}
-	return outcome, out, true, err
+	return outcome, n, out, err
 }
 
 // nextWithWork pops the next ready context that still has work and pins it

@@ -9,24 +9,24 @@ import (
 	"hyperfile/internal/wire"
 )
 
-// noteStep folds one engine step into the context's per-filter aggregation.
+// noteRun folds one engine run into the context's per-filter aggregation.
 // One span per (filter, drain interval) keeps tracing O(filters) per flush
 // instead of O(objects).
-func (ctx *qctx) noteStep(res engine.StepResult, dur time.Duration) {
-	filter := res.Item.Start
+func (ctx *qctx) noteRun(r *engine.Run, dur time.Duration) {
+	if r.Steps == 0 {
+		return
+	}
 	if ctx.stepAgg == nil {
 		ctx.stepAgg = make(map[int]*spanAgg)
 	}
-	a := ctx.stepAgg[filter]
+	a := ctx.stepAgg[r.Start]
 	if a == nil {
 		a = &spanAgg{}
-		ctx.stepAgg[filter] = a
-		ctx.filters = append(ctx.filters, filter)
+		ctx.stepAgg[r.Start] = a
+		ctx.filters = append(ctx.filters, r.Start)
 	}
-	a.in++
-	if res.Passed || res.LocalSpawned > 0 || len(res.Remote) > 0 {
-		a.out++
-	}
+	a.in += uint32(r.Steps)
+	a.out += uint32(r.Out)
 	a.dur += dur
 }
 

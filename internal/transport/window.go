@@ -57,6 +57,13 @@ type sendWindow struct {
 func (w *sendWindow) push(from object.SiteID, epoch, seq uint64, m wire.Msg, now, nextAt int64) *pendingFrame {
 	at := len(w.slab)
 	w.slab = wire.AppendFrameMsg(w.slab, from, epoch, seq, m)
+	if w.head > 0 && len(w.frames) == cap(w.frames) {
+		// The queue is about to grow while retired slots sit in front of
+		// head: compact in place instead, so its storage stays within what
+		// the live window needs, whatever trim's thresholds let through.
+		w.frames = w.frames[:copy(w.frames, w.frames[w.head:])]
+		w.head = 0
+	}
 	w.frames = append(w.frames, pendingFrame{
 		seq: seq, off: w.base + uint64(at), n: int32(len(w.slab) - at), nextAt: nextAt, firstSent: now,
 	})

@@ -131,6 +131,34 @@ func TestWindowStorageBoundedWhileNeverEmpty(t *testing.T) {
 	}
 }
 
+// TestWindowQueueWithinTwiceInFlight: a window kept full at MaxUnacked and
+// acked in small cumulative steps leaves trim's copy-down threshold
+// (a dead prefix past half the queue) unmet at the moment the queue fills,
+// so push must compact rather than let append grow the queue past twice
+// what is in flight.
+func TestWindowQueueWithinTwiceInFlight(t *testing.T) {
+	var w sendWindow
+	const inFlight = 4096
+	acked := 0
+	for i := 1; i <= 100_000; i++ {
+		pushFrame(&w, i)
+		if i%16 == 0 && i > inFlight {
+			for ; acked < i-inFlight; acked++ {
+				w.retire(&w.live()[acked+1-int(w.live()[0].seq)])
+			}
+			w.trim()
+		}
+		if c := cap(w.frames); c > 2*inFlight {
+			t.Fatalf("after %d frames, %d in flight, the queue cap is %d (bound %d)", i, i-acked, c, 2*inFlight)
+		}
+	}
+	want := make([]int, 0, inFlight)
+	for s := acked + 1; s <= 100_000; s++ {
+		want = append(want, s)
+	}
+	checkWindow(t, &w, want...)
+}
+
 // TestWindowReleasesOversizedSlab: a burst of large frames must not pin its
 // slab for the life of the peer.
 func TestWindowReleasesOversizedSlab(t *testing.T) {
