@@ -39,10 +39,11 @@ func main() {
 }
 
 func run() int {
+	cfg := bench.Default()
 	exp := flag.String("exp", "", "run only this experiment id (E1..E9, A1..A4)")
-	objects := flag.Int("objects", 270, "dataset size (paper: 270)")
-	queries := flag.Int("queries", 20, "randomized queries per data point (paper: 100)")
-	seed := flag.Int64("seed", 1, "dataset seed")
+	flag.IntVar(&cfg.Objects, "objects", cfg.Objects, "dataset size (paper: 270)")
+	flag.IntVar(&cfg.Queries, "queries", cfg.Queries, "randomized queries per data point (paper: 100)")
+	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "dataset seed")
 	md := flag.Bool("md", false, "emit Markdown instead of text")
 	csv := flag.Bool("csv", false, "emit machine-readable CSV (experiment,key,value) instead of text")
 	svg := flag.String("svg", "", "also write Figure 4 as an SVG chart to this path (requires running E5)")
@@ -62,10 +63,6 @@ func run() int {
 	}
 
 	if *workers != "" {
-		cfg := bench.Default()
-		cfg.Objects = *objects
-		cfg.Queries = *queries
-		cfg.Seed = *seed
 		r, err := bench.RunWorkers(cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "hfbench:", err)
@@ -106,10 +103,6 @@ func run() int {
 	}
 
 	if *plan != "" {
-		cfg := bench.Default()
-		cfg.Objects = *objects
-		cfg.Queries = *queries
-		cfg.Seed = *seed
 		r, err := bench.RunPlan(cfg, *planCache)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "hfbench:", err)
@@ -156,10 +149,6 @@ func run() int {
 	}
 
 	if *batching != "" {
-		cfg := bench.Default()
-		cfg.Objects = *objects
-		cfg.Queries = *queries
-		cfg.Seed = *seed
 		r, err := bench.RunBatching(cfg, *batchSize)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "hfbench:", err)
@@ -198,11 +187,6 @@ func run() int {
 		}
 		return 0
 	}
-
-	cfg := bench.Default()
-	cfg.Objects = *objects
-	cfg.Queries = *queries
-	cfg.Seed = *seed
 
 	var reports []*bench.Report
 	if *exp != "" {

@@ -30,7 +30,7 @@ import (
 )
 
 func main() {
-	code := run()
+	code := run(os.Args[1:])
 	// A clean harness run must not strand goroutines: every query context,
 	// site loop, sweeper, and client waiter has to wind down with the
 	// cluster. A leak here is exactly the failure the harness hunts.
@@ -44,31 +44,31 @@ func main() {
 	os.Exit(code)
 }
 
-func run() int {
+// run parses args, runs the harness and returns the exit code.
+func run(args []string) int {
 	cfg := bench.DefaultLoad()
-	machines := flag.Int("machines", cfg.Machines, "cluster size")
-	objects := flag.Int("objects", cfg.Objects, "dataset size")
-	seed := flag.Int64("seed", cfg.Seed, "dataset and arrival-schedule seed")
-	maxInflight := flag.Int("max-inflight", cfg.MaxInflight, "per-site live-context bound")
-	admissionQueue := flag.Int("admission-queue", cfg.AdmissionQueue, "per-site admission queue length")
-	deadline := flag.Duration("query-deadline", cfg.QueryDeadline, "default per-query budget")
-	workers := flag.Int("workers", cfg.Workers, "per-site stepping workers (0 or 1 = the paper's single stepper)")
-	calibration := flag.Int("calibration", cfg.Calibration, "closed-loop queries for the capacity estimate")
-	queries := flag.Int("queries", cfg.Queries, "open-loop arrivals per load point")
-	mult := flag.String("mult", "0.5,1,2,4", "offered-load points as multiples of calibrated capacity")
-	timeout := flag.Duration("timeout", cfg.Timeout, "client-side per-query deadline (the hang bound)")
-	chaosOn := flag.Bool("chaos", cfg.Chaos, "run against the fault-injecting network (drop/dup/delay/reorder)")
-	out := flag.String("out", "", "write the JSON record here (empty = stdout only)")
-	scenarioOut := flag.String("scenario-out", "",
+	fs := flag.NewFlagSet("hfload", flag.ExitOnError)
+	fs.IntVar(&cfg.Machines, "machines", cfg.Machines, "cluster size")
+	fs.IntVar(&cfg.Objects, "objects", cfg.Objects, "dataset size")
+	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "dataset and arrival-schedule seed")
+	fs.IntVar(&cfg.MaxInflight, "max-inflight", cfg.MaxInflight, "per-site live-context bound")
+	fs.IntVar(&cfg.AdmissionQueue, "admission-queue", cfg.AdmissionQueue, "per-site admission queue length")
+	fs.DurationVar(&cfg.QueryDeadline, "query-deadline", cfg.QueryDeadline, "default per-query budget")
+	fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "per-site stepping workers (0 or 1 = the paper's single stepper)")
+	fs.IntVar(&cfg.Calibration, "calibration", cfg.Calibration, "closed-loop queries for the capacity estimate")
+	fs.IntVar(&cfg.Queries, "queries", cfg.Queries, "open-loop arrivals per load point")
+	mult := fs.String("mult", "0.5,1,2,4", "offered-load points as multiples of calibrated capacity")
+	fs.DurationVar(&cfg.Timeout, "timeout", cfg.Timeout, "client-side per-query deadline (the hang bound)")
+	fs.BoolVar(&cfg.Chaos, "chaos", cfg.Chaos, "run against the fault-injecting network (drop/dup/delay/reorder)")
+	out := fs.String("out", "", "write the JSON record here (empty = stdout only)")
+	scenarioOut := fs.String("scenario-out", "",
 		"record each load point's exact arrival schedule as a simulator scenario at <prefix>-x<mult>.json (replay with hfsim -run)")
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a bad flag exits here
 
-	cfg.Machines, cfg.Objects, cfg.Seed = *machines, *objects, *seed
-	cfg.MaxInflight, cfg.AdmissionQueue, cfg.QueryDeadline = *maxInflight, *admissionQueue, *deadline
-	cfg.Workers = *workers
-	cfg.Calibration, cfg.Queries, cfg.Timeout, cfg.Chaos = *calibration, *queries, *timeout, *chaosOn
-	var err error
-	cfg.Multipliers, err = parseMultipliers(*mult)
+	err := cfg.Tuning.Validate()
+	if err == nil {
+		cfg.Multipliers, err = parseMultipliers(*mult)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hfload:", err)
 		return 1

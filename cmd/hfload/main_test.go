@@ -32,3 +32,17 @@ func TestUSRendering(t *testing.T) {
 		t.Errorf("us(0) = %q", s)
 	}
 }
+
+// TestRunRejectsBadTuning: an out-of-range knob stops hfload before it
+// builds a cluster.
+func TestRunRejectsBadTuning(t *testing.T) {
+	for _, args := range [][]string{
+		{"-max-inflight", "-1"},
+		{"-workers", "-2"},
+		{"-max-inflight", "0"}, // the default admission queue needs a bound
+	} {
+		if code := run(args); code != 1 {
+			t.Errorf("hfload %q: exit %d, want 1", args, code)
+		}
+	}
+}

@@ -24,7 +24,6 @@ import (
 
 	"hyperfile/internal/chaos"
 	"hyperfile/internal/dump"
-	"hyperfile/internal/index"
 	"hyperfile/internal/object"
 	"hyperfile/internal/server"
 	"hyperfile/internal/site"
@@ -33,42 +32,22 @@ import (
 
 // config collects everything run needs; flags map onto it one to one.
 type config struct {
-	SiteID      uint
-	Listen      string
-	Peers       string
-	Data        string
-	Save        string
-	ResultBatch int
-	PlanCache   int
-	Index       bool
-
-	// Overload protection: bound live query contexts, queue (or reject)
-	// Submits past the bound, and impose a default per-query time budget.
-	MaxInflight    int
-	AdmissionQueue int
-	QueryDeadline  time.Duration
-
-	// Workers sizes the site's stepping pool (0 or 1 = the paper's single
-	// stepper).
-	Workers int
+	SiteID uint
+	Listen string
+	Peers  string
+	Data   string
+	Save   string
 
 	// MetricsAddr exposes /debug/hyperfile (metrics + query traces) over
 	// HTTP when non-empty.
 	MetricsAddr string
 
-	// Failure detection: probe peers every Heartbeat, declare a peer down
-	// after SuspectAfter of silence (0 disables the detector).
-	Heartbeat    time.Duration
-	SuspectAfter time.Duration
+	// Tuning is the site's knobs; Tuning.Flags declares their flags.
+	site.Tuning
 
-	// Fault injection below the reliability layer, for soak and recovery
-	// testing. All zero = no faults.
-	ChaosSeed     int64
-	ChaosDrop     float64
-	ChaosDup      float64
-	ChaosDelay    float64
-	ChaosMaxDelay time.Duration
-	ChaosReorder  float64
+	// Chaos injects faults below the reliability layer, for soak and
+	// recovery testing. All rates zero = no faults.
+	Chaos chaos.Config
 }
 
 func main() {
@@ -92,22 +71,14 @@ func flags(cfg *config, fs *flag.FlagSet) {
 	fs.StringVar(&cfg.Peers, "peers", "", "comma-separated peer list: id=host:port,...")
 	fs.StringVar(&cfg.Data, "data", "", "JSON-lines object file to load at startup")
 	fs.StringVar(&cfg.Save, "save", "", "write a snapshot of the store here on shutdown")
-	fs.IntVar(&cfg.ResultBatch, "result-batch", 0, "max result ids per message (0 = unbounded)")
-	fs.IntVar(&cfg.PlanCache, "plan-cache", 0, "plan-cache entries: repeated query bodies reuse their compiled physical plan (0 = off)")
-	fs.BoolVar(&cfg.Index, "index", false, "maintain a keyword index and push exact-match selections down to it")
-	fs.IntVar(&cfg.MaxInflight, "max-inflight", 0, "max live query contexts before admission control kicks in (0 = unbounded)")
-	fs.IntVar(&cfg.AdmissionQueue, "admission-queue", 0, "Submits queued while at max-inflight before rejecting (0 = reject immediately)")
-	fs.DurationVar(&cfg.QueryDeadline, "query-deadline", 0, "default per-query time budget; expired queries return annotated partials (0 = none)")
-	fs.IntVar(&cfg.Workers, "workers", 0, "stepping-pool goroutines for this site (0 or 1 = single stepper)")
 	fs.StringVar(&cfg.MetricsAddr, "metrics-addr", "", "serve /debug/hyperfile and /debug/pprof/ on this address (empty = off)")
-	fs.DurationVar(&cfg.Heartbeat, "heartbeat", 0, "peer heartbeat interval (0 = no failure detector)")
-	fs.DurationVar(&cfg.SuspectAfter, "suspect-after", 0, "silence before a peer is declared down (default 4x heartbeat)")
-	fs.Int64Var(&cfg.ChaosSeed, "chaos-seed", 0, "fault-injection RNG seed (0 = from clock)")
-	fs.Float64Var(&cfg.ChaosDrop, "chaos-drop", 0, "probability of dropping an outbound frame")
-	fs.Float64Var(&cfg.ChaosDup, "chaos-dup", 0, "probability of duplicating an outbound frame")
-	fs.Float64Var(&cfg.ChaosDelay, "chaos-delay", 0, "probability of delaying an outbound frame")
-	fs.DurationVar(&cfg.ChaosMaxDelay, "chaos-max-delay", 10*time.Millisecond, "maximum injected delay")
-	fs.Float64Var(&cfg.ChaosReorder, "chaos-reorder", 0, "probability of reordering an outbound frame")
+	cfg.Tuning.Flags(fs)
+	fs.Int64Var(&cfg.Chaos.Seed, "chaos-seed", 0, "fault-injection RNG seed (0 = from clock)")
+	fs.Float64Var(&cfg.Chaos.DropRate, "chaos-drop", 0, "probability of dropping an outbound frame")
+	fs.Float64Var(&cfg.Chaos.DupRate, "chaos-dup", 0, "probability of duplicating an outbound frame")
+	fs.Float64Var(&cfg.Chaos.DelayRate, "chaos-delay", 0, "probability of delaying an outbound frame")
+	fs.DurationVar(&cfg.Chaos.MaxDelay, "chaos-max-delay", 10*time.Millisecond, "maximum injected delay")
+	fs.Float64Var(&cfg.Chaos.ReorderRate, "chaos-reorder", 0, "probability of reordering an outbound frame")
 }
 
 // run starts the server and blocks until a signal arrives on stop. When
@@ -118,49 +89,28 @@ func run(cfg config, lg *slog.Logger, stop <-chan os.Signal, ready chan<- string
 	if err != nil {
 		return err
 	}
+	c := cfg.Chaos
 	for _, r := range []struct {
 		name string
 		v    float64
 	}{
-		{"-chaos-drop", cfg.ChaosDrop},
-		{"-chaos-dup", cfg.ChaosDup},
-		{"-chaos-delay", cfg.ChaosDelay},
-		{"-chaos-reorder", cfg.ChaosReorder},
+		{"-chaos-drop", c.DropRate},
+		{"-chaos-dup", c.DupRate},
+		{"-chaos-delay", c.DelayRate},
+		{"-chaos-reorder", c.ReorderRate},
 	} {
 		if r.v < 0 || r.v > 1 {
 			return fmt.Errorf("%s %v is not a probability (want 0..1)", r.name, r.v)
 		}
 	}
-	if cfg.ChaosMaxDelay < 0 {
-		return fmt.Errorf("-chaos-max-delay %v is negative", cfg.ChaosMaxDelay)
+	if c.MaxDelay < 0 {
+		return fmt.Errorf("-chaos-max-delay %v is negative", c.MaxDelay)
 	}
-	if cfg.SuspectAfter > 0 && cfg.Heartbeat <= 0 {
-		return fmt.Errorf("-suspect-after needs -heartbeat (no probes, nothing to suspect)")
-	}
-	if cfg.MaxInflight < 0 {
-		return fmt.Errorf("-max-inflight %d is negative", cfg.MaxInflight)
-	}
-	if cfg.AdmissionQueue < 0 {
-		return fmt.Errorf("-admission-queue %d is negative", cfg.AdmissionQueue)
-	}
-	if cfg.AdmissionQueue > 0 && cfg.MaxInflight <= 0 {
-		return fmt.Errorf("-admission-queue needs -max-inflight (nothing bounds admission, nothing queues)")
-	}
-	if cfg.QueryDeadline < 0 {
-		return fmt.Errorf("-query-deadline %v is negative", cfg.QueryDeadline)
-	}
-	if cfg.Workers < 0 {
-		return fmt.Errorf("-workers %d is negative", cfg.Workers)
+	if err := cfg.Tuning.Validate(); err != nil {
+		return err
 	}
 
 	st := store.New(id)
-	var ix *index.Keyword
-	if cfg.Index {
-		// Attach before loading so the backfill stays trivially empty and
-		// every loaded object indexes through the store's Put hook.
-		ix = index.NewKeyword()
-		st.AttachIndex(ix)
-	}
 	if cfg.Data != "" {
 		f, err := os.Open(cfg.Data)
 		if err != nil {
@@ -179,30 +129,20 @@ func run(cfg config, lg *slog.Logger, stop <-chan os.Signal, ready chan<- string
 		lg.Info("loaded dataset", "file", cfg.Data, "objects", len(objs))
 	}
 
-	opts := server.Options{
-		HeartbeatInterval: cfg.Heartbeat,
-		SuspectAfter:      cfg.SuspectAfter,
-	}
-	if cfg.ChaosDrop > 0 || cfg.ChaosDup > 0 || cfg.ChaosDelay > 0 || cfg.ChaosReorder > 0 {
-		opts.Transport.Fault = chaos.NewInjector(chaos.Config{
-			Seed:        cfg.ChaosSeed,
-			DropRate:    cfg.ChaosDrop,
-			DupRate:     cfg.ChaosDup,
-			DelayRate:   cfg.ChaosDelay,
-			MaxDelay:    cfg.ChaosMaxDelay,
-			ReorderRate: cfg.ChaosReorder,
-		})
+	var opts server.Options
+	if c.DropRate > 0 || c.DupRate > 0 || c.DelayRate > 0 || c.ReorderRate > 0 {
+		opts.Transport.Fault = chaos.NewInjector(c)
 		lg.Warn("chaos fault injection enabled",
-			"drop", cfg.ChaosDrop, "dup", cfg.ChaosDup,
-			"delay", cfg.ChaosDelay, "reorder", cfg.ChaosReorder,
-			"seed", cfg.ChaosSeed)
+			"drop", c.DropRate, "dup", c.DupRate,
+			"delay", c.DelayRate, "reorder", c.ReorderRate,
+			"seed", c.Seed)
 	}
 
 	peerIDs := make([]object.SiteID, 0, len(peers))
 	for pid := range peers {
 		peerIDs = append(peerIDs, pid)
 	}
-	srv, err := server.NewOpts(siteConfig(cfg, st, ix, peerIDs), cfg.Listen, lg, opts)
+	srv, err := server.NewOpts(siteConfig(cfg, st, peerIDs), cfg.Listen, lg, opts)
 	if err != nil {
 		return err
 	}
@@ -241,13 +181,8 @@ func run(cfg config, lg *slog.Logger, stop <-chan os.Signal, ready chan<- string
 // siteConfig builds the site's configuration from the flags. Everything the
 // flags leave at their defaults stays at the site.Config zero value, which
 // site.New fills in with the production protocol.
-func siteConfig(cfg config, st *store.Store, ix *index.Keyword, peers []object.SiteID) site.Config {
-	return site.Config{
-		ID: object.SiteID(cfg.SiteID), Store: st, Peers: peers,
-		ResultBatch: cfg.ResultBatch, Index: ix, PlanCacheSize: cfg.PlanCache,
-		MaxInflight: cfg.MaxInflight, AdmissionQueue: cfg.AdmissionQueue,
-		QueryDeadline: cfg.QueryDeadline, Workers: cfg.Workers,
-	}
+func siteConfig(cfg config, st *store.Store, peers []object.SiteID) site.Config {
+	return site.Config{ID: object.SiteID(cfg.SiteID), Store: st, Peers: peers, Tuning: cfg.Tuning}
 }
 
 // parsePeers parses "1=host:port,2=host:port".

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"hyperfile/internal/chaos"
 	"hyperfile/internal/dump"
 	"hyperfile/internal/object"
 	"hyperfile/internal/server"
@@ -96,7 +97,10 @@ func TestRunServeQueryShutdownSnapshot(t *testing.T) {
 
 func TestRunRejectsBadConfig(t *testing.T) {
 	lg := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelError}))
+	// stop is closed: a config that wrongly passes validation serves and
+	// shuts down at once instead of hanging the test.
 	stop := make(chan os.Signal)
+	close(stop)
 	base := config{SiteID: 1, Listen: "127.0.0.1:0"}
 	bad := base
 	bad.Peers = "bogus-peers"
@@ -109,17 +113,17 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		t.Error("expected data-file error")
 	}
 	bad = base
-	bad.ChaosDrop = 2
+	bad.Chaos.DropRate = 2
 	if err := run(bad, lg, stop, nil); err == nil {
 		t.Error("expected chaos-rate range error")
 	}
 	bad = base
-	bad.ChaosReorder = -0.1
+	bad.Chaos.ReorderRate = -0.1
 	if err := run(bad, lg, stop, nil); err == nil {
 		t.Error("expected negative chaos-rate error")
 	}
 	bad = base
-	bad.ChaosMaxDelay = -time.Millisecond
+	bad.Chaos.MaxDelay = -time.Millisecond
 	if err := run(bad, lg, stop, nil); err == nil {
 		t.Error("expected negative max-delay error")
 	}
@@ -153,6 +157,41 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if err := run(bad, lg, stop, nil); err == nil {
 		t.Error("expected negative workers error")
 	}
+	bad = base
+	bad.ResultBatch = -5
+	if err := run(bad, lg, stop, nil); err == nil || !strings.Contains(err.Error(), "-result-batch -5") {
+		t.Errorf("negative result-batch: err = %v", err)
+	}
+	bad = base
+	bad.PlanCache = -1
+	if err := run(bad, lg, stop, nil); err == nil || !strings.Contains(err.Error(), "-plan-cache -1") {
+		t.Errorf("negative plan-cache: err = %v", err)
+	}
+	bad = base
+	bad.HeartbeatInterval = -time.Second
+	if err := run(bad, lg, stop, nil); err == nil {
+		t.Error("expected negative heartbeat error")
+	}
+}
+
+// TestHyperfiledFlagSet pins the command line: a flag added or removed shows
+// up here as a reviewed diff.
+func TestHyperfiledFlagSet(t *testing.T) {
+	var cfg config
+	fs := flag.NewFlagSet("hyperfiled", flag.ContinueOnError)
+	flags(&cfg, fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	want := []string{
+		"admission-queue", "chaos-delay", "chaos-drop", "chaos-dup",
+		"chaos-max-delay", "chaos-reorder", "chaos-seed", "data", "heartbeat",
+		"index", "listen", "max-inflight", "metrics-addr", "peers",
+		"plan-cache", "query-deadline", "result-batch", "save", "site",
+		"suspect-after", "workers",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("hyperfiled flags = %q, want %q", got, want)
+	}
 }
 
 // TestRunWorkerPoolFlags boots a server with a stepping pool and checks that
@@ -183,7 +222,7 @@ func TestRunWorkerPoolFlags(t *testing.T) {
 	go func() {
 		done <- run(config{
 			SiteID: 1, Listen: "127.0.0.1:0", Data: dataPath,
-			Workers: 4,
+			Tuning: site.Tuning{Workers: 4},
 		}, lg, stop, ready)
 	}()
 	var addr string
@@ -240,7 +279,7 @@ func TestRunOverloadFlags(t *testing.T) {
 	go func() {
 		done <- run(config{
 			SiteID: 1, Listen: "127.0.0.1:0", Data: dataPath,
-			MaxInflight: 4, AdmissionQueue: 8, QueryDeadline: 5 * time.Second,
+			Tuning: site.Tuning{MaxInflight: 4, AdmissionQueue: 8, QueryDeadline: 5 * time.Second},
 		}, lg, stop, ready)
 	}()
 	var addr string
@@ -295,9 +334,9 @@ func TestRunWithChaosAndHeartbeat(t *testing.T) {
 	go func() {
 		done <- run(config{
 			SiteID: 1, Listen: "127.0.0.1:0", Data: dataPath,
-			Heartbeat: 50 * time.Millisecond,
-			ChaosSeed: 99, ChaosDrop: 0.2, ChaosDup: 0.1,
-			ChaosDelay: 0.3, ChaosMaxDelay: 2 * time.Millisecond,
+			Tuning: site.Tuning{HeartbeatInterval: 50 * time.Millisecond},
+			Chaos: chaos.Config{Seed: 99, DropRate: 0.2, DupRate: 0.1,
+				DelayRate: 0.3, MaxDelay: 2 * time.Millisecond},
 		}, lg, stop, ready)
 	}()
 	var addr string
@@ -379,7 +418,7 @@ func TestSiteConfigFromDefaultFlags(t *testing.T) {
 	}
 	st := store.New(2)
 	peers := []object.SiteID{1, 3}
-	got := siteConfig(cfg, st, nil, peers)
+	got := siteConfig(cfg, st, peers)
 	if want := (site.Config{ID: 2, Store: st, Peers: peers}); !reflect.DeepEqual(got, want) {
 		t.Errorf("siteConfig from default flags = %+v, want %+v", got, want)
 	}

@@ -65,6 +65,8 @@ type (
 	Result = cluster.Result
 	// Options configures clusters.
 	Options = cluster.Options
+	// Tuning is the knobs a deployment sets (Options.Tuning).
+	Tuning = site.Tuning
 	// CostModel is the virtual-time cost model for simulated clusters.
 	CostModel = sim.CostModel
 	// Cluster is an in-process multi-site HyperFile service.

@@ -11,6 +11,7 @@ import (
 	"hyperfile/internal/index"
 	"hyperfile/internal/object"
 	"hyperfile/internal/query"
+	"hyperfile/internal/site"
 	"hyperfile/internal/store"
 	"hyperfile/internal/workload"
 )
@@ -180,7 +181,7 @@ func RunA6(cfg Config) (*Report, error) {
 	one := cfg
 	one.Queries = 1
 	for _, batch := range []int{1, 4, 8, 32, 0} {
-		tb, err := newBed(one, 3, 3, cluster.Options{ResultBatch: batch})
+		tb, err := newBed(one, 3, 3, cluster.Options{Tuning: site.Tuning{ResultBatch: batch}})
 		if err != nil {
 			return nil, err
 		}
@@ -243,7 +244,7 @@ func RunA4(cfg Config) (*Report, error) {
 	r := newReport("A4", "breadth-first vs depth-first working set",
 		"footnote 4: node-based (breadth-first) search gives the best results in the average case")
 	for _, ord := range []engine.Order{engine.BFS, engine.DFS} {
-		tb, err := newBed(cfg, 3, 3, cluster.Options{Order: ord})
+		tb, err := newBed(cfg, 3, 3, cluster.Options{Ablation: site.Ablation{Order: ord}})
 		if err != nil {
 			return nil, err
 		}

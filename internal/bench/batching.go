@@ -8,6 +8,7 @@ import (
 
 	"hyperfile/internal/cluster"
 	"hyperfile/internal/object"
+	"hyperfile/internal/site"
 	"hyperfile/internal/workload"
 )
 
@@ -114,7 +115,7 @@ func runBatchingRow(cfg Config, name string, machines, structure int, pointer st
 	if err != nil {
 		return nil, err
 	}
-	bedOn, err := newBed(cfg, machines, structure, cluster.Options{DerefBatch: batchSize})
+	bedOn, err := newBed(cfg, machines, structure, cluster.Options{Tuning: site.Tuning{DerefBatch: batchSize}})
 	if err != nil {
 		return nil, err
 	}

@@ -293,7 +293,7 @@ func RunE8(cfg Config) (*Report, error) {
 	one.Queries = 1
 
 	run := func(threshold int) (time.Duration, *cluster.SimCluster, wire.QueryID, error) {
-		tb, err := newBed(one, 3, 3, cluster.Options{DistributedSetThreshold: threshold})
+		tb, err := newBed(one, 3, 3, cluster.Options{Ablation: site.Ablation{DistributedSetThreshold: threshold}})
 		if err != nil {
 			return 0, nil, wire.QueryID{}, err
 		}
@@ -339,7 +339,7 @@ func RunE9(cfg Config) (*Report, error) {
 
 	// Build one dataset over plain stores shared by both systems.
 	stores := map[object.SiteID]*store.Store{}
-	c := cluster.NewSim(3, cluster.Options{Cost: cfg.Cost, DerefBatch: site.Unbatched})
+	c := cluster.NewSim(3, cluster.Options{Cost: cfg.Cost, Tuning: site.Tuning{DerefBatch: site.Unbatched}})
 	d, err := workload.Build(c, workload.Spec{
 		N: cfg.Objects, Machines: 3, Seed: cfg.Seed, PayloadBytes: payload,
 	})

@@ -11,6 +11,7 @@ import (
 	"hyperfile/internal/object"
 	"hyperfile/internal/query"
 	"hyperfile/internal/sim"
+	"hyperfile/internal/site"
 	"hyperfile/internal/store"
 	"hyperfile/internal/wire"
 	"hyperfile/internal/workload"
@@ -163,7 +164,7 @@ func benchCodecDecode(b *testing.B) {
 // sites, tree pointers scattered across them, deref batching on — the
 // end-to-end shape the paper's Figure 4 midpoint uses.
 func benchScatteredTree(b *testing.B) {
-	c := cluster.NewSim(3, cluster.Options{Cost: sim.Free(), DerefBatch: 8})
+	c := cluster.NewSim(3, cluster.Options{Cost: sim.Free(), Tuning: site.Tuning{DerefBatch: 8}})
 	d, err := workload.Build(c, workload.Spec{
 		N: 120, Machines: 3, StructureMachines: 3, Seed: 1,
 	})

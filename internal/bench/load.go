@@ -13,6 +13,7 @@ import (
 	"hyperfile/internal/metrics"
 	"hyperfile/internal/object"
 	"hyperfile/internal/sim"
+	"hyperfile/internal/site"
 	"hyperfile/internal/workload"
 )
 
@@ -27,15 +28,10 @@ type LoadConfig struct {
 	Objects  int
 	Seed     int64
 
-	// MaxInflight / AdmissionQueue / QueryDeadline are the overload knobs
-	// under test, passed straight into cluster.Options.
-	MaxInflight    int
-	AdmissionQueue int
-	QueryDeadline  time.Duration
-	// Workers sizes each site's stepping pool (0 or 1 = the paper's single
-	// stepper). It passes straight into cluster.Options, so the harness
-	// drives the overload machinery and the pool together.
-	Workers int
+	// Tuning passes whole into cluster.Options. MaxInflight,
+	// AdmissionQueue and QueryDeadline are the overload knobs under test;
+	// Workers drives the stepping pool along with them.
+	site.Tuning
 
 	// Calibration is how many closed-loop queries estimate the cluster's
 	// capacity (arrival rates are expressed as multiples of it).
@@ -59,17 +55,15 @@ type LoadConfig struct {
 // points at half, full, and twice the calibrated capacity.
 func DefaultLoad() LoadConfig {
 	return LoadConfig{
-		Machines:       3,
-		Objects:        90,
-		Seed:           1,
-		MaxInflight:    4,
-		AdmissionQueue: 8,
-		QueryDeadline:  2 * time.Second,
-		Calibration:    32,
-		Queries:        128,
-		Multipliers:    []float64{0.5, 1, 2, 4},
-		Timeout:        10 * time.Second,
-		Chaos:          true,
+		Machines:    3,
+		Objects:     90,
+		Seed:        1,
+		Tuning:      site.Tuning{MaxInflight: 4, AdmissionQueue: 8, QueryDeadline: 2 * time.Second},
+		Calibration: 32,
+		Queries:     128,
+		Multipliers: []float64{0.5, 1, 2, 4},
+		Timeout:     10 * time.Second,
+		Chaos:       true,
 	}
 }
 
@@ -201,6 +195,11 @@ func LoadScenario(cfg LoadConfig, multiplier, targetQPS float64) *sim.Scenario {
 	for i, a := range sched {
 		qs[i] = sim.Query{AtUS: a.at.Microseconds(), Origin: int(a.origin), Body: a.body, Region: -1}
 	}
+	// Virtual time keeps no wall-clock deadline or heartbeat: record only
+	// the knobs a spec file carries, so the spec runs the same after a
+	// round trip through JSON.
+	exec := cfg.Tuning
+	exec.QueryDeadline, exec.HeartbeatInterval, exec.SuspectAfter = 0, 0, 0
 	return &sim.Scenario{
 		Name: fmt.Sprintf("hfload-x%g", multiplier),
 		Comment: fmt.Sprintf(
@@ -210,11 +209,7 @@ func LoadScenario(cfg LoadConfig, multiplier, targetQPS float64) *sim.Scenario {
 		Sites:    cfg.Machines,
 		Topology: sim.Topology{Kind: "uniform"},
 		Workload: sim.Workload{Kind: "paper", Objects: cfg.Objects, Queries: qs},
-		Exec: sim.Exec{
-			Workers:        cfg.Workers,
-			MaxInflight:    cfg.MaxInflight,
-			AdmissionQueue: cfg.AdmissionQueue,
-		},
+		Exec:     exec,
 	}
 }
 
@@ -224,12 +219,7 @@ func LoadScenario(cfg LoadConfig, multiplier, targetQPS float64) *sim.Scenario {
 // system and can never overload it, while real clients keep arriving — the
 // regime admission control exists for.
 func RunLoad(cfg LoadConfig) (*LoadResult, error) {
-	opts := cluster.Options{
-		MaxInflight:    cfg.MaxInflight,
-		AdmissionQueue: cfg.AdmissionQueue,
-		QueryDeadline:  cfg.QueryDeadline,
-		Workers:        cfg.Workers,
-	}
+	opts := cluster.Options{Tuning: cfg.Tuning}
 	if cfg.Chaos {
 		opts.Chaos = &chaos.Config{
 			Seed:        cfg.Seed,

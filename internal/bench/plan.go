@@ -8,6 +8,7 @@ import (
 
 	"hyperfile/internal/cluster"
 	"hyperfile/internal/object"
+	"hyperfile/internal/site"
 	"hyperfile/internal/workload"
 )
 
@@ -137,7 +138,7 @@ func runPlanCacheRow(cfg Config, repeated bool, cacheEntries int) (*PlanCacheRow
 	if err != nil {
 		return nil, err
 	}
-	bedOn, err := newBed(cfg, machines, machines, cluster.Options{PlanCache: cacheEntries})
+	bedOn, err := newBed(cfg, machines, machines, cluster.Options{Tuning: site.Tuning{PlanCache: cacheEntries}})
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +198,7 @@ func runPushdownRow(cfg Config, name string) (*PushdownRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	bedOn, err := newBed(cfg, machines, machines, cluster.Options{Index: true})
+	bedOn, err := newBed(cfg, machines, machines, cluster.Options{Tuning: site.Tuning{Index: true}})
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 
 	"hyperfile/internal/cluster"
 	"hyperfile/internal/object"
+	"hyperfile/internal/site"
 	"hyperfile/internal/workload"
 )
 
@@ -91,7 +92,7 @@ func RunWorkers(cfg Config) (*WorkersResult, error) {
 	}
 
 	runBatch := func(workers, queries int) ([]*cluster.Result, time.Duration, int, error) {
-		bed, err := newBed(cfg, machines, structure, cluster.Options{Workers: workers})
+		bed, err := newBed(cfg, machines, structure, cluster.Options{Tuning: site.Tuning{Workers: workers}})
 		if err != nil {
 			return nil, 0, 0, err
 		}

@@ -15,89 +15,34 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"hyperfile/internal/chaos"
-	"hyperfile/internal/engine"
-	"hyperfile/internal/index"
 	"hyperfile/internal/naming"
 	"hyperfile/internal/object"
 	"hyperfile/internal/sim"
 	"hyperfile/internal/site"
 	"hyperfile/internal/store"
-	"hyperfile/internal/termination"
 	"hyperfile/internal/wire"
 )
 
-// Options configures a cluster's sites.
+// Options configures a cluster's sites. Tuning and Ablation pass whole into
+// every site.Config; the fields below are the cluster's own.
 type Options struct {
+	site.Tuning
+	site.Ablation
 	// Cost is the virtual-time cost model (SimCluster only).
 	Cost sim.CostModel
-	// Order is the working-set discipline for every site.
-	Order engine.Order
-	// ResultBatch caps ids per result message (0 = unbounded).
-	ResultBatch int
-	// DistributedSetThreshold enables the section-5 refinement (0 = off).
-	DistributedSetThreshold int
-	// DerefBatch caps the object ids per outgoing Deref message, with
-	// sender-side duplicate suppression (site.Config.DerefBatch): 0 is the
-	// production batch size, site.Unbatched the paper's
-	// one-object-per-message protocol.
-	DerefBatch int
-	// TermAudit, when non-nil, wraps every site's termination detectors in
-	// the conservation checker (test-only).
-	TermAudit *termination.Audit
+	// Chaos, when non-nil, subjects every frame LocalCluster's endpoints send
+	// to the configured faults (drop, duplicate, delay, reorder, partition),
+	// below the transport's reliability layer; nil leaves the links
+	// fault-free. SimCluster ignores it.
+	Chaos *chaos.Config
 	// UseNaming replaces the static birth-site router with per-site naming
 	// directories supporting object migration and forwarding.
 	UseNaming bool
 	// OracleMarkTable shares a zero-cost global mark table among all sites
 	// (ablation of the paper's local-mark-table design decision).
 	OracleMarkTable bool
-	// Chaos, when non-nil, subjects every frame LocalCluster's endpoints send
-	// to the configured faults (drop, duplicate, delay, reorder, partition),
-	// below the transport's reliability layer; nil leaves the links
-	// fault-free. SimCluster ignores it.
-	Chaos *chaos.Config
-	// HeartbeatInterval enables LocalCluster's failure detector: each site
-	// probes its peers at this interval and declares a peer down after
-	// SuspectAfter of silence (0 = no detector).
-	HeartbeatInterval time.Duration
-	// SuspectAfter is the silence threshold before a peer is declared down
-	// (default 4 × HeartbeatInterval).
-	SuspectAfter time.Duration
-	// PlanCache, when positive, gives every site a plan cache of this many
-	// entries: repeated query bodies reuse their compiled physical plan
-	// instead of being re-parsed per query context (0 = off).
-	PlanCache int
-	// Index gives every site a keyword index over its store (kept consistent
-	// through every mutation) and enables the planner's index-aware selection
-	// pushdown: exact-match selections probe the index instead of scanning
-	// tuples.
-	Index bool
-	// MaxInflight bounds the unfinished query contexts per site; Submits
-	// beyond the bound wait in an admission queue of AdmissionQueue entries
-	// or fail with ErrRejected (0 = unbounded, the paper's behavior).
-	MaxInflight int
-	// AdmissionQueue bounds the per-site admission queue (0 = reject
-	// immediately when at MaxInflight).
-	AdmissionQueue int
-	// QueryDeadline, when positive, is the default per-query time budget:
-	// the remaining budget propagates on every cross-site hop and an expired
-	// query returns an annotated partial answer instead of running on.
-	// When this or MaxInflight is set, each LocalCluster server runs a
-	// deadline sweeper that ticks every 50 ms, or every QueryDeadline/4
-	// clamped to [1 ms, 100 ms] when a deadline is set. SimCluster's
-	// virtual time ignores deadlines.
-	QueryDeadline time.Duration
-	// Workers is the per-site worker-pool size. In each LocalCluster server
-	// the turn holder (the transport reader that delivered the mail, or the
-	// server's loop) is the only message handler and also steps; Workers−1
-	// extra goroutines only step, advancing different query contexts
-	// concurrently (each context stays pinned to one worker per step,
-	// preserving the paper's per-item execution order per query). SimCluster models the
-	// same pool as parallel step slots in virtual time. Zero or one is the
-	// paper's single-threaded stepping.
-	Workers int
 }
 
 // siteIDs returns 1..n.
@@ -109,47 +54,40 @@ func siteIDs(n int) []object.SiteID {
 	return ids
 }
 
-// siteConfig builds one site's configuration, including its fresh store and
-// (under UseNaming) directory. marks is the shared oracle mark table (nil
-// unless OracleMarkTable).
-func siteConfig(id object.SiteID, all []object.SiteID, opts Options, marks *site.GlobalMarks) site.Config {
-	st := store.New(id)
-	var dir *naming.Directory
-	var router site.Router = site.BirthRouter{}
-	if opts.UseNaming {
-		dir = naming.New(id)
-		router = dir
+// siteConfigs builds every site's configuration, each with a fresh store
+// and (under UseNaming) directory; under OracleMarkTable they share one
+// global mark table.
+func siteConfigs(ids []object.SiteID, opts Options) []site.Config {
+	var marks *site.GlobalMarks
+	if opts.OracleMarkTable {
+		marks = site.NewGlobalMarks()
 	}
-	peers := make([]object.SiteID, 0, len(all)-1)
-	for _, other := range all {
-		if other != id {
-			peers = append(peers, other)
+	cfgs := make([]site.Config, len(ids))
+	for i, id := range ids {
+		var dir *naming.Directory
+		var router site.Router = site.BirthRouter{}
+		if opts.UseNaming {
+			dir = naming.New(id)
+			router = dir
+		}
+		peers := make([]object.SiteID, 0, len(ids)-1)
+		for _, other := range ids {
+			if other != id {
+				peers = append(peers, other)
+			}
+		}
+		cfgs[i] = site.Config{
+			ID:          id,
+			Store:       store.New(id),
+			Router:      router,
+			Directory:   dir,
+			Peers:       peers,
+			GlobalMarks: marks,
+			Tuning:      opts.Tuning,
+			Ablation:    opts.Ablation,
 		}
 	}
-	var ix *index.Keyword
-	if opts.Index {
-		ix = index.NewKeyword()
-		st.AttachIndex(ix)
-	}
-	return site.Config{
-		ID:                      id,
-		Store:                   st,
-		Router:                  router,
-		Directory:               dir,
-		Peers:                   peers,
-		Order:                   opts.Order,
-		ResultBatch:             opts.ResultBatch,
-		DistributedSetThreshold: opts.DistributedSetThreshold,
-		DerefBatch:              opts.DerefBatch,
-		TermAudit:               opts.TermAudit,
-		GlobalMarks:             marks,
-		Index:                   ix,
-		PlanCacheSize:           opts.PlanCache,
-		MaxInflight:             opts.MaxInflight,
-		AdmissionQueue:          opts.AdmissionQueue,
-		QueryDeadline:           opts.QueryDeadline,
-		Workers:                 opts.Workers,
-	}
+	return cfgs
 }
 
 // Result is a finished query as seen by the client.

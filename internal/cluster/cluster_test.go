@@ -184,7 +184,7 @@ func equalIntSets(a, b []int) bool {
 // production batched one give the same answer.
 func TestSimBothProtocols(t *testing.T) {
 	for _, batch := range []int{site.Unbatched, 0} {
-		c := NewSim(3, Options{Cost: sim.Paper(), DerefBatch: batch})
+		c := NewSim(3, Options{Cost: sim.Paper(), Tuning: site.Tuning{DerefBatch: batch}})
 		ids := loadRingSim(t, c, 24, []string{"hot", "cold"})
 		res, _, err := c.Exec(2, closureQuery, ids[:1])
 		if err != nil {
@@ -276,7 +276,7 @@ func TestSimDownSitePartialResults(t *testing.T) {
 func TestSimDistributedSetRefinement(t *testing.T) {
 	// Three site-local rings: each remote site drains its whole portion in
 	// one pass, so the per-drain retention threshold triggers.
-	c := NewSim(3, Options{Cost: sim.Paper(), DistributedSetThreshold: 2})
+	c := NewSim(3, Options{Cost: sim.Paper(), Ablation: site.Ablation{DistributedSetThreshold: 2}})
 	var heads []object.ID
 	for s := 1; s <= 3; s++ {
 		st := c.Store(object.SiteID(s))
@@ -639,7 +639,7 @@ func TestLocalClusterMigration(t *testing.T) {
 }
 
 func TestLocalClusterSeededFollowUp(t *testing.T) {
-	c := NewLocal(2, Options{DistributedSetThreshold: 1})
+	c := NewLocal(2, Options{Ablation: site.Ablation{DistributedSetThreshold: 1}})
 	defer c.Close()
 	var members []object.ID
 	for i := 0; i < 4; i++ {
@@ -769,9 +769,8 @@ func TestLocalClusterChaosDelayReorder(t *testing.T) {
 // naming the unreachable site.
 func TestLocalClusterPartitionPartialAnswer(t *testing.T) {
 	c := NewLocal(3, Options{
-		Chaos:             &chaos.Config{Seed: 7},
-		HeartbeatInterval: 10 * time.Millisecond,
-		SuspectAfter:      50 * time.Millisecond,
+		Chaos:  &chaos.Config{Seed: 7},
+		Tuning: site.Tuning{HeartbeatInterval: 10 * time.Millisecond, SuspectAfter: 50 * time.Millisecond},
 	})
 	defer c.Close()
 	ids := loadRingLocal(t, c, 30, []string{"hot", "cold"})
@@ -810,9 +809,8 @@ func TestLocalClusterPartitionPartialAnswer(t *testing.T) {
 // suppressed and the observable outcome is identical.)
 func TestLocalClusterPartitionMidQueryForcedPartial(t *testing.T) {
 	c := NewLocal(3, Options{
-		Chaos:             &chaos.Config{Seed: 5},
-		HeartbeatInterval: 10 * time.Millisecond,
-		SuspectAfter:      50 * time.Millisecond,
+		Chaos:  &chaos.Config{Seed: 5},
+		Tuning: site.Tuning{HeartbeatInterval: 10 * time.Millisecond, SuspectAfter: 50 * time.Millisecond},
 	})
 	defer c.Close()
 	var ids []object.ID
@@ -860,9 +858,8 @@ func TestLocalClusterPartitionMidQueryForcedPartial(t *testing.T) {
 // return full answers again.
 func TestLocalClusterPartitionHealRecovers(t *testing.T) {
 	c := NewLocal(3, Options{
-		Chaos:             &chaos.Config{Seed: 3},
-		HeartbeatInterval: 10 * time.Millisecond,
-		SuspectAfter:      50 * time.Millisecond,
+		Chaos:  &chaos.Config{Seed: 3},
+		Tuning: site.Tuning{HeartbeatInterval: 10 * time.Millisecond, SuspectAfter: 50 * time.Millisecond},
 	})
 	defer c.Close()
 	ids := loadRingLocal(t, c, 30, []string{"hot", "cold"})

@@ -110,7 +110,7 @@ func TestCrossTopologyBatchingEquivalence(t *testing.T) {
 		}
 
 		build := func(batch int) (*SimCluster, *workload.Dataset) {
-			c := NewSim(machines, Options{Cost: sim.Free(), DerefBatch: batch})
+			c := NewSim(machines, Options{Cost: sim.Free(), Tuning: site.Tuning{DerefBatch: batch}})
 			d, err := workload.Build(c, spec)
 			if err != nil {
 				t.Fatalf("%d sites: %v", machines, err)
@@ -129,9 +129,9 @@ func TestCrossTopologyBatchingEquivalence(t *testing.T) {
 		var locPlain, locBatched *LocalCluster
 		var dLocP, dLocB *workload.Dataset
 		if machines == 3 || machines == 9 {
-			locPlain = NewLocal(machines, Options{DerefBatch: site.Unbatched})
+			locPlain = NewLocal(machines, Options{Tuning: site.Tuning{DerefBatch: site.Unbatched}})
 			defer locPlain.Close()
-			locBatched = NewLocal(machines, Options{DerefBatch: batchSize})
+			locBatched = NewLocal(machines, Options{Tuning: site.Tuning{DerefBatch: batchSize}})
 			defer locBatched.Close()
 			var err error
 			if dLocP, err = workload.Build(locPlain, spec); err != nil {
@@ -253,7 +253,7 @@ func TestPlanCacheAndIndexEquivalence(t *testing.T) {
 		}
 		clusters := make([]built, len(modes))
 		for i, m := range modes {
-			c := NewSim(machines, Options{Cost: sim.Free(), PlanCache: m.cache, Index: m.index})
+			c := NewSim(machines, Options{Cost: sim.Free(), Tuning: site.Tuning{PlanCache: m.cache, Index: m.index}})
 			d, err := workload.Build(c, spec)
 			if err != nil {
 				t.Fatalf("%d sites, %s: %v", machines, m.name, err)
@@ -317,8 +317,8 @@ func TestPlanCacheAndIndexEquivalence(t *testing.T) {
 func TestBatchingConservesTerminationWeightUnderChaos(t *testing.T) {
 	audit := termination.NewAudit()
 	c := NewLocal(3, Options{
-		DerefBatch: 4,
-		TermAudit:  audit,
+		Tuning:   site.Tuning{DerefBatch: 4},
+		Ablation: site.Ablation{TermAudit: audit},
 		Chaos: &chaos.Config{
 			Seed: 21, DropRate: 0.10, DupRate: 0.10,
 			DelayRate: 0.30, MinDelay: time.Millisecond, MaxDelay: 3 * time.Millisecond,

@@ -67,9 +67,9 @@ func TestSerialChainHandsCreditOn(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"plain", Options{DerefBatch: site.Unbatched}},
-		{"deref-batch", Options{DerefBatch: 4}},
-		{"workers", Options{Workers: 2}},
+		{"plain", Options{Tuning: site.Tuning{DerefBatch: site.Unbatched}}},
+		{"deref-batch", Options{Tuning: site.Tuning{DerefBatch: 4}}},
+		{"workers", Options{Tuning: site.Tuning{Workers: 2}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			audit := termination.NewAudit()
@@ -113,7 +113,7 @@ func TestSerialChainHandsCreditOn(t *testing.T) {
 func TestLongChainFallsBackToControls(t *testing.T) {
 	const hops = 100
 	audit := termination.NewAudit()
-	c := NewLocal(3, Options{TermAudit: audit})
+	c := NewLocal(3, Options{Ablation: site.Ablation{TermAudit: audit}})
 	defer c.Close()
 	objs := make([]*object.Object, hops+1)
 	objs[0] = c.Store(1).NewObject()

@@ -75,19 +75,14 @@ func NewLocal(n int, opts Options) *LocalCluster {
 		cc = *opts.Chaos
 	}
 	c.inj = chaos.NewInjector(cc)
-	var marks *site.GlobalMarks
-	if opts.OracleMarkTable {
-		marks = site.NewGlobalMarks()
-	}
 	tr, err := transport.ListenTCPOpts(clientID, "127.0.0.1:0", c.receive, transport.Options{Fault: c.inj})
 	if err != nil {
 		panic(fmt.Sprintf("cluster: client endpoint: %v", err))
 	}
 	c.tr = tr
-	srvOpts := server.Options{HeartbeatInterval: opts.HeartbeatInterval, SuspectAfter: opts.SuspectAfter,
-		Transport: transport.Options{Fault: c.inj}}
-	for _, id := range c.ids {
-		cfg := siteConfig(id, c.ids, opts, marks)
+	srvOpts := server.Options{Transport: transport.Options{Fault: c.inj}}
+	for _, cfg := range siteConfigs(c.ids, opts) {
+		id := cfg.ID
 		c.stores[id] = cfg.Store
 		if cfg.Directory != nil {
 			c.dirs[id] = cfg.Directory

@@ -7,6 +7,7 @@ import (
 
 	"hyperfile/internal/object"
 	"hyperfile/internal/sim"
+	"hyperfile/internal/site"
 	"hyperfile/internal/workload"
 )
 
@@ -41,7 +42,7 @@ func TestMemoryModelEquivalence(t *testing.T) {
 		}
 
 		build := func() (*SimCluster, *workload.Dataset) {
-			c := NewSim(machines, Options{Cost: sim.Free(), DerefBatch: batchSize})
+			c := NewSim(machines, Options{Cost: sim.Free(), Tuning: site.Tuning{DerefBatch: batchSize}})
 			d, err := workload.Build(c, spec)
 			if err != nil {
 				t.Fatalf("%d sites: %v", machines, err)
@@ -60,7 +61,7 @@ func TestMemoryModelEquivalence(t *testing.T) {
 		var local *LocalCluster
 		var dLocal *workload.Dataset
 		if machines == 3 || machines == 9 {
-			local = NewLocal(machines, Options{DerefBatch: batchSize})
+			local = NewLocal(machines, Options{Tuning: site.Tuning{DerefBatch: batchSize}})
 			defer local.Close()
 			var err error
 			if dLocal, err = workload.Build(local, spec); err != nil {

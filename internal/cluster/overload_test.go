@@ -9,6 +9,7 @@ import (
 
 	"hyperfile/internal/chaos"
 	"hyperfile/internal/object"
+	"hyperfile/internal/site"
 	"hyperfile/internal/termination"
 	"hyperfile/internal/waitfor"
 	"hyperfile/internal/workload"
@@ -30,9 +31,7 @@ func TestOverloadKnobsPreserveResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	over := NewLocal(machines, Options{
-		MaxInflight:    64,
-		AdmissionQueue: 16,
-		QueryDeadline:  time.Minute,
+		Tuning: site.Tuning{MaxInflight: 64, AdmissionQueue: 16, QueryDeadline: time.Minute},
 	})
 	defer over.Close()
 	dOver, err := workload.Build(over, spec)
@@ -90,10 +89,8 @@ func TestOverloadKnobsPreserveResults(t *testing.T) {
 func TestCancelStormConservesWeightUnderChaos(t *testing.T) {
 	audit := termination.NewAudit()
 	c := NewLocal(3, Options{
-		DerefBatch:     4,
-		TermAudit:      audit,
-		MaxInflight:    8,
-		AdmissionQueue: 16,
+		Tuning:   site.Tuning{DerefBatch: 4, MaxInflight: 8, AdmissionQueue: 16},
+		Ablation: site.Ablation{TermAudit: audit},
 		Chaos: &chaos.Config{
 			Seed:        21,
 			DropRate:    0.10,
@@ -222,11 +219,7 @@ func TestAdmissionUnderPeerKillChaos(t *testing.T) {
 		victim   = object.SiteID(3)
 	)
 	c := NewLocal(machines, Options{
-		MaxInflight:       4,
-		AdmissionQueue:    16,
-		QueryDeadline:     2 * time.Second,
-		HeartbeatInterval: 15 * time.Millisecond,
-		SuspectAfter:      60 * time.Millisecond,
+		Tuning: site.Tuning{MaxInflight: 4, AdmissionQueue: 16, QueryDeadline: 2 * time.Second, HeartbeatInterval: 15 * time.Millisecond, SuspectAfter: 60 * time.Millisecond},
 		Chaos: &chaos.Config{
 			Seed:      7,
 			DelayRate: 0.5,

@@ -57,17 +57,7 @@ func RunScenario(spec *sim.Scenario) (*ScenarioRun, error) {
 	}
 	wallStart := time.Now()
 
-	opts := Options{
-		Cost:           sim.Paper(),
-		Workers:        spec.Exec.Workers,
-		DerefBatch:     spec.Exec.DerefBatch,
-		PlanCache:      spec.Exec.PlanCache,
-		Index:          spec.Exec.Index,
-		ResultBatch:    spec.Exec.ResultBatch,
-		MaxInflight:    spec.Exec.MaxInflight,
-		AdmissionQueue: spec.Exec.AdmissionQueue,
-	}
-	c := NewSim(spec.Sites, opts)
+	c := NewSim(spec.Sites, Options{Cost: sim.Paper(), Tuning: spec.Exec})
 	matrix, err := spec.LatencyMatrix(c.cost.Latency)
 	if err != nil {
 		return nil, err

@@ -94,12 +94,8 @@ func NewSim(n int, opts Options) *SimCluster {
 		rejects:     make(map[wire.QueryID]*wire.Reject),
 		completedAt: make(map[wire.QueryID]time.Duration),
 	}
-	var marks *site.GlobalMarks
-	if opts.OracleMarkTable {
-		marks = site.NewGlobalMarks()
-	}
-	for _, id := range c.ids {
-		cfg := siteConfig(id, c.ids, opts, marks)
+	for _, cfg := range siteConfigs(c.ids, opts) {
+		id := cfg.ID
 		c.sites[id] = &simSite{
 			c: c, s: site.New(cfg), id: id, store: cfg.Store,
 			slots:   make([]time.Duration, max(1, opts.Workers)),

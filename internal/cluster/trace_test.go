@@ -6,6 +6,7 @@ import (
 
 	"hyperfile/internal/chaos"
 	"hyperfile/internal/object"
+	"hyperfile/internal/site"
 	"hyperfile/internal/waitfor"
 	"hyperfile/internal/wire"
 )
@@ -126,9 +127,8 @@ func TestTraceSurvivesChaosDuplicates(t *testing.T) {
 // partial answer whose timeline covers the live sites and omits the dead one.
 func TestTracePartialWhenPeerDown(t *testing.T) {
 	c := NewLocal(3, Options{
-		Chaos:             &chaos.Config{Seed: 13},
-		HeartbeatInterval: 10 * time.Millisecond,
-		SuspectAfter:      50 * time.Millisecond,
+		Chaos:  &chaos.Config{Seed: 13},
+		Tuning: site.Tuning{HeartbeatInterval: 10 * time.Millisecond, SuspectAfter: 50 * time.Millisecond},
 	})
 	defer c.Close()
 	ids := loadRingLocal(t, c, 30, []string{"hot", "cold"})

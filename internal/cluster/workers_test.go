@@ -49,26 +49,25 @@ func TestWorkerPoolEquivalence(t *testing.T) {
 			}
 			return c, d
 		}
-		base, dBase := build("baseline", Options{Cost: sim.Free(), DerefBatch: site.Unbatched})
+		base, dBase := build("baseline", Options{Cost: sim.Free(), Tuning: site.Tuning{DerefBatch: site.Unbatched}})
 		audit := termination.NewAudit()
 		pooled, dPooled := build("workers=4", Options{
-			Cost: sim.Free(), Workers: 4, TermAudit: audit,
+			Cost:     sim.Free(),
+			Tuning:   site.Tuning{Workers: 4},
+			Ablation: site.Ablation{TermAudit: audit},
 		})
 		combined, dComb := build("combined", Options{
-			Cost: sim.Free(), Workers: 4, DerefBatch: 8,
-			PlanCache: 4, Index: true,
-			MaxInflight: 8, AdmissionQueue: 4,
+			Cost:   sim.Free(),
+			Tuning: site.Tuning{Workers: 4, DerefBatch: 8, PlanCache: 4, Index: true, MaxInflight: 8, AdmissionQueue: 4},
 		})
 
 		var loc, locComb *LocalCluster
 		var dLoc, dLocComb *workload.Dataset
 		if machines == 3 || machines == 9 {
-			loc = NewLocal(machines, Options{Workers: 4})
+			loc = NewLocal(machines, Options{Tuning: site.Tuning{Workers: 4}})
 			defer loc.Close()
 			locComb = NewLocal(machines, Options{
-				Workers: 4, DerefBatch: 8,
-				PlanCache: 4, Index: true,
-				MaxInflight: 8, AdmissionQueue: 4,
+				Tuning: site.Tuning{Workers: 4, DerefBatch: 8, PlanCache: 4, Index: true, MaxInflight: 8, AdmissionQueue: 4},
 			})
 			defer locComb.Close()
 			var err error
@@ -163,7 +162,7 @@ func TestWorkerPoolSpeedsUpVirtualTime(t *testing.T) {
 	const machines = 3
 	spec := workload.Spec{N: 120, Machines: machines, StructureMachines: 9, Seed: 11}
 	run := func(workers, queries int) time.Duration {
-		c := NewSim(machines, Options{Cost: sim.Paper(), Workers: workers})
+		c := NewSim(machines, Options{Cost: sim.Paper(), Tuning: site.Tuning{Workers: workers}})
 		d, err := workload.Build(c, spec)
 		if err != nil {
 			t.Fatal(err)
@@ -236,7 +235,7 @@ func TestSchedulerInterleaveStress(t *testing.T) {
 		window = 64
 	)
 	c := NewLocal(machines, Options{
-		Workers: 4,
+		Tuning: site.Tuning{Workers: 4},
 		Chaos: &chaos.Config{
 			Seed: 37, DropRate: 0.05, DupRate: 0.05,
 			DelayRate: 0.20, MinDelay: 200 * time.Microsecond, MaxDelay: 2 * time.Millisecond,

@@ -26,19 +26,13 @@ import (
 	"hyperfile/internal/wire"
 )
 
-// Options tunes a server's transport reliability and failure detection.
-// The zero value disables the failure detector and takes transport defaults.
+// Options tunes a server's transport reliability and instrumentation; the
+// failure detector's knobs are the site's (site.Tuning). The zero value takes
+// transport defaults.
 type Options struct {
 	// Transport configures the reliability layer (retransmission, dial
 	// backoff) and optional fault injection.
 	Transport transport.Options
-	// HeartbeatInterval enables the failure detector: the server probes its
-	// peers at this interval and declares a peer down after SuspectAfter of
-	// silence (0 = no detector).
-	HeartbeatInterval time.Duration
-	// SuspectAfter is the silence threshold before a peer is declared down
-	// (default 4 × HeartbeatInterval).
-	SuspectAfter time.Duration
 	// Metrics receives the server's instrumentation: site, transport, and
 	// termination counters all land in this one registry. Nil gets a fresh
 	// registry (a server is always observable; sharing one registry across
@@ -54,11 +48,10 @@ type Options struct {
 // server's loop goroutine — alone handles mail and also steps; extra pool
 // workers only step.
 type Server struct {
-	cfg  site.Config
-	s    *site.Site
-	tr   *transport.TCP
-	lg   *slog.Logger
-	opts Options
+	cfg site.Config
+	s   *site.Site
+	tr  *transport.TCP
+	lg  *slog.Logger
 
 	reg    *metrics.Registry
 	traces *site.TraceBuffer
@@ -109,7 +102,7 @@ func New(cfg site.Config, addr string, logger *slog.Logger) (*Server, error) {
 	return NewOpts(cfg, addr, logger, Options{})
 }
 
-// NewOpts is New with explicit transport and failure-detection options. It
+// NewOpts is New with explicit transport and instrumentation options. It
 // hooks the turn onto the transport's read boundary (Options.Transport.Idle
 // is the server's own), and starts the loop that runs turns for thunks and
 // for work a reader's bounded turn left over, Workers−1 step-only workers,
@@ -117,9 +110,6 @@ func New(cfg site.Config, addr string, logger *slog.Logger) (*Server, error) {
 func NewOpts(cfg site.Config, addr string, logger *slog.Logger, opts Options) (*Server, error) {
 	if logger == nil {
 		logger = slog.Default()
-	}
-	if opts.HeartbeatInterval > 0 && opts.SuspectAfter <= 0 {
-		opts.SuspectAfter = 4 * opts.HeartbeatInterval
 	}
 	if opts.Metrics == nil {
 		opts.Metrics = metrics.NewRegistry()
@@ -130,11 +120,12 @@ func NewOpts(cfg site.Config, addr string, logger *slog.Logger, opts Options) (*
 	if cfg.Traces == nil {
 		cfg.Traces = site.NewTraceBuffer(opts.TraceCap)
 	}
+	s := site.New(cfg)
+	cfg = s.Config() // with site.New's defaults
 	srv := &Server{
 		cfg:    cfg,
-		s:      site.New(cfg),
+		s:      s,
 		lg:     logger.With("site", cfg.ID.String()),
-		opts:   opts,
 		reg:    opts.Metrics,
 		traces: cfg.Traces,
 		wake:   make(chan struct{}, 1),
@@ -143,7 +134,7 @@ func NewOpts(cfg site.Config, addr string, logger *slog.Logger, opts Options) (*
 		turnsReader: opts.Metrics.Counter("hf_turns_reader"),
 		turnsLoop:   opts.Metrics.Counter("hf_turns_loop"),
 	}
-	if opts.HeartbeatInterval > 0 {
+	if cfg.HeartbeatInterval > 0 {
 		srv.heard = make(map[object.SiteID]time.Time, len(cfg.Peers))
 		srv.suspected = make(map[object.SiteID]bool)
 		now := time.Now()
@@ -170,7 +161,7 @@ func NewOpts(cfg site.Config, addr string, logger *slog.Logger, opts Options) (*
 		srv.wg.Add(1)
 		go srv.stepLoop(wake)
 	}
-	if opts.HeartbeatInterval > 0 {
+	if cfg.HeartbeatInterval > 0 {
 		srv.wg.Add(1)
 		go srv.heartbeatLoop()
 	}
@@ -332,7 +323,7 @@ func (srv *Server) PeerIsDown(peer object.SiteID) bool {
 // answers annotated with the unreachable site.
 func (srv *Server) heartbeatLoop() {
 	defer srv.wg.Done()
-	ticker := time.NewTicker(srv.opts.HeartbeatInterval)
+	ticker := time.NewTicker(srv.cfg.HeartbeatInterval)
 	defer ticker.Stop()
 	var seq uint64
 	for {
@@ -354,7 +345,7 @@ func (srv *Server) checkSuspects() {
 	var newly []object.SiteID
 	srv.hbMu.Lock()
 	for peer, last := range srv.heard {
-		if !srv.suspected[peer] && now.Sub(last) > srv.opts.SuspectAfter {
+		if !srv.suspected[peer] && now.Sub(last) > srv.cfg.SuspectAfter {
 			srv.suspected[peer] = true
 			newly = append(newly, peer)
 		}
@@ -363,7 +354,7 @@ func (srv *Server) checkSuspects() {
 	for _, peer := range newly {
 		peer := peer
 		srv.lg.Warn("peer declared down", "peer", peer.String(),
-			"silent", srv.opts.SuspectAfter.String())
+			"silent", srv.cfg.SuspectAfter.String())
 		srv.postThunk(func() { srv.dispatch(srv.s.PeerDown(peer)) })
 	}
 }

@@ -179,14 +179,15 @@ func addTitles(t *testing.T, stores []*store.Store, ids []object.ID) {
 // -race, poison) the client's read buffers; every field must read back
 // unchanged.
 func TestTCPClientMayRetainComplete(t *testing.T) {
-	servers, stores, client := testDeploymentOpts(t, 3, Options{
-		HeartbeatInterval: 25 * time.Millisecond,
-		SuspectAfter:      150 * time.Millisecond,
+	servers, stores, client := testDeploymentCfg(t, 3, Options{
 		Transport: transport.Options{
 			RetransmitBase: 5 * time.Millisecond,
 			RetransmitMax:  50 * time.Millisecond,
 			MaxAttempts:    10,
 		},
+	}, func(c *site.Config) {
+		c.HeartbeatInterval = 25 * time.Millisecond
+		c.SuspectAfter = 150 * time.Millisecond
 	})
 	ids := loadServerRing(t, stores, 12)
 	addTitles(t, stores, ids)
@@ -440,14 +441,15 @@ func TestTCPDownServerPartialResults(t *testing.T) {
 // the query completes normally — no client timeout — with a partial answer
 // naming the unreachable site.
 func TestTCPPeerFailureDetectedPartialAnswer(t *testing.T) {
-	servers, stores, client := testDeploymentOpts(t, 3, Options{
-		HeartbeatInterval: 25 * time.Millisecond,
-		SuspectAfter:      150 * time.Millisecond,
+	servers, stores, client := testDeploymentCfg(t, 3, Options{
 		Transport: transport.Options{
 			RetransmitBase: 5 * time.Millisecond,
 			RetransmitMax:  50 * time.Millisecond,
 			MaxAttempts:    10,
 		},
+	}, func(c *site.Config) {
+		c.HeartbeatInterval = 25 * time.Millisecond
+		c.SuspectAfter = 150 * time.Millisecond
 	})
 	ids := loadServerRing(t, stores, 12)
 	servers[2].Close() // site 3 crashes
@@ -855,7 +857,7 @@ func TestReaderTurnHandsOffToLoop(t *testing.T) {
 			st := store.New(1)
 			ids := loadServerRing(t, []*store.Store{st}, n)
 			reg := metrics.NewRegistry()
-			srv, err := NewOpts(site.Config{ID: 1, Store: st, Workers: workers}, "127.0.0.1:0", nil, Options{Metrics: reg})
+			srv, err := NewOpts(site.Config{ID: 1, Store: st, Tuning: site.Tuning{Workers: workers}}, "127.0.0.1:0", nil, Options{Metrics: reg})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -49,9 +49,6 @@ type CostModel struct {
 	// a query body it compiled before: a hash lookup plus verification,
 	// orders of magnitude below Compile.
 	PlanCacheHit time.Duration
-	// ResultBatch caps the number of ids per result message; a drain with
-	// more local results sends several messages. Zero means unbounded.
-	ResultBatch int
 }
 
 // Paper is the cost model calibrated to the constants of section 5:
@@ -70,7 +67,6 @@ func Paper() CostModel {
 		CtlRecv:       5 * time.Millisecond,
 		Compile:       1 * time.Millisecond,
 		PlanCacheHit:  10 * time.Microsecond,
-		ResultBatch:   8,
 	}
 }
 

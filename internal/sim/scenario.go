@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sort"
 	"time"
+
+	"hyperfile/internal/site"
 )
 
 // Scenario is a declarative spec for one deterministic simulator run: a
@@ -14,8 +16,8 @@ import (
 // enable. Equal specs always compile to byte-identical runs; the spec JSON is
 // embedded in every recorded trace so a trace alone re-simulates the run.
 //
-// The spec is pure data — it knows nothing about sites or engines. The
-// cluster package compiles it (cluster.RunScenario); this package owns the
+// The spec is pure data: it names the sites' knobs (site.Tuning) but runs
+// nothing. The cluster package compiles it (cluster.RunScenario); this package owns the
 // vocabulary, the topology math, and the seeded schedule generators, so tools
 // and tests can reason about scenarios without a cluster.
 type Scenario struct {
@@ -142,20 +144,11 @@ type Failure struct {
 	DetectUS int64  `json:"detect_us,omitempty"`
 }
 
-// Exec selects the execution features of a scenario's sites; the zero Exec
-// runs the production configuration. DerefBatch is site.Config.DerefBatch:
-// 0 is the production batch size, a negative value the paper's
-// one-object-per-Deref protocol. Keys it does not name, such as the retired
-// fair_quantum, are ignored.
-type Exec struct {
-	Workers        int  `json:"workers,omitempty"`
-	DerefBatch     int  `json:"deref_batch,omitempty"`
-	PlanCache      int  `json:"plan_cache,omitempty"`
-	Index          bool `json:"index,omitempty"`
-	ResultBatch    int  `json:"result_batch,omitempty"`
-	MaxInflight    int  `json:"max_inflight,omitempty"`
-	AdmissionQueue int  `json:"admission_queue,omitempty"`
-}
+// Exec selects the execution features of a scenario's sites: the
+// deployment knobs, declared once as site.Tuning. The zero Exec runs the
+// production configuration. Its JSON keys are the spec's "exec" object; keys
+// it does not name, such as the retired fair_quantum, are ignored.
+type Exec = site.Tuning
 
 // topologyKinds and the other enum sets double as validation tables.
 var topologyKinds = map[string]bool{
@@ -220,6 +213,9 @@ func (s *Scenario) Validate() error {
 		if q.Body == "" {
 			return fmt.Errorf("scenario %s: query %d has no body", s.Name, i)
 		}
+	}
+	if err := s.Exec.Validate(); err != nil {
+		return fmt.Errorf("scenario %s: exec: %w", s.Name, err)
 	}
 	for i, f := range s.Failures {
 		if !failureKinds[f.Kind] {

@@ -65,6 +65,17 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{"partition site out of range", func(s *Scenario) {
 			s.Failures = []Failure{{Kind: "partition", A: []int{1, 7}}}
 		}, "out of range"},
+		{"negative workers", func(s *Scenario) { s.Exec.Workers = -2 }, "-workers -2 is negative"},
+		{"negative plan cache", func(s *Scenario) { s.Exec.PlanCache = -1 }, "-plan-cache -1 is negative"},
+		{"negative result batch", func(s *Scenario) { s.Exec.ResultBatch = -5 }, "-result-batch -5 is negative"},
+		{"negative max inflight", func(s *Scenario) { s.Exec.MaxInflight = -1 }, "-max-inflight -1 is negative"},
+		{"negative admission queue", func(s *Scenario) {
+			s.Exec.MaxInflight, s.Exec.AdmissionQueue = 2, -3
+		}, "-admission-queue -3 is negative"},
+		{"queue without bound", func(s *Scenario) { s.Exec.AdmissionQueue = 3 }, "needs -max-inflight"},
+		{"negative deadline", func(s *Scenario) { s.Exec.QueryDeadline = -time.Second }, "-query-deadline -1s is negative"},
+		{"negative heartbeat", func(s *Scenario) { s.Exec.HeartbeatInterval = -time.Second }, "-heartbeat -1s is negative"},
+		{"suspect without heartbeat", func(s *Scenario) { s.Exec.SuspectAfter = time.Second }, "needs -heartbeat"},
 	}
 	if err := validSpec().Validate(); err != nil {
 		t.Fatalf("base spec invalid: %v", err)
@@ -79,6 +90,22 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestValidateAcceptsExec: the range checks refuse only what is out of
+// range; a negative DerefBatch is the paper's protocol, not an error.
+func TestValidateAcceptsExec(t *testing.T) {
+	for _, ok := range []Exec{
+		{DerefBatch: -1},
+		{MaxInflight: 2, AdmissionQueue: 3},
+		{HeartbeatInterval: time.Second, SuspectAfter: 4 * time.Second},
+	} {
+		s := validSpec()
+		s.Exec = ok
+		if err := s.Validate(); err != nil {
+			t.Errorf("exec %+v: %v", ok, err)
 		}
 	}
 }
@@ -300,12 +327,18 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		{AtUS: 50, Kind: "crash", Site: 3, DetectUS: 200},
 	}
 	s.Exec = Exec{Workers: 4, DerefBatch: 8, PlanCache: 4, Index: true,
-		MaxInflight: 8, AdmissionQueue: 4}
+		ResultBatch: 3, MaxInflight: 8, AdmissionQueue: 4}
 	s.TraceMessages = true
 
 	b, err := MarshalSpec(s)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Every exec key, spelled and ordered as spec files and goldens have it.
+	const exec = `"exec":{"workers":4,"deref_batch":8,"plan_cache":4,"index":true,` +
+		`"result_batch":3,"max_inflight":8,"admission_queue":4}`
+	if !strings.Contains(string(b), exec) {
+		t.Errorf("exec encodes differently:\n  got  %s\n  want %s", b, exec)
 	}
 	if strings.Contains(string(b), "\n") {
 		t.Error("MarshalSpec output is not a single line (traces embed it on one)")
@@ -320,6 +353,20 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	}
 	if string(b) != string(b2) {
 		t.Errorf("round trip not stable:\n  %s\n  %s", b, b2)
+	}
+	// A spec file setting every exec key decodes and re-encodes to its own
+	// bytes, so the keys' names and order stay what files and goldens have.
+	in := `{"name":"file","seed":7,"sites":3,"topology":{"kind":"ring"},` +
+		`"workload":{"kind":"paper","objects":90,"count":1,"arrival":"batch"},` + exec + `}`
+	got, err = UnmarshalSpec([]byte(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Exec != s.Exec {
+		t.Errorf("decoded exec = %+v, want %+v", got.Exec, s.Exec)
+	}
+	if out, err := MarshalSpec(got); err != nil || string(out) != in {
+		t.Errorf("re-encoded spec differs from its input (err %v):\n  got  %s\n  want %s", err, out, in)
 	}
 }
 
@@ -351,5 +398,12 @@ func TestUnmarshalSpecValidates(t *testing.T) {
 	}
 	if _, err := UnmarshalSpec([]byte(`{not json`)); err == nil {
 		t.Error("UnmarshalSpec accepted malformed JSON")
+	}
+	// The spec file a user hands hfsim -run, with out-of-range exec knobs.
+	bad := `{"name":"x","seed":1,"sites":9,"topology":{"kind":"ring"},` +
+		`"workload":{"kind":"regions","objects":900,"region_size":100,"count":2,"arrival":"batch"},` +
+		`"exec":{"max_inflight":-1,"admission_queue":3,"workers":-2,"result_batch":-5,"plan_cache":-1}}`
+	if _, err := UnmarshalSpec([]byte(bad)); err == nil || !strings.Contains(err.Error(), "exec") {
+		t.Errorf("UnmarshalSpec(bad exec) = %v, want an exec error", err)
 	}
 }

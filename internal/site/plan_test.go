@@ -3,7 +3,6 @@ package site
 import (
 	"testing"
 
-	"hyperfile/internal/index"
 	"hyperfile/internal/object"
 	"hyperfile/internal/wire"
 )
@@ -127,7 +126,7 @@ func ringHarness(t *testing.T, h *harness) []object.ID {
 // whether created by a local Submit or a remote Deref carrying the body hash,
 // reuses the cached plan.
 func TestPlanCacheCompilesOncePerSiteAcrossFanout(t *testing.T) {
-	h := newHarness(t, 3, func(c *Config) { c.PlanCacheSize = 8 })
+	h := newHarness(t, 3, func(c *Config) { c.PlanCache = 8 })
 	ids := ringHarness(t, h)
 	body := `S [ (Pointer, "Ref", ?X) ^^X ]** (keyword, "hot", ?) -> T`
 
@@ -155,7 +154,7 @@ func TestPlanCacheCompilesOncePerSiteAcrossFanout(t *testing.T) {
 // TestPlanCacheDistinguishesBodies: two different bodies may never share a
 // plan, whatever the cache does.
 func TestPlanCacheDistinguishesBodies(t *testing.T) {
-	h := newHarness(t, 3, func(c *Config) { c.PlanCacheSize = 8 })
+	h := newHarness(t, 3, func(c *Config) { c.PlanCache = 8 })
 	ids := ringHarness(t, h)
 
 	cmHot := h.exec(1, 1, `S [ (Pointer, "Ref", ?X) ^^X ]** (keyword, "hot", ?) -> T`, ids[:1])
@@ -174,12 +173,7 @@ func TestPlanCacheDistinguishesBodies(t *testing.T) {
 // without scanning a single tuple, and the answer is unchanged.
 func TestIndexPushdownPrunesInitialSet(t *testing.T) {
 	run := func(withIndex bool) (*wire.Complete, Stats) {
-		h := newHarness(t, 1, func(c *Config) {
-			if withIndex {
-				c.Index = index.NewKeyword()
-				c.Store.AttachIndex(c.Index)
-			}
-		})
+		h := newHarness(t, 1, func(c *Config) { c.Index = withIndex })
 		var ids []object.ID
 		for i := 0; i < 10; i++ {
 			o := h.store(1).NewObject()

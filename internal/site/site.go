@@ -65,25 +65,6 @@ type Config struct {
 	Directory *naming.Directory
 	// Peers lists the other server sites (for the Finish broadcast).
 	Peers []object.SiteID
-	// Order is the working-set discipline.
-	Order engine.Order
-	// ResultBatch caps ids per Result message; 0 means unbounded.
-	ResultBatch int
-	// DistributedSetThreshold, when positive, makes a participant withhold
-	// its local result ids and report only a count whenever a drain yields
-	// more than this many results (the paper's distributed-set refinement).
-	DistributedSetThreshold int
-	// DerefBatch caps the object ids per outgoing Deref message: remote
-	// dereferences coalesce into per-destination batches, and a sender-side
-	// sent-cache suppresses re-sends the destination's mark table would
-	// reject anyway. Zero means DerefBatchSize, the protocol hyperfiled runs;
-	// Unbatched (any negative value) is the paper's one-object-per-message
-	// protocol exactly.
-	DerefBatch int
-	// TermAudit, when non-nil, wraps every query's termination detector in
-	// the conservation checker (test-only): the sum of held, recovered, and
-	// in-flight credit must stay exactly 1 after every detector event.
-	TermAudit *termination.Audit
 	// GlobalMarks, when non-nil, is a shared global mark table consulted
 	// before sending any dereference: a (query, object, start) already sent
 	// by anyone is suppressed. This models the design alternative the paper
@@ -99,38 +80,9 @@ type Config struct {
 	// Traces, when non-nil, retains the assembled cross-site timeline of
 	// each query completed at this site (as originator) for debugging.
 	Traces *TraceBuffer
-	// Index, when non-nil, is this site's keyword index over Store (kept
-	// consistent via store.AttachIndex). The planner pushes exact-match
-	// selections down to it: negative probes skip tuple scans, and pure
-	// probes at filter 0 prune the initial set. Nil plans without pushdown.
-	Index *index.Keyword
-	// PlanCacheSize, when positive, enables the site-level plan cache with
-	// at most this many unpinned entries: a query body already compiled here
-	// (recognized by fingerprint, verified by body text) reuses its physical
-	// plan across query contexts, skipping lex, parse, and compile. Zero
-	// disables caching; every context compiles its own plan.
-	PlanCacheSize int
-	// MaxInflight, when positive, bounds the unfinished query contexts this
-	// site will hold. Submits beyond the bound wait in a bounded admission
-	// queue (AdmissionQueue) or are refused with wire.Reject. Work messages
-	// (Deref, Seed) are always accepted — refusing them would strand
-	// termination credit. Zero admits everything (the paper's behavior).
-	MaxInflight int
-	// AdmissionQueue bounds how many Submits may wait for an admission slot
-	// when the site is at MaxInflight. Zero means no queue: over-limit
-	// Submits are rejected immediately.
-	AdmissionQueue int
-	// QueryDeadline, when positive, is the default time budget an originator
-	// imposes on queries whose Submit carries none. The remaining budget
-	// propagates on every outgoing Deref/Seed, and an expired query
-	// completes as an annotated partial answer. Zero imposes no default.
-	QueryDeadline time.Duration
-	// Workers is the number of goroutines the runner drives this site with.
-	// The Site itself is safe at any worker count; the knob lives here so
-	// runners (LocalCluster, the TCP server, the simulator's cost model) and
-	// the site agree on one configured value. Zero or one is the paper's
-	// single-threaded stepping, exactly.
-	Workers int
+	// Tuning and Ablation are the knobs (tuning.go).
+	Tuning
+	Ablation
 }
 
 // Stats counts a site's protocol activity.
@@ -214,6 +166,8 @@ type Site struct {
 
 	// plans is the body-fingerprint-keyed plan cache (nil when disabled).
 	plans *plan.Cache
+	// index is the keyword index over cfg.Store (nil unless Config.Index).
+	index *index.Keyword
 
 	// met caches the metric instruments (all nil when Config.Metrics is).
 	met siteMetrics
@@ -346,8 +300,10 @@ func (ctx *qctx) engage(peer object.SiteID) {
 }
 
 // New returns a site with the given configuration. A zero DerefBatch becomes
-// DerefBatchSize here, the one place the production protocol is written down,
-// so every builder of a Config gets it without naming it.
+// DerefBatchSize and, under a heartbeat, a zero SuspectAfter becomes four
+// intervals: this is the one place defaults are written, so every builder of
+// a Config gets them without naming them. Under Index, New builds the keyword
+// index and attaches it to Store, backfilling what Store already holds.
 func New(cfg Config) *Site {
 	if cfg.Router == nil {
 		cfg.Router = BirthRouter{}
@@ -355,19 +311,29 @@ func New(cfg Config) *Site {
 	if cfg.DerefBatch == 0 {
 		cfg.DerefBatch = DerefBatchSize
 	}
+	if cfg.HeartbeatInterval > 0 && cfg.SuspectAfter <= 0 {
+		cfg.SuspectAfter = 4 * cfg.HeartbeatInterval
+	}
 	s := &Site{
 		cfg:      cfg,
 		contexts: make(map[wire.QueryID]*qctx),
 		met:      newSiteMetrics(cfg.Metrics),
 	}
-	if cfg.PlanCacheSize > 0 {
-		s.plans = plan.NewCache(cfg.PlanCacheSize)
+	if cfg.PlanCache > 0 {
+		s.plans = plan.NewCache(cfg.PlanCache)
+	}
+	if cfg.Index {
+		s.index = index.NewKeyword()
+		cfg.Store.AttachIndex(s.index)
 	}
 	return s
 }
 
 // ID returns the site's identity.
 func (s *Site) ID() object.SiteID { return s.cfg.ID }
+
+// Config returns the site's configuration with New's defaults filled in.
+func (s *Site) Config() Config { return s.cfg }
 
 // Stats returns cumulative protocol statistics including engine work of all
 // live contexts.
@@ -529,7 +495,7 @@ func (s *Site) planFor(body string, hash []byte) (p *plan.Plan, fp query.Fingerp
 	if err != nil {
 		return nil, fp, false, err
 	}
-	p = plan.Build(compiled, s.cfg.Store, s.cfg.Index)
+	p = plan.Build(compiled, s.cfg.Store, s.index)
 	s.stats.PlanCompiles++
 	s.met.planCompileUS.ObserveDuration(time.Since(start))
 	s.met.notePlanOps(p.Counts())

@@ -2,6 +2,9 @@ package site
 
 import (
 	"errors"
+	"flag"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -544,5 +547,50 @@ func TestBirthRouter(t *testing.T) {
 	owner, auth := BirthRouter{}.Owner(object.ID{Birth: 4, Seq: 2})
 	if owner != 4 || !auth {
 		t.Errorf("BirthRouter = %v, %v", owner, auth)
+	}
+}
+
+// TestTuningDeclaredOnce: every knob in Tuning has one spec key, the set of
+// keys is exactly the "exec" vocabulary spec files and goldens use, and the
+// knobs with no meaning in virtual time carry none. Flags registers exactly
+// hyperfiled's tuning flags, each defaulting to the zero value.
+func TestTuningDeclaredOnce(t *testing.T) {
+	execKeys := map[string]bool{
+		"workers": true, "deref_batch": true, "plan_cache": true, "index": true,
+		"result_batch": true, "max_inflight": true, "admission_queue": true,
+	}
+	seen := map[string]bool{}
+	typ := reflect.TypeOf(Tuning{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		tag, ok := f.Tag.Lookup("json")
+		if !ok {
+			t.Errorf("Tuning.%s has no json tag", f.Name)
+			continue
+		}
+		if tag == "-" {
+			continue
+		}
+		key, opts, _ := strings.Cut(tag, ",")
+		if !execKeys[key] || seen[key] || opts != "omitempty" {
+			t.Errorf("Tuning.%s: tag %q is not a unique exec key with omitempty", f.Name, tag)
+		}
+		seen[key] = true
+	}
+	if len(seen) != len(execKeys) {
+		t.Errorf("exec keys = %v, want %v", seen, execKeys)
+	}
+
+	want := map[string]string{
+		"result-batch": "0", "plan-cache": "0", "index": "false",
+		"max-inflight": "0", "admission-queue": "0", "query-deadline": "0s",
+		"workers": "0", "heartbeat": "0s", "suspect-after": "0s",
+	}
+	fs := flag.NewFlagSet("tuning", flag.ContinueOnError)
+	new(Tuning).Flags(fs)
+	got := map[string]string{}
+	fs.VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Tuning.Flags registers %v, want %v", got, want)
 	}
 }
