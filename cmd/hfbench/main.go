@@ -52,7 +52,6 @@ func run() int {
 	batchSize := flag.Int("batch-size", 8, "deref batch size for -batching")
 	plan := flag.String("plan", "", "compare plan cache and index pushdown off/on and write JSON here (runs only this; exits 1 if the cache does not cut repeated-body compiles at least 2x, pushdown does not cut scans at least 2x, or either changes any result)")
 	planCache := flag.Int("plan-cache", 8, "plan-cache entries for -plan")
-	workers := flag.String("workers", "", "sweep worker-pool widths over a concurrent scattered-tree batch and write JSON here (runs only this; exits 1 if workers=4 is not at least 1.8x faster than workers=1, a single query speeds up or slows down past 20%, or any width changes any result)")
 	ledger := flag.String("ledger", "", "run the canonical allocation-ledger suites (one measurement per suite) and write JSON here (runs only this)")
 	ledgerBase := flag.String("ledger-baseline", "", "with -ledger: also diff against this committed baseline ledger and exit 1 on any allocation regression beyond the noise bars")
 	ledgerText := flag.String("ledger-text", "", "with -ledger: also write the human-readable results table to this path")
@@ -60,46 +59,6 @@ func run() int {
 
 	if *ledger != "" {
 		return runLedger(*ledger, *ledgerBase, *ledgerText)
-	}
-
-	if *workers != "" {
-		r, err := bench.RunWorkers(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hfbench:", err)
-			return 1
-		}
-		b, err := r.JSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hfbench:", err)
-			return 1
-		}
-		if err := os.WriteFile(*workers, b, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "hfbench:", err)
-			return 1
-		}
-		code := 0
-		for _, row := range r.Rows {
-			fmt.Fprintf(os.Stderr, "workers=%d: %6d steps, makespan %7.1fs, %8.0f steps/s (%.2fx), match=%v\n",
-				row.Workers, row.Steps, row.MakespanSec, row.StepsPerSec, row.Speedup, row.ResultsMatch)
-			if !row.ResultsMatch {
-				fmt.Fprintf(os.Stderr, "hfbench: workers=%d changed a result set\n", row.Workers)
-				code = 1
-			}
-		}
-		fmt.Fprintf(os.Stderr, "single query: workers=1 %.1fs vs widest pool %.1fs (ratio %.2f)\n",
-			r.SingleMakespan1Sec, r.SingleMakespanNSec, r.SingleRatio)
-		if w4 := r.Row(4); w4 == nil || w4.Speedup < 1.8 {
-			fmt.Fprintln(os.Stderr, "hfbench: workers=4 did not step the batch at least 1.8x faster than workers=1")
-			code = 1
-		}
-		// Per-context pinning: a lone query must neither speed up (a context
-		// overlapped itself) nor slow down much (pool overhead).
-		if r.SingleRatio < 0.8 || r.SingleRatio > 1.2 {
-			fmt.Fprintf(os.Stderr, "hfbench: single-query makespan ratio %.2f outside [0.8, 1.2]\n", r.SingleRatio)
-			code = 1
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *workers)
-		return code
 	}
 
 	if *plan != "" {

@@ -54,7 +54,6 @@ func run(args []string) int {
 	fs.IntVar(&cfg.MaxInflight, "max-inflight", cfg.MaxInflight, "per-site live-context bound")
 	fs.IntVar(&cfg.AdmissionQueue, "admission-queue", cfg.AdmissionQueue, "per-site admission queue length")
 	fs.DurationVar(&cfg.QueryDeadline, "query-deadline", cfg.QueryDeadline, "default per-query budget")
-	fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "per-site stepping workers (0 or 1 = the paper's single stepper)")
 	fs.IntVar(&cfg.Calibration, "calibration", cfg.Calibration, "closed-loop queries for the capacity estimate")
 	fs.IntVar(&cfg.Queries, "queries", cfg.Queries, "open-loop arrivals per load point")
 	mult := fs.String("mult", "0.5,1,2,4", "offered-load points as multiples of calibrated capacity")
@@ -135,8 +134,8 @@ func parseMultipliers(spec string) ([]float64, error) {
 }
 
 func printResult(r *bench.LoadResult) {
-	fmt.Printf("cluster: %d machines, %d objects, max-inflight %d, admission-queue %d, deadline %dms, workers %d\n",
-		r.Machines, r.Objects, r.MaxInflight, r.AdmissionQueue, r.QueryDeadlineMS, r.Workers)
+	fmt.Printf("cluster: %d machines, %d objects, max-inflight %d, admission-queue %d, deadline %dms\n",
+		r.Machines, r.Objects, r.MaxInflight, r.AdmissionQueue, r.QueryDeadlineMS)
 	fmt.Printf("calibrated capacity: %.0f qps (closed loop at the admission bound)\n\n", r.CapacityQPS)
 	fmt.Printf("%6s %10s %8s %6s %8s %9s %7s %6s %10s %10s %10s\n",
 		"load", "target", "offered", "ok", "partial", "rejected", "errors", "hangs", "p50", "p95", "p99")

@@ -38,7 +38,6 @@ func TestUSRendering(t *testing.T) {
 func TestRunRejectsBadTuning(t *testing.T) {
 	for _, args := range [][]string{
 		{"-max-inflight", "-1"},
-		{"-workers", "-2"},
 		{"-max-inflight", "0"}, // the default admission queue needs a bound
 	} {
 		if code := run(args); code != 1 {

@@ -153,11 +153,6 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		t.Error("expected negative query-deadline error")
 	}
 	bad = base
-	bad.Workers = -2
-	if err := run(bad, lg, stop, nil); err == nil {
-		t.Error("expected negative workers error")
-	}
-	bad = base
 	bad.ResultBatch = -5
 	if err := run(bad, lg, stop, nil); err == nil || !strings.Contains(err.Error(), "-result-batch -5") {
 		t.Errorf("negative result-batch: err = %v", err)
@@ -187,68 +182,10 @@ func TestHyperfiledFlagSet(t *testing.T) {
 		"chaos-max-delay", "chaos-reorder", "chaos-seed", "data", "heartbeat",
 		"index", "listen", "max-inflight", "metrics-addr", "peers",
 		"plan-cache", "query-deadline", "result-batch", "save", "site",
-		"suspect-after", "workers",
+		"suspect-after",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("hyperfiled flags = %q, want %q", got, want)
-	}
-}
-
-// TestRunWorkerPoolFlags boots a server with a stepping pool and checks that
-// queries still answer exactly — the flag wires through site.Config and the
-// server spawns the extra step workers without perturbing results or
-// shutdown.
-func TestRunWorkerPoolFlags(t *testing.T) {
-	st := store.New(1)
-	o := st.NewObject().Add("keyword", object.Keyword("net"), object.Value{})
-	if err := st.Put(o); err != nil {
-		t.Fatal(err)
-	}
-	dataPath := filepath.Join(t.TempDir(), "data.jsonl")
-	f, err := os.Create(dataPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obj, _ := st.Get(o.ID)
-	if err := dump.Write(f, []*object.Object{obj}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	stop := make(chan os.Signal, 1)
-	ready := make(chan string, 1)
-	done := make(chan error, 1)
-	lg := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelError}))
-	go func() {
-		done <- run(config{
-			SiteID: 1, Listen: "127.0.0.1:0", Data: dataPath,
-			Tuning: site.Tuning{Workers: 4},
-		}, lg, stop, ready)
-	}()
-	var addr string
-	select {
-	case addr = <-ready:
-	case err := <-done:
-		t.Fatalf("server exited early: %v", err)
-	}
-	cl, err := server.NewClient(500, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	cl.AddServer(1, addr)
-	for i := 0; i < 4; i++ {
-		cm, err := cl.Exec(1, `S (keyword, "net", ?) -> T`, []object.ID{o.ID}, 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(cm.IDs) != 1 || cm.Partial {
-			t.Errorf("query %d: ids %v partial %v", i, cm.IDs, cm.Partial)
-		}
-	}
-	stop <- os.Interrupt
-	if err := <-done; err != nil {
-		t.Fatalf("run returned %v", err)
 	}
 }
 
@@ -386,7 +323,8 @@ func TestParsePeers(t *testing.T) {
 // TestDerefBatchFlagRemoved: batching is the protocol, not a switch, and so
 // are the weighted termination detector and the round robin over clients.
 // Distributed-set retention is gone from the command line: it kept contexts
-// that no TCP client can seed a follow-up query from. Each removed flag is an
+// that no TCP client can seed a follow-up query from, and a site has one
+// stepper, so the stepping pool's width is gone too. Each removed flag is an
 // error.
 func TestDerefBatchFlagRemoved(t *testing.T) {
 	for _, args := range [][]string{
@@ -394,6 +332,7 @@ func TestDerefBatchFlagRemoved(t *testing.T) {
 		{"-termination", "weighted"},
 		{"-fair-quantum", "2"},
 		{"-dist-threshold", "100"},
+		{"-workers", "4"},
 	} {
 		var cfg config
 		fs := flag.NewFlagSet("hyperfiled", flag.ContinueOnError)

@@ -29,8 +29,7 @@ type LoadConfig struct {
 	Seed     int64
 
 	// Tuning passes whole into cluster.Options. MaxInflight,
-	// AdmissionQueue and QueryDeadline are the overload knobs under test;
-	// Workers drives the stepping pool along with them.
+	// AdmissionQueue and QueryDeadline are the overload knobs under test.
 	site.Tuning
 
 	// Calibration is how many closed-loop queries estimate the cluster's
@@ -108,7 +107,6 @@ type LoadResult struct {
 	MaxInflight     int         `json:"max_inflight"`
 	AdmissionQueue  int         `json:"admission_queue"`
 	QueryDeadlineMS int64       `json:"query_deadline_ms"`
-	Workers         int         `json:"workers"`
 	CapacityQPS     float64     `json:"capacity_qps"`
 	Points          []LoadPoint `json:"points"`
 }
@@ -244,7 +242,6 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 		Machines: cfg.Machines, Objects: cfg.Objects, Seed: cfg.Seed,
 		MaxInflight: cfg.MaxInflight, AdmissionQueue: cfg.AdmissionQueue,
 		QueryDeadlineMS: cfg.QueryDeadline.Milliseconds(),
-		Workers:         cfg.Workers,
 	}
 	out.CapacityQPS, err = calibrate(c, d, cfg)
 	if err != nil {

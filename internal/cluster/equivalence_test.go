@@ -304,6 +304,140 @@ func TestPlanCacheAndIndexEquivalence(t *testing.T) {
 	}
 }
 
+// TestFeatureStackEquivalence: every query class runs on 1, 3, and 9 sites
+// under the paper's unbatched protocol (the baseline) and under the deployed
+// protocol wrapped in the termination-conservation audit (credits must sum to
+// exactly 1 after every detector event), and the two must return
+// byte-identical sorted result-id sets and identical unreachable annotations.
+// A combined row stacks batching, the plan cache, the index, and admission
+// bounds and runs each query twice, and on the 3- and 9-site rows the
+// goroutine runner — with the deployed protocol, and with the full combined
+// feature stack — must agree with the simulator.
+func TestFeatureStackEquivalence(t *testing.T) {
+	const (
+		nObjects  = 120
+		structure = 9
+		seed      = 11
+	)
+	queries := equivCases()
+
+	for _, machines := range []int{1, 3, 9} {
+		spec := workload.Spec{
+			N: nObjects, Machines: machines,
+			StructureMachines: structure, Seed: seed,
+		}
+		build := func(name string, opts Options) (*SimCluster, *workload.Dataset) {
+			c := NewSim(machines, opts)
+			d, err := workload.Build(c, spec)
+			if err != nil {
+				t.Fatalf("%d sites, %s: %v", machines, name, err)
+			}
+			return c, d
+		}
+		base, dBase := build("baseline", Options{Cost: sim.Free(), Tuning: site.Tuning{DerefBatch: site.Unbatched}})
+		audit := termination.NewAudit()
+		audited, dAudited := build("audited", Options{
+			Cost:     sim.Free(),
+			Ablation: site.Ablation{TermAudit: audit},
+		})
+		combined, dComb := build("combined", Options{
+			Cost:   sim.Free(),
+			Tuning: site.Tuning{DerefBatch: 8, PlanCache: 4, Index: true, MaxInflight: 8, AdmissionQueue: 4},
+		})
+
+		var loc, locComb *LocalCluster
+		var dLoc, dLocComb *workload.Dataset
+		if machines == 3 || machines == 9 {
+			loc = NewLocal(machines, Options{})
+			defer loc.Close()
+			locComb = NewLocal(machines, Options{
+				Tuning: site.Tuning{DerefBatch: 8, PlanCache: 4, Index: true, MaxInflight: 8, AdmissionQueue: 4},
+			})
+			defer locComb.Close()
+			var err error
+			if dLoc, err = workload.Build(loc, spec); err != nil {
+				t.Fatal(err)
+			}
+			if dLocComb, err = workload.Build(locComb, spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		for qi, q := range queries {
+			name := fmt.Sprintf("%d sites, query %d (%s)", machines, qi, q)
+			resB, _, err := base.Exec(1, q, []object.ID{dBase.Root})
+			if err != nil {
+				t.Fatalf("%s: baseline: %v", name, err)
+			}
+			resA, _, err := audited.Exec(1, q, []object.ID{dAudited.Root})
+			if err != nil {
+				t.Fatalf("%s: audited: %v", name, err)
+			}
+			// Complete messages carry sorted ids, so slice equality is the
+			// byte-identical check.
+			if !equalIDs(resB.IDs, resA.IDs) {
+				t.Fatalf("%s: audited row changed the answer: %d ids vs %d",
+					name, len(resA.IDs), len(resB.IDs))
+			}
+			if !equalSites(resB.Unreachable, resA.Unreachable) || resB.Partial != resA.Partial {
+				t.Fatalf("%s: audited row changed unreachable annotations: %v/%v vs %v/%v",
+					name, resA.Unreachable, resA.Partial, resB.Unreachable, resB.Partial)
+			}
+			if err := audit.Err(); err != nil {
+				t.Fatalf("%s: termination credit not conserved: %v", name, err)
+			}
+			// Two rounds on the combined cluster: the second is served from
+			// the plan cache at every involved site.
+			for round := 0; round < 2; round++ {
+				resC, _, err := combined.Exec(1, q, []object.ID{dComb.Root})
+				if err != nil {
+					t.Fatalf("%s: combined round %d: %v", name, round, err)
+				}
+				if !equalIDs(resB.IDs, resC.IDs) {
+					t.Fatalf("%s: combined round %d changed the answer: %d ids vs %d",
+						name, round, len(resC.IDs), len(resB.IDs))
+				}
+				if !equalSites(resB.Unreachable, resC.Unreachable) || resB.Partial != resC.Partial {
+					t.Fatalf("%s: combined round %d changed unreachable annotations", name, round)
+				}
+			}
+			if loc != nil {
+				lr, err := loc.Exec(1, q, []object.ID{dLoc.Root}, 30*time.Second)
+				if err != nil {
+					t.Fatalf("%s: local: %v", name, err)
+				}
+				if !equalIDs(resB.IDs, lr.IDs) {
+					t.Fatalf("%s: goroutine runner disagrees with simulator (%d vs %d ids)",
+						name, len(lr.IDs), len(resB.IDs))
+				}
+				lc, err := locComb.Exec(1, q, []object.ID{dLocComb.Root}, 30*time.Second)
+				if err != nil {
+					t.Fatalf("%s: local combined: %v", name, err)
+				}
+				if !equalIDs(resB.IDs, lc.IDs) {
+					t.Fatalf("%s: goroutine runner with the full feature stack disagrees with simulator (%d vs %d ids)",
+						name, len(lc.IDs), len(resB.IDs))
+				}
+			}
+		}
+
+		if audit.Events() == 0 {
+			t.Errorf("%d sites: audit never saw a detector event", machines)
+		}
+		// The combined row must actually exercise the machinery it stacks.
+		st := combined.TotalStats()
+		if st.PlanCacheHits == 0 {
+			t.Errorf("%d sites: combined row never hit the plan cache", machines)
+		}
+		if st.Engine.IndexProbes == 0 {
+			t.Errorf("%d sites: combined row never probed the index", machines)
+		}
+		if machines > 1 && st.DerefsBatched == 0 && st.DerefsSuppressed == 0 {
+			t.Errorf("%d sites: combined row never batched or suppressed a Deref", machines)
+		}
+	}
+}
+
 // TestBatchingConservesTerminationWeightUnderChaos wraps every detector in
 // the conservation checker and runs batched queries over a lossy, duplicating,
 // reordering network. Reliable delivery retransmits drops and dedups

@@ -60,7 +60,7 @@ func checkOneSpanPerObject(t *testing.T, c *LocalCluster, spans []wire.Span, obj
 // that Deref instead of mailing it home; the ring ends at the originator and
 // not one Control is sent. The spans that rode those Controls ride the
 // Derefs, so the timeline still has one span per object from every site —
-// with or without deref batching, and with a worker pool.
+// with or without deref batching.
 func TestSerialChainHandsCreditOn(t *testing.T) {
 	const n = 61
 	for _, tc := range []struct {
@@ -69,7 +69,6 @@ func TestSerialChainHandsCreditOn(t *testing.T) {
 	}{
 		{"plain", Options{Tuning: site.Tuning{DerefBatch: site.Unbatched}}},
 		{"deref-batch", Options{Tuning: site.Tuning{DerefBatch: 4}}},
-		{"workers", Options{Tuning: site.Tuning{Workers: 2}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			audit := termination.NewAudit()

@@ -9,7 +9,7 @@ import (
 // Metamorphic properties of the scenario runner: relations that must hold
 // between runs of *related* specs, checked across seeds and topologies. They
 // catch whole families of model bugs (a latency term dropped on one path, a
-// worker slot double-charged) that any single golden trace would miss.
+// CPU charge double-counted) that any single golden trace would miss.
 //
 // One caution shapes these tests: the simulated sites are serial processors,
 // so the model inherits Graham's scheduling anomalies. Delaying a message —
@@ -20,10 +20,9 @@ import (
 // multi-second CPU-bound critical path). Timing monotonicity is therefore
 // asserted only where it genuinely holds: latency scaling on
 // network-dominated single-query scenarios (probed clean across 6 topologies
-// x 12 seeds x 4 scale points), and worker scaling, which drains the same
-// ready queue faster without reordering any delivery. Answer *content*, by
-// contrast, must be invariant under every one of these perturbations — that
-// part is asserted unconditionally.
+// x 12 seeds x 4 scale points). Answer *content*, by contrast, must be
+// invariant under every one of these perturbations — that part is asserted
+// unconditionally.
 
 // latencyBoundSpec is a single query over small, mostly-remote regions: the
 // critical path is wire latency, not site CPU, so raising every link latency
@@ -43,7 +42,7 @@ func latencyBoundSpec(seed int64, topo string, scalePct int) *sim.Scenario {
 
 // cpuBoundSpec is the contended sweep spec: larger regions, mostly-local
 // placement, several concurrent queries sharing the serial site CPUs.
-func cpuBoundSpec(seed int64, count, workers int) *sim.Scenario {
+func cpuBoundSpec(seed int64, count int) *sim.Scenario {
 	return &sim.Scenario{
 		Name:     "metamorphic-cpu",
 		Seed:     seed,
@@ -53,7 +52,6 @@ func cpuBoundSpec(seed int64, count, workers int) *sim.Scenario {
 			Kind: "regions", Objects: 3072, RegionSize: 128,
 			LocalProb: 0.5, Count: count, Arrival: "batch", Spread: "roundrobin",
 		},
-		Exec: sim.Exec{Workers: workers},
 	}
 }
 
@@ -100,8 +98,8 @@ func TestMetamorphicLatencySlowdownNeverFaster(t *testing.T) {
 // serial site CPUs — so only the answers are pinned.
 func TestMetamorphicHealBeforeQuiescence(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4} {
-		clean := mustRun(t, cpuBoundSpec(seed, 4, 0))
-		spec := cpuBoundSpec(seed, 4, 0)
+		clean := mustRun(t, cpuBoundSpec(seed, 4))
+		spec := cpuBoundSpec(seed, 4)
 		spec.Failures = []sim.Failure{
 			{AtUS: 100_000, Kind: "partition", A: []int{1, 2, 3}},
 			{AtUS: 900_000, Kind: "heal"},
@@ -118,33 +116,6 @@ func TestMetamorphicHealBeforeQuiescence(t *testing.T) {
 			if q.Digest != clean.Queries[i].Digest {
 				t.Errorf("seed %d query %d: healed digest %s != clean digest %s",
 					seed, i, q.Digest, clean.Queries[i].Digest)
-			}
-		}
-	}
-}
-
-// TestMetamorphicMoreWorkersNeverSlower adds per-site stepping workers one at
-// a time and checks overall virtual completion never regresses, and answers
-// never change. Worker slots only drain a site's ready contexts faster; they
-// never reorder deliveries, so unlike link latency this property holds even
-// under multi-query contention.
-func TestMetamorphicMoreWorkersNeverSlower(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3, 4, 5} {
-		for _, count := range []int{4, 8} {
-			prev := mustRun(t, cpuBoundSpec(seed, count, 1))
-			for _, w := range []int{2, 3, 4} {
-				run := mustRun(t, cpuBoundSpec(seed, count, w))
-				if run.Final > prev.Final {
-					t.Errorf("seed %d count %d: %d workers finished at %v, slower than %d workers' %v",
-						seed, count, w, run.Final, w-1, prev.Final)
-				}
-				for i, q := range run.Queries {
-					if q.Digest != prev.Queries[i].Digest {
-						t.Errorf("seed %d count %d query %d: %d workers changed digest %s -> %s",
-							seed, count, i, w, prev.Queries[i].Digest, q.Digest)
-					}
-				}
-				prev = run
 			}
 		}
 	}

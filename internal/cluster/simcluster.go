@@ -64,16 +64,9 @@ type simSite struct {
 	inbox     []inMsg
 	scheduled bool
 	down      bool
-	// slots models the worker pool in virtual time, one slot per worker
-	// (max(1, Options.Workers)): each unit of work is charged to the
-	// earliest-free slot, so up to len(slots) steps overlap. With one slot
-	// the site is the paper's serial CPU.
-	slots []time.Duration
-	// ctxBusy is each query context's busy-until horizon: a context is
-	// pinned to one worker at a time, so its own steps never overlap even
-	// when free slots exist. A lone query therefore runs at single-worker
-	// speed — the negative control the workers benchmark asserts.
-	ctxBusy map[wire.QueryID]time.Duration
+	// freeAt is when the site's CPU next falls idle: the paper's serial
+	// CPU, charged each unit of work in turn.
+	freeAt time.Duration
 	// Counters for experiment reporting.
 	msgsIn, msgsOut int
 }
@@ -98,8 +91,6 @@ func NewSim(n int, opts Options) *SimCluster {
 		id := cfg.ID
 		c.sites[id] = &simSite{
 			c: c, s: site.New(cfg), id: id, store: cfg.Store,
-			slots:   make([]time.Duration, max(1, opts.Workers)),
-			ctxBusy: make(map[wire.QueryID]time.Duration),
 		}
 		if cfg.Directory != nil {
 			c.dirs[id] = cfg.Directory
@@ -277,18 +268,7 @@ func (ss *simSite) kick() {
 		return
 	}
 	ss.scheduled = true
-	ss.c.loop.At(maxDur(ss.c.loop.Now(), ss.slots[ss.minSlot()]), ss.run)
-}
-
-// minSlot returns the index of the earliest-free worker slot.
-func (ss *simSite) minSlot() int {
-	min := 0
-	for i, t := range ss.slots {
-		if t < ss.slots[min] {
-			min = i
-		}
-	}
-	return min
+	ss.c.loop.At(maxDur(ss.c.loop.Now(), ss.freeAt), ss.run)
 }
 
 func maxDur(a, b time.Duration) time.Duration {
@@ -308,20 +288,12 @@ func (ss *simSite) run() {
 	now := ss.c.loop.Now()
 	cost := time.Duration(0)
 	var out []wire.Envelope
-	var busyQ wire.QueryID
-	var busyOK bool
 
 	switch {
 	case len(ss.inbox) > 0:
 		in := ss.inbox[0]
 		ss.inbox = ss.inbox[1:]
 		cost = ss.recvCost(in.msg)
-		// Handling a query's message contends with stepping that query: in
-		// the goroutine runner both paths lock the same engine, so the pool
-		// model serializes them on the context's busy horizon too.
-		if qm, ok := in.msg.(interface{ Query() wire.QueryID }); ok {
-			busyQ, busyOK = qm.Query(), true
-		}
 		pre := ss.s.Stats()
 		envs, err := ss.s.HandleMessage(in.from, in.msg)
 		if err != nil {
@@ -336,7 +308,7 @@ func (ss *simSite) run() {
 		cost += time.Duration(post.PlanCacheHits-pre.PlanCacheHits) * ss.c.cost.PlanCacheHit
 		out = envs
 	case ss.s.HasWork():
-		outcome, envs, did, err := ss.s.Step()
+		outcome, envs, _, err := ss.s.Step()
 		if err != nil {
 			ss.c.err = err
 			return
@@ -347,30 +319,18 @@ func (ss *simSite) run() {
 		if outcome.ResultAdded {
 			cost += ss.c.cost.AddResult
 		}
-		busyQ, busyOK = outcome.Query, did
 		out = envs
 	default:
 		return
 	}
 
-	// Charge the work to the earliest-free slot, starting no sooner than the
-	// touched context's own busy horizon — parallelism across queries, never
-	// within one (per-context pinning for steps, the engine mutex for
-	// handlers). With one slot both bounds are at most now: run fires no
-	// earlier than the slot frees, and no context's horizon passes the slot.
-	slot := ss.minSlot()
-	begin := maxDur(now, ss.slots[slot])
-	if busyOK {
-		begin = maxDur(begin, ss.ctxBusy[busyQ])
-	}
-	ss.slots[slot] = begin + cost
+	// Charge the work to the CPU. run fires no earlier than the CPU frees,
+	// so the work begins now.
+	ss.freeAt = now + cost
 	for _, env := range out {
-		ss.slots[slot] += ss.sendCost(env.Msg)
+		ss.freeAt += ss.sendCost(env.Msg)
 		ss.msgsOut++
-		ss.c.deliver(ss.id, env.To, env.Msg, ss.slots[slot]+ss.c.lat(ss.id, env.To))
-	}
-	if busyOK {
-		ss.ctxBusy[busyQ] = ss.slots[slot]
+		ss.c.deliver(ss.id, env.To, env.Msg, ss.freeAt+ss.c.lat(ss.id, env.To))
 	}
 	ss.kick()
 }

@@ -86,13 +86,13 @@ type Marks interface {
 }
 
 // Engine processes one query at one site; each query context owns one
-// engine. All exported methods are serialized by an internal mutex so a
-// site's worker pool can run Step or StepN on one context while message
-// handlers call Enqueue/HasWork/Stats on the same engine. The mutex covers
-// the whole of Step, and of a StepN run, so the mark table, working set, and
-// iterator state on items need no finer synchronization: at most one
-// goroutine is ever inside the filter pipeline. Sites additionally pin each context to a single worker, so two
-// Steps of the same engine never even contend. (Concurrent processing
+// engine. All exported methods are serialized by an internal mutex, so an
+// engine is safe for concurrent use: one goroutine may run Step or StepN
+// while others call Enqueue/HasWork/Stats. The mutex covers the whole of
+// Step, and of a StepN run, so the mark table, working set, and iterator
+// state on items need no finer synchronization: at most one goroutine is ever
+// inside the filter pipeline. A site calls its engines under its own lock, so
+// there they never contend. (Concurrent processing
 // shares state across engines via WithMarks and WithSpawnSink — see
 // RunParallel; a table installed with WithMarks must itself be
 // concurrency-safe if engines sharing it run in parallel.)

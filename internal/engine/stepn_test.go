@@ -217,10 +217,10 @@ func (e *Engine) peekStart() int {
 	return e.peek().Start
 }
 
-// TestStepNConcurrentEnqueue: handlers Enqueue into an engine while a worker
-// drains it in runs, as a site's message handlers do while a context is
-// pinned mid-run. Every enqueued item is taken exactly once and each run's
-// counts still equal what it added to Stats.
+// TestStepNConcurrentEnqueue: goroutines Enqueue into an engine while
+// another drains it in runs, ordered by the engine's mutex alone. Every
+// enqueued item is taken exactly once and each run's counts still equal what
+// it added to Stats.
 func TestStepNConcurrentEnqueue(t *testing.T) {
 	st := store.New(1)
 	const handlers, perHandler = 4, 200

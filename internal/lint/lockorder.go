@@ -7,24 +7,13 @@ import (
 	"sort"
 )
 
-// Lockorder builds the module-wide lock-acquisition graph and enforces two
-// invariants on it:
-//
-//  1. The graph must be acyclic. A node is a lock identity — the named type
-//     and field that own a sync.Mutex/RWMutex (site.Site.mu, engine.Engine.mu,
-//     transport peer locks) or a package-level mutex variable. An edge A → B
-//     is recorded whenever B is acquired (directly, or transitively through a
-//     statically resolved call) while A is held. Two functions establishing
-//     opposite orders deadlock the moment they run concurrently, even when
-//     each is individually correct.
-//
-//  2. engine.Engine.Step (or StepN, its run of items) must never run while
-//     site.Site.mu is held (directly or through any call chain). This is the
-//     worker-pool contract: a site step pops and pins a context under the
-//     site lock, releases the lock around the engine run, and re-locks for
-//     bookkeeping — an engine step under the site lock serializes every
-//     worker on one context's filter evaluation and re-introduces the very
-//     contention the pool removes.
+// Lockorder builds the module-wide lock-acquisition graph and requires it to
+// be acyclic. A node is a lock identity — the named type and field that own a
+// sync.Mutex/RWMutex (site.Site.mu, engine.Engine.mu, transport peer locks)
+// or a package-level mutex variable. An edge A → B is recorded whenever B is
+// acquired (directly, or transitively through a statically resolved call)
+// while A is held. Two functions establishing opposite orders deadlock the
+// moment they run concurrently, even when each is individually correct.
 //
 // The analysis is type-level: all instances of a type share one lock node,
 // so holding siteA.mu while locking siteB.mu still records site.mu →
@@ -35,21 +24,9 @@ import (
 // routinely poke lock-protected state to stage scenarios.
 var Lockorder = &Analyzer{
 	Name:      "lockorder",
-	Doc:       "cross-package lock acquisition order must be acyclic, and Engine.Step must never run under the site lock",
+	Doc:       "cross-package lock acquisition order must be acyclic",
 	RunModule: runLockorder,
 }
-
-// Identities the Engine.Step rule keys on. The corpus stubs mirror these
-// import paths, so the same constants serve both the real tree and testdata.
-const (
-	siteMuLock     = "hyperfile/internal/site.Site.mu"
-	engineStepKey  = "hyperfile/internal/engine|Engine.Step"
-	engineStepNKey = "hyperfile/internal/engine|Engine.StepN"
-)
-
-// isEngineStep reports whether key is one of the engine's stepping entry
-// points.
-func isEngineStep(key string) bool { return key == engineStepKey || key == engineStepNKey }
 
 // lockEdge is one observed ordering: to was acquired while from was held.
 type lockEdge struct {
@@ -68,7 +45,6 @@ type lockorderPass struct {
 	acquires map[string]map[string]token.Pos // funcKey -> lockID -> pos
 	calls    map[string]map[string]bool      // funcKey -> callee funcKeys
 	transAcq map[string]map[string]token.Pos // transitive closure of acquires
-	stepSet  map[string]bool                 // funcKeys reaching Engine.Step
 	edges    []lockEdge
 	edgeSeen map[[2]string]bool
 }
@@ -80,7 +56,6 @@ func runLockorder(pass *Pass) {
 		bodies:   map[string]*ast.FuncDecl{},
 		acquires: map[string]map[string]token.Pos{},
 		calls:    map[string]map[string]bool{},
-		stepSet:  map[string]bool{},
 		edgeSeen: map[[2]string]bool{},
 	}
 	// Phase 1: collect per-function facts across the whole module.
@@ -106,14 +81,12 @@ func runLockorder(pass *Pass) {
 		}
 	}
 	lp.close()
-	// Phase 2: ordered walk of every function, recording edges and checking
-	// the Engine.Step rule against the held set.
-	for key, fd := range lp.bodies {
+	// Phase 2: ordered walk of every function, recording edges.
+	for _, fd := range lp.bodies {
 		info := lp.infoFor(fd)
 		if info == nil {
 			continue
 		}
-		_ = key
 		lp.walkStmts(fd.Body.List, map[string]token.Pos{}, info)
 	}
 	lp.reportCycles()
@@ -171,10 +144,9 @@ func (lp *lockorderPass) collectFacts(key string, body *ast.BlockStmt, info *typ
 	})
 }
 
-// close computes the transitive acquire sets and the may-reach-Engine.Step
-// set by fixpoint over the static call graph. Only module functions with
-// known bodies propagate; calls into the standard library or through
-// interfaces contribute nothing.
+// close computes the transitive acquire sets by fixpoint over the static call
+// graph. Only module functions with known bodies propagate; calls into the
+// standard library or through interfaces contribute nothing.
 func (lp *lockorderPass) close() {
 	lp.transAcq = map[string]map[string]token.Pos{}
 	for key, acq := range lp.acquires {
@@ -188,12 +160,6 @@ func (lp *lockorderPass) close() {
 		changed = false
 		for key := range lp.bodies {
 			for callee := range lp.calls[key] {
-				if isEngineStep(callee) || lp.stepSet[callee] {
-					if !lp.stepSet[key] {
-						lp.stepSet[key] = true
-						changed = true
-					}
-				}
 				for id, pos := range lp.transAcq[callee] {
 					if lp.transAcq[key] == nil {
 						lp.transAcq[key] = map[string]token.Pos{}
@@ -295,8 +261,7 @@ func (lp *lockorderPass) walkStmt(s ast.Stmt, held map[string]token.Pos, info *t
 
 // scanCalls inspects an expression's synchronous path: direct lock calls add
 // edges and join the held set for the rest of the statement; other calls
-// contribute their transitive acquire facts and are checked against the
-// Engine.Step rule.
+// contribute their transitive acquire facts.
 func (lp *lockorderPass) scanCalls(e ast.Expr, held map[string]token.Pos, info *types.Info) {
 	if e == nil {
 		return
@@ -324,13 +289,6 @@ func (lp *lockorderPass) scanCalls(e ast.Expr, held map[string]token.Pos, info *
 		key := funcKey(calleeFunc(info, call))
 		if key == "" {
 			return true
-		}
-		if isEngineStep(key) || lp.stepSet[key] {
-			if pos, ok := held[siteMuLock]; ok {
-				lp.pass.Reportf(call.Pos(),
-					"engine.Engine.Step runs on this call path while the site lock (held since %s) is still held; release site.Site.mu around the engine step",
-					lp.pass.Fset.Position(pos))
-			}
 		}
 		for id := range lp.transAcq[key] {
 			lp.addEdges(held, id, call.Pos(), callName(call))

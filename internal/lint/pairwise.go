@@ -17,11 +17,6 @@ import (
 //     Released, returned to the caller (ownership transfer, as planFor does),
 //     or stored into a field whose owner releases it later — never silently
 //     dropped, which would pin the cache entry forever;
-//   - a query context pinned for stepping ("ctx.stepping = true") must on
-//     every path either be unpinned ("ctx.stepping = false") or escorted out
-//     of the function as a return value (the scheduler-pop shape, where the
-//     caller inherits the pin). A path that drops a pinned context leaks the
-//     pin and the context can never be evicted or re-scheduled;
 //   - "finished = true" transitions for any one type must funnel through a
 //     single function (finishCtx), so the release of admission slots, fair
 //     buckets, and latency accounting can never be half-applied;
@@ -35,7 +30,7 @@ import (
 //     silently degrades the pool back to plain allocation.
 var Pairwise = &Analyzer{
 	Name: "pairwise",
-	Doc:  "paired resources (plan pins, global marks, stepping pins, finished transitions, pooled buffers) acquire and release in matched pairs",
+	Doc:  "paired resources (plan pins, global marks, finished transitions, pooled buffers) acquire and release in matched pairs",
 	Run:  runPairwise,
 }
 
@@ -124,7 +119,6 @@ func runPairwise(pass *Pass) {
 				return true
 			})
 			checkAcquirePaths(pass, info, fd)
-			checkSteppingPins(pass, info, fd)
 			checkPoolPaths(pass, info, fd)
 		}
 	}
@@ -296,62 +290,16 @@ func regionDischarges(info *types.Info, region ast.Node, vars map[types.Object]b
 
 // ---- all-paths obligation walker ----
 //
-// obligWalker is the shared engine behind the stepping-pin and pooled-storage
-// rules: named obligations accumulate in a pending map, control flow forks
-// the map per branch and unions the survivors (an obligation leaks if ANY
-// path drops it), and a return statement first lets the rule prune escorted
-// names, then flushes whatever is left. `format` must contain one %s for the
-// obligation's name.
+// obligWalker is the all-paths engine behind the pooled-storage rule: named
+// obligations accumulate in a pending map, control flow forks the map per
+// branch and unions the survivors (an obligation leaks if ANY path drops it),
+// and a return statement first prunes the names it escorts out, then
+// flushes whatever is left.
 
 type obligWalker struct {
 	pass     *Pass
+	info     *types.Info
 	reported map[token.Pos]bool
-	format   string
-	// simple handles one non-control-flow statement: record new obligations
-	// into pending and delete discharged ones.
-	simple func(s ast.Stmt, pending map[string]token.Pos)
-	// escort prunes names a return statement carries out to the caller.
-	escort func(s *ast.ReturnStmt, pending map[string]token.Pos)
-}
-
-// checkSteppingPins runs an all-paths walk over the function: a
-// "<base>.stepping = true" creates an obligation discharged by
-// "<base>.stepping = false" or by returning <base>.
-func checkSteppingPins(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
-	w := &obligWalker{
-		pass:     pass,
-		reported: map[token.Pos]bool{},
-		format:   "%s.stepping pin set here is neither cleared nor returned on some path; the context stays pinned forever",
-		simple:   steppingStmt,
-		escort:   escortReturnedIdents,
-	}
-	pending, term := w.walkStmts(fd.Body.List, map[string]token.Pos{})
-	if !term {
-		w.flush(pending)
-	}
-}
-
-// steppingStmt records "<base>.stepping = true/false" transitions.
-func steppingStmt(s ast.Stmt, pending map[string]token.Pos) {
-	as, ok := s.(*ast.AssignStmt)
-	if !ok {
-		return
-	}
-	for i, lhs := range as.Lhs {
-		sel, ok := lhs.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "stepping" || i >= len(as.Rhs) {
-			continue
-		}
-		base := types.ExprString(sel.X)
-		switch rhs := ast.Unparen(as.Rhs[i]).(type) {
-		case *ast.Ident:
-			if rhs.Name == "true" {
-				pending[base] = as.Pos()
-			} else if rhs.Name == "false" {
-				delete(pending, base)
-			}
-		}
-	}
 }
 
 // escortReturnedIdents discharges every name mentioned in the return values:
@@ -371,7 +319,7 @@ func (w *obligWalker) flush(pending map[string]token.Pos) {
 	for base, pos := range pending {
 		if !w.reported[pos] {
 			w.reported[pos] = true
-			w.pass.Reportf(pos, w.format, base)
+			w.pass.Reportf(pos, "pooled storage bound to %s here is neither returned to its pool, returned to the caller, nor stored on some path; it can never be recycled", base)
 		}
 	}
 }
@@ -398,7 +346,7 @@ func (w *obligWalker) walkStmts(stmts []ast.Stmt, pending map[string]token.Pos) 
 func (w *obligWalker) walkStmt(s ast.Stmt, pending map[string]token.Pos) (map[string]token.Pos, bool) {
 	switch s := s.(type) {
 	case *ast.ReturnStmt:
-		w.escort(s, pending)
+		escortReturnedIdents(s, pending)
 		w.flush(pending)
 		return pending, true
 	case *ast.BlockStmt:
@@ -458,7 +406,7 @@ func (w *obligWalker) walkStmt(s ast.Stmt, pending map[string]token.Pos) (map[st
 	case *ast.LabeledStmt:
 		return w.walkStmt(s.Stmt, pending)
 	default:
-		w.simple(s, pending)
+		poolStmt(w.info, s, pending)
 	}
 	return pending, false
 }
@@ -484,15 +432,7 @@ func unionPending(a, b map[string]token.Pos) map[string]token.Pos {
 // whose result goes straight into a field or return creates no obligation —
 // ownership transferred at the acquire.
 func checkPoolPaths(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
-	w := &obligWalker{
-		pass:     pass,
-		reported: map[token.Pos]bool{},
-		format:   "pooled storage bound to %s here is neither returned to its pool, returned to the caller, nor stored on some path; it can never be recycled",
-		escort:   escortReturnedIdents,
-	}
-	w.simple = func(s ast.Stmt, pending map[string]token.Pos) {
-		poolStmt(info, s, pending)
-	}
+	w := &obligWalker{pass: pass, info: info, reported: map[token.Pos]bool{}}
 	pending, term := w.walkStmts(fd.Body.List, map[string]token.Pos{})
 	if !term {
 		w.flush(pending)

@@ -1,5 +1,5 @@
-// Package pairwisecase exercises pairwise's path rules: plan-pin discharge,
-// stepping-pin release, and the finished funnel.
+// Package pairwisecase exercises pairwise's path rules: plan-pin discharge
+// and the finished funnel.
 package pairwisecase
 
 import "hyperfile/internal/plan"
@@ -38,37 +38,6 @@ func (h *holder) releasesPin(key string) {
 	if _, ok := h.cache.Acquire(key); ok {
 		h.cache.Release(key)
 	}
-}
-
-// ---- stepping pins ----
-
-type qctx struct{ stepping bool }
-
-type sched struct{ q []*qctx }
-
-// pinWithoutRelease drops the pinned context on the early-return path.
-func (s *sched) pinWithoutRelease(ctx *qctx, fail bool) {
-	ctx.stepping = true // want "neither cleared nor returned on some path"
-	if fail {
-		return
-	}
-	ctx.stepping = false
-}
-
-// pinAndPop escorts the pinned context out to the caller (the scheduler-pop
-// shape): the caller inherits the pin.
-func (s *sched) pinAndPop() *qctx {
-	for _, ctx := range s.q {
-		ctx.stepping = true
-		return ctx
-	}
-	return nil
-}
-
-// pinBalanced clears the pin on the only path.
-func (s *sched) pinBalanced(ctx *qctx) {
-	ctx.stepping = true
-	ctx.stepping = false
 }
 
 // ---- finished funnel ----

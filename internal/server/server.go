@@ -45,8 +45,8 @@ type Options struct {
 
 // Server owns one Site fed by its transport. The site runs in turns: whoever
 // holds the turn — the transport reader that delivered the mail, or the
-// server's loop goroutine — alone handles mail and also steps; extra pool
-// workers only step.
+// server's loop goroutine — alone handles mail and steps the site, so the
+// site has exactly one stepper at a time.
 type Server struct {
 	cfg site.Config
 	s   *site.Site
@@ -68,12 +68,6 @@ type Server struct {
 
 	errMu    sync.Mutex
 	firstErr error
-
-	// stepWakes holds one cap-1 wake channel per extra stepping worker
-	// (Config.Workers > 1). The turn holder stays the only message handler;
-	// the extra workers only step the site, so its per-context pinning
-	// is what keeps them off each other's queries.
-	stepWakes []chan struct{}
 
 	// turnsReader and turnsLoop count turns run by transport readers and by
 	// the loop goroutine.
@@ -105,8 +99,8 @@ func New(cfg site.Config, addr string, logger *slog.Logger) (*Server, error) {
 // NewOpts is New with explicit transport and instrumentation options. It
 // hooks the turn onto the transport's read boundary (Options.Transport.Idle
 // is the server's own), and starts the loop that runs turns for thunks and
-// for work a reader's bounded turn left over, Workers−1 step-only workers,
-// and the heartbeat and deadline-sweep tickers when configured.
+// for work a reader's bounded turn left over, and the heartbeat and
+// deadline-sweep tickers when configured.
 func NewOpts(cfg site.Config, addr string, logger *slog.Logger, opts Options) (*Server, error) {
 	if logger == nil {
 		logger = slog.Default()
@@ -155,12 +149,6 @@ func NewOpts(cfg site.Config, addr string, logger *slog.Logger, opts Options) (*
 	srv.tr = tr
 	srv.wg.Add(1)
 	go srv.loop()
-	for w := 1; w < cfg.Workers; w++ {
-		wake := make(chan struct{}, 1)
-		srv.stepWakes = append(srv.stepWakes, wake)
-		srv.wg.Add(1)
-		go srv.stepLoop(wake)
-	}
 	if cfg.HeartbeatInterval > 0 {
 		srv.wg.Add(1)
 		go srv.heartbeatLoop()
@@ -544,7 +532,6 @@ func (srv *Server) handle(m mail) {
 	// it — only its frame bytes wait for the flush — so the buffer can
 	// recycle now.
 	m.buf.Release()
-	srv.pokeSteppers()
 }
 
 // step runs up to limit items of one context and queues what it sent,
@@ -559,50 +546,6 @@ func (srv *Server) step(limit int) int {
 	}
 	srv.dispatch(envs)
 	return n
-}
-
-// stepLoop is one extra pool worker: it steps the site while work remains,
-// then sleeps until a turn holder signals fresh work. It never takes the
-// turn, so it handles no mail. Liveness never depends on these workers — the
-// turn holder also steps — so a missed wake costs only parallelism, never
-// progress. Like a turn it flushes what it queued after a bounded burst of
-// items and before it sleeps, and a step error ends its burst, not the
-// worker.
-func (srv *Server) stepLoop(wake chan struct{}) {
-	defer srv.wg.Done()
-	burst := 0
-	for {
-		select {
-		case <-srv.quit:
-			return
-		default:
-		}
-		n := srv.step(site.FlushEvery - burst)
-		if burst += n; n > 0 && burst < site.FlushEvery {
-			continue
-		}
-		srv.tr.Flush()
-		burst = 0
-		if n > 0 {
-			continue
-		}
-		select {
-		case <-srv.quit:
-			return
-		case <-wake:
-		}
-	}
-}
-
-// pokeSteppers wakes the extra pool workers after an event that may have
-// created steppable work.
-func (srv *Server) pokeSteppers() {
-	for _, w := range srv.stepWakes {
-		select {
-		case w <- struct{}{}:
-		default:
-		}
-	}
 }
 
 // dispatch queues outbound envelopes on the transport. Each is encoded here

@@ -843,93 +843,93 @@ func TestLoadObjects(t *testing.T) {
 // TestReaderTurnHandsOffToLoop: the reader that delivers a Submit runs the
 // site turn itself, bounded to site.FlushEvery messages plus steps. A query
 // needing four times that many steps at one site completes with no further
-// inbound traffic, so the reader's release handed the rest to the loop (with
-// one worker the loop's own turn counter shows it; with a pool the extra
-// workers step too). Stats and Contexts called from another goroutine while
-// turns run still return.
+// inbound traffic, so the reader's release handed the rest to the loop (the
+// loop's own turn counter shows it). Stats and Contexts called from another
+// goroutine while turns run still return. The subtest is named for the
+// site's single stepper.
 func TestReaderTurnHandsOffToLoop(t *testing.T) {
+	t.Run("workers=1", readerTurnHandsOffToLoop)
+}
+
+func readerTurnHandsOffToLoop(t *testing.T) {
 	const (
 		n     = 4 * site.FlushEvery
 		burst = 8 // queries submitted at once while Stats/Contexts probe
 	)
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			st := store.New(1)
-			ids := loadServerRing(t, []*store.Store{st}, n)
-			reg := metrics.NewRegistry()
-			srv, err := NewOpts(site.Config{ID: 1, Store: st, Tuning: site.Tuning{Workers: workers}}, "127.0.0.1:0", nil, Options{Metrics: reg})
-			if err != nil {
-				t.Fatal(err)
+	st := store.New(1)
+	ids := loadServerRing(t, []*store.Store{st}, n)
+	reg := metrics.NewRegistry()
+	srv, err := NewOpts(site.Config{ID: 1, Store: st}, "127.0.0.1:0", nil, Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	replies := make(chan *wire.Complete, 1+burst) // one per query
+	client := bareEndpoint(t, srv, 100, func(_ object.SiteID, m wire.Msg) {
+		if cm, ok := m.(*wire.Complete); ok {
+			replies <- cm
+		}
+	})
+	submit := func(seq uint64) {
+		t.Helper()
+		sub := &wire.Submit{QID: wire.QueryID{Origin: 1, Seq: seq}, Client: 100,
+			Body: tcpClosure, Initial: ids[:1]}
+		if err := client.Send(1, sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	await := func() {
+		t.Helper()
+		select {
+		case cm := <-replies:
+			if cm.Err != "" || len(cm.IDs) != n/2 {
+				t.Fatalf("Complete %v: %d ids (err %q), want %d", cm.QID, len(cm.IDs), cm.Err, n/2)
 			}
-			defer srv.Close()
-			replies := make(chan *wire.Complete, 1+burst) // one per query
-			client := bareEndpoint(t, srv, 100, func(_ object.SiteID, m wire.Msg) {
-				if cm, ok := m.(*wire.Complete); ok {
-					replies <- cm
-				}
-			})
-			submit := func(seq uint64) {
-				t.Helper()
-				sub := &wire.Submit{QID: wire.QueryID{Origin: 1, Seq: seq}, Client: 100,
-					Body: tcpClosure, Initial: ids[:1]}
-				if err := client.Send(1, sub); err != nil {
-					t.Fatal(err)
-				}
-			}
-			await := func() {
-				t.Helper()
-				select {
-				case cm := <-replies:
-					if cm.Err != "" || len(cm.IDs) != n/2 {
-						t.Fatalf("Complete %v: %d ids (err %q), want %d", cm.QID, len(cm.IDs), cm.Err, n/2)
-					}
-				case <-time.After(10 * time.Second):
-					t.Fatal("query never completed after the reader's bounded turn")
-				}
-			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("query never completed after the reader's bounded turn")
+		}
+	}
 
-			submit(1)
-			await()
-			turns := reg.Snapshot().Counters
-			if turns["hf_turns_reader"] == 0 {
-				t.Error("hf_turns_reader = 0: the delivering reader ran no turn")
-			}
-			if workers == 1 && turns["hf_turns_loop"] == 0 {
-				t.Error("hf_turns_loop = 0: the reader's remainder never reached the loop")
-			}
+	submit(1)
+	await()
+	turns := reg.Snapshot().Counters
+	if turns["hf_turns_reader"] == 0 {
+		t.Error("hf_turns_reader = 0: the delivering reader ran no turn")
+	}
+	if turns["hf_turns_loop"] == 0 {
+		t.Error("hf_turns_loop = 0: the reader's remainder never reached the loop")
+	}
 
-			stop := make(chan struct{})
-			probes := make(chan int, 1)
-			go func() {
-				k := 0
-				for {
-					select {
-					case <-stop:
-						probes <- k
-						return
-					default:
-					}
-					_ = srv.Stats()
-					_ = srv.Contexts()
-					k++
-				}
-			}()
-			for q := uint64(2); q < 2+burst; q++ {
-				submit(q)
-			}
-			for q := 0; q < burst; q++ {
-				await()
-			}
-			close(stop)
+	stop := make(chan struct{})
+	probes := make(chan int, 1)
+	go func() {
+		k := 0
+		for {
 			select {
-			case k := <-probes:
-				if k == 0 {
-					t.Error("no Stats/Contexts probe returned while the burst ran")
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("Stats/Contexts never returned while turns ran")
+			case <-stop:
+				probes <- k
+				return
+			default:
 			}
-		})
+			_ = srv.Stats()
+			_ = srv.Contexts()
+			k++
+		}
+	}()
+	for q := uint64(2); q < 2+burst; q++ {
+		submit(q)
+	}
+	for q := 0; q < burst; q++ {
+		await()
+	}
+	close(stop)
+	select {
+	case k := <-probes:
+		if k == 0 {
+			t.Error("no Stats/Contexts probe returned while the burst ran")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stats/Contexts never returned while turns ran")
 	}
 }
 

@@ -65,7 +65,6 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{"partition site out of range", func(s *Scenario) {
 			s.Failures = []Failure{{Kind: "partition", A: []int{1, 7}}}
 		}, "out of range"},
-		{"negative workers", func(s *Scenario) { s.Exec.Workers = -2 }, "-workers -2 is negative"},
 		{"negative plan cache", func(s *Scenario) { s.Exec.PlanCache = -1 }, "-plan-cache -1 is negative"},
 		{"negative result batch", func(s *Scenario) { s.Exec.ResultBatch = -5 }, "-result-batch -5 is negative"},
 		{"negative max inflight", func(s *Scenario) { s.Exec.MaxInflight = -1 }, "-max-inflight -1 is negative"},
@@ -326,7 +325,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		{AtUS: 900, Kind: "heal"},
 		{AtUS: 50, Kind: "crash", Site: 3, DetectUS: 200},
 	}
-	s.Exec = Exec{Workers: 4, DerefBatch: 8, PlanCache: 4, Index: true,
+	s.Exec = Exec{DerefBatch: 8, PlanCache: 4, Index: true,
 		ResultBatch: 3, MaxInflight: 8, AdmissionQueue: 4}
 	s.TraceMessages = true
 
@@ -335,7 +334,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every exec key, spelled and ordered as spec files and goldens have it.
-	const exec = `"exec":{"workers":4,"deref_batch":8,"plan_cache":4,"index":true,` +
+	const exec = `"exec":{"deref_batch":8,"plan_cache":4,"index":true,` +
 		`"result_batch":3,"max_inflight":8,"admission_queue":4}`
 	if !strings.Contains(string(b), exec) {
 		t.Errorf("exec encodes differently:\n  got  %s\n  want %s", b, exec)
@@ -371,17 +370,17 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 }
 
 // TestSpecIgnoresRetiredExecKeys: a spec written when exec still named
-// fair_quantum parses, and the key changes nothing.
+// workers or fair_quantum parses, and neither key changes anything.
 func TestSpecIgnoresRetiredExecKeys(t *testing.T) {
 	s := validSpec()
-	s.Exec = Exec{Workers: 4}
+	s.Exec = Exec{DerefBatch: 8}
 	b, err := MarshalSpec(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := strings.Replace(string(b), `"workers":4`, `"workers":4,"fair_quantum":2`, 1)
+	old := strings.Replace(string(b), `"deref_batch":8`, `"workers":4,"deref_batch":8,"fair_quantum":2`, 1)
 	if old == string(b) {
-		t.Fatalf("spec has no exec.workers key to extend: %s", b)
+		t.Fatalf("spec has no exec.deref_batch key to extend: %s", b)
 	}
 	got, err := UnmarshalSpec([]byte(old))
 	if err != nil {
@@ -402,7 +401,7 @@ func TestUnmarshalSpecValidates(t *testing.T) {
 	// The spec file a user hands hfsim -run, with out-of-range exec knobs.
 	bad := `{"name":"x","seed":1,"sites":9,"topology":{"kind":"ring"},` +
 		`"workload":{"kind":"regions","objects":900,"region_size":100,"count":2,"arrival":"batch"},` +
-		`"exec":{"max_inflight":-1,"admission_queue":3,"workers":-2,"result_batch":-5,"plan_cache":-1}}`
+		`"exec":{"max_inflight":-1,"admission_queue":3,"result_batch":-5,"plan_cache":-1}}`
 	if _, err := UnmarshalSpec([]byte(bad)); err == nil || !strings.Contains(err.Error(), "exec") {
 		t.Errorf("UnmarshalSpec(bad exec) = %v, want an exec error", err)
 	}

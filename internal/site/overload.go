@@ -241,11 +241,7 @@ func (s *Site) cancelParticipant(ctx *qctx) []wire.Envelope {
 func (s *Site) expireParticipant(ctx *qctx) ([]wire.Envelope, error) {
 	s.stats.DeadlineExpired++
 	s.met.deadlineExpired.Inc()
-	// DiscardWork waits out a step another worker has in flight. That worker
-	// finds the context gone when it relocks and sheds the step's output, so
-	// the drain below does not wait for its pin.
 	ctx.eng.DiscardWork()
-	ctx.stepping = false
 	ctx.qorder = nil
 	s.noteUnreachable(ctx, s.cfg.ID)
 	out, err := s.afterEvent(ctx, nil)

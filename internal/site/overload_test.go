@@ -317,11 +317,11 @@ func TestCancelBeforeSubmitRejects(t *testing.T) {
 	}
 }
 
-// TestExpirePinnedParticipantReturnsCredit: a participant's budget runs out
-// while another worker has the context pinned mid-step. The sweep still
-// returns the participant's credit and drops the context at once, so the
-// originator completes without waiting for that worker.
-func TestExpirePinnedParticipantReturnsCredit(t *testing.T) {
+// TestExpireParticipantReturnsCredit: a participant's budget runs out while
+// its context still holds work. The sweep returns the participant's credit
+// and drops the context at once, so the originator completes with a partial
+// answer naming the participant.
+func TestExpireParticipantReturnsCredit(t *testing.T) {
 	aud := termination.NewAudit()
 	h := newHarness(t, 2, func(c *Config) { c.TermAudit = aud })
 	remote := h.store(2).NewObject().Add("keyword", object.Keyword("hot"), object.Value{})
@@ -338,7 +338,6 @@ func TestExpirePinnedParticipantReturnsCredit(t *testing.T) {
 	}
 	h.deliver(1, out) // participant context now holds work and credit
 	ctx := h.sites[2].contexts[qid]
-	ctx.stepping = true
 	ctx.deadline = time.Now().Add(-time.Second)
 	envs, err := h.sites[2].ExpireDeadlines()
 	if err != nil {

@@ -34,73 +34,6 @@ func submitLocal(t *testing.T, h *harness, siteID object.SiteID, seq uint64, cli
 	return ctx
 }
 
-// TestPinnedContextNotRescheduled pins the scheduler hazard that made a
-// naive worker pool unsound: nextWithWork pops a context and clears its
-// ready flag, but under concurrent workers the pop is not atomic with the
-// step — work arriving in between (a Deref, a Seed) used to re-mark the
-// context ready and hand it to a second worker, running two engine steps of
-// the same context at once. The fix pins the context in the same critical
-// section as the pop (qctx.stepping); markReady refuses a pinned context,
-// and the stepping worker re-marks it after the step.
-func TestPinnedContextNotRescheduled(t *testing.T) {
-	h := newHarness(t, 1, nil)
-	s := h.sites[1]
-	ctx := submitLocal(t, h, 1, 1, 0, 4)
-
-	got := s.nextWithWork()
-	if got != ctx {
-		t.Fatalf("nextWithWork = %v, want the submitted context", got)
-	}
-	if !ctx.stepping {
-		t.Fatal("popped context is not pinned")
-	}
-	// Work arrives while the (conceptual) worker is mid-step: under the
-	// naive scheduler this requeued the context (its ready flag was already
-	// cleared by the pop) and a second nextWithWork returned it again.
-	s.markReady(ctx)
-	if ctx.ready {
-		t.Fatal("markReady requeued a pinned context")
-	}
-	if again := s.nextWithWork(); again != nil {
-		t.Fatalf("second worker popped %v while the context is mid-step", again.qid)
-	}
-	// The stepping worker finishes: unpin, re-mark, and the context is
-	// schedulable again — no work was lost.
-	ctx.stepping = false
-	s.markReady(ctx)
-	if got := s.nextWithWork(); got != ctx {
-		t.Fatalf("context not schedulable after unpin, got %v", got)
-	}
-}
-
-// TestPinnedContextNotRescheduledFair repeats the pin check with two clients
-// in the round robin: while client 7's only context is pinned, the pop must
-// pass over client 7's lane to client 8's context instead of handing the
-// pinned context to a second worker, and with both pinned nothing is
-// steppable.
-func TestPinnedContextNotRescheduledFair(t *testing.T) {
-	h := newHarness(t, 1, nil)
-	s := h.sites[1]
-	ctx := submitLocal(t, h, 1, 1, 7, 4)
-	other := submitLocal(t, h, 1, 2, 8, 4)
-
-	if got := s.nextWithWork(); got != ctx || !ctx.stepping {
-		t.Fatalf("first pop: got %v (stepping=%v), want client 7's context pinned", got, ctx.stepping)
-	}
-	s.markReady(ctx)
-	if got := s.nextWithWork(); got != other {
-		t.Fatalf("second pop: got %v, want client 8's context", got)
-	}
-	if again := s.nextWithWork(); again != nil {
-		t.Fatalf("pop returned %v while both contexts are mid-step", again.qid)
-	}
-	ctx.stepping = false
-	s.markReady(ctx)
-	if got := s.nextWithWork(); got != ctx {
-		t.Fatalf("context not schedulable after unpin, got %v", got)
-	}
-}
-
 // TestFairStepSharing checks the step scheduler's round robin over clients:
 // a client with many queued queries cannot crowd out a client with one.
 // Client 1 holds three contexts with work, client 2 one; round robin over
@@ -123,7 +56,6 @@ func TestFairStepSharing(t *testing.T) {
 		}
 		steps[ctx.lane.client]++
 		ctx.eng.Step()
-		ctx.stepping = false
 		s.markReady(ctx)
 	}
 	if steps[2] != 4 {

@@ -7,13 +7,10 @@
 // HandleMessage, engine work is advanced one object at a time through Step or
 // in runs of one context's items through StepN, and both return the envelopes
 // to deliver. All sites run an identical
-// algorithm, exactly as in the paper. A Site is safe for concurrent use: a
-// runner may call Step from a pool of worker goroutines while message
-// handlers run, subject to Config.Workers. Site bookkeeping is serialized by
-// an internal mutex; the mutex is released while a step's filters evaluate,
-// and each query context is pinned to the worker stepping it, so parallelism
-// happens across query contexts, never within one — exactly the paper's
-// per-item execution order per query, interleaved across queries.
+// algorithm, exactly as in the paper. A Site is safe for concurrent use: an
+// internal mutex serializes message handling and stepping, so a site has one
+// stepper at a time and each query keeps the paper's per-item execution
+// order, interleaved across queries.
 package site
 
 import (
@@ -131,9 +128,8 @@ type Stats struct {
 // Site is one HyperFile server.
 type Site struct {
 	// mu guards all site state below. Public entry points acquire it;
-	// internal helpers assume it is held. StepN releases it while a context's
-	// engine evaluates filters (the context stays pinned via qctx.stepping),
-	// so the lock order is strictly site.mu before engine-internal locking —
+	// internal helpers assume it is held. It is held across engine calls, so
+	// the lock order is strictly site.mu before engine-internal locking —
 	// nothing acquires mu while inside an engine call.
 	mu       sync.Mutex
 	cfg      Config
@@ -205,13 +201,6 @@ type qctx struct {
 	// ready records that this context sits in the site's ready queue, so
 	// work arriving while queued does not enqueue it twice.
 	ready bool
-	// stepping pins this context to the one worker currently running its
-	// engine step. The pop from the ready queue and this flag are set in the
-	// same critical section, and markReady refuses a pinned context — so work
-	// arriving while the site lock is released for the step can never requeue
-	// the context and hand it to a second worker. The stepping worker clears
-	// the pin and re-marks readiness itself when the step completes.
-	stepping bool
 	// lane is the context's client lane in the ready rotation
 	// (wire.Submit.ClientID at the originator; 0 for participant contexts),
 	// held from creation until the context finishes, then nil.
@@ -355,11 +344,8 @@ func (s *Site) statsLocked() Stats {
 // queued. Every code path that adds working-set items (submit seeding,
 // deref/seed ingestion, the step loop's own spawns) funnels through here;
 // the invariant is that a steppable context is always flagged and queued.
-// A pinned context (a worker is mid-step on it) is skipped: the stepping
-// worker re-marks readiness itself after clearing the pin, so the work is
-// never lost — it just cannot hand the context to a second worker.
 func (s *Site) markReady(ctx *qctx) {
-	if ctx.ready || ctx.stepping || ctx.finished || !ctx.eng.HasWork() {
+	if ctx.ready || ctx.finished || !ctx.eng.HasWork() {
 		return
 	}
 	ctx.ready = true
@@ -379,8 +365,7 @@ func steppable(ctx *qctx) bool {
 // HasWork reports whether any query context has working-set items. Drained
 // queue heads are pruned on the way — required for correctness, not just
 // tidiness: the ready queue is the only thing consulted, so a stale head left
-// in place would make an idle site claim work forever. A context pinned
-// mid-step is invisible here; its worker re-marks it when the step completes.
+// in place would make an idle site claim work forever.
 func (s *Site) HasWork() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -556,7 +556,7 @@ func TestBirthRouter(t *testing.T) {
 // hyperfiled's tuning flags, each defaulting to the zero value.
 func TestTuningDeclaredOnce(t *testing.T) {
 	execKeys := map[string]bool{
-		"workers": true, "deref_batch": true, "plan_cache": true, "index": true,
+		"deref_batch": true, "plan_cache": true, "index": true,
 		"result_batch": true, "max_inflight": true, "admission_queue": true,
 	}
 	seen := map[string]bool{}
@@ -584,7 +584,7 @@ func TestTuningDeclaredOnce(t *testing.T) {
 	want := map[string]string{
 		"result-batch": "0", "plan-cache": "0", "index": "false",
 		"max-inflight": "0", "admission-queue": "0", "query-deadline": "0s",
-		"workers": "0", "heartbeat": "0s", "suspect-after": "0s",
+		"heartbeat": "0s", "suspect-after": "0s",
 	}
 	fs := flag.NewFlagSet("tuning", flag.ContinueOnError)
 	new(Tuning).Flags(fs)

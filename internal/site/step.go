@@ -39,16 +39,13 @@ func (s *Site) Step() (StepOutcome, []wire.Envelope, bool, error) {
 // iterations used — the items stepped, or 1 for a context its deadline shed
 // or a cancel emptied — and 0 when no context has work. A context with queued Derefs runs no
 // further than the item on which its hold fires, so the site ships exactly
-// what one-item Steps would have, after the same item. Runs are for a site
-// serving one client (every TCP client shares client 0): while contexts of
-// two or more clients are live, StepN steps one item per turn, as Step does.
+// what one-item Steps would have, after the same item. Turns alternate
+// between client lanes whatever their length, so two clients still share the
+// site's turns evenly.
 //
-// StepN is safe to call from multiple worker goroutines: the pop pins the
-// chosen context to this worker, the site lock is released while the
-// context's engine evaluates filters, and all bookkeeping before and after
-// the engine run happens under the lock. Parallel workers therefore step
-// different contexts concurrently while each context keeps the paper's
-// strict one-item-at-a-time execution order.
+// The site lock is held across the run: a site has one stepper, whoever holds
+// its turn, so the engine never runs concurrently with the site's own
+// bookkeeping.
 func (s *Site) StepN(limit int) (int, []wire.Envelope, error) {
 	_, n, out, err := s.stepN(limit)
 	return n, out, err
@@ -62,10 +59,7 @@ func (s *Site) stepN(limit int) (StepOutcome, int, []wire.Envelope, error) {
 		return StepOutcome{}, 0, nil, nil
 	}
 	// An expired context is not stepped: its remaining work is shed and the
-	// query completes as an annotated partial answer. The deadline path runs
-	// entirely under the site lock, so the pin is dropped for it — teardown
-	// must see the context exactly as a sweep would.
-	ctx.stepping = false
+	// query completes as an annotated partial answer.
 	if envs, did, err := s.checkDeadline(ctx); did || err != nil {
 		if err == nil {
 			var drained []wire.Envelope
@@ -74,30 +68,15 @@ func (s *Site) stepN(limit int) (StepOutcome, int, []wire.Envelope, error) {
 		}
 		return StepOutcome{Query: ctx.qid}, 1, envs, err
 	}
-	// A run trades the round robin's grain for bookkeeping. While another
-	// client holds live contexts here, a turn stays one item: with long
-	// turns, a client with more contexts than another pins more of the
-	// stepping workers and takes more of the cores (DESIGN.md §11).
-	if len(s.ready.lanes) > 1 {
-		limit = 1
-	}
 	// The hold counts this context's steps with queues open: a run ends on
 	// the step that fires it.
 	queued := len(ctx.qorder) > 0
 	if queued {
 		limit = min(limit, FlushEvery-ctx.held)
 	}
-	// The engine runs outside the site lock: workers stepping different
-	// contexts serialize only on site bookkeeping, not on filter evaluation.
-	// The pin (re-set here, in the same critical section as the pop) keeps
-	// every other worker off this context; the engine's own mutex orders the
-	// run against message handlers touching the same engine.
-	ctx.stepping = true
-	s.mu.Unlock()
 	start := time.Now()
 	run := ctx.eng.StepN(limit)
 	dur := time.Since(start)
-	s.mu.Lock()
 	s.met.noteRun(&run, dur)
 	ctx.noteRun(&run, dur)
 	// A popped context costs an iteration even if a cancel emptied its
@@ -107,22 +86,6 @@ func (s *Site) stepN(limit int) (StepOutcome, int, []wire.Envelope, error) {
 		Query:       ctx.qid,
 		Processed:   run.Processed > 0,
 		ResultAdded: run.Results > 0,
-	}
-	ctx.stepping = false
-	if ctx.finished {
-		// The context was cancelled or force-completed while the engine ran.
-		// Its detector has already settled its credit, so this run's remote
-		// references must not split any off (an OnSend now would break the
-		// held + recovered + in-flight == 1 invariant); the references are
-		// shed with the rest of the discarded working set. afterEvent still
-		// runs so a draining context gets its kick.
-		out, err := s.afterEvent(ctx, nil)
-		if err == nil {
-			var drained []wire.Envelope
-			drained, err = s.drainAdmission()
-			out = append(out, drained...)
-		}
-		return outcome, n, out, err
 	}
 	var out []wire.Envelope
 	var err error
@@ -159,12 +122,9 @@ func (s *Site) stepN(limit int) (StepOutcome, int, []wire.Envelope, error) {
 	return outcome, n, out, err
 }
 
-// nextWithWork pops the next ready context that still has work and pins it
-// to the calling worker (ctx.stepping) in the same critical section — the
-// pop and the pin must be atomic, or work arriving between them could
-// requeue the context and hand it to a second worker. Step re-queues the
-// context at its client's tail afterwards, so the rotation order is
-// preserved without scanning idle contexts.
+// nextWithWork pops the next ready context that still has work. Step
+// re-queues the context at its client's tail afterwards, so the rotation
+// order is preserved without scanning idle contexts.
 func (s *Site) nextWithWork() *qctx {
 	ctx, shared, ok := s.ready.pop(steppable)
 	if !ok {
@@ -172,7 +132,6 @@ func (s *Site) nextWithWork() *qctx {
 	}
 	s.noteTurn(shared)
 	ctx.ready = false
-	ctx.stepping = true
 	return ctx
 }
 
@@ -192,11 +151,7 @@ func (s *Site) afterEvent(ctx *qctx, out []wire.Envelope) ([]wire.Envelope, erro
 	if ctx.draining {
 		return s.drainEvent(ctx, out), nil
 	}
-	// A pinned context is mid-step on another worker: it is not quiescent no
-	// matter what its working set says (the in-flight step may spawn more
-	// work or results), so drain duties wait for that worker's own
-	// afterEvent call.
-	if ctx.finished || ctx.stepping || ctx.eng.HasWork() {
+	if ctx.finished || ctx.eng.HasWork() {
 		return out, nil
 	}
 	// Going quiescent: every queued dereference must be on the wire (with

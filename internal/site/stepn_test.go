@@ -196,26 +196,34 @@ func TestStepNMatchesStepAtSites(t *testing.T) {
 	}
 }
 
-// TestStepNRunsOnlyForOneClient: a site whose live contexts all belong to
-// one client steps them in runs; once a second client holds a live context,
-// every turn is one item, alternating between the clients as Step does.
-func TestStepNRunsOnlyForOneClient(t *testing.T) {
+// TestStepNRunsUnderTwoClients: a second live client does not cut turns
+// short. Every turn is still a run of FlushEvery items, and turns alternate
+// between the two clients' lanes.
+func TestStepNRunsUnderTwoClients(t *testing.T) {
 	h := newHarness(t, 1, nil)
 	s := h.sites[1]
-	submitLocal(t, h, 1, 1, 7, 40)
-	submitLocal(t, h, 1, 2, 7, 40)
+	submitLocal(t, h, 1, 1, 7, 80)
+	submitLocal(t, h, 1, 2, 7, 80)
 	for i := 0; i < 3; i++ {
 		if n, _, err := s.StepN(FlushEvery); err != nil || n != FlushEvery {
 			t.Fatalf("one client, turn %d: StepN took %d items (err %v), want %d", i, n, err, FlushEvery)
 		}
 	}
 	light := submitLocal(t, h, 1, 3, 8, 40)
+	var served []bool // whether each turn went to the second client
 	for i := 0; i < 4; i++ {
-		if n, _, err := s.StepN(FlushEvery); err != nil || n != 1 {
-			t.Fatalf("two clients, turn %d: StepN took %d items (err %v), want 1", i, n, err)
+		before := light.eng.Pending()
+		if n, _, err := s.StepN(FlushEvery); err != nil || n != FlushEvery {
+			t.Fatalf("two clients, turn %d: StepN took %d items (err %v), want %d", i, n, err, FlushEvery)
+		}
+		served = append(served, light.eng.Pending() < before)
+	}
+	for i := 1; i < len(served); i++ {
+		if served[i] == served[i-1] {
+			t.Fatalf("turns served the second client %v, want strict alternation", served)
 		}
 	}
-	if got := light.eng.Pending(); got != 38 {
-		t.Errorf("two clients: the second client's context has %d items left after 4 turns, want 38", got)
+	if got := light.eng.Pending(); got != 40-2*FlushEvery {
+		t.Errorf("two clients: the second client's context has %d items left after 4 turns, want %d", got, 40-2*FlushEvery)
 	}
 }

@@ -16,12 +16,6 @@ import (
 // the defaults. The JSON keys are a scenario's "exec" keys; knobs with no
 // meaning in virtual time have none.
 type Tuning struct {
-	// Workers is the number of goroutines the runner drives this site with:
-	// the turn holder handles messages and steps, Workers−1 more only step,
-	// each context pinned to one worker per step. SimCluster models them as
-	// parallel step slots. Zero or one is the paper's single-threaded
-	// stepping, exactly.
-	Workers int `json:"workers,omitempty"`
 	// DerefBatch caps the object ids per outgoing Deref message: remote
 	// dereferences coalesce into per-destination batches, and a sender-side
 	// sent-cache suppresses re-sends the destination's mark table would
@@ -84,7 +78,6 @@ func (t *Tuning) Flags(fs *flag.FlagSet) {
 	fs.IntVar(&t.MaxInflight, "max-inflight", t.MaxInflight, "max live query contexts before admission control kicks in (0 = unbounded)")
 	fs.IntVar(&t.AdmissionQueue, "admission-queue", t.AdmissionQueue, "Submits queued while at max-inflight before rejecting (0 = reject immediately)")
 	fs.DurationVar(&t.QueryDeadline, "query-deadline", t.QueryDeadline, "default per-query time budget; expired queries return annotated partials (0 = none)")
-	fs.IntVar(&t.Workers, "workers", t.Workers, "stepping-pool goroutines for this site (0 or 1 = single stepper)")
 	fs.DurationVar(&t.HeartbeatInterval, "heartbeat", t.HeartbeatInterval, "peer heartbeat interval (0 = no failure detector)")
 	fs.DurationVar(&t.SuspectAfter, "suspect-after", t.SuspectAfter, "silence before a peer is declared down (default 4x heartbeat)")
 }
@@ -102,7 +95,6 @@ func (t Tuning) Validate() error {
 		{"-max-inflight", t.MaxInflight, t.MaxInflight < 0},
 		{"-admission-queue", t.AdmissionQueue, t.AdmissionQueue < 0},
 		{"-query-deadline", t.QueryDeadline, t.QueryDeadline < 0},
-		{"-workers", t.Workers, t.Workers < 0},
 		{"-heartbeat", t.HeartbeatInterval, t.HeartbeatInterval < 0},
 		{"-suspect-after", t.SuspectAfter, t.SuspectAfter < 0},
 	} {

@@ -453,8 +453,9 @@ func TestQueuedBorrowedMessageSurvivesRelease(t *testing.T) {
 }
 
 // TestFlushConcurrentWithSenders: several goroutines queue to one peer while
-// others flush and one sends — the shape of a server with Workers > 1 — and
-// every message still arrives exactly once. Run under -race.
+// others flush and one sends — the transport promises that any goroutine may
+// queue, flush or send at any time — and every message still arrives exactly
+// once. Run under -race.
 func TestFlushConcurrentWithSenders(t *testing.T) {
 	t1, _, c2, _, _ := meteredPair(t, Options{})
 	const workers, per = 4, 150
