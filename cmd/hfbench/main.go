@@ -50,8 +50,7 @@ func run() int {
 	list := flag.Bool("list", false, "list experiments and exit")
 	batching := flag.String("batching", "", "compare deref batching off/on over the standard workloads and write JSON here (runs only this; exits 1 if batching does not cut scattered-tree messages at least 2x or changes any result)")
 	batchSize := flag.Int("batch-size", 8, "deref batch size for -batching")
-	plan := flag.String("plan", "", "compare plan cache and index pushdown off/on and write JSON here (runs only this; exits 1 if the cache does not cut repeated-body compiles at least 2x, pushdown does not cut scans at least 2x, or either changes any result)")
-	planCache := flag.Int("plan-cache", 8, "plan-cache entries for -plan")
+	plan := flag.String("plan", "", "record the plan cache and compare index pushdown off/on, and write JSON here (runs only this; exits 1 if a repeated body compiles more than once per involved site, distinct bodies hit the cache, pushdown does not cut select-scan scans at least 2x, or any result set changes)")
 	ledger := flag.String("ledger", "", "run the canonical allocation-ledger suites (one measurement per suite) and write JSON here (runs only this)")
 	ledgerBase := flag.String("ledger-baseline", "", "with -ledger: also diff against this committed baseline ledger and exit 1 on any allocation regression beyond the noise bars")
 	ledgerText := flag.String("ledger-text", "", "with -ledger: also write the human-readable results table to this path")
@@ -62,7 +61,7 @@ func run() int {
 	}
 
 	if *plan != "" {
-		r, err := bench.RunPlan(cfg, *planCache)
+		r, err := bench.RunPlan(cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "hfbench:", err)
 			return 1
@@ -78,11 +77,11 @@ func run() int {
 		}
 		code := 0
 		for _, row := range r.Cache {
-			fmt.Fprintf(os.Stderr, "%-15s compiles %4d -> %4d (%.2fx), hits %4d, rt %.1fs -> %.1fs (%.2fx), match=%v\n",
-				row.Workload, row.CompilesOff, row.CompilesOn, row.CompileRatio,
-				row.CacheHitsOn, row.AvgRTOffSec, row.AvgRTOnSec, row.Speedup, row.ResultsMatch)
+			fmt.Fprintf(os.Stderr, "%-15s compiles %4d at %d sites, hits %4d, rt %.3fs cold, %.3fs mean, match=%v\n",
+				row.Workload, row.Compiles, row.InvolvedSites, row.CacheHits,
+				row.ColdRTSec, row.AvgRTSec, row.ResultsMatch)
 			if !row.ResultsMatch {
-				fmt.Fprintf(os.Stderr, "hfbench: plan cache changed the %s result set\n", row.Workload)
+				fmt.Fprintf(os.Stderr, "hfbench: a cached plan changed the %s result set\n", row.Workload)
 				code = 1
 			}
 		}
@@ -95,8 +94,12 @@ func run() int {
 				code = 1
 			}
 		}
-		if rb := r.CacheRow("repeated_body"); rb == nil || rb.CompileRatio < 2.0 || rb.CacheHitsOn == 0 {
-			fmt.Fprintln(os.Stderr, "hfbench: plan cache did not cut repeated-body compiles at least 2x")
+		if rb := r.CacheRow("repeated_body"); rb == nil || rb.Compiles != rb.InvolvedSites || rb.CacheHits == 0 {
+			fmt.Fprintln(os.Stderr, "hfbench: a repeated body did not compile exactly once per involved site")
+			code = 1
+		}
+		if db := r.CacheRow("distinct_bodies"); db == nil || db.CacheHits != 0 {
+			fmt.Fprintln(os.Stderr, "hfbench: distinct bodies hit the plan cache")
 			code = 1
 		}
 		if ss := r.PushdownRowByName("select_scan"); ss == nil || ss.ScanRatio < 2.0 {

@@ -158,11 +158,6 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		t.Errorf("negative result-batch: err = %v", err)
 	}
 	bad = base
-	bad.PlanCache = -1
-	if err := run(bad, lg, stop, nil); err == nil || !strings.Contains(err.Error(), "-plan-cache -1") {
-		t.Errorf("negative plan-cache: err = %v", err)
-	}
-	bad = base
 	bad.HeartbeatInterval = -time.Second
 	if err := run(bad, lg, stop, nil); err == nil {
 		t.Error("expected negative heartbeat error")
@@ -181,8 +176,7 @@ func TestHyperfiledFlagSet(t *testing.T) {
 		"admission-queue", "chaos-delay", "chaos-drop", "chaos-dup",
 		"chaos-max-delay", "chaos-reorder", "chaos-seed", "data", "heartbeat",
 		"index", "listen", "max-inflight", "metrics-addr", "peers",
-		"plan-cache", "query-deadline", "result-batch", "save", "site",
-		"suspect-after",
+		"query-deadline", "result-batch", "save", "site", "suspect-after",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("hyperfiled flags = %q, want %q", got, want)
@@ -324,8 +318,9 @@ func TestParsePeers(t *testing.T) {
 // are the weighted termination detector and the round robin over clients.
 // Distributed-set retention is gone from the command line: it kept contexts
 // that no TCP client can seed a follow-up query from, and a site has one
-// stepper, so the stepping pool's width is gone too. Each removed flag is an
-// error.
+// stepper, so the stepping pool's width is gone too, and every site caches
+// its compiled plans, so the cache's size is gone as well. Each removed flag
+// is an error.
 func TestDerefBatchFlagRemoved(t *testing.T) {
 	for _, args := range [][]string{
 		{"-deref-batch", "8"},
@@ -333,6 +328,7 @@ func TestDerefBatchFlagRemoved(t *testing.T) {
 		{"-fair-quantum", "2"},
 		{"-dist-threshold", "100"},
 		{"-workers", "4"},
+		{"-plan-cache", "8"},
 	} {
 		var cfg config
 		fs := flag.NewFlagSet("hyperfiled", flag.ContinueOnError)

@@ -12,9 +12,9 @@ import (
 	"hyperfile/internal/workload"
 )
 
-// PlanCacheRow is one workload's plan-cache off/on comparison: the same query
-// stream runs against two identical clusters, one compiling every body at
-// every involved site, the other reusing cached physical plans.
+// PlanCacheRow is one workload's plan cache record: a query stream run
+// against one cluster whose sites cache compiled physical plans, as every
+// site does.
 type PlanCacheRow struct {
 	// Workload names the row. "repeated_body" submits one body over and over
 	// (the favorable case: every re-execution hits at every site);
@@ -24,19 +24,19 @@ type PlanCacheRow struct {
 	Machines int    `json:"machines"`
 	Queries  int    `json:"queries"`
 
-	CompilesOff int `json:"plan_compiles_off"`
-	CompilesOn  int `json:"plan_compiles_on"`
-	CacheHitsOn int `json:"plan_cache_hits_on"`
-	// CompileRatio is CompilesOff / CompilesOn (higher = the cache helps).
-	CompileRatio float64 `json:"compile_ratio"`
+	// InvolvedSites counts the sites that created a context for the stream.
+	InvolvedSites int `json:"involved_sites"`
+	Compiles      int `json:"plan_compiles"`
+	CacheHits     int `json:"plan_cache_hits"`
 
-	AvgRTOffSec float64 `json:"avg_rt_off_sec"`
-	AvgRTOnSec  float64 `json:"avg_rt_on_sec"`
-	// Speedup is AvgRTOffSec / AvgRTOnSec in simulated time.
-	Speedup float64 `json:"speedup"`
+	// ColdRTSec is the first query's simulated response time, AvgRTSec the
+	// mean over the stream.
+	ColdRTSec float64 `json:"cold_rt_sec"`
+	AvgRTSec  float64 `json:"avg_rt_sec"`
 
-	// ResultsMatch records that every query returned byte-identical sorted
-	// result ids in both modes; false fails the whole run.
+	// ResultsMatch records that every query of a repeated body returned the
+	// byte-identical sorted result ids of its first (cold) run; false fails
+	// the whole run.
 	ResultsMatch bool `json:"results_match"`
 }
 
@@ -67,12 +67,11 @@ type PushdownRow struct {
 
 // PlanResult is the machine-checkable record behind BENCH_plan.json.
 type PlanResult struct {
-	CacheEntries int            `json:"cache_entries"`
-	Objects      int            `json:"objects"`
-	Queries      int            `json:"queries"`
-	Seed         int64          `json:"seed"`
-	Cache        []PlanCacheRow `json:"cache"`
-	Pushdown     []PushdownRow  `json:"pushdown"`
+	Objects  int            `json:"objects"`
+	Queries  int            `json:"queries"`
+	Seed     int64          `json:"seed"`
+	Cache    []PlanCacheRow `json:"cache"`
+	Pushdown []PushdownRow  `json:"pushdown"`
 }
 
 // JSON renders the result as indented JSON with a trailing newline.
@@ -104,19 +103,13 @@ func (r *PlanResult) PushdownRowByName(name string) *PushdownRow {
 	return nil
 }
 
-// RunPlan measures the planner layer: plan-cache compile counts and response
-// times off vs on, and index-pushdown tuple-scan counts off vs on, with
-// result-set equality checked on every query. cacheEntries <= 0 defaults
-// to 8.
-func RunPlan(cfg Config, cacheEntries int) (*PlanResult, error) {
-	if cacheEntries <= 0 {
-		cacheEntries = 8
-	}
-	out := &PlanResult{
-		CacheEntries: cacheEntries, Objects: cfg.Objects, Queries: cfg.Queries, Seed: cfg.Seed,
-	}
+// RunPlan measures the planner layer: plan cache compile counts for a
+// repeated and a distinct-body stream, and index-pushdown tuple-scan counts
+// off vs on, with result-set equality checked on every query.
+func RunPlan(cfg Config) (*PlanResult, error) {
+	out := &PlanResult{Objects: cfg.Objects, Queries: cfg.Queries, Seed: cfg.Seed}
 	for _, repeated := range []bool{true, false} {
-		row, err := runPlanCacheRow(cfg, repeated, cacheEntries)
+		row, err := runPlanCacheRow(cfg, repeated)
 		if err != nil {
 			return nil, fmt.Errorf("plan cache %s: %w", row.Workload, err)
 		}
@@ -132,21 +125,17 @@ func RunPlan(cfg Config, cacheEntries int) (*PlanResult, error) {
 	return out, nil
 }
 
-func runPlanCacheRow(cfg Config, repeated bool, cacheEntries int) (*PlanCacheRow, error) {
+func runPlanCacheRow(cfg Config, repeated bool) (*PlanCacheRow, error) {
 	const machines = 9
-	bedOff, err := newBed(cfg, machines, machines, cluster.Options{})
-	if err != nil {
-		return nil, err
-	}
-	bedOn, err := newBed(cfg, machines, machines, cluster.Options{Tuning: site.Tuning{PlanCache: cacheEntries}})
-	if err != nil {
-		return nil, err
-	}
 	row := &PlanCacheRow{
 		Workload: "repeated_body", Machines: machines, ResultsMatch: true,
 	}
 	if !repeated {
 		row.Workload = "distinct_bodies"
+	}
+	bed, err := newBed(cfg, machines, machines, cluster.Options{})
+	if err != nil {
+		return row, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 29))
 	n := cfg.Queries
@@ -154,7 +143,8 @@ func runPlanCacheRow(cfg Config, repeated bool, cacheEntries int) (*PlanCacheRow
 		n = 1
 	}
 	row.Queries = n
-	var totOff, totOn time.Duration
+	var cold []object.ID
+	var tot time.Duration
 	for q := 0; q < n; q++ {
 		key := 5
 		if !repeated {
@@ -163,32 +153,27 @@ func runPlanCacheRow(cfg Config, repeated bool, cacheEntries int) (*PlanCacheRow
 			key = 1 + (q*101+rng.Intn(7))%1000
 		}
 		body := workload.ClosureQuery("Tree", "Rand10", key)
-		resOff, rtOff, err := bedOff.c.Exec(1, body, []object.ID{bedOff.d.Root})
+		res, rt, err := bed.c.Exec(1, body, []object.ID{bed.d.Root})
 		if err != nil {
-			return nil, err
+			return row, err
 		}
-		resOn, rtOn, err := bedOn.c.Exec(1, body, []object.ID{bedOn.d.Root})
-		if err != nil {
-			return nil, err
-		}
-		if !sameIDs(resOff.IDs, resOn.IDs) {
+		if q == 0 {
+			cold = res.IDs
+			row.ColdRTSec = secs(rt)
+		} else if repeated && !sameIDs(res.IDs, cold) {
 			row.ResultsMatch = false
 		}
-		totOff += rtOff
-		totOn += rtOn
+		tot += rt
 	}
-	stOff, stOn := bedOff.c.TotalStats(), bedOn.c.TotalStats()
-	row.CompilesOff = stOff.PlanCompiles
-	row.CompilesOn = stOn.PlanCompiles
-	row.CacheHitsOn = stOn.PlanCacheHits
-	if stOn.PlanCompiles > 0 {
-		row.CompileRatio = float64(stOff.PlanCompiles) / float64(stOn.PlanCompiles)
+	for _, id := range bed.c.Sites() {
+		if st := bed.c.SiteStats(id); st.PlanCompiles+st.PlanCacheHits > 0 {
+			row.InvolvedSites++
+		}
 	}
-	row.AvgRTOffSec = secs(totOff / time.Duration(n))
-	row.AvgRTOnSec = secs(totOn / time.Duration(n))
-	if row.AvgRTOnSec > 0 {
-		row.Speedup = row.AvgRTOffSec / row.AvgRTOnSec
-	}
+	st := bed.c.TotalStats()
+	row.Compiles = st.PlanCompiles
+	row.CacheHits = st.PlanCacheHits
+	row.AvgRTSec = secs(tot / time.Duration(n))
 	return row, nil
 }
 

@@ -529,6 +529,87 @@ func TestLocalClusterRunsOverTransport(t *testing.T) {
 	}
 }
 
+// TestLocalClusterCompilesOncePerSite: every site keeps the plans it
+// compiled, so a closure body run a second time over real servers compiles
+// nowhere and is served from the cache at every involved site.
+func TestLocalClusterCompilesOncePerSite(t *testing.T) {
+	c := NewLocal(3, Options{})
+	defer c.Close()
+	ids := loadRingLocal(t, c, 30, []string{"hot", "cold"})
+	if _, err := c.Exec(1, closureQuery, ids[:1], 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	before := map[object.SiteID]site.Stats{}
+	for _, id := range c.Sites() {
+		before[id] = c.SiteStats(id)
+	}
+	if _, err := c.Exec(1, closureQuery, ids[:1], 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range c.Sites() {
+		st := c.SiteStats(id)
+		if n := st.PlanCompiles - before[id].PlanCompiles; n != 0 {
+			t.Errorf("site %v: second run compiled %d times, want 0", id, n)
+		}
+		if n := st.PlanCacheHits - before[id].PlanCacheHits; n < 1 {
+			t.Errorf("site %v: second run hit the plan cache %d times, want >= 1", id, n)
+		}
+	}
+}
+
+// TestLocalClusterLocalQuerySendsOnlyComplete: a query whose objects all live
+// at its origin engages no peer, so the origin sends one frame — the
+// Complete — and no peer receives anything.
+func TestLocalClusterLocalQuerySendsOnlyComplete(t *testing.T) {
+	c := NewLocal(3, Options{})
+	defer c.Close()
+	var ids []object.ID
+	for i := 0; i < 4; i++ {
+		o := c.Store(1).NewObject().Add("keyword", object.Keyword("hot"), object.Value{})
+		if err := c.Put(1, o); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, o.ID)
+	}
+	counter := func(id object.SiteID, name string) uint64 { return c.Metrics(id).Snapshot().Counters[name] }
+	sent := counter(1, "transport_frames_sent")
+	received := map[object.SiteID]uint64{}
+	for _, id := range c.Sites() {
+		received[id] = counter(id, "transport_frames_received")
+	}
+	res, err := c.Exec(1, `S (keyword, "hot", ?) -> T`, ids, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.IDs) != len(ids) {
+		t.Fatalf("results = %d, want %d", len(res.IDs), len(ids))
+	}
+	if n := counter(1, "transport_frames_sent") - sent; n != 1 {
+		t.Errorf("origin sent %d frames, want 1 (the Complete)", n)
+	}
+	for _, id := range c.Sites()[1:] {
+		if n := counter(id, "transport_frames_received") - received[id]; n != 0 {
+			t.Errorf("peer %v received %d frames for a query that never left the origin", id, n)
+		}
+	}
+}
+
+// TestLocalClusterCrossingQueryFinishesPeers: a query that crossed sites
+// still sends Finish to every live peer, so every site drops its context.
+func TestLocalClusterCrossingQueryFinishesPeers(t *testing.T) {
+	c := NewLocal(3, Options{})
+	defer c.Close()
+	ids := loadRingLocal(t, c, 30, []string{"hot", "cold"})
+	if _, err := c.Exec(1, closureQuery, ids[:1], 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range c.Sites() {
+		if err := waitfor.Until(5*time.Second, func() bool { return c.SiteContexts(id) == 0 }); err != nil {
+			t.Errorf("site %v still holds %d contexts after the query finished", id, c.SiteContexts(id))
+		}
+	}
+}
+
 // TestChainHopsRunOnReaders: on the paper's chain every hop is remote and
 // strictly serial, so the transport reader that delivers a hop's Deref finds
 // the turn free and runs the hop itself instead of waking its site's loop.

@@ -6,7 +6,7 @@ import (
 	"encoding/hex"
 )
 
-// Fingerprint identifies a query body for plan-cache lookups: the SHA-256 of
+// Fingerprint identifies a query body for plan cache lookups: the SHA-256 of
 // the raw body bytes. Bodies propagate verbatim between sites (a Deref
 // carries the originator's exact text), so hashing the bytes — rather than a
 // normalized AST — is stable across every hop without parsing anything.

@@ -42,8 +42,8 @@ type CostModel struct {
 	CtlRecv time.Duration
 	// Compile is charged at a site's CPU each time a query body is lexed,
 	// parsed, and lowered to a physical plan — the per-site setup cost the
-	// paper notes is "only required once at each involved site". With the
-	// plan cache enabled, repeated bodies pay PlanCacheHit instead.
+	// paper notes is "only required once at each involved site". A body
+	// the site's plan cache still holds pays PlanCacheHit instead.
 	Compile time.Duration
 	// PlanCacheHit is charged when a site reuses a cached physical plan for
 	// a query body it compiled before: a hash lookup plus verification,

@@ -57,6 +57,14 @@ const Unbatched = -1
 // context's engine steps.
 const FlushEvery = 16
 
+// PlanCacheEntries bounds each site's plan cache: at most this many unpinned
+// physical plans stay compiled for reuse, least recently used evicted first.
+// A query's setup cost is then paid once per distinct body at each involved
+// site, not once per context. A retained closure-query plan is about 4 KB,
+// so the bound is about 250 KB a site; a body that misses pays one failed
+// lookup and an insert on top of the compile it pays anyway.
+const PlanCacheEntries = 64
+
 // sentKey identifies one dereference in the per-query index of the
 // GlobalMarks oracle: the query is implicit.
 type sentKey struct {
@@ -202,7 +210,7 @@ func (s *Site) releaseQueryResources(ctx *qctx) {
 	if s.cfg.GlobalMarks != nil {
 		s.cfg.GlobalMarks.Release(ctx.qid)
 	}
-	// Unpin the context's plan-cache entry. Clearing planPinned makes the
+	// Unpin the context's plan cache entry. Clearing planPinned makes the
 	// release idempotent — a retained context releases here and again when
 	// finally dropped.
 	if ctx.planPinned {

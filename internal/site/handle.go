@@ -129,7 +129,7 @@ func (s *Site) handleSubmit(m *wire.Submit) ([]wire.Envelope, error) {
 
 // admitSubmit creates the originator context for an admitted Submit.
 func (s *Site) admitSubmit(m *wire.Submit, deadline time.Time) ([]wire.Envelope, error) {
-	p, fp, pinned, err := s.planFor(m.Body, nil)
+	p, fp, err := s.planFor(m.Body, nil)
 	if err != nil {
 		// Reject at submission time: the client gets the error, no context
 		// is created anywhere.
@@ -137,7 +137,7 @@ func (s *Site) admitSubmit(m *wire.Submit, deadline time.Time) ([]wire.Envelope,
 			QID: m.QID, Err: err.Error(),
 		}}}, nil
 	}
-	ctx := s.newCtx(m.QID, s.cfg.ID, m.ClientID, m.Body, p, fp, pinned, 0)
+	ctx := s.newCtx(m.QID, s.cfg.ID, m.ClientID, m.Body, p, fp, 0)
 	ctx.client = m.Client
 	ctx.deadline = deadline
 	s.stats.Admitted++

@@ -126,7 +126,7 @@ func ringHarness(t *testing.T, h *harness) []object.ID {
 // whether created by a local Submit or a remote Deref carrying the body hash,
 // reuses the cached plan.
 func TestPlanCacheCompilesOncePerSiteAcrossFanout(t *testing.T) {
-	h := newHarness(t, 3, func(c *Config) { c.PlanCache = 8 })
+	h := newHarness(t, 3, nil)
 	ids := ringHarness(t, h)
 	body := `S [ (Pointer, "Ref", ?X) ^^X ]** (keyword, "hot", ?) -> T`
 
@@ -154,7 +154,7 @@ func TestPlanCacheCompilesOncePerSiteAcrossFanout(t *testing.T) {
 // TestPlanCacheDistinguishesBodies: two different bodies may never share a
 // plan, whatever the cache does.
 func TestPlanCacheDistinguishesBodies(t *testing.T) {
-	h := newHarness(t, 3, func(c *Config) { c.PlanCache = 8 })
+	h := newHarness(t, 3, nil)
 	ids := ringHarness(t, h)
 
 	cmHot := h.exec(1, 1, `S [ (Pointer, "Ref", ?X) ^^X ]** (keyword, "hot", ?) -> T`, ids[:1])

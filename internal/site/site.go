@@ -160,7 +160,8 @@ type Site struct {
 	tombs     map[wire.QueryID]struct{}
 	tombOrder []wire.QueryID
 
-	// plans is the body-fingerprint-keyed plan cache (nil when disabled).
+	// plans is the body-fingerprint-keyed plan cache, bounded to
+	// PlanCacheEntries unpinned plans.
 	plans *plan.Cache
 	// index is the keyword index over cfg.Store (nil unless Config.Index).
 	index *index.Keyword
@@ -307,9 +308,7 @@ func New(cfg Config) *Site {
 		cfg:      cfg,
 		contexts: make(map[wire.QueryID]*qctx),
 		met:      newSiteMetrics(cfg.Metrics),
-	}
-	if cfg.PlanCache > 0 {
-		s.plans = plan.NewCache(cfg.PlanCache)
+		plans:    plan.NewCache(PlanCacheEntries),
 	}
 	if cfg.Index {
 		s.index = index.NewKeyword()
@@ -445,24 +444,22 @@ func (l routerLocator) IsLocal(id object.ID) bool {
 }
 
 // planFor resolves the physical plan for a query body: out of the plan cache
-// when enabled and the body was compiled here before (skipping lex, parse,
-// compile, and planning entirely), otherwise compiled fresh and installed.
-// hash, when it is a full 32-byte fingerprint of body (wire.Deref.BodyHash),
-// saves rehashing; anything else and the body is hashed locally. pinned
-// reports that the plan holds a cache pin the owning context must release.
-func (s *Site) planFor(body string, hash []byte) (p *plan.Plan, fp query.Fingerprint, pinned bool, err error) {
+// when the body was compiled here before (skipping lex, parse, compile, and
+// planning entirely), otherwise compiled fresh and installed. Either way the
+// plan holds a cache pin the owning context must release. hash, when it is a
+// full 32-byte fingerprint of body (wire.Deref.BodyHash), saves rehashing;
+// anything else and the body is hashed locally.
+func (s *Site) planFor(body string, hash []byte) (p *plan.Plan, fp query.Fingerprint, err error) {
 	fp, ok := query.FingerprintFromBytes(hash)
 	if !ok {
 		fp = query.FingerprintOf(body)
 	}
-	if s.plans != nil {
-		if cached, hit := s.plans.Acquire(fp, body); hit {
-			s.stats.PlanCacheHits++
-			s.met.planCacheHits.Inc()
-			return cached, fp, true, nil
-		}
-		s.met.planCacheMisses.Inc()
+	if cached, hit := s.plans.Acquire(fp, body); hit {
+		s.stats.PlanCacheHits++
+		s.met.planCacheHits.Inc()
+		return cached, fp, nil
 	}
+	s.met.planCacheMisses.Inc()
 	start := time.Now()
 	// Clone before compiling: the parser aliases its input, so every keyword
 	// and field-name literal inside the AST — and therefore inside the built
@@ -470,36 +467,32 @@ func (s *Site) planFor(body string, hash []byte) (p *plan.Plan, fp query.Fingerp
 	// borrowed-decoded body aliases the frame's read buffer, which is
 	// recycled after dispatch; a plan aliasing it would silently compare
 	// filters against recycled bytes. Compile-path only, so the copy is paid
-	// once per compilation, never per message.
+	// once per compilation, never per message. The clone is also what the
+	// cache entry retains.
 	body = strings.Clone(body)
 	parsed, err := query.Parse(body)
 	if err != nil {
-		return nil, fp, false, err
+		return nil, fp, err
 	}
 	compiled, err := query.Compile(parsed)
 	if err != nil {
-		return nil, fp, false, err
+		return nil, fp, err
 	}
 	p = plan.Build(compiled, s.cfg.Store, s.index)
 	s.stats.PlanCompiles++
 	s.met.planCompileUS.ObserveDuration(time.Since(start))
 	s.met.notePlanOps(p.Counts())
-	if s.plans != nil {
-		// body is already a private clone (above), safe for the cache entry
-		// to retain.
-		if ev := s.plans.Install(fp, body, p); ev > 0 {
-			s.met.planCacheEvictions.Add(uint64(ev))
-		}
-		pinned = true
+	if ev := s.plans.Install(fp, body, p); ev > 0 {
+		s.met.planCacheEvictions.Add(uint64(ev))
 	}
-	return p, fp, pinned, nil
+	return p, fp, nil
 }
 
 // newCtx builds a context for a query executing the given plan, scheduled
 // under client (wire.Submit.ClientID; 0 for participant work). hop is the
 // trace context's dereference depth at which this site joined (0 at the
-// origin). fp and pinned come from planFor.
-func (s *Site) newCtx(qid wire.QueryID, origin object.SiteID, client uint64, body string, p *plan.Plan, fp query.Fingerprint, pinned bool, hop uint32) *qctx {
+// origin). fp comes from planFor, whose cache pin the context now holds.
+func (s *Site) newCtx(qid wire.QueryID, origin object.SiteID, client uint64, body string, p *plan.Plan, fp query.Fingerprint, hop uint32) *qctx {
 	ctx := &qctx{
 		qid:    qid,
 		origin: origin,
@@ -515,7 +508,7 @@ func (s *Site) newCtx(qid wire.QueryID, origin object.SiteID, client uint64, bod
 		isOrigin:   origin == s.cfg.ID,
 		lane:       s.ready.hold(client),
 		fp:         fp,
-		planPinned: pinned,
+		planPinned: true,
 	}
 	ctx.created = time.Now()
 	ctx.hop = hop
@@ -554,18 +547,18 @@ func (s *Site) finishCtx(ctx *qctx) {
 // ctxFor returns the context for qid, creating it from a Deref/Seed message
 // when this site sees the query for the first time ("the setup cost
 // associated with the query is only required once at each involved site").
-// bodyHash, when carried by the message, keys the plan-cache lookup: a hit
+// bodyHash, when carried by the message, keys the plan cache lookup: a hit
 // reuses a plan compiled for an earlier query with the same body, so the
 // setup cost is paid once per distinct body, not once per query.
 func (s *Site) ctxFor(qid wire.QueryID, origin object.SiteID, body string, bodyHash []byte, hop uint32) (*qctx, error) {
 	if ctx, ok := s.contexts[qid]; ok {
 		return ctx, nil
 	}
-	p, fp, pinned, err := s.planFor(body, bodyHash)
+	p, fp, err := s.planFor(body, bodyHash)
 	if err != nil {
 		return nil, fmt.Errorf("%w: query %v body does not compile: %v", ErrProtocol, qid, err)
 	}
-	return s.newCtx(qid, origin, 0, body, p, fp, pinned, hop), nil
+	return s.newCtx(qid, origin, 0, body, p, fp, hop), nil
 }
 
 // dropCtx removes a context, folding its engine statistics into the site's

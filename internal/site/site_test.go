@@ -24,8 +24,10 @@ type harness struct {
 	sites     map[object.SiteID]*Site
 	dirs      map[object.SiteID]*naming.Directory
 	completes []*wire.Complete
-	// results records every Result message delivered to a site.
-	results []*wire.Result
+	// results records every Result message delivered to a site, finished
+	// the destination of every Finish.
+	results  []*wire.Result
+	finished []object.SiteID
 }
 
 func newHarness(t *testing.T, n int, tweak func(*Config)) *harness {
@@ -65,8 +67,11 @@ func (h *harness) deliver(from object.SiteID, envs []wire.Envelope) {
 		if !ok {
 			continue // dropped (down site)
 		}
-		if r, ok := env.Msg.(*wire.Result); ok {
-			h.results = append(h.results, r)
+		switch m := env.Msg.(type) {
+		case *wire.Result:
+			h.results = append(h.results, m)
+		case *wire.Finish:
+			h.finished = append(h.finished, env.To)
 		}
 		out, err := dst.HandleMessage(from, env.Msg)
 		if err != nil {
@@ -173,6 +178,52 @@ func TestContextsDiscardedAfterFinish(t *testing.T) {
 		if s.Contexts() != 0 {
 			t.Errorf("site %v retains %d contexts after finish", id, s.Contexts())
 		}
+	}
+}
+
+// TestFinishOnlyOnceAPeerIsEngaged: a query that never left its origin holds
+// no context anywhere else, so it finishes with the Complete alone; a query
+// that shipped a Deref still sends Finish to every live peer.
+func TestFinishOnlyOnceAPeerIsEngaged(t *testing.T) {
+	h := newHarness(t, 3, nil)
+	// A two-object pointer cycle, both ends at the origin.
+	a := h.store(1).NewObject().Add("keyword", object.Keyword("hot"), object.Value{})
+	b := h.store(1).NewObject().Add("keyword", object.Keyword("hot"), object.Value{})
+	a.Add("Pointer", object.String("Ref"), object.Pointer(b.ID))
+	b.Add("Pointer", object.String("Ref"), object.Pointer(a.ID))
+	for _, o := range []*object.Object{a, b} {
+		if err := h.store(1).Put(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	body := `S [ (Pointer, "Ref", ?X) ^^X ]** (keyword, "hot", ?) -> T`
+	origin := h.sites[1]
+	out, err := origin.HandleMessage(client, &wire.Submit{
+		QID: wire.QueryID{Origin: 1, Seq: 1}, Client: client, Body: body, Initial: []object.ID{a.ID},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for origin.HasWork() {
+		_, envs, _, err := origin.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, envs...)
+	}
+	if len(out) != 1 {
+		t.Fatalf("local query emitted %d envelopes (%v), want 1: the Complete", len(out), out)
+	}
+	if cm, ok := out[0].Msg.(*wire.Complete); !ok || out[0].To != client || len(cm.IDs) != 2 {
+		t.Fatalf("local query emitted %+v to %v, want a 2-id Complete to the client", out[0].Msg, out[0].To)
+	}
+
+	ids := ringHarness(t, h)
+	if cm := h.exec(1, 2, body, ids[:1]); len(cm.IDs) != 6 {
+		t.Fatalf("crossing query: %d results, want 6", len(cm.IDs))
+	}
+	if len(h.finished) != 2 || h.finished[0] == h.finished[1] {
+		t.Errorf("crossing query sent Finish to %v, want each of sites 2 and 3 once", h.finished)
 	}
 }
 
@@ -556,7 +607,7 @@ func TestBirthRouter(t *testing.T) {
 // hyperfiled's tuning flags, each defaulting to the zero value.
 func TestTuningDeclaredOnce(t *testing.T) {
 	execKeys := map[string]bool{
-		"deref_batch": true, "plan_cache": true, "index": true,
+		"deref_batch": true, "index": true,
 		"result_batch": true, "max_inflight": true, "admission_queue": true,
 	}
 	seen := map[string]bool{}
@@ -582,7 +633,7 @@ func TestTuningDeclaredOnce(t *testing.T) {
 	}
 
 	want := map[string]string{
-		"result-batch": "0", "plan-cache": "0", "index": "false",
+		"result-batch": "0", "index": "false",
 		"max-inflight": "0", "admission-queue": "0", "query-deadline": "0s",
 		"heartbeat": "0s", "suspect-after": "0s",
 	}

@@ -320,11 +320,20 @@ func (s *Site) checkDone(ctx *qctx, out []wire.Envelope) ([]wire.Envelope, error
 		}
 	}
 	retain := ctx.distributed
-	for _, peer := range s.cfg.Peers {
-		if s.down[peer] {
-			continue
+	// A query that never engaged a peer finishes without a Finish: every
+	// context another site holds for it was created by a Deref or Seed,
+	// whose chain starts at a send by this originator, and every such send
+	// (flushQueue, admitSubmit's Seed loop) engages its destination. An
+	// empty set proves no peer holds a context. Once any peer is engaged,
+	// Finish goes to every live peer, since forwarded work may have reached
+	// sites the originator never sent to.
+	if len(ctx.engaged) > 0 {
+		for _, peer := range s.cfg.Peers {
+			if s.down[peer] {
+				continue
+			}
+			out = append(out, wire.Envelope{To: peer, Msg: &wire.Finish{QID: ctx.qid, Retain: retain}})
 		}
-		out = append(out, wire.Envelope{To: peer, Msg: &wire.Finish{QID: ctx.qid, Retain: retain}})
 	}
 	spans := s.assembleTimeline(ctx)
 	s.recordTrace(ctx, spans, len(unr) > 0)

@@ -23,11 +23,6 @@ type Tuning struct {
 	// Unbatched (any negative value) is the paper's one-object-per-message
 	// protocol exactly.
 	DerefBatch int `json:"deref_batch,omitempty"`
-	// PlanCache, when positive, caches up to this many unpinned physical
-	// plans: a query body already compiled here (recognized by fingerprint,
-	// verified by body text) skips lex, parse, and compile. Zero compiles
-	// per context.
-	PlanCache int `json:"plan_cache,omitempty"`
 	// Index makes New attach a keyword index to Store. The planner pushes
 	// exact-match selections down to it: negative probes skip tuple scans,
 	// and pure probes at filter 0 prune the initial set.
@@ -73,7 +68,6 @@ type Ablation struct {
 // to t's values.
 func (t *Tuning) Flags(fs *flag.FlagSet) {
 	fs.IntVar(&t.ResultBatch, "result-batch", t.ResultBatch, "max result ids per message (0 = unbounded)")
-	fs.IntVar(&t.PlanCache, "plan-cache", t.PlanCache, "plan-cache entries: repeated query bodies reuse their compiled physical plan (0 = off)")
 	fs.BoolVar(&t.Index, "index", t.Index, "maintain a keyword index and push exact-match selections down to it")
 	fs.IntVar(&t.MaxInflight, "max-inflight", t.MaxInflight, "max live query contexts before admission control kicks in (0 = unbounded)")
 	fs.IntVar(&t.AdmissionQueue, "admission-queue", t.AdmissionQueue, "Submits queued while at max-inflight before rejecting (0 = reject immediately)")
@@ -91,7 +85,6 @@ func (t Tuning) Validate() error {
 		negative bool
 	}{
 		{"-result-batch", t.ResultBatch, t.ResultBatch < 0},
-		{"-plan-cache", t.PlanCache, t.PlanCache < 0},
 		{"-max-inflight", t.MaxInflight, t.MaxInflight < 0},
 		{"-admission-queue", t.AdmissionQueue, t.AdmissionQueue < 0},
 		{"-query-deadline", t.QueryDeadline, t.QueryDeadline < 0},

@@ -576,3 +576,57 @@ func TestIdleRunsOncePerRead(t *testing.T) {
 		t.Fatalf("hook saw %v delivered frames at its runs, want [0 3]: once before the first read, once after all three", seen)
 	}
 }
+
+// deadlineCounter counts the read deadlines set on the connection it wraps.
+type deadlineCounter struct {
+	net.Conn
+	n int
+}
+
+func (c *deadlineCounter) SetReadDeadline(d time.Time) error {
+	c.n++
+	return c.Conn.SetReadDeadline(d)
+}
+
+// TestAckHoldArmsDeadlineOnce: while an ack is owed, every fill wants the
+// same deadline (the hold runs from the oldest owed ack), so a run of
+// single-frame fills within one hold arms the read deadline once — each
+// re-arm would reset a runtime timer — not once per fill.
+func TestAckHoldArmsDeadlineOnce(t *testing.T) {
+	tr, err := ListenTCPOpts(2, "127.0.0.1:0", func(object.SiteID, wire.Msg) {}, Options{RetransmitBase: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = tr.Close() })
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	client, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	server, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	conn := &deadlineCounter{Conn: server}
+	in := &inboundConn{t: tr, c: conn}
+	in.owe(1, 7, 1, 1) // the hold (RetransmitBase/ackHoldDiv) outlasts the reads
+	const fills = 8
+	b := make([]byte, 16)
+	for i := 0; i < fills; i++ {
+		if _, err := client.Write([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := in.Read(b); err != nil {
+			t.Fatalf("fill %d: %v", i, err)
+		}
+	}
+	if conn.n > 2 {
+		t.Fatalf("%d fills within one hold set the read deadline %d times, want at most 2", fills, conn.n)
+	}
+}

@@ -880,9 +880,10 @@ type inboundConn struct {
 	since time.Time // when the oldest owed ack became owed
 	cum   uint64    // that sender's dedup floor as of its last frame
 	sel   []uint64  // sequence numbers consumed while above the floor
-	// timed records that the connection carries a read deadline (the hold
-	// on an owed ack) that the next fill must clear.
-	timed bool
+	// armed is the read deadline last set on the connection (zero: none).
+	// A fill re-arms only when the deadline it wants differs, so the fills
+	// of one hold share one SetReadDeadline and one runtime timer.
+	armed time.Time
 }
 
 // Read fills the buffered reader. The reader comes here only when it has
@@ -900,19 +901,20 @@ type inboundConn struct {
 func (in *inboundConn) Read(b []byte) (int, error) {
 	in.t.idle()
 	for {
-		if in.owed || in.timed {
-			var until time.Time // zero: wait for bytes indefinitely
-			if in.owed {
-				until = in.since.Add(in.t.opts.RetransmitBase / ackHoldDiv)
-			}
+		var until time.Time // zero: wait for bytes indefinitely
+		if in.owed {
+			until = in.since.Add(in.t.opts.RetransmitBase / ackHoldDiv)
+		}
+		if !until.Equal(in.armed) {
 			_ = in.c.SetReadDeadline(until)
-			in.timed = in.owed
+			in.armed = until
 		}
 		// Close interrupts a reader by moving its deadline into the past,
 		// not by closing the connection under it, so that the acks a
 		// departing endpoint still owes get written. It marks the transport
 		// closed first: a deadline set above either precedes Close's, and
-		// the read below fails at once, or finds the mark here.
+		// the read below fails at once, or finds the mark here; a deadline
+		// left as armed leaves Close's in place.
 		if in.t.closed.Load() {
 			in.flushAcks()
 			return 0, ErrClosed

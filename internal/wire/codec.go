@@ -54,7 +54,7 @@ func Decode(data []byte) (Msg, error) {
 // lists on any kind (the originator accumulates them across the whole
 // query). Tokens, bodies, and reasons are borrowed: tokens are decoded by
 // the termination detectors at dispatch, and bodies are cloned at their two
-// retention points (context creation, plan-cache install).
+// retention points (context creation, plan cache install).
 func DecodeBorrowed(data []byte) (Msg, error) {
 	return decode(data, true)
 }
