@@ -134,8 +134,8 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 	bad = base
 	bad.MaxInflight = -1
-	if err := run(bad, lg, stop, nil); err == nil {
-		t.Error("expected negative max-inflight error")
+	if err := run(bad, lg, stop, nil); err == nil || !strings.Contains(err.Error(), "-max-inflight -1") {
+		t.Errorf("negative max-inflight: err = %v", err)
 	}
 	bad = base
 	bad.AdmissionQueue = -4
@@ -151,11 +151,6 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	bad.QueryDeadline = -time.Second
 	if err := run(bad, lg, stop, nil); err == nil {
 		t.Error("expected negative query-deadline error")
-	}
-	bad = base
-	bad.ResultBatch = -5
-	if err := run(bad, lg, stop, nil); err == nil || !strings.Contains(err.Error(), "-result-batch -5") {
-		t.Errorf("negative result-batch: err = %v", err)
 	}
 	bad = base
 	bad.HeartbeatInterval = -time.Second
@@ -175,8 +170,8 @@ func TestHyperfiledFlagSet(t *testing.T) {
 	want := []string{
 		"admission-queue", "chaos-delay", "chaos-drop", "chaos-dup",
 		"chaos-max-delay", "chaos-reorder", "chaos-seed", "data", "heartbeat",
-		"index", "listen", "max-inflight", "metrics-addr", "peers",
-		"query-deadline", "result-batch", "save", "site", "suspect-after",
+		"listen", "max-inflight", "metrics-addr", "peers", "query-deadline",
+		"save", "site", "suspect-after",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("hyperfiled flags = %q, want %q", got, want)
@@ -314,14 +309,15 @@ func TestParsePeers(t *testing.T) {
 	}
 }
 
-// TestDerefBatchFlagRemoved: batching is the protocol, not a switch, and so
+// TestRetiredFlagsRejected: batching is the protocol, not a switch, and so
 // are the weighted termination detector and the round robin over clients.
 // Distributed-set retention is gone from the command line: it kept contexts
 // that no TCP client can seed a follow-up query from, and a site has one
 // stepper, so the stepping pool's width is gone too, and every site caches
-// its compiled plans, so the cache's size is gone as well. Each removed flag
-// is an error.
-func TestDerefBatchFlagRemoved(t *testing.T) {
+// its compiled plans, so the cache's size is gone as well. A selection always
+// scans tuples, so the index switch is gone, and the result-message cap is an
+// ablation no deployment sets. Each removed flag is an error.
+func TestRetiredFlagsRejected(t *testing.T) {
 	for _, args := range [][]string{
 		{"-deref-batch", "8"},
 		{"-termination", "weighted"},
@@ -329,6 +325,8 @@ func TestDerefBatchFlagRemoved(t *testing.T) {
 		{"-dist-threshold", "100"},
 		{"-workers", "4"},
 		{"-plan-cache", "8"},
+		{"-index"},
+		{"-result-batch", "8"},
 	} {
 		var cfg config
 		fs := flag.NewFlagSet("hyperfiled", flag.ContinueOnError)

@@ -173,15 +173,15 @@ func RunA5(cfg Config) (*Report, error) {
 }
 
 // RunA6 sweeps the result-batch size: small batches pay per-message
-// overhead, huge batches concentrate originator stalls; the default of 8
-// sits in the flat middle.
+// overhead, huge batches concentrate originator stalls. The default is 0,
+// unbounded: a drain's results travel in one Result message.
 func RunA6(cfg Config) (*Report, error) {
 	r := newReport("A6", "result-message batch size",
 		"result messages cost ~50 ms each; batching amortizes the overhead across ids")
 	one := cfg
 	one.Queries = 1
 	for _, batch := range []int{1, 4, 8, 32, 0} {
-		tb, err := newBed(one, 3, 3, cluster.Options{Tuning: site.Tuning{ResultBatch: batch}})
+		tb, err := newBed(one, 3, 3, cluster.Options{Ablation: site.Ablation{ResultBatch: batch}})
 		if err != nil {
 			return nil, err
 		}

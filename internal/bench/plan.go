@@ -8,7 +8,6 @@ import (
 
 	"hyperfile/internal/cluster"
 	"hyperfile/internal/object"
-	"hyperfile/internal/site"
 	"hyperfile/internal/workload"
 )
 
@@ -40,38 +39,12 @@ type PlanCacheRow struct {
 	ResultsMatch bool `json:"results_match"`
 }
 
-// PushdownRow is one workload's index-pushdown off/on comparison.
-type PushdownRow struct {
-	// Workload names the row. "select_scan" runs a bare selection over the
-	// whole database (pure probes prune the initial set without a single
-	// tuple scan); "closure_keyword" is the paper's traversal query, where
-	// the trailing keyword selection probes instead of scanning.
-	Workload string `json:"workload"`
-	Machines int    `json:"machines"`
-	Queries  int    `json:"queries"`
-
-	TuplesScannedOff int `json:"tuples_scanned_off"`
-	TuplesScannedOn  int `json:"tuples_scanned_on"`
-	IndexProbesOn    int `json:"index_probes_on"`
-	InitialPrunedOn  int `json:"initial_pruned_on"`
-	// ScanRatio is TuplesScannedOff / TuplesScannedOn (higher = pushdown
-	// helps); when the pushed-down run scans nothing at all the ratio is
-	// reported against 1 scanned tuple.
-	ScanRatio float64 `json:"scan_ratio"`
-
-	AvgRTOffSec float64 `json:"avg_rt_off_sec"`
-	AvgRTOnSec  float64 `json:"avg_rt_on_sec"`
-
-	ResultsMatch bool `json:"results_match"`
-}
-
 // PlanResult is the machine-checkable record behind BENCH_plan.json.
 type PlanResult struct {
-	Objects  int            `json:"objects"`
-	Queries  int            `json:"queries"`
-	Seed     int64          `json:"seed"`
-	Cache    []PlanCacheRow `json:"cache"`
-	Pushdown []PushdownRow  `json:"pushdown"`
+	Objects int            `json:"objects"`
+	Queries int            `json:"queries"`
+	Seed    int64          `json:"seed"`
+	Cache   []PlanCacheRow `json:"cache"`
 }
 
 // JSON renders the result as indented JSON with a trailing newline.
@@ -93,19 +66,8 @@ func (r *PlanResult) CacheRow(name string) *PlanCacheRow {
 	return nil
 }
 
-// PushdownRowByName returns the named pushdown row, or nil.
-func (r *PlanResult) PushdownRowByName(name string) *PushdownRow {
-	for i := range r.Pushdown {
-		if r.Pushdown[i].Workload == name {
-			return &r.Pushdown[i]
-		}
-	}
-	return nil
-}
-
-// RunPlan measures the planner layer: plan cache compile counts for a
-// repeated and a distinct-body stream, and index-pushdown tuple-scan counts
-// off vs on, with result-set equality checked on every query.
+// RunPlan measures the plan cache: compile counts for a repeated and a
+// distinct-body stream, with result-set equality checked on every query.
 func RunPlan(cfg Config) (*PlanResult, error) {
 	out := &PlanResult{Objects: cfg.Objects, Queries: cfg.Queries, Seed: cfg.Seed}
 	for _, repeated := range []bool{true, false} {
@@ -114,13 +76,6 @@ func RunPlan(cfg Config) (*PlanResult, error) {
 			return nil, fmt.Errorf("plan cache %s: %w", row.Workload, err)
 		}
 		out.Cache = append(out.Cache, *row)
-	}
-	for _, w := range []string{"select_scan", "closure_keyword"} {
-		row, err := runPushdownRow(cfg, w)
-		if err != nil {
-			return nil, fmt.Errorf("pushdown %s: %w", w, err)
-		}
-		out.Pushdown = append(out.Pushdown, *row)
 	}
 	return out, nil
 }
@@ -174,68 +129,6 @@ func runPlanCacheRow(cfg Config, repeated bool) (*PlanCacheRow, error) {
 	row.Compiles = st.PlanCompiles
 	row.CacheHits = st.PlanCacheHits
 	row.AvgRTSec = secs(tot / time.Duration(n))
-	return row, nil
-}
-
-func runPushdownRow(cfg Config, name string) (*PushdownRow, error) {
-	const machines = 9
-	bedOff, err := newBed(cfg, machines, machines, cluster.Options{})
-	if err != nil {
-		return nil, err
-	}
-	bedOn, err := newBed(cfg, machines, machines, cluster.Options{Tuning: site.Tuning{Index: true}})
-	if err != nil {
-		return nil, err
-	}
-	row := &PushdownRow{Workload: name, Machines: machines, ResultsMatch: true}
-	rng := rand.New(rand.NewSource(cfg.Seed + 31))
-	n := cfg.Queries
-	if n <= 0 {
-		n = 1
-	}
-	row.Queries = n
-	var totOff, totOn time.Duration
-	for q := 0; q < n; q++ {
-		var body string
-		var initOff, initOn []object.ID
-		switch name {
-		case "select_scan":
-			// Bare selection over the whole database: with the index on,
-			// the leading pure probe prunes every non-matching object from
-			// the initial set before it enters the working set.
-			body = fmt.Sprintf(`S (Rand10, %d, ?) -> T`, 1+rng.Intn(10))
-			initOff, initOn = bedOff.d.IDs, bedOn.d.IDs
-		default:
-			body = workload.ClosureQueryKeyword("Tree", "Unique", fmt.Sprintf("u%d", rng.Intn(cfg.Objects)))
-			initOff = []object.ID{bedOff.d.Root}
-			initOn = []object.ID{bedOn.d.Root}
-		}
-		resOff, rtOff, err := bedOff.c.Exec(1, body, initOff)
-		if err != nil {
-			return nil, err
-		}
-		resOn, rtOn, err := bedOn.c.Exec(1, body, initOn)
-		if err != nil {
-			return nil, err
-		}
-		if !sameIDs(resOff.IDs, resOn.IDs) {
-			row.ResultsMatch = false
-		}
-		totOff += rtOff
-		totOn += rtOn
-	}
-	stOff, stOn := bedOff.c.TotalStats(), bedOn.c.TotalStats()
-	row.TuplesScannedOff = stOff.Engine.TuplesScanned
-	row.TuplesScannedOn = stOn.Engine.TuplesScanned
-	row.IndexProbesOn = stOn.Engine.IndexProbes
-	row.InitialPrunedOn = stOn.Engine.InitialPruned
-	den := stOn.Engine.TuplesScanned
-	if den == 0 {
-		den = 1
-	}
-	row.ScanRatio = float64(stOff.Engine.TuplesScanned) / float64(den)
-	row.AvgRTOffSec = secs(totOff / time.Duration(n))
-	row.AvgRTOnSec = secs(totOn / time.Duration(n))
 	return row, nil
 }
 

@@ -216,14 +216,13 @@ func TestCrossTopologyBatchingEquivalence(t *testing.T) {
 	}
 }
 
-// TestPlanCacheAndIndexEquivalence is the planner acceptance matrix: every
-// query class runs on 1, 3, and 9 sites with the keyword index off and on,
-// twice on each cluster. The first round compiles cold; the second is served
-// from the plan cache at every involved site. Both rounds of both
-// configurations must return the index-off cold round's byte-identical
-// sorted result-id set and unreachable annotations, so the matrix also
-// proves a cache-hit plan answers exactly like a freshly compiled one.
-func TestPlanCacheAndIndexEquivalence(t *testing.T) {
+// TestPlanCacheEquivalence is the plan cache's acceptance matrix: every query
+// class runs on 1, 3, and 9 sites, twice on each cluster. The first round
+// compiles cold; the second is served from the plan cache at every involved
+// site and must return the cold round's byte-identical sorted result-id set
+// and unreachable annotations, so the matrix proves a cache-hit plan answers
+// exactly like a freshly compiled one.
+func TestPlanCacheEquivalence(t *testing.T) {
 	const (
 		nObjects  = 120
 		structure = 9
@@ -231,77 +230,48 @@ func TestPlanCacheAndIndexEquivalence(t *testing.T) {
 		rounds    = 2
 	)
 	queries := equivCases()
-	modes := []struct {
-		name  string
-		index bool
-	}{
-		{"baseline", false},
-		{"index", true},
-	}
 
 	for _, machines := range []int{1, 3, 9} {
 		spec := workload.Spec{
 			N: nObjects, Machines: machines,
 			StructureMachines: structure, Seed: seed,
 		}
-		type built struct {
-			c *SimCluster
-			d *workload.Dataset
-		}
-		clusters := make([]built, len(modes))
-		for i, m := range modes {
-			c := NewSim(machines, Options{Cost: sim.Free(), Tuning: site.Tuning{Index: m.index}})
-			d, err := workload.Build(c, spec)
-			if err != nil {
-				t.Fatalf("%d sites, %s: %v", machines, m.name, err)
-			}
-			clusters[i] = built{c, d}
+		c := NewSim(machines, Options{Cost: sim.Free()})
+		d, err := workload.Build(c, spec)
+		if err != nil {
+			t.Fatalf("%d sites: %v", machines, err)
 		}
 
 		for qi, q := range queries {
 			var cold *Result
-			for mi, m := range modes {
-				c := clusters[mi].c
-				for round := 0; round < rounds; round++ {
-					compiles := c.TotalStats().PlanCompiles
-					res, _, err := c.Exec(1, q, []object.ID{clusters[mi].d.Root})
-					if err != nil {
-						t.Fatalf("%d sites, %s, query %d round %d: %v", machines, m.name, qi, round, err)
-					}
-					if round > 0 {
-						if n := c.TotalStats().PlanCompiles - compiles; n != 0 {
-							t.Errorf("%d sites, %s, query %d round %d: %d compiles, want every involved site to hit",
-								machines, m.name, qi, round, n)
-						}
-					}
-					if cold == nil {
-						cold = res
-						continue
-					}
-					if !equalIDs(cold.IDs, res.IDs) {
-						t.Fatalf("%d sites, %s, query %d round %d: answer changed: %d ids vs cold %d",
-							machines, m.name, qi, round, len(res.IDs), len(cold.IDs))
-					}
-					if !equalSites(cold.Unreachable, res.Unreachable) || cold.Partial != res.Partial {
-						t.Fatalf("%d sites, %s, query %d round %d: unreachable annotations changed",
-							machines, m.name, qi, round)
-					}
+			for round := 0; round < rounds; round++ {
+				compiles := c.TotalStats().PlanCompiles
+				res, _, err := c.Exec(1, q, []object.ID{d.Root})
+				if err != nil {
+					t.Fatalf("%d sites, query %d round %d: %v", machines, qi, round, err)
+				}
+				if round == 0 {
+					cold = res
+					continue
+				}
+				if n := c.TotalStats().PlanCompiles - compiles; n != 0 {
+					t.Errorf("%d sites, query %d round %d: %d compiles, want every involved site to hit",
+						machines, qi, round, n)
+				}
+				if !equalIDs(cold.IDs, res.IDs) {
+					t.Fatalf("%d sites, query %d round %d: answer changed: %d ids vs cold %d",
+						machines, qi, round, len(res.IDs), len(cold.IDs))
+				}
+				if !equalSites(cold.Unreachable, res.Unreachable) || cold.Partial != res.Partial {
+					t.Fatalf("%d sites, query %d round %d: unreachable annotations changed",
+						machines, qi, round)
 				}
 			}
 		}
 
 		// The matrix must actually exercise the machinery it claims to test.
-		for mi, m := range modes {
-			st := clusters[mi].c.TotalStats()
-			if st.PlanCacheHits == 0 {
-				t.Errorf("%d sites, %s: plan cache never hit", machines, m.name)
-			}
-			if m.index && st.Engine.IndexProbes == 0 {
-				t.Errorf("%d sites, %s: index enabled but never probed", machines, m.name)
-			}
-			if !m.index && st.Engine.IndexProbes != 0 {
-				t.Errorf("%d sites, %s: index probes with no index", machines, m.name)
-			}
+		if c.TotalStats().PlanCacheHits == 0 {
+			t.Errorf("%d sites: plan cache never hit", machines)
 		}
 	}
 }
@@ -311,7 +281,7 @@ func TestPlanCacheAndIndexEquivalence(t *testing.T) {
 // protocol wrapped in the termination-conservation audit (credits must sum to
 // exactly 1 after every detector event), and the two must return
 // byte-identical sorted result-id sets and identical unreachable annotations.
-// A combined row stacks batching, the index, and admission bounds and runs
+// A combined row stacks batching and admission bounds and runs
 // each query twice (the second from the plan cache), and on the 3- and 9-site
 // rows the goroutine runner — with the deployed protocol, and with the full
 // combined feature stack — must agree with the simulator.
@@ -344,7 +314,7 @@ func TestFeatureStackEquivalence(t *testing.T) {
 		})
 		combined, dComb := build("combined", Options{
 			Cost:   sim.Free(),
-			Tuning: site.Tuning{DerefBatch: 8, Index: true, MaxInflight: 8, AdmissionQueue: 4},
+			Tuning: site.Tuning{DerefBatch: 8, MaxInflight: 8, AdmissionQueue: 4},
 		})
 
 		var loc, locComb *LocalCluster
@@ -353,7 +323,7 @@ func TestFeatureStackEquivalence(t *testing.T) {
 			loc = NewLocal(machines, Options{})
 			defer loc.Close()
 			locComb = NewLocal(machines, Options{
-				Tuning: site.Tuning{DerefBatch: 8, Index: true, MaxInflight: 8, AdmissionQueue: 4},
+				Tuning: site.Tuning{DerefBatch: 8, MaxInflight: 8, AdmissionQueue: 4},
 			})
 			defer locComb.Close()
 			var err error
@@ -430,9 +400,6 @@ func TestFeatureStackEquivalence(t *testing.T) {
 		st := combined.TotalStats()
 		if st.PlanCacheHits == 0 {
 			t.Errorf("%d sites: combined row never hit the plan cache", machines)
-		}
-		if st.Engine.IndexProbes == 0 {
-			t.Errorf("%d sites: combined row never probed the index", machines)
 		}
 		if machines > 1 && st.DerefsBatched == 0 && st.DerefsSuppressed == 0 {
 			t.Errorf("%d sites: combined row never batched or suppressed a Deref", machines)

@@ -32,14 +32,8 @@ type Stats struct {
 	// Fetched counts retrieved field values.
 	Fetched int
 	// TuplesScanned counts tuples examined by selection filters — the
-	// quantity index pushdown and effect-free early exit reduce.
+	// quantity effect-free early exit reduces.
 	TuplesScanned int
-	// IndexProbes counts O(1) index membership probes run in place of (or
-	// ahead of) tuple scans.
-	IndexProbes int
-	// InitialPruned counts initial-set objects dropped by a pure index probe
-	// before ever entering the working set.
-	InitialPruned int
 }
 
 // Add accumulates other into s.
@@ -52,8 +46,6 @@ func (s *Stats) Add(other Stats) {
 	s.Missing += other.Missing
 	s.Fetched += other.Fetched
 	s.TuplesScanned += other.TuplesScanned
-	s.IndexProbes += other.IndexProbes
-	s.InitialPruned += other.InitialPruned
 }
 
 // StepResult reports what processing one working-set item did.
@@ -157,16 +149,15 @@ func WithSpawnSink(sink func(Item)) Option {
 }
 
 // New returns an engine for one compiled query over the given object source.
-// The query is lowered to a default physical plan (no index pushdown); use
-// NewPlanned to execute a pre-built — possibly cached — plan.
+// The query is lowered to a fresh physical plan; use NewPlanned to execute
+// a pre-built — possibly cached — plan.
 func New(q *query.Compiled, src Source, opts ...Option) *Engine {
 	return NewPlanned(plan.Build(q, nil, nil), src, opts...)
 }
 
 // NewPlanned returns an engine executing a pre-built physical plan. The plan
 // is read-only to the engine, so one plan (e.g. out of a site's plan cache)
-// may back any number of engines concurrently. If the plan carries index
-// probes, the index must cover the same objects src serves.
+// may back any number of engines concurrently.
 func NewPlanned(p *plan.Plan, src Source, opts ...Option) *Engine {
 	e := &Engine{
 		p:   p,
@@ -190,42 +181,22 @@ func NewPlanned(p *plan.Plan, src Source, opts ...Option) *Engine {
 func (e *Engine) Plan() *plan.Plan { return e.p }
 
 // AddInitial seeds the working set with initial-set objects (start = 0).
-// When the plan's first operator is a pure index probe, objects failing the
-// probe are pruned here — the probe fully decides filter 0, so a failing
-// object can never reach the result set and need not enter the working set.
 func (e *Engine) AddInitial(ids ...object.ID) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, id := range ids {
-		if e.p.InitialProbe != nil {
-			e.stats.IndexProbes++
-			if !e.p.InitialProbe.Contains(id) {
-				e.stats.InitialPruned++
-				continue
-			}
-		}
 		e.push(NewItem(id))
 	}
 }
 
 // Enqueue adds an item arriving from another site (a remote dereference):
 // next is reset to start and the binding environment starts empty, exactly as
-// the paper specifies for messages. Items entering at filter 0 are initial-set
-// objects the originator routed here; they go through the same pure-probe
-// pruning as local initial objects (the probe decides filter 0 outright, so a
-// pruned item is exactly one a first Step would have discarded).
+// the paper specifies for messages.
 func (e *Engine) Enqueue(it Item) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	it.Next = it.Start
 	it.MVars = nil
-	if it.Start == 0 && e.p.InitialProbe != nil {
-		e.stats.IndexProbes++
-		if !e.p.InitialProbe.Contains(it.ID) {
-			e.stats.InitialPruned++
-			return
-		}
-	}
 	e.push(it)
 }
 
@@ -492,33 +463,14 @@ func (e *Engine) Run() Stats {
 	d.Missing -= before.Missing
 	d.Fetched -= before.Fetched
 	d.TuplesScanned -= before.TuplesScanned
-	d.IndexProbes -= before.IndexProbes
-	d.InitialPruned -= before.InitialPruned
 	return d
 }
 
 // applySelect implements E for selection filters: the object passes if any
 // tuple matches all three patterns; bindings and fetches are applied for
 // every matching tuple. The physical operator supplies the in-place tuple
-// matcher, an optional index probe run ahead of the scan, and an early exit
-// for effect-free selections.
+// matcher and an early exit for effect-free selections.
 func (e *Engine) applySelect(op *plan.Op, obj *object.Object, it *Item, res *StepResult) bool {
-	if op.Probe != nil {
-		e.stats.IndexProbes++
-		if !op.Probe.Contains(obj.ID) {
-			// No tuple of the probed class carries the key: the selection
-			// cannot match, whatever the data pattern would have tested.
-			e.emit(TraceEvent{ID: obj.ID, Filter: it.Next, Action: TraceFailedSelect})
-			return false
-		}
-		if op.PureProbe {
-			// The data field is a bare wildcard and nothing binds: a
-			// positive probe alone decides the filter, no scan needed.
-			e.emit(TraceEvent{ID: obj.ID, Filter: it.Next, Action: TracePassedSelect})
-			it.Next++
-			return true
-		}
-	}
 	if !e.scanSelect(op, obj, it, res) {
 		e.emit(TraceEvent{ID: obj.ID, Filter: it.Next, Action: TraceFailedSelect})
 		return false
@@ -552,7 +504,7 @@ func (e *Engine) scanSelect(op *plan.Op, obj *object.Object, it *Item, res *Step
 }
 
 // applyFused executes a select→deref pair as one kernel: the selection part
-// (probe, scan, effects) runs first, and only if the object passes does the
+// (scan, effects) runs first, and only if the object passes does the
 // dereference at the next slot run — marked and traced exactly as the
 // standalone two-dispatch path would have. Items entering at the deref slot
 // directly (remote arrivals, loopbacks) still execute it standalone.

@@ -5,12 +5,12 @@
 // indirectly by this document that in addition have a given keyword" answer
 // without traversal.
 //
-// Indexes are per-site structures built over one store; distributed queries
-// use them site-locally.
+// Indexes are per-site structures built on demand over one store
+// (DB.BuildKeywordIndex, the A3 ablation). The query engine does not consult
+// them: a selection always scans each object's tuples, as in the paper.
 package index
 
 import (
-	"math"
 	"strconv"
 	"sync"
 
@@ -34,8 +34,8 @@ type term struct {
 // matches the pattern language's: a text literal matches both strings and
 // keywords (but never numbers), while numeric values compare cross-kind
 // (Int(5) equals Float(5)). Rendering both Int(5) and String("5") as "5" —
-// as a naive String() rendering would — makes an index probe claim matches
-// the tuple-scan path rejects.
+// as a naive String() rendering would — makes a lookup return objects the
+// tuple-scan path rejects.
 const (
 	textTermPrefix    = "t\x00"
 	numericTermPrefix = "n\x00"
@@ -61,21 +61,6 @@ func normFloat(f float64) float64 {
 		return 0
 	}
 	return f
-}
-
-// Indexable reports whether a literal value can be answered by the index:
-// text and (non-NaN) numbers. Value.Equal compares every numeric pair as
-// float64, so the float term rendering reproduces its semantics exactly; NaN
-// equals nothing, including itself, and is declined.
-func Indexable(v object.Value) bool {
-	switch v.Kind {
-	case object.KindString, object.KindKeyword:
-		return true
-	case object.KindInt, object.KindFloat:
-		return !math.IsNaN(v.AsFloat())
-	default:
-		return false
-	}
 }
 
 // NewKeyword returns an empty keyword index.
@@ -111,22 +96,6 @@ func (ix *Keyword) Insert(o *object.Object) {
 	}
 }
 
-// Remove un-indexes one object (pass the stored version).
-func (ix *Keyword) Remove(o *object.Object) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	for _, t := range o.Tuples {
-		if k, ok := keyTerm(t.Key); ok {
-			if set, ok := ix.terms[term{class: t.Type, key: k}]; ok {
-				delete(set, o.ID)
-				if len(set) == 0 {
-					delete(ix.terms, term{class: t.Type, key: k})
-				}
-			}
-		}
-	}
-}
-
 // Lookup returns the objects with a (class, key) tuple, matching key against
 // text keys, and — when key parses as a number — against numeric keys under
 // their decimal rendering too (so Lookup("Rand10", "5") finds Int(5) keys,
@@ -152,19 +121,6 @@ func (ix *Keyword) LookupValue(class string, v object.Value) object.IDSet {
 	defer ix.mu.RUnlock()
 	out.AddAll(ix.terms[term{class: class, key: k}])
 	return out
-}
-
-// Contains reports whether id has a tuple of the given class whose key
-// equals v — an O(1) membership probe, the index-pushdown fast path. The
-// caller must have checked Indexable(v).
-func (ix *Keyword) Contains(class string, v object.Value, id object.ID) bool {
-	k, ok := keyTerm(v)
-	if !ok {
-		return false
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.terms[term{class: class, key: k}].Has(id)
 }
 
 // Terms returns the number of distinct indexed terms.

@@ -228,20 +228,6 @@ func (p P) EffectFree() bool {
 	return p.Op != OpBind && p.Op != OpFetch
 }
 
-// LiteralValue returns the literal a pattern compares against, for index
-// pushdown. Only OpLiteral patterns have one.
-func (p P) LiteralValue() (object.Value, bool) {
-	if p.Op == OpLiteral {
-		return p.Lit, true
-	}
-	return object.Value{}, false
-}
-
-// IsAny reports whether the pattern is the bare wildcard (no test, no
-// effects) — distinct from OpBind/OpFetch, which also match everything but
-// carry effects.
-func (p P) IsAny() bool { return p.Op == OpAny }
-
 // String renders the pattern in query syntax.
 func (p P) String() string {
 	switch p.Op {

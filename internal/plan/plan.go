@@ -3,7 +3,7 @@
 // executable operators, deciding once, at plan time, what each selection
 // needs at run time.
 //
-// Three lowerings happen here:
+// Two lowerings happen here:
 //
 //   - Selection classing: each selection is recorded as literal, glob
 //     (substring/regex/range), binding or env-dependent (hf_plan_ops_*), and
@@ -12,14 +12,6 @@
 //     field pattern, run on the tuple by pointer (Op.Match); there are no
 //     per-pattern closures, because a pointer handed to a func value escapes
 //     and would move every matched tuple to the heap.
-//
-//   - Index-aware selection pushdown: a selection whose type is a literal tag
-//     and whose key is an indexable literal resolves through the site's
-//     keyword index. With a wildcard data field and no effects the probe
-//     alone decides the filter (no tuple scan at all); otherwise the probe is
-//     a prefilter that fails objects fast before any scan. A pure probe at
-//     filter 0 additionally prunes the initial set before items ever enter
-//     the working set.
 //
 //   - Select→deref fusion: a selection that binds a variable immediately
 //     dereferenced by the next filter fuses with it into one kernel, so only
@@ -71,19 +63,6 @@ func (c MatchClass) String() string {
 	return "class(?)"
 }
 
-// Probe is a compiled index membership test for one selection: does the
-// object carry a tuple of class Class whose key equals Key?
-type Probe struct {
-	Class string
-	Key   object.Value
-	ix    *index.Keyword
-}
-
-// Contains runs the probe for one object id.
-func (p *Probe) Contains(id object.ID) bool {
-	return p.ix.Contains(p.Class, p.Key, id)
-}
-
 // Op is one physical operator. Ops[i] executes compiled filter i; Kind
 // mirrors the filter kind and F carries the filter's own fields (Sel, Var,
 // Keep, BodyStart, K, Depth).
@@ -98,13 +77,6 @@ type Op struct {
 	// HasEffects reports that a matching tuple binds or fetches; without
 	// effects the engine stops scanning at the first matching tuple.
 	HasEffects bool
-	// Probe, when non-nil, is the index membership test for this selection:
-	// a negative probe fails the object without scanning any tuple.
-	Probe *Probe
-	// PureProbe reports that the probe alone decides the selection — the
-	// data field is a bare wildcard and there are no effects, so a positive
-	// probe needs no tuple verification either.
-	PureProbe bool
 	// FuseDeref reports that this selection and the dereference at the next
 	// slot execute as one fused kernel: the engine runs both in a single
 	// dispatch, dereferencing only pointers bound by tuples that survived
@@ -125,10 +97,8 @@ func (op *Op) MatchTuple(t object.Tuple, env pattern.Env) bool { return op.Match
 // Counts aggregates what a plan compiled to, for observability.
 type Counts struct {
 	Selects, Derefs, Iters int
-	// Probes counts selections with an index probe; PureProbes the subset
-	// that need no tuple scan at all; Fused the select→deref pairs running
-	// as one kernel.
-	Probes, PureProbes, Fused int
+	// Fused counts the select→deref pairs running as one kernel.
+	Fused int
 	// Classes[c] counts selections per specialization class.
 	Classes [len(classNames)]int
 }
@@ -139,9 +109,6 @@ type Plan struct {
 	// with Compiled.Filters.
 	Compiled *query.Compiled
 	Ops      []Op
-	// InitialProbe, when non-nil, is the pure probe of operator 0: initial-
-	// set objects failing it are pruned before entering the working set.
-	InitialProbe *Probe
 
 	counts Counts
 }
@@ -152,13 +119,14 @@ func (p *Plan) Counts() Counts { return p.counts }
 // Len returns the number of operators (equal to the compiled filter count).
 func (p *Plan) Len() int { return len(p.Ops) }
 
-// Build lowers a compiled query into a physical plan. st supplies storage
-// statistics for planning decisions and may be nil; ix enables index
-// pushdown and may be nil (no probes are planned without it). The plan is
-// immutable after Build and safe for concurrent readers, which is what lets
-// a site cache one plan and share it across query contexts.
+// Build lowers a compiled query into a physical plan. The plan is immutable
+// after Build and safe for concurrent readers, which is what lets a site
+// cache one plan and share it across query contexts.
+//
+// st and ix are unused and may be nil: no planning decision reads the store
+// or an index. They stay in the signature because perf/layers.go calls
+// Build with three arguments (ROADMAP item 19).
 func Build(c *query.Compiled, st *store.Store, ix *index.Keyword) *Plan {
-	_ = st // reserved for cost-based decisions (e.g. scan-vs-probe by store size)
 	p := &Plan{Compiled: c, Ops: make([]Op, len(c.Filters))}
 	bodyStarts := c.BodyStarts()
 
@@ -166,15 +134,10 @@ func Build(c *query.Compiled, st *store.Store, ix *index.Keyword) *Plan {
 		op := Op{Kind: f.Kind, F: f}
 		switch f.Kind {
 		case query.FSelect:
-			buildSelect(&op, f.Sel, ix)
+			op.HasEffects = !f.Sel.Key.EffectFree() || !f.Sel.Data.EffectFree()
+			op.Class = classify(f.Sel)
 			p.counts.Selects++
 			p.counts.Classes[op.Class]++
-			if op.Probe != nil {
-				p.counts.Probes++
-				if op.PureProbe {
-					p.counts.PureProbes++
-				}
-			}
 		case query.FDeref:
 			p.counts.Derefs++
 		case query.FIter:
@@ -202,34 +165,7 @@ func Build(c *query.Compiled, st *store.Store, ix *index.Keyword) *Plan {
 			p.counts.Fused++
 		}
 	}
-
-	if len(p.Ops) > 0 && p.Ops[0].PureProbe {
-		p.InitialProbe = p.Ops[0].Probe
-	}
 	return p
-}
-
-// buildSelect fills a selection operator: class, effects, and (when an index
-// is available) the pushdown probe.
-func buildSelect(op *Op, sel query.Select, ix *index.Keyword) {
-	op.HasEffects = !sel.Key.EffectFree() || !sel.Data.EffectFree()
-	op.Class = classify(sel)
-
-	if ix == nil || sel.Type.Wild {
-		return
-	}
-	lit, ok := sel.Key.LiteralValue()
-	if !ok || !index.Indexable(lit) {
-		return
-	}
-	// Any tuple matching the selection has type == Type.Name and a key equal
-	// to lit — exactly the index's term — so a negative membership probe
-	// proves no tuple can match, whatever the data pattern is.
-	op.Probe = &Probe{Class: sel.Type.Name, Key: lit, ix: ix}
-	// With a wildcard data field and no effects, a positive probe is also
-	// sufficient: some tuple has the class and key, the data field accepts
-	// anything, and nothing needs binding — no scan in either direction.
-	op.PureProbe = sel.Data.IsAny() && !op.HasEffects
 }
 
 // classify buckets a selection into its specialization class.

@@ -3,7 +3,6 @@ package plan
 import (
 	"testing"
 
-	"hyperfile/internal/index"
 	"hyperfile/internal/object"
 	"hyperfile/internal/pattern"
 	"hyperfile/internal/query"
@@ -198,73 +197,12 @@ func mustParse(t *testing.T, src string) *query.Query {
 	return q
 }
 
-func TestBuildPlansIndexProbes(t *testing.T) {
-	ix := index.NewKeyword()
-	hot := object.New(object.ID{Birth: 1, Seq: 1}).Add("keyword", object.String("hot"), object.String("v"))
-	cold := object.New(object.ID{Birth: 1, Seq: 2}).Add("keyword", object.String("cold"), object.String("v"))
-	five := object.New(object.ID{Birth: 1, Seq: 3}).Add("Rand10", object.Int(5), object.String("v"))
-	for _, o := range []*object.Object{hot, cold, five} {
-		ix.Insert(o)
-	}
-
-	// Wildcard data, no effects: the probe alone decides, and it doubles as
-	// the initial-set pruner.
-	p := Build(query.MustCompile(`S (keyword, "hot", ?) -> T`), nil, ix)
-	op := p.Ops[0]
-	if op.Probe == nil || !op.PureProbe {
-		t.Fatalf("literal keyword selection did not compile to a pure probe: %+v", op)
-	}
-	if p.InitialProbe == nil {
-		t.Fatal("pure probe at slot 0 did not become the initial-set probe")
-	}
-	if !op.Probe.Contains(hot.ID) || op.Probe.Contains(cold.ID) {
-		t.Error("probe membership disagrees with the index")
-	}
-
-	// Numeric literal keys are indexable too.
-	p = Build(query.MustCompile(`S (Rand10, 5, ?) -> T`), nil, ix)
-	if p.Ops[0].Probe == nil || !p.Ops[0].Probe.Contains(five.ID) {
-		t.Error("numeric-key selection did not plan a working probe")
-	}
-
-	// Binding data: probe is a prefilter only — a scan must still run to bind.
-	p = Build(query.MustCompile(`S (pointer, "Ref", ?X) ^^X -> T`), nil, ix)
-	if p.Ops[0].Probe == nil {
-		t.Error("binding selection with literal key lost its prefilter probe")
-	}
-	if p.Ops[0].PureProbe || p.InitialProbe != nil {
-		t.Error("binding selection must not be a pure probe")
-	}
-
-	// Non-literal pieces defeat pushdown entirely.
-	for _, body := range []string{
-		`S (?, "hot", ?) -> T`,       // wildcard type: index is typed
-		`S (keyword, ~"ho", ?) -> T`, // glob key: not a term lookup
-		`S (keyword, ?, ?) -> T`,     // wildcard key
-	} {
-		p = Build(query.MustCompile(body), nil, ix)
-		if p.Ops[0].Probe != nil {
-			t.Errorf("%s: planned a probe for a non-indexable selection", body)
-		}
-	}
-
-	// Without an index nothing probes, whatever the query looks like.
-	p = Build(query.MustCompile(`S (keyword, "hot", ?) -> T`), nil, nil)
-	if p.Ops[0].Probe != nil || p.InitialProbe != nil {
-		t.Error("probe planned with no index attached")
-	}
-}
-
 func TestBuildCountsClasses(t *testing.T) {
-	ix := index.NewKeyword()
 	c := query.MustCompile(`S (keyword, "hot", ?) (n, 1..10, ?) (pointer, "Ref", ?X) ^^X -> T`)
-	p := Build(c, nil, ix)
+	p := Build(c, nil, nil)
 	cnt := p.Counts()
 	if cnt.Classes[ClassLiteral] != 1 || cnt.Classes[ClassGlob] != 1 || cnt.Classes[ClassBinding] != 1 {
 		t.Errorf("class counts = %v", cnt.Classes)
-	}
-	if cnt.Probes != 2 || cnt.PureProbes != 1 {
-		t.Errorf("probes = %d pure = %d, want 2/1", cnt.Probes, cnt.PureProbes)
 	}
 	if cnt.Fused != 1 {
 		t.Errorf("fused = %d, want 1", cnt.Fused)

@@ -147,8 +147,8 @@ type Failure struct {
 // Exec selects the execution features of a scenario's sites: the
 // deployment knobs, declared once as site.Tuning. The zero Exec runs the
 // production configuration. Its JSON keys are the spec's "exec" object; keys
-// it does not name, such as the retired workers, fair_quantum and
-// plan_cache, are ignored.
+// it does not name, such as the retired workers, fair_quantum, plan_cache,
+// index and result_batch, are ignored.
 type Exec = site.Tuning
 
 // topologyKinds and the other enum sets double as validation tables.

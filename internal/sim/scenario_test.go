@@ -65,7 +65,6 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{"partition site out of range", func(s *Scenario) {
 			s.Failures = []Failure{{Kind: "partition", A: []int{1, 7}}}
 		}, "out of range"},
-		{"negative result batch", func(s *Scenario) { s.Exec.ResultBatch = -5 }, "-result-batch -5 is negative"},
 		{"negative max inflight", func(s *Scenario) { s.Exec.MaxInflight = -1 }, "-max-inflight -1 is negative"},
 		{"negative admission queue", func(s *Scenario) {
 			s.Exec.MaxInflight, s.Exec.AdmissionQueue = 2, -3
@@ -324,8 +323,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		{AtUS: 900, Kind: "heal"},
 		{AtUS: 50, Kind: "crash", Site: 3, DetectUS: 200},
 	}
-	s.Exec = Exec{DerefBatch: 8, Index: true,
-		ResultBatch: 3, MaxInflight: 8, AdmissionQueue: 4}
+	s.Exec = Exec{DerefBatch: 8, MaxInflight: 8, AdmissionQueue: 4}
 	s.TraceMessages = true
 
 	b, err := MarshalSpec(s)
@@ -333,8 +331,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every exec key, spelled and ordered as spec files and goldens have it.
-	const exec = `"exec":{"deref_batch":8,"index":true,` +
-		`"result_batch":3,"max_inflight":8,"admission_queue":4}`
+	const exec = `"exec":{"deref_batch":8,"max_inflight":8,"admission_queue":4}`
 	if !strings.Contains(string(b), exec) {
 		t.Errorf("exec encodes differently:\n  got  %s\n  want %s", b, exec)
 	}
@@ -369,8 +366,8 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 }
 
 // TestSpecIgnoresRetiredExecKeys: a spec written when exec still named
-// workers, fair_quantum or plan_cache parses, and no such key changes
-// anything.
+// workers, fair_quantum, plan_cache, index or result_batch parses, and no
+// such key changes anything.
 func TestSpecIgnoresRetiredExecKeys(t *testing.T) {
 	s := validSpec()
 	s.Exec = Exec{DerefBatch: 8}
@@ -378,7 +375,7 @@ func TestSpecIgnoresRetiredExecKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := strings.Replace(string(b), `"deref_batch":8`, `"workers":4,"deref_batch":8,"fair_quantum":2,"plan_cache":4`, 1)
+	old := strings.Replace(string(b), `"deref_batch":8`, `"workers":4,"deref_batch":8,"fair_quantum":2,"plan_cache":4,"index":true,"result_batch":8`, 1)
 	if old == string(b) {
 		t.Fatalf("spec has no exec.deref_batch key to extend: %s", b)
 	}
@@ -401,7 +398,7 @@ func TestUnmarshalSpecValidates(t *testing.T) {
 	// The spec file a user hands hfsim -run, with out-of-range exec knobs.
 	bad := `{"name":"x","seed":1,"sites":9,"topology":{"kind":"ring"},` +
 		`"workload":{"kind":"regions","objects":900,"region_size":100,"count":2,"arrival":"batch"},` +
-		`"exec":{"max_inflight":-1,"admission_queue":3,"result_batch":-5}}`
+		`"exec":{"max_inflight":-1,"admission_queue":3}}`
 	if _, err := UnmarshalSpec([]byte(bad)); err == nil || !strings.Contains(err.Error(), "exec") {
 		t.Errorf("UnmarshalSpec(bad exec) = %v, want an exec error", err)
 	}

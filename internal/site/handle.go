@@ -91,8 +91,6 @@ func (s *Site) statsResp(seq uint64) *wire.StatsResp {
 			{Name: "deadline_expired", Value: uint64(st.DeadlineExpired)},
 			{Name: "fair_deferred", Value: uint64(st.FairDeferred)},
 			{Name: "tuples_scanned", Value: uint64(st.Engine.TuplesScanned)},
-			{Name: "index_probes", Value: uint64(st.Engine.IndexProbes)},
-			{Name: "initial_pruned", Value: uint64(st.Engine.InitialPruned)},
 		},
 	}
 }

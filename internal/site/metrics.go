@@ -55,14 +55,11 @@ type siteMetrics struct {
 	planCacheMisses    *metrics.Counter
 	planCacheEvictions *metrics.Counter
 	// planOps break down what freshly-built plans compiled to: selection
-	// specialization classes, index probes (and the pure subset that skip
-	// tuple scans entirely), and fused select→deref kernels.
+	// specialization classes and fused select→deref kernels.
 	planOpsLiteral *metrics.Counter
 	planOpsGlob    *metrics.Counter
 	planOpsBinding *metrics.Counter
 	planOpsEnv     *metrics.Counter
-	planOpsProbe   *metrics.Counter
-	planOpsPure    *metrics.Counter
 	planOpsFused   *metrics.Counter
 
 	liveContexts   *metrics.Gauge
@@ -118,8 +115,6 @@ func newSiteMetrics(reg *metrics.Registry) siteMetrics {
 	m.planOpsGlob = reg.Counter("hf_plan_ops_glob")
 	m.planOpsBinding = reg.Counter("hf_plan_ops_binding")
 	m.planOpsEnv = reg.Counter("hf_plan_ops_env")
-	m.planOpsProbe = reg.Counter("hf_plan_ops_probe")
-	m.planOpsPure = reg.Counter("hf_plan_ops_pure_probe")
 	m.planOpsFused = reg.Counter("hf_plan_ops_fused")
 	m.liveContexts = reg.Gauge("site_live_contexts")
 	m.admissionQueue = reg.Gauge("hf_admission_queue")
@@ -137,8 +132,6 @@ func (m *siteMetrics) notePlanOps(c plan.Counts) {
 	m.planOpsGlob.Add(uint64(c.Classes[plan.ClassGlob]))
 	m.planOpsBinding.Add(uint64(c.Classes[plan.ClassBinding]))
 	m.planOpsEnv.Add(uint64(c.Classes[plan.ClassEnv]))
-	m.planOpsProbe.Add(uint64(c.Probes))
-	m.planOpsPure.Add(uint64(c.PureProbes))
 	m.planOpsFused.Add(uint64(c.Fused))
 }
 

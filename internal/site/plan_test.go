@@ -167,50 +167,3 @@ func TestPlanCacheDistinguishesBodies(t *testing.T) {
 		t.Errorf("origin compiled %d plans for 2 distinct bodies, want 2", st.PlanCompiles)
 	}
 }
-
-// TestIndexPushdownPrunesInitialSet: with a keyword index attached, a query
-// leading with a pure-probe selection prunes non-matching initial objects
-// without scanning a single tuple, and the answer is unchanged.
-func TestIndexPushdownPrunesInitialSet(t *testing.T) {
-	run := func(withIndex bool) (*wire.Complete, Stats) {
-		h := newHarness(t, 1, func(c *Config) { c.Index = withIndex })
-		var ids []object.ID
-		for i := 0; i < 10; i++ {
-			o := h.store(1).NewObject()
-			if i < 3 {
-				o.Add("keyword", object.Keyword("hot"), object.Value{})
-			} else {
-				o.Add("keyword", object.Keyword("cold"), object.Value{})
-			}
-			if err := h.store(1).Put(o); err != nil {
-				t.Fatal(err)
-			}
-			ids = append(ids, o.ID)
-		}
-		cm := h.exec(1, 1, `S (keyword, "hot", ?) -> T`, ids)
-		return cm, h.sites[1].Stats()
-	}
-
-	plain, plainStats := run(false)
-	pushed, pushedStats := run(true)
-	if len(plain.IDs) != 3 || len(pushed.IDs) != 3 {
-		t.Fatalf("results %d/%d, want 3 both ways", len(plain.IDs), len(pushed.IDs))
-	}
-	for i := range plain.IDs {
-		if plain.IDs[i] != pushed.IDs[i] {
-			t.Fatal("index pushdown changed the answer")
-		}
-	}
-	if pushedStats.Engine.InitialPruned != 7 {
-		t.Errorf("pruned %d initial objects, want 7", pushedStats.Engine.InitialPruned)
-	}
-	if pushedStats.Engine.TuplesScanned != 0 {
-		t.Errorf("scanned %d tuples with a pure probe, want 0", pushedStats.Engine.TuplesScanned)
-	}
-	if plainStats.Engine.TuplesScanned == 0 {
-		t.Error("unindexed run scanned nothing — the comparison proves nothing")
-	}
-	if plainStats.Engine.IndexProbes != 0 {
-		t.Error("unindexed run probed an index")
-	}
-}

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"hyperfile/internal/engine"
-	"hyperfile/internal/index"
 	"hyperfile/internal/metrics"
 	"hyperfile/internal/naming"
 	"hyperfile/internal/object"
@@ -163,8 +162,6 @@ type Site struct {
 	// plans is the body-fingerprint-keyed plan cache, bounded to
 	// PlanCacheEntries unpinned plans.
 	plans *plan.Cache
-	// index is the keyword index over cfg.Store (nil unless Config.Index).
-	index *index.Keyword
 
 	// met caches the metric instruments (all nil when Config.Metrics is).
 	met siteMetrics
@@ -292,8 +289,7 @@ func (ctx *qctx) engage(peer object.SiteID) {
 // New returns a site with the given configuration. A zero DerefBatch becomes
 // DerefBatchSize and, under a heartbeat, a zero SuspectAfter becomes four
 // intervals: this is the one place defaults are written, so every builder of
-// a Config gets them without naming them. Under Index, New builds the keyword
-// index and attaches it to Store, backfilling what Store already holds.
+// a Config gets them without naming them.
 func New(cfg Config) *Site {
 	if cfg.Router == nil {
 		cfg.Router = BirthRouter{}
@@ -304,17 +300,12 @@ func New(cfg Config) *Site {
 	if cfg.HeartbeatInterval > 0 && cfg.SuspectAfter <= 0 {
 		cfg.SuspectAfter = 4 * cfg.HeartbeatInterval
 	}
-	s := &Site{
+	return &Site{
 		cfg:      cfg,
 		contexts: make(map[wire.QueryID]*qctx),
 		met:      newSiteMetrics(cfg.Metrics),
 		plans:    plan.NewCache(PlanCacheEntries),
 	}
-	if cfg.Index {
-		s.index = index.NewKeyword()
-		cfg.Store.AttachIndex(s.index)
-	}
-	return s
 }
 
 // ID returns the site's identity.
@@ -478,7 +469,7 @@ func (s *Site) planFor(body string, hash []byte) (p *plan.Plan, fp query.Fingerp
 	if err != nil {
 		return nil, fp, err
 	}
-	p = plan.Build(compiled, s.cfg.Store, s.index)
+	p = plan.Build(compiled, nil, nil)
 	s.stats.PlanCompiles++
 	s.met.planCompileUS.ObserveDuration(time.Since(start))
 	s.met.notePlanOps(p.Counts())

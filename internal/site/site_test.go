@@ -607,8 +607,7 @@ func TestBirthRouter(t *testing.T) {
 // hyperfiled's tuning flags, each defaulting to the zero value.
 func TestTuningDeclaredOnce(t *testing.T) {
 	execKeys := map[string]bool{
-		"deref_batch": true, "index": true,
-		"result_batch": true, "max_inflight": true, "admission_queue": true,
+		"deref_batch": true, "max_inflight": true, "admission_queue": true,
 	}
 	seen := map[string]bool{}
 	typ := reflect.TypeOf(Tuning{})
@@ -633,7 +632,6 @@ func TestTuningDeclaredOnce(t *testing.T) {
 	}
 
 	want := map[string]string{
-		"result-batch": "0", "index": "false",
 		"max-inflight": "0", "admission-queue": "0", "query-deadline": "0s",
 		"heartbeat": "0s", "suspect-after": "0s",
 	}

@@ -23,12 +23,6 @@ type Tuning struct {
 	// Unbatched (any negative value) is the paper's one-object-per-message
 	// protocol exactly.
 	DerefBatch int `json:"deref_batch,omitempty"`
-	// Index makes New attach a keyword index to Store. The planner pushes
-	// exact-match selections down to it: negative probes skip tuple scans,
-	// and pure probes at filter 0 prune the initial set.
-	Index bool `json:"index,omitempty"`
-	// ResultBatch caps ids per Result message; 0 means unbounded.
-	ResultBatch int `json:"result_batch,omitempty"`
 	// MaxInflight, when positive, bounds the unfinished query contexts this
 	// site holds. Submits beyond it wait in the admission queue or are
 	// refused with wire.Reject; Deref and Seed are always accepted, since
@@ -54,6 +48,9 @@ type Tuning struct {
 type Ablation struct {
 	// Order is the working-set discipline.
 	Order engine.Order
+	// ResultBatch caps ids per Result message; 0, the default, means
+	// unbounded (A6 sweeps it).
+	ResultBatch int
 	// DistributedSetThreshold, when positive, makes a participant withhold
 	// its local result ids and report only a count whenever a drain yields
 	// more than this many results (the paper's distributed-set refinement).
@@ -67,8 +64,6 @@ type Ablation struct {
 // Flags registers hyperfiled's tuning flags on fs, bound to t and defaulting
 // to t's values.
 func (t *Tuning) Flags(fs *flag.FlagSet) {
-	fs.IntVar(&t.ResultBatch, "result-batch", t.ResultBatch, "max result ids per message (0 = unbounded)")
-	fs.BoolVar(&t.Index, "index", t.Index, "maintain a keyword index and push exact-match selections down to it")
 	fs.IntVar(&t.MaxInflight, "max-inflight", t.MaxInflight, "max live query contexts before admission control kicks in (0 = unbounded)")
 	fs.IntVar(&t.AdmissionQueue, "admission-queue", t.AdmissionQueue, "Submits queued while at max-inflight before rejecting (0 = reject immediately)")
 	fs.DurationVar(&t.QueryDeadline, "query-deadline", t.QueryDeadline, "default per-query time budget; expired queries return annotated partials (0 = none)")
@@ -84,7 +79,6 @@ func (t Tuning) Validate() error {
 		v        any
 		negative bool
 	}{
-		{"-result-batch", t.ResultBatch, t.ResultBatch < 0},
 		{"-max-inflight", t.MaxInflight, t.MaxInflight < 0},
 		{"-admission-queue", t.AdmissionQueue, t.AdmissionQueue < 0},
 		{"-query-deadline", t.QueryDeadline, t.QueryDeadline < 0},

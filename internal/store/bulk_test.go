@@ -10,7 +10,7 @@ import (
 
 // AllocIDs and BulkLoad are the scenario generator's loading path: ids born
 // at the owning site in one lock acquisition, objects installed in batches
-// with the same spill and index semantics as Put.
+// with the same spill semantics as Put.
 
 func TestAllocIDsFreshAndDisjointFromNewObject(t *testing.T) {
 	s := New(5)

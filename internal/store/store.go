@@ -32,17 +32,6 @@ type blobKey struct {
 	tuple int
 }
 
-// TupleIndex is a secondary index the store keeps consistent through every
-// mutation path (Put, Delete, Remove, migration): Insert is called with each
-// stored object's searchable representation, Remove with the previously
-// stored version before it is replaced or deleted. Implementations must be
-// safe for concurrent use and must not call back into the store.
-// *index.Keyword implements it.
-type TupleIndex interface {
-	Insert(*object.Object)
-	Remove(*object.Object)
-}
-
 // Store is a thread-safe main-memory object store for one site.
 // The zero value is not usable; use New.
 type Store struct {
@@ -51,7 +40,6 @@ type Store struct {
 	seq     uint64
 	objects map[object.ID]*object.Object
 	blobs   map[blobKey][]byte
-	index   TupleIndex
 
 	largeThreshold int
 	diskReads      int
@@ -83,22 +71,6 @@ func New(site object.SiteID, opts ...Option) *Store {
 // Site returns the site this store belongs to.
 func (s *Store) Site() object.SiteID { return s.site }
 
-// AttachIndex installs a secondary index and backfills it with every object
-// currently stored. From then on the store keeps the index consistent
-// through Put, Delete, and Remove. Attaching nil detaches. Only one index
-// can be attached.
-func (s *Store) AttachIndex(ix TupleIndex) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.index = ix
-	if ix == nil {
-		return
-	}
-	for _, o := range s.objects {
-		ix.Insert(o)
-	}
-}
-
 // NewObject allocates a fresh object born at this site.
 func (s *Store) NewObject() *object.Object {
 	s.mu.Lock()
@@ -125,12 +97,6 @@ func (s *Store) Put(o *object.Object) error {
 			s.blobs[blobKey{c.ID, i}] = d.Bytes
 			*d = object.Value{Kind: object.KindBytes} // stub: zero-length, spilled
 		}
-	}
-	if s.index != nil {
-		if old, ok := s.objects[c.ID]; ok {
-			s.index.Remove(old)
-		}
-		s.index.Insert(c)
 	}
 	s.objects[c.ID] = c
 	return nil
@@ -169,12 +135,6 @@ func (s *Store) BulkLoad(objs []*object.Object) error {
 				s.blobs[blobKey{o.ID, i}] = d.Bytes
 				*d = object.Value{Kind: object.KindBytes} // stub: zero-length, spilled
 			}
-		}
-		if s.index != nil {
-			if old, ok := s.objects[o.ID]; ok {
-				s.index.Remove(old)
-			}
-			s.index.Insert(o)
 		}
 		s.objects[o.ID] = o
 	}
@@ -246,12 +206,8 @@ func (s *Store) GetFull(id object.ID) (*object.Object, bool) {
 func (s *Store) Delete(id object.ID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	o, ok := s.objects[id]
-	if !ok {
+	if _, ok := s.objects[id]; !ok {
 		return false
-	}
-	if s.index != nil {
-		s.index.Remove(o)
 	}
 	delete(s.objects, id)
 	s.dropBlobsLocked(id)
@@ -280,9 +236,6 @@ func (s *Store) Remove(id object.ID) (*object.Object, error) {
 		if b, ok := s.blobs[blobKey{id, i}]; ok {
 			full.Tuples[i].Data = object.Bytes(b)
 		}
-	}
-	if s.index != nil {
-		s.index.Remove(o)
 	}
 	delete(s.objects, id)
 	s.dropBlobsLocked(id)
