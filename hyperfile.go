@@ -19,7 +19,7 @@
 //
 //   - DB: a single-site, embedded store with local query execution.
 //   - NewCluster: an in-process multi-site service, one server per site
-//     on an in-memory network.
+//     and one client, over loopback TCP.
 //   - NewSimCluster: a deterministic virtual-time cluster for experiments.
 //   - NewServer / NewClient: the TCP deployment, one server per machine.
 package hyperfile
@@ -109,8 +109,8 @@ func PaperCosts() CostModel { return sim.Paper() }
 func ParseQuery(src string) (*Query, error) { return query.Parse(src) }
 
 // NewCluster starts an in-process cluster of n sites: n servers, the same
-// runtime NewServer starts, exchanging encoded messages over an in-memory
-// network instead of TCP.
+// runtime NewServer starts, and the client NewClient starts, talking over
+// loopback TCP.
 func NewCluster(n int, opts Options) *Cluster { return cluster.NewLocal(n, opts) }
 
 // NewSimCluster builds a deterministic simulated cluster of n sites.

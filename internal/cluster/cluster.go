@@ -7,9 +7,10 @@
 //     paper's timed experiments (section 5).
 //
 //   - LocalCluster wires N unmodified server.Servers — the runtime
-//     hyperfiled deploys — over loopback transport.TCP, plus a client
-//     endpoint; it exercises real concurrency over production's framing,
-//     acknowledgement, retransmission and dedup.
+//     hyperfiled deploys — over loopback transport.TCP, and queries them
+//     through a server.Client, the client hfquery runs; it exercises real
+//     concurrency over production's framing, acknowledgement,
+//     retransmission and dedup.
 package cluster
 
 import (
@@ -19,6 +20,7 @@ import (
 	"hyperfile/internal/chaos"
 	"hyperfile/internal/naming"
 	"hyperfile/internal/object"
+	"hyperfile/internal/server"
 	"hyperfile/internal/sim"
 	"hyperfile/internal/site"
 	"hyperfile/internal/store"
@@ -112,8 +114,8 @@ type Result struct {
 // ErrRejected reports that admission control refused a query: the site was
 // at MaxInflight with a full (or absent) admission queue, or the query's
 // budget lapsed while it waited for a slot. The error wraps no partial
-// answer — the query never ran.
-var ErrRejected = errors.New("cluster: query rejected by admission control")
+// answer — the query never ran. It is the network client's sentinel.
+var ErrRejected = server.ErrRejected
 
 // moveObject migrates an object between stores and updates the naming
 // directories: the birth site's authority records the new location, the

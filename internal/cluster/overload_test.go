@@ -9,11 +9,43 @@ import (
 
 	"hyperfile/internal/chaos"
 	"hyperfile/internal/object"
+	"hyperfile/internal/server"
 	"hyperfile/internal/site"
 	"hyperfile/internal/termination"
 	"hyperfile/internal/waitfor"
 	"hyperfile/internal/workload"
 )
+
+// TestRejectionIsTheClientSentinel: LocalCluster queries through
+// server.Client, so an admission refusal is one error to both vocabularies.
+// A query waiting on a downed site holds the one slot of a MaxInflight 1
+// origin, and the next query is refused at once.
+func TestRejectionIsTheClientSentinel(t *testing.T) {
+	const q = `S (keyword, "hot", ?) -> T`
+	c := NewLocal(2, Options{Tuning: site.Tuning{MaxInflight: 1}})
+	defer c.Close()
+	far := c.Store(2).NewObject().Add("keyword", object.Keyword("hot"), object.Value{})
+	if err := c.Put(2, far); err != nil {
+		t.Fatal(err)
+	}
+	c.SetDown(2, true)
+	held := make(chan error, 1)
+	go func() {
+		_, err := c.Exec(1, q, []object.ID{far.ID}, 20*time.Second)
+		held <- err
+	}()
+	if err := waitfor.Until(5*time.Second, func() bool { return c.SiteContexts(1) == 1 }); err != nil {
+		t.Fatalf("the holding query never took its slot: %v", err)
+	}
+	_, err := c.Exec(1, q, nil, 5*time.Second)
+	if !errors.Is(err, ErrRejected) || !errors.Is(err, server.ErrRejected) {
+		t.Errorf("err = %v, want both cluster.ErrRejected and server.ErrRejected", err)
+	}
+	c.SetDown(2, false) // the held Deref's retransmission now lands
+	if err := <-held; err != nil {
+		t.Errorf("holding query after the heal: %v", err)
+	}
+}
 
 // TestOverloadKnobsPreserveResults is the equivalence matrix's scheduler-on
 // row: a cluster with admission control enabled but never under pressure

@@ -22,6 +22,10 @@ var ErrTimeout = errors.New("server: query timed out")
 // admission queue, or the budget lapsed while the query waited for a slot.
 var ErrRejected = errors.New("server: query rejected by admission control")
 
+// cancelGrace bounds the wait, after a timed-out query's Cancel, for the
+// partial answer the Cancel asks the originator for.
+const cancelGrace = 5 * time.Second
+
 // Client is a HyperFile network client. Like the paper's experimental
 // client, it runs "at a separate machine from any of the servers": it has
 // its own site id and listener so originators can send Complete messages
@@ -30,23 +34,23 @@ type Client struct {
 	tr  *transport.TCP
 	reg *metrics.Registry
 
-	mu           sync.Mutex
-	next         uint64
-	waiters      map[wire.QueryID]chan clientReply
-	statsWaiters map[uint64]chan *wire.StatsResp
-	migWaiters   map[uint64]chan *wire.Migrated
-}
-
-// clientReply resolves a waiting Exec: a completion, or an admission
-// rejection.
-type clientReply struct {
-	complete *wire.Complete
-	reject   *wire.Reject
+	mu   sync.Mutex
+	next uint64
+	// waiters holds one reply channel per outstanding request, keyed by the
+	// request's sequence number (a query's QID.Seq, a StatsReq's or
+	// Migrate's Seq); every request kind draws from the one counter.
+	waiters map[uint64]chan wire.Msg
 }
 
 // NewClient starts a client endpoint with the given (client) site id,
 // listening on addr ("127.0.0.1:0" for ephemeral).
 func NewClient(id object.SiteID, addr string) (*Client, error) {
+	return NewClientOpts(id, addr, transport.Options{})
+}
+
+// NewClientOpts is NewClient with explicit transport options (a fault
+// injector, say).
+func NewClientOpts(id object.SiteID, addr string, opts transport.Options) (*Client, error) {
 	c := &Client{
 		reg: metrics.NewRegistry(),
 		// Seed the id counter from the clock so query ids from successive
@@ -54,12 +58,10 @@ func NewClient(id object.SiteID, addr string) (*Client, error) {
 		// finished query ids, and a reused id would make a fresh query look
 		// like a straggler of the old one — its work silently dropped and
 		// its termination credit abandoned, hanging the query.
-		next:         uint64(time.Now().UnixNano())<<8 | uint64(rand.Intn(256)),
-		waiters:      make(map[wire.QueryID]chan clientReply),
-		statsWaiters: make(map[uint64]chan *wire.StatsResp),
-		migWaiters:   make(map[uint64]chan *wire.Migrated),
+		next:    uint64(time.Now().UnixNano())<<8 | uint64(rand.Intn(256)),
+		waiters: make(map[uint64]chan wire.Msg),
 	}
-	tr, err := transport.ListenTCP(id, addr, c.onMessage)
+	tr, err := transport.ListenTCPOpts(id, addr, c.onMessage, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -84,108 +86,125 @@ func (c *Client) Close() { _ = c.tr.Close() }
 func (c *Client) Metrics() *metrics.Registry { return c.reg }
 
 func (c *Client) onMessage(_ object.SiteID, m wire.Msg) {
+	var seq uint64
 	switch m := m.(type) {
 	case *wire.Complete:
-		c.mu.Lock()
-		ch := c.waiters[m.QID]
-		delete(c.waiters, m.QID)
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- clientReply{complete: m}
-		}
+		seq = m.QID.Seq
 	case *wire.Reject:
-		c.mu.Lock()
-		ch := c.waiters[m.QID]
-		delete(c.waiters, m.QID)
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- clientReply{reject: m}
-		}
+		seq = m.QID.Seq
 	case *wire.StatsResp:
-		c.mu.Lock()
-		ch := c.statsWaiters[m.Seq]
-		delete(c.statsWaiters, m.Seq)
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- m
-		}
+		seq = m.Seq
 	case *wire.Migrated:
-		c.mu.Lock()
-		ch := c.migWaiters[m.Seq]
-		delete(c.migWaiters, m.Seq)
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- m
-		}
+		seq = m.Seq
 	default:
 		// The client endpoint only ever receives completions and reply
 		// messages it solicited; anything else means a server addressed the
 		// wrong site. Count it rather than dropping it invisibly.
 		c.reg.Counter("hf_wire_unknown_msgs").Inc()
+		return
 	}
+	c.mu.Lock()
+	ch := c.waiters[seq]
+	delete(c.waiters, seq)
+	c.mu.Unlock()
+	if ch != nil {
+		ch <- m
+	}
+}
+
+// open draws a request sequence number and registers its waiter.
+func (c *Client) open() (uint64, chan wire.Msg) {
+	ch := make(chan wire.Msg, 1)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.next++
+	c.waiters[c.next] = ch
+	return c.next, ch
+}
+
+// await sends req to site and waits up to timeout for the reply to seq,
+// then removes seq's waiter whatever the outcome. A reply already in hand
+// when the timer fires is on time. Otherwise, for a query (non-nil qid) it
+// asks the originator to Cancel, and the partial answer that provokes within
+// cancelGrace comes back with ErrTimeout; any other request gives up with
+// ErrTimeout at once.
+func (c *Client) await(seq uint64, ch chan wire.Msg, site object.SiteID, req wire.Msg, qid *wire.QueryID, timeout time.Duration) (wire.Msg, error) {
+	defer func() {
+		c.mu.Lock()
+		delete(c.waiters, seq)
+		c.mu.Unlock()
+	}()
+	if err := c.tr.Send(site, req); err != nil {
+		return nil, err
+	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	select {
+	case m := <-ch:
+		return m, nil
+	case <-timer.C:
+	}
+	select {
+	case m := <-ch:
+		return m, nil
+	default:
+	}
+	if qid == nil {
+		return nil, ErrTimeout
+	}
+	if err := c.Cancel(*qid); err != nil {
+		return nil, fmt.Errorf("%w (cancel also failed: %v)", ErrTimeout, err)
+	}
+	timer.Reset(cancelGrace)
+	select {
+	case m := <-ch:
+		return m, ErrTimeout
+	case <-timer.C:
+		return nil, ErrTimeout
+	}
+}
+
+// unexpected reports a reply whose kind does not answer the request that
+// shares its sequence number.
+func unexpected(m wire.Msg) error {
+	return fmt.Errorf("server: unexpected %v reply", m.Kind())
 }
 
 // Migrate moves an object to another site (live, section 4). The request
 // goes to the object's presumed current owner — its birth site unless the
 // client knows better — and is forwarded along stale presumptions.
 func (c *Client) Migrate(id object.ID, to object.SiteID, timeout time.Duration) error {
-	c.mu.Lock()
-	c.next++
-	seq := c.next
-	ch := make(chan *wire.Migrated, 1)
-	c.migWaiters[seq] = ch
-	c.mu.Unlock()
+	seq, ch := c.open()
 	req := &wire.Migrate{
 		Seq: seq, ID: id, To: to,
 		Client: c.tr.Self(), ClientAddr: c.tr.Addr(),
 	}
-	if err := c.tr.Send(id.Birth, req); err != nil {
-		c.mu.Lock()
-		delete(c.migWaiters, seq)
-		c.mu.Unlock()
+	m, err := c.await(seq, ch, id.Birth, req, nil, timeout)
+	if err != nil {
 		return err
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case m := <-ch:
-		if !m.OK {
-			return fmt.Errorf("server: migration failed: %s", m.Err)
-		}
-		return nil
-	case <-timer.C:
-		c.mu.Lock()
-		delete(c.migWaiters, seq)
-		c.mu.Unlock()
-		return ErrTimeout
+	done, ok := m.(*wire.Migrated)
+	switch {
+	case !ok:
+		return unexpected(m)
+	case !done.OK:
+		return fmt.Errorf("server: migration failed: %s", done.Err)
 	}
+	return nil
 }
 
 // Stats fetches a server's counters.
 func (c *Client) Stats(site object.SiteID, timeout time.Duration) (*wire.StatsResp, error) {
-	c.mu.Lock()
-	c.next++
-	seq := c.next
-	ch := make(chan *wire.StatsResp, 1)
-	c.statsWaiters[seq] = ch
-	c.mu.Unlock()
-	if err := c.tr.Send(site, &wire.StatsReq{Seq: seq, ClientAddr: c.tr.Addr()}); err != nil {
-		c.mu.Lock()
-		delete(c.statsWaiters, seq)
-		c.mu.Unlock()
+	seq, ch := c.open()
+	m, err := c.await(seq, ch, site, &wire.StatsReq{Seq: seq, ClientAddr: c.tr.Addr()}, nil, timeout)
+	if err != nil {
 		return nil, err
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case resp := <-ch:
-		return resp, nil
-	case <-timer.C:
-		c.mu.Lock()
-		delete(c.statsWaiters, seq)
-		c.mu.Unlock()
-		return nil, ErrTimeout
+	resp, ok := m.(*wire.StatsResp)
+	if !ok {
+		return nil, unexpected(m)
 	}
+	return resp, nil
 }
 
 // Exec submits a query to the originator site and waits for the answer. On
@@ -201,52 +220,37 @@ func (c *Client) Exec(origin object.SiteID, body string, initial []object.ID, ti
 // up. Zero budget imposes none. An admission-control refusal returns
 // ErrRejected.
 func (c *Client) ExecBudget(origin object.SiteID, body string, initial []object.ID, budget, timeout time.Duration) (*wire.Complete, error) {
-	c.mu.Lock()
-	c.next++
-	qid := wire.QueryID{Origin: origin, Seq: c.next}
-	ch := make(chan clientReply, 1)
-	c.waiters[qid] = ch
-	c.mu.Unlock()
+	cm, _, err := c.Submit(origin, wire.Submit{Body: body, Initial: initial}, budget, timeout)
+	return cm, err
+}
 
-	sub := &wire.Submit{
-		QID: qid, Client: c.tr.Self(), ClientAddr: c.tr.Addr(),
-		Body: body, Initial: initial,
-	}
+// Submit is ExecBudget for a caller-built Submit, which may carry
+// InitialFromResultOf and ClientID; the client fills in QID, Client,
+// ClientAddr and BudgetUS. It also returns the query's id, which seeds a
+// follow-up (InitialFromResultOf) or names the query to Cancel.
+func (c *Client) Submit(origin object.SiteID, sub wire.Submit, budget, timeout time.Duration) (*wire.Complete, wire.QueryID, error) {
+	seq, ch := c.open()
+	qid := wire.QueryID{Origin: origin, Seq: seq}
+	sub.QID, sub.Client, sub.ClientAddr = qid, c.tr.Self(), c.tr.Addr()
 	if budget > 0 {
 		sub.BudgetUS = uint64(budget.Microseconds())
 		if sub.BudgetUS == 0 {
 			sub.BudgetUS = 1 // sub-microsecond budgets round up, not off
 		}
 	}
-	if err := c.tr.Send(origin, sub); err != nil {
-		c.drop(qid)
-		return nil, err
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		return c.finish(r)
-	case <-timer.C:
-		// Ask the originator to cancel and ship whatever it has.
-		c.mu.Lock()
-		c.waiters[qid] = ch
-		c.mu.Unlock()
-		if err := c.tr.Send(origin, &wire.Cancel{QID: qid, Reason: "cancelled by client"}); err != nil {
-			c.drop(qid)
-			return nil, fmt.Errorf("%w (cancel also failed: %v)", ErrTimeout, err)
+	m, err := c.await(seq, ch, origin, &sub, &qid, timeout)
+	switch m := m.(type) {
+	case nil:
+		return nil, qid, err
+	case *wire.Reject:
+		return nil, qid, fmt.Errorf("%w: %s", ErrRejected, m.Reason)
+	case *wire.Complete:
+		if m.Err != "" {
+			return nil, qid, fmt.Errorf("server: query failed: %s", m.Err)
 		}
-		select {
-		case r := <-ch:
-			res, err := c.finish(r)
-			if err != nil {
-				return nil, err
-			}
-			return res, ErrTimeout
-		case <-time.After(5 * time.Second):
-			c.drop(qid)
-			return nil, ErrTimeout
-		}
+		return m, qid, err
+	default:
+		return nil, qid, unexpected(m)
 	}
 }
 
@@ -255,20 +259,4 @@ func (c *Client) ExecBudget(origin object.SiteID, body string, initial []object.
 // unknown or finished query is a no-op.
 func (c *Client) Cancel(qid wire.QueryID) error {
 	return c.tr.Send(qid.Origin, &wire.Cancel{QID: qid, Reason: "cancelled by client"})
-}
-
-func (c *Client) finish(r clientReply) (*wire.Complete, error) {
-	if r.reject != nil {
-		return nil, fmt.Errorf("%w: %s", ErrRejected, r.reject.Reason)
-	}
-	if r.complete.Err != "" {
-		return nil, fmt.Errorf("server: query failed: %s", r.complete.Err)
-	}
-	return r.complete, nil
-}
-
-func (c *Client) drop(qid wire.QueryID) {
-	c.mu.Lock()
-	delete(c.waiters, qid)
-	c.mu.Unlock()
 }
