@@ -85,7 +85,7 @@ func run(w io.Writer, servers string, origin, clientID uint, listen, initial, sc
 			fmt.Fprintf(w, "site %s: %d objects, %d live query contexts\n",
 				resp.Site, resp.Objects, resp.Contexts)
 			for _, c := range resp.Counters {
-				fmt.Fprintf(w, "  %-20s %d\n", c.Name, c.Value)
+				fmt.Fprintf(w, "  %-34s %d\n", c.Name, c.Value)
 			}
 		}
 		return nil

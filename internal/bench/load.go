@@ -4,13 +4,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
 	"hyperfile/internal/chaos"
 	"hyperfile/internal/cluster"
-	"hyperfile/internal/metrics"
 	"hyperfile/internal/object"
 	"hyperfile/internal/sim"
 	"hyperfile/internal/site"
@@ -85,8 +86,8 @@ type LoadPoint struct {
 	Errors   int `json:"errors"`
 	Hangs    int `json:"hangs"`
 
-	// Latency quantiles over every answered arrival (µs, log2-bucket upper
-	// bounds from internal/metrics).
+	// Latency quantiles over every answered arrival (µs, nearest rank over
+	// the sorted latencies) and their mean.
 	P50US  uint64  `json:"p50_us"`
 	P95US  uint64  `json:"p95_us"`
 	P99US  uint64  `json:"p99_us"`
@@ -308,18 +309,6 @@ func calibrate(c *cluster.LocalCluster, d *workload.Dataset, cfg LoadConfig) (fl
 	return float64(n) / elapsed.Seconds(), nil
 }
 
-// statSum totals the overload counters across all sites.
-func statSum(c *cluster.LocalCluster) (admitted, shed, cancelled, expired int) {
-	for _, id := range c.Sites() {
-		st := c.SiteStats(id)
-		admitted += st.Admitted
-		shed += st.Shed
-		cancelled += st.Cancelled
-		expired += st.DeadlineExpired
-	}
-	return
-}
-
 // runLoadPoint fires cfg.Queries arrivals with exponential inter-arrival
 // times at targetQPS, never waiting for answers before the next arrival.
 func runLoadPoint(c *cluster.LocalCluster, d *workload.Dataset, cfg LoadConfig, multiplier, targetQPS float64) (*LoadPoint, error) {
@@ -327,10 +316,7 @@ func runLoadPoint(c *cluster.LocalCluster, d *workload.Dataset, cfg LoadConfig, 
 		return nil, fmt.Errorf("load x%.1f: target rate %.2f qps is not positive", multiplier, targetQPS)
 	}
 	pt := &LoadPoint{Multiplier: multiplier, TargetQPS: targetQPS, Offered: cfg.Queries}
-	a0, s0, c0, e0 := statSum(c)
-
-	reg := metrics.NewRegistry()
-	lat := reg.Histogram("hf_load_latency_us")
+	st0 := c.TotalStats()
 	sched := arrivalSchedule(cfg, multiplier, targetQPS)
 
 	type outcome int
@@ -340,7 +326,11 @@ func runLoadPoint(c *cluster.LocalCluster, d *workload.Dataset, cfg LoadConfig, 
 		outRejected
 		outError
 	)
-	results := make(chan outcome, cfg.Queries)
+	type answer struct {
+		outcome
+		lat time.Duration
+	}
+	results := make(chan answer, cfg.Queries)
 	var wg sync.WaitGroup
 	prev := time.Duration(0)
 	for i := 0; i < cfg.Queries; i++ {
@@ -355,19 +345,18 @@ func runLoadPoint(c *cluster.LocalCluster, d *workload.Dataset, cfg LoadConfig, 
 			defer wg.Done()
 			start := time.Now()
 			res, err := c.Exec(origin, body, []object.ID{d.Root}, cfg.Timeout)
-			lat.ObserveDuration(time.Since(start))
+			a := answer{outError, time.Since(start)}
 			switch {
 			case err == nil && res != nil && !res.Partial:
-				results <- outOK
+				a.outcome = outOK
 			case err == nil || res != nil:
 				// Partial answers arrive with nil err (server-side expiry)
 				// or alongside ErrTimeout (client-side cancel recovery).
-				results <- outPartial
+				a.outcome = outPartial
 			case errors.Is(err, cluster.ErrRejected):
-				results <- outRejected
-			default:
-				results <- outError
+				a.outcome = outRejected
 			}
+			results <- a
 		}()
 	}
 
@@ -384,11 +373,13 @@ func runLoadPoint(c *cluster.LocalCluster, d *workload.Dataset, cfg LoadConfig, 
 	}
 	// Drain what has arrived without closing the channel: a hung query that
 	// limps in later sends into the buffer harmlessly instead of panicking.
+	var lat []time.Duration
 drain:
 	for {
 		select {
-		case o := <-results:
-			switch o {
+		case a := <-results:
+			lat = append(lat, a.lat)
+			switch a.outcome {
 			case outOK:
 				pt.OK++
 			case outPartial:
@@ -404,17 +395,31 @@ drain:
 	}
 	pt.Hangs = pt.Offered - pt.OK - pt.Partial - pt.Rejected - pt.Errors
 
-	h := reg.Snapshot().Histograms["hf_load_latency_us"]
-	pt.P50US = h.Quantile(0.50)
-	pt.P95US = h.Quantile(0.95)
-	pt.P99US = h.Quantile(0.99)
-	pt.MeanUS = h.Mean()
+	pt.noteLatencies(lat)
 
-	a1, s1, c1, e1 := statSum(c)
-	pt.Admitted, pt.Shed = a1-a0, s1-s0
-	pt.Cancelled, pt.DeadlineExpired = c1-c0, e1-e0
+	st1 := c.TotalStats()
+	pt.Admitted, pt.Shed = st1.Admitted-st0.Admitted, st1.Shed-st0.Shed
+	pt.Cancelled, pt.DeadlineExpired = st1.Cancelled-st0.Cancelled, st1.DeadlineExpired-st0.DeadlineExpired
 	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("load x%.1f: cluster error: %w", multiplier, err)
 	}
 	return pt, nil
+}
+
+// noteLatencies sets pt's quantiles, by nearest rank over the sorted sample,
+// and its mean from the latencies of its answered arrivals.
+func (pt *LoadPoint) noteLatencies(lat []time.Duration) {
+	if len(lat) == 0 {
+		return
+	}
+	slices.Sort(lat)
+	rank := func(q float64) uint64 {
+		return uint64(lat[max(int(math.Ceil(q*float64(len(lat)))), 1)-1].Microseconds())
+	}
+	pt.P50US, pt.P95US, pt.P99US = rank(0.50), rank(0.95), rank(0.99)
+	var sum time.Duration
+	for _, d := range lat {
+		sum += d
+	}
+	pt.MeanUS = float64(sum) / float64(len(lat)) / float64(time.Microsecond)
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"encoding/json"
 	"testing"
+	"time"
 )
 
 // TestRunLoadSmoke runs a miniature open-loop sweep — including a point at
@@ -100,5 +101,24 @@ func TestDefaultLoadEngagesOverload(t *testing.T) {
 	}
 	if !cfg.Chaos {
 		t.Error("defaults skip chaos; the acceptance regime is overload under chaos")
+	}
+}
+
+// TestLoadLatenciesAreExact: a load point's quantiles are sample latencies
+// by nearest rank, not histogram bucket bounds, and its mean is exact.
+func TestLoadLatenciesAreExact(t *testing.T) {
+	var lat []time.Duration
+	for i := 100; i >= 1; i-- { // 1000µs..100000µs, out of order
+		lat = append(lat, time.Duration(i)*time.Millisecond)
+	}
+	var pt LoadPoint
+	pt.noteLatencies(lat)
+	if pt.P50US != 50_000 || pt.P95US != 95_000 || pt.P99US != 99_000 || pt.MeanUS != 50_500 {
+		t.Errorf("p50 %d p95 %d p99 %d mean %v µs, want 50000 95000 99000 50500", pt.P50US, pt.P95US, pt.P99US, pt.MeanUS)
+	}
+	pt = LoadPoint{}
+	pt.noteLatencies([]time.Duration{3 * time.Microsecond})
+	if pt.P50US != 3 || pt.P99US != 3 || pt.MeanUS != 3 {
+		t.Errorf("one sample of 3µs: %+v", pt)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"hyperfile/internal/chaos"
+	"hyperfile/internal/metrics"
 	"hyperfile/internal/naming"
 	"hyperfile/internal/object"
 	"hyperfile/internal/server"
@@ -90,6 +91,15 @@ func siteConfigs(ids []object.SiteID, opts Options) []site.Config {
 		}
 	}
 	return cfgs
+}
+
+// totalStats sums the sites' registry snapshots and reads Stats from the sum.
+func totalStats(ids []object.SiteID, reg func(object.SiteID) *metrics.Registry) site.Stats {
+	var sum metrics.Snapshot
+	for _, id := range ids {
+		sum = sum.Add(reg(id).Snapshot())
+	}
+	return site.StatsOf(sum)
 }
 
 // Result is a finished query as seen by the client.

@@ -131,6 +131,10 @@ func (c *LocalCluster) Move(id object.ID, to object.SiteID) error {
 // queries) for exact values.
 func (c *LocalCluster) SiteStats(id object.SiteID) site.Stats { return c.servers[id].Stats() }
 
+// TotalStats sums protocol statistics over all sites, with SiteStats'
+// caveat.
+func (c *LocalCluster) TotalStats() site.Stats { return totalStats(c.ids, c.Metrics) }
+
 // SiteContexts reports a site's live query-context count, read on the site
 // goroutine so the value is consistent with message processing. Tests poll it
 // to confirm cancelled or expired queries drained instead of lingering.

@@ -47,6 +47,27 @@ func TestRejectionIsTheClientSentinel(t *testing.T) {
 	}
 }
 
+// TestDefaultServerDropsStrandedDrain: a query that times out while its
+// credit sits at an unreachable peer is cancelled, and its originator context
+// drains until the cancel grace runs out. Only the deadline sweep abandons
+// that drain, so a server with default options must run it too, or the
+// context stays forever.
+func TestDefaultServerDropsStrandedDrain(t *testing.T) {
+	c := NewLocal(2, Options{})
+	defer c.Close()
+	far := c.Store(2).NewObject().Add("keyword", object.Keyword("hot"), object.Value{})
+	if err := c.Put(2, far); err != nil {
+		t.Fatal(err)
+	}
+	c.SetDown(2, true)
+	if _, err := c.Exec(1, `S (keyword, "hot", ?) -> T`, []object.ID{far.ID}, 200*time.Millisecond); err == nil {
+		t.Fatal("a query whose only object sits at a downed site answered")
+	}
+	if err := waitfor.Until(15*time.Second, func() bool { return c.SiteContexts(1) == 0 }); err != nil {
+		t.Errorf("site 1 still holds %d contexts after the cancel grace: %v", c.SiteContexts(1), err)
+	}
+}
+
 // TestOverloadKnobsPreserveResults is the equivalence matrix's scheduler-on
 // row: a cluster with admission control enabled but never under pressure
 // (MaxInflight far above the offered load, a generous deadline) must produce

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"hyperfile/internal/metrics"
 	"hyperfile/internal/naming"
 	"hyperfile/internal/object"
 	"hyperfile/internal/sim"
@@ -69,6 +70,9 @@ type simSite struct {
 	freeAt time.Duration
 	// Counters for experiment reporting.
 	msgsIn, msgsOut int
+	// compiles and cacheHits are the site's plan counters, which price
+	// each message's query setup.
+	compiles, cacheHits *metrics.Counter
 }
 
 type inMsg struct {
@@ -89,8 +93,11 @@ func NewSim(n int, opts Options) *SimCluster {
 	}
 	for _, cfg := range siteConfigs(c.ids, opts) {
 		id := cfg.ID
+		s := site.New(cfg)
+		reg := s.Config().Metrics
 		c.sites[id] = &simSite{
-			c: c, s: site.New(cfg), id: id, store: cfg.Store,
+			c: c, s: s, id: id, store: cfg.Store,
+			compiles: reg.Counter("hf_plan_compiles"), cacheHits: reg.Counter("hf_plan_cache_hits"),
 		}
 		if cfg.Directory != nil {
 			c.dirs[id] = cfg.Directory
@@ -192,27 +199,7 @@ func (c *SimCluster) SiteStats(id object.SiteID) site.Stats { return c.sites[id]
 
 // TotalStats sums protocol statistics over all sites.
 func (c *SimCluster) TotalStats() site.Stats {
-	var t site.Stats
-	for _, id := range c.ids {
-		st := c.sites[id].s.Stats()
-		t.DerefsSent += st.DerefsSent
-		t.DerefEntriesSent += st.DerefEntriesSent
-		t.DerefsBatched += st.DerefsBatched
-		t.DerefsSuppressed += st.DerefsSuppressed
-		t.DerefsReceived += st.DerefsReceived
-		t.ResultsSent += st.ResultsSent
-		t.ResultsReceived += st.ResultsReceived
-		t.ControlsSent += st.ControlsSent
-		t.ControlsReceived += st.ControlsReceived
-		t.SeedsSent += st.SeedsSent
-		t.SeedsReceived += st.SeedsReceived
-		t.Forwards += st.Forwards
-		t.Completed += st.Completed
-		t.PlanCompiles += st.PlanCompiles
-		t.PlanCacheHits += st.PlanCacheHits
-		t.Engine.Add(st.Engine)
-	}
-	return t
+	return totalStats(c.ids, func(id object.SiteID) *metrics.Registry { return c.sites[id].s.Config().Metrics })
 }
 
 // deliver schedules a message arrival.
@@ -294,7 +281,7 @@ func (ss *simSite) run() {
 		in := ss.inbox[0]
 		ss.inbox = ss.inbox[1:]
 		cost = ss.recvCost(in.msg)
-		pre := ss.s.Stats()
+		compiles, hits := ss.compiles.Load(), ss.cacheHits.Load()
 		envs, err := ss.s.HandleMessage(in.from, in.msg)
 		if err != nil {
 			ss.c.err = err
@@ -303,9 +290,8 @@ func (ss *simSite) run() {
 		// Charge query setup where it happened: a full compile when the
 		// message introduced a new body, a cache probe when the plan cache
 		// recognized one compiled earlier.
-		post := ss.s.Stats()
-		cost += time.Duration(post.PlanCompiles-pre.PlanCompiles) * ss.c.cost.Compile
-		cost += time.Duration(post.PlanCacheHits-pre.PlanCacheHits) * ss.c.cost.PlanCacheHit
+		cost += time.Duration(ss.compiles.Load()-compiles) * ss.c.cost.Compile
+		cost += time.Duration(ss.cacheHits.Load()-hits) * ss.c.cost.PlanCacheHit
 		out = envs
 	case ss.s.HasWork():
 		outcome, envs, _, err := ss.s.Step()

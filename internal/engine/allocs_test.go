@@ -48,7 +48,7 @@ func TestDrainAllocsPerObject(t *testing.T) {
 		{"StepN", func(e *Engine) int {
 			n := 0
 			for r := e.StepN(16); r.Steps > 0; r = e.StepN(16) {
-				n += r.Processed
+				n += r.Stats.Processed
 			}
 			return n
 		}},

@@ -12,28 +12,29 @@ import (
 )
 
 // Stats aggregates the work the engine has performed; the simulator and the
-// experiment harness charge costs against these quantities.
+// experiment harness charge costs against these quantities. Each field's
+// metric tag names the registry counter a site counts it in.
 type Stats struct {
 	// Processed counts objects taken through the filters (the paper's ~8 ms
 	// per-object cost unit). Missing and duplicate-skipped objects are not
 	// counted.
-	Processed int
+	Processed int `metric:"site_objects_processed"`
 	// Results counts objects added to the local result set (the ~20 ms unit).
-	Results int
+	Results int `metric:"site_results_added"`
 	// LocalDerefs counts pointers followed to local objects.
-	LocalDerefs int
+	LocalDerefs int `metric:"site_local_derefs"`
 	// RemoteDerefs counts pointers surfaced for remote processing.
-	RemoteDerefs int
+	RemoteDerefs int `metric:"site_remote_derefs"`
 	// Skipped counts items dropped because their (id, start) was already in
 	// the mark table — the paper's duplicate-message suppression.
-	Skipped int
+	Skipped int `metric:"site_marks_skipped"`
 	// Missing counts dereferenced ids the local store could not supply.
-	Missing int
+	Missing int `metric:"site_missing_objects"`
 	// Fetched counts retrieved field values.
-	Fetched int
+	Fetched int `metric:"site_fetched"`
 	// TuplesScanned counts tuples examined by selection filters — the
 	// quantity effect-free early exit reduces.
-	TuplesScanned int
+	TuplesScanned int `metric:"site_tuples_scanned"`
 }
 
 // Add accumulates other into s.
@@ -46,6 +47,20 @@ func (s *Stats) Add(other Stats) {
 	s.Missing += other.Missing
 	s.Fetched += other.Fetched
 	s.TuplesScanned += other.TuplesScanned
+}
+
+// since returns the work s counts beyond earlier.
+func (s Stats) since(earlier Stats) Stats {
+	return Stats{
+		Processed:     s.Processed - earlier.Processed,
+		Results:       s.Results - earlier.Results,
+		LocalDerefs:   s.LocalDerefs - earlier.LocalDerefs,
+		RemoteDerefs:  s.RemoteDerefs - earlier.RemoteDerefs,
+		Skipped:       s.Skipped - earlier.Skipped,
+		Missing:       s.Missing - earlier.Missing,
+		Fetched:       s.Fetched - earlier.Fetched,
+		TuplesScanned: s.TuplesScanned - earlier.TuplesScanned,
+	}
 }
 
 // StepResult reports what processing one working-set item did.
@@ -328,14 +343,14 @@ func (e *Engine) Step() (StepResult, bool) {
 	return res, true
 }
 
-// Run is what one StepN call did, summed over the items it took. Its counts
-// are exactly what the run added to the engine's Stats.
+// Run is what one StepN call did.
 type Run struct {
 	// Start is the start position every item of the run shared.
 	Start int
-	// Steps counts the items taken; Processed, Results, Skipped and Missing
-	// count them as StepResult's flags do, and LocalSpawned sums theirs.
-	Steps, Processed, Results, Skipped, Missing, LocalSpawned int
+	// Steps counts the items taken.
+	Steps int
+	// Stats is what the run added to the engine's Stats.
+	Stats Stats
 	// Out counts the items that passed, spawned local work or surfaced a
 	// remote reference: a trace span's Out.
 	Out int
@@ -355,6 +370,7 @@ func (e *Engine) StepN(limit int) Run {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var r Run
+	before := e.stats
 	for r.Steps < limit && len(e.work) > e.head {
 		if r.Steps > 0 && e.peek().Start != r.Start {
 			break
@@ -365,20 +381,7 @@ func (e *Engine) StepN(limit int) Run {
 			r.Start = res.Item.Start
 		}
 		r.Steps++
-		r.LocalSpawned += res.LocalSpawned
 		r.Fetches = res.Fetches
-		if res.Processed {
-			r.Processed++
-		}
-		if res.Passed {
-			r.Results++
-		}
-		if res.Skipped {
-			r.Skipped++
-		}
-		if res.Missing {
-			r.Missing++
-		}
 		if res.Passed || res.LocalSpawned > 0 || len(res.Remote) > 0 {
 			r.Out++
 		}
@@ -387,6 +390,7 @@ func (e *Engine) StepN(limit int) Run {
 			break
 		}
 	}
+	r.Stats = e.stats.since(before)
 	return r
 }
 
@@ -454,16 +458,7 @@ func (e *Engine) Run() Stats {
 			break
 		}
 	}
-	d := e.Stats()
-	d.Processed -= before.Processed
-	d.Results -= before.Results
-	d.LocalDerefs -= before.LocalDerefs
-	d.RemoteDerefs -= before.RemoteDerefs
-	d.Skipped -= before.Skipped
-	d.Missing -= before.Missing
-	d.Fetched -= before.Fetched
-	d.TuplesScanned -= before.TuplesScanned
-	return d
+	return e.Stats().since(before)
 }
 
 // applySelect implements E for selection filters: the object passes if any

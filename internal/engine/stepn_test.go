@@ -53,7 +53,8 @@ func refGraph(t *testing.T, rng *rand.Rand, n, deg int) (*store.Store, []object.
 // against the items Step takes for it: the same items, all at the run's
 // start position, remote references on the last item only, and a run that
 // stops short of its limit with work left only at a start change or after a
-// remote reference. Each run's counts must equal what it added to Stats.
+// remote reference. Each run's Stats must equal what Step's items added,
+// and the runs' Stats must sum to the drain's.
 func TestStepNMatchesStep(t *testing.T) {
 	c := query.MustCompile(stepNQuery)
 	for _, order := range []Order{BFS, DFS} {
@@ -66,11 +67,10 @@ func TestStepNMatchesStep(t *testing.T) {
 			runs.AddInitial(initial...)
 			steps.AddInitial(initial...)
 			nruns, longest := 0, 0
+			var total Stats
 			for {
 				limit := 1 + rng.Intn(20)
-				before := runs.Stats()
 				r := runs.StepN(limit)
-				d := runs.Stats()
 				if r.Steps == 0 {
 					if _, ok := steps.Step(); ok {
 						t.Fatalf("%v seed %d: StepN found no work, Step did", order, seed)
@@ -79,18 +79,14 @@ func TestStepNMatchesStep(t *testing.T) {
 				}
 				nruns++
 				longest = max(longest, r.Steps)
+				total.Add(r.Stats)
 				for _, c := range []struct {
 					name      string
 					got, want int
 				}{
-					{"Processed", r.Processed, d.Processed - before.Processed},
-					{"Results", r.Results, d.Results - before.Results},
-					{"Skipped", r.Skipped, d.Skipped - before.Skipped},
-					{"Missing", r.Missing, d.Missing - before.Missing},
-					{"LocalSpawned", r.LocalSpawned, d.LocalDerefs - before.LocalDerefs},
-					{"Remote", len(r.Remote), d.RemoteDerefs - before.RemoteDerefs},
-					{"Fetches", len(r.Fetches), d.Fetched - before.Fetched},
-					{"Steps", r.Steps, r.Processed + r.Skipped + r.Missing},
+					{"Remote", len(r.Remote), r.Stats.RemoteDerefs},
+					{"Fetches", len(r.Fetches), r.Stats.Fetched},
+					{"Steps", r.Steps, r.Stats.Processed + r.Stats.Skipped + r.Stats.Missing},
 				} {
 					if c.got != c.want {
 						t.Fatalf("%v seed %d run %d: %s %d, Stats moved %d", order, seed, nruns, c.name, c.got, c.want)
@@ -101,6 +97,7 @@ func TestStepNMatchesStep(t *testing.T) {
 				}
 				var want Run
 				var last StepResult
+				stepped := steps.Stats()
 				for i := 0; i < r.Steps; i++ {
 					res, ok := steps.Step()
 					if !ok {
@@ -115,15 +112,15 @@ func TestStepNMatchesStep(t *testing.T) {
 					if res.Passed || res.LocalSpawned > 0 || len(res.Remote) > 0 {
 						want.Out++
 					}
-					want.Results += btoi(res.Passed)
 					want.Fetches = append(want.Fetches, res.Fetches...)
 					last = res
 				}
-				if r.Out != want.Out || r.Results != want.Results || !slices.EqualFunc(r.Fetches, want.Fetches, func(a, b Fetch) bool {
+				want.Stats = steps.Stats().since(stepped)
+				if r.Out != want.Out || r.Stats != want.Stats || !slices.EqualFunc(r.Fetches, want.Fetches, func(a, b Fetch) bool {
 					return a.Var == b.Var && a.From == b.From && a.Val.Equal(b.Val)
 				}) {
-					t.Fatalf("%v seed %d run %d: out %d results %d fetches %v, Step gave %d %d %v",
-						order, seed, nruns, r.Out, r.Results, r.Fetches, want.Out, want.Results, want.Fetches)
+					t.Fatalf("%v seed %d run %d: out %d stats %+v fetches %v, Step gave %d %+v %v",
+						order, seed, nruns, r.Out, r.Stats, r.Fetches, want.Out, want.Stats, want.Fetches)
 				}
 				if !slices.EqualFunc(r.Remote, last.Remote, func(a, b RemoteRef) bool {
 					return a.ID == b.ID && a.Start == b.Start && slices.Equal(a.Iters, b.Iters)
@@ -134,8 +131,8 @@ func TestStepNMatchesStep(t *testing.T) {
 					t.Fatalf("%v seed %d run %d: stopped at %d of %d with more work at start %d", order, seed, nruns, r.Steps, limit, r.Start)
 				}
 			}
-			if got, want := runs.Stats(), steps.Stats(); got != want {
-				t.Errorf("%v seed %d: StepN drain %+v, Step drain %+v", order, seed, got, want)
+			if got, want := runs.Stats(), steps.Stats(); got != want || total != got {
+				t.Errorf("%v seed %d: StepN drain %+v (runs summed %+v), Step drain %+v", order, seed, got, total, want)
 			}
 			got, _ := runs.TakeResults()
 			want, _ := steps.TakeResults()
@@ -182,7 +179,7 @@ func TestStepNStopRules(t *testing.T) {
 		e := New(c, st, WithLocator(birthLocator(1)))
 		e.AddInitial(root)
 		r := e.StepN(16)
-		if r.Steps != 1 || r.Start != 0 || r.LocalSpawned != 3 {
+		if r.Steps != 1 || r.Start != 0 || r.Stats.LocalDerefs != 3 {
 			t.Fatalf("first run %+v, want the root alone at start 0 spawning 3", r)
 		}
 		r = e.StepN(16)
@@ -201,13 +198,6 @@ func TestStepNStopRules(t *testing.T) {
 			t.Fatalf("second run %+v, want the last item alone", r)
 		}
 	})
-}
-
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // peekStart returns the start position of the item Step would take next.
@@ -252,7 +242,7 @@ func TestStepNConcurrentEnqueue(t *testing.T) {
 	for finished := false; ; {
 		r := e.StepN(16)
 		steps += r.Steps
-		results += r.Results
+		results += r.Stats.Results
 		if r.Steps == 0 {
 			if finished {
 				break

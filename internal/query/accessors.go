@@ -1,8 +1,8 @@
 package query
 
 // Plan-friendly accessors over the compiled filter list. The planner needs
-// structural facts — where items can (re)enter the list, which filters touch
-// a variable — without re-walking the AST.
+// structural facts — where items can (re)enter the list — without
+// re-walking the AST.
 
 // BodyStarts returns the set of iterator body-start indices: the positions an
 // in-flight item can jump back to when an FIter loops. Together with index 0
@@ -16,61 +16,4 @@ func (c *Compiled) BodyStarts() map[int]bool {
 		}
 	}
 	return starts
-}
-
-// EntryPoints returns every filter index at which an item can start
-// processing: 0 (initial set), the index after each dereference (spawned and
-// remote items), and each iterator body start (loopback).
-func (c *Compiled) EntryPoints() map[int]bool {
-	pts := map[int]bool{0: true}
-	for i, f := range c.Filters {
-		switch f.Kind {
-		case FDeref:
-			pts[i+1] = true
-		case FIter:
-			pts[f.BodyStart] = true
-		}
-	}
-	return pts
-}
-
-// VarFilters returns the indices of every filter that binds, tests, fetches,
-// or dereferences the named variable — the planner's usage analysis for
-// select→deref fusion.
-func (c *Compiled) VarFilters(name string) []int {
-	var out []int
-	for i, f := range c.Filters {
-		switch f.Kind {
-		case FSelect:
-			if selTouchesVar(f.Sel, name) {
-				out = append(out, i)
-			}
-		case FDeref:
-			if f.Var == name {
-				out = append(out, i)
-			}
-		}
-	}
-	return out
-}
-
-func selTouchesVar(sel Select, name string) bool {
-	for _, p := range []interface {
-		BindsVar() (string, bool)
-		FetchesVar() (string, bool)
-	}{sel.Key, sel.Data} {
-		if v, ok := p.BindsVar(); ok && v == name {
-			return true
-		}
-		if v, ok := p.FetchesVar(); ok && v == name {
-			return true
-		}
-	}
-	if v, ok := sel.Key.UsesVar(); ok && v == name {
-		return true
-	}
-	if v, ok := sel.Data.UsesVar(); ok && v == name {
-		return true
-	}
-	return false
 }

@@ -153,10 +153,8 @@ func NewOpts(cfg site.Config, addr string, logger *slog.Logger, opts Options) (*
 		srv.wg.Add(1)
 		go srv.heartbeatLoop()
 	}
-	if cfg.MaxInflight > 0 || cfg.QueryDeadline > 0 {
-		srv.wg.Add(1)
-		go srv.sweeperLoop()
-	}
+	srv.wg.Add(1)
+	go srv.sweeperLoop()
 	return srv, nil
 }
 
@@ -209,18 +207,9 @@ func (srv *Server) Metrics() *metrics.Registry { return srv.reg }
 // Traces returns the server's ring of completed query traces (never nil).
 func (srv *Server) Traces() *site.TraceBuffer { return srv.traces }
 
-// Stats snapshots the underlying site's statistics. Values are exact only
-// while the server is idle.
-func (srv *Server) Stats() site.Stats {
-	ch := make(chan site.Stats, 1)
-	srv.postThunk(func() { ch <- srv.s.Stats() })
-	select {
-	case st := <-ch:
-		return st
-	case <-srv.quit:
-		return site.Stats{}
-	}
-}
+// Stats reads the underlying site's statistics from its registry. Values are
+// exact only while the server is idle.
+func (srv *Server) Stats() site.Stats { return srv.s.Stats() }
 
 // Contexts reports the site's live query-context count, read in a turn so it
 // is consistent with message processing. Tests poll it to

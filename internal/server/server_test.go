@@ -495,7 +495,7 @@ func TestServerStats(t *testing.T) {
 }
 
 func TestClientStats(t *testing.T) {
-	_, stores, client := testDeployment(t, 2)
+	servers, stores, client := testDeployment(t, 2)
 	ids := loadServerRing(t, stores, 6)
 	if _, err := client.Exec(1, tcpClosure, ids[:1], 10*time.Second); err != nil {
 		t.Fatal(err)
@@ -508,11 +508,20 @@ func TestClientStats(t *testing.T) {
 		t.Errorf("stats = %+v", resp)
 	}
 	counters := map[string]uint64{}
-	for _, c := range resp.Counters {
+	for i, c := range resp.Counters {
+		if i > 0 && resp.Counters[i-1].Name >= c.Name {
+			t.Errorf("counter %q follows %q: not sorted by name", c.Name, resp.Counters[i-1].Name)
+		}
 		counters[c.Name] = c.Value
 	}
-	if counters["completed"] != 1 || counters["objects_processed"] == 0 {
+	if counters["site_completed"] != 1 || counters["site_objects_processed"] == 0 {
 		t.Errorf("counters = %v", counters)
+	}
+	// The registry's counters under their own names, and the store's.
+	for _, name := range append(servers[0].Metrics().CounterNames(), "disk_reads") {
+		if _, ok := counters[name]; !ok {
+			t.Errorf("counter %q missing from %v", name, counters)
+		}
 	}
 	// Stats from a dead site time out.
 	if _, err := client.Stats(9, 200*time.Millisecond); err == nil {

@@ -115,8 +115,7 @@ func (ctx *qctx) queueFor(to object.SiteID, start int, iters []int) *derefQueue 
 // already sent is suppressed.
 func (s *Site) emitDeref(ctx *qctx, ref engine.RemoteRef, out []wire.Envelope) ([]wire.Envelope, error) {
 	if s.cfg.DerefBatch > 0 && ctx.sentBefore(ref) {
-		s.stats.DerefsSuppressed++
-		s.met.derefsSuppressed.Inc()
+		s.met.DerefsSuppressed.Inc()
 		return out, nil
 	}
 	if s.cfg.GlobalMarks != nil && s.cfg.GlobalMarks.TestAndSet(ctx.qid, ref.ID, ref.Start) {
@@ -157,14 +156,11 @@ func (s *Site) flushQueue(ctx *qctx, q *derefQueue, out []wire.Envelope) ([]wire
 	if ctx.isOrigin {
 		ctx.engage(q.to)
 	}
-	s.stats.DerefsSent++
-	s.stats.DerefEntriesSent += len(ids)
-	s.met.derefsSent.Inc()
-	s.met.derefEntriesSent.Add(uint64(len(ids)))
+	s.met.DerefsSent.Inc()
+	s.met.DerefEntriesSent.Add(uint64(len(ids)))
 	s.met.batchOccupancy.Observe(uint64(len(ids)))
 	if len(ids) > 1 {
-		s.stats.DerefsBatched++
-		s.met.derefsBatched.Inc()
+		s.met.DerefsBatched.Inc()
 	}
 	return append(out, wire.Envelope{To: q.to, Msg: &wire.Deref{
 		QID: ctx.qid, Origin: ctx.origin, Body: ctx.body, BodyHash: ctx.fp.Bytes(),

@@ -2,6 +2,7 @@ package site
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"hyperfile/internal/engine"
@@ -57,42 +58,23 @@ func (s *Site) dispatch(from object.SiteID, m wire.Msg) ([]wire.Envelope, error)
 	}
 }
 
-// statsResp snapshots the site's counters for administration clients.
+// statsResp sends administration clients every counter of the site's
+// registry under its own name, and the store's disk reads, sorted by name.
 func (s *Site) statsResp(seq uint64) *wire.StatsResp {
-	st := s.statsLocked()
-	return &wire.StatsResp{
+	counters := s.cfg.Metrics.Snapshot().Counters
+	counters["disk_reads"] = uint64(s.cfg.Store.DiskReads())
+	resp := &wire.StatsResp{
 		Seq:      seq,
 		Site:     s.cfg.ID,
 		Contexts: uint64(len(s.contexts)),
 		Objects:  uint64(s.cfg.Store.Len()),
-		Counters: []wire.Counter{
-			{Name: "derefs_sent", Value: uint64(st.DerefsSent)},
-			{Name: "deref_entries_sent", Value: uint64(st.DerefEntriesSent)},
-			{Name: "derefs_batched", Value: uint64(st.DerefsBatched)},
-			{Name: "derefs_suppressed", Value: uint64(st.DerefsSuppressed)},
-			{Name: "derefs_received", Value: uint64(st.DerefsReceived)},
-			{Name: "results_sent", Value: uint64(st.ResultsSent)},
-			{Name: "results_received", Value: uint64(st.ResultsReceived)},
-			{Name: "controls_sent", Value: uint64(st.ControlsSent)},
-			{Name: "controls_received", Value: uint64(st.ControlsReceived)},
-			{Name: "forwards", Value: uint64(st.Forwards)},
-			{Name: "completed", Value: uint64(st.Completed)},
-			{Name: "objects_processed", Value: uint64(st.Engine.Processed)},
-			{Name: "results_added", Value: uint64(st.Engine.Results)},
-			{Name: "duplicates_skipped", Value: uint64(st.Engine.Skipped)},
-			{Name: "missing_objects", Value: uint64(st.Engine.Missing)},
-			{Name: "disk_reads", Value: uint64(s.cfg.Store.DiskReads())},
-			{Name: "plan_compiles", Value: uint64(st.PlanCompiles)},
-			{Name: "plan_cache_hits", Value: uint64(st.PlanCacheHits)},
-			{Name: "admitted", Value: uint64(st.Admitted)},
-			{Name: "rejected", Value: uint64(st.Rejected)},
-			{Name: "shed", Value: uint64(st.Shed)},
-			{Name: "cancelled", Value: uint64(st.Cancelled)},
-			{Name: "deadline_expired", Value: uint64(st.DeadlineExpired)},
-			{Name: "fair_deferred", Value: uint64(st.FairDeferred)},
-			{Name: "tuples_scanned", Value: uint64(st.Engine.TuplesScanned)},
-		},
+		Counters: make([]wire.Counter, 0, len(counters)),
 	}
+	for name, v := range counters {
+		resp.Counters = append(resp.Counters, wire.Counter{Name: name, Value: v})
+	}
+	sort.Slice(resp.Counters, func(i, j int) bool { return resp.Counters[i].Name < resp.Counters[j].Name })
+	return resp
 }
 
 // handleSubmit gates a new query through admission control, then sets up the
@@ -107,8 +89,7 @@ func (s *Site) handleSubmit(m *wire.Submit) ([]wire.Envelope, error) {
 	if s.tombstoned(m.QID) {
 		// A client Cancel overtook its Submit and tombstoned the query here:
 		// answer as a Cancel of a queued Submit does, and start nothing.
-		s.stats.Cancelled++
-		s.met.cancelled.Inc()
+		s.met.Cancelled.Inc()
 		return []wire.Envelope{{To: m.Client, Msg: &wire.Reject{
 			QID: m.QID, Reason: "cancelled before admission",
 		}}}, nil
@@ -138,8 +119,7 @@ func (s *Site) admitSubmit(m *wire.Submit, deadline time.Time) ([]wire.Envelope,
 	ctx := s.newCtx(m.QID, s.cfg.ID, m.ClientID, m.Body, p, fp, 0)
 	ctx.client = m.Client
 	ctx.deadline = deadline
-	s.stats.Admitted++
-	s.met.admitted.Inc()
+	s.met.Admitted.Inc()
 
 	var out []wire.Envelope
 	if m.InitialFromResultOf != (wire.QueryID{}) {
@@ -158,8 +138,7 @@ func (s *Site) admitSubmit(m *wire.Submit, deadline time.Time) ([]wire.Envelope,
 				return out, err
 			}
 			ctx.engage(peer)
-			s.stats.SeedsSent++
-			s.met.seedsSent.Inc()
+			s.met.SeedsSent.Inc()
 			out = append(out, wire.Envelope{To: peer, Msg: &wire.Seed{
 				QID: m.QID, Origin: s.cfg.ID, Body: m.Body,
 				FromQID: m.InitialFromResultOf, Token: tok, Hop: 1,
@@ -196,8 +175,7 @@ func (s *Site) handleDeref(from object.SiteID, m *wire.Deref) ([]wire.Envelope, 
 		return nil, err
 	}
 	ctx.noteBudget(m.BudgetUS, time.Now())
-	s.stats.DerefsReceived++
-	s.met.derefsReceived.Inc()
+	s.met.DerefsReceived.Inc()
 	if _, err := ctx.det.OnWorkReceived(from, m.Token); err != nil {
 		return nil, err
 	}
@@ -240,12 +218,9 @@ func (s *Site) handleDeref(from object.SiteID, m *wire.Deref) ([]wire.Envelope, 
 		if err != nil {
 			return out, err
 		}
-		s.stats.Forwards += len(ids)
-		s.stats.DerefsSent++
-		s.stats.DerefEntriesSent += len(ids)
-		s.met.forwards.Add(uint64(len(ids)))
-		s.met.derefsSent.Inc()
-		s.met.derefEntriesSent.Add(uint64(len(ids)))
+		s.met.Forwards.Add(uint64(len(ids)))
+		s.met.DerefsSent.Inc()
+		s.met.DerefEntriesSent.Add(uint64(len(ids)))
 		out = append(out, wire.Envelope{To: owner, Msg: &wire.Deref{
 			QID: m.QID, Origin: m.Origin, Body: m.Body, BodyHash: ctx.fp.Bytes(),
 			ObjIDs: ids, Start: m.Start, Iters: m.Iters, Token: tok,
@@ -269,8 +244,7 @@ func (s *Site) handleSeed(from object.SiteID, m *wire.Seed) ([]wire.Envelope, er
 		return nil, err
 	}
 	ctx.noteBudget(m.BudgetUS, time.Now())
-	s.stats.SeedsReceived++
-	s.met.seedsReceived.Inc()
+	s.met.SeedsReceived.Inc()
 	if _, err := ctx.det.OnWorkReceived(from, m.Token); err != nil {
 		return nil, err
 	}
@@ -296,8 +270,7 @@ func (s *Site) handleResult(from object.SiteID, m *wire.Result) ([]wire.Envelope
 	if !ctx.isOrigin {
 		return nil, fmt.Errorf("%w: result for %v at non-originator %v", ErrProtocol, m.QID, s.cfg.ID)
 	}
-	s.stats.ResultsReceived++
-	s.met.resultsReceived.Inc()
+	s.met.ResultsReceived.Inc()
 	ctx.ingestSpans(m.Spans)
 	ctx.results = append(ctx.results, m.IDs...)
 	ctx.count += m.Count
@@ -324,8 +297,7 @@ func (s *Site) handleControl(from object.SiteID, m *wire.Control) ([]wire.Envelo
 		// harmless.
 		return nil, nil
 	}
-	s.stats.ControlsReceived++
-	s.met.controlsReceived.Inc()
+	s.met.ControlsReceived.Inc()
 	if ctx.isOrigin {
 		ctx.ingestSpans(m.Spans)
 	}

@@ -2,6 +2,8 @@ package site
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"time"
 
 	"hyperfile/internal/engine"
@@ -10,48 +12,17 @@ import (
 )
 
 // siteMetrics caches the site's instruments so hot paths never take the
-// registry lock. With no registry configured every field is nil and every
-// update is a no-op (the instruments are nil-safe).
+// registry lock.
 type siteMetrics struct {
 	reg *metrics.Registry
+	statCounters
 
-	steps        *metrics.Counter
-	processed    *metrics.Counter
-	resultsAdded *metrics.Counter
-	marksSkipped *metrics.Counter
-	missing      *metrics.Counter
-	localDerefs  *metrics.Counter
-
-	derefsSent       *metrics.Counter
-	derefEntriesSent *metrics.Counter
-	derefsBatched    *metrics.Counter
-	derefsSuppressed *metrics.Counter
-	derefsReceived   *metrics.Counter
-	resultsSent      *metrics.Counter
-	resultsReceived  *metrics.Counter
-	controlsSent     *metrics.Counter
-	controlsReceived *metrics.Counter
-	seedsSent        *metrics.Counter
-	seedsReceived    *metrics.Counter
-	forwards         *metrics.Counter
-	completed        *metrics.Counter
+	steps *metrics.Counter
 
 	termSplits   *metrics.Counter
 	termReturns  *metrics.Counter
 	termHandOffs *metrics.Counter
 
-	// Overload protection (Config.MaxInflight / QueryDeadline).
-	admitted        *metrics.Counter
-	rejected        *metrics.Counter
-	shed            *metrics.Counter
-	cancelled       *metrics.Counter
-	deadlineExpired *metrics.Counter
-
-	// fairDeferred counts scheduling turns taken while another client
-	// waited in the same round robin (Stats.FairDeferred).
-	fairDeferred *metrics.Counter
-
-	planCacheHits      *metrics.Counter
 	planCacheMisses    *metrics.Counter
 	planCacheEvictions *metrics.Counter
 	// planOps break down what freshly-built plans compiled to: selection
@@ -75,40 +46,74 @@ type siteMetrics struct {
 	filterSteps []*metrics.Counter
 }
 
+// statCounters holds the counter behind each Stats field, under the field's
+// own name. newSiteMetrics binds each to the registry counter its Stats
+// field's metric tag names, so Stats declares every name once.
+type statCounters struct {
+	DerefsSent, DerefEntriesSent, DerefsBatched, DerefsSuppressed, DerefsReceived,
+	ResultsSent, ResultsReceived, ControlsSent, ControlsReceived,
+	SeedsSent, SeedsReceived, Forwards, Completed, MigrationsOut, MigrationsIn,
+	PlanCompiles, PlanCacheHits, Admitted, Rejected, Shed, Cancelled,
+	DeadlineExpired, FairDeferred *metrics.Counter
+	Engine struct {
+		Processed, Results, LocalDerefs, RemoteDerefs, Skipped, Missing,
+		Fetched, TuplesScanned *metrics.Counter
+	}
+}
+
+// statField is one counter of Stats: its field names from Stats down (e.g.
+// Engine, Processed) and the registry counter its metric tag names.
+type statField struct {
+	path []string
+	name string
+}
+
+// statFields lists every counter of Stats in declaration order.
+var statFields = fieldsOf(reflect.TypeOf(Stats{}), nil)
+
+func fieldsOf(t reflect.Type, prefix []string) []statField {
+	var fs []statField
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		path := append(slices.Clip(prefix), f.Name)
+		if f.Type.Kind() == reflect.Struct {
+			fs = append(fs, fieldsOf(f.Type, path)...)
+			continue
+		}
+		fs = append(fs, statField{path: path, name: f.Tag.Get("metric")})
+	}
+	return fs
+}
+
+// in returns the field at f's path in the struct v.
+func (f statField) in(v reflect.Value) reflect.Value {
+	for _, name := range f.path {
+		v = v.FieldByName(name)
+	}
+	return v
+}
+
+// StatsOf reads Stats out of a registry snapshot's counters: one site's, or
+// several sites' summed with metrics.Snapshot.Add.
+func StatsOf(snap metrics.Snapshot) Stats {
+	var st Stats
+	v := reflect.ValueOf(&st).Elem()
+	for _, f := range statFields {
+		f.in(v).SetInt(int64(snap.Counters[f.name]))
+	}
+	return st
+}
+
 func newSiteMetrics(reg *metrics.Registry) siteMetrics {
 	m := siteMetrics{reg: reg}
-	if reg == nil {
-		return m
+	c := reflect.ValueOf(&m.statCounters).Elem()
+	for _, f := range statFields {
+		f.in(c).Set(reflect.ValueOf(reg.Counter(f.name)))
 	}
 	m.steps = reg.Counter("site_steps")
-	m.processed = reg.Counter("site_objects_processed")
-	m.resultsAdded = reg.Counter("site_results_added")
-	m.marksSkipped = reg.Counter("site_marks_skipped")
-	m.missing = reg.Counter("site_missing_objects")
-	m.localDerefs = reg.Counter("site_local_derefs")
-	m.derefsSent = reg.Counter("site_derefs_sent")
-	m.derefEntriesSent = reg.Counter("site_deref_entries_sent")
-	m.derefsBatched = reg.Counter("hf_deref_batched")
-	m.derefsSuppressed = reg.Counter("hf_deref_suppressed")
-	m.derefsReceived = reg.Counter("site_derefs_received")
-	m.resultsSent = reg.Counter("site_results_sent")
-	m.resultsReceived = reg.Counter("site_results_received")
-	m.controlsSent = reg.Counter("site_controls_sent")
-	m.controlsReceived = reg.Counter("site_controls_received")
-	m.seedsSent = reg.Counter("site_seeds_sent")
-	m.seedsReceived = reg.Counter("site_seeds_received")
-	m.forwards = reg.Counter("site_forwards")
-	m.completed = reg.Counter("site_completed")
 	m.termSplits = reg.Counter("termination_weight_splits")
 	m.termReturns = reg.Counter("termination_weight_returns")
 	m.termHandOffs = reg.Counter("termination_weight_handoffs")
-	m.admitted = reg.Counter("hf_admitted")
-	m.rejected = reg.Counter("hf_rejected")
-	m.shed = reg.Counter("hf_shed")
-	m.cancelled = reg.Counter("hf_cancelled")
-	m.deadlineExpired = reg.Counter("hf_deadline_expired")
-	m.fairDeferred = reg.Counter("hf_fair_deferred")
-	m.planCacheHits = reg.Counter("hf_plan_cache_hits")
 	m.planCacheMisses = reg.Counter("hf_plan_cache_misses")
 	m.planCacheEvictions = reg.Counter("hf_plan_cache_evictions")
 	m.planOpsLiteral = reg.Counter("hf_plan_ops_literal")
@@ -137,7 +142,7 @@ func (m *siteMetrics) notePlanOps(c plan.Counts) {
 
 // filterStep returns the per-filter step counter for filter index i.
 func (m *siteMetrics) filterStep(i int) *metrics.Counter {
-	if m.reg == nil || i < 0 {
+	if i < 0 {
 		return nil
 	}
 	for len(m.filterSteps) <= i {
@@ -147,16 +152,19 @@ func (m *siteMetrics) filterStep(i int) *metrics.Counter {
 	return m.filterSteps[i]
 }
 
-// noteRun feeds the step counters and the step histogram from one engine
-// run's own report, so each counter moves by exactly what the run added to
-// the engine's Stats.
+// noteRun feeds the step and engine counters and the step histogram from
+// one engine run's own report of what it added to the engine's Stats.
 func (m *siteMetrics) noteRun(r *engine.Run, dur time.Duration) {
+	e, d := &m.Engine, &r.Stats
 	m.steps.Add(uint64(r.Steps))
-	m.processed.Add(uint64(r.Processed))
-	m.resultsAdded.Add(uint64(r.Results))
-	m.marksSkipped.Add(uint64(r.Skipped))
-	m.missing.Add(uint64(r.Missing))
-	m.localDerefs.Add(uint64(r.LocalSpawned))
+	e.Processed.Add(uint64(d.Processed))
+	e.Results.Add(uint64(d.Results))
+	e.LocalDerefs.Add(uint64(d.LocalDerefs))
+	e.RemoteDerefs.Add(uint64(d.RemoteDerefs))
+	e.Skipped.Add(uint64(d.Skipped))
+	e.Missing.Add(uint64(d.Missing))
+	e.Fetched.Add(uint64(d.Fetched))
+	e.TuplesScanned.Add(uint64(d.TuplesScanned))
 	m.stepUS.ObserveDuration(dur)
 	m.filterStep(r.Start).Add(uint64(r.Steps))
 }

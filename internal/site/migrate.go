@@ -69,7 +69,7 @@ func (s *Site) handleMigrate(m *wire.Migrate) ([]wire.Envelope, error) {
 	// Record our best knowledge; the authority update comes from the
 	// destination once the object has landed.
 	s.cfg.Directory.RecordMove(m.ID, m.To)
-	s.stats.MigrationsOut++
+	s.met.MigrationsOut.Inc()
 	return []wire.Envelope{{To: m.To, Msg: &wire.MigrateData{
 		Seq: m.Seq, Obj: buf.Bytes(), Client: m.Client, ClientAddr: m.ClientAddr,
 	}}}, nil
@@ -96,7 +96,7 @@ func (s *Site) handleMigrateData(from object.SiteID, m *wire.MigrateData) ([]wir
 			s.cfg.Directory.Presume(o.ID, s.cfg.ID)
 		}
 	}
-	s.stats.MigrationsIn++
+	s.met.MigrationsIn.Inc()
 	out := []wire.Envelope{}
 	// A birth site that sent the object recorded the move as it did so.
 	// Telling it again is not just redundant: updates from different sites

@@ -67,8 +67,7 @@ func (s *Site) atCapacity() bool {
 
 // reject refuses a Submit with a typed Reject to the client.
 func (s *Site) reject(m *wire.Submit, reason string) wire.Envelope {
-	s.stats.Rejected++
-	s.met.rejected.Inc()
+	s.met.Rejected.Inc()
 	return wire.Envelope{To: m.Client, Msg: &wire.Reject{QID: m.QID, Reason: reason}}
 }
 
@@ -110,8 +109,7 @@ func (s *Site) keepQueued(p pendingSubmit, now time.Time, out *[]wire.Envelope) 
 	if p.deadline.IsZero() || !now.After(p.deadline) {
 		return true
 	}
-	s.stats.Shed++
-	s.met.shed.Inc()
+	s.met.Shed.Inc()
 	*out = append(*out, wire.Envelope{To: p.m.Client, Msg: &wire.Reject{
 		QID: p.m.QID, Reason: "shed: deadline expired in admission queue",
 	}})
@@ -160,8 +158,7 @@ func (s *Site) checkDeadline(ctx *qctx) ([]wire.Envelope, bool, error) {
 		return nil, false, nil
 	}
 	if ctx.isOrigin {
-		s.stats.DeadlineExpired++
-		s.met.deadlineExpired.Inc()
+		s.met.DeadlineExpired.Inc()
 		return s.cancelOrigin(ctx, "deadline expired"), true, nil
 	}
 	envs, err := s.expireParticipant(ctx)
@@ -182,8 +179,7 @@ func (s *Site) cancelOrigin(ctx *qctx, reason string) []wire.Envelope {
 	ctx.qorder = nil
 	ctx.timeline = append(ctx.timeline, s.takeSpans(ctx)...)
 	s.finishCtx(ctx)
-	s.stats.Completed++
-	s.met.completed.Inc()
+	s.met.Completed.Inc()
 	ctx.det.OnIdle() // banks the originator's own held credit
 	var out []wire.Envelope
 	for _, peer := range s.cfg.Peers {
@@ -219,15 +215,13 @@ func (s *Site) cancelOrigin(ctx *qctx, reason string) []wire.Envelope {
 // answered its client), all held termination credit returns immediately,
 // and the context is dropped.
 func (s *Site) cancelParticipant(ctx *qctx) []wire.Envelope {
-	s.stats.Cancelled++
-	s.met.cancelled.Inc()
+	s.met.Cancelled.Inc()
 	ctx.eng.DiscardWork()
 	ctx.eng.TakeResults()
 	ctx.qorder = nil
 	var out []wire.Envelope
 	for _, c := range ctx.det.OnIdle() {
-		s.stats.ControlsSent++
-		s.met.controlsSent.Inc()
+		s.met.ControlsSent.Inc()
 		out = append(out, wire.Envelope{To: c.To, Msg: &wire.Control{QID: ctx.qid, Token: c.Token}})
 	}
 	s.dropCtx(ctx.qid)
@@ -239,8 +233,7 @@ func (s *Site) cancelParticipant(ctx *qctx) []wire.Envelope {
 // site in the unreachable set — the final answer names the site that shed
 // work — along with all held credit, and the context is dropped.
 func (s *Site) expireParticipant(ctx *qctx) ([]wire.Envelope, error) {
-	s.stats.DeadlineExpired++
-	s.met.deadlineExpired.Inc()
+	s.met.DeadlineExpired.Inc()
 	ctx.eng.DiscardWork()
 	ctx.qorder = nil
 	s.noteUnreachable(ctx, s.cfg.ID)
@@ -267,8 +260,7 @@ func (s *Site) handleCancel(m *wire.Cancel) ([]wire.Envelope, error) {
 	})
 	if queued != nil {
 		s.met.admissionQueue.Set(int64(s.admitQ.n))
-		s.stats.Cancelled++
-		s.met.cancelled.Inc()
+		s.met.Cancelled.Inc()
 		return []wire.Envelope{{To: queued.Client, Msg: &wire.Reject{
 			QID: m.QID, Reason: "cancelled before admission",
 		}}}, nil
@@ -282,8 +274,7 @@ func (s *Site) handleCancel(m *wire.Cancel) ([]wire.Envelope, error) {
 		return nil, nil
 	}
 	if ctx.isOrigin {
-		s.stats.Cancelled++
-		s.met.cancelled.Inc()
+		s.met.Cancelled.Inc()
 		reason := m.Reason
 		if reason == "" {
 			reason = "cancelled"
@@ -305,8 +296,7 @@ func (s *Site) bounceToken(qid wire.QueryID, origin object.SiteID, token []byte)
 		// lint:ignore creditflow a tombstone at the originator means its context is gone, so no detector holds the rest of the credit; a site is not its own peer
 		return nil
 	}
-	s.stats.ControlsSent++
-	s.met.controlsSent.Inc()
+	s.met.ControlsSent.Inc()
 	return []wire.Envelope{{To: origin, Msg: &wire.Control{QID: qid, Token: token}}}
 }
 
@@ -326,9 +316,9 @@ func (s *Site) drainEvent(ctx *qctx, out []wire.Envelope) []wire.Envelope {
 // participants shed (results + credit to the originator), queued Submits
 // past their deadline are shed with a Reject, and draining contexts whose
 // grace ran out are abandoned. Runners with real clocks call this
-// periodically — the TCP server from a sweeper goroutine, LocalCluster when
-// overload options are set; the simulator's virtual time never expires
-// anything.
+// periodically: every server, and so every LocalCluster site, from a sweeper
+// goroutine whatever its options, since a cancelled query's drain needs it;
+// the simulator's virtual time never expires anything.
 func (s *Site) ExpireDeadlines() ([]wire.Envelope, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -353,8 +343,7 @@ func (s *Site) ExpireDeadlines() ([]wire.Envelope, error) {
 			continue
 		}
 		if ctx.isOrigin {
-			s.stats.DeadlineExpired++
-			s.met.deadlineExpired.Inc()
+			s.met.DeadlineExpired.Inc()
 			out = append(out, s.cancelOrigin(ctx, "deadline expired")...)
 		} else {
 			envs, err := s.expireParticipant(ctx)

@@ -61,7 +61,7 @@ func TestFairStepSharing(t *testing.T) {
 	if steps[2] != 4 {
 		t.Errorf("light client got %d of 8 steps, want 4 (greedy got %d)", steps[2], steps[1])
 	}
-	if s.stats.FairDeferred == 0 {
+	if s.Stats().FairDeferred == 0 {
 		t.Error("expected FairDeferred > 0 with two competing clients")
 	}
 }

@@ -68,10 +68,11 @@ type Config struct {
 	// table would outweigh the cost of the extra messages") as a zero-cost
 	// oracle, for ablation measurements.
 	GlobalMarks *GlobalMarks
-	// Metrics, when non-nil, receives runtime counters, gauges, and
-	// histograms (per-filter-step work, protocol message counts, termination
-	// weight flow, time to quiescence). Nil disables metric accounting at
-	// zero cost; query tracing is independent of it and always on.
+	// Metrics receives runtime counters, gauges, and histograms
+	// (per-filter-step work, protocol message counts, termination weight
+	// flow, time to quiescence). It is where the site counts every event
+	// Stats reports; nil gives the site a private registry. Query tracing is
+	// independent of it and always on.
 	Metrics *metrics.Registry
 	// Traces, when non-nil, retains the assembled cross-site timeline of
 	// each query completed at this site (as originator) for debugging.
@@ -81,46 +82,48 @@ type Config struct {
 	Ablation
 }
 
-// Stats counts a site's protocol activity.
+// Stats counts a site's protocol activity. Each field's metric tag names the
+// registry counter it is read from (Site.Stats, StatsOf); that counter is the
+// only place the site counts the event.
 type Stats struct {
-	DerefsSent int
+	DerefsSent int `metric:"site_derefs_sent"`
 	// DerefEntriesSent counts object ids shipped inside Deref messages; it
 	// equals DerefsSent without batching and exceeds it with batching on.
-	DerefEntriesSent int
+	DerefEntriesSent int `metric:"site_deref_entries_sent"`
 	// DerefsBatched counts Deref messages that carried more than one id.
-	DerefsBatched int
+	DerefsBatched int `metric:"hf_deref_batched"`
 	// DerefsSuppressed counts remote references never sent because the
 	// sender-side sent-cache proved the destination would drop them.
-	DerefsSuppressed int
-	DerefsReceived   int
-	ResultsSent      int
-	ResultsReceived  int
-	ControlsSent     int
-	ControlsReceived int
-	SeedsSent        int
-	SeedsReceived    int
-	Forwards         int
-	Completed        int
-	MigrationsOut    int
-	MigrationsIn     int
+	DerefsSuppressed int `metric:"hf_deref_suppressed"`
+	DerefsReceived   int `metric:"site_derefs_received"`
+	ResultsSent      int `metric:"site_results_sent"`
+	ResultsReceived  int `metric:"site_results_received"`
+	ControlsSent     int `metric:"site_controls_sent"`
+	ControlsReceived int `metric:"site_controls_received"`
+	SeedsSent        int `metric:"site_seeds_sent"`
+	SeedsReceived    int `metric:"site_seeds_received"`
+	Forwards         int `metric:"site_forwards"`
+	Completed        int `metric:"site_completed"`
+	MigrationsOut    int `metric:"site_migrations_out"`
+	MigrationsIn     int `metric:"site_migrations_in"`
 	// PlanCompiles counts query bodies lexed, parsed, and planned at this
 	// site; PlanCacheHits counts contexts that reused a cached plan instead.
-	PlanCompiles  int
-	PlanCacheHits int
+	PlanCompiles  int `metric:"hf_plan_compiles"`
+	PlanCacheHits int `metric:"hf_plan_cache_hits"`
 	// Overload protection (Config.MaxInflight / QueryDeadline). Admitted
 	// counts Submits that created a context; Rejected counts Submits refused
 	// at arrival; Shed counts queued Submits whose deadline expired before a
 	// slot opened; Cancelled counts contexts torn down by wire.Cancel;
 	// DeadlineExpired counts contexts that ran out of budget.
-	Admitted        int
-	Rejected        int
-	Shed            int
-	Cancelled       int
-	DeadlineExpired int
+	Admitted        int `metric:"hf_admitted"`
+	Rejected        int `metric:"hf_rejected"`
+	Shed            int `metric:"hf_shed"`
+	Cancelled       int `metric:"hf_cancelled"`
+	DeadlineExpired int `metric:"hf_deadline_expired"`
 	// FairDeferred counts scheduling turns (steps and admissions) taken
 	// while another client also waited in the same round robin. It stays
 	// zero while every query comes from one client.
-	FairDeferred int
+	FairDeferred int `metric:"hf_fair_deferred"`
 	Engine       engine.Stats
 }
 
@@ -141,7 +144,6 @@ type Site struct {
 	// remains, so no step scans idle contexts. A context leaves the queue
 	// when it finishes, so no dead entry outlives its query.
 	ready rotation[*qctx]
-	stats Stats
 
 	// inflight counts unfinished contexts (admission control's notion of
 	// load); admitQ holds Submits waiting for an inflight slot, in the same
@@ -163,7 +165,7 @@ type Site struct {
 	// PlanCacheEntries unpinned plans.
 	plans *plan.Cache
 
-	// met caches the metric instruments (all nil when Config.Metrics is).
+	// met caches the metric instruments of Config.Metrics.
 	met siteMetrics
 }
 
@@ -286,13 +288,17 @@ func (ctx *qctx) engage(peer object.SiteID) {
 	ctx.engaged[peer] = struct{}{}
 }
 
-// New returns a site with the given configuration. A zero DerefBatch becomes
-// DerefBatchSize and, under a heartbeat, a zero SuspectAfter becomes four
-// intervals: this is the one place defaults are written, so every builder of
-// a Config gets them without naming them.
+// New returns a site with the given configuration. A nil Metrics becomes a
+// private registry, a zero DerefBatch becomes DerefBatchSize and, under a
+// heartbeat, a zero SuspectAfter becomes four intervals: this is the one
+// place defaults are written, so every builder of a Config gets them without
+// naming them.
 func New(cfg Config) *Site {
 	if cfg.Router == nil {
 		cfg.Router = BirthRouter{}
+	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = metrics.NewRegistry()
 	}
 	if cfg.DerefBatch == 0 {
 		cfg.DerefBatch = DerefBatchSize
@@ -314,20 +320,12 @@ func (s *Site) ID() object.SiteID { return s.cfg.ID }
 // Config returns the site's configuration with New's defaults filled in.
 func (s *Site) Config() Config { return s.cfg }
 
-// Stats returns cumulative protocol statistics including engine work of all
-// live contexts.
+// Stats reads the site's cumulative protocol and engine counters out of its
+// registry; engine work counts as each run of steps ends.
 func (s *Site) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.statsLocked()
-}
-
-func (s *Site) statsLocked() Stats {
-	st := s.stats
-	for _, ctx := range s.contexts {
-		st.Engine.Add(ctx.eng.Stats())
-	}
-	return st
+	return StatsOf(s.cfg.Metrics.Snapshot())
 }
 
 // markReady queues a context for stepping if it has work and is not already
@@ -446,8 +444,7 @@ func (s *Site) planFor(body string, hash []byte) (p *plan.Plan, fp query.Fingerp
 		fp = query.FingerprintOf(body)
 	}
 	if cached, hit := s.plans.Acquire(fp, body); hit {
-		s.stats.PlanCacheHits++
-		s.met.planCacheHits.Inc()
+		s.met.PlanCacheHits.Inc()
 		return cached, fp, nil
 	}
 	s.met.planCacheMisses.Inc()
@@ -470,7 +467,7 @@ func (s *Site) planFor(body string, hash []byte) (p *plan.Plan, fp query.Fingerp
 		return nil, fp, err
 	}
 	p = plan.Build(compiled, nil, nil)
-	s.stats.PlanCompiles++
+	s.met.PlanCompiles.Inc()
 	s.met.planCompileUS.ObserveDuration(time.Since(start))
 	s.met.notePlanOps(p.Counts())
 	if ev := s.plans.Install(fp, body, p); ev > 0 {
@@ -552,8 +549,8 @@ func (s *Site) ctxFor(qid wire.QueryID, origin object.SiteID, body string, bodyH
 	return s.newCtx(qid, origin, 0, body, p, fp, hop), nil
 }
 
-// dropCtx removes a context, folding its engine statistics into the site's
-// and leaving a tombstone so stragglers cannot resurrect the query.
+// dropCtx removes a context, leaving a tombstone so stragglers cannot
+// resurrect the query.
 func (s *Site) dropCtx(qid wire.QueryID) {
 	ctx, ok := s.contexts[qid]
 	if !ok {
@@ -561,7 +558,6 @@ func (s *Site) dropCtx(qid wire.QueryID) {
 	}
 	s.finishCtx(ctx)
 	s.releaseQueryResources(ctx)
-	s.stats.Engine.Add(ctx.eng.Stats())
 	delete(s.contexts, qid)
 	s.met.liveContexts.Set(int64(len(s.contexts)))
 	for i, id := range s.order {

@@ -84,8 +84,8 @@ func (s *Site) stepN(limit int) (StepOutcome, int, []wire.Envelope, error) {
 	n := max(run.Steps, 1)
 	outcome := StepOutcome{
 		Query:       ctx.qid,
-		Processed:   run.Processed > 0,
-		ResultAdded: run.Results > 0,
+		Processed:   run.Stats.Processed > 0,
+		ResultAdded: run.Stats.Results > 0,
 	}
 	var out []wire.Envelope
 	var err error
@@ -139,8 +139,7 @@ func (s *Site) nextWithWork() *qctx {
 // (Stats.FairDeferred).
 func (s *Site) noteTurn(shared bool) {
 	if shared {
-		s.stats.FairDeferred++
-		s.met.fairDeferred.Inc()
+		s.met.FairDeferred.Inc()
 	}
 }
 
@@ -199,8 +198,7 @@ func (s *Site) afterEvent(ctx *qctx, out []wire.Envelope) ([]wire.Envelope, erro
 			msgs[len(msgs)-1].Token = ret.Token
 			continue
 		}
-		s.stats.ControlsSent++
-		s.met.controlsSent.Inc()
+		s.met.ControlsSent.Inc()
 		ctl := &wire.Control{QID: ctx.qid, Token: ret.Token}
 		if len(ctx.pendingSpans) > 0 {
 			ctl.Spans = ctx.pendingSpans
@@ -214,8 +212,7 @@ func (s *Site) afterEvent(ctx *qctx, out []wire.Envelope) ([]wire.Envelope, erro
 			ctx.pendingSpans = nil
 		}
 		for _, m := range msgs {
-			s.stats.ResultsSent++
-			s.met.resultsSent.Inc()
+			s.met.ResultsSent.Inc()
 			out = append(out, wire.Envelope{To: ctx.origin, Msg: m})
 		}
 	}
@@ -302,8 +299,7 @@ func (s *Site) checkDone(ctx *qctx, out []wire.Envelope) ([]wire.Envelope, error
 		return out, nil
 	}
 	s.finishCtx(ctx)
-	s.stats.Completed++
-	s.met.completed.Inc()
+	s.met.Completed.Inc()
 	unr := unreachableList(ctx)
 	// A partial answer always names its cause: sites in the unreachable set
 	// were either skipped as dead or shed their share when the query's budget
@@ -377,8 +373,7 @@ func (s *Site) abortLocked(qid wire.QueryID) []wire.Envelope {
 	if !ok || !ctx.isOrigin || ctx.finished {
 		return nil
 	}
-	s.stats.Cancelled++
-	s.met.cancelled.Inc()
+	s.met.Cancelled.Inc()
 	out := s.cancelOrigin(ctx, "cancelled by client")
 	// The cancel freed an admission slot. A drain error would be a protocol
 	// violation on a freshly admitted context, which cannot happen.
@@ -394,8 +389,7 @@ func (s *Site) forceComplete(ctx *qctx) []wire.Envelope {
 	// Sweep up whatever the local engine produced so far.
 	ctx.collectLocal()
 	s.finishCtx(ctx)
-	s.stats.Completed++
-	s.met.completed.Inc()
+	s.met.Completed.Inc()
 	var out []wire.Envelope
 	for _, peer := range s.cfg.Peers {
 		if s.down[peer] {
