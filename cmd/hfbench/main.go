@@ -50,7 +50,6 @@ func run() int {
 	list := flag.Bool("list", false, "list experiments and exit")
 	batching := flag.String("batching", "", "compare deref batching off/on over the standard workloads and write JSON here (runs only this; exits 1 if batching does not cut scattered-tree messages at least 2x or changes any result)")
 	batchSize := flag.Int("batch-size", 8, "deref batch size for -batching")
-	plan := flag.String("plan", "", "record the plan cache's compiles and hits, and write JSON here (runs only this; exits 1 if a repeated body compiles other than once per involved site, distinct bodies hit the cache, or any result set changes)")
 	ledger := flag.String("ledger", "", "run the canonical allocation-ledger suites (one measurement per suite) and write JSON here (runs only this)")
 	ledgerBase := flag.String("ledger-baseline", "", "with -ledger: also diff against this committed baseline ledger and exit 1 on any allocation regression beyond the noise bars")
 	ledgerText := flag.String("ledger-text", "", "with -ledger: also write the human-readable results table to this path")
@@ -58,43 +57,6 @@ func run() int {
 
 	if *ledger != "" {
 		return runLedger(*ledger, *ledgerBase, *ledgerText)
-	}
-
-	if *plan != "" {
-		r, err := bench.RunPlan(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hfbench:", err)
-			return 1
-		}
-		b, err := r.JSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hfbench:", err)
-			return 1
-		}
-		if err := os.WriteFile(*plan, b, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "hfbench:", err)
-			return 1
-		}
-		code := 0
-		for _, row := range r.Cache {
-			fmt.Fprintf(os.Stderr, "%-15s compiles %4d at %d sites, hits %4d, rt %.3fs cold, %.3fs mean, match=%v\n",
-				row.Workload, row.Compiles, row.InvolvedSites, row.CacheHits,
-				row.ColdRTSec, row.AvgRTSec, row.ResultsMatch)
-			if !row.ResultsMatch {
-				fmt.Fprintf(os.Stderr, "hfbench: a cached plan changed the %s result set\n", row.Workload)
-				code = 1
-			}
-		}
-		if rb := r.CacheRow("repeated_body"); rb == nil || rb.Compiles != rb.InvolvedSites || rb.CacheHits == 0 {
-			fmt.Fprintln(os.Stderr, "hfbench: a repeated body did not compile exactly once per involved site")
-			code = 1
-		}
-		if db := r.CacheRow("distinct_bodies"); db == nil || db.CacheHits != 0 {
-			fmt.Fprintln(os.Stderr, "hfbench: distinct bodies hit the plan cache")
-			code = 1
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *plan)
-		return code
 	}
 
 	if *batching != "" {

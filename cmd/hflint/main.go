@@ -5,7 +5,7 @@
 //
 //	go run ./cmd/hflint ./...
 //	go run ./cmd/hflint -json ./... | jq .
-//	go run ./cmd/hflint -checks lockhold,wireswitch ./...
+//	go run ./cmd/hflint -checks lockhold,goorphan ./...
 //	go run ./cmd/hflint -stale-ignores ./...
 //
 // Findings are suppressed in source with

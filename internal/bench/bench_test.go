@@ -276,49 +276,6 @@ func TestRunBatchingSweep(t *testing.T) {
 	}
 }
 
-func TestRunPlanSweep(t *testing.T) {
-	r, err := RunPlan(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range r.Cache {
-		if !row.ResultsMatch {
-			t.Errorf("%s: a cached plan changed the result set", row.Workload)
-		}
-		if row.InvolvedSites == 0 || row.InvolvedSites > row.Machines {
-			t.Errorf("%s: %d involved sites of %d", row.Workload, row.InvolvedSites, row.Machines)
-		}
-	}
-	rb := r.CacheRow("repeated_body")
-	if rb == nil {
-		t.Fatal("no repeated_body row")
-	}
-	// Every context is a compile or a hit: one compile per involved site
-	// means every later context hit.
-	if rb.Compiles != rb.InvolvedSites {
-		t.Errorf("repeated body compiled %d times at %d involved sites, want once per site",
-			rb.Compiles, rb.InvolvedSites)
-	}
-	if rb.CacheHits < (rb.Queries-1)*rb.InvolvedSites {
-		t.Errorf("repeated body: %d cache hits over %d queries at %d sites, want every later context to hit",
-			rb.CacheHits, rb.Queries, rb.InvolvedSites)
-	}
-	if rb.Queries > 1 && rb.AvgRTSec >= rb.ColdRTSec {
-		t.Errorf("repeated body: mean rt %.4fs not below the cold run's %.4fs", rb.AvgRTSec, rb.ColdRTSec)
-	}
-	// The negative control: distinct bodies leave the cache nothing to win.
-	db := r.CacheRow("distinct_bodies")
-	if db == nil {
-		t.Fatal("no distinct_bodies row")
-	}
-	if db.CacheHits != 0 {
-		t.Errorf("distinct bodies hit the cache %d times, want 0", db.CacheHits)
-	}
-	if b, err := r.JSON(); err != nil || len(b) == 0 {
-		t.Errorf("JSON rendering failed: %v", err)
-	}
-}
-
 func TestA7LoadScaling(t *testing.T) {
 	r := report(t, "A7")
 	// Response time grows with load but sub-linearly (queries overlap).

@@ -109,3 +109,14 @@ func TestLinkLatencyLookup(t *testing.T) {
 		t.Errorf("lat(1,client) = %v, want %v", got, cost.Latency)
 	}
 }
+
+// TestSimClientStopsOnUnexpectedMessage: a site addressing the simulated
+// client with anything but a completion or a rejection is a protocol bug,
+// and the run stops with an error instead of dropping the message.
+func TestSimClientStopsOnUnexpectedMessage(t *testing.T) {
+	c := NewSim(1, Options{})
+	c.deliver(1, clientID, &wire.Deref{QID: wire.QueryID{Origin: 1, Seq: 1}}, 0)
+	if c.err == nil {
+		t.Fatal("the simulated client dropped an unexpected Deref silently")
+	}
+}

@@ -12,7 +12,7 @@ import (
 // Analyzer is one named invariant checker. Exactly one of Run and RunModule
 // is set: Run sees one package at a time; RunModule sees the whole module at
 // once, for invariants that live across package boundaries (the lock-order
-// graph, atomic-access consistency).
+// graph).
 type Analyzer struct {
 	// Name is the check name used in diagnostics and lint:ignore directives.
 	Name string
@@ -22,7 +22,7 @@ type Analyzer struct {
 	Run func(*Pass)
 	// RunModule inspects the whole module in one pass (Pass.Mod is set,
 	// Pass.Pkg is nil). Cross-package facts — which locks a function
-	// acquires, which fields are touched atomically — are gathered here.
+	// acquires — are gathered here.
 	RunModule func(*Pass)
 }
 
@@ -71,8 +71,7 @@ func (d Diagnostic) String() string {
 // All returns the full analyzer set, in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Lockhold, Baresleep, Wireswitch, Goorphan, Nakedmetric,
-		Lockorder, Creditflow, Pairwise, Atomicfield,
+		Lockhold, Baresleep, Goorphan, Lockorder, Creditflow, Pairwise,
 	}
 }
 
@@ -251,12 +250,6 @@ func checkNames() string {
 }
 
 // ---- shared type-lookup helpers used by several analyzers ----
-
-// wirePath is the package whose message vocabulary wireswitch enforces.
-const wirePath = "hyperfile/internal/wire"
-
-// metricsPath is the package whose constructors nakedmetric enforces.
-const metricsPath = "hyperfile/internal/metrics"
 
 // findImport returns the named package if pkg is it or imports it
 // (directly), else nil.

@@ -113,8 +113,7 @@ func TestRepoIsClean(t *testing.T) {
 // adding or deleting an analyzer is an explicit edit here.
 func TestAnalyzerRegistry(t *testing.T) {
 	want := []string{
-		"lockhold", "baresleep", "wireswitch", "goorphan", "nakedmetric",
-		"lockorder", "creditflow", "pairwise", "atomicfield",
+		"lockhold", "baresleep", "goorphan", "lockorder", "creditflow", "pairwise",
 	}
 	var names []string
 	seen := map[string]bool{}

@@ -9,14 +9,6 @@ import (
 
 // Pairwise enforces the tree's paired-resource disciplines:
 //
-//   - plan.Cache.Acquire/Install pin a plan and site.GlobalMarks.TestAndSet
-//     claims a per-query mark slice; any package calling one of these outside
-//     tests must also call the matching Release somewhere outside tests, or
-//     the pin can never drop;
-//   - the result of a successful plan.Cache.Acquire must, on every path, be
-//     Released, returned to the caller (ownership transfer, as planFor does),
-//     or stored into a field whose owner releases it later — never silently
-//     dropped, which would pin the cache entry forever;
 //   - "finished = true" transitions for any one type must funnel through a
 //     single function (finishCtx), so the release of admission slots, fair
 //     buckets, and latency accounting can never be half-applied;
@@ -30,18 +22,8 @@ import (
 //     silently degrades the pool back to plain allocation.
 var Pairwise = &Analyzer{
 	Name: "pairwise",
-	Doc:  "paired resources (plan pins, global marks, finished transitions, pooled buffers) acquire and release in matched pairs",
+	Doc:  "paired resources (finished transitions, pooled buffers) acquire and release in matched pairs",
 	Run:  runPairwise,
-}
-
-// resourcePairs lists the acquire/release method pairs, identified by the
-// receiver's package path and type name.
-var resourcePairs = []struct {
-	pkg, typ, acquire, release string
-}{
-	{"hyperfile/internal/plan", "Cache", "Acquire", "Release"},
-	{"hyperfile/internal/plan", "Cache", "Install", "Release"},
-	{"hyperfile/internal/site", "GlobalMarks", "TestAndSet", "Release"},
 }
 
 // poolPairs lists the pooled-storage acquire/release pairs: a method pair
@@ -70,10 +52,8 @@ func poolPairMatches(fn *types.Func, pkg, typ, name string) bool {
 
 func runPairwise(pass *Pass) {
 	info := pass.Info()
-	// acquireCalls[i] collects non-test calls of pair i's acquire method;
-	// releaseSeen[i] whether its release is called anywhere non-test.
-	acquireCalls := make([][]token.Pos, len(resourcePairs))
-	releaseSeen := make([]bool, len(resourcePairs))
+	// poolAcquires[i] collects non-test calls of pool pair i's acquire;
+	// poolReleaseSeen[i] whether its release is called anywhere non-test.
 	poolAcquires := make([][]token.Pos, len(poolPairs))
 	poolReleaseSeen := make([]bool, len(poolPairs))
 	finishedSets := map[*types.Named]map[string][]token.Pos{} // type -> func -> positions
@@ -93,18 +73,6 @@ func runPairwise(pass *Pass) {
 					if fn == nil {
 						return true
 					}
-					recv := funcRecvNamed(fn)
-					for i, p := range resourcePairs {
-						if !isFrom(recv, p.pkg, p.typ) {
-							continue
-						}
-						if fn.Name() == p.acquire {
-							acquireCalls[i] = append(acquireCalls[i], n.Pos())
-						}
-						if fn.Name() == p.release {
-							releaseSeen[i] = true
-						}
-					}
 					for i, p := range poolPairs {
 						if poolPairMatches(fn, p.pkg, p.typ, p.acquire) {
 							poolAcquires[i] = append(poolAcquires[i], n.Pos())
@@ -118,7 +86,6 @@ func runPairwise(pass *Pass) {
 				}
 				return true
 			})
-			checkAcquirePaths(pass, info, fd)
 			checkPoolPaths(pass, info, fd)
 		}
 	}
@@ -134,158 +101,7 @@ func runPairwise(pass *Pass) {
 			pass.Reportf(pos, "%s is called in this package but %s never is; %s", acq, rel, p.leak)
 		}
 	}
-	for i, p := range resourcePairs {
-		if len(acquireCalls[i]) == 0 || releaseSeen[i] {
-			continue
-		}
-		// Release may legitimately live on the same type's other pair entry
-		// (Acquire and Install share one Release).
-		released := false
-		for j, q := range resourcePairs {
-			if q.pkg == p.pkg && q.typ == p.typ && releaseSeen[j] {
-				released = true
-			}
-		}
-		if released {
-			continue
-		}
-		for _, pos := range acquireCalls[i] {
-			pass.Reportf(pos, "%s.%s is called in this package but %s.%s never is; the pin can never drop", p.typ, p.acquire, p.typ, p.release)
-		}
-	}
 	reportFinishedFunnels(pass, finishedSets)
-}
-
-// ---- rule: Acquire results must be released, returned, or stored ----
-
-// checkAcquirePaths finds `v, ok := c.Acquire(...)` shapes and verifies the
-// pinned result is discharged inside the success region.
-func checkAcquirePaths(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		ifs, ok := n.(*ast.IfStmt)
-		if !ok {
-			return true
-		}
-		assign, ok := ifs.Init.(*ast.AssignStmt)
-		if !ok || len(assign.Rhs) != 1 {
-			return true
-		}
-		call, ok := assign.Rhs[0].(*ast.CallExpr)
-		if !ok || !isPairAcquire(info, call, "Acquire") {
-			return true
-		}
-		vars := lhsObjects(info, assign.Lhs)
-		if !regionDischarges(info, ifs.Body, vars) {
-			pass.Reportf(call.Pos(), "pinned result of %s.Acquire is neither Released, returned, nor stored in the success branch", pairTypeName(info, call))
-		}
-		return true
-	})
-	// Plain `v, ok := c.Acquire(...)` at block level: the rest of the block
-	// is the obligation region.
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		block, ok := n.(*ast.BlockStmt)
-		if !ok {
-			return true
-		}
-		for i, s := range block.List {
-			assign, ok := s.(*ast.AssignStmt)
-			if !ok || len(assign.Rhs) != 1 {
-				continue
-			}
-			call, ok := assign.Rhs[0].(*ast.CallExpr)
-			if !ok || !isPairAcquire(info, call, "Acquire") {
-				continue
-			}
-			vars := lhsObjects(info, assign.Lhs)
-			rest := &ast.BlockStmt{List: block.List[i+1:]}
-			if !regionDischarges(info, rest, vars) {
-				pass.Reportf(call.Pos(), "pinned result of %s.Acquire is neither Released, returned, nor stored before this block ends", pairTypeName(info, call))
-			}
-		}
-		return true
-	})
-}
-
-func isPairAcquire(info *types.Info, call *ast.CallExpr, method string) bool {
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Name() != method {
-		return false
-	}
-	recv := funcRecvNamed(fn)
-	for _, p := range resourcePairs {
-		if p.acquire == method && isFrom(recv, p.pkg, p.typ) {
-			return true
-		}
-	}
-	return false
-}
-
-func pairTypeName(info *types.Info, call *ast.CallExpr) string {
-	if recv := funcRecvNamed(calleeFunc(info, call)); recv != nil {
-		return recv.Obj().Name()
-	}
-	return "Cache"
-}
-
-func lhsObjects(info *types.Info, lhs []ast.Expr) map[types.Object]bool {
-	out := map[types.Object]bool{}
-	for _, e := range lhs {
-		if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-			if obj := info.Defs[id]; obj != nil {
-				out[obj] = true
-			} else if obj := info.Uses[id]; obj != nil {
-				out[obj] = true
-			}
-		}
-	}
-	return out
-}
-
-// regionDischarges reports whether the region releases the pin, transfers
-// ownership by returning a result var, or stores a result var into a field.
-func regionDischarges(info *types.Info, region ast.Node, vars map[types.Object]bool) bool {
-	discharged := false
-	mentions := func(e ast.Expr) bool {
-		found := false
-		ast.Inspect(e, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && vars[info.Uses[id]] {
-				found = true
-			}
-			return !found
-		})
-		return found
-	}
-	ast.Inspect(region, func(n ast.Node) bool {
-		if discharged {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if fn := calleeFunc(info, n); fn != nil && fn.Name() == "Release" {
-				recv := funcRecvNamed(fn)
-				for _, p := range resourcePairs {
-					if p.release == "Release" && isFrom(recv, p.pkg, p.typ) {
-						discharged = true
-					}
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, r := range n.Results {
-				if mentions(r) {
-					discharged = true
-				}
-			}
-		case *ast.AssignStmt:
-			// Field store: v kept in a struct the owner releases later.
-			for i, lhs := range n.Lhs {
-				if _, isSel := lhs.(*ast.SelectorExpr); isSel && i < len(n.Rhs) && mentions(n.Rhs[i]) {
-					discharged = true
-				}
-			}
-		}
-		return !discharged
-	})
-	return discharged
 }
 
 // ---- all-paths obligation walker ----

@@ -12,6 +12,7 @@ package metrics
 
 import (
 	"math/bits"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -235,3 +236,49 @@ func (r *Registry) CounterNames() []string {
 	sort.Strings(names)
 	return names
 }
+
+// Unregistered walks the struct v points to, nested struct values included,
+// and returns the path of every *Counter, *Gauge and *Histogram field that r
+// did not hand out. An instrument built by hand counts into an object no
+// snapshot shows, so the debug endpoint and hfstat would report that its
+// event never happened; a subsystem's tests call this on the struct that
+// holds its instruments.
+func (r *Registry) Unregistered(v any) []string {
+	own := map[uintptr]bool{}
+	r.mu.Lock()
+	for _, c := range r.counters {
+		own[reflect.ValueOf(c).Pointer()] = true
+	}
+	for _, g := range r.gauges {
+		own[reflect.ValueOf(g).Pointer()] = true
+	}
+	for _, h := range r.hists {
+		own[reflect.ValueOf(h).Pointer()] = true
+	}
+	r.mu.Unlock()
+	var out []string
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		for i := 0; i < v.NumField(); i++ {
+			f, name := v.Field(i), path+v.Type().Field(i).Name
+			switch f.Type() {
+			case counterType, gaugeType, histType:
+				if !own[f.Pointer()] {
+					out = append(out, name)
+				}
+			default:
+				if f.Kind() == reflect.Struct {
+					walk(f, name+".")
+				}
+			}
+		}
+	}
+	walk(reflect.ValueOf(v).Elem(), "")
+	return out
+}
+
+var (
+	counterType = reflect.TypeOf((*Counter)(nil))
+	gaugeType   = reflect.TypeOf((*Gauge)(nil))
+	histType    = reflect.TypeOf((*Histogram)(nil))
+)

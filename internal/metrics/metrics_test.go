@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -228,5 +229,25 @@ func TestQuantileNearestRank(t *testing.T) {
 	}
 	if q := s.Quantile(0.5); q != 15 {
 		t.Fatalf("p50 = %d, want 15", q)
+	}
+}
+
+func TestUnregisteredFindsHandBuiltInstruments(t *testing.T) {
+	reg := NewRegistry()
+	var held struct {
+		Hits  *Counter
+		Depth *Gauge
+		Inner struct{ Lat, Stray *Histogram }
+		Loose *Counter
+		Name  string
+	}
+	held.Hits = reg.Counter("hits")
+	held.Depth = reg.Gauge("depth")
+	held.Inner.Lat = reg.Histogram("lat")
+	held.Inner.Stray = &Histogram{}
+	held.Loose = &Counter{}
+	got := reg.Unregistered(&held)
+	if want := []string{"Inner.Stray", "Loose"}; !slices.Equal(got, want) {
+		t.Errorf("Unregistered = %q, want %q", got, want)
 	}
 }

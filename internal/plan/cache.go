@@ -16,29 +16,26 @@ import (
 // cache never trusts a truncated or even a full hash alone when the body is
 // in hand.
 //
-// Plans in use by live query contexts are pinned (reference-counted); the
-// LRU bound only evicts unpinned entries, so the cache may temporarily hold
-// more than cap entries while many distinct queries are in flight. A Cache
-// is owned by one site and, like the site itself, is not safe for concurrent
-// use.
+// The cache is a plain LRU bounded to cap entries. A built plan is immutable
+// and every query context holds its own *Plan, so evicting an entry a live
+// context still executes changes no answer: a later context with that body
+// compiles it again. A Cache is owned by one site and, like the site itself,
+// is not safe for concurrent use.
 type Cache struct {
 	cap     int
 	buckets map[uint64][]*cacheEntry
 	// lru orders entries from least to most recently used.
 	lru []*cacheEntry
-
-	hits, misses, evictions int
 }
 
 type cacheEntry struct {
 	fp   query.Fingerprint
 	body string
 	plan *Plan
-	pins int
 }
 
-// NewCache returns a plan cache bounded to at most cap unpinned entries.
-// cap must be positive.
+// NewCache returns a plan cache bounded to at most cap entries. cap must be
+// positive.
 func NewCache(cap int) *Cache {
 	if cap < 1 {
 		cap = 1
@@ -46,76 +43,46 @@ func NewCache(cap int) *Cache {
 	return &Cache{cap: cap, buckets: make(map[uint64][]*cacheEntry)}
 }
 
-// Acquire looks up the plan for (fp, body) and pins it. The body must be the
-// actual query text: a prefix or full-fingerprint collision with a different
-// body is rejected (and counted as a miss), never served.
-func (c *Cache) Acquire(fp query.Fingerprint, body string) (*Plan, bool) {
+// find returns the entry for (fp, body), or nil.
+func (c *Cache) find(fp query.Fingerprint, body string) *cacheEntry {
 	for _, e := range c.buckets[fp.Prefix()] {
 		if e.fp == fp && e.body == body {
-			e.pins++
-			c.touch(e)
-			c.hits++
-			return e.plan, true
+			return e
 		}
 	}
-	c.misses++
-	return nil, false
+	return nil
 }
 
-// Install stores a freshly-built plan under (fp, body) and pins it for the
-// installing context. It returns how many unpinned entries were evicted to
-// respect the cap. Installing a (fp, body) that is already present pins the
-// existing entry instead (the freshly-built duplicate is discarded), so
-// every Acquire-or-Install pairs with exactly one Release.
-func (c *Cache) Install(fp query.Fingerprint, body string, p *Plan) int {
-	for _, e := range c.buckets[fp.Prefix()] {
-		if e.fp == fp && e.body == body {
-			e.pins++
-			c.touch(e)
-			return 0
-		}
+// Get looks up the plan for (fp, body). The body must be the actual query
+// text: a prefix or full-fingerprint collision with a different body is
+// rejected, never served.
+func (c *Cache) Get(fp query.Fingerprint, body string) (*Plan, bool) {
+	e := c.find(fp, body)
+	if e == nil {
+		return nil, false
 	}
-	e := &cacheEntry{fp: fp, body: body, plan: p, pins: 1}
+	c.touch(e)
+	return e.plan, true
+}
+
+// Put stores a freshly-built plan under (fp, body) and reports whether it
+// evicted the least recently used entry to respect the cap. Putting a
+// (fp, body) that is already present keeps the cached plan and discards p.
+func (c *Cache) Put(fp query.Fingerprint, body string, p *Plan) (evicted bool) {
+	if e := c.find(fp, body); e != nil {
+		c.touch(e)
+		return false
+	}
+	e := &cacheEntry{fp: fp, body: body, plan: p}
 	c.buckets[fp.Prefix()] = append(c.buckets[fp.Prefix()], e)
 	c.lru = append(c.lru, e)
-	return c.evict()
-}
-
-// Release unpins one reference to (fp, body). The entry stays cached for
-// future queries unless the cap forces it out once unpinned.
-func (c *Cache) Release(fp query.Fingerprint, body string) {
-	for _, e := range c.buckets[fp.Prefix()] {
-		if e.fp == fp && e.body == body {
-			if e.pins > 0 {
-				e.pins--
-			}
-			c.evict()
-			return
-		}
+	if len(c.lru) <= c.cap {
+		return false
 	}
-}
-
-// evict drops least-recently-used unpinned entries until at most cap remain.
-func (c *Cache) evict() int {
-	n := 0
-	for len(c.lru) > c.cap {
-		victim := (*cacheEntry)(nil)
-		vi := -1
-		for i, e := range c.lru {
-			if e.pins == 0 {
-				victim, vi = e, i
-				break
-			}
-		}
-		if victim == nil {
-			break // everything pinned; over-cap until contexts release
-		}
-		c.lru = append(c.lru[:vi], c.lru[vi+1:]...)
-		c.removeFromBucket(victim)
-		c.evictions++
-		n++
-	}
-	return n
+	victim := c.lru[0]
+	c.lru = append(c.lru[:0], c.lru[1:]...)
+	c.removeFromBucket(victim)
+	return true
 }
 
 func (c *Cache) removeFromBucket(victim *cacheEntry) {
@@ -145,10 +112,5 @@ func (c *Cache) touch(e *cacheEntry) {
 	}
 }
 
-// Len returns the number of cached entries (pinned and unpinned).
+// Len returns the number of cached entries.
 func (c *Cache) Len() int { return len(c.lru) }
-
-// Stats returns cumulative hit, miss, and eviction counts.
-func (c *Cache) Stats() (hits, misses, evictions int) {
-	return c.hits, c.misses, c.evictions
-}

@@ -10,52 +10,52 @@ func testPlan(body string) *Plan {
 	return Build(query.MustCompile(body), nil, nil)
 }
 
+// TestCacheAcquireInstallRelease checks the lookup cycle a query context
+// runs: a miss, a Put of the compiled plan, then hits that return that plan
+// and leave the entry cached for later queries.
 func TestCacheAcquireInstallRelease(t *testing.T) {
 	c := NewCache(4)
 	body := `S (keyword, "hot", ?) -> T`
 	fp := query.FingerprintOf(body)
 
-	if _, ok := c.Acquire(fp, body); ok {
+	if _, ok := c.Get(fp, body); ok {
 		t.Fatal("hit on an empty cache")
 	}
 	p := testPlan(body)
-	c.Install(fp, body, p)
-	got, ok := c.Acquire(fp, body)
-	if !ok || got != p {
-		t.Fatal("installed plan not returned on acquire")
+	if evicted := c.Put(fp, body, p); evicted {
+		t.Fatal("Put into a cache under its cap evicted an entry")
 	}
-	c.Release(fp, body)
-	c.Release(fp, body)
+	for i := 0; i < 2; i++ {
+		got, ok := c.Get(fp, body)
+		if !ok || got != p {
+			t.Fatalf("Get #%d did not return the plan put", i)
+		}
+	}
 	if c.Len() != 1 {
-		t.Fatalf("Len = %d after releases, want the entry retained", c.Len())
-	}
-	hits, misses, _ := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("hits/misses = %d/%d, want 1/1", hits, misses)
+		t.Fatalf("Len = %d after hits, want the entry retained", c.Len())
 	}
 }
 
+// TestCacheInstallExistingPinsInsteadOfDuplicating checks that a second Put
+// of a cached body keeps the first plan and adds no entry.
 func TestCacheInstallExistingPinsInsteadOfDuplicating(t *testing.T) {
 	c := NewCache(4)
 	body := `S (a, ?, ?) -> T`
 	fp := query.FingerprintOf(body)
 	p1, p2 := testPlan(body), testPlan(body)
-	c.Install(fp, body, p1)
-	c.Install(fp, body, p2) // racing second compile of the same body
+	c.Put(fp, body, p1)
+	if evicted := c.Put(fp, body, p2); evicted { // a second compile of the same body
+		t.Fatal("Put of a cached body evicted an entry")
+	}
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 (duplicate discarded)", c.Len())
 	}
-	if got, _ := c.Acquire(fp, body); got != p1 {
-		t.Error("duplicate install replaced the original plan")
-	}
-	// Both installs plus the acquire pinned it; three releases drain to zero
-	// without underflow.
-	for i := 0; i < 3; i++ {
-		c.Release(fp, body)
+	if got, ok := c.Get(fp, body); !ok || got != p1 {
+		t.Fatal("duplicate put replaced the original plan")
 	}
 }
 
-func TestCacheEvictsLRUUnpinnedOnly(t *testing.T) {
+func TestCacheEvictsLRU(t *testing.T) {
 	c := NewCache(2)
 	bodies := []string{
 		`S (a, "1", ?) -> T`,
@@ -65,40 +65,18 @@ func TestCacheEvictsLRUUnpinnedOnly(t *testing.T) {
 	fps := make([]query.Fingerprint, len(bodies))
 	for i, b := range bodies {
 		fps[i] = query.FingerprintOf(b)
-		c.Install(fps[i], b, testPlan(b))
-		c.Release(fps[i], b) // leave unpinned
+		if evicted := c.Put(fps[i], b, testPlan(b)); evicted != (i == 2) {
+			t.Errorf("Put #%d evicted = %v, want %v", i, evicted, i == 2)
+		}
 	}
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want cap 2", c.Len())
 	}
-	if _, ok := c.Acquire(fps[0], bodies[0]); ok {
+	if _, ok := c.Get(fps[0], bodies[0]); ok {
 		t.Error("LRU entry survived eviction")
 	}
-	if _, ok := c.Acquire(fps[2], bodies[2]); !ok {
+	if _, ok := c.Get(fps[2], bodies[2]); !ok {
 		t.Error("MRU entry was evicted")
-	}
-	_, _, ev := c.Stats()
-	if ev != 1 {
-		t.Errorf("evictions = %d, want 1", ev)
-	}
-}
-
-func TestCachePinnedEntriesOverflowCap(t *testing.T) {
-	c := NewCache(1)
-	b1, b2 := `S (a, "x", ?) -> T`, `S (a, "y", ?) -> T`
-	f1, f2 := query.FingerprintOf(b1), query.FingerprintOf(b2)
-	c.Install(f1, b1, testPlan(b1))
-	c.Install(f2, b2, testPlan(b2))
-	// Both pinned by live contexts: nothing may be evicted even over cap.
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 while both pinned", c.Len())
-	}
-	c.Release(f1, b1)
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d after release, want cap enforced", c.Len())
-	}
-	if _, ok := c.Acquire(f2, b2); !ok {
-		t.Error("still-pinned entry was evicted instead of the released one")
 	}
 }
 
@@ -106,22 +84,15 @@ func TestCacheTouchKeepsHotEntryAlive(t *testing.T) {
 	c := NewCache(2)
 	b1, b2, b3 := `S (a, "1", ?) -> T`, `S (a, "2", ?) -> T`, `S (a, "3", ?) -> T`
 	f1, f2, f3 := query.FingerprintOf(b1), query.FingerprintOf(b2), query.FingerprintOf(b3)
-	for _, e := range []struct {
-		f query.Fingerprint
-		b string
-	}{{f1, b1}, {f2, b2}} {
-		c.Install(e.f, e.b, testPlan(e.b))
-		c.Release(e.f, e.b)
-	}
-	// Re-use body 1: it becomes MRU, so installing body 3 must evict body 2.
-	c.Acquire(f1, b1)
-	c.Release(f1, b1)
-	c.Install(f3, b3, testPlan(b3))
-	c.Release(f3, b3)
-	if _, ok := c.Acquire(f1, b1); !ok {
+	c.Put(f1, b1, testPlan(b1))
+	c.Put(f2, b2, testPlan(b2))
+	// Re-use body 1: it becomes MRU, so putting body 3 must evict body 2.
+	c.Get(f1, b1)
+	c.Put(f3, b3, testPlan(b3))
+	if _, ok := c.Get(f1, b1); !ok {
 		t.Error("recently-used entry was evicted")
 	}
-	if _, ok := c.Acquire(f2, b2); ok {
+	if _, ok := c.Get(f2, b2); ok {
 		t.Error("least-recently-used entry survived")
 	}
 }
@@ -151,30 +122,30 @@ func TestCacheRejectsTruncatedPrefixCollision(t *testing.T) {
 
 	c := NewCache(4)
 	planA := testPlan(bodyA)
-	c.Install(fpA, bodyA, planA)
+	c.Put(fpA, bodyA, planA)
 
 	// Prefix collision, different full fingerprint: miss.
-	if _, ok := c.Acquire(fpB, bodyB); ok {
+	if _, ok := c.Get(fpB, bodyB); ok {
 		t.Fatal("prefix collision was served a cached plan")
 	}
 	// Forged full fingerprint with a different body (hash collision or a
 	// lying sender): the body comparison still rejects it.
-	if _, ok := c.Acquire(fpA, bodyB); ok {
+	if _, ok := c.Get(fpA, bodyB); ok {
 		t.Fatal("full-fingerprint forgery with mismatched body was served a cached plan")
 	}
 	// The honest pair still hits.
-	if got, ok := c.Acquire(fpA, bodyA); !ok || got != planA {
+	if got, ok := c.Get(fpA, bodyA); !ok || got != planA {
 		t.Fatal("honest lookup broken by collision handling")
 	}
 
 	// A collision may also be *installed* (site compiled B itself); both
 	// entries then coexist in one bucket and resolve exactly.
 	planB := testPlan(bodyB)
-	c.Install(fpB, bodyB, planB)
-	if got, _ := c.Acquire(fpB, bodyB); got != planB {
+	c.Put(fpB, bodyB, planB)
+	if got, _ := c.Get(fpB, bodyB); got != planB {
 		t.Fatal("colliding entries not resolved by full fingerprint")
 	}
-	if got, _ := c.Acquire(fpA, bodyA); got != planA {
+	if got, _ := c.Get(fpA, bodyA); got != planA {
 		t.Fatal("collision install corrupted the original entry")
 	}
 }

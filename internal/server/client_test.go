@@ -97,3 +97,19 @@ func TestClientDropsEveryWaiter(t *testing.T) {
 	}
 	drained(fullClient, "rejected Exec")
 }
+
+// TestClientCountsUnsolicitedMessages: a message kind the client never
+// solicits is counted under hf_wire_unknown_msgs, not dropped invisibly; a
+// reply with no waiter is not unknown.
+func TestClientCountsUnsolicitedMessages(t *testing.T) {
+	client, err := NewClient(100, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	client.onMessage(1, &wire.Deref{QID: wire.QueryID{Origin: 1, Seq: 1}})
+	client.onMessage(1, &wire.Complete{QID: wire.QueryID{Origin: 1, Seq: 2}})
+	if n := client.Metrics().Counter("hf_wire_unknown_msgs").Load(); n != 1 {
+		t.Errorf("hf_wire_unknown_msgs = %d, want 1", n)
+	}
+}

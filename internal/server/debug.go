@@ -62,12 +62,13 @@ func (srv *Server) ServeDebug(addr string) (string, error) {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	hs := &http.Server{Handler: mux}
-	srv.wg.Add(1)
+	srv.wg.Add(2)
 	go func() {
 		defer srv.wg.Done()
 		_ = hs.Serve(ln)
 	}()
 	go func() {
+		defer srv.wg.Done()
 		<-srv.quit
 		_ = hs.Close()
 	}()

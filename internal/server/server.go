@@ -488,7 +488,6 @@ func (srv *Server) handle(m mail) {
 	// Learn client addresses from messages that carry them. This is a peek,
 	// not the dispatch: every message — matched here or not — falls through
 	// to HandleMessage below, which rejects unknown kinds with an error.
-	// lint:ignore wireswitch address-learning peek; full dispatch with error default is site.HandleMessage
 	switch cm := m.msg.(type) {
 	case *wire.Submit:
 		if cm.ClientAddr != "" {

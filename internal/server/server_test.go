@@ -492,6 +492,9 @@ func TestServerStats(t *testing.T) {
 	if st2.Engine.Processed != 4 {
 		t.Errorf("site 2 processed %d, want 4", st2.Engine.Processed)
 	}
+	if bad := servers[0].reg.Unregistered(servers[0]); len(bad) > 0 {
+		t.Errorf("server instruments not from the registry: %v", bad)
+	}
 }
 
 func TestClientStats(t *testing.T) {

@@ -57,7 +57,7 @@ const Unbatched = -1
 // context's engine steps.
 const FlushEvery = 16
 
-// PlanCacheEntries bounds each site's plan cache: at most this many unpinned
+// PlanCacheEntries bounds each site's plan cache: at most this many
 // physical plans stay compiled for reuse, least recently used evicted first.
 // A query's setup cost is then paid once per distinct body at each involved
 // site, not once per context. A retained closure-query plan is about 4 KB,
@@ -205,12 +205,5 @@ func (s *Site) releaseQueryResources(ctx *qctx) {
 	ctx.eng.ReleaseScratch()
 	if s.cfg.GlobalMarks != nil {
 		s.cfg.GlobalMarks.Release(ctx.qid)
-	}
-	// Unpin the context's plan cache entry. Clearing planPinned makes the
-	// release idempotent — a retained context releases here and again when
-	// finally dropped.
-	if ctx.planPinned {
-		s.plans.Release(ctx.fp, ctx.body)
-		ctx.planPinned = false
 	}
 }

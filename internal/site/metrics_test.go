@@ -19,6 +19,9 @@ func TestEveryStatHasItsCounter(t *testing.T) {
 	for _, name := range reg.CounterNames() {
 		registered[name] = true
 	}
+	if bad := reg.Unregistered(&s.met); len(bad) > 0 {
+		t.Errorf("site instruments not from the registry: %v", bad)
+	}
 	handles := reflect.ValueOf(&s.met.statCounters).Elem()
 	leaves := 0
 	var countLeaves func(v reflect.Value)

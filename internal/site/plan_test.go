@@ -1,6 +1,8 @@
 package site
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"hyperfile/internal/object"
@@ -165,5 +167,71 @@ func TestPlanCacheDistinguishesBodies(t *testing.T) {
 	st := h.sites[1].Stats()
 	if st.PlanCompiles != 2 {
 		t.Errorf("origin compiled %d plans for 2 distinct bodies, want 2", st.PlanCompiles)
+	}
+}
+
+// TestPlanCacheEvictionUnderLiveQuery floods a participant with more distinct
+// bodies than PlanCacheEntries while a query it is executing still has work
+// queued there. The flood evicts that query's plan; the context keeps its
+// own *Plan, so the query completes with the answer it gives unflooded, and
+// the next query with its body compiles once more at the participant.
+func TestPlanCacheEvictionUnderLiveQuery(t *testing.T) {
+	body := `S [ (Pointer, "Ref", ?X) ^^X ]** (keyword, "hot", ?) -> T`
+	ref := newHarness(t, 3, nil)
+	want := ref.exec(1, 1, body, ringHarness(t, ref)[:1])
+	if len(want.IDs) != 6 {
+		t.Fatalf("setup: unflooded query found %d results, want 6", len(want.IDs))
+	}
+
+	h := newHarness(t, 3, nil)
+	ids := ringHarness(t, h)
+	h.submit(wire.QueryID{Origin: 1, Seq: 1}, body, ids[:1])
+	for h.sites[1].HasWork() {
+		_, envs, _, err := h.sites[1].Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.deliver(1, envs)
+	}
+	p := h.sites[2]
+	if !p.HasWork() {
+		t.Fatal("setup: the query has no work queued at participant 2")
+	}
+
+	// Queries with no initial set compile at site 2 and finish there without
+	// a step, so the flood leaves the queued work untouched.
+	for i := 0; i <= PlanCacheEntries; i++ {
+		h.submit(wire.QueryID{Origin: 2, Seq: uint64(i + 1)},
+			fmt.Sprintf(`S (keyword, "flood%d", ?) -> T`, i), nil)
+	}
+	if len(h.completes) != PlanCacheEntries+1 {
+		t.Fatalf("%d flood queries completed, want %d", len(h.completes), PlanCacheEntries+1)
+	}
+	h.completes = h.completes[:0]
+	if n := p.plans.Len(); n > PlanCacheEntries {
+		t.Fatalf("participant caches %d plans, want at most %d", n, PlanCacheEntries)
+	}
+	if p.cfg.Metrics.Counter("hf_plan_cache_evictions").Load() == 0 {
+		t.Fatal("the flood evicted nothing")
+	}
+	if !p.HasWork() {
+		t.Fatal("the flood drained the query's queued work")
+	}
+
+	h.pump()
+	if len(h.completes) != 1 {
+		t.Fatalf("%d completions, want 1", len(h.completes))
+	}
+	if got := h.completes[0]; got.Err != "" || !slices.Equal(got.IDs, want.IDs) {
+		t.Fatalf("flooded query answered %v (err %q), want %v", got.IDs, got.Err, want.IDs)
+	}
+	h.completes = h.completes[:0]
+
+	compiles := p.Stats().PlanCompiles
+	if cm := h.exec(1, 2, body, ids[:1]); !slices.Equal(cm.IDs, want.IDs) {
+		t.Fatalf("repeat answered %v, want %v", cm.IDs, want.IDs)
+	}
+	if got := p.Stats().PlanCompiles - compiles; got != 1 {
+		t.Errorf("participant compiled the evicted body %d times on repeat, want 1", got)
 	}
 }

@@ -162,7 +162,7 @@ type Site struct {
 	tombOrder []wire.QueryID
 
 	// plans is the body-fingerprint-keyed plan cache, bounded to
-	// PlanCacheEntries unpinned plans.
+	// PlanCacheEntries plans.
 	plans *plan.Cache
 
 	// met caches the metric instruments of Config.Metrics.
@@ -220,11 +220,8 @@ type qctx struct {
 	drainUntil time.Time
 
 	// fp is the body's fingerprint, stamped on outgoing Deref messages so
-	// receivers can consult their plan caches without rehashing. planPinned
-	// records that this context holds a pin on the site cache's plan entry,
-	// released exactly once with the rest of the query's resources.
-	fp         query.Fingerprint
-	planPinned bool
+	// receivers can consult their plan caches without rehashing.
+	fp query.Fingerprint
 
 	// Batched-deref state, unused under Unbatched: qorder holds the
 	// per-(destination, cursor) outgoing queues since the last full flush in
@@ -434,8 +431,7 @@ func (l routerLocator) IsLocal(id object.ID) bool {
 
 // planFor resolves the physical plan for a query body: out of the plan cache
 // when the body was compiled here before (skipping lex, parse, compile, and
-// planning entirely), otherwise compiled fresh and installed. Either way the
-// plan holds a cache pin the owning context must release. hash, when it is a
+// planning entirely), otherwise compiled fresh and cached. hash, when it is a
 // full 32-byte fingerprint of body (wire.Deref.BodyHash), saves rehashing;
 // anything else and the body is hashed locally.
 func (s *Site) planFor(body string, hash []byte) (p *plan.Plan, fp query.Fingerprint, err error) {
@@ -443,7 +439,7 @@ func (s *Site) planFor(body string, hash []byte) (p *plan.Plan, fp query.Fingerp
 	if !ok {
 		fp = query.FingerprintOf(body)
 	}
-	if cached, hit := s.plans.Acquire(fp, body); hit {
+	if cached, hit := s.plans.Get(fp, body); hit {
 		s.met.PlanCacheHits.Inc()
 		return cached, fp, nil
 	}
@@ -470,8 +466,8 @@ func (s *Site) planFor(body string, hash []byte) (p *plan.Plan, fp query.Fingerp
 	s.met.PlanCompiles.Inc()
 	s.met.planCompileUS.ObserveDuration(time.Since(start))
 	s.met.notePlanOps(p.Counts())
-	if ev := s.plans.Install(fp, body, p); ev > 0 {
-		s.met.planCacheEvictions.Add(uint64(ev))
+	if s.plans.Put(fp, body, p) {
+		s.met.planCacheEvictions.Inc()
 	}
 	return p, fp, nil
 }
@@ -479,7 +475,7 @@ func (s *Site) planFor(body string, hash []byte) (p *plan.Plan, fp query.Fingerp
 // newCtx builds a context for a query executing the given plan, scheduled
 // under client (wire.Submit.ClientID; 0 for participant work). hop is the
 // trace context's dereference depth at which this site joined (0 at the
-// origin). fp comes from planFor, whose cache pin the context now holds.
+// origin). fp comes from planFor.
 func (s *Site) newCtx(qid wire.QueryID, origin object.SiteID, client uint64, body string, p *plan.Plan, fp query.Fingerprint, hop uint32) *qctx {
 	ctx := &qctx{
 		qid:    qid,
@@ -493,10 +489,9 @@ func (s *Site) newCtx(qid wire.QueryID, origin object.SiteID, client uint64, bod
 			engine.WithOrder(s.cfg.Order)),
 		det: termination.NewInstrumented(s.cfg.ID, origin,
 			termination.Metrics{Splits: s.met.termSplits, Returns: s.met.termReturns, HandOffs: s.met.termHandOffs}),
-		isOrigin:   origin == s.cfg.ID,
-		lane:       s.ready.hold(client),
-		fp:         fp,
-		planPinned: true,
+		isOrigin: origin == s.cfg.ID,
+		lane:     s.ready.hold(client),
+		fp:       fp,
 	}
 	ctx.created = time.Now()
 	ctx.hop = hop

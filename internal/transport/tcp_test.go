@@ -514,4 +514,7 @@ func TestTransportMetrics(t *testing.T) {
 	if rtt := s.Histograms["transport_ack_rtt_us"]; rtt.Count != total {
 		t.Errorf("ack RTT observations = %d, want one per frame (%d)", rtt.Count, total)
 	}
+	if bad := reg.Unregistered(&t1.met); len(bad) > 0 {
+		t.Errorf("transport instruments not from the registry: %v", bad)
+	}
 }
