@@ -201,7 +201,7 @@ func BenchmarkWireEncodeDeref(b *testing.B) {
 	m := &wire.Deref{
 		QID: wire.QueryID{Origin: 1, Seq: 7}, Origin: 1,
 		Body:   workload.ClosureQuery("Tree", "Rand10", 5),
-		ObjIDs: []object.ID{{Birth: 3, Seq: 99}}, Start: 2, Iters: []int{4},
+		ObjIDs: []object.ID{{Birth: 3, Seq: 99}}, Start: 2,
 		Token: make([]byte, 12),
 	}
 	b.ReportAllocs()
@@ -216,7 +216,7 @@ func BenchmarkWireDecodeDeref(b *testing.B) {
 	m := &wire.Deref{
 		QID: wire.QueryID{Origin: 1, Seq: 7}, Origin: 1,
 		Body:   workload.ClosureQuery("Tree", "Rand10", 5),
-		ObjIDs: []object.ID{{Birth: 3, Seq: 99}}, Start: 2, Iters: []int{4},
+		ObjIDs: []object.ID{{Birth: 3, Seq: 99}}, Start: 2,
 		Token: make([]byte, 12),
 	}
 	data := wire.Encode(m)

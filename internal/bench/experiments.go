@@ -77,7 +77,7 @@ func RunE1(cfg Config) (*Report, error) {
 	deref := &wire.Deref{
 		QID: wire.QueryID{Origin: 1, Seq: 42}, Origin: 1,
 		Body:   workload.ClosureQuery("Tree", "Rand10", 5),
-		ObjIDs: []object.ID{{Birth: 3, Seq: 123}}, Start: 2, Iters: []int{7},
+		ObjIDs: []object.ID{{Birth: 3, Seq: 123}}, Start: 2,
 		Token: firstSplitToken(),
 	}
 	size := len(wire.Encode(deref))

@@ -128,7 +128,6 @@ func ledgerDeref() *wire.Deref {
 		QID: wire.QueryID{Origin: 1, Seq: 7}, Origin: 1,
 		Body:   workload.ClosureQuery("Tree", "Rand10", 5),
 		ObjIDs: []object.ID{{Birth: 3, Seq: 99}, {Birth: 2, Seq: 41}}, Start: 2,
-		Iters: []int{4, 4},
 		Token: make([]byte, 12),
 	}
 }

@@ -611,9 +611,9 @@ func TestLocalClusterCrossingQueryFinishesPeers(t *testing.T) {
 }
 
 // TestChainHopsRunOnReaders: on the paper's chain every hop is remote and
-// strictly serial, so the transport reader that delivers a hop's Deref finds
-// the turn free and runs the hop itself instead of waking its site's loop.
-// Summed over the sites, reader turns are at least the remote hops.
+// strictly serial, so the transport reader that delivers a hop's Deref
+// nearly always finds the turn free and runs the hop itself instead of
+// waking its site's loop.
 func TestChainHopsRunOnReaders(t *testing.T) {
 	const n = 60 // every pointer crosses sites, the closing one included
 	c := NewLocal(3, Options{})
@@ -629,14 +629,18 @@ func TestChainHopsRunOnReaders(t *testing.T) {
 	if len(res.IDs) != 1 || res.IDs[0] != d.IDs[7] {
 		t.Fatalf("answer %v, want [%v]", res.IDs, d.IDs[7])
 	}
-	var reader, loop uint64
+	// A reader that finds the turn held leaves its hop to the holder, which
+	// happens under CPU contention; it counts that in hf_turns_reader_busy.
+	// Every hop is one or the other, and most run on their reader.
+	var reader, busy, loop uint64
 	for _, id := range c.Sites() {
 		turns := c.Metrics(id).Snapshot().Counters
 		reader += turns["hf_turns_reader"]
+		busy += turns["hf_turns_reader_busy"]
 		loop += turns["hf_turns_loop"]
 	}
-	if reader < n {
-		t.Errorf("hf_turns_reader = %d over the sites (loop %d), want >= %d: one per remote hop", reader, loop, n)
+	if reader+busy < n || reader < 3*n/4 {
+		t.Errorf("hf_turns_reader = %d, hf_turns_reader_busy = %d over the sites (loop %d), want a sum >= %d and readers >= %d", reader, busy, loop, n, 3*n/4)
 	}
 }
 

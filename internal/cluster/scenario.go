@@ -222,7 +222,7 @@ func RunScenario(spec *sim.Scenario) (*ScenarioRun, error) {
 				return nil, fmt.Errorf("scenario %s: query %d: %w", spec.Name, i, err)
 			}
 			q.Results = len(res.IDs)
-			q.Digest = idsDigest(res.IDs)
+			q.Digest = IDsDigest(res.IDs)
 			q.Partial = res.Partial
 			q.Unreachable = res.Unreachable
 			q.Completed = c.completedAt[q.QID]
@@ -293,9 +293,9 @@ func siteList(sites []object.SiteID) string {
 	return strings.Join(parts, ",")
 }
 
-// idsDigest fingerprints a sorted result-id list: equal digests mean byte-
+// IDsDigest fingerprints a sorted result-id list: equal digests mean byte-
 // identical answers without embedding thousands of ids in the trace.
-func idsDigest(ids []object.ID) string {
+func IDsDigest(ids []object.ID) string {
 	h := sha256.New()
 	var buf [12]byte
 	for _, id := range ids {

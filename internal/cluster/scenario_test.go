@@ -90,8 +90,8 @@ func TestScenarioRegionsAnswersMatchOracle(t *testing.T) {
 		if q.Results != len(want) {
 			t.Errorf("query %d: %d results, oracle says %d", i, q.Results, len(want))
 		}
-		if q.Digest != idsDigest(want) {
-			t.Errorf("query %d: digest %s, oracle digest %s", i, q.Digest, idsDigest(want))
+		if q.Digest != IDsDigest(want) {
+			t.Errorf("query %d: digest %s, oracle digest %s", i, q.Digest, IDsDigest(want))
 		}
 	}
 }

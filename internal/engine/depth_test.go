@@ -3,9 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
-	"testing/quick"
 
 	"hyperfile/internal/object"
 	"hyperfile/internal/query"
@@ -79,6 +77,75 @@ func TestBoundedIterationDepthProperty(t *testing.T) {
 	}
 }
 
+// buildRandomDAG stores n objects whose (Pointer, "L") tuples form a random
+// DAG: each object points at one to three of the four after it, so most
+// objects have several chains of different lengths from the first. The last
+// object points at itself, so the body's selection never drops it. It
+// returns the ids and each object's shortest chain length from the first
+// (1 for the first, 0 if unreached).
+func buildRandomDAG(t *testing.T, s *store.Store, n int, seed int64) ([]object.ID, []int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	objs := make([]*object.Object, n)
+	for i := range objs {
+		objs[i] = s.NewObject()
+	}
+	depth := make([]int, n)
+	depth[0] = 1
+	ids := make([]object.ID, n)
+	for i, o := range objs {
+		if i == n-1 {
+			o.Add("Pointer", object.String("L"), object.Pointer(o.ID))
+		}
+		for range min(rng.Intn(3)+1, n-1-i) {
+			to := i + 1 + rng.Intn(min(4, n-1-i))
+			o.Add("Pointer", object.String("L"), object.Pointer(objs[to].ID))
+			if depth[i] > 0 && (depth[to] == 0 || depth[i]+1 < depth[to]) {
+				depth[to] = depth[i] + 1
+			}
+		}
+		if err := s.Put(o); err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = o.ID
+	}
+	return ids, depth
+}
+
+// TestBoundedIterationOnDAGs: a k-bounded iterator admits exactly the
+// objects with some pointer chain of length at most max(k, 2), whatever
+// order the working set visits them in. Depth-first order reaches many
+// objects through a longer chain first; the mark of that visit must not
+// hide the shorter one.
+func TestBoundedIterationOnDAGs(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		s := store.New(1)
+		ids, depth := buildRandomDAG(t, s, 30, seed)
+		for k := 1; k <= 5; k++ {
+			c := query.MustCompile(fmt.Sprintf(`S [ (Pointer, "L", ?X) ^^X ]*%d -> T`, k))
+			want := object.NewIDSet()
+			for i, d := range depth {
+				if d > 0 && d <= max(k, 2) {
+					want.Add(ids[i])
+				}
+			}
+			for _, order := range []Order{BFS, DFS} {
+				e := New(c, s, WithOrder(order))
+				e.AddInitial(ids[0])
+				e.Run()
+				if got := e.Results(); !got.Equal(want) {
+					t.Errorf("seed %d k %d %v: got %v want %v (depths %v)", seed, k, order, got, want, depth)
+				}
+			}
+			for _, workers := range []int{2, 4} {
+				if got := RunParallel(c, s, workers, ids[:1]).Results; !got.Equal(want) {
+					t.Errorf("seed %d k %d %d workers: got %v want %v (depths %v)", seed, k, workers, got, want, depth)
+				}
+			}
+		}
+	}
+}
+
 // TestClosureEqualsLargeBound: on a finite graph, a bound at least the
 // graph's diameter is equivalent to the closure.
 func TestClosureEqualsLargeBound(t *testing.T) {
@@ -133,57 +200,6 @@ func TestNestedIteratorsHandTraced(t *testing.T) {
 	// b2 must never even be examined.
 	if e.Stats().Processed != 4 {
 		t.Errorf("processed = %d, want 4 (s, a1, b1, sb1)", e.Stats().Processed)
-	}
-}
-
-func TestIterAtDefaults(t *testing.T) {
-	it := Item{Iters: []int{5, 2}}
-	if it.iterAt(0) != 5 || it.iterAt(1) != 2 {
-		t.Errorf("explicit levels wrong")
-	}
-	if it.iterAt(2) != 1 || it.iterAt(10) != 1 {
-		t.Errorf("missing levels must default to 1")
-	}
-}
-
-func TestChildItersProperty(t *testing.T) {
-	f := func(levels []uint8, rawDepth uint8) bool {
-		it := Item{}
-		for _, l := range levels {
-			it.Iters = append(it.Iters, int(l)+1)
-		}
-		d := int(rawDepth%6) + 1
-		child := it.childIters(d, nil)
-		if len(child) != d {
-			return false
-		}
-		// The same stack comes back as is; any other is not reused.
-		if again := it.childIters(d, child); &again[0] != &child[0] {
-			return false
-		}
-		other := slices.Clone(child)
-		other[0]++
-		if got := it.childIters(d, other); &got[0] == &other[0] || !slices.Equal(got, child) {
-			return false
-		}
-		// Every level except the innermost is inherited (padded with 1);
-		// the innermost is incremented.
-		for i := 0; i < d-1; i++ {
-			if child[i] != it.iterAt(i) {
-				return false
-			}
-		}
-		return child[d-1] == it.iterAt(d-1)+1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestChildItersDepthZero(t *testing.T) {
-	it := Item{Iters: []int{3}}
-	if got := it.childIters(0, []int{4}); got != nil {
-		t.Errorf("depth-0 child iters = %v, want nil", got)
 	}
 }
 

@@ -96,10 +96,10 @@ type Marks interface {
 // engine. All exported methods are serialized by an internal mutex, so an
 // engine is safe for concurrent use: one goroutine may run Step or StepN
 // while others call Enqueue/HasWork/Stats. The mutex covers the whole of
-// Step, and of a StepN run, so the mark table, working set, and iterator
-// state on items need no finer synchronization: at most one goroutine is ever
-// inside the filter pipeline. A site calls its engines under its own lock, so
-// there they never contend. (Concurrent processing
+// Step, and of a StepN run, so the mark table and working set need no finer
+// synchronization: at most one goroutine is ever inside the filter pipeline.
+// A site calls its engines under its own lock, so there they never contend.
+// (Concurrent processing
 // shares state across engines via WithMarks and WithSpawnSink — see
 // RunParallel; a table installed with WithMarks must itself be
 // concurrency-safe if engines sharing it run in parallel.)
@@ -134,8 +134,6 @@ type Engine struct {
 	results []object.ID
 	fetches []Fetch
 	stats   Stats
-	// iters is the child iteration stack applyDeref built last.
-	iters []int
 }
 
 // Option configures an Engine.
@@ -398,7 +396,7 @@ func (e *Engine) StepN(limit int) Run {
 // Step and StepN share it.
 func (e *Engine) step(res *StepResult) {
 	it := res.Item
-	e.emit(TraceEvent{ID: it.ID, Filter: -1, Iter: it.iterAt(max(len(it.Iters)-1, 0)), Action: TraceDequeued})
+	e.emit(TraceEvent{ID: it.ID, Filter: -1, Action: TraceDequeued})
 
 	// Duplicate suppression: "if a marked object is found in the working
 	// set it is ignored" — refined by start position (the mark table stores
@@ -527,26 +525,16 @@ func (e *Engine) applyFieldEffects(p *pattern.P, v *object.Value, it *Item, from
 }
 
 // applyDeref implements E for dereference filters: every pointer bound to the
-// variable spawns a new working-set item (or a remote reference). With Keep
-// the dereferencing object continues; otherwise it is consumed.
+// variable spawns a new working-set item (or a remote reference) starting at
+// the filter's child slot. With Keep the dereferencing object continues;
+// otherwise it is consumed.
 func (e *Engine) applyDeref(f query.Filter, it *Item, res *StepResult) bool {
-	next := it.Next + 1
-	// Children share iteration stacks: nothing writes an Item's Iters in
-	// place, and a RemoteRef's stack is only read into its Deref. So every
-	// child of this object gets the one stack, and it is the last one built
-	// whenever that holds the same counters, as it does for all the objects
-	// of one level of a breadth-first tree.
-	var childIters []int
 	for _, v := range it.MVars.Lookup(f.Var) {
 		if v.Kind != object.KindPointer {
 			continue
 		}
-		if childIters == nil {
-			childIters = it.childIters(f.Depth, e.iters)
-			e.iters = childIters
-		}
 		if e.loc.IsLocal(v.Ptr) {
-			child := Item{ID: v.Ptr, Start: next, Next: next, Iters: childIters}
+			child := Item{ID: v.Ptr, Start: f.Child, Next: f.Child}
 			if e.spawn != nil {
 				e.spawn(child)
 			} else {
@@ -555,32 +543,33 @@ func (e *Engine) applyDeref(f query.Filter, it *Item, res *StepResult) bool {
 			e.stats.LocalDerefs++
 			res.LocalSpawned++
 		} else {
-			ref := RemoteRef{ID: v.Ptr, Start: next, Iters: childIters}
-			res.Remote = append(res.Remote, ref)
+			res.Remote = append(res.Remote, RemoteRef{ID: v.Ptr, Start: f.Child})
 			e.stats.RemoteDerefs++
 		}
 	}
 	e.emit(TraceEvent{
-		ID: it.ID, Filter: next - 1, Action: TraceDereferenced,
+		ID: it.ID, Filter: it.Next, Action: TraceDereferenced,
 		Local: res.LocalSpawned, Remote: len(res.Remote),
 	})
 	if !f.Keep {
 		return false
 	}
-	it.Next = next
+	it.Next++
 	return true
 }
 
 // applyIter implements E for iterator markers: objects that have traversed
-// the whole body (start at or before the body) or exhausted the iteration
-// bound continue; others loop back to the body start.
+// the whole body (start at or before the body) or reached the last copy of a
+// bounded body leave for the filter after the iterator; others loop back to
+// the body start. Objects one pointer further along a bounded iterator were
+// already started in the next copy by the dereference that reached them.
 func (e *Engine) applyIter(f query.Filter, it *Item) {
-	if it.Start <= f.BodyStart || (f.K != query.Closure && it.iterAt(f.Depth) >= f.K) {
-		e.emit(TraceEvent{ID: it.ID, Filter: it.Next, Iter: it.iterAt(f.Depth), Action: TraceExitedIter})
-		it.Next++
+	if it.Start <= f.BodyStart || f.Final {
+		e.emit(TraceEvent{ID: it.ID, Filter: it.Next, Action: TraceExitedIter})
+		it.Next = f.Exit
 		return
 	}
-	e.emit(TraceEvent{ID: it.ID, Filter: it.Next, Iter: it.iterAt(f.Depth), Action: TraceLoopedBack})
+	e.emit(TraceEvent{ID: it.ID, Filter: it.Next, Action: TraceLoopedBack})
 	it.Start = f.BodyStart // so that it passes next time
 	it.Next = f.BodyStart
 }

@@ -286,9 +286,6 @@ func TestRemoteRefsSurfaced(t *testing.T) {
 	if r.Start != 2 {
 		t.Errorf("remote start = %d, want 2 (filter after the deref)", r.Start)
 	}
-	if len(r.Iters) != 1 || r.Iters[0] != 2 {
-		t.Errorf("remote iters = %v, want [2]", r.Iters)
-	}
 	if e.Stats().RemoteDerefs != 1 {
 		t.Errorf("RemoteDerefs = %d", e.Stats().RemoteDerefs)
 	}
@@ -310,9 +307,8 @@ func TestEnqueueRemoteArrival(t *testing.T) {
 	}
 	c := query.MustCompile(`S [ (Pointer, "Reference", ?X) ^^X ]** (keyword, "k", ?) -> T`)
 	e := New(c, s, WithLocator(birthLocator(2)))
-	// Simulate a Deref message arriving: start after the deref (=2), chain
-	// length 2.
-	e.Enqueue(Item{ID: o.ID, Start: 2, Iters: []int{2}})
+	// Simulate a Deref message arriving: start after the deref (=2).
+	e.Enqueue(Item{ID: o.ID, Start: 2})
 	e.Run()
 	if !e.Results().Equal(object.NewIDSet(o.ID)) {
 		t.Errorf("results = %v", e.Results())

@@ -1,8 +1,9 @@
 // Package engine executes compiled filtering queries with the algorithm of
 // the paper's section 3 (Figure 3): a working set of in-flight objects, the
-// filter-evaluation function E, a mark table recording (object, filter-index)
-// pairs already processed, and iteration-number stacks for (possibly nested)
-// iterators.
+// filter-evaluation function E, and a mark table recording (object,
+// filter-index) pairs already processed. Iteration numbers need no state of
+// their own: query.Compile unrolls each bounded iterator into one copy of
+// its body per chain length, so the filter index carries them.
 //
 // The engine is single-site: pointers to non-local objects are not followed
 // but surfaced as RemoteRef values so that the site layer can ship the query
@@ -18,77 +19,39 @@ import (
 
 // Item is one entry of the working set W: an object id plus the transient
 // processing state the paper attaches to objects (O.start, O.next, O.iter#,
-// O.mvars). Only id, start, and the iteration stack cross site boundaries;
-// next and mvars are reconstructed at the processing site.
+// O.mvars). The iteration number is part of the filter index: a bounded
+// iterator's body is unrolled into one copy per chain length (see
+// query.Compiled). Only id and start cross site boundaries; next and mvars
+// are reconstructed at the processing site.
 type Item struct {
 	ID object.ID
 	// Start is the first filter (0-based) to process the object: 0 for
-	// initial-set objects, the filter after the dereference for objects
-	// reached through a pointer.
+	// initial-set objects, the dereference's child slot for objects reached
+	// through a pointer.
 	Start int
 	// Next is the next filter to apply while the item is in flight.
 	Next int
-	// Iters is the iteration-number stack: Iters[d] is the pointer-chain
-	// length within the iterator at nesting depth d+1. Missing entries read
-	// as 1 (the initial iteration number).
-	Iters []int
 	// MVars is the matching-variable binding environment O.mvars; it always
 	// starts empty and lives only while the item is being processed.
 	MVars pattern.Env
 }
 
 // NewItem returns an initial-set item for id (start = next = first filter,
-// iteration numbers all 1, no bindings).
+// no bindings).
 func NewItem(id object.ID) Item { return Item{ID: id} }
-
-// iterAt returns the iteration number for counter index d (depth of the
-// enclosing iterator), defaulting to 1.
-func (it *Item) iterAt(d int) int {
-	if d < len(it.Iters) {
-		return it.Iters[d]
-	}
-	return 1
-}
-
-// childIters returns the iteration stack for an object dereferenced at
-// static nesting depth d: the parent stack normalized to length d (padded
-// with 1s, truncated if deeper) with the innermost counter incremented. When
-// last already holds that stack it is returned itself, so objects whose
-// children need the same counters can hand them one shared stack.
-func (it *Item) childIters(d int, last []int) []int {
-	if d == 0 {
-		return nil
-	}
-	if len(last) == d {
-		same := true
-		for i := range d - 1 {
-			same = same && last[i] == it.iterAt(i)
-		}
-		if same && last[d-1] == it.iterAt(d-1)+1 {
-			return last
-		}
-	}
-	s := make([]int, d)
-	for i := 0; i < d; i++ {
-		s[i] = it.iterAt(i)
-	}
-	s[d-1]++
-	return s
-}
 
 // String renders the item for diagnostics.
 func (it Item) String() string {
-	return fmt.Sprintf("{%v start=%d next=%d iters=%v}", it.ID, it.Start, it.Next, it.Iters)
+	return fmt.Sprintf("{%v start=%d next=%d}", it.ID, it.Start, it.Next)
 }
 
 // RemoteRef describes a dereference of a pointer to an object owned by
 // another site. The site layer turns it into a Deref message carrying the
-// query identity plus exactly the paper's per-object fields: O.id, O.start,
-// and O.iter#.
+// query identity plus the paper's per-object fields: O.id and O.start,
+// which also encodes O.iter#.
 type RemoteRef struct {
 	ID    object.ID
 	Start int
-	Iters []int
 }
 
 // Fetch is one retrieved field value (the "->var" operator): the binding

@@ -122,9 +122,7 @@ func TestStepNMatchesStep(t *testing.T) {
 					t.Fatalf("%v seed %d run %d: out %d stats %+v fetches %v, Step gave %d %+v %v",
 						order, seed, nruns, r.Out, r.Stats, r.Fetches, want.Out, want.Stats, want.Fetches)
 				}
-				if !slices.EqualFunc(r.Remote, last.Remote, func(a, b RemoteRef) bool {
-					return a.ID == b.ID && a.Start == b.Start && slices.Equal(a.Iters, b.Iters)
-				}) {
+				if !slices.Equal(r.Remote, last.Remote) {
 					t.Fatalf("%v seed %d run %d: remote %v, the last item's %v", order, seed, nruns, r.Remote, last.Remote)
 				}
 				if r.Steps < limit && len(r.Remote) == 0 && steps.HasWork() && steps.peekStart() == r.Start {

@@ -50,7 +50,6 @@ func (a TraceAction) String() string {
 type TraceEvent struct {
 	ID     object.ID
 	Filter int // filter index; -1 for dequeue-stage events
-	Iter   int // innermost iteration number at the time
 	Action TraceAction
 	// Local/Remote count followed pointers for TraceDereferenced.
 	Local, Remote int

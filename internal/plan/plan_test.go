@@ -20,8 +20,9 @@ func TestBuildKeepsOpsAlignedWithFilters(t *testing.T) {
 		}
 	}
 	cnt := p.Counts()
-	if cnt.Selects != 2 || cnt.Derefs != 1 || cnt.Iters != 1 {
-		t.Errorf("counts = %+v, want 2 selects / 1 deref / 1 iter", cnt)
+	// *3 unrolls into three copies of the body.
+	if cnt.Selects != 4 || cnt.Derefs != 3 || cnt.Iters != 3 {
+		t.Errorf("counts = %+v, want 4 selects / 3 derefs / 3 iters", cnt)
 	}
 }
 

@@ -6,8 +6,9 @@ import (
 )
 
 // Explain renders a compiled query as a human-readable execution plan: the
-// flat filter list with positions, iterator spans and depths, the variables
-// each filter binds or uses, and the client bindings it retrieves. It backs
+// flat filter list with positions, iterator spans and exits, depths, the
+// variables each filter binds or uses, and the client bindings it
+// retrieves. It backs
 // `hfquery -explain` and is handy when a closure query silently drops
 // objects (see docs/QUERYLANG.md).
 func (c *Compiled) Explain() string {
@@ -28,13 +29,16 @@ func (c *Compiled) Explain() string {
 			if f.Keep {
 				op = "dereference ^^" + f.Var + " (keep source)"
 			}
-			fmt.Fprintf(&b, "F%-2d %s%s -> items start at F%d\n", i, indent, op, i+1)
+			fmt.Fprintf(&b, "F%-2d %s%s -> items start at F%d\n", i, indent, op, f.Child)
 		case FIter:
 			bound := "transitive closure"
 			if f.K != Closure {
 				bound = fmt.Sprintf("up to %d pointer levels", f.K)
+				if f.Final {
+					bound += ", last copy"
+				}
 			}
-			fmt.Fprintf(&b, "F%-2d %siterate body F%d..F%d, %s\n", i, indent, f.BodyStart, i-1, bound)
+			fmt.Fprintf(&b, "F%-2d %siterate body F%d..F%d, %s, exit F%d\n", i, indent, f.BodyStart, i-1, bound, f.Exit)
 		}
 	}
 	if warn := c.warnings(); len(warn) > 0 {

@@ -9,11 +9,12 @@ func TestExplainRendersPlan(t *testing.T) {
 	c := MustCompile(`S [ (pointer, "Reference", ?X) ^^X ]*3 (keyword, "Distributed", ?) (String, "Title", ->title) -> T`)
 	got := c.Explain()
 	for _, want := range []string{
-		"filters: 5",
+		"filters: 11",
 		"retrieves: title",
 		"binds X from data",
-		"dereference ^^X (keep source)",
-		"iterate body F0..F1, up to 3 pointer levels",
+		"dereference ^^X (keep source) -> items start at F5",
+		"iterate body F0..F1, up to 3 pointer levels, exit F9",
+		"iterate body F6..F7, up to 3 pointer levels, last copy, exit F9",
 		"retrieves title",
 	} {
 		if !strings.Contains(got, want) {

@@ -2,6 +2,7 @@ package query
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -210,45 +211,100 @@ func TestStringRoundTrip(t *testing.T) {
 
 func TestCompileFlattening(t *testing.T) {
 	c := MustCompile(`S [ (pointer, "Reference", ?X) ^^X ]*3 (keyword, "Distributed", ?) -> T`)
+	// *3 unrolls into three copies of the body, one per chain length.
 	kinds := make([]FilterKind, len(c.Filters))
 	for i, f := range c.Filters {
 		kinds[i] = f.Kind
 	}
-	want := []FilterKind{FSelect, FDeref, FIter, FSelect}
-	if len(kinds) != len(want) {
-		t.Fatalf("filters = %v", c.Filters)
+	want := []FilterKind{FSelect, FDeref, FIter, FSelect, FDeref, FIter, FSelect, FDeref, FIter, FSelect}
+	if !slices.Equal(kinds, want) {
+		t.Fatalf("filter kinds = %v, want %v (all: %v)", kinds, want, c.Filters)
 	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("filter %d kind = %v, want %v (all: %v)", i, kinds[i], want[i], c.Filters)
+	for j, start := range []int{0, 3, 6} {
+		iter := c.Filters[start+2]
+		if iter.BodyStart != start || iter.Exit != 9 || iter.K != 3 || iter.Final != (j == 2) || iter.Depth != 0 {
+			t.Errorf("copy %d iter = %+v", j+1, iter)
+		}
+		if c.Filters[start].Depth != 1 || c.Filters[start+1].Depth != 1 {
+			t.Errorf("copy %d depths wrong: %+v", j+1, c.Filters)
 		}
 	}
-	iter := c.Filters[2]
-	if iter.BodyStart != 0 || iter.K != 3 || iter.Depth != 0 {
-		t.Errorf("iter = %+v", iter)
+	// A pointer followed in copy j leads into copy j+1; the last copy's
+	// children stay in it.
+	for deref, child := range map[int]int{1: 5, 4: 8, 7: 8} {
+		if got := c.Filters[deref].Child; got != child {
+			t.Errorf("F%d child = F%d, want F%d", deref, got, child)
+		}
 	}
-	if c.Filters[0].Depth != 1 || c.Filters[1].Depth != 1 || c.Filters[3].Depth != 0 {
+	if c.Filters[9].Depth != 0 {
 		t.Errorf("depths wrong: %+v", c.Filters)
+	}
+	// A closure stays one copy that loops back.
+	cl := MustCompile(`S [ (pointer, "Reference", ?X) ^^X ]** -> T`)
+	if len(cl.Filters) != 3 || cl.Filters[1].Child != 2 || cl.Filters[2].Exit != 3 || cl.Filters[2].Final {
+		t.Errorf("closure filters = %+v", cl.Filters)
+	}
+	// *1 unrolls like *2: an initial object's direct children always exist.
+	if one, two := MustCompile(`S [ (p, ?, ?X) ^^X ]*1 -> T`), MustCompile(`S [ (p, ?, ?X) ^^X ]*2 -> T`); len(one.Filters) != 6 || len(two.Filters) != 6 {
+		t.Errorf("*1 lowers to %d filters, *2 to %d, want 6", len(one.Filters), len(two.Filters))
 	}
 }
 
 func TestCompileNestedDepths(t *testing.T) {
 	c := MustCompile(`S [ (p, "a", ?X) [ (p, "b", ?Y) ^Y ]*2 ^X ]*3 -> T`)
-	// Layout: 0 sel(a) d1, 1 sel(b) d2, 2 deref Y d2, 3 iter(inner) d1,
-	//         4 deref X d1, 5 iter(outer) d0
-	wantDepth := []int{1, 2, 2, 1, 1, 0}
-	if len(c.Filters) != len(wantDepth) {
+	// One outer copy: 0 sel(a) d1, 1 sel(b) d2, 2 deref Y d2, 3 iter(inner)
+	// d1, 4 sel(b) d2, 5 deref Y d2, 6 iter(inner, last) d1, 7 deref X d1,
+	// 8 iter(outer) d0. Each of the three outer copies holds both inner ones.
+	const copyLen = 9
+	wantDepth := []int{1, 2, 2, 1, 2, 2, 1, 1, 0}
+	if len(c.Filters) != 3*copyLen {
 		t.Fatalf("filters = %v", c.Filters)
 	}
-	for i, d := range wantDepth {
-		if c.Filters[i].Depth != d {
-			t.Errorf("filter %d depth = %d, want %d", i, c.Filters[i].Depth, d)
+	for i, f := range c.Filters {
+		if d := wantDepth[i%copyLen]; f.Depth != d {
+			t.Errorf("filter %d depth = %d, want %d", i, f.Depth, d)
 		}
 	}
-	inner := c.Filters[3]
-	outer := c.Filters[5]
-	if inner.BodyStart != 1 || outer.BodyStart != 0 {
-		t.Errorf("body starts: inner=%d outer=%d", inner.BodyStart, outer.BodyStart)
+	for j := 0; j < 3; j++ {
+		o := j * copyLen
+		inner1, inner2, outer := c.Filters[o+3], c.Filters[o+6], c.Filters[o+8]
+		if inner1.BodyStart != o+1 || inner2.BodyStart != o+4 || inner1.Exit != o+7 || inner2.Exit != o+7 || inner1.Final || !inner2.Final {
+			t.Errorf("outer copy %d: inner iters %+v, %+v", j+1, inner1, inner2)
+		}
+		if outer.BodyStart != o || outer.Exit != 3*copyLen || outer.Final != (j == 2) {
+			t.Errorf("outer copy %d: outer iter %+v", j+1, outer)
+		}
+		// ^Y leads into the next inner copy of the same outer copy; ^X into
+		// the next outer copy, until the last.
+		if c.Filters[o+2].Child != o+6 || c.Filters[o+5].Child != o+6 {
+			t.Errorf("outer copy %d: ^Y children start at F%d, F%d", j+1, c.Filters[o+2].Child, c.Filters[o+5].Child)
+		}
+		if want := min(o+copyLen, 2*copyLen) + 8; c.Filters[o+7].Child != want {
+			t.Errorf("outer copy %d: ^X children start at F%d, want F%d", j+1, c.Filters[o+7].Child, want)
+		}
+	}
+}
+
+// TestCompileCapsUnrolling: a bound from any client must not allocate a
+// plan of its size. Compile fails once the unrolled list passes MaxFilters,
+// nested bounds included, and a list at the cap compiles.
+func TestCompileCapsUnrolling(t *testing.T) {
+	for _, src := range []string{
+		`S [ (p, ?, ?X) ^^X ]*1000000000 -> T`,
+		`S [ [ [ (p, ?, ?X) ^^X ]*1000 ]*1000 ]*1000 -> T`,
+		`S [ (p, ?, ?X) ^^X ]*342 -> T`, // 342 copies of 3 filters: 1026
+	} {
+		if _, err := Compile(MustParse(src)); !errors.Is(err, ErrCompile) {
+			t.Errorf("%s: Compile = %v, want ErrCompile", src, err)
+		}
+	}
+	c := MustCompile(`S [ (p, ?, ?X) ^^X ]*341 -> T`) // 1023 filters
+	if len(c.Filters) != 1023 || c.Filters[1].Child != 5 || c.Filters[1022].Exit != 1023 {
+		t.Errorf("*341 lowers to %d filters", len(c.Filters))
+	}
+	big := MustCompile(`S [ (p, ?, ?X) ^^X ]*341 (k, ?, ?) -> T`)
+	if len(big.Filters) != MaxFilters {
+		t.Errorf("*341 plus one selection lowers to %d filters, want %d", len(big.Filters), MaxFilters)
 	}
 }
 

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"flag"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"hyperfile/internal/cluster"
+	"hyperfile/internal/object"
 	"hyperfile/internal/sim"
+	"hyperfile/internal/workload"
 )
 
 // updateGolden regenerates every committed golden trace from the current
@@ -118,6 +121,56 @@ func TestCorpusGolden(t *testing.T) {
 				GoldenPath(name), strings.Count(string(rendered), "\nev "),
 				run.Final, run.Messages, run.Wall.Round(time.Millisecond))
 		})
+	}
+}
+
+// TestBoundedTreeMatchesOneSite checks the bounded-tree scenario's answers
+// against the same graph colocated on one site. On one site no message can
+// overtake another, so a bounded iterator's answer there is the reference
+// its distributed runs must equal under any link latencies.
+func TestBoundedTreeMatchesOneSite(t *testing.T) {
+	spec, err := Load("bounded-tree")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := cluster.RunScenario(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Generation is deterministic: the scenario's dataset is rebuilt here,
+	// and once more with every object on site 1.
+	ws := workload.Spec{N: spec.Workload.Objects, Machines: spec.Sites, StructureMachines: spec.Sites, Seed: spec.Seed}
+	spread, err := workload.Build(cluster.NewSim(spec.Sites, cluster.Options{}), ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws.Machines = 1
+	one := cluster.NewSim(1, cluster.Options{Cost: sim.Free()})
+	local, err := workload.Build(one, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logical := make(map[object.ID]int, len(local.IDs))
+	for i, id := range local.IDs {
+		logical[id] = i
+	}
+	for i, q := range run.Queries {
+		if !strings.Contains(q.Spec.Body, "]*") || strings.Contains(q.Spec.Body, "]**") {
+			t.Errorf("query %d is not bounded: %s", i, q.Spec.Body)
+		}
+		res, _, err := one.Exec(1, q.Spec.Body, []object.ID{local.Root})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]object.ID, len(res.IDs))
+		for j, id := range res.IDs {
+			want[j] = spread.IDs[logical[id]]
+		}
+		slices.SortFunc(want, object.ID.Compare)
+		if q.Partial || q.Results != len(want) || q.Digest != cluster.IDsDigest(want) {
+			t.Errorf("query %d (%s): %d results digest %s partial %v, one site gives %d digest %s",
+				i, q.Spec.Body, q.Results, q.Digest, q.Partial, len(want), cluster.IDsDigest(want))
+		}
 	}
 }
 

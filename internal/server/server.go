@@ -70,8 +70,9 @@ type Server struct {
 	firstErr error
 
 	// turnsReader and turnsLoop count turns run by transport readers and by
-	// the loop goroutine.
-	turnsReader, turnsLoop *metrics.Counter
+	// the loop goroutine; turnsReaderBusy counts readers that found mail but
+	// the turn held, and so left that mail to the holder.
+	turnsReader, turnsLoop, turnsReaderBusy *metrics.Counter
 
 	// Failure-detector state (nil maps unless HeartbeatInterval > 0).
 	hbMu      sync.Mutex
@@ -125,8 +126,9 @@ func NewOpts(cfg site.Config, addr string, logger *slog.Logger, opts Options) (*
 		wake:   make(chan struct{}, 1),
 		quit:   make(chan struct{}),
 
-		turnsReader: opts.Metrics.Counter("hf_turns_reader"),
-		turnsLoop:   opts.Metrics.Counter("hf_turns_loop"),
+		turnsReader:     opts.Metrics.Counter("hf_turns_reader"),
+		turnsLoop:       opts.Metrics.Counter("hf_turns_loop"),
+		turnsReaderBusy: opts.Metrics.Counter("hf_turns_reader_busy"),
 	}
 	if cfg.HeartbeatInterval > 0 {
 		srv.heard = make(map[object.SiteID]time.Time, len(cfg.Peers))
@@ -409,7 +411,13 @@ func (srv *Server) acquire(reader bool) bool {
 	}
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
-	if srv.running || reader && len(srv.mailbox) == 0 {
+	if reader && len(srv.mailbox) == 0 {
+		return false
+	}
+	if srv.running {
+		if reader {
+			srv.turnsReaderBusy.Inc()
+		}
 		return false
 	}
 	srv.running = true

@@ -690,6 +690,53 @@ func TestErrReportsRejectedMessage(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeDerefStartKeepsServing: any connection can send a Deref
+// whose Start lies outside its query's filter list. The site refuses each
+// one, no context stays behind, and the server answers the next query.
+func TestOutOfRangeDerefStartKeepsServing(t *testing.T) {
+	st := store.New(1)
+	srv, err := NewOpts(site.Config{ID: 1, Store: st, Peers: []object.SiteID{2}}, "127.0.0.1:0", nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	o := st.NewObject().Add("keyword", object.Keyword("ok"), object.Value{})
+	if err := st.Put(o); err != nil {
+		t.Fatal(err)
+	}
+	const body = `S (keyword, "ok", ?) -> T` // one filter
+	peer := bareEndpoint(t, srv, 2, func(object.SiteID, wire.Msg) {})
+	replies := make(chan wire.Msg, 4)
+	client := bareEndpoint(t, srv, 100, func(_ object.SiteID, m wire.Msg) { replies <- m })
+	for i, start := range []int{-1, 2, 1 << 40} {
+		if err := peer.Send(1, &wire.Deref{QID: wire.QueryID{Origin: 2, Seq: uint64(i + 1)}, Origin: 2,
+			Body: body, ObjIDs: []object.ID{o.ID}, Start: start, Token: []byte{1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := waitfor.Until(5*time.Second, func() bool { return srv.Err() != nil }); err != nil {
+		t.Fatalf("out-of-range start never refused: %v", err)
+	}
+	if err := srv.Err(); !errors.Is(err, site.ErrProtocol) {
+		t.Fatalf("Err = %v, want a protocol error", err)
+	}
+	sub := &wire.Submit{QID: wire.QueryID{Origin: 1, Seq: 1}, Client: 100, Body: body, Initial: []object.ID{o.ID}}
+	if err := client.Send(1, sub); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-replies:
+		if cm, ok := m.(*wire.Complete); !ok || len(cm.IDs) != 1 {
+			t.Fatalf("reply = %+v, want a Complete with one id", m)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("server stopped serving after the out-of-range Derefs")
+	}
+	if err := waitfor.Until(5*time.Second, func() bool { return srv.Contexts() == 0 }); err != nil {
+		t.Fatalf("%d contexts left behind: %v", srv.Contexts(), err)
+	}
+}
+
 // BenchmarkTCPQuery measures end-to-end distributed query latency over real
 // loopback TCP (two sites, cross-site ring of 8).
 func BenchmarkTCPQuery(b *testing.B) {

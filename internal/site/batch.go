@@ -1,7 +1,6 @@
 package site
 
 import (
-	"slices"
 	"time"
 
 	"hyperfile/internal/engine"
@@ -16,7 +15,7 @@ import (
 // ~50 ms per remote dereference message against ~8 ms to process an object,
 // and the prototype already batches Result messages. Batching extends the
 // same idea to the forward path: each query context keeps one outgoing
-// queue per (destination, cursor) and coalesces remote references into
+// queue per (destination, start) and coalesces remote references into
 // Deref messages of up to Config.DerefBatch object ids. A queue is flushed
 // on the first of three triggers:
 //   - cap: it reaches the batch size;
@@ -72,12 +71,11 @@ type sentKey struct {
 	start int
 }
 
-// derefQueue is one per-(destination, cursor) outgoing queue: references
+// derefQueue is one per-(destination, start) outgoing queue: references
 // that may legally share one Deref message.
 type derefQueue struct {
 	to    object.SiteID
 	start int
-	iters []int
 	ids   []object.ID
 }
 
@@ -92,18 +90,18 @@ func (ctx *qctx) sentBefore(ref engine.RemoteRef) bool {
 	return ctx.sent.TestAndSet(hi, lo)
 }
 
-// queueFor returns (creating if needed) the queue for a destination/cursor.
+// queueFor returns (creating if needed) the queue for a destination/start.
 // A context holds only the handful of queues of its current burst, so a
 // linear scan beats a map. The returned pointer is valid until the next
 // queueFor or full flush.
-func (ctx *qctx) queueFor(to object.SiteID, start int, iters []int) *derefQueue {
+func (ctx *qctx) queueFor(to object.SiteID, start int) *derefQueue {
 	for i := range ctx.qorder {
 		q := &ctx.qorder[i]
-		if q.to == to && q.start == start && slices.Equal(q.iters, iters) {
+		if q.to == to && q.start == start {
 			return q
 		}
 	}
-	ctx.qorder = append(ctx.qorder, derefQueue{to: to, start: start, iters: iters})
+	ctx.qorder = append(ctx.qorder, derefQueue{to: to, start: start})
 	return &ctx.qorder[len(ctx.qorder)-1]
 }
 
@@ -124,9 +122,9 @@ func (s *Site) emitDeref(ctx *qctx, ref engine.RemoteRef, out []wire.Envelope) (
 	owner, _ := s.cfg.Router.Owner(ref.ID)
 	if s.cfg.DerefBatch <= 0 {
 		// A one-id queue of its own: nothing else could join it.
-		return s.flushQueue(ctx, &derefQueue{to: owner, start: ref.Start, iters: ref.Iters, ids: []object.ID{ref.ID}}, out)
+		return s.flushQueue(ctx, &derefQueue{to: owner, start: ref.Start, ids: []object.ID{ref.ID}}, out)
 	}
-	q := ctx.queueFor(owner, ref.Start, ref.Iters)
+	q := ctx.queueFor(owner, ref.Start)
 	q.ids = append(q.ids, ref.ID)
 	if len(q.ids) >= s.cfg.DerefBatch {
 		return s.flushQueue(ctx, q, out)
@@ -164,7 +162,7 @@ func (s *Site) flushQueue(ctx *qctx, q *derefQueue, out []wire.Envelope) ([]wire
 	}
 	return append(out, wire.Envelope{To: q.to, Msg: &wire.Deref{
 		QID: ctx.qid, Origin: ctx.origin, Body: ctx.body, BodyHash: ctx.fp.Bytes(),
-		ObjIDs: ids, Start: q.start, Iters: q.iters, Token: tok,
+		ObjIDs: ids, Start: q.start, Token: tok,
 		Hop: ctx.hop + 1, BudgetUS: ctx.budgetUS(time.Now()),
 	}}), nil
 }
@@ -181,7 +179,6 @@ func (s *Site) flushAllQueues(ctx *qctx, out []wire.Envelope) ([]wire.Envelope, 
 			return out, err
 		}
 	}
-	clear(ctx.qorder) // drop the shipped iters the backing array still references
 	ctx.qorder = ctx.qorder[:0]
 	ctx.held = 0
 	return out, nil

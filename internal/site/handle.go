@@ -170,7 +170,7 @@ func (s *Site) handleDeref(from object.SiteID, m *wire.Deref) ([]wire.Envelope, 
 		// the drain complete.
 		return s.bounceToken(m.QID, m.Origin, m.Token), nil
 	}
-	ctx, err := s.ctxFor(m.QID, m.Origin, m.Body, m.BodyHash, m.Hop)
+	ctx, err := s.ctxFor(m.QID, m.Origin, m.Body, m.BodyHash, m.Hop, m.Start)
 	if err != nil {
 		return nil, err
 	}
@@ -209,7 +209,7 @@ func (s *Site) handleDeref(from object.SiteID, m *wire.Deref) ([]wire.Envelope, 
 			// Born/owned here but gone: enqueue anyway; the engine records it
 			// missing and the query proceeds with partial results.
 		}
-		ctx.eng.Enqueue(engine.Item{ID: objID, Start: m.Start, Iters: m.Iters})
+		ctx.eng.Enqueue(engine.Item{ID: objID, Start: m.Start})
 	}
 	var out []wire.Envelope
 	for _, owner := range fwdOrder {
@@ -223,7 +223,7 @@ func (s *Site) handleDeref(from object.SiteID, m *wire.Deref) ([]wire.Envelope, 
 		s.met.DerefEntriesSent.Add(uint64(len(ids)))
 		out = append(out, wire.Envelope{To: owner, Msg: &wire.Deref{
 			QID: m.QID, Origin: m.Origin, Body: m.Body, BodyHash: ctx.fp.Bytes(),
-			ObjIDs: ids, Start: m.Start, Iters: m.Iters, Token: tok,
+			ObjIDs: ids, Start: m.Start, Token: tok,
 			Hop: m.Hop, BudgetUS: ctx.budgetUS(time.Now()),
 		}})
 	}
@@ -239,7 +239,7 @@ func (s *Site) handleSeed(from object.SiteID, m *wire.Seed) ([]wire.Envelope, er
 	if s.tombstoned(m.QID) {
 		return s.bounceToken(m.QID, m.Origin, m.Token), nil
 	}
-	ctx, err := s.ctxFor(m.QID, m.Origin, m.Body, nil, m.Hop)
+	ctx, err := s.ctxFor(m.QID, m.Origin, m.Body, nil, m.Hop, 0)
 	if err != nil {
 		return nil, err
 	}

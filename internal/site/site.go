@@ -224,7 +224,7 @@ type qctx struct {
 	fp query.Fingerprint
 
 	// Batched-deref state, unused under Unbatched: qorder holds the
-	// per-(destination, cursor) outgoing queues since the last full flush in
+	// per-(destination, start) outgoing queues since the last full flush in
 	// creation order (flushes must be deterministic for the simulator), held
 	// counts the engine steps taken with queues since the last full flush,
 	// and sent is the sender-side sent-cache mirroring the receivers' mark
@@ -532,16 +532,29 @@ func (s *Site) finishCtx(ctx *qctx) {
 // associated with the query is only required once at each involved site").
 // bodyHash, when carried by the message, keys the plan cache lookup: a hit
 // reuses a plan compiled for an earlier query with the same body, so the
-// setup cost is paid once per distinct body, not once per query.
-func (s *Site) ctxFor(qid wire.QueryID, origin object.SiteID, body string, bodyHash []byte, hop uint32) (*qctx, error) {
-	if ctx, ok := s.contexts[qid]; ok {
-		return ctx, nil
+// setup cost is paid once per distinct body, not once per query. start is
+// the filter the message's objects begin at (0 for a Seed): any peer can
+// send one, so a start outside [0, number of filters] is refused before a
+// context exists.
+func (s *Site) ctxFor(qid wire.QueryID, origin object.SiteID, body string, bodyHash []byte, hop uint32, start int) (*qctx, error) {
+	ctx, ok := s.contexts[qid]
+	var p *plan.Plan
+	var fp query.Fingerprint
+	if ok {
+		p = ctx.eng.Plan()
+	} else {
+		var err error
+		if p, fp, err = s.planFor(body, bodyHash); err != nil {
+			return nil, fmt.Errorf("%w: query %v body does not compile: %v", ErrProtocol, qid, err)
+		}
 	}
-	p, fp, err := s.planFor(body, bodyHash)
-	if err != nil {
-		return nil, fmt.Errorf("%w: query %v body does not compile: %v", ErrProtocol, qid, err)
+	if start < 0 || start > p.Len() {
+		return nil, fmt.Errorf("%w: query %v start %d outside [0, %d]", ErrProtocol, qid, start, p.Len())
 	}
-	return s.newCtx(qid, origin, 0, body, p, fp, hop), nil
+	if !ok {
+		ctx = s.newCtx(qid, origin, 0, body, p, fp, hop)
+	}
+	return ctx, nil
 }
 
 // dropCtx removes a context, leaving a tombstone so stragglers cannot

@@ -314,6 +314,45 @@ func TestDerefWithBadBodyRejected(t *testing.T) {
 	}
 }
 
+// TestDerefWithBadStartRejected: any connection can send a Deref, so a
+// Start outside [0, number of filters] is refused with an error and builds
+// no context, whether the query is new here or already running.
+func TestDerefWithBadStartRejected(t *testing.T) {
+	h := newHarness(t, 1, nil)
+	o := h.store(1).NewObject().Add("k", object.Keyword("k"), object.Value{})
+	if err := h.store(1).Put(o); err != nil {
+		t.Fatal(err)
+	}
+	const body = `S [ (Pointer, "L", ?X) ^^X ]** (k, "k", ?) -> T` // 4 filters
+	deref := func(seq uint64, start int) *wire.Deref {
+		tok, err := termination.New(termination.Weighted, 2, 2).OnSend(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &wire.Deref{QID: wire.QueryID{Origin: 2, Seq: seq}, Origin: 2, Body: body,
+			ObjIDs: []object.ID{o.ID}, Start: start, Token: tok}
+	}
+	for _, start := range []int{-1, 5, 1 << 40} {
+		if _, err := h.sites[1].HandleMessage(2, deref(1, start)); !errors.Is(err, ErrProtocol) {
+			t.Errorf("start %d: %v, want ErrProtocol", start, err)
+		}
+		if n := len(h.sites[1].contexts); n != 0 {
+			t.Fatalf("start %d left %d contexts", start, n)
+		}
+	}
+	// A start at the end of the list is legal: the object passes at once.
+	if _, err := h.sites[1].HandleMessage(2, deref(2, 4)); err != nil {
+		t.Fatalf("start 4: %v", err)
+	}
+	if _, err := h.sites[1].HandleMessage(2, deref(2, -1)); !errors.Is(err, ErrProtocol) {
+		t.Errorf("start -1 on a running query: %v, want ErrProtocol", err)
+	}
+	h.pump()
+	if n := len(h.sites[1].contexts); n != 1 {
+		t.Errorf("%d contexts, want the running query's alone", n)
+	}
+}
+
 func TestBatchedResults(t *testing.T) {
 	h := newHarness(t, 2, func(c *Config) { c.ResultBatch = 2 })
 	// 5 matching objects at site 2, initial set points to them via site 1.

@@ -95,7 +95,7 @@ func TestSendReceive(t *testing.T) {
 	msg := &wire.Deref{
 		QID: wire.QueryID{Origin: 1, Seq: 7}, Origin: 1,
 		Body: `S (a, ?, ?) -> T`, ObjIDs: []object.ID{{Birth: 2, Seq: 3}},
-		Start: 1, Iters: []int{2}, Token: []byte{1},
+		Start: 1, Token: []byte{1},
 	}
 	if err := t1.Send(2, msg); err != nil {
 		t.Fatal(err)

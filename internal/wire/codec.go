@@ -234,10 +234,14 @@ func (m *Deref) walkLegacy(c *coder) {
 	m.walkCursor(c)
 }
 
-// walkCursor is the part of a Deref both its layouts share.
+// walkCursor is the part of a Deref both its layouts share. The list after
+// Start held the paper's iteration-number stack. Start carries the depth now,
+// so encoders leave the list empty and decoding drops what older senders
+// put there.
 func (m *Deref) walkCursor(c *coder) {
 	c.int(&m.Start)
-	c.ints(&m.Iters)
+	var iters []int
+	c.ints(&iters)
 	c.bytes(&m.Token)
 	c.u32(&m.Hop)
 }

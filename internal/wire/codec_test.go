@@ -47,14 +47,14 @@ func TestRoundTripAllKinds(t *testing.T) {
 	roundTrip(t, &Deref{
 		QID: qid, Origin: 2,
 		Body:   `S [ (Pointer, "Tree", ?X) ^^X ]** (Rand10, 5, ?) -> T`,
-		ObjIDs: []object.ID{id1}, Start: 2, Iters: []int{3, 1}, Token: []byte{1, 2, 3},
+		ObjIDs: []object.ID{id1}, Start: 2, Token: []byte{1, 2, 3},
 		Hop: 4,
 	})
 	roundTrip(t, &Deref{QID: qid, Origin: 2, ObjIDs: []object.ID{id2}})
 	roundTrip(t, &Deref{
 		QID: qid, Origin: 2, Body: "S -> T",
 		ObjIDs: []object.ID{id1, id2, {Birth: 5, Seq: 999}},
-		Start:  1, Iters: []int{2}, Token: []byte{8}, Hop: 2,
+		Start:  1, Token: []byte{8}, Hop: 2,
 	})
 	hash := make([]byte, 32)
 	for i := range hash {
@@ -159,6 +159,30 @@ func legacyDerefFrame(qid QueryID, origin object.SiteID, body string, id object.
 	return c.buf
 }
 
+// itersDerefFrame hand-encodes m in the batched layout with iters in the
+// list after Start, which encoders now leave empty: the frames senders wrote
+// while items carried an iteration-number stack. Decoding must keep
+// accepting them.
+func itersDerefFrame(m *Deref, iters []int) []byte {
+	c := &coder{}
+	k := uint8(KDerefBatch)
+	c.u8(&k)
+	c.qid(&m.QID)
+	c.site(&m.Origin)
+	c.str(&m.Body)
+	c.ids(&m.ObjIDs)
+	c.int(&m.Start)
+	c.ints(&iters)
+	c.bytes(&m.Token)
+	c.u32(&m.Hop)
+	c.bytes(&m.BodyHash)
+	c.u64(&m.BudgetUS)
+	if len(m.Spans) > 0 {
+		c.spans(&m.Spans)
+	}
+	return c.buf
+}
+
 func TestDecodeLegacySingleIDDeref(t *testing.T) {
 	qid := QueryID{Origin: 2, Seq: 42}
 	id := object.ID{Birth: 3, Seq: 123}
@@ -169,7 +193,7 @@ func TestDecodeLegacySingleIDDeref(t *testing.T) {
 	}
 	want := &Deref{
 		QID: qid, Origin: 2, Body: `S (a, ?, ?) -> T`,
-		ObjIDs: []object.ID{id}, Start: 2, Iters: []int{3, 1},
+		ObjIDs: []object.ID{id}, Start: 2,
 		Token: []byte{1, 2, 3}, Hop: 4,
 	}
 	if !reflect.DeepEqual(m, want) {
@@ -373,10 +397,10 @@ func TestDecodeTruncationsNeverPanic(t *testing.T) {
 func TestDerefWithoutSpansEncodesAsBefore(t *testing.T) {
 	m := &Deref{
 		QID: QueryID{Origin: 1, Seq: 7}, Origin: 1, Body: "S -> T",
-		ObjIDs: []object.ID{{Birth: 2, Seq: 9}}, Start: 1, Iters: []int{2},
+		ObjIDs: []object.ID{{Birth: 2, Seq: 9}}, Start: 1,
 		Token: []byte{1, 1}, Hop: 3, BodyHash: []byte{0xAB, 0xCD}, BudgetUS: 300,
 	}
-	const want = "100107010653202d3e20540102090101020201010302abcdac02"
+	const want = "100107010653202d3e205401020901000201010302abcdac02"
 	if got := hex.EncodeToString(Encode(m)); got != want {
 		t.Errorf("Deref without spans encodes as\n %s, want\n %s", got, want)
 	}
@@ -537,7 +561,7 @@ func TestDerefMessageIsSmall(t *testing.T) {
 	m := &Deref{
 		QID: QueryID{Origin: 1, Seq: 7}, Origin: 1,
 		Body:   `R [ (Pointer, "Tree", ?X) ^^X ]** (Rand10, 5, ?) -> T`,
-		ObjIDs: []object.ID{{Birth: 3, Seq: 123}}, Start: 2, Iters: []int{4},
+		ObjIDs: []object.ID{{Birth: 3, Seq: 123}}, Start: 2,
 		Token: make([]byte, 10),
 	}
 	n := len(Encode(m))
@@ -558,7 +582,9 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-// Property: Deref messages round-trip for arbitrary cursor state.
+// Property: Deref messages round-trip for arbitrary cursor state, and a
+// frame from a sender that still filled the iteration-number list decodes
+// to the same message with the list dropped.
 func TestQuickDerefRoundTrip(t *testing.T) {
 	f := func(origin uint32, seq uint64, body string, birth uint32, oseqs []uint16, start uint16, iters []uint8, token []byte) bool {
 		in := &Deref{
@@ -573,14 +599,16 @@ func TestQuickDerefRoundTrip(t *testing.T) {
 		if in.ObjIDs == nil {
 			in.ObjIDs = []object.ID{{Birth: object.SiteID(birth), Seq: 1}}
 		}
-		for _, it := range iters {
-			in.Iters = append(in.Iters, int(it))
-		}
 		if len(token) > 0 {
 			in.Token = token
 		}
+		legacy := make([]int, len(iters))
+		for i, it := range iters {
+			legacy[i] = int(it)
+		}
 		out, err := Decode(Encode(in))
-		return err == nil && reflect.DeepEqual(in, out)
+		old, oldErr := Decode(itersDerefFrame(in, legacy))
+		return err == nil && reflect.DeepEqual(in, out) && oldErr == nil && reflect.DeepEqual(in, old)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -102,9 +102,9 @@ func compatSeeds() map[string][]byte {
 		"submit_every_field": Encode(&Submit{QID: qid, Client: 7, ClientAddr: "127.0.0.1:9999",
 			Body: "S -> T", Initial: []object.ID{id, id2}, InitialFromResultOf: QueryID{Origin: 1, Seq: 2},
 			BudgetUS: 250_000, ClientID: 1 << 40}),
-		"deref_every_field": Encode(&Deref{QID: qid, Origin: 1, Body: "S -> T", ObjIDs: []object.ID{id, id2},
-			Start: 2, Iters: []int{3, 130}, Token: []byte{1, 1}, Hop: 200, BodyHash: []byte{0xAB, 0xCD},
-			BudgetUS: 99, Spans: spans}),
+		"deref_every_field": itersDerefFrame(&Deref{QID: qid, Origin: 1, Body: "S -> T", ObjIDs: []object.ID{id, id2},
+			Start: 2, Token: []byte{1, 1}, Hop: 200, BodyHash: []byte{0xAB, 0xCD},
+			BudgetUS: 99, Spans: spans}, []int{3, 130}),
 		"seed_every_field": Encode(&Seed{QID: qid, Origin: 1, Body: "S -> T", FromQID: QueryID{Origin: 1, Seq: 2},
 			Token: []byte{1}, Hop: 3, BudgetUS: 400}),
 		"result": Encode(&Result{QID: qid, IDs: []object.ID{id, id2}, Fetches: fetches, Count: 300,

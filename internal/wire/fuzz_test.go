@@ -18,7 +18,6 @@ func FuzzDecode(f *testing.F) {
 	qid := QueryID{Origin: 1, Seq: 3}
 	seeds := []Msg{
 		&Submit{QID: qid, Client: 7, ClientAddr: "127.0.0.1:1", Body: "S -> T", Initial: []object.ID{id}},
-		&Deref{QID: qid, Origin: 1, Body: `S (a, ?, ?) -> T`, ObjIDs: []object.ID{id}, Start: 1, Iters: []int{2}, Token: []byte{1}},
 		&Result{QID: qid, IDs: []object.ID{id}, Count: 1, Token: []byte{2},
 			Fetches: []FetchVal{{Var: "v", From: id, Val: object.String("x")}}},
 		&Control{QID: qid, Token: []byte{0, 1, 0, 1}},
@@ -70,6 +69,8 @@ func FuzzDecode(f *testing.F) {
 	// The legacy single-id Deref layout (kind byte KDeref) is never emitted
 	// anymore but must keep decoding; seed the fuzzer with one such frame.
 	f.Add(legacyDerefFrame(qid, 1, "S -> T", id, 1, []int{2}, []byte{1}, 2))
+	// A batched Deref whose sender still filled the iteration-number list.
+	f.Add(itersDerefFrame(&Deref{QID: qid, Origin: 1, Body: `S (a, ?, ?) -> T`, ObjIDs: []object.ID{id}, Start: 1, Token: []byte{1}}, []int{2}))
 	f.Add([]byte{})
 	f.Add([]byte{255, 255, 255})
 

@@ -4,7 +4,8 @@
 // The protocol follows section 3.2 of the paper. A remote dereference ships
 // the query — not the data: a Deref message carries the query identity
 // (Q.id, Q.originator), the query body, and the per-object cursor (O.id,
-// O.start, O.iter#). Results are sent directly to the originating site.
+// O.start; O.start also carries O.iter#, since bounded iterators are
+// unrolled). Results are sent directly to the originating site.
 // Termination-detection tokens (credits or acks) piggyback on Deref and
 // Result messages or travel in Control messages.
 package wire
@@ -177,18 +178,19 @@ func (m *Submit) Kind() Kind { return KSubmit }
 func (m *Submit) Query() QueryID { return m.QID }
 
 // Deref asks the destination site to process a batch of objects for a query.
-// Every object in the batch shares the query identity and the per-object
-// cursor (Start, Iters); a sender coalesces pointers bound for the same
-// destination at the same cursor into one message, paying the ~50 ms wire
-// tax once instead of per pointer. Body is included in every message (as in
-// the paper) so any site can build the context without extra round trips.
+// Every object in the batch shares the query identity and the filter index
+// Start its processing begins at, which also carries its iteration number
+// (query.Compile unrolls bounded iterators); a sender coalesces pointers
+// bound for the same destination at the same start into one message, paying
+// the ~50 ms wire tax once instead of per pointer. Body is included in every
+// message (as in the paper) so any site can build the context without extra
+// round trips.
 type Deref struct {
 	QID    QueryID
 	Origin object.SiteID // Q.originator, where results must be sent
 	Body   string
 	ObjIDs []object.ID
 	Start  int
-	Iters  []int
 	// Token is the termination-detection payload: a share of the sender's
 	// weighted-message credit. On the last Deref of a drain it carries
 	// everything the sender held, so the sender sends no credit return of
