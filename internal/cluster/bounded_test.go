@@ -130,7 +130,8 @@ func TestBoundedClosureSentCache(t *testing.T) {
 // the objects with some chain of length at most max(k, 2) from the root.
 // Each object points a few positions ahead, so most have several chains of
 // different lengths; the sink points at itself so the body's selection
-// never drops it.
+// never drops it. k = 25 unrolls past 64 filters, so the mark words of the
+// engine and of the sender's sent-cache cross a 64-filter block.
 func TestBoundedClosureRandomDAGs(t *testing.T) {
 	const n = 24
 	for seed := int64(0); seed < 16; seed++ {
@@ -165,7 +166,7 @@ func TestBoundedClosureRandomDAGs(t *testing.T) {
 			}
 		}
 		c.setLinkLatency(linkLatencies(3, 0, links))
-		for k := 1; k <= 5; k++ {
+		for _, k := range []int{1, 2, 3, 4, 5, 25} {
 			var want []object.ID
 			for i, d := range depth {
 				if d > 0 && d <= max(k, 2) {

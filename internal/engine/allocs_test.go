@@ -21,18 +21,16 @@ func (p onePlacer) Put(_ object.SiteID, o *object.Object) error { return p.st.Pu
 // maxAllocsPerObject bounds the allocations one query over a 300-object
 // paper tree makes per object it processes, with every object a result:
 // building the engine, the drain, TakeResults and ReleaseScratch, over
-// warmed pools. Measured on linux/amd64 (go1.24): 25 allocations, 0.08 per
-// object — the engine, the results slice's doublings, one iteration stack
-// per tree level and the first binds into the scratch environment. A map
-// result set, a fresh binding slice per object and an iteration stack per
-// child measured 1218, 4.06 per object.
-const maxAllocsPerObject = 0.15
+// warmed pools. Measured on linux/amd64 (go1.24): 16 allocations, 0.05 per
+// object — the engine, the results slice's doublings and the first binds
+// into the environment. A map result set, a fresh binding slice per object
+// and an iteration stack per child measured 1218, 4.06 per object.
+const maxAllocsPerObject = 0.1
 
 // TestDrainAllocsPerObject pins the per-object path at no allocation in the
 // steady state, drained one item at a time (Step) and in runs (StepN, as a
-// server steps): a step rebinds into the scratch environment's slices, the
-// objects of one tree level hand their children one iteration stack, and a
-// result is an append.
+// server steps): a step rebinds into the engine's environment, its marks
+// set bits in one mark word, and a result is an append.
 func TestDrainAllocsPerObject(t *testing.T) {
 	st := store.New(1)
 	d, err := workload.Build(onePlacer{st}, workload.Spec{N: 300, Machines: 1, Seed: 1})

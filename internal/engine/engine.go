@@ -118,10 +118,12 @@ type Engine struct {
 	work  []Item
 	head  int
 	marks Marks
-	// workptr is the pooled backing for work, env the per-engine scratch
-	// binding environment reused across Steps; ReleaseScratch returns both.
-	workptr *[]Item
+	// env is the binding environment O.mvars of the object being processed,
+	// emptied at the start of every Step: no item in the working set holds a
+	// binding. scratch is the pooled storage behind work and env, nil once
+	// ReleaseScratch has returned it.
 	env     pattern.Env
+	scratch *scratch
 	// spawn, when set, receives locally-dereferenced items instead of the
 	// engine's own working set.
 	spawn func(Item)
@@ -185,8 +187,8 @@ func NewPlanned(p *plan.Plan, src Source, opts ...Option) *Engine {
 	if e.marks == nil {
 		e.marks = packedMarks{s: packed.Get()}
 	}
-	e.workptr = workPool.Get().(*[]Item)
-	e.work = (*e.workptr)[:0]
+	e.scratch = scratchPool.Get().(*scratch)
+	e.work, e.env = e.scratch.work, e.scratch.env
 	return e
 }
 
@@ -209,7 +211,6 @@ func (e *Engine) Enqueue(it Item) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	it.Next = it.Start
-	it.MVars = nil
 	e.push(it)
 }
 
@@ -233,7 +234,6 @@ func (e *Engine) Pending() int {
 func (e *Engine) DiscardWork() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	clear(e.work)
 	e.work = e.work[:0]
 	e.head = 0
 }
@@ -285,7 +285,6 @@ func (e *Engine) push(it Item) {
 		// The queue is about to grow while dead popped slots sit in front of
 		// head: compact in place instead of reallocating.
 		n := copy(e.work, e.work[e.head:])
-		clear(e.work[n:])
 		e.work = e.work[:n]
 		e.head = 0
 	}
@@ -305,7 +304,6 @@ func (e *Engine) pop() Item {
 	if e.order == DFS {
 		last := len(e.work) - 1
 		it = e.work[last]
-		e.work[last] = Item{}
 		e.work = e.work[:last]
 		if last == e.head {
 			e.work = e.work[:0]
@@ -313,7 +311,6 @@ func (e *Engine) pop() Item {
 		}
 	} else {
 		it = e.work[e.head]
-		e.work[e.head] = Item{}
 		e.head++
 		if e.head == len(e.work) {
 			e.work = e.work[:0]
@@ -368,18 +365,23 @@ func (e *Engine) StepN(limit int) Run {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var r Run
+	// One StepResult serves the whole run: each item resets the fields step
+	// reports per item, Fetches accumulates, and Remote stays nil until the
+	// item that ends the run.
+	var res StepResult
 	before := e.stats
 	for r.Steps < limit && len(e.work) > e.head {
 		if r.Steps > 0 && e.peek().Start != r.Start {
 			break
 		}
-		res := StepResult{Item: e.pop(), Fetches: r.Fetches}
+		res.Item = e.pop()
+		res.Processed, res.Skipped, res.Missing, res.Passed = false, false, false, false
+		res.LocalSpawned = 0
 		e.step(&res)
 		if r.Steps == 0 {
 			r.Start = res.Item.Start
 		}
 		r.Steps++
-		r.Fetches = res.Fetches
 		if res.Passed || res.LocalSpawned > 0 || len(res.Remote) > 0 {
 			r.Out++
 		}
@@ -388,6 +390,7 @@ func (e *Engine) StepN(limit int) Run {
 			break
 		}
 	}
+	r.Fetches = res.Fetches
 	r.Stats = e.stats.since(before)
 	return r
 }
@@ -402,9 +405,7 @@ func (e *Engine) step(res *StepResult) {
 	// set it is ignored" — refined by start position (the mark table stores
 	// the set of filter indices at which the object has been processed).
 	if e.marks.Test(it.ID, it.Start) {
-		e.stats.Skipped++
-		res.Skipped = true
-		e.emit(TraceEvent{ID: it.ID, Filter: -1, Action: TraceSkipped})
+		e.skip(it.ID, res)
 		return
 	}
 	obj, ok := e.src.Get(it.ID)
@@ -416,11 +417,17 @@ func (e *Engine) step(res *StepResult) {
 		e.emit(TraceEvent{ID: it.ID, Filter: -1, Action: TraceMissing})
 		return
 	}
+	// Claim the start mark before processing. Engines sharing one table
+	// (RunParallel) can both pass the test above, and only the one that sets
+	// the mark may process the object. An engine alone always wins here,
+	// on the slot the test just probed.
+	if it.Start < e.p.Len() && e.marks.TestAndSet(it.ID, it.Start) {
+		e.skip(it.ID, res)
+		return
+	}
 	e.stats.Processed++
 	res.Processed = true
-	if it.MVars == nil {
-		it.MVars = e.stepEnv()
-	}
+	e.env.Reset()
 
 	alive := true
 	for alive && it.Next < e.p.Len() {
@@ -434,9 +441,9 @@ func (e *Engine) step(res *StepResult) {
 				alive = e.applySelect(op, obj, &it, res)
 			}
 		case query.FDeref:
-			alive = e.applyDeref(op.F, &it, res)
+			alive = e.applyDeref(&op.F, &it, res)
 		case query.FIter:
-			e.applyIter(op.F, &it)
+			e.applyIter(&op.F, &it)
 		}
 	}
 	if alive {
@@ -445,6 +452,13 @@ func (e *Engine) step(res *StepResult) {
 		res.Passed = true
 		e.emit(TraceEvent{ID: it.ID, Filter: -1, Action: TraceResult})
 	}
+}
+
+// skip records that the item for id was dropped as a duplicate.
+func (e *Engine) skip(id object.ID, res *StepResult) {
+	e.stats.Skipped++
+	res.Skipped = true
+	e.emit(TraceEvent{ID: id, Filter: -1, Action: TraceSkipped})
 }
 
 // Run drains the working set completely (single-site processing) and returns
@@ -464,7 +478,7 @@ func (e *Engine) Run() Stats {
 // every matching tuple. The physical operator supplies the in-place tuple
 // matcher and an early exit for effect-free selections.
 func (e *Engine) applySelect(op *plan.Op, obj *object.Object, it *Item, res *StepResult) bool {
-	if !e.scanSelect(op, obj, it, res) {
+	if !e.scanSelect(op, obj, res) {
 		e.emit(TraceEvent{ID: obj.ID, Filter: it.Next, Action: TraceFailedSelect})
 		return false
 	}
@@ -477,21 +491,21 @@ func (e *Engine) applySelect(op *plan.Op, obj *object.Object, it *Item, res *Ste
 // for every matching tuple, and reports whether any tuple matched. An
 // effect-free selection stops at the first match — later matches could only
 // re-confirm the same boolean.
-func (e *Engine) scanSelect(op *plan.Op, obj *object.Object, it *Item, res *StepResult) bool {
+func (e *Engine) scanSelect(op *plan.Op, obj *object.Object, res *StepResult) bool {
 	sel := &op.F.Sel
 	matched := false
 	for i := range obj.Tuples {
 		t := &obj.Tuples[i]
 		e.stats.TuplesScanned++
-		if !op.Match(t, it.MVars) {
+		if !op.Match(t, e.env) {
 			continue
 		}
 		matched = true
 		if !op.HasEffects {
 			break
 		}
-		e.applyFieldEffects(&sel.Key, &t.Key, it, obj.ID, res)
-		e.applyFieldEffects(&sel.Data, &t.Data, it, obj.ID, res)
+		e.applyFieldEffects(&sel.Key, &t.Key, obj.ID, res)
+		e.applyFieldEffects(&sel.Data, &t.Data, obj.ID, res)
 	}
 	return matched
 }
@@ -507,15 +521,15 @@ func (e *Engine) applyFused(op *plan.Op, obj *object.Object, it *Item, res *Step
 	}
 	// it.Next now sits on the fused dereference slot.
 	e.marks.TestAndSet(it.ID, it.Next)
-	return e.applyDeref(e.p.Ops[it.Next].F, it, res)
+	return e.applyDeref(&e.p.Ops[it.Next].F, it, res)
 }
 
 // applyFieldEffects binds or fetches the matched field *v as pattern *p asks;
 // the value is copied only when it is kept.
-func (e *Engine) applyFieldEffects(p *pattern.P, v *object.Value, it *Item, from object.ID, res *StepResult) {
+func (e *Engine) applyFieldEffects(p *pattern.P, v *object.Value, from object.ID, res *StepResult) {
 	switch p.Op {
 	case pattern.OpBind:
-		it.MVars.Bind(p.Var, *v)
+		e.env.Bind(p.Var, *v)
 	case pattern.OpFetch:
 		fe := Fetch{Var: p.Var, From: from, Val: *v}
 		e.fetches = append(e.fetches, fe)
@@ -528,8 +542,10 @@ func (e *Engine) applyFieldEffects(p *pattern.P, v *object.Value, it *Item, from
 // variable spawns a new working-set item (or a remote reference) starting at
 // the filter's child slot. With Keep the dereferencing object continues;
 // otherwise it is consumed.
-func (e *Engine) applyDeref(f query.Filter, it *Item, res *StepResult) bool {
-	for _, v := range it.MVars.Lookup(f.Var) {
+func (e *Engine) applyDeref(f *query.Filter, it *Item, res *StepResult) bool {
+	vals := e.env.Lookup(f.Var)
+	for i := range vals {
+		v := &vals[i]
 		if v.Kind != object.KindPointer {
 			continue
 		}
@@ -563,7 +579,7 @@ func (e *Engine) applyDeref(f query.Filter, it *Item, res *StepResult) bool {
 // bounded body leave for the filter after the iterator; others loop back to
 // the body start. Objects one pointer further along a bounded iterator were
 // already started in the next copy by the dereference that reached them.
-func (e *Engine) applyIter(f query.Filter, it *Item) {
+func (e *Engine) applyIter(f *query.Filter, it *Item) {
 	if it.Start <= f.BodyStart || f.Final {
 		e.emit(TraceEvent{ID: it.ID, Filter: it.Next, Action: TraceExitedIter})
 		it.Next = f.Exit

@@ -231,6 +231,57 @@ func TestMatchingVariableJoin(t *testing.T) {
 	}
 }
 
+// TestBindingsStayPerObject: the engine's one environment is emptied between
+// objects. A binds ?X to a pointer to B, and B — processed next, with no
+// tuple that binds X — is tested by $X against a tuple holding that same
+// pointer: A's binding must not match it.
+func TestBindingsStayPerObject(t *testing.T) {
+	s := store.New(1)
+	a, b := s.NewObject(), s.NewObject()
+	a.Add("Pointer", object.String("Next"), object.Pointer(b.ID))
+	b.Add("Self", object.Pointer(b.ID), object.Value{})
+	for _, o := range []*object.Object{a, b} {
+		if err := s.Put(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, e := run(t, s, `S (Pointer, "Next", ?X) ^X (Self, $X, ?) -> T`, a.ID)
+	if len(res) != 0 {
+		t.Errorf("results = %v, want none: B matched A's binding of X", res)
+	}
+	if st := e.Stats(); st.Processed != 2 || st.LocalDerefs != 1 {
+		t.Errorf("stats %+v: want A and B processed, one dereference", st)
+	}
+}
+
+// TestTwoVariableBindings: one object binds ?X three times, once to a
+// duplicate value, and ?Y twice. Each variable dereferences exactly its own
+// distinct values: two from X and two from Y.
+func TestTwoVariableBindings(t *testing.T) {
+	s := store.New(1)
+	a, b, c, d := s.NewObject(), s.NewObject(), s.NewObject(), s.NewObject()
+	for _, to := range []*object.Object{b, c, b} {
+		a.Add("Pointer", object.String("L"), object.Pointer(to.ID))
+	}
+	for _, to := range []*object.Object{c, d} {
+		a.Add("Pointer", object.String("R"), object.Pointer(to.ID))
+	}
+	for _, o := range []*object.Object{a, b, c, d} {
+		if err := s.Put(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// B and C arrive through X at the Y selection, which they fail; C and D
+	// arrive through Y at the end of the list and pass.
+	res, e := run(t, s, `S (Pointer, "L", ?X) ^^X (Pointer, "R", ?Y) ^Y -> T`, a.ID)
+	if !res.Equal(object.NewIDSet(c.ID, d.ID)) {
+		t.Errorf("results = %v, want C and D", res)
+	}
+	if st := e.Stats(); st.LocalDerefs != 4 {
+		t.Errorf("stats %+v: want 4 dereferences, 2 per variable", st)
+	}
+}
+
 func TestFetchRetrieval(t *testing.T) {
 	s := store.New(1)
 	o := s.NewObject().

@@ -14,15 +14,16 @@ import (
 	"fmt"
 
 	"hyperfile/internal/object"
-	"hyperfile/internal/pattern"
 )
 
 // Item is one entry of the working set W: an object id plus the transient
-// processing state the paper attaches to objects (O.start, O.next, O.iter#,
-// O.mvars). The iteration number is part of the filter index: a bounded
-// iterator's body is unrolled into one copy per chain length (see
-// query.Compiled). Only id and start cross site boundaries; next and mvars
-// are reconstructed at the processing site.
+// processing state the paper attaches to objects (O.start, O.next, O.iter#).
+// The iteration number is part of the filter index: a bounded iterator's
+// body is unrolled into one copy per chain length (see query.Compiled).
+// O.mvars is empty for every object in the working set, so it is not kept
+// here: the engine's one environment holds the bindings of the object being
+// processed. Only id and start cross site boundaries; next is reconstructed
+// at the processing site.
 type Item struct {
 	ID object.ID
 	// Start is the first filter (0-based) to process the object: 0 for
@@ -31,9 +32,6 @@ type Item struct {
 	Start int
 	// Next is the next filter to apply while the item is in flight.
 	Next int
-	// MVars is the matching-variable binding environment O.mvars; it always
-	// starts empty and lives only while the item is being processed.
-	MVars pattern.Env
 }
 
 // NewItem returns an initial-set item for id (start = next = first filter,

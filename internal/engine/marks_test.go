@@ -43,21 +43,32 @@ func (m mapMarks) count() int {
 
 // TestPackedMarksDifferential drives packedMarks and mapMarks with identical
 // randomized op streams — TestAndSet, Test, and full release — over a
-// collision-heavy id space (few Birth sites, clustered Seq values, small
-// filter indices) and asserts identical observable behavior on every op.
+// collision-heavy id space (few Birth sites, clustered Seq values) and
+// filter indices from all of [0, query.MaxFilters), weighted to the edges of
+// the first 64-filter blocks, and asserts identical observable behavior on
+// every op. Half the ops go to two objects interleaved, so one object's run
+// of marks is broken by the other's, as a BFS working set breaks it.
 func TestPackedMarksDifferential(t *testing.T) {
 	for _, seed := range []int64{3, 19, 91} {
 		rng := rand.New(rand.NewSource(seed))
-		pm := packedMarks{s: new(packed.Set)}
+		pm := packedMarks{s: packed.Get()}
 		mm := make(mapMarks)
+		pair := [2]object.ID{{Birth: 1, Seq: 64}, {Birth: 1, Seq: 128}}
 		genPair := func() (object.ID, int) {
+			idx := rng.Intn(query.MaxFilters)
+			if rng.Intn(2) == 0 {
+				idx = []int{0, 63, 64, 127, 128}[rng.Intn(5)]
+			}
+			if rng.Intn(2) == 0 {
+				return pair[rng.Intn(2)], idx
+			}
 			id := object.ID{
 				Birth: object.SiteID(rng.Intn(3) + 1),
 				Seq:   uint64(rng.Intn(6)) * uint64(1<<uint(rng.Intn(10))),
 			}
-			return id, rng.Intn(5)
+			return id, idx
 		}
-		for op := 0; op < 10000; op++ {
+		for op := 0; op < 20000; op++ {
 			id, idx := genPair()
 			switch rng.Intn(2) {
 			case 0:
@@ -69,12 +80,17 @@ func TestPackedMarksDifferential(t *testing.T) {
 					t.Fatalf("seed %d op %d: Test(%v,%d) = %v, want %v", seed, op, id, idx, got, want)
 				}
 			}
+			if pm.s.Len() != mm.count() {
+				t.Fatalf("seed %d op %d: %d marks, oracle holds %d", seed, op, pm.s.Len(), mm.count())
+			}
 		}
-		// Release: both tables drop every mark.
-		pm.s.Reset()
+		// Release: both tables drop every mark, and the pooled table comes
+		// back empty.
+		packed.Put(pm.s)
+		pm.s = packed.Get()
 		mm = make(mapMarks)
 		id, idx := genPair()
-		if pm.Test(id, idx) || mm.Test(id, idx) {
+		if pm.Test(id, idx) || mm.Test(id, idx) || pm.s.Len() != 0 {
 			t.Fatalf("seed %d: mark survived release", seed)
 		}
 	}
@@ -83,9 +99,17 @@ func TestPackedMarksDifferential(t *testing.T) {
 // TestEngineMatchesMapMarksOracle: the default engine (packed marks, pooled
 // queue, scratch env) must return exactly the answer, statistics and mark
 // count of an engine running on the map-table oracle, on random graphs, in
-// both queue disciplines, including after scratch release and reuse of the
-// pooled storage by a following engine.
+// both queue disciplines, for a closure and for a bounded body unrolled past
+// 64 filters, including after scratch release and reuse of the pooled
+// storage by a following engine.
 func TestEngineMatchesMapMarksOracle(t *testing.T) {
+	bodies := []*query.Compiled{
+		query.MustCompile(`S [ (Pointer, "Reference", ?X) ^^X ]** (keyword, "hot", ?) -> T`),
+		query.MustCompile(`S [ (Pointer, "Reference", ?X) ^^X ]*25 (keyword, "hot", ?) -> T`),
+	}
+	if n := bodies[1].Len(); n <= 64 {
+		t.Fatalf("the bounded body compiles to %d filters, want a second mark block", n)
+	}
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := store.New(1)
@@ -105,29 +129,30 @@ func TestEngineMatchesMapMarksOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		c := query.MustCompile(`S [ (Pointer, "Reference", ?X) ^^X ]** (keyword, "hot", ?) -> T`)
-		for _, order := range []Order{BFS, DFS} {
-			oracle := make(mapMarks)
-			base := New(c, s, WithOrder(order), WithMarks(oracle))
-			eng := New(c, s, WithOrder(order))
-			base.AddInitial(objs[0].ID)
-			eng.AddInitial(objs[0].ID)
-			base.Run()
-			eng.Run()
-			if !base.Results().Equal(eng.Results()) {
-				t.Fatalf("seed %d order %v: answer differs from oracle: %v vs %v",
-					seed, order, eng.Results(), base.Results())
-			}
-			bs, es := base.Stats(), eng.Stats()
-			if bs != es {
-				t.Fatalf("seed %d order %v: stats differ from oracle: %+v vs %+v", seed, order, es, bs)
-			}
-			if got, want := eng.MarkCount(), oracle.count(); got != want {
-				t.Fatalf("seed %d order %v: %d marks, oracle holds %d", seed, order, got, want)
-			}
-			eng.ReleaseScratch()
-			if eng.MarkCount() != 0 {
-				t.Fatalf("seed %d: %d marks survived ReleaseScratch", seed, eng.MarkCount())
+		for _, c := range bodies {
+			for _, order := range []Order{BFS, DFS} {
+				oracle := make(mapMarks)
+				base := New(c, s, WithOrder(order), WithMarks(oracle))
+				eng := New(c, s, WithOrder(order))
+				base.AddInitial(objs[0].ID)
+				eng.AddInitial(objs[0].ID)
+				base.Run()
+				eng.Run()
+				if !base.Results().Equal(eng.Results()) {
+					t.Fatalf("seed %d %d filters order %v: answer differs from oracle: %v vs %v",
+						seed, c.Len(), order, eng.Results(), base.Results())
+				}
+				bs, es := base.Stats(), eng.Stats()
+				if bs != es {
+					t.Fatalf("seed %d %d filters order %v: stats differ from oracle: %+v vs %+v", seed, c.Len(), order, es, bs)
+				}
+				if got, want := eng.MarkCount(), oracle.count(); got != want {
+					t.Fatalf("seed %d %d filters order %v: %d marks, oracle holds %d", seed, c.Len(), order, got, want)
+				}
+				eng.ReleaseScratch()
+				if eng.MarkCount() != 0 {
+					t.Fatalf("seed %d: %d marks survived ReleaseScratch", seed, eng.MarkCount())
+				}
 			}
 		}
 	}
@@ -156,9 +181,9 @@ func TestReleaseScratchCapsPooledStorage(t *testing.T) {
 	}
 	e.ReleaseScratch()
 	for i := 0; i < 8; i++ {
-		w := workPool.Get().(*[]Item)
-		if cap(*w) > maxPooledWork {
-			t.Fatalf("pool handed out a %d-item queue, cap is %d", cap(*w), maxPooledWork)
+		w := scratchPool.Get().(*scratch).work
+		if cap(w) > maxPooledWork {
+			t.Fatalf("pool handed out a %d-item queue, cap is %d", cap(w), maxPooledWork)
 		}
 		if set := packed.Get(); set == big {
 			t.Fatal("pool handed out the oversized mark table")

@@ -1,15 +1,17 @@
-// Package packed provides an open-addressing hash set over 128-bit keys
-// packed into two uint64 words. It is the storage of the engine mark table
-// and the sender-side sent-cache: one flat slot array in place of a nested
+// Package packed provides the open-addressing set of (object id, filter
+// index) pairs that stores the engine mark table and the sender-side
+// sent-cache: one flat slot array in place of a nested
 // map[object.ID]map[int]struct{}, no per-object inner maps, no per-entry
 // boxing, and a pool (Get/Put) that reuses the backing storage across
 // queries.
 //
-// The packing convention for the tree's (object, filter-index) pairs is
-// IDKey: hi = Birth<<32 | uint32(idx), lo = Seq. Birth is a SiteID and never
-// zero for a stored object, so hi==0 cannot collide with a live key, but the
-// table does not rely on that: occupancy is tracked per slot, and any
-// (hi, lo) value — including (0, 0) — is a valid member.
+// A slot holds one mark word: the members of one object in one block of 64
+// filter indices. Its key packs hi = Birth<<32 | idx>>6 and lo = Seq, and a
+// member is bit idx&63 of the slot's mask. A query of at most 64 filters
+// therefore spends one slot per object it reaches. The set remembers the
+// slot its last lookup ended on, so the run of marks one object step makes
+// costs one hash probe: the first lookup probes, the rest hit the
+// remembered slot.
 package packed
 
 import (
@@ -18,28 +20,41 @@ import (
 	"hyperfile/internal/object"
 )
 
-// IDKey packs an (object id, filter index) pair into a 128-bit key.
-// Filter indices are small non-negative ints; the low 32 bits of hi hold
-// uint32(idx) so indices up to 2^32-1 cannot alias across objects.
-func IDKey(id object.ID, idx int) (hi, lo uint64) {
-	return uint64(id.Birth)<<32 | uint64(uint32(idx)), id.Seq
-}
-
+// slot is one mark word. A slot is occupied exactly when its mask is
+// non-zero: a slot is only ever filled by setting a bit.
 type slot struct {
 	hi, lo uint64
-	used   bool
+	mask   uint64
 }
 
-// Set is an open-addressing set with linear probing. The zero value is
-// ready to use. Not safe for concurrent use — it is owned by one query
-// context.
+// Set is an open-addressing set of (object id, filter index) pairs with
+// linear probing. The zero value is ready to use. Not safe for concurrent
+// use, Contains included (it writes the remembered slot): it is owned by one
+// query context.
 type Set struct {
 	slots []slot
-	n     int
+	// n counts members, (object, index) pairs; used counts occupied slots.
+	n, used int
+	// last is the slot the latest lookup, of block (lastHi, lastLo), ended
+	// on: the block's own slot, or the empty slot it would be inserted into.
+	// Only that block's insert fills the slot before the next lookup, and
+	// grow and Reset forget it, so the slot stays the right answer for the
+	// block until a lookup of another block replaces it.
+	last           int
+	lastHi, lastLo uint64
+	remembered     bool
+}
+
+// key returns the block key of (id, idx) and idx's bit in the block's mask.
+// Filter indices are non-negative ints; uint32(idx) keeps indices up to
+// 2^32-1 from aliasing across objects.
+func key(id object.ID, idx int) (hi, lo, bit uint64) {
+	u := uint32(idx)
+	return uint64(id.Birth)<<32 | uint64(u>>6), id.Seq, 1 << (u & 63)
 }
 
 // hash mixes both words with a splitmix64-style finalizer; linear probing
-// needs good low-bit dispersion, which the raw Birth<<32|idx packing lacks.
+// needs good low-bit dispersion, which the raw Birth<<32|block packing lacks.
 func hash(hi, lo uint64) uint64 {
 	x := hi ^ (lo * 0x9e3779b97f4a7c15)
 	x ^= x >> 30
@@ -50,57 +65,65 @@ func hash(hi, lo uint64) uint64 {
 	return x
 }
 
-// Len returns the number of members.
-func (s *Set) Len() int { return s.n }
-
-// Contains reports whether (hi, lo) is a member.
-func (s *Set) Contains(hi, lo uint64) bool {
-	if s.n == 0 {
-		return false
+// lookup returns the slot of block (hi, lo), or the empty slot it would be
+// inserted into. The table must have at least one empty slot.
+func (s *Set) lookup(hi, lo uint64) *slot {
+	if s.remembered && s.lastHi == hi && s.lastLo == lo {
+		return &s.slots[s.last]
 	}
 	mask := uint64(len(s.slots) - 1)
 	for i := hash(hi, lo) & mask; ; i = (i + 1) & mask {
 		sl := &s.slots[i]
-		if !sl.used {
-			return false
-		}
-		if sl.hi == hi && sl.lo == lo {
-			return true
+		if sl.mask == 0 || sl.hi == hi && sl.lo == lo {
+			s.last, s.lastHi, s.lastLo, s.remembered = int(i), hi, lo, true
+			return sl
 		}
 	}
 }
 
-// TestAndSet inserts (hi, lo) and reports whether it was already a member,
+// Len returns the number of members: (object, index) pairs, not slots.
+func (s *Set) Len() int { return s.n }
+
+// Contains reports whether (id, idx) is a member.
+func (s *Set) Contains(id object.ID, idx int) bool {
+	if s.used == 0 {
+		return false
+	}
+	hi, lo, bit := key(id, idx)
+	return s.lookup(hi, lo).mask&bit != 0
+}
+
+// TestAndSet inserts (id, idx) and reports whether it was already a member,
 // matching the Marks.TestAndSet contract.
-func (s *Set) TestAndSet(hi, lo uint64) bool {
-	if len(s.slots) == 0 || s.n*4 >= len(s.slots)*3 {
+func (s *Set) TestAndSet(id object.ID, idx int) bool {
+	if len(s.slots) == 0 || s.used*4 >= len(s.slots)*3 {
 		s.grow(max(len(s.slots)*2, 16))
 	}
-	mask := uint64(len(s.slots) - 1)
-	for i := hash(hi, lo) & mask; ; i = (i + 1) & mask {
-		sl := &s.slots[i]
-		if !sl.used {
-			sl.hi, sl.lo, sl.used = hi, lo, true
-			s.n++
-			return false
-		}
-		if sl.hi == hi && sl.lo == lo {
-			return true
-		}
+	hi, lo, bit := key(id, idx)
+	sl := s.lookup(hi, lo)
+	if sl.mask&bit != 0 {
+		return true
 	}
+	if sl.mask == 0 {
+		sl.hi, sl.lo = hi, lo
+		s.used++
+	}
+	sl.mask |= bit
+	s.n++
+	return false
 }
 
 // Reset empties the set, keeping the backing array for reuse.
 func (s *Set) Reset() {
 	clear(s.slots)
-	s.n = 0
+	s.n, s.used, s.remembered = 0, 0, false
 }
 
 // maxPooledSlots bounds the tables the pool keeps. Reset is O(capacity) and
 // the pool hands any table to any query, so a table grown by one huge
 // closure must not be inherited (and re-cleared) by every small query after
-// it. 1<<15 slots (768 KiB) holds the ~11k marks of a closure over the
-// paper's largest dataset (2700 objects) with room to spare.
+// it. 1<<15 slots (768 KiB) hold one mark word for each of the 2700 objects
+// of a closure over the paper's largest dataset with room to spare.
 const maxPooledSlots = 1 << 15
 
 var setPool = sync.Pool{New: func() any { return new(Set) }}
@@ -122,14 +145,15 @@ func Put(s *Set) {
 func (s *Set) grow(size int) {
 	old := s.slots
 	s.slots = make([]slot, size)
+	s.remembered = false
 	mask := uint64(size - 1)
 	for i := range old {
 		sl := &old[i]
-		if !sl.used {
+		if sl.mask == 0 {
 			continue
 		}
 		for j := hash(sl.hi, sl.lo) & mask; ; j = (j + 1) & mask {
-			if !s.slots[j].used {
+			if s.slots[j].mask == 0 {
 				s.slots[j] = *sl
 				break
 			}

@@ -70,7 +70,7 @@ func FuzzPattern(f *testing.F) {
 			p.Op = Op(op)
 		}
 
-		env := make(Env)
+		var env Env
 		env.Bind(varName, lit)
 		before := len(env.Lookup(varName))
 

@@ -13,22 +13,59 @@ import (
 )
 
 // Env is a per-object matching-variable environment: the paper's O.mvars,
-// a function from variable name to the set of values bound so far. A nil Env
-// is valid and empty.
-type Env map[string][]object.Value
+// the set of values bound so far to each variable. A query names a handful
+// of variables, so the environment is a short list of (variable, values)
+// pairs searched by name. A nil Env is valid and empty.
+type Env []binding
 
-// Bind appends v to the binding set for name, skipping exact duplicates.
-func (e Env) Bind(name string, v object.Value) {
-	for _, old := range e[name] {
-		if old.Equal(v) {
-			return
+// binding is one variable's binding set.
+type binding struct {
+	name string
+	vals []object.Value
+}
+
+// Bind appends v to the binding set for name, skipping exact duplicates. A
+// variable new to the environment takes the first unused pair past its end,
+// with that pair's value array, so binding into a Reset environment
+// allocates nothing once the storage has grown to fit.
+func (e *Env) Bind(name string, v object.Value) {
+	env := *e
+	for i := range env {
+		b := &env[i]
+		if b.name != name {
+			continue
 		}
+		for _, old := range b.vals {
+			if old.Equal(v) {
+				return
+			}
+		}
+		b.vals = append(b.vals, v)
+		return
 	}
-	e[name] = append(e[name], v)
+	if n := len(env); n < cap(env) {
+		env = env[:n+1]
+		env[n].name = name
+		env[n].vals = append(env[n].vals[:0], v)
+	} else {
+		env = append(env, binding{name: name, vals: []object.Value{v}})
+	}
+	*e = env
 }
 
 // Lookup returns the values bound to name (nil if none).
-func (e Env) Lookup(name string) []object.Value { return e[name] }
+func (e Env) Lookup(name string) []object.Value {
+	for i := range e {
+		if e[i].name == name {
+			return e[i].vals
+		}
+	}
+	return nil
+}
+
+// Reset empties the environment for the next object. The storage stays
+// behind the slice's end for later Binds to reuse.
+func (e *Env) Reset() { *e = (*e)[:0] }
 
 // Clone returns a deep-enough copy: the per-variable slices are copied so
 // that later binds on the clone do not alias the original.
@@ -37,8 +74,8 @@ func (e Env) Clone() Env {
 		return nil
 	}
 	c := make(Env, len(e))
-	for k, vs := range e {
-		c[k] = append([]object.Value(nil), vs...)
+	for i, b := range e {
+		c[i] = binding{name: b.name, vals: append([]object.Value(nil), b.vals...)}
 	}
 	return c
 }

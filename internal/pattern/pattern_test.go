@@ -30,15 +30,50 @@ func TestEnvCloneIndependence(t *testing.T) {
 	if len(env.Lookup("X")) != 1 || len(env.Lookup("Y")) != 0 {
 		t.Errorf("Clone aliases original: %v", env)
 	}
+	// Rebinding the original's reused storage must not reach the clone.
+	env.Reset()
+	env.Bind("Y", object.Int(4))
+	if got := c.Lookup("X"); len(got) != 2 || !got[0].Equal(object.Int(1)) {
+		t.Errorf("Reset and Bind on the original changed the clone's X: %v", got)
+	}
+	if got := c.Lookup("Y"); len(got) != 1 || !got[0].Equal(object.Int(3)) {
+		t.Errorf("Reset and Bind on the original changed the clone's Y: %v", got)
+	}
 	var nilEnv Env
 	if nilEnv.Clone() != nil {
 		t.Errorf("nil env clone should be nil")
 	}
 }
 
+// TestEnvResetKeepsStorage: after Reset every binding set reads empty, and
+// once the storage has grown to fit, a Reset, Bind, Lookup cycle allocates
+// nothing — the engine runs one per object.
+func TestEnvResetKeepsStorage(t *testing.T) {
+	var env Env
+	cycle := func() {
+		env.Reset()
+		if env.Lookup("X") != nil || env.Lookup("Y") != nil {
+			t.Fatal("Reset left a binding set")
+		}
+		env.Bind("X", object.String("a"))
+		env.Bind("Y", object.Int(1))
+		env.Bind("X", object.String("b"))
+		env.Bind("X", object.String("a"))
+		if len(env.Lookup("X")) != 2 || len(env.Lookup("Y")) != 1 {
+			t.Fatalf("bindings %v, want X twice and Y once", env)
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("Reset/Bind/Lookup cycle allocates %.0f times", n)
+	}
+}
+
 func TestPatternMatches(t *testing.T) {
 	id := object.ID{Birth: 2, Seq: 7}
-	env := Env{"X": {object.String("bound"), object.Int(4)}}
+	var env Env
+	env.Bind("X", object.String("bound"))
+	env.Bind("X", object.Int(4))
 	tests := []struct {
 		name string
 		p    P

@@ -76,7 +76,9 @@ func FuzzMatchTuple(f *testing.F) {
 		c := &query.Compiled{Filters: []query.Filter{{Kind: query.FSelect, Sel: sel}}}
 		op := &Build(c, nil, nil).Ops[0]
 		tu := object.Tuple{Type: tupType, Key: fuzzValue(keyKind, val, m), Data: fuzzValue(dataKind, val, m)}
-		env := pattern.Env{"X": {object.Keyword(lit), object.Int(n)}}
+		var env pattern.Env
+		env.Bind("X", object.Keyword(lit))
+		env.Bind("X", object.Int(n))
 		checkAgainstOracle(t, op, tu, env)
 	})
 }

@@ -99,10 +99,10 @@ var oracleTuples = []object.Tuple{
 // of tuples, under an empty environment and one binding X to values some
 // tuples carry, and checks Op.Match against the closure oracle.
 func TestMatchAgreesWithOracle(t *testing.T) {
-	envs := []pattern.Env{
-		{},
-		{"X": {object.Keyword("hot"), object.Pointer(object.ID{Birth: 2, Seq: 7})}},
-	}
+	var bound pattern.Env
+	bound.Bind("X", object.Keyword("hot"))
+	bound.Bind("X", object.Pointer(object.ID{Birth: 2, Seq: 7}))
+	envs := []pattern.Env{{}, bound}
 	var seen [len(classNames)]int
 	for _, cb := range classBodies {
 		op := &Build(query.MustCompile(cb.body), nil, nil).Ops[cb.slot]
@@ -128,7 +128,8 @@ func TestMatchAgreesWithOracle(t *testing.T) {
 // by value. A matcher that passes the tuple (or a field of it) through a
 // func value makes it escape, and both calls below then allocate once.
 func TestMatchDoesNotAllocate(t *testing.T) {
-	env := pattern.Env{"X": {object.Keyword("hot")}}
+	var env pattern.Env
+	env.Bind("X", object.Keyword("hot"))
 	for _, cb := range classBodies {
 		op := &Build(query.MustCompile(cb.body), nil, nil).Ops[cb.slot]
 		for i := range oracleTuples {

@@ -79,15 +79,14 @@ type derefQueue struct {
 	ids   []object.ID
 }
 
-// sentBefore tests-and-sets the sent-cache for ref: a pooled packed-key set
+// sentBefore tests-and-sets the sent-cache for ref: a pooled packed.Set
 // holding exactly the (object id, start) pairs this context has shipped,
 // drawn on first use and released with the rest of the query's resources.
 func (ctx *qctx) sentBefore(ref engine.RemoteRef) bool {
 	if ctx.sent == nil {
 		ctx.sent = packed.Get()
 	}
-	hi, lo := packed.IDKey(ref.ID, ref.Start)
-	return ctx.sent.TestAndSet(hi, lo)
+	return ctx.sent.TestAndSet(ref.ID, ref.Start)
 }
 
 // queueFor returns (creating if needed) the queue for a destination/start.

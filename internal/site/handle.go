@@ -170,13 +170,13 @@ func (s *Site) handleDeref(from object.SiteID, m *wire.Deref) ([]wire.Envelope, 
 		// the drain complete.
 		return s.bounceToken(m.QID, m.Origin, m.Token), nil
 	}
-	ctx, err := s.ctxFor(m.QID, m.Origin, m.Body, m.BodyHash, m.Hop, m.Start)
+	ctx, created, err := s.ctxFor(m.QID, m.Origin, m.Body, m.BodyHash, m.Hop, m.Start)
 	if err != nil {
 		return nil, err
 	}
 	ctx.noteBudget(m.BudgetUS, time.Now())
 	s.met.DerefsReceived.Inc()
-	if _, err := ctx.det.OnWorkReceived(from, m.Token); err != nil {
+	if err := s.creditWork(ctx, created, from, m.Token); err != nil {
 		return nil, err
 	}
 	// Spans handed on with the sender's credit travel on with this site's.
@@ -239,13 +239,13 @@ func (s *Site) handleSeed(from object.SiteID, m *wire.Seed) ([]wire.Envelope, er
 	if s.tombstoned(m.QID) {
 		return s.bounceToken(m.QID, m.Origin, m.Token), nil
 	}
-	ctx, err := s.ctxFor(m.QID, m.Origin, m.Body, nil, m.Hop, 0)
+	ctx, created, err := s.ctxFor(m.QID, m.Origin, m.Body, nil, m.Hop, 0)
 	if err != nil {
 		return nil, err
 	}
 	ctx.noteBudget(m.BudgetUS, time.Now())
 	s.met.SeedsReceived.Inc()
-	if _, err := ctx.det.OnWorkReceived(from, m.Token); err != nil {
+	if err := s.creditWork(ctx, created, from, m.Token); err != nil {
 		return nil, err
 	}
 	if prev, ok := s.contexts[m.FromQID]; ok {

@@ -529,32 +529,44 @@ func (s *Site) finishCtx(ctx *qctx) {
 
 // ctxFor returns the context for qid, creating it from a Deref/Seed message
 // when this site sees the query for the first time ("the setup cost
-// associated with the query is only required once at each involved site").
-// bodyHash, when carried by the message, keys the plan cache lookup: a hit
-// reuses a plan compiled for an earlier query with the same body, so the
-// setup cost is paid once per distinct body, not once per query. start is
-// the filter the message's objects begin at (0 for a Seed): any peer can
-// send one, so a start outside [0, number of filters] is refused before a
-// context exists.
-func (s *Site) ctxFor(qid wire.QueryID, origin object.SiteID, body string, bodyHash []byte, hop uint32, start int) (*qctx, error) {
+// associated with the query is only required once at each involved site");
+// created reports that it did. bodyHash, when carried by the message, keys
+// the plan cache lookup: a hit reuses a plan compiled for an earlier query
+// with the same body, so the setup cost is paid once per distinct body, not
+// once per query. start is the filter the message's objects begin at (0 for
+// a Seed): any peer can send one, so a start outside [0, number of filters]
+// is refused before a context exists.
+func (s *Site) ctxFor(qid wire.QueryID, origin object.SiteID, body string, bodyHash []byte, hop uint32, start int) (ctx *qctx, created bool, err error) {
 	ctx, ok := s.contexts[qid]
 	var p *plan.Plan
 	var fp query.Fingerprint
 	if ok {
 		p = ctx.eng.Plan()
-	} else {
-		var err error
-		if p, fp, err = s.planFor(body, bodyHash); err != nil {
-			return nil, fmt.Errorf("%w: query %v body does not compile: %v", ErrProtocol, qid, err)
-		}
+	} else if p, fp, err = s.planFor(body, bodyHash); err != nil {
+		return nil, false, fmt.Errorf("%w: query %v body does not compile: %v", ErrProtocol, qid, err)
 	}
 	if start < 0 || start > p.Len() {
-		return nil, fmt.Errorf("%w: query %v start %d outside [0, %d]", ErrProtocol, qid, start, p.Len())
+		return nil, false, fmt.Errorf("%w: query %v start %d outside [0, %d]", ErrProtocol, qid, start, p.Len())
 	}
 	if !ok {
 		ctx = s.newCtx(qid, origin, 0, body, p, fp, hop)
 	}
-	return ctx, nil
+	return ctx, !ok, nil
+}
+
+// creditWork credits a Deref's or Seed's termination token to ctx. A token
+// that does not decode is refused, and a context the message created is
+// removed again, without a tombstone: it would hold no credit, so no Finish
+// would ever reach it, and a later valid message for the query must still
+// run.
+func (s *Site) creditWork(ctx *qctx, created bool, from object.SiteID, token []byte) error {
+	if _, err := ctx.det.OnWorkReceived(from, token); err != nil {
+		if created {
+			s.removeCtx(ctx)
+		}
+		return err
+	}
+	return nil
 }
 
 // dropCtx removes a context, leaving a tombstone so stragglers cannot
@@ -564,6 +576,13 @@ func (s *Site) dropCtx(qid wire.QueryID) {
 	if !ok {
 		return
 	}
+	s.removeCtx(ctx)
+	s.tombstone(qid)
+}
+
+// removeCtx finishes ctx, releases its resources and forgets it.
+func (s *Site) removeCtx(ctx *qctx) {
+	qid := ctx.qid
 	s.finishCtx(ctx)
 	s.releaseQueryResources(ctx)
 	delete(s.contexts, qid)
@@ -574,7 +593,6 @@ func (s *Site) dropCtx(qid wire.QueryID) {
 			break
 		}
 	}
-	s.tombstone(qid)
 }
 
 // tombstone records a finished query id, evicting the oldest past the cap.

@@ -353,6 +353,42 @@ func TestDerefWithBadStartRejected(t *testing.T) {
 	}
 }
 
+// TestDerefWithBadTokenLeavesNoContext: a Deref whose termination token does
+// not decode is refused, and a context it created is removed again — it
+// would hold no credit, so no Finish would ever reach it — without a
+// tombstone, so a later valid Deref for the same query still runs.
+func TestDerefWithBadTokenLeavesNoContext(t *testing.T) {
+	h := newHarness(t, 1, nil)
+	o := h.store(1).NewObject().Add("k", object.Keyword("k"), object.Value{})
+	if err := h.store(1).Put(o); err != nil {
+		t.Fatal(err)
+	}
+	const body = `S [ (Pointer, "L", ?X) ^^X ]** (k, "k", ?) -> T`
+	qid := wire.QueryID{Origin: 2, Seq: 1}
+	deref := func(tok []byte) *wire.Deref {
+		return &wire.Deref{QID: qid, Origin: 2, Body: body, ObjIDs: []object.ID{o.ID}, Token: tok}
+	}
+	if _, err := h.sites[1].HandleMessage(2, deref([]byte{1})); err == nil {
+		t.Fatal("Deref with an undecodable token accepted")
+	}
+	if n := len(h.sites[1].contexts); n != 0 {
+		t.Fatalf("bad token left %d contexts", n)
+	}
+	if h.sites[1].tombstoned(qid) {
+		t.Fatal("bad token tombstoned the query")
+	}
+	tok, err := termination.New(termination.Weighted, 2, 2).OnSend(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.sites[1].HandleMessage(2, deref(tok)); err != nil {
+		t.Fatalf("valid Deref after a bad one: %v", err)
+	}
+	if n := len(h.sites[1].contexts); n != 1 {
+		t.Fatalf("%d contexts after a valid Deref, want 1", n)
+	}
+}
+
 func TestBatchedResults(t *testing.T) {
 	h := newHarness(t, 2, func(c *Config) { c.ResultBatch = 2 })
 	// 5 matching objects at site 2, initial set points to them via site 1.
