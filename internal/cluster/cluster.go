@@ -112,9 +112,6 @@ type Result struct {
 	// Unreachable lists sites the query skipped because they were declared
 	// dead; non-empty implies Partial.
 	Unreachable []object.SiteID
-	// Spans is the assembled cross-site trace timeline, sorted by
-	// (Hop, Site, Seq). It may cover only part of the query when Partial.
-	Spans []wire.Span
 	// Reason annotates a Partial answer with why the query ended early
 	// ("deadline expired", "cancelled by client", "peer down"); empty for
 	// complete answers.
@@ -188,7 +185,6 @@ func fromComplete(c *wire.Complete) (*Result, error) {
 		Distributed: c.Distributed,
 		Partial:     c.Partial,
 		Unreachable: c.Unreachable,
-		Spans:       c.Spans,
 		Reason:      c.Reason,
 	}, nil
 }

@@ -18,7 +18,9 @@ type DebugSnapshot struct {
 	Site string `json:"site"`
 	// Metrics is a point-in-time snapshot of every registered instrument.
 	Metrics metrics.Snapshot `json:"metrics"`
-	// Traces holds the most recent completed-query timelines, oldest first.
+	// Traces holds this site's own spans of the most recent queries it
+	// finished, as originator or participant, oldest first;
+	// site.MergeTraces joins several sites' into cross-site timelines.
 	Traces []site.TraceEntry `json:"traces,omitempty"`
 }
 

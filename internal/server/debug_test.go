@@ -14,8 +14,10 @@ import (
 
 	"hyperfile/internal/chaos"
 	"hyperfile/internal/metrics"
+	"hyperfile/internal/object"
 	"hyperfile/internal/site"
 	"hyperfile/internal/transport"
+	"hyperfile/internal/waitfor"
 	"hyperfile/internal/wire"
 )
 
@@ -73,9 +75,10 @@ func TestDebugSnapshotGoldenJSON(t *testing.T) {
 }
 
 // TestDebugEndpointUnderChaos is the acceptance path: a chaos-lossy
-// deployment answers a cross-site query, and /debug/hyperfile on the
-// originator reports the assembled multi-site trace, non-zero transport
-// retransmissions, and non-zero termination-weight activity.
+// deployment answers a cross-site query, the servers' trace rings merge into
+// a timeline covering every site, and /debug/hyperfile on the originator
+// reports its own trace, non-zero transport retransmissions, and non-zero
+// termination-weight activity.
 func TestDebugEndpointUnderChaos(t *testing.T) {
 	inj := chaos.NewInjector(chaos.Config{Seed: 23, DropRate: 0.15, DupRate: 0.15})
 	servers, stores, client := testDeploymentOpts(t, 3, Options{
@@ -94,9 +97,27 @@ func TestDebugEndpointUnderChaos(t *testing.T) {
 	if len(cm.IDs) != 15 {
 		t.Fatalf("results = %d, want 15", len(cm.IDs))
 	}
+	// A participant records its trace entry when the Finish reaches it.
+	rings := make(map[object.SiteID][]site.TraceEntry)
+	if err := waitfor.Until(5*time.Second, func() bool {
+		for _, srv := range servers {
+			rings[srv.ID()] = srv.Traces().Entries()
+			if len(rings[srv.ID()]) == 0 {
+				return false
+			}
+		}
+		return true
+	}); err != nil {
+		t.Fatalf("a server never recorded the query: %v", err)
+	}
 	sitesInTrace := map[string]bool{}
-	for _, sp := range cm.Spans {
-		sitesInTrace[sp.Site.String()] = true
+	for _, e := range site.MergeTraces(rings) {
+		if e.QID != cm.QID {
+			continue
+		}
+		for _, sp := range e.Spans {
+			sitesInTrace[sp.Site.String()] = true
+		}
 	}
 	if len(sitesInTrace) != 3 {
 		t.Errorf("trace covers sites %v, want all 3", sitesInTrace)

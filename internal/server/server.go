@@ -38,9 +38,6 @@ type Options struct {
 	// registry (a server is always observable; sharing one registry across
 	// servers in a test is why this is injectable).
 	Metrics *metrics.Registry
-	// TraceCap bounds the per-server ring of completed query traces
-	// (default site.DefaultTraceCap).
-	TraceCap int
 }
 
 // Server owns one Site fed by its transport. The site runs in turns: whoever
@@ -113,7 +110,7 @@ func NewOpts(cfg site.Config, addr string, logger *slog.Logger, opts Options) (*
 	cfg.Metrics = opts.Metrics
 	opts.Transport.Metrics = opts.Metrics
 	if cfg.Traces == nil {
-		cfg.Traces = site.NewTraceBuffer(opts.TraceCap)
+		cfg.Traces = site.NewTraceBuffer(site.DefaultTraceCap)
 	}
 	s := site.New(cfg)
 	cfg = s.Config() // with site.New's defaults
@@ -206,7 +203,7 @@ func (srv *Server) AddPeer(id object.SiteID, addr string) { srv.tr.AddPeer(id, a
 // Metrics returns the server's metrics registry (never nil).
 func (srv *Server) Metrics() *metrics.Registry { return srv.reg }
 
-// Traces returns the server's ring of completed query traces (never nil).
+// Traces returns the server's ring of finished query traces (never nil).
 func (srv *Server) Traces() *site.TraceBuffer { return srv.traces }
 
 // Stats reads the underlying site's statistics from its registry. Values are

@@ -174,7 +174,7 @@ func addTitles(t *testing.T, stores []*store.Store, ids []object.ID) {
 // TestTCPClientMayRetainComplete: who owns the bytes selects the decode. The
 // client registers a plain Handler and keeps every Complete it is handed, so
 // the transport must give it copies — never fields borrowed from a pooled
-// read buffer. A Complete carrying a Reason, an Unreachable list, Spans and
+// read buffer. A Complete carrying a Reason, an Unreachable list and
 // Fetches is kept across 50 further queries, whose frames recycle (and, under
 // -race, poison) the client's read buffers; every field must read back
 // unchanged.
@@ -208,8 +208,8 @@ func TestTCPClientMayRetainComplete(t *testing.T) {
 		if kept.Reason != "peer down" || len(kept.Unreachable) != 1 || kept.Unreachable[0] != 3 {
 			t.Fatalf("%s: Reason %q Unreachable %v, want \"peer down\" [3]", stage, kept.Reason, kept.Unreachable)
 		}
-		if len(kept.Spans) == 0 || len(kept.Fetches) == 0 {
-			t.Fatalf("%s: workload is broken, no spans or fetches: %+v", stage, kept)
+		if len(kept.Fetches) == 0 {
+			t.Fatalf("%s: workload is broken, no fetches: %+v", stage, kept)
 		}
 		for _, f := range kept.Fetches {
 			if f.Var != "title" || f.Val.Str != "t" {
@@ -219,7 +219,7 @@ func TestTCPClientMayRetainComplete(t *testing.T) {
 	}
 	check("on arrival")
 	render := func() string {
-		return fmt.Sprintf("%v %+v %+v", kept.IDs, kept.Spans, kept.Fetches)
+		return fmt.Sprintf("%v %+v", kept.IDs, kept.Fetches)
 	}
 	want := render()
 	for i := 0; i < 50; i++ {

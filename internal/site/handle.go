@@ -179,12 +179,6 @@ func (s *Site) handleDeref(from object.SiteID, m *wire.Deref) ([]wire.Envelope, 
 	if err := s.creditWork(ctx, created, from, m.Token); err != nil {
 		return nil, err
 	}
-	// Spans handed on with the sender's credit travel on with this site's.
-	if ctx.isOrigin {
-		ctx.ingestSpans(m.Spans)
-	} else {
-		ctx.pendingSpans = append(ctx.pendingSpans, m.Spans...)
-	}
 	if ctx.finished {
 		// Late work for a finished (retained) query: nothing to process.
 		return s.afterEvent(ctx, nil)
@@ -271,7 +265,6 @@ func (s *Site) handleResult(from object.SiteID, m *wire.Result) ([]wire.Envelope
 		return nil, fmt.Errorf("%w: result for %v at non-originator %v", ErrProtocol, m.QID, s.cfg.ID)
 	}
 	s.met.ResultsReceived.Inc()
-	ctx.ingestSpans(m.Spans)
 	ctx.results = append(ctx.results, m.IDs...)
 	ctx.count += m.Count
 	ctx.fetches = append(ctx.fetches, m.Fetches...)
@@ -298,9 +291,6 @@ func (s *Site) handleControl(from object.SiteID, m *wire.Control) ([]wire.Envelo
 		return nil, nil
 	}
 	s.met.ControlsReceived.Inc()
-	if ctx.isOrigin {
-		ctx.ingestSpans(m.Spans)
-	}
 	if err := ctx.det.OnControl(from, m.Token); err != nil {
 		return nil, err
 	}
@@ -322,7 +312,7 @@ func (s *Site) handleFinish(from object.SiteID, m *wire.Finish) []wire.Envelope 
 	if m.Retain {
 		// The retained context only answers future seeds from ctx.retained;
 		// its dedup state can never be consulted again.
-		s.finishCtx(ctx)
+		s.finishCtx(ctx, false)
 		s.releaseQueryResources(ctx)
 		return nil
 	}

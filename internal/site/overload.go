@@ -26,6 +26,7 @@ package site
 //     cancelDrainGrace.
 
 import (
+	"math"
 	"time"
 
 	"hyperfile/internal/object"
@@ -51,12 +52,22 @@ type pendingSubmit struct {
 // deadline) when neither applies.
 func (s *Site) submitDeadline(m *wire.Submit, now time.Time) time.Time {
 	if m.BudgetUS > 0 {
-		return now.Add(time.Duration(m.BudgetUS) * time.Microsecond)
+		return now.Add(budgetDuration(m.BudgetUS))
 	}
 	if s.cfg.QueryDeadline > 0 {
 		return now.Add(s.cfg.QueryDeadline)
 	}
 	return time.Time{}
+}
+
+// budgetDuration converts a wire budget in microseconds to a duration,
+// saturating at the longest one instead of wrapping: any client or peer may
+// send any budget, and a wrapped one would expire the query at once.
+func budgetDuration(us uint64) time.Duration {
+	if us > uint64(math.MaxInt64/time.Microsecond) {
+		return math.MaxInt64
+	}
+	return time.Duration(us) * time.Microsecond
 }
 
 // atCapacity reports whether admission control refuses new originator
@@ -144,7 +155,7 @@ func (ctx *qctx) noteBudget(budgetUS uint64, now time.Time) {
 	if budgetUS == 0 || ctx.isOrigin {
 		return
 	}
-	nd := now.Add(time.Duration(budgetUS) * time.Microsecond)
+	nd := now.Add(budgetDuration(budgetUS))
 	if ctx.deadline.IsZero() || nd.Before(ctx.deadline) {
 		ctx.deadline = nd
 	}
@@ -177,8 +188,7 @@ func (s *Site) cancelOrigin(ctx *qctx, reason string) []wire.Envelope {
 	ctx.collectLocal()
 	ctx.eng.DiscardWork()
 	ctx.qorder = nil
-	ctx.timeline = append(ctx.timeline, s.takeSpans(ctx)...)
-	s.finishCtx(ctx)
+	s.finishCtx(ctx, true)
 	s.met.Completed.Inc()
 	ctx.det.OnIdle() // banks the originator's own held credit
 	var out []wire.Envelope
@@ -188,19 +198,7 @@ func (s *Site) cancelOrigin(ctx *qctx, reason string) []wire.Envelope {
 		}
 		out = append(out, wire.Envelope{To: peer, Msg: &wire.Cancel{QID: ctx.qid, Reason: reason}})
 	}
-	spans := s.assembleTimeline(ctx)
-	s.recordTrace(ctx, spans, true)
-	out = append(out, wire.Envelope{To: ctx.client, Msg: &wire.Complete{
-		QID:         ctx.qid,
-		IDs:         ctx.answer(),
-		Fetches:     ctx.fetches,
-		Count:       ctx.count,
-		Distributed: ctx.distributed,
-		Partial:     true,
-		Unreachable: unreachableList(ctx),
-		Spans:       spans,
-		Reason:      reason,
-	}})
+	out = append(out, s.complete(ctx, true, reason))
 	if ctx.det.Done() {
 		s.dropCtx(ctx.qid)
 	} else {

@@ -1,6 +1,7 @@
 package site
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -165,6 +166,63 @@ func TestBudgetStampsOutgoingWork(t *testing.T) {
 	ctx := h.sites[2].contexts[wire.QueryID{Origin: 1, Seq: 1}]
 	if ctx == nil || ctx.deadline.IsZero() {
 		t.Errorf("participant did not derive a deadline from the budget")
+	}
+}
+
+// TestHugeBudgetDoesNotExpire: a budget too large for a time.Duration in
+// nanoseconds is as good as none. Any client's Submit and any peer's Deref
+// may carry one; converted by wrapping, 1<<62 µs or MaxUint64 µs came out
+// zero or negative and expired the query at once, as a partial answer with
+// no ids.
+func TestHugeBudgetDoesNotExpire(t *testing.T) {
+	const body = `S [ (Pointer, "L", ?X) ^^X ]** (keyword, "hot", ?) -> T`
+	for _, budget := range []uint64{0, 10_000_000, 1 << 62, math.MaxUint64} {
+		h := newHarness(t, 2, nil)
+		hot := h.store(2).NewObject().Add("keyword", object.Keyword("hot"), object.Value{})
+		hot.Add("Pointer", object.String("L"), object.Pointer(hot.ID))
+		root := h.store(1).NewObject().Add("Pointer", object.String("L"), object.Pointer(hot.ID))
+		for _, o := range []*object.Object{hot, root} {
+			if err := h.store(o.ID.Birth).Put(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The Submit: the originator's own deadline.
+		qid := wire.QueryID{Origin: 1, Seq: 1}
+		out, err := h.sites[1].HandleMessage(client, &wire.Submit{
+			QID: qid, Client: client, Body: body, Initial: []object.ID{root.ID}, BudgetUS: budget,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.deliver(1, out)
+		h.pump()
+		if len(h.completes) != 1 {
+			t.Fatalf("budget %d: %d completions, want 1", budget, len(h.completes))
+		}
+		if cm := h.completes[0]; cm.Partial || len(cm.IDs) != 1 {
+			t.Errorf("budget %d: Submit answered partial=%v reason=%q ids=%v, want the one hot id",
+				budget, cm.Partial, cm.Reason, cm.IDs)
+		}
+
+		// The Deref: a participant's deadline, from a peer's budget.
+		h.results = nil
+		qid = wire.QueryID{Origin: 1, Seq: 2}
+		out, err = h.sites[2].HandleMessage(1, &wire.Deref{
+			QID: qid, Origin: 1, Body: body, ObjIDs: []object.ID{hot.ID},
+			Token: []byte{1, 1}, Hop: 1, BudgetUS: budget,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.deliver(2, out)
+		h.pump()
+		if len(h.results) != 1 {
+			t.Fatalf("budget %d: participant sent %d Results, want 1", budget, len(h.results))
+		}
+		if r := h.results[0]; len(r.Unreachable) != 0 || len(r.IDs) != 1 {
+			t.Errorf("budget %d: participant shipped ids %v unreachable %v, want the hot id and no shed",
+				budget, r.IDs, r.Unreachable)
+		}
 	}
 }
 

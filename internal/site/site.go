@@ -72,10 +72,12 @@ type Config struct {
 	// (per-filter-step work, protocol message counts, termination weight
 	// flow, time to quiescence). It is where the site counts every event
 	// Stats reports; nil gives the site a private registry. Query tracing is
-	// independent of it and always on.
+	// independent of it.
 	Metrics *metrics.Registry
-	// Traces, when non-nil, retains the assembled cross-site timeline of
-	// each query completed at this site (as originator) for debugging.
+	// Traces, when non-nil, turns query tracing on: the site keeps the spans
+	// it produced for each query it finishes, as originator or participant,
+	// in this ring (MergeTraces assembles a query's sites into one
+	// timeline). Nil records no spans.
 	Traces *TraceBuffer
 	// Tuning and Ablation are the knobs (tuning.go).
 	Tuning
@@ -247,7 +249,7 @@ type qctx struct {
 	// Trace context (section "cross-site query tracing"). created is when
 	// this site joined the query; hop is the dereference depth at which it
 	// joined (0 at the originator); spanSeq numbers the spans this site
-	// emits for the query, so the originator can dedup retransmissions.
+	// emits for the query, in emission order.
 	created time.Time
 	hop     uint32
 	spanSeq uint64
@@ -255,26 +257,15 @@ type qctx struct {
 	// is its insertion order so span emission is deterministic.
 	stepAgg map[int]*spanAgg
 	filters []int
-	// pendingSpans holds spans awaiting a message to carry them toward the
-	// originator (participant side): this site's own, and those that arrived
-	// on Derefs carrying another site's credit.
-	pendingSpans []wire.Span
-	// Originator side: timeline accumulates every span (own and remote),
-	// seenSpans dedups remote spans by (site, seq).
-	timeline  []wire.Span
-	seenSpans map[spanKey]struct{}
+	// timeline accumulates the spans this site emitted for the query; the
+	// site's trace ring keeps it when the context finishes.
+	timeline []wire.Span
 }
 
 // spanAgg accumulates one filter's work between drains.
 type spanAgg struct {
 	in, out uint32
 	dur     time.Duration
-}
-
-// spanKey identifies a span for originator-side dedup.
-type spanKey struct {
-	site object.SiteID
-	seq  uint64
 }
 
 // engage records that this (originator) context sent work to peer.
@@ -506,11 +497,12 @@ func (s *Site) newCtx(qid wire.QueryID, origin object.SiteID, client uint64, bod
 }
 
 // finishCtx marks a context finished exactly once: it releases the admission
-// slot, records the end-to-end latency at the originator, and takes the
+// slot, records the end-to-end latency at the originator and the context's
+// trace entry (partial says the originator's answer is), and takes the
 // context out of the ready queue and off its client lane, which is freed with
 // the client's last context. Every transition to the finished state funnels
 // through here.
-func (s *Site) finishCtx(ctx *qctx) {
+func (s *Site) finishCtx(ctx *qctx, partial bool) {
 	if ctx.finished {
 		return
 	}
@@ -522,9 +514,12 @@ func (s *Site) finishCtx(ctx *qctx) {
 	}
 	s.ready.release(ctx.lane)
 	ctx.lane = nil
+	elapsed := time.Since(ctx.created)
 	if ctx.isOrigin {
-		s.met.queryLatencyUS.ObserveDuration(time.Since(ctx.created))
+		s.met.queryLatencyUS.ObserveDuration(elapsed)
+		s.met.quiescenceUS.ObserveDuration(elapsed)
 	}
+	s.recordTrace(ctx, partial, elapsed)
 }
 
 // ctxFor returns the context for qid, creating it from a Deref/Seed message
@@ -583,7 +578,7 @@ func (s *Site) dropCtx(qid wire.QueryID) {
 // removeCtx finishes ctx, releases its resources and forgets it.
 func (s *Site) removeCtx(ctx *qctx) {
 	qid := ctx.qid
-	s.finishCtx(ctx)
+	s.finishCtx(ctx, false)
 	s.releaseQueryResources(ctx)
 	delete(s.contexts, qid)
 	s.met.liveContexts.Set(int64(len(s.contexts)))

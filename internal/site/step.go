@@ -78,7 +78,9 @@ func (s *Site) stepN(limit int) (StepOutcome, int, []wire.Envelope, error) {
 	run := ctx.eng.StepN(limit)
 	dur := time.Since(start)
 	s.met.noteRun(&run, dur)
-	ctx.noteRun(&run, dur)
+	if s.cfg.Traces != nil {
+		ctx.noteRun(&run, dur)
+	}
 	// A popped context costs an iteration even if a cancel emptied its
 	// working set before the run took anything.
 	n := max(run.Steps, 1)
@@ -160,11 +162,10 @@ func (s *Site) afterEvent(ctx *qctx, out []wire.Envelope) ([]wire.Envelope, erro
 	if err != nil {
 		return out, err
 	}
+	s.takeSpans(ctx)
 	if ctx.isOrigin {
-		// The originator accumulates its own results — and its own trace
-		// spans — directly.
+		// The originator accumulates its own results directly.
 		ctx.collectLocal()
-		ctx.timeline = append(ctx.timeline, s.takeSpans(ctx)...)
 		ctx.det.OnIdle() // recovers the originator's own credit internally
 		return s.checkDone(ctx, out)
 	}
@@ -175,10 +176,7 @@ func (s *Site) afterEvent(ctx *qctx, out []wire.Envelope) ([]wire.Envelope, erro
 	// the originator can annotate the final answer. A drain with nothing for
 	// the originator but work for others hands its credit on with the last
 	// Deref instead, so no message goes home at all; a drain with neither
-	// returns its credit in a Control. Trace spans follow the credit: on the
-	// last result message, the hand-off Deref, or the Control — tracing
-	// never adds a message of its own.
-	ctx.pendingSpans = append(ctx.pendingSpans, s.takeSpans(ctx)...)
+	// returns its credit in a Control.
 	results, fetches := ctx.eng.TakeResults()
 	msgs := s.buildResultMsgs(ctx, results, fetches)
 	if unr := s.takeUnreachable(ctx); len(unr) > 0 {
@@ -199,41 +197,20 @@ func (s *Site) afterEvent(ctx *qctx, out []wire.Envelope) ([]wire.Envelope, erro
 			continue
 		}
 		s.met.ControlsSent.Inc()
-		ctl := &wire.Control{QID: ctx.qid, Token: ret.Token}
-		if len(ctx.pendingSpans) > 0 {
-			ctl.Spans = ctx.pendingSpans
-			ctx.pendingSpans = nil
-		}
-		out = append(out, wire.Envelope{To: ret.To, Msg: ctl})
+		out = append(out, wire.Envelope{To: ret.To, Msg: &wire.Control{QID: ctx.qid, Token: ret.Token}})
 	}
-	if len(msgs) > 0 {
-		if len(ctx.pendingSpans) > 0 {
-			msgs[len(msgs)-1].Spans = ctx.pendingSpans
-			ctx.pendingSpans = nil
-		}
-		for _, m := range msgs {
-			s.met.ResultsSent.Inc()
-			out = append(out, wire.Envelope{To: ctx.origin, Msg: m})
-		}
+	for _, m := range msgs {
+		s.met.ResultsSent.Inc()
+		out = append(out, wire.Envelope{To: ctx.origin, Msg: m})
 	}
 	return out, nil
 }
 
-// maxCarriedSpans bounds the trace spans one Deref carries onward. A drain
-// holding more returns its credit and spans home in a Control instead, so a
-// chain that never revisits the originator cannot grow its Derefs by a span
-// per hop.
-const maxCarriedSpans = 32
-
-// handOff moves a draining participant's held credit, and its unsent spans,
-// onto the last Deref of this query in out, the envelopes of the current
-// drain; the detector's idle hook then has nothing to return. It does
-// nothing when out holds no such Deref, or when the spans would exceed
-// maxCarriedSpans.
+// handOff moves a draining participant's held credit onto the last Deref of
+// this query in out, the envelopes of the current drain; the detector's idle
+// hook then has nothing to return. It does nothing when out holds no such
+// Deref.
 func (s *Site) handOff(ctx *qctx, out []wire.Envelope) error {
-	if len(ctx.pendingSpans) > maxCarriedSpans {
-		return nil
-	}
 	for i := len(out) - 1; i >= 0; i-- {
 		d, ok := out[i].Msg.(*wire.Deref)
 		if !ok || d.QID != ctx.qid {
@@ -244,8 +221,6 @@ func (s *Site) handOff(ctx *qctx, out []wire.Envelope) error {
 			return err
 		}
 		d.Token = merged
-		d.Spans = ctx.pendingSpans
-		ctx.pendingSpans = nil
 		return nil
 	}
 	return nil
@@ -298,9 +273,9 @@ func (s *Site) checkDone(ctx *qctx, out []wire.Envelope) ([]wire.Envelope, error
 	if ctx.finished || !ctx.det.Done() {
 		return out, nil
 	}
-	s.finishCtx(ctx)
-	s.met.Completed.Inc()
 	unr := unreachableList(ctx)
+	s.finishCtx(ctx, len(unr) > 0)
+	s.met.Completed.Inc()
 	// A partial answer always names its cause: sites in the unreachable set
 	// were either skipped as dead or shed their share when the query's budget
 	// ran out there (expireParticipant annotates the shedding site, and the
@@ -331,26 +306,13 @@ func (s *Site) checkDone(ctx *qctx, out []wire.Envelope) ([]wire.Envelope, error
 			out = append(out, wire.Envelope{To: peer, Msg: &wire.Finish{QID: ctx.qid, Retain: retain}})
 		}
 	}
-	spans := s.assembleTimeline(ctx)
-	s.recordTrace(ctx, spans, len(unr) > 0)
-	ids := ctx.answer()
-	out = append(out, wire.Envelope{To: ctx.client, Msg: &wire.Complete{
-		QID:         ctx.qid,
-		IDs:         ids,
-		Fetches:     ctx.fetches,
-		Count:       ctx.count,
-		Distributed: ctx.distributed,
-		Partial:     len(unr) > 0,
-		Unreachable: unr,
-		Spans:       spans,
-		Reason:      reason,
-	}})
+	out = append(out, s.complete(ctx, len(unr) > 0, reason))
 	if retain {
 		// Keep the context: its results (all ids known at the originator)
 		// become the originator's retained portion for follow-up seeding.
 		// Everything else the finished query held — sent-cache, queues,
 		// global marks, the engine's mark table — is dead weight now.
-		ctx.retained = ids
+		ctx.retained = ctx.answer()
 		s.releaseQueryResources(ctx)
 	} else {
 		s.dropCtx(ctx.qid)
@@ -388,7 +350,7 @@ func (s *Site) abortLocked(qid wire.QueryID) []wire.Envelope {
 func (s *Site) forceComplete(ctx *qctx) []wire.Envelope {
 	// Sweep up whatever the local engine produced so far.
 	ctx.collectLocal()
-	s.finishCtx(ctx)
+	s.finishCtx(ctx, true)
 	s.met.Completed.Inc()
 	var out []wire.Envelope
 	for _, peer := range s.cfg.Peers {
@@ -397,23 +359,24 @@ func (s *Site) forceComplete(ctx *qctx) []wire.Envelope {
 		}
 		out = append(out, wire.Envelope{To: peer, Msg: &wire.Finish{QID: ctx.qid}})
 	}
-	// The timeline is whatever arrived before the abort — a partial trace
-	// is better than none, exactly like the partial answer it accompanies.
-	spans := s.assembleTimeline(ctx)
-	s.recordTrace(ctx, spans, true)
-	out = append(out, wire.Envelope{To: ctx.client, Msg: &wire.Complete{
+	out = append(out, s.complete(ctx, true, "peer down"))
+	s.dropCtx(ctx.qid)
+	return out
+}
+
+// complete builds the originator's answer to its client from everything
+// ctx has collected.
+func (s *Site) complete(ctx *qctx, partial bool, reason string) wire.Envelope {
+	return wire.Envelope{To: ctx.client, Msg: &wire.Complete{
 		QID:         ctx.qid,
 		IDs:         ctx.answer(),
 		Fetches:     ctx.fetches,
 		Count:       ctx.count,
 		Distributed: ctx.distributed,
-		Partial:     true,
+		Partial:     partial,
 		Unreachable: unreachableList(ctx),
-		Spans:       spans,
-		Reason:      "peer down",
-	}})
-	s.dropCtx(ctx.qid)
-	return out
+		Reason:      reason,
+	}}
 }
 
 // collectLocal folds the originator's own drained results and fetches into

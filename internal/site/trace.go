@@ -1,11 +1,13 @@
 package site
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 
 	"hyperfile/internal/engine"
+	"hyperfile/internal/object"
 	"hyperfile/internal/wire"
 )
 
@@ -30,89 +32,96 @@ func (ctx *qctx) noteRun(r *engine.Run, dur time.Duration) {
 	a.dur += dur
 }
 
-// takeSpans drains the per-filter aggregation into freshly-numbered spans,
-// in filter insertion order.
-func (s *Site) takeSpans(ctx *qctx) []wire.Span {
-	if len(ctx.filters) == 0 {
-		return nil
-	}
-	spans := make([]wire.Span, 0, len(ctx.filters))
+// takeSpans drains the per-filter aggregation onto the context's timeline as
+// freshly-numbered spans, in filter insertion order.
+func (s *Site) takeSpans(ctx *qctx) {
 	for _, f := range ctx.filters {
 		a := ctx.stepAgg[f]
 		ctx.spanSeq++
-		spans = append(spans, wire.Span{
+		ctx.timeline = append(ctx.timeline, wire.Span{
 			Site: s.cfg.ID, Seq: ctx.spanSeq, Hop: ctx.hop,
 			Filter: uint32(f), In: a.in, Out: a.out,
 			DurationUS: uint64(a.dur.Microseconds()),
 		})
 	}
-	ctx.stepAgg = nil
-	ctx.filters = nil
-	return spans
+	clear(ctx.stepAgg)
+	ctx.filters = ctx.filters[:0]
 }
 
-// ingestSpans folds spans arriving from participants into the originator's
-// timeline, dropping any (site, seq) pair already recorded — retransmitted
-// or chaos-duplicated frames must not produce duplicate spans.
-func (ctx *qctx) ingestSpans(spans []wire.Span) {
-	for _, sp := range spans {
-		k := spanKey{site: sp.Site, seq: sp.Seq}
-		if ctx.seenSpans == nil {
-			ctx.seenSpans = make(map[spanKey]struct{})
-		}
-		if _, dup := ctx.seenSpans[k]; dup {
-			continue
-		}
-		ctx.seenSpans[k] = struct{}{}
-		ctx.timeline = append(ctx.timeline, sp)
+// recordTrace retains the spans this site emitted for ctx's query, in
+// emission order, as one entry of the site's trace ring. A site without a
+// ring records nothing.
+func (s *Site) recordTrace(ctx *qctx, partial bool, elapsed time.Duration) {
+	if s.cfg.Traces == nil {
+		return
 	}
-}
-
-// assembleTimeline sweeps any unflushed local spans into the originator's
-// timeline and returns it sorted by (Hop, Site, Seq) — outward along the
-// pointer chase, then by site, then in emission order.
-func (s *Site) assembleTimeline(ctx *qctx) []wire.Span {
-	ctx.timeline = append(ctx.timeline, s.takeSpans(ctx)...)
-	ctx.timeline = append(ctx.timeline, ctx.pendingSpans...)
-	ctx.pendingSpans = nil
-	sort.Slice(ctx.timeline, func(i, j int) bool {
-		a, b := ctx.timeline[i], ctx.timeline[j]
-		if a.Hop != b.Hop {
-			return a.Hop < b.Hop
-		}
-		if a.Site != b.Site {
-			return a.Site < b.Site
-		}
-		return a.Seq < b.Seq
-	})
-	return ctx.timeline
-}
-
-// recordTrace observes the query's time to quiescence and retains the
-// timeline in the site's trace buffer.
-func (s *Site) recordTrace(ctx *qctx, spans []wire.Span, partial bool) {
-	elapsed := time.Since(ctx.created)
-	s.met.quiescenceUS.ObserveDuration(elapsed)
+	s.takeSpans(ctx)
 	s.cfg.Traces.Add(TraceEntry{
-		QID: ctx.qid, Body: ctx.body, Spans: spans,
+		QID: ctx.qid, Body: ctx.body, Spans: ctx.timeline,
 		Partial: partial, Duration: elapsed,
 	})
+	ctx.timeline = nil
 }
 
-// TraceEntry is one completed query's assembled cross-site timeline, as held
-// by the originating site.
+// MergeTraces assembles cross-site timelines from the trace rings of several
+// sites, each keyed by the site that kept it. A query's entries merge into
+// one: their spans concatenated and sorted by (Hop, Site, Seq) — outward
+// along the pointer chase, then by site, then in emission order — with Body,
+// Partial and Duration taken from the originator's entry, or from the first
+// entry when no ring holds the originator's. Queries keep the order in which
+// they first appear, rings taken in ascending site order, so merging one
+// ring returns its entries as they are.
+func MergeTraces(rings map[object.SiteID][]TraceEntry) []TraceEntry {
+	sites := make([]object.SiteID, 0, len(rings))
+	for id := range rings {
+		sites = append(sites, id)
+	}
+	slices.Sort(sites)
+	var out []TraceEntry
+	at := make(map[wire.QueryID]int)
+	for _, id := range sites {
+		for _, e := range rings[id] {
+			i, seen := at[e.QID]
+			if !seen {
+				i = len(out)
+				at[e.QID] = i
+				out = append(out, TraceEntry{QID: e.QID, Body: e.Body, Partial: e.Partial, Duration: e.Duration})
+			} else if id == e.QID.Origin {
+				out[i].Body, out[i].Partial, out[i].Duration = e.Body, e.Partial, e.Duration
+			}
+			out[i].Spans = append(out[i].Spans, e.Spans...)
+		}
+	}
+	for _, e := range out {
+		slices.SortFunc(e.Spans, func(a, b wire.Span) int {
+			if c := cmp.Compare(a.Hop, b.Hop); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(a.Site, b.Site); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.Seq, b.Seq)
+		})
+	}
+	return out
+}
+
+// TraceEntry is one finished query's timeline as one site kept it: the spans
+// that site emitted, or, out of MergeTraces, every site's.
 type TraceEntry struct {
 	QID  wire.QueryID `json:"qid"`
 	Body string       `json:"body"`
-	// Spans is the assembled timeline, sorted by (Hop, Site, Seq).
+	// Spans is the timeline, sorted by (Hop, Site, Seq).
 	Spans []wire.Span `json:"spans,omitempty"`
-	// Partial mirrors the Complete message's Partial flag.
+	// Partial mirrors the Complete message's Partial flag at the originator;
+	// a participant's entry leaves it false.
 	Partial bool `json:"partial,omitempty"`
-	// Duration is submission-to-completion wall time at the originator.
+	// Duration is submission-to-completion wall time at the originator, and
+	// joining-to-Finish wall time at a participant.
 	Duration time.Duration `json:"duration_ns"`
 }
 
-// TraceBuffer retains the most recent completed-query timelines for the
+// TraceBuffer retains the most recent finished-query timelines for the
 // debug endpoint. It is safe for concurrent use and nil-safe (a nil buffer
 // drops entries), mirroring the metrics instruments.
 type TraceBuffer struct {

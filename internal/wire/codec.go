@@ -216,10 +216,10 @@ func (m *Deref) walk(c *coder) {
 	if c.tail(true) {
 		c.u64(&m.BudgetUS)
 	}
-	// Frames without spans end here, so a Deref without spans encodes as it
-	// did before the field existed.
-	if c.tail(len(m.Spans) > 0) {
-		c.spans(&m.Spans)
+	// Frames end here. Older senders appended the trace spans handed on
+	// with the credit, which decoding drops.
+	if c.tail(false) {
+		c.droppedSpans()
 	}
 }
 
@@ -254,13 +254,13 @@ func (m *Result) walk(c *coder) {
 	c.bool(&m.Retained)
 	c.bytes(&m.Token)
 	c.sites(&m.Unreachable)
-	c.spans(&m.Spans)
+	c.droppedSpans()
 }
 
 func (m *Control) walk(c *coder) {
 	c.qid(&m.QID)
 	c.bytes(&m.Token)
-	c.spans(&m.Spans)
+	c.droppedSpans()
 }
 
 func (m *Finish) walk(c *coder) {
@@ -277,7 +277,7 @@ func (m *Complete) walk(c *coder) {
 	c.bool(&m.Partial)
 	c.str(&m.Err)
 	c.sites(&m.Unreachable)
-	c.spans(&m.Spans)
+	c.droppedSpans()
 	// Frames predating partial-answer reasons end here.
 	if c.tail(true) {
 		c.str(&m.Reason)
@@ -573,6 +573,14 @@ func (c *coder) ints(s *[]int) {
 	for i := range is {
 		c.int(&is[i])
 	}
+}
+
+// droppedSpans walks the span list that messages carried while trace spans
+// rode them: encoders write an empty list, and decoding drops what older
+// senders put there.
+func (c *coder) droppedSpans() {
+	var spans []Span
+	c.spans(&spans)
 }
 
 func (c *coder) spans(s *[]Span) {

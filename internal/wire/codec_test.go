@@ -71,14 +71,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 	roundTrip(t, &Deref{
 		QID: qid, Origin: 2, Body: "S -> T", BodyHash: hash,
 		ObjIDs: []object.ID{id1}, Token: []byte{1, 1}, Hop: 3, BudgetUS: 750_000,
-		Spans: []Span{
-			{Site: 3, Seq: 1, Hop: 1, Filter: 0, In: 1, Out: 1, DurationUS: 12},
-			{Site: 5, Seq: 4, Hop: 2, Filter: 1, In: 2, Out: 0, DurationUS: 300},
-		},
 	})
-	// Spans without a budget: BudgetUS still occupies its byte.
-	roundTrip(t, &Deref{QID: qid, Origin: 2, ObjIDs: []object.ID{id2},
-		Spans: []Span{{Site: 4, Seq: 2, Hop: 5}}})
 	roundTrip(t, &Result{
 		QID: qid, IDs: []object.ID{id1},
 		Fetches: []FetchVal{
@@ -91,21 +84,14 @@ func TestRoundTripAllKinds(t *testing.T) {
 			{Var: "none", From: id2, Val: object.Value{}},
 		},
 		Count: 1, Retained: true, Token: []byte{9},
-		Spans: []Span{
-			{Site: 3, Seq: 1, Hop: 2, Filter: 0, In: 10, Out: 4, DurationUS: 120},
-			{Site: 3, Seq: 2, Hop: 2, Filter: 1, In: 4, Out: 4, DurationUS: 33},
-		},
 	})
 	roundTrip(t, &Result{QID: qid, Count: 0})
 	roundTrip(t, &Control{QID: qid, Token: []byte("credit")})
-	roundTrip(t, &Control{QID: qid, Token: []byte{1},
-		Spans: []Span{{Site: 5, Seq: 9, Hop: 1, Filter: 2, In: 1, Out: 0, DurationUS: 7}}})
 	roundTrip(t, &Finish{QID: qid, Retain: true})
 	roundTrip(t, &Finish{QID: qid})
 	roundTrip(t, &Complete{
 		QID: qid, IDs: []object.ID{id1, id2}, Count: 2,
 		Distributed: true, Partial: true, Err: "boom",
-		Spans: []Span{{Site: 2, Seq: 1, Hop: 0, Filter: 0, In: 2, Out: 2, DurationUS: 55}},
 	})
 	roundTrip(t, &Complete{
 		QID: qid, IDs: []object.ID{id1}, Count: 1,
@@ -160,10 +146,11 @@ func legacyDerefFrame(qid QueryID, origin object.SiteID, body string, id object.
 }
 
 // itersDerefFrame hand-encodes m in the batched layout with iters in the
-// list after Start, which encoders now leave empty: the frames senders wrote
-// while items carried an iteration-number stack. Decoding must keep
-// accepting them.
-func itersDerefFrame(m *Deref, iters []int) []byte {
+// list after Start, which encoders now leave empty, and spans in the trailing
+// list, which encoders no longer write: the frames senders wrote while items
+// carried an iteration-number stack, and while a Deref handing on credit
+// carried trace spans. Decoding must keep accepting them.
+func itersDerefFrame(m *Deref, iters []int, spans ...Span) []byte {
 	c := &coder{}
 	k := uint8(KDerefBatch)
 	c.u8(&k)
@@ -177,8 +164,46 @@ func itersDerefFrame(m *Deref, iters []int) []byte {
 	c.u32(&m.Hop)
 	c.bytes(&m.BodyHash)
 	c.u64(&m.BudgetUS)
-	if len(m.Spans) > 0 {
-		c.spans(&m.Spans)
+	if len(spans) > 0 {
+		c.spans(&spans)
+	}
+	return c.buf
+}
+
+// spansFrame hand-encodes a Result, Control or Complete with spans in the
+// list encoders now leave empty: the frames senders wrote while trace spans
+// rode those messages home. Decoding must keep accepting them.
+func spansFrame(m Msg, spans ...Span) []byte {
+	c := &coder{}
+	k := uint8(m.Kind())
+	c.u8(&k)
+	switch m := m.(type) {
+	case *Result:
+		c.qid(&m.QID)
+		c.ids(&m.IDs)
+		c.fetches(&m.Fetches)
+		c.int(&m.Count)
+		c.bool(&m.Retained)
+		c.bytes(&m.Token)
+		c.sites(&m.Unreachable)
+		c.spans(&spans)
+	case *Control:
+		c.qid(&m.QID)
+		c.bytes(&m.Token)
+		c.spans(&spans)
+	case *Complete:
+		c.qid(&m.QID)
+		c.ids(&m.IDs)
+		c.fetches(&m.Fetches)
+		c.int(&m.Count)
+		c.bool(&m.Distributed)
+		c.bool(&m.Partial)
+		c.str(&m.Err)
+		c.sites(&m.Unreachable)
+		c.spans(&spans)
+		c.str(&m.Reason)
+	default:
+		panic(fmt.Sprintf("spansFrame: %T never carried spans", m))
 	}
 	return c.buf
 }
@@ -333,7 +358,7 @@ func TestEncodeIsReadOnly(t *testing.T) {
 // in wire order. A frame may end just before any of them.
 var trailingOptionals = map[reflect.Type][]string{
 	reflect.TypeOf(Submit{}):   {"BudgetUS", "ClientID"},
-	reflect.TypeOf(Deref{}):    {"BodyHash", "BudgetUS", "Spans"},
+	reflect.TypeOf(Deref{}):    {"BodyHash", "BudgetUS"},
 	reflect.TypeOf(Complete{}): {"Reason"},
 	reflect.TypeOf(Seed{}):     {"BudgetUS"},
 	reflect.TypeOf(Ack{}):      {"Cum"},
@@ -392,8 +417,10 @@ func TestDecodeTruncationsNeverPanic(t *testing.T) {
 }
 
 // TestDerefWithoutSpansEncodesAsBefore pins the bytes of a Deref carrying
-// every field but Spans: its encoding predates Spans and must not change, so
-// senders and receivers on either side of the field interoperate.
+// every field: its encoding predates trace spans and must not change, so
+// senders and receivers on either side of them interoperate. A frame that
+// still carries spans decodes to the same Deref and re-encodes to those
+// bytes.
 func TestDerefWithoutSpansEncodesAsBefore(t *testing.T) {
 	m := &Deref{
 		QID: QueryID{Origin: 1, Seq: 7}, Origin: 1, Body: "S -> T",
@@ -404,38 +431,37 @@ func TestDerefWithoutSpansEncodesAsBefore(t *testing.T) {
 	if got := hex.EncodeToString(Encode(m)); got != want {
 		t.Errorf("Deref without spans encodes as\n %s, want\n %s", got, want)
 	}
-	m.Spans = []Span{}
-	if got := hex.EncodeToString(Encode(m)); got != want {
-		t.Errorf("Deref with empty spans encodes as\n %s, want\n %s", got, want)
+	got, err := Decode(itersDerefFrame(m, nil, Span{Site: 4, Seq: 2, Hop: 5}))
+	if err != nil {
+		t.Fatalf("Deref frame with spans: %v", err)
+	}
+	if re := hex.EncodeToString(Encode(got)); re != want {
+		t.Errorf("Deref frame with spans re-encodes as\n %s, want\n %s", re, want)
 	}
 }
 
 // TestDecodePreSpansDeref: a Deref frame that ends after BudgetUS — every
-// frame from before Spans existed, and every one sent without spans since —
-// decodes with Spans nil and every other field intact.
+// frame from before spans rode Derefs, and every one sent since they stopped
+// — decodes with every field intact, and so does one that carries spans,
+// which are dropped.
 func TestDecodePreSpansDeref(t *testing.T) {
-	full := &Deref{
+	pre := &Deref{
 		QID: QueryID{Origin: 2, Seq: 42}, Origin: 2, Body: "S -> T",
 		ObjIDs: []object.ID{{Birth: 3, Seq: 7}}, Token: []byte{1, 1}, Hop: 2,
 		BodyHash: make([]byte, 32), BudgetUS: 123,
-		Spans: []Span{{Site: 3, Seq: 1, Hop: 1, In: 1, Out: 1, DurationUS: 5}},
 	}
-	pre := *full
-	pre.Spans = nil
-	data := Encode(full)
-	got, err := Decode(data[:len(Encode(&pre))])
-	if err != nil {
-		t.Fatalf("pre-spans Deref frame: %v", err)
+	spans := itersDerefFrame(pre, nil, Span{Site: 3, Seq: 1, Hop: 1, In: 1, Out: 1, DurationUS: 5})
+	if !bytes.HasPrefix(spans, Encode(pre)) {
+		t.Fatalf("frame with spans does not extend the frame without:\n %x\n %x", spans, Encode(pre))
 	}
-	d, ok := got.(*Deref)
-	if !ok {
-		t.Fatalf("decoded %T, want *Deref", got)
-	}
-	if d.Spans != nil {
-		t.Errorf("pre-spans frame decoded Spans = %v, want nil", d.Spans)
-	}
-	if !reflect.DeepEqual(d, &pre) {
-		t.Errorf("pre-spans frame decoded\n %#v, want\n %#v", d, &pre)
+	for name, data := range map[string][]byte{"pre-spans": Encode(pre), "with spans": spans} {
+		got, err := Decode(data)
+		if err != nil {
+			t.Fatalf("%s Deref frame: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, pre) {
+			t.Errorf("%s frame decoded\n %#v, want\n %#v", name, got, pre)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,10 +22,10 @@ var updateCorpus = flag.Bool("update-corpus", false, "write committed fuzz seeds
 // compatSeeds is the committed compatibility corpus: one named frame stream
 // per wire-format generation we promise to keep decoding. Each payload is a
 // message layout that once went over the wire — current layouts with the
-// trailing optionals present (ClientID, BudgetUS, BodyHash, Reason, Cum,
-// Deref Spans), the truncated pre-optional layouts from before each field
-// existed, the legacy single-id KDeref frame, and one frame per kind with
-// every field set. go test loads these through FuzzFrame's seed corpus, so
+// trailing optionals present (ClientID, BudgetUS, BodyHash, Reason, Cum),
+// the truncated pre-optional layouts from before each field existed, the
+// legacy single-id KDeref frame, the frames that carried trace spans, and
+// one frame per kind with every field set. go test loads these through FuzzFrame's seed corpus, so
 // the coverage survives CI fuzz-cache loss.
 func compatSeeds() map[string][]byte {
 	qid := QueryID{Origin: 1, Seq: 3}
@@ -53,7 +54,7 @@ func compatSeeds() map[string][]byte {
 		"reject":              Encode(&Reject{QID: qid, Reason: "admission queue full"}),
 		"cancel":              Encode(&Cancel{QID: qid, Reason: "deadline expired"}),
 		"complete_reason":     completeFull,
-		// Pre-Reason generation: the frame ends after Spans.
+		// Pre-Reason generation: the frame ends after the span list.
 		"complete_pre_reason": completeZero[:len(completeZero)-1],
 		"seed_budget":         seedFull,
 		// Pre-budget generation: the frame ends after Hop.
@@ -71,19 +72,59 @@ func compatSeeds() map[string][]byte {
 		"ack_pre_cumulative": ackZero[:len(ackZero)-1],
 	}
 
+	carriers := spanCarriers()
 	derefSpans := map[string][]byte{
-		// A Deref handing credit on carries the spans that came with it.
-		"deref_spans": Encode(&Deref{QID: qid, Origin: 1, Body: "S -> T", ObjIDs: []object.ID{id},
-			Token: []byte{1, 1}, Hop: 4, BodyHash: []byte{0xAB, 0xCD}, BudgetUS: 99,
-			Spans: []Span{
-				{Site: 2, Seq: 1, Hop: 1, Filter: 0, In: 1, Out: 1, DurationUS: 40},
-				{Site: 3, Seq: 1, Hop: 2, Filter: 0, In: 1, Out: 0, DurationUS: 7},
-			}}),
+		// A Deref handing credit on carried the spans that came with it.
+		"deref_spans": carriers["deref_spans"].frame,
 	}
 
 	// Every kind with every field set: the kinds no generation above pins,
 	// and the fields the frames above leave zero, so each message layout
 	// has one frozen frame that exercises all of it.
+	id2 := object.ID{Birth: 300, Seq: 1 << 33}
+	everyField := map[string][]byte{
+		"submit_every_field": Encode(&Submit{QID: qid, Client: 7, ClientAddr: "127.0.0.1:9999",
+			Body: "S -> T", Initial: []object.ID{id, id2}, InitialFromResultOf: QueryID{Origin: 1, Seq: 2},
+			BudgetUS: 250_000, ClientID: 1 << 40}),
+		"deref_every_field": carriers["deref_every_field"].frame,
+		"seed_every_field": Encode(&Seed{QID: qid, Origin: 1, Body: "S -> T", FromQID: QueryID{Origin: 1, Seq: 2},
+			Token: []byte{1}, Hop: 3, BudgetUS: 400}),
+		"result":               carriers["result"].frame,
+		"complete_every_field": carriers["complete_every_field"].frame,
+		"control":              carriers["control"].frame,
+		"finish":               Encode(&Finish{QID: qid, Retain: true}),
+		"stats_req":            Encode(&StatsReq{Seq: 77, ClientAddr: "127.0.0.1:8080"}),
+		"stats_resp":           Encode(&StatsResp{Seq: 77, Site: 3, Contexts: 2, Objects: 90_000, Counters: []Counter{{Name: "derefs_sent", Value: 12}, {Name: "completed", Value: 1 << 20}}}),
+		"migrate":              Encode(&Migrate{Seq: 5, ID: id2, To: 3, Client: 9, ClientAddr: "c:1", Hops: 2}),
+		"migrate_data":         Encode(&MigrateData{Seq: 5, Obj: []byte(`{"id":"s2:9"}`), Client: 9, ClientAddr: "c:1"}),
+		"migrate_done":         Encode(&MigrateDone{ID: id2, NewSite: 3}),
+		"migrated":             Encode(&Migrated{Seq: 5, ID: id2, OK: true, Err: "moved twice"}),
+		"heartbeat":            Encode(&Heartbeat{Seq: 1 << 14}),
+	}
+
+	seeds := make(map[string][]byte, len(payloads)+len(cumulativeAcks)+len(derefSpans)+len(everyField))
+	var seq uint64
+	for _, generation := range []map[string][]byte{payloads, cumulativeAcks, derefSpans, everyField} {
+		for _, name := range sortedKeys(generation) {
+			seq++
+			seeds[name] = AppendFrame(nil, Frame{From: 3, Epoch: 1, Seq: seq, Payload: generation[name]})
+		}
+	}
+	return seeds
+}
+
+// spanCarrier is a committed seed whose frame carries trace spans, and the
+// message it decodes to now that no message carries one.
+type spanCarrier struct {
+	frame []byte
+	msg   Msg
+}
+
+// spanCarriers returns the compat seeds built while spans rode Deref,
+// Result, Control and Complete, by name.
+func spanCarriers() map[string]spanCarrier {
+	qid := QueryID{Origin: 1, Seq: 3}
+	id := object.ID{Birth: 2, Seq: 9}
 	id2 := object.ID{Birth: 300, Seq: 1 << 33}
 	spans := []Span{
 		{Site: 2, Seq: 1, Hop: 1, Filter: 3, In: 200, Out: 150, DurationUS: 40_000},
@@ -98,40 +139,25 @@ func compatSeeds() map[string][]byte {
 		{Var: "link", From: id, Val: object.Pointer(id2)},
 		{Var: "body", From: id2, Val: object.Bytes([]byte{0, 255, 7})},
 	}
-	everyField := map[string][]byte{
-		"submit_every_field": Encode(&Submit{QID: qid, Client: 7, ClientAddr: "127.0.0.1:9999",
-			Body: "S -> T", Initial: []object.ID{id, id2}, InitialFromResultOf: QueryID{Origin: 1, Seq: 2},
-			BudgetUS: 250_000, ClientID: 1 << 40}),
-		"deref_every_field": itersDerefFrame(&Deref{QID: qid, Origin: 1, Body: "S -> T", ObjIDs: []object.ID{id, id2},
-			Start: 2, Token: []byte{1, 1}, Hop: 200, BodyHash: []byte{0xAB, 0xCD},
-			BudgetUS: 99, Spans: spans}, []int{3, 130}),
-		"seed_every_field": Encode(&Seed{QID: qid, Origin: 1, Body: "S -> T", FromQID: QueryID{Origin: 1, Seq: 2},
-			Token: []byte{1}, Hop: 3, BudgetUS: 400}),
-		"result": Encode(&Result{QID: qid, IDs: []object.ID{id, id2}, Fetches: fetches, Count: 300,
-			Retained: true, Token: []byte{2, 0xFF}, Unreachable: []object.SiteID{4, 500}, Spans: spans}),
-		"complete_every_field": Encode(&Complete{QID: qid, IDs: []object.ID{id2}, Fetches: fetches, Count: 300,
-			Distributed: true, Partial: true, Err: "boom", Unreachable: []object.SiteID{4},
-			Spans: spans, Reason: "peer down"}),
-		"control":      Encode(&Control{QID: qid, Token: []byte{3, 1}, Spans: spans}),
-		"finish":       Encode(&Finish{QID: qid, Retain: true}),
-		"stats_req":    Encode(&StatsReq{Seq: 77, ClientAddr: "127.0.0.1:8080"}),
-		"stats_resp":   Encode(&StatsResp{Seq: 77, Site: 3, Contexts: 2, Objects: 90_000, Counters: []Counter{{Name: "derefs_sent", Value: 12}, {Name: "completed", Value: 1 << 20}}}),
-		"migrate":      Encode(&Migrate{Seq: 5, ID: id2, To: 3, Client: 9, ClientAddr: "c:1", Hops: 2}),
-		"migrate_data": Encode(&MigrateData{Seq: 5, Obj: []byte(`{"id":"s2:9"}`), Client: 9, ClientAddr: "c:1"}),
-		"migrate_done": Encode(&MigrateDone{ID: id2, NewSite: 3}),
-		"migrated":     Encode(&Migrated{Seq: 5, ID: id2, OK: true, Err: "moved twice"}),
-		"heartbeat":    Encode(&Heartbeat{Seq: 1 << 14}),
+	derefSpans := &Deref{QID: qid, Origin: 1, Body: "S -> T", ObjIDs: []object.ID{id},
+		Token: []byte{1, 1}, Hop: 4, BodyHash: []byte{0xAB, 0xCD}, BudgetUS: 99}
+	derefEvery := &Deref{QID: qid, Origin: 1, Body: "S -> T", ObjIDs: []object.ID{id, id2},
+		Start: 2, Token: []byte{1, 1}, Hop: 200, BodyHash: []byte{0xAB, 0xCD}, BudgetUS: 99}
+	result := &Result{QID: qid, IDs: []object.ID{id, id2}, Fetches: fetches, Count: 300,
+		Retained: true, Token: []byte{2, 0xFF}, Unreachable: []object.SiteID{4, 500}}
+	complete := &Complete{QID: qid, IDs: []object.ID{id2}, Fetches: fetches, Count: 300,
+		Distributed: true, Partial: true, Err: "boom", Unreachable: []object.SiteID{4},
+		Reason: "peer down"}
+	control := &Control{QID: qid, Token: []byte{3, 1}}
+	return map[string]spanCarrier{
+		"deref_spans": {itersDerefFrame(derefSpans, nil,
+			Span{Site: 2, Seq: 1, Hop: 1, Filter: 0, In: 1, Out: 1, DurationUS: 40},
+			Span{Site: 3, Seq: 1, Hop: 2, Filter: 0, In: 1, Out: 0, DurationUS: 7}), derefSpans},
+		"deref_every_field":    {itersDerefFrame(derefEvery, []int{3, 130}, spans...), derefEvery},
+		"result":               {spansFrame(result, spans...), result},
+		"complete_every_field": {spansFrame(complete, spans...), complete},
+		"control":              {spansFrame(control, spans...), control},
 	}
-
-	seeds := make(map[string][]byte, len(payloads)+len(cumulativeAcks)+len(derefSpans)+len(everyField))
-	var seq uint64
-	for _, generation := range []map[string][]byte{payloads, cumulativeAcks, derefSpans, everyField} {
-		for _, name := range sortedKeys(generation) {
-			seq++
-			seeds[name] = AppendFrame(nil, Frame{From: 3, Epoch: 1, Seq: seq, Payload: generation[name]})
-		}
-	}
-	return seeds
 }
 
 func sortedKeys(m map[string][]byte) []string {
@@ -248,6 +274,49 @@ func TestFuzzSeedCorpusDecodes(t *testing.T) {
 		}
 		if frames == 0 {
 			t.Errorf("%s: no frames decoded", e.Name())
+		}
+	}
+}
+
+// TestSpanCarriersDecodeWithoutSpans replays every committed seed that
+// carried trace spans: each still decodes, to its message with the spans
+// dropped, and re-encodes without a span byte — an empty list in the slot
+// Result, Control and Complete keep, nothing after a Deref's BudgetUS.
+func TestSpanCarriersDecodeWithoutSpans(t *testing.T) {
+	for name, sc := range spanCarriers() {
+		src, err := os.ReadFile(filepath.Join(corpusDir, name))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		data, err := parseCorpusFile(string(src))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fr, err := ReadFrame(bytes.NewReader(data), 1<<16)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(fr.Payload, sc.frame) {
+			t.Fatalf("%s: committed payload is not the frame with spans", name)
+		}
+		got, err := Decode(fr.Payload)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, sc.msg) {
+			t.Errorf("%s decoded\n %#v, want\n %#v", name, got, sc.msg)
+		}
+		var spanless []byte
+		if d, ok := sc.msg.(*Deref); ok {
+			spanless = itersDerefFrame(d, nil)
+		} else {
+			spanless = spansFrame(sc.msg)
+		}
+		if re := Encode(got); !bytes.Equal(re, spanless) {
+			t.Errorf("%s re-encodes as\n %x, want the frame without spans\n %x", name, re, spanless)
+		}
+		if len(spanless) >= len(sc.frame) {
+			t.Errorf("%s: the frame without spans is %d bytes, the committed one %d", name, len(spanless), len(sc.frame))
 		}
 	}
 }

@@ -28,12 +28,6 @@ func FuzzDecode(f *testing.F) {
 		&Complete{QID: qid, Partial: true, Unreachable: []object.SiteID{3}},
 		&Deref{QID: qid, Origin: 1, ObjIDs: []object.ID{id}, Hop: 3},
 		&Deref{QID: qid, Origin: 1, Body: "S -> T", ObjIDs: []object.ID{id, {Birth: 3, Seq: 1}, {Birth: 4, Seq: 2}}, Start: 1, Token: []byte{2}, Hop: 1},
-		&Result{QID: qid, Count: 2,
-			Spans: []Span{{Site: 2, Seq: 1, Hop: 1, Filter: 0, In: 3, Out: 2, DurationUS: 40}}},
-		&Control{QID: qid, Token: []byte{1},
-			Spans: []Span{{Site: 4, Seq: 2, Hop: 2, Filter: 1, In: 1, Out: 1, DurationUS: 9}}},
-		&Complete{QID: qid, Count: 1,
-			Spans: []Span{{Site: 1, Seq: 1, In: 1, Out: 1, DurationUS: 5}}},
 		&Seed{QID: qid, Origin: 1, Body: "S -> T", FromQID: qid, Hop: 1},
 		&Migrate{Seq: 4, ID: id, To: 2, Client: 9, ClientAddr: "a:1", Hops: 1},
 		&MigrateData{Seq: 4, Obj: []byte{1, 2}, Client: 9, ClientAddr: "a:1"},
@@ -52,13 +46,16 @@ func FuzzDecode(f *testing.F) {
 		&Complete{QID: qid, Partial: true, Reason: "cancelled by client"},
 		&Submit{QID: qid, Client: 7, Body: "S -> T", ClientID: 42},
 		&Submit{QID: qid, Client: 7, Body: "S -> T", BudgetUS: 250_000, ClientID: 1 << 40},
-		&Deref{QID: qid, Origin: 1, Body: "S -> T", ObjIDs: []object.ID{id}, Token: []byte{1, 1}, Hop: 2,
-			BodyHash: []byte{0xAB}, BudgetUS: 99,
-			Spans: []Span{{Site: 2, Seq: 1, Hop: 1, In: 1, Out: 1, DurationUS: 40}}},
 	}
 	for _, m := range seeds {
 		f.Add(Encode(m))
 	}
+	// Frames from senders whose messages still carried trace spans.
+	f.Add(spansFrame(&Result{QID: qid, Count: 2}, Span{Site: 2, Seq: 1, Hop: 1, Filter: 0, In: 3, Out: 2, DurationUS: 40}))
+	f.Add(spansFrame(&Control{QID: qid, Token: []byte{1}}, Span{Site: 4, Seq: 2, Hop: 2, Filter: 1, In: 1, Out: 1, DurationUS: 9}))
+	f.Add(spansFrame(&Complete{QID: qid, Count: 1}, Span{Site: 1, Seq: 1, In: 1, Out: 1, DurationUS: 5}))
+	f.Add(itersDerefFrame(&Deref{QID: qid, Origin: 1, Body: "S -> T", ObjIDs: []object.ID{id}, Token: []byte{1, 1}, Hop: 2,
+		BodyHash: []byte{0xAB}, BudgetUS: 99}, nil, Span{Site: 2, Seq: 1, Hop: 1, In: 1, Out: 1, DurationUS: 40}))
 	// Pre-client-id Submit layout: strip the trailing ClientID varint so the
 	// fuzzer keeps exploring the previous frame generation.
 	preClient := Encode(&Submit{QID: qid, Client: 7, Body: "S -> T", BudgetUS: 9})
@@ -127,11 +124,11 @@ func FuzzFrame(f *testing.F) {
 	f.Add(AppendFrame(nil, Frame{From: 1, Seq: 0}))   // unreliable, empty payload
 	f.Add(append(good, good...))                      // two frames back to back
 	f.Add([]byte{'H', 'F', 0, 2, 255, 255, 255, 255}) // huge length prefix
-	// A Deref carrying spans, as a site handing its credit on sends one.
-	f.Add(AppendFrame(nil, Frame{From: 2, Epoch: 1, Seq: 2, Payload: Encode(&Deref{
+	// A Deref carrying spans, as a site handing its credit on sent one while
+	// spans rode messages.
+	f.Add(AppendFrame(nil, Frame{From: 2, Epoch: 1, Seq: 2, Payload: itersDerefFrame(&Deref{
 		QID: QueryID{Origin: 1, Seq: 3}, Origin: 1, ObjIDs: []object.ID{{Birth: 2, Seq: 9}}, Token: []byte{1, 1},
-		Spans: []Span{{Site: 3, Seq: 2, Hop: 2, In: 1, DurationUS: 6}},
-	})}))
+	}, nil, Span{Site: 3, Seq: 2, Hop: 2, In: 1, DurationUS: 6})}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)

@@ -104,16 +104,15 @@ func (k Kind) String() string {
 
 // Span is one cross-site trace record: while executing a query, each site
 // aggregates the objects it processed per filter step over a drain interval
-// and emits one span per (filter, interval). Spans ride on messages the site
-// sends anyway — Result and Control to the originator, or the Deref that
-// carries its termination credit onward — and the originator assembles them
-// into a single per-query timeline: tracing adds no messages of its own.
+// and emits one span per (filter, interval). No message carries a span: each
+// site keeps its own in its trace ring, and whoever reads the rings merges
+// them into one per-query timeline (site.MergeTraces). The codec still walks
+// the span lists older senders put on Deref, Result, Control and Complete,
+// and drops them.
 type Span struct {
 	// Site is where the work happened.
 	Site object.SiteID
-	// Seq orders and dedups spans per (site, query): the reliable transport
-	// may retransmit a frame after a site restart, and the originator drops
-	// any (Site, Seq) pair it has already recorded.
+	// Seq orders spans per (site, query), in emission order.
 	Seq uint64
 	// Hop is the remote-dereference depth at which this site joined the
 	// query (0 = originator), so a timeline shows how far the pointer chase
@@ -212,13 +211,6 @@ type Deref struct {
 	// every hop and one slow peer cannot pin resources cluster-wide.
 	// Trailing and optional, after BodyHash.
 	BudgetUS uint64
-	// Spans carries trace records toward the originator with the sender's
-	// termination credit: a site that drains by handing its credit on with
-	// this Deref hands on its unsent spans too, and the receiver forwards
-	// them the same way (or, at the originator, records them). Trailing and
-	// optional, after BudgetUS, and encoded only when non-empty, so a Deref
-	// without spans is byte-identical to the layout before the field existed.
-	Spans []Span
 }
 
 // Kind returns KDeref.
@@ -254,9 +246,6 @@ type Result struct {
 	// because its failure detector declared them dead; the originator folds
 	// them into the final answer's unreachable set.
 	Unreachable []object.SiteID
-	// Spans carries the sender's trace records accumulated since its last
-	// flush to the originator.
-	Spans []Span
 }
 
 // Kind returns KResult.
@@ -270,9 +259,6 @@ func (m *Result) Query() QueryID { return m.QID }
 type Control struct {
 	QID   QueryID
 	Token []byte
-	// Spans piggybacks trace records exactly as on Result, for drains that
-	// return only credit.
-	Spans []Span
 }
 
 // Kind returns KControl.
@@ -315,10 +301,6 @@ type Complete struct {
 	// because they were declared dead — the answer covers only the live
 	// portion of the database. Non-empty Unreachable implies Partial.
 	Unreachable []object.SiteID
-	// Spans is the assembled cross-site query timeline, sorted by
-	// (Hop, Site, Seq). It may be partial when participants were
-	// unreachable or the query was aborted.
-	Spans []Span
 	// Reason annotates a Partial answer with why the query ended early
 	// ("deadline expired", "cancelled by client", "peer down"), so clients
 	// can distinguish shed work from dead peers. Empty for complete answers.
