@@ -40,13 +40,13 @@ func TestRenderGolden(t *testing.T) {
 			{
 				QID:      wire.QueryID{Origin: 1, Seq: 4},
 				Body:     `S (keyword, "cold", ?) -> T`,
-				Spans:    []wire.Span{{Site: 1, Seq: 1, Hop: 0, Filter: 0, In: 1, Out: 0, DurationUS: 3}},
+				Spans:    []site.Span{{Site: 1, Seq: 1, Hop: 0, Filter: 0, In: 1, Out: 0, DurationUS: 3}},
 				Duration: 800 * time.Microsecond,
 			},
 			{
 				QID:  wire.QueryID{Origin: 1, Seq: 5},
 				Body: `S [ (Pointer, "Reference", ?X) ^^X ]** (keyword, "hot", ?) -> T`,
-				Spans: []wire.Span{
+				Spans: []site.Span{
 					{Site: 1, Seq: 1, Hop: 0, Filter: 0, In: 6, Out: 3, DurationUS: 21},
 					{Site: 2, Seq: 1, Hop: 1, Filter: 0, In: 5, Out: 2, DurationUS: 17},
 					{Site: 3, Seq: 1, Hop: 2, Filter: 1, In: 2, Out: 2, DurationUS: 9},
@@ -99,24 +99,24 @@ func TestRenderMergedGolden(t *testing.T) {
 	snaps := []server.DebugSnapshot{
 		snap("s1", 6, site.TraceEntry{
 			QID: q5, Body: body, Partial: true, Duration: 2300 * time.Microsecond,
-			Spans: []wire.Span{
+			Spans: []site.Span{
 				{Site: 1, Seq: 1, Hop: 0, Filter: 0, In: 4, Out: 2, DurationUS: 12},
 				{Site: 1, Seq: 2, Hop: 0, Filter: 0, In: 2, Out: 1, DurationUS: 9},
 			},
 		}, site.TraceEntry{
 			QID: q7, Body: body, Duration: 700 * time.Microsecond,
-			Spans: []wire.Span{{Site: 1, Seq: 1, Hop: 1, Filter: 2, In: 3, Out: 3, DurationUS: 5}},
+			Spans: []site.Span{{Site: 1, Seq: 1, Hop: 1, Filter: 2, In: 3, Out: 3, DurationUS: 5}},
 		}),
 		snap("s2", 8, site.TraceEntry{
 			QID: q5, Body: body, Duration: 2100 * time.Microsecond,
-			Spans: []wire.Span{{Site: 2, Seq: 1, Hop: 1, Filter: 2, In: 5, Out: 2, DurationUS: 17}},
+			Spans: []site.Span{{Site: 2, Seq: 1, Hop: 1, Filter: 2, In: 5, Out: 2, DurationUS: 17}},
 		}, site.TraceEntry{
 			QID: q7, Body: body, Duration: 900 * time.Microsecond,
-			Spans: []wire.Span{{Site: 2, Seq: 1, Hop: 0, Filter: 0, In: 5, Out: 3, DurationUS: 8}},
+			Spans: []site.Span{{Site: 2, Seq: 1, Hop: 0, Filter: 0, In: 5, Out: 3, DurationUS: 8}},
 		}),
 		snap("s3", 2, site.TraceEntry{
 			QID: q5, Body: body, Duration: 1800 * time.Microsecond,
-			Spans: []wire.Span{{Site: 3, Seq: 1, Hop: 2, Filter: 2, In: 2, Out: 2, DurationUS: 9}},
+			Spans: []site.Span{{Site: 3, Seq: 1, Hop: 2, Filter: 2, In: 2, Out: 2, DurationUS: 9}},
 		}),
 	}
 	var b strings.Builder

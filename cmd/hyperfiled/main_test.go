@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -175,6 +176,50 @@ func TestHyperfiledFlagSet(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("hyperfiled flags = %q, want %q", got, want)
+	}
+}
+
+// TestFlagsDocumented keeps the documented command line in step with
+// flags(): README.md names every defined flag as -name, and every -name on a
+// hyperfiled command line in README.md or the verification guide
+// (.claude/skills/verify/SKILL.md) is a defined flag. A command line runs
+// from "hyperfiled " to the end of its line, joined across trailing
+// backslashes, and stops at a backtick, a quote or a comment.
+func TestFlagsDocumented(t *testing.T) {
+	var cfg config
+	fs := flag.NewFlagSet("hyperfiled", flag.ContinueOnError)
+	flags(&cfg, fs)
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.VisitAll(func(f *flag.Flag) {
+		if !regexp.MustCompile("(^|[\\s`\"(])-" + regexp.QuoteMeta(f.Name) + `($|[^\w-])`).Match(readme) {
+			t.Errorf("README.md never names hyperfiled's -%s", f.Name)
+		}
+	})
+	flagRE := regexp.MustCompile(`(?:^|\s)-([a-zA-Z][\w-]*)`)
+	for _, doc := range []string{"README.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
+		src, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(src), "\n")
+		for i := 0; i < len(lines); i++ {
+			_, cmd, ok := strings.Cut(lines[i], "hyperfiled ")
+			for ok && strings.HasSuffix(cmd, "\\") && i+1 < len(lines) {
+				i++
+				cmd = strings.TrimSuffix(cmd, "\\") + " " + lines[i]
+			}
+			if end := strings.IndexAny(cmd, "`'#"); end >= 0 {
+				cmd = cmd[:end]
+			}
+			for _, m := range flagRE.FindAllStringSubmatch(cmd, -1) {
+				if fs.Lookup(m[1]) == nil {
+					t.Errorf("%s line %d: hyperfiled has no flag -%s", doc, i+1, m[1])
+				}
+			}
+		}
 	}
 }
 

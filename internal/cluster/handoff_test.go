@@ -7,7 +7,6 @@ import (
 	"hyperfile/internal/object"
 	"hyperfile/internal/site"
 	"hyperfile/internal/termination"
-	"hyperfile/internal/wire"
 )
 
 // absentQuery chases every Reference pointer and selects a keyword no object
@@ -26,7 +25,7 @@ func controlsSent(c *LocalCluster) uint64 {
 
 // checkOneSpanPerObject requires a timeline of exactly one span per visited
 // object, no (site, seq) pair twice, covering every site of c.
-func checkOneSpanPerObject(t *testing.T, c *LocalCluster, spans []wire.Span, objects int) {
+func checkOneSpanPerObject(t *testing.T, c *LocalCluster, spans []site.Span, objects int) {
 	t.Helper()
 	if len(spans) != objects {
 		t.Errorf("timeline has %d spans, want one per object (%d)", len(spans), objects)

@@ -12,7 +12,7 @@ import (
 )
 
 // spanSites collects the distinct sites appearing in a timeline.
-func spanSites(spans []wire.Span) map[object.SiteID]bool {
+func spanSites(spans []site.Span) map[object.SiteID]bool {
 	out := make(map[object.SiteID]bool)
 	for _, sp := range spans {
 		out[sp.Site] = true
@@ -59,7 +59,7 @@ func mergedTrace(t *testing.T, c *LocalCluster, qid wire.QueryID, live ...object
 
 // checkSorted verifies the (Hop, Site, Seq) timeline order MergeTraces
 // promises.
-func checkSorted(t *testing.T, spans []wire.Span) {
+func checkSorted(t *testing.T, spans []site.Span) {
 	t.Helper()
 	for i := 1; i < len(spans); i++ {
 		a, b := spans[i-1], spans[i]

@@ -435,11 +435,7 @@ func (e *Engine) step(res *StepResult) {
 		op := &e.p.Ops[it.Next]
 		switch op.Kind {
 		case query.FSelect:
-			if op.FuseDeref {
-				alive = e.applyFused(op, obj, &it, res)
-			} else {
-				alive = e.applySelect(op, obj, &it, res)
-			}
+			alive = e.applySelect(op, obj, &it, res)
 		case query.FDeref:
 			alive = e.applyDeref(&op.F, &it, res)
 		case query.FIter:
@@ -508,20 +504,6 @@ func (e *Engine) scanSelect(op *plan.Op, obj *object.Object, res *StepResult) bo
 		e.applyFieldEffects(&sel.Data, &t.Data, obj.ID, res)
 	}
 	return matched
-}
-
-// applyFused executes a select→deref pair as one kernel: the selection part
-// (scan, effects) runs first, and only if the object passes does the
-// dereference at the next slot run — marked and traced exactly as the
-// standalone two-dispatch path would have. Items entering at the deref slot
-// directly (remote arrivals, loopbacks) still execute it standalone.
-func (e *Engine) applyFused(op *plan.Op, obj *object.Object, it *Item, res *StepResult) bool {
-	if !e.applySelect(op, obj, it, res) {
-		return false
-	}
-	// it.Next now sits on the fused dereference slot.
-	e.marks.TestAndSet(it.ID, it.Next)
-	return e.applyDeref(&e.p.Ops[it.Next].F, it, res)
 }
 
 // applyFieldEffects binds or fetches the matched field *v as pattern *p asks;

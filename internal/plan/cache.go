@@ -1,20 +1,11 @@
 package plan
 
-import (
-	"hyperfile/internal/query"
-)
-
-// Cache is a site-level plan cache keyed by the query body's fingerprint.
-// Dereference messages carry the sender's body hash, so a receiving site can
-// recognize a query body it has already compiled — across query contexts —
-// and skip lexing, parsing, and planning entirely.
-//
-// Entries are bucketed by the fingerprint's 8-byte prefix for cheap lookup,
-// but a hit is only declared after the full 32-byte fingerprint matches AND
-// the body text itself compares equal: the hash travels over the wire, and a
-// plan compiled from the wrong body would silently corrupt results, so the
-// cache never trusts a truncated or even a full hash alone when the body is
-// in hand.
+// Cache is a site-level plan cache keyed by the query body. Every message
+// that can create a context carries the body, so a receiving site recognizes
+// a body it has already compiled — across query contexts — and skips
+// lexing, parsing, and planning entirely. The body is the key itself: a hit
+// is the body text comparing equal, so a plan compiled from a different body
+// is never served.
 //
 // The cache is a plain LRU bounded to cap entries. A built plan is immutable
 // and every query context holds its own *Plan, so evicting an entry a live
@@ -23,13 +14,12 @@ import (
 // is not safe for concurrent use.
 type Cache struct {
 	cap     int
-	buckets map[uint64][]*cacheEntry
+	entries map[string]*cacheEntry
 	// lru orders entries from least to most recently used.
 	lru []*cacheEntry
 }
 
 type cacheEntry struct {
-	fp   query.Fingerprint
 	body string
 	plan *Plan
 }
@@ -40,24 +30,12 @@ func NewCache(cap int) *Cache {
 	if cap < 1 {
 		cap = 1
 	}
-	return &Cache{cap: cap, buckets: make(map[uint64][]*cacheEntry)}
+	return &Cache{cap: cap, entries: make(map[string]*cacheEntry)}
 }
 
-// find returns the entry for (fp, body), or nil.
-func (c *Cache) find(fp query.Fingerprint, body string) *cacheEntry {
-	for _, e := range c.buckets[fp.Prefix()] {
-		if e.fp == fp && e.body == body {
-			return e
-		}
-	}
-	return nil
-}
-
-// Get looks up the plan for (fp, body). The body must be the actual query
-// text: a prefix or full-fingerprint collision with a different body is
-// rejected, never served.
-func (c *Cache) Get(fp query.Fingerprint, body string) (*Plan, bool) {
-	e := c.find(fp, body)
+// Get looks up the plan compiled from body.
+func (c *Cache) Get(body string) (*Plan, bool) {
+	e := c.entries[body]
 	if e == nil {
 		return nil, false
 	}
@@ -65,40 +43,25 @@ func (c *Cache) Get(fp query.Fingerprint, body string) (*Plan, bool) {
 	return e.plan, true
 }
 
-// Put stores a freshly-built plan under (fp, body) and reports whether it
-// evicted the least recently used entry to respect the cap. Putting a
-// (fp, body) that is already present keeps the cached plan and discards p.
-func (c *Cache) Put(fp query.Fingerprint, body string, p *Plan) (evicted bool) {
-	if e := c.find(fp, body); e != nil {
+// Put stores a freshly-built plan under body and reports whether it evicted
+// the least recently used entry to respect the cap. Putting a body that is
+// already present keeps the cached plan and discards p. The cache retains
+// body, so it must not alias a buffer that is reused.
+func (c *Cache) Put(body string, p *Plan) (evicted bool) {
+	if e := c.entries[body]; e != nil {
 		c.touch(e)
 		return false
 	}
-	e := &cacheEntry{fp: fp, body: body, plan: p}
-	c.buckets[fp.Prefix()] = append(c.buckets[fp.Prefix()], e)
+	e := &cacheEntry{body: body, plan: p}
+	c.entries[body] = e
 	c.lru = append(c.lru, e)
 	if len(c.lru) <= c.cap {
 		return false
 	}
 	victim := c.lru[0]
 	c.lru = append(c.lru[:0], c.lru[1:]...)
-	c.removeFromBucket(victim)
+	delete(c.entries, victim.body)
 	return true
-}
-
-func (c *Cache) removeFromBucket(victim *cacheEntry) {
-	pfx := victim.fp.Prefix()
-	b := c.buckets[pfx]
-	for i, e := range b {
-		if e == victim {
-			b = append(b[:i], b[i+1:]...)
-			break
-		}
-	}
-	if len(b) == 0 {
-		delete(c.buckets, pfx)
-	} else {
-		c.buckets[pfx] = b
-	}
 }
 
 // touch moves an entry to the most-recently-used position.

@@ -3,27 +3,18 @@
 // executable operators, deciding once, at plan time, what each selection
 // needs at run time.
 //
-// Two lowerings happen here:
-//
-//   - Selection classing: each selection is recorded as literal, glob
-//     (substring/regex/range), binding or env-dependent (hf_plan_ops_*), and
-//     effect-free selections are marked so the engine can stop scanning an
-//     object's tuples at the first match. Matching itself is one switch per
-//     field pattern, run on the tuple by pointer (Op.Match); there are no
-//     per-pattern closures, because a pointer handed to a func value escapes
-//     and would move every matched tuple to the heap.
-//
-//   - Select→deref fusion: a selection that binds a variable immediately
-//     dereferenced by the next filter fuses with it into one kernel, so only
-//     pointers surviving the predicate are dereferenced, without a working-
-//     set round trip between the two filters.
+// Selection classing happens here: each selection is recorded as literal,
+// glob (substring/regex/range), binding or env-dependent (hf_plan_ops_*),
+// and effect-free selections are marked so the engine can stop scanning an
+// object's tuples at the first match. Matching itself is one switch per
+// field pattern, run on the tuple by pointer (Op.Match); there are no
+// per-pattern closures, because a pointer handed to a func value escapes and
+// would move every matched tuple to the heap.
 //
 // The operator array stays exactly 1:1 with the compiled filter list: filter
 // indices are wire-visible (Deref.Start), key the mark table, and are
 // iterator loop-back targets, so the plan may specialize what each slot does
-// but never how the slots are numbered. Fusion therefore never removes the
-// fused dereference operator — it stays executable standalone — and is only
-// applied where the dereference slot cannot be an independent entry point.
+// but never how the slots are numbered.
 package plan
 
 import (
@@ -77,11 +68,6 @@ type Op struct {
 	// HasEffects reports that a matching tuple binds or fetches; without
 	// effects the engine stops scanning at the first matching tuple.
 	HasEffects bool
-	// FuseDeref reports that this selection and the dereference at the next
-	// slot execute as one fused kernel: the engine runs both in a single
-	// dispatch, dereferencing only pointers bound by tuples that survived
-	// this predicate. The next slot remains a complete standalone operator.
-	FuseDeref bool
 }
 
 // Match reports whether tuple *t satisfies the selection under env. The
@@ -97,8 +83,6 @@ func (op *Op) MatchTuple(t object.Tuple, env pattern.Env) bool { return op.Match
 // Counts aggregates what a plan compiled to, for observability.
 type Counts struct {
 	Selects, Derefs, Iters int
-	// Fused counts the select→deref pairs running as one kernel.
-	Fused int
 	// Classes[c] counts selections per specialization class.
 	Classes [len(classNames)]int
 }
@@ -128,8 +112,6 @@ func (p *Plan) Len() int { return len(p.Ops) }
 // Build with three arguments (ROADMAP item 19).
 func Build(c *query.Compiled, st *store.Store, ix *index.Keyword) *Plan {
 	p := &Plan{Compiled: c, Ops: make([]Op, len(c.Filters))}
-	bodyStarts := c.BodyStarts()
-
 	for i, f := range c.Filters {
 		op := Op{Kind: f.Kind, F: f}
 		switch f.Kind {
@@ -144,26 +126,6 @@ func Build(c *query.Compiled, st *store.Store, ix *index.Keyword) *Plan {
 			p.counts.Iters++
 		}
 		p.Ops[i] = op
-	}
-
-	// Select→deref fusion. Legality: the selection must bind exactly the
-	// variable the next filter dereferences, and the dereference slot must
-	// not be an iterator body start — a looped-back item entering there must
-	// execute the dereference standalone, which fusion preserves but the
-	// fused fast path would bypass.
-	for i := 0; i+1 < len(p.Ops); i++ {
-		sel := &p.Ops[i]
-		next := &p.Ops[i+1]
-		if sel.Kind != query.FSelect || next.Kind != query.FDeref {
-			continue
-		}
-		if bodyStarts[i+1] {
-			continue
-		}
-		if bindsVar(sel.F.Sel, next.F.Var) {
-			sel.FuseDeref = true
-			p.counts.Fused++
-		}
 	}
 	return p
 }
@@ -190,17 +152,6 @@ func usesEnv(p pattern.P) bool {
 func isGlob(p pattern.P) bool {
 	switch p.Op {
 	case pattern.OpSubstring, pattern.OpRegex, pattern.OpRange:
-		return true
-	}
-	return false
-}
-
-// bindsVar reports whether the selection binds the named variable.
-func bindsVar(sel query.Select, name string) bool {
-	if v, ok := sel.Key.BindsVar(); ok && v == name {
-		return true
-	}
-	if v, ok := sel.Data.BindsVar(); ok && v == name {
 		return true
 	}
 	return false

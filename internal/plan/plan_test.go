@@ -148,65 +148,11 @@ func TestMatchDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func TestBuildFusesSelectDeref(t *testing.T) {
-	c := query.MustCompile(`S [ (pointer, "Cites", ?X) ^^X ]** -> T`)
-	p := Build(c, nil, nil)
-	if !p.Ops[0].FuseDeref {
-		t.Fatal("selection binding ?X followed by ^^X did not fuse")
-	}
-	if p.Counts().Fused != 1 {
-		t.Errorf("Fused = %d, want 1", p.Counts().Fused)
-	}
-	// The deref slot must remain a complete standalone operator: remote
-	// continuations enter at that index directly.
-	if p.Ops[1].Kind != query.FDeref || p.Ops[1].F.Var != "X" {
-		t.Errorf("fused deref slot is not standalone: %+v", p.Ops[1])
-	}
-}
-
-func TestBuildDoesNotFuseUnrelatedVar(t *testing.T) {
-	c := query.MustCompile(`S (pointer, "a", ?X) (pointer, "b", ?Y) ^^X -> T`)
-	p := Build(c, nil, nil)
-	for i, op := range p.Ops {
-		if op.FuseDeref {
-			t.Errorf("op %d fused, but the adjacent select binds Y while the deref follows X", i)
-		}
-	}
-}
-
-func TestBuildDoesNotFuseAcrossIterBodyStart(t *testing.T) {
-	// The deref is the iterator's body start: items looping back enter at
-	// that slot standalone, so the preceding selection must not fuse with it.
-	c, err := query.Compile(mustParse(t, `S (pointer, "seed", ?X) [ ^^X (pointer, "next", ?X) ]*2 -> T`))
-	if err != nil {
-		t.Skipf("grammar rejects deref-led iterator body: %v", err)
-	}
-	p := Build(c, nil, nil)
-	starts := c.BodyStarts()
-	for i, op := range p.Ops {
-		if op.FuseDeref && starts[i+1] {
-			t.Fatalf("op %d fused into a deref that is an iterator body start", i)
-		}
-	}
-}
-
-func mustParse(t *testing.T, src string) *query.Query {
-	t.Helper()
-	q, err := query.Parse(src)
-	if err != nil {
-		t.Fatalf("parse %s: %v", src, err)
-	}
-	return q
-}
-
 func TestBuildCountsClasses(t *testing.T) {
 	c := query.MustCompile(`S (keyword, "hot", ?) (n, 1..10, ?) (pointer, "Ref", ?X) ^^X -> T`)
 	p := Build(c, nil, nil)
 	cnt := p.Counts()
 	if cnt.Classes[ClassLiteral] != 1 || cnt.Classes[ClassGlob] != 1 || cnt.Classes[ClassBinding] != 1 {
 		t.Errorf("class counts = %v", cnt.Classes)
-	}
-	if cnt.Fused != 1 {
-		t.Errorf("fused = %d, want 1", cnt.Fused)
 	}
 }

@@ -49,7 +49,8 @@ func NewClient(id object.SiteID, addr string) (*Client, error) {
 }
 
 // NewClientOpts is NewClient with explicit transport options (a fault
-// injector, say).
+// injector, say). The transport counts into the client's own registry, in
+// place of opts.Metrics.
 func NewClientOpts(id object.SiteID, addr string, opts transport.Options) (*Client, error) {
 	c := &Client{
 		reg: metrics.NewRegistry(),
@@ -61,6 +62,7 @@ func NewClientOpts(id object.SiteID, addr string, opts transport.Options) (*Clie
 		next:    uint64(time.Now().UnixNano())<<8 | uint64(rand.Intn(256)),
 		waiters: make(map[uint64]chan wire.Msg),
 	}
+	opts.Metrics = c.reg
 	tr, err := transport.ListenTCPOpts(id, addr, c.onMessage, opts)
 	if err != nil {
 		return nil, err
@@ -81,8 +83,9 @@ func (c *Client) AddServer(id object.SiteID, addr string) { c.tr.AddPeer(id, add
 // Close shuts the client down.
 func (c *Client) Close() { _ = c.tr.Close() }
 
-// Metrics returns the client's metrics registry (hf_wire_unknown_msgs
-// counts wire messages the client had no handler for).
+// Metrics returns the client's metrics registry: its transport's counters,
+// and hf_wire_unknown_msgs, which also counts wire messages the client had
+// no handler for.
 func (c *Client) Metrics() *metrics.Registry { return c.reg }
 
 func (c *Client) onMessage(_ object.SiteID, m wire.Msg) {

@@ -113,3 +113,23 @@ func TestClientCountsUnsolicitedMessages(t *testing.T) {
 		t.Errorf("hf_wire_unknown_msgs = %d, want 1", n)
 	}
 }
+
+// TestClientTransportCounts: the client's registry holds its transport's
+// counters, so after one query it shows the frames the client sent and the
+// acks the servers returned for them.
+func TestClientTransportCounts(t *testing.T) {
+	_, stores, client := testDeployment(t, 3)
+	ids := loadServerRing(t, stores, 30)
+	if _, err := client.Exec(1, tcpClosure, ids[:1], 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	reg := client.Metrics()
+	if n := reg.Counter("transport_frames_sent").Load(); n < 1 {
+		t.Errorf("transport_frames_sent = %d after a query, want >= 1", n)
+	}
+	if err := waitfor.Until(5*time.Second, func() bool {
+		return reg.Counter("transport_acks_received").Load() >= 1
+	}); err != nil {
+		t.Errorf("transport_acks_received = %d after a query, want >= 1", reg.Counter("transport_acks_received").Load())
+	}
+}

@@ -43,7 +43,7 @@ func TestDebugSnapshotGoldenJSON(t *testing.T) {
 		Traces: []site.TraceEntry{{
 			QID:  wire.QueryID{Origin: 2, Seq: 9},
 			Body: `S (keyword, "hot", ?) -> T`,
-			Spans: []wire.Span{
+			Spans: []site.Span{
 				{Site: 2, Seq: 1, Hop: 0, Filter: 0, In: 4, Out: 2, DurationUS: 12},
 				{Site: 3, Seq: 1, Hop: 1, Filter: 0, In: 2, Out: 1, DurationUS: 7},
 			},

@@ -160,7 +160,7 @@ func (s *Site) flushQueue(ctx *qctx, q *derefQueue, out []wire.Envelope) ([]wire
 		s.met.DerefsBatched.Inc()
 	}
 	return append(out, wire.Envelope{To: q.to, Msg: &wire.Deref{
-		QID: ctx.qid, Origin: ctx.origin, Body: ctx.body, BodyHash: ctx.fp.Bytes(),
+		QID: ctx.qid, Origin: ctx.origin, Body: ctx.body,
 		ObjIDs: ids, Start: q.start, Token: tok,
 		Hop: ctx.hop + 1, BudgetUS: ctx.budgetUS(time.Now()),
 	}}), nil

@@ -108,7 +108,7 @@ func (s *Site) handleSubmit(m *wire.Submit) ([]wire.Envelope, error) {
 
 // admitSubmit creates the originator context for an admitted Submit.
 func (s *Site) admitSubmit(m *wire.Submit, deadline time.Time) ([]wire.Envelope, error) {
-	p, fp, err := s.planFor(m.Body, nil)
+	p, err := s.planFor(m.Body)
 	if err != nil {
 		// Reject at submission time: the client gets the error, no context
 		// is created anywhere.
@@ -116,7 +116,7 @@ func (s *Site) admitSubmit(m *wire.Submit, deadline time.Time) ([]wire.Envelope,
 			QID: m.QID, Err: err.Error(),
 		}}}, nil
 	}
-	ctx := s.newCtx(m.QID, s.cfg.ID, m.ClientID, m.Body, p, fp, 0)
+	ctx := s.newCtx(m.QID, s.cfg.ID, m.ClientID, m.Body, p, 0)
 	ctx.client = m.Client
 	ctx.deadline = deadline
 	s.met.Admitted.Inc()
@@ -170,7 +170,7 @@ func (s *Site) handleDeref(from object.SiteID, m *wire.Deref) ([]wire.Envelope, 
 		// the drain complete.
 		return s.bounceToken(m.QID, m.Origin, m.Token), nil
 	}
-	ctx, created, err := s.ctxFor(m.QID, m.Origin, m.Body, m.BodyHash, m.Hop, m.Start)
+	ctx, created, err := s.ctxFor(m.QID, m.Origin, m.Body, m.Hop, m.Start)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +216,7 @@ func (s *Site) handleDeref(from object.SiteID, m *wire.Deref) ([]wire.Envelope, 
 		s.met.DerefsSent.Inc()
 		s.met.DerefEntriesSent.Add(uint64(len(ids)))
 		out = append(out, wire.Envelope{To: owner, Msg: &wire.Deref{
-			QID: m.QID, Origin: m.Origin, Body: m.Body, BodyHash: ctx.fp.Bytes(),
+			QID: m.QID, Origin: m.Origin, Body: m.Body,
 			ObjIDs: ids, Start: m.Start, Token: tok,
 			Hop: m.Hop, BudgetUS: ctx.budgetUS(time.Now()),
 		}})
@@ -233,7 +233,7 @@ func (s *Site) handleSeed(from object.SiteID, m *wire.Seed) ([]wire.Envelope, er
 	if s.tombstoned(m.QID) {
 		return s.bounceToken(m.QID, m.Origin, m.Token), nil
 	}
-	ctx, created, err := s.ctxFor(m.QID, m.Origin, m.Body, nil, m.Hop, 0)
+	ctx, created, err := s.ctxFor(m.QID, m.Origin, m.Body, m.Hop, 0)
 	if err != nil {
 		return nil, err
 	}

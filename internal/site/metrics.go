@@ -26,12 +26,11 @@ type siteMetrics struct {
 	planCacheMisses    *metrics.Counter
 	planCacheEvictions *metrics.Counter
 	// planOps break down what freshly-built plans compiled to: selection
-	// specialization classes and fused select→deref kernels.
+	// specialization classes.
 	planOpsLiteral *metrics.Counter
 	planOpsGlob    *metrics.Counter
 	planOpsBinding *metrics.Counter
 	planOpsEnv     *metrics.Counter
-	planOpsFused   *metrics.Counter
 
 	liveContexts   *metrics.Gauge
 	admissionQueue *metrics.Gauge
@@ -120,7 +119,6 @@ func newSiteMetrics(reg *metrics.Registry) siteMetrics {
 	m.planOpsGlob = reg.Counter("hf_plan_ops_glob")
 	m.planOpsBinding = reg.Counter("hf_plan_ops_binding")
 	m.planOpsEnv = reg.Counter("hf_plan_ops_env")
-	m.planOpsFused = reg.Counter("hf_plan_ops_fused")
 	m.liveContexts = reg.Gauge("site_live_contexts")
 	m.admissionQueue = reg.Gauge("hf_admission_queue")
 	m.stepUS = reg.Histogram("site_step_us")
@@ -137,7 +135,6 @@ func (m *siteMetrics) notePlanOps(c plan.Counts) {
 	m.planOpsGlob.Add(uint64(c.Classes[plan.ClassGlob]))
 	m.planOpsBinding.Add(uint64(c.Classes[plan.ClassBinding]))
 	m.planOpsEnv.Add(uint64(c.Classes[plan.ClassEnv]))
-	m.planOpsFused.Add(uint64(c.Fused))
 }
 
 // filterStep returns the per-filter step counter for filter index i.

@@ -163,8 +163,7 @@ type Site struct {
 	tombs     map[wire.QueryID]struct{}
 	tombOrder []wire.QueryID
 
-	// plans is the body-fingerprint-keyed plan cache, bounded to
-	// PlanCacheEntries plans.
+	// plans is the body-keyed plan cache, bounded to PlanCacheEntries plans.
 	plans *plan.Cache
 
 	// met caches the metric instruments of Config.Metrics.
@@ -221,10 +220,6 @@ type qctx struct {
 	draining   bool
 	drainUntil time.Time
 
-	// fp is the body's fingerprint, stamped on outgoing Deref messages so
-	// receivers can consult their plan caches without rehashing.
-	fp query.Fingerprint
-
 	// Batched-deref state, unused under Unbatched: qorder holds the
 	// per-(destination, start) outgoing queues since the last full flush in
 	// creation order (flushes must be deterministic for the simulator), held
@@ -259,7 +254,7 @@ type qctx struct {
 	filters []int
 	// timeline accumulates the spans this site emitted for the query; the
 	// site's trace ring keeps it when the context finishes.
-	timeline []wire.Span
+	timeline []Span
 }
 
 // spanAgg accumulates one filter's work between drains.
@@ -422,17 +417,11 @@ func (l routerLocator) IsLocal(id object.ID) bool {
 
 // planFor resolves the physical plan for a query body: out of the plan cache
 // when the body was compiled here before (skipping lex, parse, compile, and
-// planning entirely), otherwise compiled fresh and cached. hash, when it is a
-// full 32-byte fingerprint of body (wire.Deref.BodyHash), saves rehashing;
-// anything else and the body is hashed locally.
-func (s *Site) planFor(body string, hash []byte) (p *plan.Plan, fp query.Fingerprint, err error) {
-	fp, ok := query.FingerprintFromBytes(hash)
-	if !ok {
-		fp = query.FingerprintOf(body)
-	}
-	if cached, hit := s.plans.Get(fp, body); hit {
+// planning entirely), otherwise compiled fresh and cached.
+func (s *Site) planFor(body string) (*plan.Plan, error) {
+	if cached, hit := s.plans.Get(body); hit {
 		s.met.PlanCacheHits.Inc()
-		return cached, fp, nil
+		return cached, nil
 	}
 	s.met.planCacheMisses.Inc()
 	start := time.Now()
@@ -442,32 +431,32 @@ func (s *Site) planFor(body string, hash []byte) (p *plan.Plan, fp query.Fingerp
 	// borrowed-decoded body aliases the frame's read buffer, which is
 	// recycled after dispatch; a plan aliasing it would silently compare
 	// filters against recycled bytes. Compile-path only, so the copy is paid
-	// once per compilation, never per message. The clone is also what the
+	// once per compilation, never per message. The clone is also the key the
 	// cache entry retains.
 	body = strings.Clone(body)
 	parsed, err := query.Parse(body)
 	if err != nil {
-		return nil, fp, err
+		return nil, err
 	}
 	compiled, err := query.Compile(parsed)
 	if err != nil {
-		return nil, fp, err
+		return nil, err
 	}
-	p = plan.Build(compiled, nil, nil)
+	p := plan.Build(compiled, nil, nil)
 	s.met.PlanCompiles.Inc()
 	s.met.planCompileUS.ObserveDuration(time.Since(start))
 	s.met.notePlanOps(p.Counts())
-	if s.plans.Put(fp, body, p) {
+	if s.plans.Put(body, p) {
 		s.met.planCacheEvictions.Inc()
 	}
-	return p, fp, nil
+	return p, nil
 }
 
 // newCtx builds a context for a query executing the given plan, scheduled
 // under client (wire.Submit.ClientID; 0 for participant work). hop is the
 // trace context's dereference depth at which this site joined (0 at the
-// origin). fp comes from planFor.
-func (s *Site) newCtx(qid wire.QueryID, origin object.SiteID, client uint64, body string, p *plan.Plan, fp query.Fingerprint, hop uint32) *qctx {
+// origin).
+func (s *Site) newCtx(qid wire.QueryID, origin object.SiteID, client uint64, body string, p *plan.Plan, hop uint32) *qctx {
 	ctx := &qctx{
 		qid:    qid,
 		origin: origin,
@@ -482,7 +471,6 @@ func (s *Site) newCtx(qid wire.QueryID, origin object.SiteID, client uint64, bod
 			termination.Metrics{Splits: s.met.termSplits, Returns: s.met.termReturns, HandOffs: s.met.termHandOffs}),
 		isOrigin: origin == s.cfg.ID,
 		lane:     s.ready.hold(client),
-		fp:       fp,
 	}
 	ctx.created = time.Now()
 	ctx.hop = hop
@@ -525,26 +513,25 @@ func (s *Site) finishCtx(ctx *qctx, partial bool) {
 // ctxFor returns the context for qid, creating it from a Deref/Seed message
 // when this site sees the query for the first time ("the setup cost
 // associated with the query is only required once at each involved site");
-// created reports that it did. bodyHash, when carried by the message, keys
-// the plan cache lookup: a hit reuses a plan compiled for an earlier query
-// with the same body, so the setup cost is paid once per distinct body, not
-// once per query. start is the filter the message's objects begin at (0 for
-// a Seed): any peer can send one, so a start outside [0, number of filters]
-// is refused before a context exists.
-func (s *Site) ctxFor(qid wire.QueryID, origin object.SiteID, body string, bodyHash []byte, hop uint32, start int) (ctx *qctx, created bool, err error) {
+// created reports that it did. The body keys the plan cache lookup: a hit
+// reuses a plan compiled for an earlier query with the same body, so the
+// setup cost is paid once per distinct body, not once per query. start is
+// the filter the message's objects begin at (0 for a Seed): any peer can
+// send one, so a start outside [0, number of filters] is refused before a
+// context exists.
+func (s *Site) ctxFor(qid wire.QueryID, origin object.SiteID, body string, hop uint32, start int) (ctx *qctx, created bool, err error) {
 	ctx, ok := s.contexts[qid]
 	var p *plan.Plan
-	var fp query.Fingerprint
 	if ok {
 		p = ctx.eng.Plan()
-	} else if p, fp, err = s.planFor(body, bodyHash); err != nil {
+	} else if p, err = s.planFor(body); err != nil {
 		return nil, false, fmt.Errorf("%w: query %v body does not compile: %v", ErrProtocol, qid, err)
 	}
 	if start < 0 || start > p.Len() {
 		return nil, false, fmt.Errorf("%w: query %v start %d outside [0, %d]", ErrProtocol, qid, start, p.Len())
 	}
 	if !ok {
-		ctx = s.newCtx(qid, origin, 0, body, p, fp, hop)
+		ctx = s.newCtx(qid, origin, 0, body, p, hop)
 	}
 	return ctx, !ok, nil
 }

@@ -38,7 +38,7 @@ func (s *Site) takeSpans(ctx *qctx) {
 	for _, f := range ctx.filters {
 		a := ctx.stepAgg[f]
 		ctx.spanSeq++
-		ctx.timeline = append(ctx.timeline, wire.Span{
+		ctx.timeline = append(ctx.timeline, Span{
 			Site: s.cfg.ID, Seq: ctx.spanSeq, Hop: ctx.hop,
 			Filter: uint32(f), In: a.in, Out: a.out,
 			DurationUS: uint64(a.dur.Microseconds()),
@@ -93,7 +93,7 @@ func MergeTraces(rings map[object.SiteID][]TraceEntry) []TraceEntry {
 		}
 	}
 	for _, e := range out {
-		slices.SortFunc(e.Spans, func(a, b wire.Span) int {
+		slices.SortFunc(e.Spans, func(a, b Span) int {
 			if c := cmp.Compare(a.Hop, b.Hop); c != 0 {
 				return c
 			}
@@ -106,13 +106,36 @@ func MergeTraces(rings map[object.SiteID][]TraceEntry) []TraceEntry {
 	return out
 }
 
+// Span is one trace record: while executing a query, a site aggregates the
+// objects it processed per filter step over a drain interval and emits one
+// span per (filter, interval). No message carries a span: each site keeps its
+// own in its trace ring, and whoever reads the rings merges them into one
+// per-query timeline (MergeTraces).
+type Span struct {
+	// Site is where the work happened.
+	Site object.SiteID
+	// Seq orders spans per (site, query), in emission order.
+	Seq uint64
+	// Hop is the remote-dereference depth at which this site joined the
+	// query (0 = originator), so a timeline shows how far the pointer chase
+	// travelled.
+	Hop uint32
+	// Filter is the index of the filter step the objects were processed
+	// under (the paper's per-filter working sets).
+	Filter uint32
+	// In and Out count objects entering the step and passing it.
+	In, Out uint32
+	// DurationUS is the wall time spent in this span's steps, microseconds.
+	DurationUS uint64
+}
+
 // TraceEntry is one finished query's timeline as one site kept it: the spans
 // that site emitted, or, out of MergeTraces, every site's.
 type TraceEntry struct {
 	QID  wire.QueryID `json:"qid"`
 	Body string       `json:"body"`
 	// Spans is the timeline, sorted by (Hop, Site, Seq).
-	Spans []wire.Span `json:"spans,omitempty"`
+	Spans []Span `json:"spans,omitempty"`
 	// Partial mirrors the Complete message's Partial flag at the originator;
 	// a participant's entry leaves it false.
 	Partial bool `json:"partial,omitempty"`

@@ -10,13 +10,13 @@
 // conserves credit across messages, so a lost or duplicated frame would
 // either hang a query forever or double-count credit.
 //
-// Frames use the v2 layout in wire.Frame (magic "HF\x00\x02", payload
+// Frames use the layout in wire.Frame (magic "HF\x00\x03", payload
 // length, sender id, sender epoch, sequence number). Sequence numbers are
 // per sender-receiver link; seq 0 marks unreliable frames (acks,
 // heartbeats) that are never acked or retransmitted. The epoch identifies
 // the sender's process incarnation so receivers reset dedup state when a
 // peer restarts and its sequence numbers start over. A reader that sees a
-// wrong magic — a stray client, an incompatible version — drops the
+// wrong magic — a stray client, a peer of another wire version — drops the
 // connection immediately.
 //
 // The unit of I/O is the batch, not the frame. A filtering query is a storm

@@ -300,6 +300,44 @@ func TestAddPeerKeepsConnectionForSameAddress(t *testing.T) {
 	}
 }
 
+// TestPreviousVersionFrameDropsConnection: a well-formed frame of the
+// previous wire version is refused at its header and its connection
+// dropped, while the same frame at the current version is delivered. A
+// cluster runs one wire version.
+func TestPreviousVersionFrameDropsConnection(t *testing.T) {
+	t1, _, c1, _ := pair(t)
+	frame := wire.AppendFrameMsg(nil, 2, 1, 1, &wire.Finish{QID: wire.QueryID{Origin: 1, Seq: 5}})
+	prev := append([]byte(nil), frame...)
+	prev[3] = wire.FrameMagic[3] - 1
+	send := func(b []byte) net.Conn {
+		raw, err := net.Dial("tcp", t1.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { raw.Close() })
+		if _, err := raw.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	raw := send(prev)
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var ne net.Error
+	if _, err := raw.Read(make([]byte, 1)); err == nil || errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("a previous-version frame left its connection open: %v", err)
+	}
+	if n := c1.count(); n != 0 {
+		t.Fatalf("a previous-version frame delivered %d messages", n)
+	}
+	send(frame)
+	c1.wait(t, 1)
+	c1.mu.Lock()
+	defer c1.mu.Unlock()
+	if _, ok := c1.msgs[0].(*wire.Finish); !ok {
+		t.Errorf("current-version frame delivered %#v, want the Finish", c1.msgs[0])
+	}
+}
+
 // TestWrongMagicDropsConnection: frames without the protocol magic are
 // rejected and the connection closed; correctly-framed peers still work.
 func TestWrongMagicDropsConnection(t *testing.T) {

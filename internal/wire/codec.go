@@ -25,13 +25,7 @@ func Encode(m Msg) []byte {
 // construction (AppendFrameMsg) instead of allocating per message. It only
 // reads m, so one message may be encoded from several goroutines at once.
 func EncodeTo(dst []byte, m Msg) []byte {
-	k := m.Kind()
-	// Deref frames always encode in the batched layout. KDeref stays on the
-	// wire only as a legacy single-id layout that Decode still accepts.
-	if k == KDeref {
-		k = KDerefBatch
-	}
-	c := coder{buf: append(dst, uint8(k))}
+	c := coder{buf: append(dst, uint8(m.Kind()))}
 	walk(&c, m)
 	return c.buf
 }
@@ -80,14 +74,10 @@ func decode(data []byte, borrow bool) (Msg, error) {
 	kind := Kind(k)
 	c.borrow = borrow && borrowedWholesale(kind)
 	m := newMsg(kind)
-	switch {
-	case m == nil:
+	if m == nil {
 		return nil, fmt.Errorf("%w: unknown kind %d", ErrDecode, kind)
-	case kind == KDeref:
-		m.(*Deref).walkLegacy(&c)
-	default:
-		walk(&c, m)
 	}
+	walk(&c, m)
 	if c.err != nil {
 		return nil, c.err
 	}
@@ -98,12 +88,12 @@ func decode(data []byte, borrow bool) (Msg, error) {
 }
 
 // newMsg returns a zero message of kind k to decode into, nil if k is
-// unknown. Both Deref layouts decode into a Deref.
+// unknown.
 func newMsg(k Kind) Msg {
 	switch k {
 	case KSubmit:
 		return new(Submit)
-	case KDeref, KDerefBatch:
+	case KDeref:
 		return new(Deref)
 	case KResult:
 		return new(Result)
@@ -181,9 +171,9 @@ func walk(c *coder, m Msg) {
 }
 
 // The message layouts. Each walk lists its message's fields once, in wire
-// order. A field added to a message goes at the end of its walk behind
-// c.tail, so frames from senders that predate it still decode; a frozen
-// frame in the compat corpus (corpus_test.go) pins every layout's bytes.
+// order, and every field is always written and read: a cluster runs one
+// version, and FrameMagic's version byte refuses a frame from any other. A
+// committed frame per kind (corpus_test.go) pins every layout's bytes.
 
 func (m *Submit) walk(c *coder) {
 	c.qid(&m.QID)
@@ -192,14 +182,8 @@ func (m *Submit) walk(c *coder) {
 	c.str(&m.Body)
 	c.ids(&m.Initial)
 	c.qid(&m.InitialFromResultOf)
-	// Frames predating time budgets end here.
-	if c.tail(true) {
-		c.u64(&m.BudgetUS)
-	}
-	// Frames predating client ids end here.
-	if c.tail(true) {
-		c.u64(&m.ClientID)
-	}
+	c.u64(&m.BudgetUS)
+	c.u64(&m.ClientID)
 }
 
 func (m *Deref) walk(c *coder) {
@@ -207,43 +191,10 @@ func (m *Deref) walk(c *coder) {
 	c.site(&m.Origin)
 	c.str(&m.Body)
 	c.ids(&m.ObjIDs)
-	m.walkCursor(c)
-	// Frames predating the plan cache end here.
-	if c.tail(true) {
-		c.bytes(&m.BodyHash)
-	}
-	// Frames predating time budgets end here.
-	if c.tail(true) {
-		c.u64(&m.BudgetUS)
-	}
-	// Frames end here. Older senders appended the trace spans handed on
-	// with the credit, which decoding drops.
-	if c.tail(false) {
-		c.droppedSpans()
-	}
-}
-
-// walkLegacy decodes the pre-batching KDeref layout, which is never
-// encoded: exactly one object id, not length-prefixed, then the cursor.
-func (m *Deref) walkLegacy(c *coder) {
-	c.qid(&m.QID)
-	c.site(&m.Origin)
-	c.str(&m.Body)
-	m.ObjIDs = make([]object.ID, 1)
-	c.id(&m.ObjIDs[0])
-	m.walkCursor(c)
-}
-
-// walkCursor is the part of a Deref both its layouts share. The list after
-// Start held the paper's iteration-number stack. Start carries the depth now,
-// so encoders leave the list empty and decoding drops what older senders
-// put there.
-func (m *Deref) walkCursor(c *coder) {
 	c.int(&m.Start)
-	var iters []int
-	c.ints(&iters)
 	c.bytes(&m.Token)
 	c.u32(&m.Hop)
+	c.u64(&m.BudgetUS)
 }
 
 func (m *Result) walk(c *coder) {
@@ -254,13 +205,11 @@ func (m *Result) walk(c *coder) {
 	c.bool(&m.Retained)
 	c.bytes(&m.Token)
 	c.sites(&m.Unreachable)
-	c.droppedSpans()
 }
 
 func (m *Control) walk(c *coder) {
 	c.qid(&m.QID)
 	c.bytes(&m.Token)
-	c.droppedSpans()
 }
 
 func (m *Finish) walk(c *coder) {
@@ -277,11 +226,7 @@ func (m *Complete) walk(c *coder) {
 	c.bool(&m.Partial)
 	c.str(&m.Err)
 	c.sites(&m.Unreachable)
-	c.droppedSpans()
-	// Frames predating partial-answer reasons end here.
-	if c.tail(true) {
-		c.str(&m.Reason)
-	}
+	c.str(&m.Reason)
 }
 
 func (m *Seed) walk(c *coder) {
@@ -291,10 +236,7 @@ func (m *Seed) walk(c *coder) {
 	c.qid(&m.FromQID)
 	c.bytes(&m.Token)
 	c.u32(&m.Hop)
-	// Frames predating time budgets end here.
-	if c.tail(true) {
-		c.u64(&m.BudgetUS)
-	}
+	c.u64(&m.BudgetUS)
 }
 
 func (m *Reject) walk(c *coder) {
@@ -354,10 +296,7 @@ func (m *StatsResp) walk(c *coder) {
 
 func (m *Ack) walk(c *coder) {
 	c.u64(&m.Seq)
-	// Frames predating cumulative acks end here.
-	if c.tail(true) {
-		c.u64(&m.Cum)
-	}
+	c.u64(&m.Cum)
 }
 
 func (m *Heartbeat) walk(c *coder) {
@@ -384,15 +323,6 @@ func (c *coder) fail(msg string) {
 	if c.err == nil {
 		c.err = fmt.Errorf("%w: %s at byte %d", ErrDecode, msg, c.pos)
 	}
-}
-
-// tail guards a trailing optional field: encoding writes it when present,
-// decoding reads it when bytes remain.
-func (c *coder) tail(present bool) bool {
-	if c.dec {
-		return c.err == nil && c.pos < len(c.buf)
-	}
-	return present
 }
 
 // put appends a uvarint.
@@ -537,8 +467,8 @@ func (c *coder) bytes(v *[]byte) {
 	}
 }
 
-// ids and ints encode in one loop, calling nothing per element: a Complete
-// can carry thousands of ids.
+// ids encodes in one loop, calling nothing per element: a Complete can carry
+// thousands of ids.
 func (c *coder) ids(s *[]object.ID) {
 	if !c.dec {
 		c.put(uint64(len(*s)))
@@ -558,42 +488,6 @@ func (c *coder) sites(s *[]object.SiteID) {
 	ss := slice(c, s)
 	for i := range ss {
 		c.site(&ss[i])
-	}
-}
-
-func (c *coder) ints(s *[]int) {
-	if !c.dec {
-		c.put(uint64(len(*s)))
-		for _, x := range *s {
-			c.put(uint64(x))
-		}
-		return
-	}
-	is := slice(c, s)
-	for i := range is {
-		c.int(&is[i])
-	}
-}
-
-// droppedSpans walks the span list that messages carried while trace spans
-// rode them: encoders write an empty list, and decoding drops what older
-// senders put there.
-func (c *coder) droppedSpans() {
-	var spans []Span
-	c.spans(&spans)
-}
-
-func (c *coder) spans(s *[]Span) {
-	ss := slice(c, s)
-	for i := range ss {
-		sp := &ss[i]
-		c.site(&sp.Site)
-		c.u64(&sp.Seq)
-		c.u32(&sp.Hop)
-		c.u32(&sp.Filter)
-		c.u32(&sp.In)
-		c.u32(&sp.Out)
-		c.u64(&sp.DurationUS)
 	}
 }
 

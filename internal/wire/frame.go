@@ -12,10 +12,12 @@ import (
 // ErrFrame is the base error for malformed transport frames.
 var ErrFrame = errors.New("wire: frame error")
 
-// FrameMagic opens every transport frame. The trailing byte is the frame
-// format version; v2 added the epoch and sequence fields that carry the
-// reliable-delivery state.
-var FrameMagic = [4]byte{'H', 'F', 0, 2}
+// FrameMagic opens every transport frame. The trailing byte is the wire
+// version, and a cluster runs one: a reader refuses a frame of any other
+// version at the header, and the transport drops its connection. v2 added
+// the epoch and sequence fields that carry the reliable-delivery state; v3
+// gave every message kind exactly one layout.
+var FrameMagic = [4]byte{'H', 'F', 0, 3}
 
 // frameHeaderLen is magic(4) + payload length(4) + sender(4) + epoch(8) +
 // seq(8).

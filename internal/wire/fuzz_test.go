@@ -50,24 +50,15 @@ func FuzzDecode(f *testing.F) {
 	for _, m := range seeds {
 		f.Add(Encode(m))
 	}
-	// Frames from senders whose messages still carried trace spans.
-	f.Add(spansFrame(&Result{QID: qid, Count: 2}, Span{Site: 2, Seq: 1, Hop: 1, Filter: 0, In: 3, Out: 2, DurationUS: 40}))
-	f.Add(spansFrame(&Control{QID: qid, Token: []byte{1}}, Span{Site: 4, Seq: 2, Hop: 2, Filter: 1, In: 1, Out: 1, DurationUS: 9}))
-	f.Add(spansFrame(&Complete{QID: qid, Count: 1}, Span{Site: 1, Seq: 1, In: 1, Out: 1, DurationUS: 5}))
-	f.Add(itersDerefFrame(&Deref{QID: qid, Origin: 1, Body: "S -> T", ObjIDs: []object.ID{id}, Token: []byte{1, 1}, Hop: 2,
-		BodyHash: []byte{0xAB}, BudgetUS: 99}, nil, Span{Site: 2, Seq: 1, Hop: 1, In: 1, Out: 1, DurationUS: 40}))
-	// Pre-client-id Submit layout: strip the trailing ClientID varint so the
-	// fuzzer keeps exploring the previous frame generation.
-	preClient := Encode(&Submit{QID: qid, Client: 7, Body: "S -> T", BudgetUS: 9})
-	f.Add(preClient[:len(preClient)-1])
-	// Pre-cumulative Ack layout: the frame ends after Seq.
-	preCum := Encode(&Ack{Seq: 9})
-	f.Add(preCum[:len(preCum)-1])
-	// The legacy single-id Deref layout (kind byte KDeref) is never emitted
-	// anymore but must keep decoding; seed the fuzzer with one such frame.
-	f.Add(legacyDerefFrame(qid, 1, "S -> T", id, 1, []int{2}, []byte{1}, 2))
-	// A batched Deref whose sender still filled the iteration-number list.
-	f.Add(itersDerefFrame(&Deref{QID: qid, Origin: 1, Body: `S (a, ?, ?) -> T`, ObjIDs: []object.ID{id}, Start: 1, Token: []byte{1}}, []int{2}))
+	every := everyField()
+	for _, name := range sortedKeys(every) {
+		f.Add(Encode(every[name]))
+	}
+	// Frames cut one byte short, which never decode.
+	short := Encode(&Submit{QID: qid, Client: 7, Body: "S -> T", BudgetUS: 9})
+	f.Add(short[:len(short)-1])
+	short = Encode(&Ack{Seq: 9})
+	f.Add(short[:len(short)-1])
 	f.Add([]byte{})
 	f.Add([]byte{255, 255, 255})
 
@@ -109,26 +100,28 @@ func FuzzDecode(f *testing.F) {
 // Truncated streams (short length prefix, short payload) surface as io
 // errors, never as a hang or a huge allocation.
 //
-// Beyond the f.Add seeds below, go test auto-loads the committed compat
-// corpus in testdata/fuzz/FuzzFrame — one frozen frame per wire-format
-// generation (see compatSeeds in corpus_test.go) — so backward-compat
-// coverage survives CI fuzz-cache loss.
+// Beyond the f.Add seeds below, go test auto-loads the committed corpus in
+// testdata/fuzz/FuzzFrame — a frame per message kind with every field set
+// (see corpusSeeds in corpus_test.go) — so that coverage survives CI
+// fuzz-cache loss.
 func FuzzFrame(f *testing.F) {
 	const maxPayload = 1 << 16
 	good := AppendFrame(nil, Frame{From: 3, Epoch: 9, Seq: 1, Payload: Encode(&Ack{Seq: 1})})
 	f.Add(good)
-	f.Add(good[:len(good)-1])                         // truncated payload
-	f.Add(good[:6])                                   // short length prefix
-	f.Add([]byte{'H', 'F', 0, 1, 0, 0, 0, 0})         // old version byte
-	f.Add([]byte{0, 0, 0, 2, 0, 0, 0, 9, 6, 1})       // pre-magic framing
-	f.Add(AppendFrame(nil, Frame{From: 1, Seq: 0}))   // unreliable, empty payload
-	f.Add(append(good, good...))                      // two frames back to back
-	f.Add([]byte{'H', 'F', 0, 2, 255, 255, 255, 255}) // huge length prefix
-	// A Deref carrying spans, as a site handing its credit on sent one while
-	// spans rode messages.
-	f.Add(AppendFrame(nil, Frame{From: 2, Epoch: 1, Seq: 2, Payload: itersDerefFrame(&Deref{
+	f.Add(good[:len(good)-1])                        // truncated payload
+	f.Add(good[:6])                                  // short length prefix
+	f.Add([]byte{'H', 'F', 0, 1, 0, 0, 0, 0})        // old version byte
+	f.Add([]byte{0, 0, 0, 2, 0, 0, 0, 9, 6, 1})      // pre-magic framing
+	f.Add(AppendFrame(nil, Frame{From: 1, Seq: 0}))  // unreliable, empty payload
+	f.Add(append(good, good...))                     // two frames back to back
+	f.Add(append(FrameMagic[:], 255, 255, 255, 255)) // huge length prefix
+	// A well-formed frame of the previous wire version, refused at its
+	// header.
+	prev := AppendFrameMsg(nil, 2, 1, 2, &Deref{
 		QID: QueryID{Origin: 1, Seq: 3}, Origin: 1, ObjIDs: []object.ID{{Birth: 2, Seq: 9}}, Token: []byte{1, 1},
-	}, nil, Span{Site: 3, Seq: 2, Hop: 2, In: 1, DurationUS: 6})}))
+	})
+	prev[3] = 2
+	f.Add(prev)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)

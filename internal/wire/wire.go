@@ -36,7 +36,8 @@ const (
 	KInvalid Kind = iota
 	// KSubmit starts a query at its originating site (client -> site).
 	KSubmit
-	// KDeref asks a site to process an object for a query (site -> site).
+	// KDeref asks a site to process a batch of objects for a query
+	// (site -> site).
 	KDeref
 	// KResult returns result ids / fetched values / counts to the
 	// originating site when a working set drains (site -> originator).
@@ -70,10 +71,6 @@ const (
 	// failure detector. Heartbeats are sent unreliably (no ack, no
 	// retransmission): a lost heartbeat is itself the signal.
 	KHeartbeat
-	// KDerefBatch is the batched Deref wire layout: one query/body/cursor
-	// with a slice of object ids. Encoders always emit this layout; KDeref
-	// remains decodable for legacy single-id frames.
-	KDerefBatch
 	// KReject tells a client its Submit was refused by admission control
 	// (originator -> client). No query context was created.
 	KReject
@@ -90,7 +87,7 @@ var kindNames = [...]string{
 	KStatsReq: "stats-req", KStatsResp: "stats-resp",
 	KMigrate: "migrate", KMigrateData: "migrate-data",
 	KMigrateDone: "migrate-done", KMigrated: "migrated",
-	KAck: "ack", KHeartbeat: "heartbeat", KDerefBatch: "deref-batch",
+	KAck: "ack", KHeartbeat: "heartbeat",
 	KReject: "reject", KCancel: "cancel",
 }
 
@@ -100,31 +97,6 @@ func (k Kind) String() string {
 		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", k)
-}
-
-// Span is one cross-site trace record: while executing a query, each site
-// aggregates the objects it processed per filter step over a drain interval
-// and emits one span per (filter, interval). No message carries a span: each
-// site keeps its own in its trace ring, and whoever reads the rings merges
-// them into one per-query timeline (site.MergeTraces). The codec still walks
-// the span lists older senders put on Deref, Result, Control and Complete,
-// and drops them.
-type Span struct {
-	// Site is where the work happened.
-	Site object.SiteID
-	// Seq orders spans per (site, query), in emission order.
-	Seq uint64
-	// Hop is the remote-dereference depth at which this site joined the
-	// query (0 = originator), so a timeline shows how far the pointer chase
-	// travelled.
-	Hop uint32
-	// Filter is the index of the filter step the objects were processed
-	// under (the paper's per-filter working sets).
-	Filter uint32
-	// In and Out count objects entering the step and passing it.
-	In, Out uint32
-	// DurationUS is the wall time spent in this span's steps, microseconds.
-	DurationUS uint64
 }
 
 // Msg is implemented by every message type.
@@ -158,15 +130,13 @@ type Submit struct {
 	// BudgetUS is the client's remaining time budget in microseconds; zero
 	// means no budget (the site may still impose its configured default
 	// deadline). Budgets are relative durations, not wall-clock deadlines,
-	// so sites need no clock synchronization. Trailing and optional: frames
-	// from older clients decode with BudgetUS zero.
+	// so sites need no clock synchronization.
 	BudgetUS uint64
 	// ClientID identifies the submitting client for the origin site's round
 	// robin over clients (admissions and engine steps). Distinct from
 	// Client, which is the wire endpoint the Complete goes to: many logical
-	// clients may share one endpoint. Trailing and optional: frames from
-	// older clients decode with ClientID zero (the one shared lane that
-	// participant work also uses).
+	// clients may share one endpoint. Zero is the one shared lane that
+	// participant work also uses.
 	ClientID uint64
 }
 
@@ -198,18 +168,10 @@ type Deref struct {
 	// Hop is the trace context's dereference depth: the sender's own hop
 	// plus one. The receiving site stamps it on the spans it emits.
 	Hop uint32
-	// BodyHash, when present, is the full 32-byte fingerprint of Body
-	// (query.FingerprintOf), letting the receiver consult its plan cache
-	// without rehashing. It is trailing and optional: frames from older
-	// senders decode with BodyHash nil and the receiver hashes locally.
-	// Correctness never rests on it — the plan cache compares the body text
-	// itself before serving a plan.
-	BodyHash []byte
 	// BudgetUS is the query's remaining time budget in microseconds as of
 	// the moment the sender emitted this message; zero means no budget. The
 	// receiver derives its local deadline from it, so the budget shrinks at
 	// every hop and one slow peer cannot pin resources cluster-wide.
-	// Trailing and optional, after BodyHash.
 	BudgetUS uint64
 }
 
@@ -304,8 +266,6 @@ type Complete struct {
 	// Reason annotates a Partial answer with why the query ended early
 	// ("deadline expired", "cancelled by client", "peer down"), so clients
 	// can distinguish shed work from dead peers. Empty for complete answers.
-	// Trailing and optional: frames from older originators decode with
-	// Reason empty.
 	Reason string
 }
 
@@ -329,8 +289,7 @@ type Seed struct {
 	Token []byte
 	// Hop is the trace context's dereference depth, exactly as on Deref.
 	Hop uint32
-	// BudgetUS is the remaining time budget, exactly as on Deref. Trailing
-	// and optional.
+	// BudgetUS is the remaining time budget, exactly as on Deref.
 	BudgetUS uint64
 }
 
@@ -482,8 +441,6 @@ func (m *Cancel) Query() QueryID { return m.QID }
 // retransmission that the receiver's dedup window absorbs and acks again.
 type Ack struct {
 	Seq uint64
-	// Cum is trailing and optional on the wire: the pre-cumulative layout
-	// ends after Seq and decodes as Cum 0, which retires nothing beyond Seq.
 	Cum uint64
 }
 

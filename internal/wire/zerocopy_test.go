@@ -7,11 +7,11 @@ import (
 	"hyperfile/internal/object"
 )
 
-// TestBorrowedDecodeMatchesCopyOnCorpus: on every committed compat-corpus
-// payload (one per wire-format generation), the borrowed decode must be
-// byte-for-byte the same message as the copying decode.
+// TestBorrowedDecodeMatchesCopyOnCorpus: on every committed corpus payload,
+// the borrowed decode must be byte-for-byte the same message as the copying
+// decode.
 func TestBorrowedDecodeMatchesCopyOnCorpus(t *testing.T) {
-	for name, frame := range compatSeeds() {
+	for name, frame := range corpusSeeds() {
 		fr, err := ReadFrame(bytes.NewReader(frame), 1<<16)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
